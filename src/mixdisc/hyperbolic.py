@@ -23,6 +23,7 @@ from .core import (
     make_rng,
     min_eigenvalue,
 )
+from .discriminant import _as_real, _polarized_raw
 from .extremal import bapat_bound, random_ds_tuple
 
 
@@ -112,23 +113,16 @@ def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: float = DEFAULT_TOL.psd_t
 
 
 def mixed_value(pencil: HyperbolicPencil, xs) -> float:
-    """p-mixed value of n vectors by inclusion-exclusion polarization.
+    """p-mixed value of n vectors: the mixed discriminant of their pencil matrices.
 
-    M_p(x_1,..,x_n) = sum over S of (-1)^(n-|S|) p(sum_{i in S} x_i); valid
-    because p is homogeneous of degree n.
+    p(sum t_i x_i) = det(sum t_i B(x_i)), so M_p(x_1,..,x_n) is
+    D(B(x_1),..,B(x_n)), evaluated by the centered polarization kernel.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     n = pencil.degree
     if len(xs) != n:
         raise ValueError(f"need exactly {n} vectors (the degree of p)")
-    terms = np.empty((1 << n) - 1)
-    sums = np.zeros((1 << n, pencil.m))
-    for mask in range(1, 1 << n):
-        lb = (mask & -mask).bit_length() - 1
-        sums[mask] = sums[mask ^ (1 << lb)] + xs[lb]
-        sgn = 1.0 if (n - bin(mask).count("1")) % 2 == 0 else -1.0
-        terms[mask - 1] = sgn * pencil.value(sums[mask])
-    return fsum_real(terms)
+    return _as_real(_polarized_raw([pencil.at(x) for x in xs]))
 
 
 def check_hd_membership(

@@ -135,13 +135,16 @@ class TestPermanent:
             )
 
     def test_streaming_path_matches(self):
-        # n = 14 takes the Gray-code branch; cross-check against a rank-1 value.
-        u = np.linspace(0.1, 1.0, 14)
-        a = np.outer(u, np.ones(14))
-        # per of a matrix with constant columns u: n! * prod(u).
-        assert permanent(a) == pytest.approx(
-            math.factorial(14) * float(np.prod(u)), rel=1e-9
-        )
+        # n = 14 fills exactly one cached table of 2^13 sign vectors; at
+        # n = 16 the sign vectors are generated chunk by chunk from their
+        # index bits.  Cross-check both against a rank-1 closed form.
+        for n in (14, 16):
+            u = np.linspace(0.1, 1.0, n)
+            a = np.outer(u, np.ones(n))
+            # per of a matrix with constant columns u: n! * prod(u).
+            assert permanent(a) == pytest.approx(
+                math.factorial(n) * float(np.prod(u)), rel=1e-9
+            )
 
 
 class TestGradient:
