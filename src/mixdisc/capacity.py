@@ -21,10 +21,13 @@ from .core import (
     SingularPencil,
     Tolerances,
     inv_sqrt_psd,
-    max_abs,
-    psd_violation,
 )
-from .discriminant import MatrixTuple, eval_polarized
+from .discriminant import (
+    MatrixTuple,
+    _require_psd,
+    _trace_and_sum_violations,
+    eval_polarized,
+)
 from .structure import is_indecomposable
 
 _LOG_FLOOR = math.log(1e-300)
@@ -49,17 +52,9 @@ class ScalingResult:
     converged: bool
 
 
-def _require_psd(t: MatrixTuple, tol: Tolerances) -> None:
-    worst = max(psd_violation(a) for a in t.matrices)
-    if worst > tol.psd_tol * (1.0 + t.scale_of()):
-        raise PreconditionViolated(f"tuple is not PSD (violation {worst:.3e})")
-
-
 def _objective(mats, y):
-    m = np.zeros_like(mats[0])
     w = np.exp(y)
-    for wi, a in zip(w, mats):
-        m += wi * a
+    m = (w[:, None, None] * mats).sum(0)
     sign, logdet = np.linalg.slogdet(m)
     if sign.real <= 0.0 or logdet < _LOG_FLOOR:
         raise SingularPencil(
@@ -85,9 +80,7 @@ def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = 5000
     gnorm = math.inf
     stalls = 0
     while it < max_iter:
-        grad = np.array(
-            [wi * float(np.trace(np.linalg.solve(m, a)).real) for wi, a in zip(w, mats)]
-        )
+        grad = w * np.trace(np.linalg.solve(m, mats), axis1=1, axis2=2).real
         grad -= grad.mean()
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol.opt_tol:
@@ -125,15 +118,6 @@ def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = 5000
     return result
 
 
-def _ds_defect_of(mats) -> float:
-    n = len(mats)
-    trace_v = max(abs(float(a.trace().real) - 1.0) for a in mats)
-    total = np.zeros_like(mats[0])
-    for a in mats:
-        total += a
-    return trace_v + max_abs(total - np.eye(n))
-
-
 def scale_to_doubly_stochastic(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = 10000
 ) -> ScalingResult:
@@ -149,26 +133,23 @@ def scale_to_doubly_stochastic(
     if not indec:
         raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
     n = t.n
-    mats = [a.copy() for a in t.matrices]
+    mats = t.matrices
     x = np.eye(n, dtype=np.complex128)
     scalars = np.ones(n)
-    defect = _ds_defect_of(mats)
+    defect = sum(_trace_and_sum_violations(mats))
     it = 0
     while defect > tol.ds_tol and it < max_iter:
-        total = np.zeros_like(mats[0])
-        for a in mats:
-            total += a
-        l = inv_sqrt_psd(total, tol)
-        mats = [(l @ a @ l) for a in mats]
-        mats = [(a + a.conj().T) / 2.0 for a in mats]
+        l = inv_sqrt_psd(mats.sum(0), tol)
+        mats = l @ mats @ l
+        mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
         x = l @ x
-        traces = np.array([float(a.trace().real) for a in mats])
+        traces = np.trace(mats, axis1=1, axis2=2).real
         if np.any(traces <= 0.0):
             raise SingularPencil("a slot lost its trace during scaling")
-        mats = [a / tr for a, tr in zip(mats, traces)]
+        mats = mats / traces[:, None, None]
         scalars /= traces
         it += 1
-        defect = _ds_defect_of(mats)
+        defect = sum(_trace_and_sum_violations(mats))
     converged = defect <= tol.ds_tol
     log_s = np.log(scalars)
     alpha = np.exp(log_s - log_s.mean())

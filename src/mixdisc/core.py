@@ -1,9 +1,11 @@
 """Dense complex Hermitian linear algebra shared by every other module.
 
-Matrices are plain ``numpy.ndarray`` objects of dtype complex128.  Anything
-that claims to be Hermitian goes through :func:`as_hermitian`, which rejects
-grids that are non-Hermitian beyond tolerance and then symmetrizes exactly,
-so downstream code may rely on ``A == A.conj().T`` holding bit-for-bit.
+Matrices are plain ``numpy.ndarray`` objects of dtype complex128, and a
+tuple or pencil of them is one (k, n, n) stack.  Anything that claims to be
+Hermitian goes through :func:`as_hermitian`, which takes one matrix or a
+stack, rejects each matrix that is non-Hermitian beyond tolerance at its own
+scale and then symmetrizes exactly, so downstream code may rely on
+``A == A.conj().T`` holding bit-for-bit.
 """
 
 from __future__ import annotations
@@ -109,18 +111,22 @@ def require_finite(a: np.ndarray, what: str = "matrix") -> None:
 def as_hermitian(a, tol: float = DEFAULT_TOL.hermitian_tol) -> np.ndarray:
     """Validate Hermiticity within ``tol`` and symmetrize exactly.
 
-    The returned matrix satisfies ``H[i, j] == conj(H[j, i])`` exactly, since
-    averaging with the conjugate transpose is symmetric in IEEE arithmetic.
+    ``a`` is one square matrix or a stack (..., n, n).  Each matrix A_i is
+    held to its own scale: its defect max|A_i - A_i^*| must not exceed
+    ``tol * (1 + max|A_i|)``.  The result satisfies ``H[i, j] == conj(H[j, i])``
+    exactly, since averaging with the conjugate transpose is symmetric in
+    IEEE arithmetic.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
     require_finite(a)
-    scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > tol * scale:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tolerance")
-    return (a + a.conj().T) / 2.0
+    ah = a.conj().swapaxes(-1, -2)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
+    if np.any(defect > tol * scale):
+        raise NotHermitian(f"Hermiticity defect {np.max(defect):.3e} exceeds tolerance")
+    return (a + ah) / 2.0
 
 
 def max_abs(a) -> float:
@@ -197,8 +203,11 @@ def rank_psd(a, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def psd_violation(a) -> float:
-    """How far a Hermitian matrix is from PSD: max(0, -smallest eigenvalue)."""
-    return max(0.0, -min_eigenvalue(a))
+    """How far a Hermitian matrix (or the worst of a stack) is from PSD.
+
+    That is max(0, -smallest eigenvalue).
+    """
+    return max(0.0, -float(np.linalg.eigvalsh(a).min()))
 
 
 # ---------------------------------------------------------------------------

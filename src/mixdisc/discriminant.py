@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_TOL,
     DimensionTooLarge,
     NumericalInconsistency,
+    PreconditionViolated,
     Tolerances,
     as_hermitian,
     fsum_complex,
@@ -50,25 +51,26 @@ _DET_CHUNK = 8192
 
 
 class MatrixTuple:
-    """Ordered n-tuple of n x n Hermitian matrices (square tuples only)."""
+    """Ordered n-tuple of n x n Hermitian matrices (square tuples only).
+
+    ``matrices`` is one read-only complex (n, n, n) array whose slice
+    ``matrices[i]`` is A_i; iterating the tuple yields the slices.
+    """
 
     __slots__ = ("n", "matrices")
 
     def __init__(self, matrices, tol: Tolerances = DEFAULT_TOL):
-        mats = [as_hermitian(m, tol.hermitian_tol) for m in matrices]
-        if not mats:
-            raise ValueError("empty tuple")
-        n = mats[0].shape[0]
-        if any(m.shape != (n, n) for m in mats):
-            raise ValueError("all members must share one dimension")
+        mats = as_hermitian(matrices, tol.hermitian_tol)
+        if mats.ndim != 3 or not mats.size:
+            raise ValueError(f"expected a nonempty stack of matrices, got shape {mats.shape}")
+        n = mats.shape[-1]
         if len(mats) != n:
             raise ValueError(
                 f"tuple length {len(mats)} must equal matrix dimension {n}"
             )
-        for m in mats:
-            m.flags.writeable = False
+        mats.flags.writeable = False
         self.n = n
-        self.matrices = tuple(mats)
+        self.matrices = mats
 
     def __iter__(self):
         return iter(self.matrices)
@@ -86,14 +88,14 @@ class MatrixTuple:
         return MatrixTuple(mats)
 
     def scale_of(self) -> float:
-        return max(max_abs(m) for m in self.matrices)
+        return max_abs(self.matrices)
 
 
 @dataclass(frozen=True)
 class DiscriminantGradient:
     """Gradient matrices Q_i with D(A_1,..,X,..,A_n) = tr(X Q_i), plus D itself."""
 
-    Q: tuple
+    Q: np.ndarray  # (n, n, n): Q[i] is Q_i
     value: float
 
 
@@ -226,7 +228,7 @@ def _polarized_raw(mats) -> complex:
     """D(mats) by the centered polarization 2^(1-n) sum prod(eps) det(sum eps_i mats[i])."""
     n = len(mats)
     _gate(n, _GATE_POLARIZED, "eval_polarized")
-    rows = np.array(mats).reshape(n, n * n)
+    rows = np.asarray(mats).reshape(n, n * n)
     return _centered_sum(rows, lambda s: np.linalg.det(s.reshape(-1, n, n)))[0]
 
 
@@ -246,7 +248,7 @@ def eval_sigma_det(t: MatrixTuple) -> float:
     """
     n = t.n
     _gate(n, _GATE_SIGMA_DET, "eval_sigma_det")
-    cols = np.stack(t.matrices)  # cols[j, :, i] is column i of A_j
+    cols = t.matrices  # cols[j, :, i] is column i of A_j
     totals = []
     for perms, _ in _iter_perm_chunks(n):
         stacked = np.empty((len(perms), n, n), dtype=np.complex128)
@@ -259,7 +261,7 @@ def eval_sigma_det(t: MatrixTuple) -> float:
 def _double_perm_raw(mats) -> complex:
     n = len(mats)
     perms, signs = _perms_and_signs(n)
-    rows = np.stack(mats)  # rows[i, k, :] is row k of A_i
+    rows = np.asarray(mats)  # rows[i, k, :] is row k of A_i
     per_sigma = np.empty(len(perms), dtype=np.complex128)
     prod = np.empty((len(perms), n), dtype=np.complex128)
     for s, sigma in enumerate(perms):
@@ -301,7 +303,7 @@ def eval_signed_permanent(t: MatrixTuple) -> float:
     n = t.n
     _gate(n, _GATE_SIGNED_PERM, "eval_signed_permanent")
     perms, signs = _perms_and_signs(n)
-    rows = np.stack(t.matrices)
+    rows = t.matrices
     idx = np.arange(n)
     totals = np.empty(len(perms), dtype=np.complex128)
     for s, sigma in enumerate(perms):
@@ -354,12 +356,12 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
     """
     n = t.n
     _gate(n, _GATE_POLARIZED, "gradient")
-    rows = np.array(t.matrices).reshape(n, n * n)
+    rows = t.matrices.reshape(n, n * n)
     q = sum(
         (eps * sign[:, None]).T @ _adjugates(s.reshape(-1, n, n)).reshape(-1, n * n)
         for eps, sign, s in _eps_combinations(rows)
     )
-    qs = tuple(as_hermitian(qi.reshape(n, n) * 2.0 ** (1 - n), tol=1e-6) for qi in q)
+    qs = as_hermitian(q.reshape(n, n, n) * 2.0 ** (1 - n), tol=1e-6)
     return DiscriminantGradient(Q=qs, value=eval_polarized(t))
 
 
@@ -370,25 +372,30 @@ def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradie
     |sum_i <A_i Q_i w, w> - D <w, w>| and returns the larger residual.
     """
     g = grad if grad is not None else gradient(t)
-    acc = np.zeros((t.n, t.n), dtype=np.complex128)
-    for a, q in zip(t.matrices, g.Q):
-        acc += a @ q
+    acc = (t.matrices @ g.Q).sum(0)
     res = max_abs(acc - g.value * np.eye(t.n))
     if omega is not None:
         w = np.asarray(omega, dtype=np.complex128).reshape(t.n)
-        quad = sum(np.vdot(w, a @ (q @ w)) for a, q in zip(t.matrices, g.Q))
-        res = max(res, abs(quad - g.value * np.vdot(w, w)))
+        res = max(res, abs(np.vdot(w, acc @ w) - g.value * np.vdot(w, w)))
     return float(res)
+
+
+def _require_psd(t: MatrixTuple, tol: Tolerances) -> None:
+    worst = psd_violation(t.matrices)
+    if worst > tol.psd_tol * (1.0 + t.scale_of()):
+        raise PreconditionViolated(f"tuple is not PSD (violation {worst:.3e})")
+
+
+def _trace_and_sum_violations(mats: np.ndarray) -> tuple[float, float]:
+    """max_i |tr A_i - 1| and max|sum_i A_i - I| for an (n, n, n) stack."""
+    trace_v = float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)))
+    return trace_v, max_abs(mats.sum(0) - np.eye(len(mats)))
 
 
 def check_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DsTupleReport:
     """Violations of the three doubly stochastic tuple conditions."""
-    psd_v = max(psd_violation(a) for a in t.matrices)
-    trace_v = max(abs(float(a.trace().real) - 1.0) for a in t.matrices)
-    total = np.zeros((t.n, t.n), dtype=np.complex128)
-    for a in t.matrices:
-        total += a
-    sum_v = max_abs(total - np.eye(t.n))
+    psd_v = psd_violation(t.matrices)
+    trace_v, sum_v = _trace_and_sum_violations(t.matrices)
     ok = psd_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
     return DsTupleReport(psd_v, trace_v, sum_v, ok)
 

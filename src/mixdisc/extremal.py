@@ -21,7 +21,9 @@ from .core import (
     SamplerExhausted,
     Tolerances,
     make_rng,
+    max_abs,
     min_eigenvalue,
+    psd_violation,
     random_hermitian,
     random_psd,
     spawn_seeds,
@@ -77,12 +79,10 @@ def averaging_sweep(t: MatrixTuple, sweeps: int) -> MatrixTuple:
     Each f_{i,j} replaces slots i and j by their arithmetic average; the limit
     is the constant tuple of the slot average.
     """
-    mats = [a.copy() for a in t.matrices]
+    mats = t.matrices.copy()
     for _ in range(sweeps):
         for i in range(t.n - 1):
-            avg = (mats[i] + mats[i + 1]) / 2.0
-            mats[i] = avg
-            mats[i + 1] = avg.copy()
+            mats[i] = mats[i + 1] = (mats[i] + mats[i + 1]) / 2.0
     return MatrixTuple(mats)
 
 
@@ -131,28 +131,26 @@ def dnp_family_value(p, tol: Tolerances = DEFAULT_TOL) -> float:
     t = MatrixTuple([p / n] * n, tol)
     value = eval_polarized(t)
     expected = bapat_bound(n) * float(np.linalg.det(p).real)
-    if abs(value - expected) > 1e-9 * (1.0 + abs(expected)):
+    if abs(value - expected) > 1e-9 * abs(expected):
         raise NumericalInconsistency(
             f"D(P/n,..) = {value:.15g} but (n!/n^n) det P = {expected:.15g}"
         )
     return value
 
 
-def _tangent_direction(n: int, rng) -> list[np.ndarray]:
+def _tangent_direction(n: int, rng) -> np.ndarray:
     """Random Hermitian tuple direction with zero traces and zero slot sum."""
-    zs = [random_hermitian(n, rng) for _ in range(n)]
-    zs = [z - (np.trace(z).real / n) * np.eye(n) for z in zs]
-    mean = sum(zs) / n
-    zs = [z - mean for z in zs]
-    norm = math.sqrt(sum(float(np.sum(np.abs(z) ** 2)) for z in zs))
+    zs = np.array([random_hermitian(n, rng) for _ in range(n)])
+    zs -= (np.trace(zs, axis1=1, axis2=2).real / n)[:, None, None] * np.eye(n)
+    zs -= zs.sum(0) / n
+    norm = math.sqrt(np.sum(np.abs(zs) ** 2, axis=(1, 2)).sum())
     if norm < 1e-12:
         return _tangent_direction(n, rng)
-    return [z / norm for z in zs]
+    return zs / norm
 
 
 def _descend(t: MatrixTuple, rng, tol: Tolerances, max_steps: int = 2000):
     """Random projected descent; strict decreases only, PSD enforced by rejection."""
-    mats = [a.copy() for a in t.matrices]
     value = eval_polarized(t)
     step = 0.1
     rejections = 0
@@ -162,13 +160,14 @@ def _descend(t: MatrixTuple, rng, tol: Tolerances, max_steps: int = 2000):
         zs = _tangent_direction(t.n, rng)
         accepted = False
         for sign in (1.0, -1.0):
-            cand = [(m + sign * step * z) for m, z in zip(mats, zs)]
-            cand = [(c + c.conj().T) / 2.0 for c in cand]
-            if not all(min_eigenvalue(c) >= -tol.psd_tol for c in cand):
+            cand = t.matrices + sign * step * zs
+            cand = (cand + cand.conj().transpose(0, 2, 1)) / 2.0
+            if psd_violation(cand) > tol.psd_tol:
                 continue
-            cand_value = eval_polarized(MatrixTuple(cand, tol))
+            cand_t = MatrixTuple(cand, tol)
+            cand_value = eval_polarized(cand_t)
             if cand_value < value:
-                mats, value = cand, cand_value
+                t, value = cand_t, cand_value
                 accepted = True
                 break
         if accepted:
@@ -177,7 +176,7 @@ def _descend(t: MatrixTuple, rng, tol: Tolerances, max_steps: int = 2000):
         else:
             step *= 0.5
             rejections += 1
-    return MatrixTuple(mats, tol), value
+    return t, value
 
 
 def minimize_search(
@@ -212,7 +211,5 @@ def minimize_search(
     )
     if best_value < bound + 1e-5 and best_tuple is not None:
         jn = np.eye(n) / n
-        record.distance_to_jn = max(
-            float(np.max(np.abs(a - jn))) for a in best_tuple.matrices
-        )
+        record.distance_to_jn = max_abs(best_tuple.matrices - jn)
     return record

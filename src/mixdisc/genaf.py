@@ -70,10 +70,7 @@ class AfExperimentResult:
 def expand_tuple(t: MatrixTuple, alpha) -> MatrixTuple:
     """The n-tuple with A_i repeated alpha_i times, in index order."""
     a = validate_weight(alpha, t.n)
-    mats = []
-    for i, count in enumerate(a):
-        mats.extend([t.matrices[i]] * int(count))
-    return MatrixTuple(mats)
+    return MatrixTuple(t.matrices[np.repeat(np.arange(t.n), a)])
 
 
 def m_alpha(t: MatrixTuple, alpha) -> float:
@@ -126,10 +123,7 @@ def column_repeated(b, alpha) -> np.ndarray:
     b = np.asarray(b)
     n = b.shape[0]
     a = validate_weight(alpha, n)
-    cols = []
-    for j, count in enumerate(a):
-        cols.extend([b[:, j]] * int(count))
-    return np.stack(cols, axis=1)
+    return b[:, np.repeat(np.arange(n), a)]
 
 
 def af_lower_bound_experiment(n_dim: int) -> AfExperimentResult:

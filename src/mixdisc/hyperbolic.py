@@ -28,43 +28,38 @@ from .extremal import bapat_bound, random_ds_tuple
 
 
 class HyperbolicPencil:
-    """p(x) = det(sum x_i B_i) with direction e such that sum e_i B_i > 0."""
+    """p(x) = det(sum x_i B_i) with direction e such that sum e_i B_i > 0.
+
+    ``matrices`` is one read-only complex (m, n, n) array whose slice
+    ``matrices[i]`` is B_i; ``degree`` is n.
+    """
 
     __slots__ = ("m", "degree", "matrices", "e", "_reducer")
 
     def __init__(self, matrices, e, tol: Tolerances = DEFAULT_TOL):
-        mats = [as_hermitian(b, tol.hermitian_tol) for b in matrices]
-        if not mats:
-            raise ValueError("empty pencil")
-        n = mats[0].shape[0]
-        if any(b.shape != (n, n) for b in mats):
-            raise ValueError("pencil matrices must share one dimension")
+        mats = as_hermitian(matrices, tol.hermitian_tol)
+        if mats.ndim != 3 or not mats.size:
+            raise ValueError(f"expected a nonempty stack of matrices, got shape {mats.shape}")
+        mats.flags.writeable = False
+        self.m = len(mats)
+        self.degree = mats.shape[-1]
+        self.matrices = mats
         e = np.asarray(e, dtype=float)
-        if e.shape != (len(mats),):
+        if e.shape != (self.m,):
             raise ValueError("direction must have one entry per pencil matrix")
-        pencil_at_e = self._combine(mats, e)
+        pencil_at_e = self.at(e)
         if min_eigenvalue(pencil_at_e) <= tol.psd_tol * (
             1.0 + float(np.max(np.abs(pencil_at_e)))
         ):
             raise PreconditionViolated("sum e_i B_i must be positive definite")
-        self.m = len(mats)
-        self.degree = n
-        self.matrices = tuple(mats)
         self.e = e
         self._reducer = inv_sqrt_psd(pencil_at_e, tol)
-
-    @staticmethod
-    def _combine(mats, x) -> np.ndarray:
-        acc = np.zeros_like(mats[0])
-        for xi, b in zip(x, mats):
-            acc += xi * b
-        return acc
 
     def at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.m,):
             raise ValueError(f"point must be a real {self.m}-vector")
-        return self._combine(self.matrices, x)
+        return (x[:, None, None] * self.matrices).sum(0)
 
     def value(self, x) -> float:
         """p(x) = det(sum x_i B_i); real for real x and a Hermitian pencil."""
@@ -118,11 +113,11 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     p(sum t_i x_i) = det(sum t_i B(x_i)), so M_p(x_1,..,x_n) is
     D(B(x_1),..,B(x_n)), evaluated by the centered polarization kernel.
     """
-    xs = [np.asarray(x, dtype=float) for x in xs]
+    xs = np.asarray(xs, dtype=float)
     n = pencil.degree
-    if len(xs) != n:
-        raise ValueError(f"need exactly {n} vectors (the degree of p)")
-    return _as_real(_polarized_raw([pencil.at(x) for x in xs]))
+    if xs.shape != (n, pencil.m):
+        raise ValueError(f"need exactly {n} real {pencil.m}-vectors (the degree of p)")
+    return _as_real(_polarized_raw((xs[:, :, None, None] * pencil.matrices).sum(1)))
 
 
 def check_hd_membership(
@@ -145,7 +140,7 @@ def check_hd_membership(
 
 def pencil_from_tuple(t, tol: Tolerances = DEFAULT_TOL) -> HyperbolicPencil:
     """The determinantal pencil of a matrix tuple with the all-ones direction."""
-    return HyperbolicPencil(list(t.matrices), np.ones(t.n), tol)
+    return HyperbolicPencil(t.matrices, np.ones(t.n), tol)
 
 
 def axis_vectors(n: int) -> list[np.ndarray]:

@@ -24,7 +24,6 @@ from .core import (
     inv_sqrt_psd,
     make_rng,
     max_abs,
-    min_eigenvalue,
     psd_violation,
     random_complex_gaussian,
 )
@@ -35,21 +34,20 @@ _GATE_QP_TENSOR = 4
 
 
 class BlockMatrix:
-    """n^2 x n^2 matrix viewed as an n x n grid of n x n complex blocks."""
+    """n^2 x n^2 matrix viewed as an n x n grid of n x n complex blocks.
+
+    ``blocks`` is one read-only complex (n, n, n, n) array; ``blocks[i][j]``
+    (equivalently ``blocks[i, j]``) is the block A_{i,j}.
+    """
 
     __slots__ = ("n", "blocks")
 
     def __init__(self, blocks):
-        n = len(blocks)
-        grid = []
-        for row in blocks:
-            if len(row) != n:
-                raise ValueError("block grid must be square")
-            grid.append([np.asarray(b, dtype=np.complex128) for b in row])
-        for row in grid:
-            for b in row:
-                if b.shape != (n, n):
-                    raise ValueError(f"each block must be {n} x {n}")
+        grid = np.array(blocks, dtype=np.complex128)
+        n = len(grid)
+        if grid.shape != (n, n, n, n):
+            raise ValueError(f"expected an n x n grid of n x n blocks, got shape {grid.shape}")
+        grid.flags.writeable = False
         self.n = n
         self.blocks = grid
 
@@ -58,34 +56,19 @@ class BlockMatrix:
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (n * n, n * n):
             raise ValueError(f"assembled matrix must be {n * n} x {n * n}")
-        blocks = [
-            [rho[i * n : (i + 1) * n, j * n : (j + 1) * n] for j in range(n)]
-            for i in range(n)
-        ]
-        return cls(blocks)
+        return cls(rho.reshape(n, n, n, n).transpose(0, 2, 1, 3))
 
     def assembled(self) -> np.ndarray:
         n = self.n
-        rho = np.empty((n * n, n * n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                rho[i * n : (i + 1) * n, j * n : (j + 1) * n] = self.blocks[i][j]
-        return rho
+        return self.blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
     def tensor4(self) -> np.ndarray:
         """rho(i1, i2, i3, i4) = A_{i1, i3}(i2, i4); the frozen convention."""
         n = self.n
-        out = np.empty((n, n, n, n), dtype=np.complex128)
-        for i1 in range(n):
-            for i3 in range(n):
-                out[i1, :, i3, :] = self.blocks[i1][i3]
-        return out
+        return self.assembled().reshape(n, n, n, n)
 
     def trace_matrix(self) -> np.ndarray:
-        n = self.n
-        return np.array(
-            [[complex(np.trace(self.blocks[i][j])) for j in range(n)] for i in range(n)]
-        )
+        return np.trace(self.blocks, axis1=2, axis2=3)
 
 
 @dataclass(frozen=True)
@@ -109,10 +92,10 @@ def qp_block(rho: BlockMatrix) -> float:
     if n > _GATE_QP_BLOCK:
         raise DimensionTooLarge(f"qp_block gated at n <= {_GATE_QP_BLOCK}")
     perms, signs = _perms_and_signs(n)
+    rows = np.arange(n)
     totals = np.empty(len(perms), dtype=np.complex128)
     for s, sigma in enumerate(perms):
-        mats = [rho.blocks[i][int(sigma[i])] for i in range(n)]
-        totals[s] = signs[s] * _polarized_raw(mats)
+        totals[s] = signs[s] * _polarized_raw(rho.blocks[rows, sigma])
     return _as_real(fsum_complex(totals))
 
 
@@ -132,22 +115,17 @@ def qp_tensor(rho: BlockMatrix) -> float:
     pos = 0
     for s1, tau1 in enumerate(perms):
         for s2, tau2 in enumerate(perms):
-            gathered = [t4[int(tau1[i]), int(tau2[i])] for i in range(n)]
-            totals[pos] = signs[s1] * signs[s2] * _double_perm_raw(gathered)
+            totals[pos] = signs[s1] * signs[s2] * _double_perm_raw(t4[tau1, tau2])
             pos += 1
     return _as_real(fsum_complex(totals) / fact)
 
 
 def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsReport:
     """Violations of the three block doubly stochastic conditions."""
-    n = rho.n
-    assembled = as_hermitian(rho.assembled(), tol=np.inf)
-    psd_v = psd_violation(assembled)
-    diag_sum = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        diag_sum += rho.blocks[i][i]
-    sum_v = max_abs(diag_sum - np.eye(n))
-    trace_v = max_abs(rho.trace_matrix() - np.eye(n))
+    eye = np.eye(rho.n)
+    psd_v = psd_violation(as_hermitian(rho.assembled(), tol=np.inf))
+    sum_v = max_abs(np.trace(rho.blocks) - eye)
+    trace_v = max_abs(rho.trace_matrix() - eye)
     passes = psd_v <= tol.ds_tol and sum_v <= tol.ds_tol and trace_v <= tol.ds_tol
     return BlockDsReport(psd_v, sum_v, trace_v, passes)
 
@@ -156,33 +134,21 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     """Blocks A_{i,j} = sum_k P_k(i, j) Q_k; PSD by construction."""
     if not spec.terms:
         raise ValueError("need at least one separable term")
-    n = spec.terms[0][0].shape[0]
-    for p, q in spec.terms:
-        for name, m in (("P", p), ("Q", q)):
-            m = np.asarray(m)
-            if m.shape != (n, n):
-                raise ValueError("all factors must share one dimension")
-            if min_eigenvalue(as_hermitian(m, tol=1e-8)) < -tol.psd_tol * (
-                1.0 + max_abs(m)
-            ):
-                raise TermNotPsd(f"{name} factor is not PSD")
-    blocks = [[np.zeros((n, n), dtype=np.complex128) for _ in range(n)] for _ in range(n)]
-    for p, q in spec.terms:
-        p = np.asarray(p, dtype=np.complex128)
-        q = np.asarray(q, dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                blocks[i][j] += p[i, j] * q
-    return BlockMatrix(blocks)
+    pq = np.array(spec.terms, dtype=np.complex128)  # pq[k] is (P_k, Q_k)
+    n = pq.shape[-1]
+    if pq.shape[1:] != (2, n, n):
+        raise ValueError("all factors must share one dimension")
+    lowest = np.linalg.eigvalsh(as_hermitian(pq, tol=1e-8))[..., 0]
+    not_psd = lowest < -tol.psd_tol * (1.0 + np.abs(pq).max(axis=(-2, -1)))
+    if not_psd.any():
+        raise TermNotPsd(f"{'PQ'[np.argwhere(not_psd)[0][1]]} factor is not PSD")
+    p, q = pq[:, 0], pq[:, 1]
+    return BlockMatrix((p[:, :, :, None, None] * q[:, None, None]).sum(0))
 
 
-def _block_ds_defect(spec_terms, n: int):
-    diag_sum = np.zeros((n, n), dtype=np.complex128)
-    trace_m = np.zeros((n, n), dtype=np.complex128)
-    for p, q in spec_terms:
-        diag_sum += float(np.trace(p).real) * q
-        trace_m += float(np.trace(q).real) * p
-    return max_abs(diag_sum - np.eye(n)) + max_abs(trace_m - np.eye(n))
+def _trace_weighted_sum(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_k tr(w_k) m_k over two (k, n, n) stacks."""
+    return (np.trace(w, axis1=1, axis2=2).real[:, None, None] * m).sum(0)
 
 
 def sample_separable_ds(
@@ -201,25 +167,22 @@ def sample_separable_ds(
     rng = make_rng(seed)
     k_max = max_terms if max_terms is not None else n * n
     k = int(rng.integers(1, k_max + 1))
-    terms = []
-    for _ in range(k):
-        gp = random_complex_gaussian(n, rng)
-        gq = random_complex_gaussian(n, rng)
-        terms.append((as_hermitian(gp @ gp.conj().T), as_hermitian(gq @ gq.conj().T)))
+    g = np.array(
+        [(random_complex_gaussian(n, rng), random_complex_gaussian(n, rng)) for _ in range(k)]
+    )
+    pq = as_hermitian(g @ g.conj().swapaxes(-1, -2))
+    p, q = pq[:, 0], pq[:, 1]
+    eye = np.eye(n)
     for _ in range(max_iter):
-        if _block_ds_defect(terms, n) <= tol.ds_tol:
-            spec = SeparableSpec(terms=tuple(terms))
+        diag_sum = _trace_weighted_sum(p, q)
+        trace_m = _trace_weighted_sum(q, p)
+        if max_abs(diag_sum - eye) + max_abs(trace_m - eye) <= tol.ds_tol:
+            spec = SeparableSpec(terms=tuple(zip(p, q)))
             return assemble_separable(spec, tol), spec
-        diag_sum = np.zeros((n, n), dtype=np.complex128)
-        for p, q in terms:
-            diag_sum += float(np.trace(p).real) * q
         s = inv_sqrt_psd(diag_sum, tol)
-        terms = [(p, as_hermitian(s @ q @ s, tol=1e-8)) for p, q in terms]
-        trace_m = np.zeros((n, n), dtype=np.complex128)
-        for p, q in terms:
-            trace_m += float(np.trace(q).real) * p
-        s = inv_sqrt_psd(trace_m, tol)
-        terms = [(as_hermitian(s @ p @ s, tol=1e-8), q) for p, q in terms]
+        q = as_hermitian(s @ q @ s, tol=1e-8)
+        s = inv_sqrt_psd(_trace_weighted_sum(q, p), tol)
+        p = as_hermitian(s @ p @ s, tol=1e-8)
     return None
 
 
@@ -236,10 +199,7 @@ def sample_block_ds(
         rep = check_block_ds(bm, tol)
         if rep.sum_violation + rep.trace_violation <= tol.ds_tol:
             return bm
-        diag_sum = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            diag_sum += bm.blocks[i][i]
-        s = np.kron(eye, inv_sqrt_psd(diag_sum, tol))
+        s = np.kron(eye, inv_sqrt_psd(np.trace(bm.blocks), tol))
         rho = as_hermitian(s @ rho @ s, tol=1e-8)
         bm = BlockMatrix.from_assembled(rho, n)
         t = as_hermitian(bm.trace_matrix(), tol=1e-8)

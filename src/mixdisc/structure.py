@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,14 @@ from .core import (
     Tolerances,
     eig_hermitian,
     max_abs,
-    psd_violation,
     rank_psd,
 )
-from .discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
+from .discriminant import (
+    MatrixTuple,
+    _require_psd,
+    check_doubly_stochastic,
+    eval_polarized,
+)
 
 _GATE_SUBSETS = 16
 
@@ -38,80 +43,61 @@ class DecompositionResult:
     product_check: float
 
 
-def _check_psd_tuple(t: MatrixTuple, tol: Tolerances) -> None:
-    worst = max(psd_violation(a) for a in t.matrices)
-    scale = 1.0 + t.scale_of()
-    if worst > tol.psd_tol * scale:
-        raise ValueError(f"tuple is not PSD within tolerance (violation {worst:.3e})")
+def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances):
+    """First proper subset S with rank_test(rank(sum_{i in S} A_i), |S|), or None.
 
-
-def _subsets_ascending(n: int):
+    Subsets are scanned in ascending cardinality and canonical order, so the
+    subset found is minimal.
+    """
+    n = len(mats)
     for k in range(1, n):
-        yield from itertools.combinations(range(n), k)
+        for subset in itertools.combinations(range(n), k):
+            if rank_test(rank_psd(mats[list(subset)].sum(0), tol), k):
+                return subset
+    return None
+
+
+def _scan_psd_tuple(t: MatrixTuple, rank_test, tol: Tolerances):
+    if t.n > _GATE_SUBSETS:
+        raise DimensionTooLarge(f"subset scan gated at n <= {_GATE_SUBSETS}")
+    _require_psd(t, tol)
+    return _first_subset(t.matrices, rank_test, tol)
 
 
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
     """Strict rank test over all proper subsets: rank(sum_{i in S} A_i) > |S|.
 
-    Returns (True, None) or (False, witness_subset).  Subsets are scanned in
-    ascending cardinality and canonical order, so the witness is minimal.
+    Returns (True, None) or (False, witness_subset); the witness is minimal.
     """
-    n = t.n
-    if n > _GATE_SUBSETS:
-        raise DimensionTooLarge(f"subset scan gated at n <= {_GATE_SUBSETS}")
-    _check_psd_tuple(t, tol)
-    for subset in _subsets_ascending(n):
-        total = sum(t.matrices[i] for i in subset)
-        if rank_psd(total, tol) <= len(subset):
-            return False, subset
-    return True, None
+    witness = _scan_psd_tuple(t, operator.le, tol)
+    return witness is None, witness
 
 
 def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Weak rank condition (>=) over all subsets; equivalent to D(t) > 0 for PSD tuples."""
-    n = t.n
-    if n > _GATE_SUBSETS:
-        raise DimensionTooLarge(f"subset scan gated at n <= {_GATE_SUBSETS}")
-    _check_psd_tuple(t, tol)
-    for subset in _subsets_ascending(n):
-        total = sum(t.matrices[i] for i in subset)
-        if rank_psd(total, tol) < len(subset):
-            return False
-    return True
+    return _scan_psd_tuple(t, operator.lt, tol) is None
 
 
 def _split(mats, labels, basis, tol: Tolerances, parts):
     """Recursively peel off minimal rank-equality subsets.
 
-    ``mats`` lives in the current restricted coordinates; ``basis`` maps those
-    coordinates back to the original space.
+    ``mats`` is the (c, c, c) stack in the current restricted coordinates;
+    ``basis`` maps those coordinates back to the original space.
     """
-    c = len(mats)
-    witness = None
-    for subset in _subsets_ascending(c):
-        total = sum(mats[i] for i in subset)
-        if rank_psd(total, tol) == len(subset):
-            witness = subset
-            break
+    witness = _first_subset(mats, operator.eq, tol)
     if witness is None:
         parts.append((tuple(labels), basis, MatrixTuple(mats)))
         return
-    total = sum(mats[i] for i in witness)
-    w, v = eig_hermitian(total)
+    inside = list(witness)
+    w, v = eig_hermitian(mats[inside].sum(0))
     cut = int(np.count_nonzero(w > tol.rank_tol * max(w[0], 0.0))) if w[0] > 0 else 0
     if cut != len(witness):
         raise DecompositionInconsistent(
             f"image of subset {witness} has rank {cut}, expected {len(witness)}"
         )
-    u = v[:, :cut]
-    u_perp = v[:, cut:]
-    inside = [u.conj().T @ mats[i] @ u for i in witness]
-    in_labels = [labels[i] for i in witness]
-    rest = [i for i in range(c) if i not in witness]
-    outside = [u_perp.conj().T @ mats[i] @ u_perp for i in rest]
-    out_labels = [labels[i] for i in rest]
-    _split(inside, in_labels, basis @ u, tol, parts)
-    _split(outside, out_labels, basis @ u_perp, tol, parts)
+    rest = [i for i in range(len(mats)) if i not in witness]
+    for idx, u in ((inside, v[:, :cut]), (rest, v[:, cut:])):
+        _split(u.conj().T @ mats[idx] @ u, [labels[i] for i in idx], basis @ u, tol, parts)
 
 
 def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
@@ -128,7 +114,7 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     if not report.is_doubly_stochastic:
         raise NotDoublyStochastic(f"input is not doubly stochastic: {report}")
     parts: list = []
-    _split(list(t.matrices), list(range(n)), np.eye(n, dtype=np.complex128), tol, parts)
+    _split(t.matrices, list(range(n)), np.eye(n, dtype=np.complex128), tol, parts)
     d_total = eval_polarized(t)
     d_prod = 1.0
     for _, _, sub in parts:
@@ -154,15 +140,11 @@ def m_matrix(t: MatrixTuple, w) -> np.ndarray:
         raise ValueError(f"W must be {n} x {n}")
     if max_abs(w.conj().T @ w - np.eye(n)) > 1e-9:
         raise NotUnitary("W is not unitary within 1e-9")
-    m = np.empty((n, n))
-    for i in range(n):
-        col = w[:, i]
-        for j in range(n):
-            q = complex(np.vdot(col, t.matrices[j] @ col))
-            if abs(q.imag) > 1e-10 * (1.0 + abs(q)):
-                raise NumericalInconsistency(f"quadratic form not real: {q!r}")
-            m[i, j] = q.real
-    return m
+    q = np.einsum("ki,jkl,li->ij", w.conj(), t.matrices, w)
+    bad = np.abs(q.imag) > 1e-10 * (1.0 + np.abs(q))
+    if bad.any():
+        raise NumericalInconsistency(f"quadratic form not real: {complex(q[bad][0])!r}")
+    return q.real
 
 
 def is_fully_indecomposable_support(m, threshold: float) -> bool:

@@ -10,13 +10,41 @@ from mixdisc.capacity import (
     n_pow_n_over_factorial,
     scale_to_doubly_stochastic,
 )
-from mixdisc.core import NotIndecomposable, random_psd, spawn_seeds
+from mixdisc.core import NotIndecomposable, inv_sqrt_psd, random_psd, spawn_seeds
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import random_ds_tuple
 
 
 def random_tuple(n, seed):
     return MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+
+
+def _per_matrix_scaling(mats, ds_tol=1e-8):
+    """Alternating normalization one slot at a time: the reference for the stacked code."""
+    n = len(mats)
+
+    def defect(ms):
+        total = np.zeros((n, n), dtype=np.complex128)
+        for a in ms:
+            total += a
+        trace_v = max(abs(float(a.trace().real) - 1.0) for a in ms)
+        return trace_v + float(np.max(np.abs(total - np.eye(n))))
+
+    x = np.eye(n, dtype=np.complex128)
+    scalars = np.ones(n)
+    iterations = 0
+    while defect(mats) > ds_tol:
+        total = np.zeros((n, n), dtype=np.complex128)
+        for a in mats:
+            total += a
+        l = inv_sqrt_psd(total)
+        mats = [(l @ a @ l + (l @ a @ l).conj().T) / 2.0 for a in mats]
+        x = l @ x
+        traces = np.array([float(a.trace().real) for a in mats])
+        mats = [a / tr for a, tr in zip(mats, traces)]
+        scalars /= traces
+        iterations += 1
+    return mats, x, scalars, iterations
 
 
 class TestCapacity:
@@ -69,6 +97,17 @@ class TestScaling:
             np.testing.assert_allclose(
                 s * (res.transform_X @ a @ res.transform_X.conj().T), b, atol=1e-8
             )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_per_matrix_reference(self, n):
+        for seed in range(3):
+            t = random_tuple(n, 300 + 10 * n + seed)
+            res = scale_to_doubly_stochastic(t)
+            mats, x, scalars, iterations = _per_matrix_scaling(list(t.matrices))
+            assert res.iterations == iterations
+            np.testing.assert_allclose(res.scaled.matrices, np.array(mats), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(res.transform_X, x, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(res.trace_scalars, scalars, rtol=1e-14, atol=0)
 
     def test_decomposable_rejected(self):
         t = MatrixTuple([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

@@ -44,6 +44,18 @@ class TestEval:
         rep = json.loads(out)
         assert rep["results"]["cross_check"]["max_deviation"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "n, names",
+        [(7, {"polarized", "sigma-det", "signed-perm"}), (11, {"polarized"})],
+    )
+    def test_cross_check_skips_gated_evaluators(self, capsys, tmp_path, n, names):
+        path = write_tuple(tmp_path, MatrixTuple([np.eye(n) / n] * n))
+        code, out, _ = run(capsys, "eval", path, "--cross-check")
+        assert code == 0
+        check = json.loads(out)["results"]["cross_check"]
+        assert set(check["values"]) == names
+        assert check["max_deviation"] <= 1e-12
+
     def test_algorithm_choice(self, capsys, ds3):
         code, out, _ = run(capsys, "eval", ds3, "--algorithm", "sigma-det")
         assert json.loads(out)["results"]["algorithm"] == "sigma-det"

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mixdisc.core import DimensionTooLarge, make_rng, random_psd, spawn_seeds
+from mixdisc.core import (
+    DEFAULT_TOL,
+    DimensionTooLarge,
+    NotHermitian,
+    make_rng,
+    random_psd,
+    spawn_seeds,
+)
 from mixdisc.discriminant import (
     MatrixTuple,
     check_doubly_stochastic,
@@ -47,6 +54,24 @@ class TestMatrixTuple:
         t2 = t.replaced(1, np.eye(3))
         np.testing.assert_array_equal(t2[1], np.eye(3))
         np.testing.assert_array_equal(t2[0], t[0])
+
+    def test_matrices_is_one_readonly_stack(self):
+        t = random_tuple(3, 2)
+        before = t.matrices.copy()
+        assert isinstance(t.matrices, np.ndarray)
+        assert t.matrices.shape == (3, 3, 3) and t.matrices.dtype == np.complex128
+        assert not t.matrices.flags.writeable
+        t.replaced(0, np.eye(3))
+        np.testing.assert_array_equal(t.matrices, before)
+
+    def test_hermiticity_scale_is_per_slot(self):
+        # Against the large slot's scale the small slot's defect would pass;
+        # each slot is held to its own 1 + max|A_i|.
+        small = np.zeros((3, 3))
+        small[0, 1] = 1e-9
+        assert 1e-9 > DEFAULT_TOL.hermitian_tol * (1.0 + np.max(np.abs(small)))
+        with pytest.raises(NotHermitian):
+            MatrixTuple([1e6 * np.eye(3), small, np.eye(3)])
 
 
 class TestKnownValues:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixdisc import extremal
 from mixdisc.core import (
     NumericalInconsistency,
     PreconditionViolated,
@@ -105,6 +106,14 @@ class TestDnpFamily:
         assert v == pytest.approx(
             bapat_bound(n) * float(np.linalg.det(p).real), rel=1e-9
         )
+
+    def test_relative_identity_check_at_n16(self, monkeypatch):
+        # At n = 16 the values are ~1e-6 or less, so an absolute 1e-9 bound
+        # would let a 1e-7 relative error through.
+        exact = extremal.eval_polarized
+        monkeypatch.setattr(extremal, "eval_polarized", lambda t: exact(t) * (1.0 + 1e-7))
+        with pytest.raises(NumericalInconsistency):
+            dnp_family_value(np.eye(16))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(PreconditionViolated):

@@ -36,6 +36,12 @@ class TestBlockMatrix:
             for i3 in range(2):
                 np.testing.assert_array_equal(t4[i1, :, i3, :], bm.blocks[i1][i3])
 
+    def test_tensor4_is_reshaped_assembly(self):
+        for n in (2, 3):
+            bm = random_hermitian_block(n, 2 + n)
+            np.testing.assert_array_equal(bm.tensor4(), bm.assembled().reshape(n, n, n, n))
+            assert bm.blocks.shape == (n, n, n, n) and not bm.blocks.flags.writeable
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BlockMatrix([[np.eye(2)], [np.eye(2)]])

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mixdisc.core import NotDoublyStochastic, NotUnitary, random_psd, spawn_seeds
+from mixdisc.core import (
+    NotDoublyStochastic,
+    NotUnitary,
+    PreconditionViolated,
+    random_psd,
+    spawn_seeds,
+)
 from mixdisc.discriminant import MatrixTuple, eval_polarized
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.structure import (
@@ -44,6 +50,14 @@ class TestIndecomposability:
         assert positivity_rank_test(t)
         bad = MatrixTuple([np.diag([1.0, 0, 0])] * 3)
         assert not positivity_rank_test(bad)
+
+
+    def test_non_psd_tuple_is_a_precondition_violation(self):
+        t = MatrixTuple([np.diag([1.0, -1.0, 0.0])] * 3)
+        with pytest.raises(PreconditionViolated):
+            is_indecomposable(t)
+        with pytest.raises(PreconditionViolated):
+            positivity_rank_test(t)
 
 
 class TestDecompose:
