@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import extremal, genaf, hyperbolic, pascal, structure
+from .capacity import CAPACITY_MAX_ITER, _capacity_of_scaling, scale_to_doubly_stochastic
 from .capacity import capacity as _capacity
-from .capacity import capacity_via_scaling, scale_to_doubly_stochastic
 from .core import (
     DEFAULT_TOL,
     DimensionTooLarge,
@@ -275,6 +275,8 @@ def _cmd_capacity(args, tol: Tolerances, t0: float) -> int:
         "minimizer_x": list(map(float, res.minimizer_x)),
         "gradient_norm": res.gradient_norm,
         "iterations": res.iterations,
+        "converged": res.converged,
+        "stop_reason": res.stop_reason,
     }
     emit_report("capacity", digest_of(payload), results, tol, None, t0)
     return 0
@@ -292,7 +294,8 @@ def _cmd_scale(args, tol: Tolerances, t0: float) -> int:
         "ds_defect": res.ds_defect,
         "iterations": res.iterations,
         "converged": res.converged,
-        "capacity_via_scaling": capacity_via_scaling(t, tol, args.max_iter),
+        "stop_reason": res.stop_reason,
+        "capacity_via_scaling": _capacity_of_scaling(res),
     }
     emit_report("scale", digest_of(payload), results, tol, None, t0)
     return 0
@@ -530,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(parents=[tol_parent], name="capacity", help="capacity by convex minimization")
     p.add_argument("file")
-    p.add_argument("--max-iter", type=int, default=50000)
+    p.add_argument("--max-iter", type=int, default=CAPACITY_MAX_ITER)
     p.set_defaults(fn=_cmd_capacity)
 
     p = sub.add_parser(parents=[tol_parent], name="scale", help="operator scaling to doubly stochastic form")

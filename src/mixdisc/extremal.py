@@ -63,7 +63,10 @@ def random_ds_tuple(
     Deterministic in (n, seed).  Decomposable or non-converging draws are
     retried with derived seeds; SamplerExhausted after ``retries`` failures.
     """
-    for child in spawn_seeds(seed, retries):
+    seeds = np.random.SeedSequence(seed)
+    for _ in range(retries):
+        # spawn(1) per retry yields the same children as spawn(retries) at once.
+        child = int(seeds.spawn(1)[0].generate_state(1)[0])
         mat_seeds = spawn_seeds(child, n)
         t = MatrixTuple([random_psd(n, s) for s in mat_seeds], tol)
         try:

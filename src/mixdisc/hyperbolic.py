@@ -147,12 +147,16 @@ def axis_vectors(n: int) -> list[np.ndarray]:
     return [np.eye(n)[i] for i in range(n)]
 
 
-def _random_ds_matrix(n: int, rng, iters: int = 200) -> np.ndarray:
-    """Classical Sinkhorn on a positive random matrix; rows and columns sum to 1."""
-    m = np.exp(rng.standard_normal((n, n)))
+def _random_ds_matrices(k: int, n: int, rng, iters: int = 200) -> np.ndarray:
+    """k positive random matrices, Sinkhorn-normalized as one (k, n, n) stack.
+
+    Each slice has rows and columns summing to 1 and equals what the same
+    draws would give normalized one matrix at a time.
+    """
+    m = np.exp(rng.standard_normal((k, n, n)))
     for _ in range(iters):
-        m /= m.sum(axis=1, keepdims=True)
-        m /= m.sum(axis=0, keepdims=True)
+        m /= m.sum(axis=-1, keepdims=True)
+        m /= m.sum(axis=-2, keepdims=True)
     return m
 
 
@@ -192,9 +196,8 @@ def conjecture_experiment(
     while done < samples:
         t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
         pencil = pencil_from_tuple(t, tol)
-        for _ in range(min(mixtures_per_pencil, samples - done)):
-            mix = _random_ds_matrix(n, rng)
-            xs = [mix[:, j].copy() for j in range(n)]
+        for mix in _random_ds_matrices(min(mixtures_per_pencil, samples - done), n, rng):
+            xs = list(mix.T)
             rep = check_hd_membership(pencil, xs, tol)
             if not rep.passes:
                 rejected += 1

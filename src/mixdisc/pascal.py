@@ -196,10 +196,10 @@ def sample_block_ds(
     eye = np.eye(n)
     for _ in range(max_iter):
         bm = BlockMatrix.from_assembled(rho, n)
-        rep = check_block_ds(bm, tol)
-        if rep.sum_violation + rep.trace_violation <= tol.ds_tol:
+        diag_sum = np.trace(bm.blocks)
+        if max_abs(diag_sum - eye) + max_abs(bm.trace_matrix() - eye) <= tol.ds_tol:
             return bm
-        s = np.kron(eye, inv_sqrt_psd(np.trace(bm.blocks), tol))
+        s = np.kron(eye, inv_sqrt_psd(diag_sum, tol))
         rho = as_hermitian(s @ rho @ s, tol=1e-8)
         bm = BlockMatrix.from_assembled(rho, n)
         t = as_hermitian(bm.trace_matrix(), tol=1e-8)

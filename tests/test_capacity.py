@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixdisc.capacity import (
     capacity,
@@ -10,7 +13,17 @@ from mixdisc.capacity import (
     n_pow_n_over_factorial,
     scale_to_doubly_stochastic,
 )
-from mixdisc.core import NotIndecomposable, inv_sqrt_psd, random_psd, spawn_seeds
+from mixdisc.core import (
+    DEFAULT_TOL,
+    NonConvergence,
+    NotIndecomposable,
+    SingularPencil,
+    inv_sqrt_psd,
+    make_rng,
+    random_complex_gaussian,
+    random_psd,
+    spawn_seeds,
+)
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import random_ds_tuple
 
@@ -140,3 +153,167 @@ class TestSandwich:
             t = random_ds_tuple(4, 60 + seed)
             ratio, ok = capacity_bound_report(t)
             assert ok, ratio
+
+
+def _wishart(n, rng):
+    g = random_complex_gaussian(n, rng)
+    return g @ g.conj().T
+
+
+@st.composite
+def ill_scaled_tuples(draw):
+    """(tuple, slot scales c): Wishart slots multiplied by c_i = 10^k, |k| <= 6."""
+    n = draw(st.integers(2, 5))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    base = np.array([_wishart(n, rng) for _ in range(n)])
+    c = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)))
+    return MatrixTuple(base), c
+
+
+@st.composite
+def near_decomposable_tuples(draw):
+    """Block-diagonal Wishart slots (a k + (n - k) split) plus delta * Wishart."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = 10.0 ** draw(st.floats(-8.0, -2.0))
+    first = np.arange(n) < k
+    mats = []
+    for i in range(n):
+        block = first if i < k else ~first
+        mats.append(_wishart(n, rng) * np.outer(block, block) + delta * _wishart(n, rng))
+    return MatrixTuple(mats)
+
+
+def _check_against_scaling(t, res):
+    """The Newton result agrees with the scaling route wherever scaling converges.
+
+    Scaling converges linearly, at a rate that tends to 1 as the tuple nears a
+    decomposable one, so it gets 2000 steps here rather than its default 10000.
+    """
+    try:
+        via = capacity_via_scaling(t, max_iter=2000)
+    except (NonConvergence, NotIndecomposable, SingularPencil):
+        return
+    assert res.value == pytest.approx(via, rel=1e-6)
+
+
+def _check_result_flags(res):
+    assert res.stop_reason in ("gradient", "roundoff", "stalled")
+    assert res.converged == (res.stop_reason != "stalled")
+    if res.stop_reason == "gradient":
+        assert res.gradient_norm < DEFAULT_TOL.opt_tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(ill_scaled_tuples())
+def test_ill_scaled_sandwich_and_routes(case):
+    base, c = case
+    t = MatrixTuple(base.matrices * c[:, None, None])
+    res = capacity(t)
+    _check_result_flags(res)
+    # Cap and D are both multiplied by prod(c); D is read on the unscaled tuple.
+    ratio = res.value / float(np.prod(c)) / eval_polarized(base)
+    assert 1.0 - 1e-6 <= ratio <= n_pow_n_over_factorial(t.n) + 1e-6
+    assert res.value / float(np.prod(c)) == pytest.approx(capacity(base).value, rel=1e-8)
+    _check_against_scaling(t, res)
+
+
+@settings(max_examples=30, deadline=None)
+@given(near_decomposable_tuples())
+def test_near_decomposable_sandwich_and_routes(t):
+    res = capacity(t)
+    _check_result_flags(res)
+    ratio, within = capacity_bound_report(t)
+    assert within, ratio
+    _check_against_scaling(t, res)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(2.0, 6.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_one_newton_step_raises_with_the_result(n, seed, k, sign):
+    # Slot 0 is scaled by 10^(+-k), at least 100x off balance, so that one
+    # step from y = 0 cannot reach the minimum.
+    rng = make_rng(seed)
+    mats = np.array([_wishart(n, rng) for _ in range(n)])
+    mats[0] *= 10.0 ** (sign * k)
+    t = MatrixTuple(mats)
+    with pytest.raises(NonConvergence) as info:
+        capacity(t, max_iter=1)
+    res = info.value.result
+    assert res.converged is False
+    assert res.stop_reason == "max_iter"
+    assert res.iterations == 1
+
+
+def _near_boundary_tuple(seed):
+    """Two Wishart slots and a rank-one + 1e-6 I slot (n = 3)."""
+    rng = make_rng(seed)
+    mats = [_wishart(3, rng) for _ in range(2)]
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return MatrixTuple(mats + [np.outer(v, v.conj()) + 1e-6 * np.eye(3)])
+
+
+@pytest.mark.parametrize("seed", [2, 7, 20])
+def test_near_boundary_tuple_stops_at_roundoff(seed):
+    # Round-off keeps the projected gradient of these tuples near 1e-8, above
+    # opt_tol; the Newton decrement shows that f is within round-off of its
+    # minimum, so the result is converged without a gradient stop.
+    t = _near_boundary_tuple(seed)
+    res = capacity(t)
+    assert res.stop_reason == "roundoff" and res.converged
+    assert res.gradient_norm >= DEFAULT_TOL.opt_tol
+    assert res.iterations <= 20
+    assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_newton_iteration_bound(n):
+    for seed in range(8):
+        res = capacity(random_tuple(n, 500 + 10 * n + seed))
+        assert res.converged
+        assert res.iterations <= 20
+
+
+def test_failed_line_search_returns_a_flagged_result(monkeypatch):
+    # A line search that finds no decrease while lambda^2 is above round-off
+    # must come back flagged, not raise and not claim convergence.
+    # The package re-exports the function ``capacity``, which shadows the module.
+    monkeypatch.setattr(sys.modules["mixdisc.capacity"], "_backtrack", lambda *args: None)
+    t = random_tuple(3, 5)
+    res = capacity(t)
+    assert res.stop_reason == "stalled"
+    assert res.converged is False
+    assert res.iterations == 0
+    assert res.gradient_norm >= DEFAULT_TOL.opt_tol
+
+
+def test_decomposable_tuple_with_a_flat_direction():
+    # (e_1 e_1^T, 0 + B, 0 + C): on sum y = 0, f depends on y_2 - y_3 alone,
+    # so H is singular on the mean-zero subspace.  Cap is the minimum over u
+    # of det(e^u B + e^-u C), found here by ternary search on the convex f(u).
+    b = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([[1.0, -0.3], [-0.3, 3.0]])
+    mats = np.zeros((3, 3, 3))
+    mats[0, 0, 0] = 1.0
+    mats[1, 1:, 1:] = b
+    mats[2, 1:, 1:] = c
+
+    def f(u):
+        return math.log(np.linalg.det(math.exp(u) * b + math.exp(-u) * c))
+
+    lo, hi = -5.0, 5.0
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        lo, hi = (m1, hi) if f(m1) > f(m2) else (lo, m2)
+    res = capacity(MatrixTuple(mats))
+    assert res.converged
+    assert res.value == pytest.approx(math.exp(f((lo + hi) / 2.0)), rel=1e-12)
+    # The minimum-norm Newton step leaves the flat direction at its start.
+    np.testing.assert_allclose(np.log(res.minimizer_x).sum(), 0.0, atol=1e-12)
+    assert np.max(np.abs(np.log(res.minimizer_x))) < 1.0

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from mixdisc.capacity import capacity_via_scaling
 from mixdisc.cli import main, matrix_to_doc, tuple_to_doc
 from mixdisc.discriminant import MatrixTuple
 from mixdisc.extremal import random_ds_tuple
@@ -101,7 +102,23 @@ class TestCapacityAndScale:
     def test_capacity(self, capsys, ds3):
         code, out, _ = run(capsys, "capacity", ds3)
         assert code == 0
-        assert json.loads(out)["results"]["value"] == pytest.approx(1.0, rel=1e-6)
+        res = json.loads(out)["results"]
+        assert res["value"] == pytest.approx(1.0, rel=1e-6)
+        assert res["converged"] is True
+        assert res["stop_reason"] in ("gradient", "roundoff")
+
+    def test_capacity_max_iter_default_is_the_solver_default(self):
+        from mixdisc.capacity import CAPACITY_MAX_ITER
+        from mixdisc.cli import build_parser
+
+        args = build_parser().parse_args(["capacity", "t.json"])
+        assert args.max_iter == CAPACITY_MAX_ITER
+
+    def test_capacity_nonconvergence_exit2(self, capsys, tmp_path):
+        path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
+        code, _, err = run(capsys, "capacity", path, "--max-iter", "0")
+        assert code == 2
+        assert "max_iter" in err
 
     def test_scale_roundtrip(self, capsys, tmp_path):
         t = MatrixTuple([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
@@ -109,6 +126,8 @@ class TestCapacityAndScale:
         code, out, _ = run(capsys, "scale", path)
         rep = json.loads(out)
         assert rep["results"]["converged"]
+        assert rep["results"]["stop_reason"] == "ds_tol"
+        assert rep["results"]["capacity_via_scaling"] == capacity_via_scaling(t)
         assert rep["results"]["capacity_via_scaling"] == pytest.approx(9.0, rel=1e-8)
 
     def test_decomposable_input_exit2(self, capsys, tmp_path):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from mixdisc import extremal
+from mixdisc.capacity import scale_to_doubly_stochastic
 from mixdisc.core import (
+    NonConvergence,
+    NotIndecomposable,
     NumericalInconsistency,
     PreconditionViolated,
     random_psd,
+    spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import (
@@ -44,6 +48,18 @@ class TestSampler:
         b = random_ds_tuple(3, 9)
         for x, y in zip(a.matrices, b.matrices):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 77), (4, 5), (5, 1234), (6, 9)])
+    def test_matches_the_eagerly_spawned_retry_seeds(self, n, seed):
+        # Reference: the retry children spawned up front, as one list of 100.
+        for child in spawn_seeds(seed, 100):
+            t = MatrixTuple([random_psd(n, s) for s in spawn_seeds(child, n)])
+            try:
+                expected = scale_to_doubly_stochastic(t).scaled
+                break
+            except (NotIndecomposable, NonConvergence):
+                continue
+        np.testing.assert_array_equal(random_ds_tuple(n, seed).matrices, expected.matrices)
 
     def test_values_above_bound(self):
         for seed in range(10):

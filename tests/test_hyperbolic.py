@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mixdisc.core import PreconditionViolated, random_psd, spawn_seeds
+from mixdisc.core import PreconditionViolated, make_rng, random_psd, spawn_seeds
 from mixdisc.discriminant import MatrixTuple, eval_polarized
 from mixdisc.extremal import bapat_bound, random_ds_tuple
 from mixdisc.hyperbolic import (
     HyperbolicPencil,
+    _random_ds_matrices,
     axis_vectors,
     check_hd_membership,
     conjecture_experiment,
@@ -115,3 +116,31 @@ class TestConjectureExperiment:
         assert not rep.violations
         assert rep.min_ratio >= bapat_bound(3) - 1e-6
         assert rep.bound == pytest.approx(bapat_bound(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    def test_stacked_sinkhorn_matches_one_matrix_at_a_time(self, n):
+        rng = make_rng(n)
+        expected = []
+        for _ in range(50):
+            m = np.exp(rng.standard_normal((n, n)))
+            for _ in range(200):
+                m /= m.sum(axis=1, keepdims=True)
+                m /= m.sum(axis=0, keepdims=True)
+            expected.append(m)
+        np.testing.assert_array_equal(_random_ds_matrices(50, n, make_rng(n)), np.array(expected))
+
+    @pytest.mark.parametrize(
+        "n, samples, seed, min_ratio",
+        [
+            (2, 60, 0, 0.5000116012816989),
+            (3, 120, 1, 0.22365295099005672),
+            (4, 80, 7, 0.09506751904839511),
+            (5, 60, 3, 0.03909637374559032),
+        ],
+    )
+    def test_pinned_outputs(self, n, samples, seed, min_ratio):
+        rep = conjecture_experiment(n, samples, seed)
+        assert rep.samples == samples
+        assert rep.min_ratio == pytest.approx(min_ratio, rel=1e-12)
+        assert rep.rejection_rate == 0.0
+        assert rep.violations == []

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from mixdisc.core import DimensionTooLarge, TermNotPsd, make_rng, random_psd, spawn_seeds
+from mixdisc.core import (
+    DimensionTooLarge,
+    TermNotPsd,
+    as_hermitian,
+    inv_sqrt_psd,
+    make_rng,
+    random_complex_gaussian,
+    random_psd,
+    spawn_seeds,
+)
 from mixdisc.discriminant import MatrixTuple, eval_polarized, permanent
 from mixdisc.pascal import (
     BlockMatrix,
@@ -116,6 +125,26 @@ class TestBlockDsSampler:
             assert bm is not None
             rep = check_block_ds(bm)
             assert rep.passes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_check_block_ds_loop(self, n):
+        # Reference: stop on check_block_ds's sum and trace violations.
+        for seed in range(3):
+            rng = make_rng(seed)
+            g = random_complex_gaussian(n * n, rng)
+            rho = as_hermitian(g @ g.conj().T)
+            eye = np.eye(n)
+            for _ in range(500):
+                bm = BlockMatrix.from_assembled(rho, n)
+                rep = check_block_ds(bm)
+                if rep.sum_violation + rep.trace_violation <= 1e-8:
+                    break
+                s = np.kron(eye, inv_sqrt_psd(np.trace(bm.blocks)))
+                rho = as_hermitian(s @ rho @ s, tol=1e-8)
+                bm = BlockMatrix.from_assembled(rho, n)
+                s = np.kron(inv_sqrt_psd(as_hermitian(bm.trace_matrix(), tol=1e-8)), eye)
+                rho = as_hermitian(s @ rho @ s, tol=1e-8)
+            np.testing.assert_array_equal(sample_block_ds(n, seed).blocks, bm.blocks)
 
     def test_check_flags_identity(self):
         bm = BlockMatrix.from_assembled(np.eye(4, dtype=complex), 2)
