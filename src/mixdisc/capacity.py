@@ -6,12 +6,15 @@ It is computed two independent ways, which the tests hold to agreement:
 * ``capacity`` runs damped Newton on the convex objective
   f(y) = log det(sum e^{y_i} A_i) restricted to mean-zero y (the second-order
   operator scaling of Allen-Zhu, Garg, Li, Oliveira and Wigderson,
-  arXiv:1804.01076).  With M = sum w_i A_i, w = e^y and P_i = M^{-1} A_i the
-  gradient is g_i = w_i tr P_i and the Hessian H_ij = delta_ij g_i -
-  w_i w_j tr(P_i P_j); H 1 = 0, so the step is the minimum-norm solution of
-  (H + 1 1^T / n) d = -(g - mean g).
-  Armijo backtracking runs on the Newton decrement lambda^2 = -grad f . d, and
-  a trial point whose pencil is singular counts as a rejected step.
+  arXiv:1804.01076).  With M = sum w_i A_i, w = e^y and q_i = w_i M^{-1} A_i
+  the gradient is g_i = tr q_i and the Hessian H_ij = delta_ij g_i -
+  tr(q_i q_j); H 1 = 0, so the step solves (H + 1 1^T / n) d = -(g - mean g)
+  in the eigenbasis.  Eigendirections without curvature to working precision
+  are dropped where the gradient along them is below ``opt_tol`` (f is flat
+  there, as on decomposable tuples) and followed where it is not (f falls
+  linearly there, as on a pencil collapsing toward Cap = 0).  Armijo
+  backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
+  trial point whose computed pencil is singular counts as a rejected step.
 * ``capacity_via_scaling`` reads Cap off the Gurvits operator-scaling fixed
   point (``scale_to_doubly_stochastic``), the independent oracle.
 
@@ -27,8 +30,14 @@ It is computed two independent ways, which the tests hold to agreement:
 * ``"max_iter"``: the iteration cap was hit; ``NonConvergence`` is raised and
   carries the result.
 
-``ScalingResult.stop_reason`` is ``"ds_tol"`` or ``"max_iter"`` (the latter
-raises ``NonConvergence`` carrying the result).
+On mean-zero y, det(sum e^{y_i} A_i) >= Cap.  So ``SingularPencil`` is raised,
+as a verdict of Cap = 0 (the weak rank condition fails), when that det falls
+below 1e-300 at any point the solver evaluates, and when a ``"roundoff"`` or
+``"stalled"`` stop lands on a pencil that is singular to working precision.
+
+``ScalingResult.stop_reason`` is ``"ds_tol"`` on every returned result; the
+result that ``NonConvergence`` carries when scaling hits ``max_iter`` has
+``"max_iter"``.
 """
 
 from __future__ import annotations
@@ -93,37 +102,48 @@ class ScalingResult:
 def _objective(mats, y):
     """f(y) = log det(sum e^{y_i} A_i), with M and w scaled by e^{-max y}.
 
-    The shift keeps e^y finite for any y; P_i = M^{-1} A_i, w_i tr P_i and
-    w_i w_j tr(P_i P_j) are unchanged by it.
+    The shift keeps e^y finite for any y; w_i M^{-1} A_i is unchanged by it.
+    Returns None where the computed M is singular, which is a rounding verdict
+    on an overlong step and says nothing about Cap.  Raises ``SingularPencil``
+    where the computed det(M) is positive but f < log(1e-300): mean-zero y has
+    prod e^{y_i} = 1, so det(M) >= Cap there, and Cap < 1e-300.
     """
     top = float(y.max())
     w = np.exp(y - top)
     m = (w[:, None, None] * mats).sum(0)
     sign, logdet = np.linalg.slogdet(m)
+    if not sign.real > 0.0:
+        return None
     f = len(y) * top + float(logdet)
-    if not (sign.real > 0.0 and f >= _LOG_FLOOR):
+    if f < _LOG_FLOOR:
         raise SingularPencil(
-            "det(sum e^{y_i} A_i) collapsed; the tuple violates the weak rank condition"
+            "det(sum e^{y_i} A_i) < 1e-300 at prod e^{y_i} = 1; "
+            "the tuple violates the weak rank condition"
         )
     return f, m, w
 
 
-def _newton_direction(p, g, w, r):
+def _newton_direction(q, g, r, opt_tol):
     """Newton direction d (mean zero) and decrement lambda^2 = -r . d.
 
-    d is the minimum-norm solution, from one Hermitian eigendecomposition,
-    so that directions along which f is flat (H singular on the mean-zero
-    subspace, as on decomposable tuples) are left alone.  H stays in the
-    complex dtype of the P stack (its imaginary part is rounding error), so
+    q is the stack w_i M^{-1} A_i, so H = diag(g) - [tr(q_i q_j)] stays finite
+    however far M is from the identity.  d comes from one Hermitian
+    eigendecomposition of H + 1 1^T / n.  An eigendirection whose curvature is
+    below working precision is left alone where the gradient along it is below
+    ``opt_tol`` too (f is flat there, as on decomposable tuples), and followed
+    with its curvature raised to that precision where it is not (f falls
+    linearly there: the pencil is collapsing toward Cap = 0).  H stays in the
+    complex dtype of the q stack (its imaginary part is rounding error), so
     this is the Hermitian eigensolver the package already loads; a real or
     least-squares LAPACK routine would add to peak memory.
     """
-    n = len(w)
-    h = np.diag(g) - np.outer(w, w) * np.einsum("iab,jba->ij", p, p)
+    n = len(g)
+    h = np.diag(g) - np.einsum("iab,jba->ij", q, q)
     lam, v = np.linalg.eigh(h + 1.0 / n)
-    keep = lam > n * sys.float_info.epsilon * lam[-1]
-    v = v[:, keep]
-    d = -(v @ ((v.conj().T @ r) / lam[keep])).real
+    c = v.conj().T @ r
+    cut = n * sys.float_info.epsilon * lam[-1]
+    use = (lam > cut) | (np.abs(c) >= opt_tol)
+    d = -(v[:, use] @ (c[use] / np.maximum(lam[use], cut))).real
     d -= d.mean()
     return d, -float(r @ d)
 
@@ -131,21 +151,27 @@ def _newton_direction(p, g, w, r):
 def _backtrack(mats, y, f, d, lam2):
     """Armijo backtracking from the full Newton step.
 
-    Halves the step until f decreases enough or the step no longer moves y;
-    returns None in the latter case.
+    Halves the step until f decreases enough; a trial point whose computed
+    pencil is singular counts as a rejected step.  Returns None once the step
+    is below the rounding of y, s ||d|| <= u (1 + ||y||), which bounds the
+    halvings by about 53 + log2(||d|| / (1 + ||y||)).
     """
+    tiny = sys.float_info.epsilon * (1.0 + float(np.linalg.norm(y)))
     s = 1.0
-    while True:
+    dnorm = float(np.linalg.norm(d))
+    while s * dnorm > tiny:
         y_new = y + s * d
-        if np.array_equal(y_new, y):
-            return None
-        try:
-            f_new, m_new, w_new = _objective(mats, y_new)
-        except SingularPencil:
-            f_new = math.inf
-        if f_new < f - _ARMIJO * s * lam2:
-            return y_new, f_new, m_new, w_new
+        trial = _objective(mats, y_new)
+        if trial is not None and trial[0] < f - _ARMIJO * s * lam2:
+            return (y_new, *trial)
         s *= 0.5
+    return None
+
+
+def _numerically_singular(m):
+    """Whether the smallest eigenvalue of PSD m is at the rounding of the largest."""
+    ev = np.linalg.eigvalsh(m)
+    return ev[0] <= len(ev) * sys.float_info.epsilon * ev[-1]
 
 
 def capacity(
@@ -155,22 +181,28 @@ def capacity(
 
     See the module docstring for the step and the stop reasons.  Raises
     ``NonConvergence`` (carrying the result) when ``max_iter`` Newton steps
-    leave the iterate short of every stopping test.
+    leave the iterate short of every stopping test, and ``SingularPencil``
+    when Cap is zero to working precision.
     """
     _require_psd(t, tol)
     mats = t.matrices
     y = np.zeros(t.n)
-    f, m, w = _objective(mats, y)
+    start = _objective(mats, y)
+    if start is None:
+        raise SingularPencil(
+            "sum A_i is singular; the tuple violates the weak rank condition"
+        )
+    f, m, w = start
     it = 0
     while True:
-        p = np.linalg.solve(m, mats)
-        g = w * np.trace(p, axis1=1, axis2=2).real
+        q = np.linalg.solve(m, w[:, None, None] * mats)
+        g = np.trace(q, axis1=1, axis2=2).real
         r = g - g.mean()
         gnorm = float(np.linalg.norm(r))
         if gnorm < tol.opt_tol:
             stop = "gradient"
             break
-        d, lam2 = _newton_direction(p, g, w, r)
+        d, lam2 = _newton_direction(q, g, r, tol.opt_tol)
         if lam2 <= _ROUNDOFF * (1.0 + abs(f)):
             stop = "roundoff"
             break
@@ -183,6 +215,12 @@ def capacity(
             break
         y, f, m, w = step
         it += 1
+    if stop in ("roundoff", "stalled") and _numerically_singular(m):
+        raise SingularPencil(
+            "sum e^{y_i} A_i is numerically singular at prod e^{y_i} = 1, where "
+            "its det bounds Cap; the tuple violates the weak rank condition to "
+            "working precision"
+        )
     result = CapacityResult(
         value=math.exp(f),
         minimizer_x=np.exp(y),
@@ -207,7 +245,9 @@ def scale_to_doubly_stochastic(
     Step (a) conjugates by (sum A_i)^(-1/2) to fix the identity-sum condition;
     step (b) rescales each slot to unit trace.  transform_X accumulates the
     congruence factors and trace_scalars the per-slot scalars, so the scaled
-    tuple always reconstructs as s_i * X @ A_i @ X^H.
+    tuple always reconstructs as s_i * X @ A_i @ X^H.  A returned result has
+    stop_reason "ds_tol"; hitting ``max_iter`` raises ``NonConvergence``
+    carrying a result with "max_iter".
     """
     _require_psd(t, tol)
     indec, witness = is_indecomposable(t, tol)

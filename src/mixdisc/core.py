@@ -10,7 +10,9 @@ scale and then symmetrizes exactly, so downstream code may rely on
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -218,9 +220,20 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def iter_seeds(seed: int) -> Iterator[int]:
+    """Independent child seeds of one parent seed, derived one at a time.
+
+    ``SeedSequence.spawn(1)`` per child yields the same children as one
+    ``spawn(count)``, so the k-th seed is the same however many are drawn.
+    """
+    parent = np.random.SeedSequence(seed)
+    while True:
+        yield int(parent.spawn(1)[0].generate_state(1)[0])
+
+
 def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent child seeds from one parent seed."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
+    """The first ``count`` seeds of ``iter_seeds(seed)``."""
+    return list(itertools.islice(iter_seeds(seed), count))
 
 
 def random_complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:

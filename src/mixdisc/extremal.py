@@ -6,6 +6,7 @@ samples the feasible set, or tries (and must fail) to push below it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .core import (
     PreconditionViolated,
     SamplerExhausted,
     Tolerances,
+    iter_seeds,
     make_rng,
     max_abs,
     min_eigenvalue,
@@ -63,10 +65,7 @@ def random_ds_tuple(
     Deterministic in (n, seed).  Decomposable or non-converging draws are
     retried with derived seeds; SamplerExhausted after ``retries`` failures.
     """
-    seeds = np.random.SeedSequence(seed)
-    for _ in range(retries):
-        # spawn(1) per retry yields the same children as spawn(retries) at once.
-        child = int(seeds.spawn(1)[0].generate_state(1)[0])
+    for child in itertools.islice(iter_seeds(seed), retries):
         mat_seeds = spawn_seeds(child, n)
         t = MatrixTuple([random_psd(n, s) for s in mat_seeds], tol)
         try:

@@ -293,6 +293,51 @@ def test_failed_line_search_returns_a_flagged_result(monkeypatch):
     assert res.gradient_norm >= DEFAULT_TOL.opt_tol
 
 
+def test_line_search_halvings_stop_at_the_rounding_of_y(monkeypatch):
+    # An Armijo test that no step can meet: the search must give up once the
+    # step is below the rounding of y (about 53 halvings from y = 0 with
+    # ||d|| = 1), not after the ~1075 it takes s to underflow.
+    mod = sys.modules["mixdisc.capacity"]
+    objective = mod._objective
+    calls = []
+    monkeypatch.setattr(mod, "_objective", lambda mats, y: calls.append(y) or objective(mats, y))
+    t = random_tuple(3, 5)
+    y = np.zeros(3)
+    f = objective(t.matrices, y)[0]
+    d = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
+    assert mod._backtrack(t.matrices, y, f, d, 1e300) is None
+    assert len(calls) <= 60
+
+
+def _weak_rank_violating_tuple(n, seed):
+    """n - 1 Wishart slots inside one (n - 2)-dimensional subspace, one full slot.
+
+    sum A_i has full rank, but n - 1 slots span a space of rank n - 2, so the
+    weak rank condition fails and Cap = 0.
+    """
+    rng = make_rng(seed)
+    k = n - 2
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    basis = np.linalg.qr(g)[0]
+    mats = [basis @ _wishart(k, rng) @ basis.conj().T for _ in range(n - 1)]
+    return MatrixTuple(mats + [_wishart(n, rng)])
+
+
+def test_cap_zero_with_a_full_rank_sum_raises():
+    # f falls linearly along the collapsing direction while its curvature
+    # vanishes; the solver must not read that as convergence.
+    e1 = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(SingularPencil):
+        capacity(MatrixTuple([e1, e1, np.eye(3)]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weak_rank_violation_raises(n, seed):
+    with pytest.raises(SingularPencil):
+        capacity(_weak_rank_violating_tuple(n, seed))
+
+
 def test_decomposable_tuple_with_a_flat_direction():
     # (e_1 e_1^T, 0 + B, 0 + C): on sum y = 0, f depends on y_2 - y_3 alone,
     # so H is singular on the mean-zero subspace.  Cap is the minimum over u

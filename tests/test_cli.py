@@ -120,6 +120,14 @@ class TestCapacityAndScale:
         assert code == 2
         assert "max_iter" in err
 
+    def test_capacity_zero_exit2(self, capsys, tmp_path):
+        e1 = np.diag([1.0, 0.0, 0.0])
+        path = write_tuple(tmp_path, MatrixTuple([e1, e1, np.eye(3)]))
+        code, out, err = run(capsys, "capacity", path)
+        assert code == 2
+        assert out == ""
+        assert "weak rank" in err
+
     def test_scale_roundtrip(self, capsys, tmp_path):
         t = MatrixTuple([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
         path = write_tuple(tmp_path, t)

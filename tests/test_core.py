@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from mixdisc.core import (
     fsum_complex,
     fsum_real,
     inv_sqrt_psd,
+    iter_seeds,
     make_rng,
     max_abs,
     min_eigenvalue,
@@ -111,6 +113,14 @@ class TestRandomness:
         seeds = spawn_seeds(0, 20)
         assert len(set(seeds)) == 20
         assert seeds == spawn_seeds(0, 20)
+
+    def test_seeds_are_the_children_of_one_batch_spawn(self):
+        # Seeds derived one at a time equal the children of a single
+        # SeedSequence.spawn(count), so seeded samples do not depend on how
+        # many seeds a caller draws.
+        batch = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(77).spawn(100)]
+        assert spawn_seeds(77, 100) == batch
+        assert list(itertools.islice(iter_seeds(77), 5)) == batch[:5]
 
     def test_random_psd_is_psd(self):
         for s in range(5):
