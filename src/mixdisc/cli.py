@@ -2,19 +2,36 @@
 
 Every complex entry is serialized as a two-element array [re, im], always,
 even when the imaginary part is zero.  Documents carry schema_version "1".
-Exit codes: 0 success, 1 input/validation error, 2 numerical non-convergence
-or a dimension gate, 3 internal invariant breach (mathematical-news events).
+Every numeric field (``matrices``, ``blocks``, ``e``, ``x``, ``X`` and the
+genaf ``weights``, ``vectors`` and ``target``) takes finite JSON numbers
+only, nested in exactly its shape: a string, boolean, null, NaN, infinity or
+a number beyond the float range is an input error.
+
+Exit codes come from one table, ``_EXIT_CODES``, looked up along the class
+hierarchy of the exception:
+
+- 0: success;
+- 1: input or validation error (``CliInputError`` and every other
+  ``MixdiscError``);
+- 2: numerical non-convergence or a gate (``DimensionTooLarge``,
+  ``NonConvergence``, ``SingularPencil``, ``SamplerExhausted``,
+  ``NotDoublyStochastic``, ``NotIndecomposable``);
+- 3: internal invariant breach (``InvariantBreach``, a would-be
+  mathematical-news event).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +39,6 @@ from . import extremal, genaf, hyperbolic, pascal, structure
 from .capacity import CAPACITY_MAX_ITER, _capacity_of_scaling, scale_to_doubly_stochastic
 from .capacity import capacity as _capacity
 from .core import (
-    DEFAULT_TOL,
     DimensionTooLarge,
     MixdiscError,
     NonConvergence,
@@ -31,6 +47,8 @@ from .core import (
     SamplerExhausted,
     SingularPencil,
     Tolerances,
+    random_psd,
+    spawn_seeds,
 )
 from .discriminant import (
     MatrixTuple,
@@ -52,7 +70,9 @@ _ALGORITHMS = {
     "tensor": eval_tensor,
 }
 
-_TOL_FIELDS = ("hermitian_tol", "psd_tol", "rank_tol", "ds_tol", "opt_tol")
+_TOL_FIELDS = tuple(f.name for f in fields(Tolerances))
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class CliInputError(Exception):
@@ -63,39 +83,54 @@ class InvariantBreach(Exception):
     """A would-be-mathematical-news event (e.g. a value below a proven bound)."""
 
 
+_EXIT_CODES = {
+    CliInputError: 1,
+    MixdiscError: 1,
+    DimensionTooLarge: 2,
+    NonConvergence: 2,
+    SingularPencil: 2,
+    SamplerExhausted: 2,
+    NotDoublyStochastic: 2,
+    NotIndecomposable: 2,
+    InvariantBreach: 3,
+}
+
+
 # ---------------------------------------------------------------------------
 # serialization ([re, im] pairs everywhere)
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def pair_to_complex(pair, where: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
-    ):
-        raise CliInputError(f"{where}: complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(pair[0], pair[1])
-
-
 def matrix_to_doc(m) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_pair(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    """A complex matrix, or a stack of them, as nested lists of [re, im] pairs."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def doc_to_matrix(rows, n: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != n:
-        raise CliInputError(f"{where}: expected {n} rows")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise CliInputError(f"{where}, row {i}: expected {n} entries")
-        for j, pair in enumerate(row):
-            out[i, j] = pair_to_complex(pair, f"{where}, row {i}, col {j}")
-    return out
+def _numbers(value, shape: tuple, where: str) -> np.ndarray:
+    """``value`` as a float array, once it is checked to be nested lists of
+    exactly ``shape`` (a ``None`` length takes any length) whose entries are
+    finite JSON numbers.  The error names the first bad position."""
+
+    def check(v, dims, at):
+        if not dims:
+            # bool is an int subclass.  The range test also rejects NaN,
+            # infinities and ints that would overflow a float.
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number and -_FLOAT_MAX <= v <= _FLOAT_MAX):
+                raise CliInputError(f"{at}: expected a finite number, got {v!r:.40}")
+            return
+        if not isinstance(v, list) or dims[0] not in (None, len(v)):
+            size = "" if dims[0] is None else f" of {dims[0]} entries"
+            raise CliInputError(f"{at}: expected a list{size}")
+        for i, item in enumerate(v):
+            check(item, dims[1:], f"{at}[{i}]")
+
+    check(value, tuple(shape), where)
+    return np.array(value, dtype=float)
+
+
+def _complex_numbers(value, shape: tuple, where: str) -> np.ndarray:
+    """Nested [re, im] pairs of ``shape`` as one complex array."""
+    return _numbers(value, (*shape, 2), where).view(np.complex128)[..., 0]
 
 
 def tuple_to_doc(t: MatrixTuple) -> dict:
@@ -103,7 +138,7 @@ def tuple_to_doc(t: MatrixTuple) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "tuple",
         "n": t.n,
-        "matrices": [matrix_to_doc(m) for m in t.matrices],
+        "matrices": matrix_to_doc(t.matrices),
     }
 
 
@@ -112,7 +147,18 @@ def block_to_doc(bm: pascal.BlockMatrix) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "block",
         "n": bm.n,
-        "blocks": [[matrix_to_doc(b) for b in row] for row in bm.blocks],
+        "blocks": matrix_to_doc(bm.blocks),
+    }
+
+
+def pencil_to_doc(p: hyperbolic.HyperbolicPencil) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "pencil",
+        "n": p.degree,
+        "m": p.m,
+        "matrices": matrix_to_doc(p.matrices),
+        "e": p.e.tolist(),
     }
 
 
@@ -133,38 +179,16 @@ def _check_header(doc: dict, kind: str) -> int:
 
 def doc_to_tuple(doc: dict, tol: Tolerances) -> MatrixTuple:
     n = _check_header(doc, "tuple")
-    mats = doc.get("matrices")
-    if not isinstance(mats, list) or len(mats) != n:
-        raise CliInputError(f"field 'matrices' must list exactly {n} matrices")
-    arrays = [doc_to_matrix(m, n, f"matrices[{k}]") for k, m in enumerate(mats)]
+    mats = _complex_numbers(doc.get("matrices"), (n, n, n), "matrices")
     try:
-        return MatrixTuple(arrays, tol)
+        return MatrixTuple(mats, tol)
     except (ValueError, MixdiscError) as exc:
         raise CliInputError(f"invalid tuple: {exc}") from exc
 
 
 def doc_to_block(doc: dict) -> pascal.BlockMatrix:
     n = _check_header(doc, "block")
-    rows = doc.get("blocks")
-    if not isinstance(rows, list) or len(rows) != n:
-        raise CliInputError(f"field 'blocks' must be an {n} x {n} grid")
-    grid = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise CliInputError(f"blocks[{i}] must hold {n} blocks")
-        grid.append([doc_to_matrix(b, n, f"blocks[{i}][{j}]") for j, b in enumerate(row)])
-    return pascal.BlockMatrix(grid)
-
-
-def pencil_to_doc(p: hyperbolic.HyperbolicPencil) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pencil",
-        "n": p.degree,
-        "m": p.m,
-        "matrices": [matrix_to_doc(b) for b in p.matrices],
-        "e": list(map(float, p.e)),
-    }
+    return pascal.BlockMatrix(_complex_numbers(doc.get("blocks"), (n, n, n, n), "blocks"))
 
 
 def doc_to_pencil(doc: dict, tol: Tolerances) -> hyperbolic.HyperbolicPencil:
@@ -172,15 +196,10 @@ def doc_to_pencil(doc: dict, tol: Tolerances) -> hyperbolic.HyperbolicPencil:
     m = doc.get("m")
     if not isinstance(m, int) or m < 1:
         raise CliInputError("field 'm' must be a positive integer")
-    mats = doc.get("matrices")
-    if not isinstance(mats, list) or len(mats) != m:
-        raise CliInputError(f"field 'matrices' must list exactly {m} matrices")
-    arrays = [doc_to_matrix(b, n, f"matrices[{k}]") for k, b in enumerate(mats)]
-    e = doc.get("e")
-    if not isinstance(e, list) or len(e) != m:
-        raise CliInputError(f"field 'e' must be a real {m}-vector")
+    mats = _complex_numbers(doc.get("matrices"), (m, n, n), "matrices")
+    e = _numbers(doc.get("e"), (m,), "e")
     try:
-        return hyperbolic.HyperbolicPencil(arrays, np.asarray(e, dtype=float), tol)
+        return hyperbolic.HyperbolicPencil(mats, e, tol)
     except (ValueError, MixdiscError) as exc:
         raise CliInputError(f"invalid pencil: {exc}") from exc
 
@@ -192,14 +211,12 @@ def read_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text), text.encode("utf-8")
-    except json.JSONDecodeError as exc:
-        raise CliInputError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise CliInputError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def digest_of(payload: bytes) -> str:
@@ -208,21 +225,6 @@ def digest_of(payload: bytes) -> str:
 
 def params_digest(**params) -> str:
     return digest_of(json.dumps(params, sort_keys=True).encode("utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-def emit_report(command: str, digest: str, results: dict, tol: Tolerances, seed, t0: float) -> None:
-    report = {
-        "command": command,
-        "inputs_digest": digest,
-        "results": results,
-        "tolerances": {f: getattr(tol, f) for f in _TOL_FIELDS},
-        "seed": seed,
-        "wall_time": time.monotonic() - t0,
-    }
-    print(json.dumps(report, sort_keys=True))
 
 
 def _tol_from_args(args) -> Tolerances:
@@ -245,14 +247,19 @@ def _tol_from_args(args) -> Tolerances:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns what ``main`` puts into the one run report
 
-def _cmd_eval(args, tol: Tolerances, t0: float) -> int:
+class _Report(NamedTuple):
+    results: dict
+    digest: str
+    seed: int | None = None
+    breach: str | None = None  # raised as InvariantBreach once the report is out
+
+
+def _cmd_eval(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
     t = doc_to_tuple(doc, tol)
-    fn = _ALGORITHMS[args.algorithm]
-    value = fn(t)
-    results = {"D": value, "algorithm": args.algorithm}
+    results = {"D": _ALGORITHMS[args.algorithm](t), "algorithm": args.algorithm}
     if args.cross_check:
         values = {}
         for name, f in _ALGORITHMS.items():
@@ -262,14 +269,12 @@ def _cmd_eval(args, tol: Tolerances, t0: float) -> int:
                 continue
         spread = max(values.values()) - min(values.values())
         results["cross_check"] = {"values": values, "max_deviation": spread}
-    emit_report("eval", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _cmd_capacity(args, tol: Tolerances, t0: float) -> int:
+def _cmd_capacity(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
-    t = doc_to_tuple(doc, tol)
-    res = _capacity(t, tol, max_iter=args.max_iter)
+    res = _capacity(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
     results = {
         "value": res.value,
         "minimizer_x": list(map(float, res.minimizer_x)),
@@ -278,14 +283,12 @@ def _cmd_capacity(args, tol: Tolerances, t0: float) -> int:
         "converged": res.converged,
         "stop_reason": res.stop_reason,
     }
-    emit_report("capacity", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _cmd_scale(args, tol: Tolerances, t0: float) -> int:
+def _cmd_scale(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
-    t = doc_to_tuple(doc, tol)
-    res = scale_to_doubly_stochastic(t, tol, max_iter=args.max_iter)
+    res = scale_to_doubly_stochastic(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
     results = {
         "scaled": tuple_to_doc(res.scaled),
         "alpha": list(map(float, res.alpha)),
@@ -297,14 +300,12 @@ def _cmd_scale(args, tol: Tolerances, t0: float) -> int:
         "stop_reason": res.stop_reason,
         "capacity_via_scaling": _capacity_of_scaling(res),
     }
-    emit_report("scale", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _cmd_decompose(args, tol: Tolerances, t0: float) -> int:
+def _cmd_decompose(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
-    t = doc_to_tuple(doc, tol)
-    res = structure.decompose(t, tol)
+    res = structure.decompose(doc_to_tuple(doc, tol), tol)
     results = {
         "parts": [
             {
@@ -316,25 +317,22 @@ def _cmd_decompose(args, tol: Tolerances, t0: float) -> int:
         ],
         "product_check": res.product_check,
     }
-    emit_report("decompose", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _cmd_check_ds(args, tol: Tolerances, t0: float) -> int:
+def _cmd_check_ds(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
-    t = doc_to_tuple(doc, tol)
-    rep = check_doubly_stochastic(t, tol)
+    rep = check_doubly_stochastic(doc_to_tuple(doc, tol), tol)
     results = {
         "psd_violation": rep.psd_violation,
         "trace_violation": rep.trace_violation,
         "sum_violation": rep.sum_violation,
         "is_doubly_stochastic": rep.is_doubly_stochastic,
     }
-    emit_report("check-ds", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _cmd_bapat_search(args, tol: Tolerances, t0: float) -> int:
+def _cmd_bapat_search(args, tol: Tolerances) -> _Report:
     record = extremal.minimize_search(args.n, args.trials, args.seed, tol)
     digest = params_digest(n=args.n, trials=args.trials, seed=args.seed)
     csv_path = f"bapat-search-{digest[:16]}.csv"
@@ -351,35 +349,32 @@ def _cmd_bapat_search(args, tol: Tolerances, t0: float) -> int:
         "distance_to_jn": record.distance_to_jn,
         "csv": csv_path,
     }
-    emit_report("bapat-search", digest, results, tol, args.seed, t0)
+    breach = None
     if record.below_bound:
-        raise InvariantBreach(
-            f"search value {record.best_value!r} fell below the proven bound"
-        )
-    return 0
+        breach = f"search value {record.best_value!r} fell below the proven bound"
+    return _Report(results, digest, args.seed, breach)
 
 
-def _cmd_genaf(args, tol: Tolerances, t0: float) -> int:
+def _cmd_genaf(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
     t = doc_to_tuple(doc, tol)
     cdoc, cpayload = read_json(args.combination_file)
     if not isinstance(cdoc, dict):
         raise CliInputError("combination document must be a JSON object")
+    weights = _numbers(cdoc.get("weights"), (None,), "weights")
+    _numbers(cdoc.get("vectors"), (len(weights), t.n), "vectors")
+    target = _numbers(cdoc.get("target"), (t.n,), "target").astype(np.int64)
     try:
-        comb = genaf.ConvexCombination.build(
-            cdoc.get("weights"), cdoc.get("vectors"),
-            np.asarray(cdoc.get("target"), dtype=np.int64) if cdoc.get("target") is not None else None,
-            t.n,
-        )
-    except (TypeError, ValueError, MixdiscError) as exc:
+        # The weight vectors pass on as parsed: they must be JSON integers.
+        comb = genaf.ConvexCombination.build(weights, cdoc["vectors"], target, t.n)
+    except MixdiscError as exc:
         raise CliInputError(f"invalid combination: {exc}") from exc
     rep = genaf.check_theorem52(t, comb, tol)
     results = {"cap_slack": rep.cap_slack, "m_slack": rep.m_slack, "holds": rep.holds}
-    emit_report("genaf", digest_of(payload + cpayload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload + cpayload))
 
 
-def _cmd_af_experiment(args, tol: Tolerances, t0: float) -> int:
+def _cmd_af_experiment(args, tol: Tolerances) -> _Report:
     res = genaf.af_lower_bound_experiment(args.n)
     results = {
         "per_e": res.per_e,
@@ -389,11 +384,10 @@ def _cmd_af_experiment(args, tol: Tolerances, t0: float) -> int:
         "log_deficit": res.log_deficit,
         "log_deficit_over_n": res.log_deficit / args.n,
     }
-    emit_report("af-experiment", params_digest(n=args.n), results, tol, None, t0)
-    return 0
+    return _Report(results, params_digest(n=args.n))
 
 
-def _cmd_qp(args, tol: Tolerances, t0: float) -> int:
+def _cmd_qp(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
     bm = doc_to_block(doc)
     results = {}
@@ -408,11 +402,10 @@ def _cmd_qp(args, tol: Tolerances, t0: float) -> int:
         "trace_violation": rep.trace_violation,
         "passes": rep.passes,
     }
-    emit_report("qp", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _cmd_hyp(args, tol: Tolerances, t0: float) -> int:
+def _cmd_hyp(args, tol: Tolerances) -> _Report:
     if args.op == "conjecture":
         rep = hyperbolic.conjecture_experiment(args.n, args.samples, args.seed, tol)
         results = {
@@ -423,27 +416,27 @@ def _cmd_hyp(args, tol: Tolerances, t0: float) -> int:
             "violations": rep.violations,
             "rejection_rate": rep.rejection_rate,
         }
-        emit_report(
-            "hyp", params_digest(op="conjecture", n=args.n, samples=args.samples, seed=args.seed),
-            results, tol, args.seed, t0,
-        )
+        digest = params_digest(op="conjecture", n=args.n, samples=args.samples, seed=args.seed)
+        breach = None
         if rep.violations:
-            raise InvariantBreach(f"{len(rep.violations)} conjecture counterexample candidates")
-        return 0
+            breach = f"{len(rep.violations)} conjecture counterexample candidates"
+        return _Report(results, digest, args.seed, breach)
+    if args.file is None:
+        raise CliInputError("hyp needs a pencil document file for this --op")
     doc, payload = read_json(args.file)
     pencil = doc_to_pencil(doc, tol)
+    if args.op in ("roots", "trace"):
+        x = _numbers(doc.get("x"), (pencil.m,), "x")
+    else:
+        xs = list(_numbers(doc.get("X"), (pencil.degree, pencil.m), "X"))
     if args.op == "roots":
-        x = _vector_from_doc(doc, "x", pencil.m)
         r = hyperbolic.roots(pencil, x)
         results = {"roots": list(map(float, r.lam)), "residual": r.residual}
     elif args.op == "trace":
-        x = _vector_from_doc(doc, "x", pencil.m)
         results = {"trace_e": hyperbolic.trace_e(pencil, x)}
     elif args.op == "mixed-value":
-        xs = _vectors_from_doc(doc, "X", pencil.m, pencil.degree)
         results = {"mixed_value": hyperbolic.mixed_value(pencil, xs)}
     else:  # check-hd
-        xs = _vectors_from_doc(doc, "X", pencil.m, pencil.degree)
         rep = hyperbolic.check_hd_membership(pencil, xs, tol)
         results = {
             "nonneg_violation": rep.nonneg_violation,
@@ -451,38 +444,13 @@ def _cmd_hyp(args, tol: Tolerances, t0: float) -> int:
             "sum_violation": rep.sum_violation,
             "passes": rep.passes,
         }
-    emit_report("hyp", digest_of(payload), results, tol, None, t0)
-    return 0
+    return _Report(results, digest_of(payload))
 
 
-def _vector_from_doc(doc: dict, field: str, m: int) -> np.ndarray:
-    v = doc.get(field)
-    if not isinstance(v, list) or len(v) != m:
-        raise CliInputError(f"field {field!r} must be a real {m}-vector")
-    return np.asarray(v, dtype=float)
-
-
-def _vectors_from_doc(doc: dict, field: str, m: int, count: int) -> list:
-    vs = doc.get(field)
-    if not isinstance(vs, list) or len(vs) != count:
-        raise CliInputError(f"field {field!r} must list {count} real {m}-vectors")
-    return [
-        np.asarray(v, dtype=float)
-        if isinstance(v, list) and len(v) == m
-        else _bad_vector(field, m)
-        for v in vs
-    ]
-
-
-def _bad_vector(field: str, m: int):
-    raise CliInputError(f"every entry of {field!r} must be a real {m}-vector")
-
-
-def _cmd_gen_random(args, tol: Tolerances, t0: float) -> int:
-    # Emits the bare document (sorted keys) so it pipes into the other commands.
+def _cmd_gen_random(args, tol: Tolerances) -> None:
+    # Prints the bare document (sorted keys), not a report, so it pipes into
+    # the other commands.
     if args.kind == "psd":
-        from .core import random_psd, spawn_seeds
-
         mats = [random_psd(args.n, s) for s in spawn_seeds(args.seed, args.n)]
         doc = tuple_to_doc(MatrixTuple(mats, tol))
     elif args.kind == "ds":
@@ -503,117 +471,97 @@ def _cmd_gen_random(args, tol: Tolerances, t0: float) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mixdisc", description="Mixed discriminant toolkit"
-    )
+    """The argument parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
+    # One parent holds the tolerance flags for the root parser and every
+    # subcommand, so they work before or after the subcommand; the SUPPRESS
+    # default keeps a flag absent on one side from clobbering the other.
+    tol_flags = argparse.ArgumentParser(add_help=False)
     for f in _TOL_FIELDS:
-        parser.add_argument(
-            f"--{f.replace('_', '-')}", type=float, default=None, dest=f,
+        tol_flags.add_argument(
+            f"--{f.replace('_', '-')}", type=float, default=argparse.SUPPRESS, dest=f,
             help=f"override {f} (env MIXDISC_{f.upper()})",
         )
-    # The same flags are accepted after the subcommand; SUPPRESS keeps a
-    # subcommand-absent flag from clobbering a value given before it.
-    tol_parent = argparse.ArgumentParser(add_help=False)
-    for f in _TOL_FIELDS:
-        tol_parent.add_argument(
-            f"--{f.replace('_', '-')}", type=float, default=argparse.SUPPRESS,
-            dest=f, help=argparse.SUPPRESS,
-        )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    parser = argparse.ArgumentParser(
+        prog="mixdisc", description="Mixed discriminant toolkit", parents=[tol_flags]
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(parents=[tol_parent], name="eval", help="mixed discriminant of a tuple document")
-    p.add_argument("file")
+    def command(name, fn, help_text, *positionals):
+        p = sub.add_parser(name, parents=[tol_flags], help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("eval", _cmd_eval, "mixed discriminant of a tuple document", "file")
     p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="polarized")
     p.add_argument("--cross-check", action="store_true")
-    p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser(parents=[tol_parent], name="capacity", help="capacity by convex minimization")
-    p.add_argument("file")
+    p = command("capacity", _cmd_capacity, "capacity by convex minimization", "file")
     p.add_argument("--max-iter", type=int, default=CAPACITY_MAX_ITER)
-    p.set_defaults(fn=_cmd_capacity)
 
-    p = sub.add_parser(parents=[tol_parent], name="scale", help="operator scaling to doubly stochastic form")
-    p.add_argument("file")
+    p = command("scale", _cmd_scale, "operator scaling to doubly stochastic form", "file")
     p.add_argument("--max-iter", type=int, default=10000)
-    p.set_defaults(fn=_cmd_scale)
 
-    p = sub.add_parser(parents=[tol_parent], name="decompose", help="indecomposable block decomposition")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_decompose)
+    command("decompose", _cmd_decompose, "indecomposable block decomposition", "file")
+    command("check-ds", _cmd_check_ds, "doubly stochastic tuple report", "file")
 
-    p = sub.add_parser(parents=[tol_parent], name="check-ds", help="doubly stochastic tuple report")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_check_ds)
-
-    p = sub.add_parser(parents=[tol_parent], name="bapat-search", help="falsification search against n!/n^n")
+    p = command("bapat-search", _cmd_bapat_search, "falsification search against n!/n^n")
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_bapat_search)
 
-    p = sub.add_parser(parents=[tol_parent], name="genaf", help="generalized AF inequality slacks")
-    p.add_argument("file")
-    p.add_argument("combination_file")
-    p.set_defaults(fn=_cmd_genaf)
+    command("genaf", _cmd_genaf, "generalized AF inequality slacks", "file", "combination_file")
 
-    p = sub.add_parser(parents=[tol_parent], name="af-experiment", help="B = I + cyclic shift permanent experiment")
+    p = command("af-experiment", _cmd_af_experiment, "B = I + cyclic shift permanent experiment")
     p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_af_experiment)
 
-    p = sub.add_parser(parents=[tol_parent], name="qp", help="4-dimensional Pascal determinant of a block matrix")
-    p.add_argument("file")
+    p = command("qp", _cmd_qp, "4-dimensional Pascal determinant of a block matrix", "file")
     p.add_argument("--method", choices=["block", "tensor", "both"], default="block")
-    p.set_defaults(fn=_cmd_qp)
 
-    p = sub.add_parser(parents=[tol_parent], name="hyp", help="hyperbolic pencil operations")
+    p = command("hyp", _cmd_hyp, "hyperbolic pencil operations")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--op", choices=["roots", "trace", "mixed-value", "check-hd", "conjecture"], required=True)
     p.add_argument("--n", type=int, default=3, help="dimension for --op conjecture")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_hyp)
 
-    p = sub.add_parser(parents=[tol_parent], name="gen-random", help="emit a random document of the given kind")
+    p = command("gen-random", _cmd_gen_random, "emit a random document of the given kind")
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["psd", "ds", "block-ds", "separable"], default="psd")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_gen_random)
     return parser
 
 
 def main(argv=None) -> int:
     t0 = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         tol = _tol_from_args(args)
-        if args.command == "hyp" and args.op != "conjecture" and args.file is None:
-            raise CliInputError("hyp needs a pencil document file for this --op")
-        return args.fn(args, tol, t0)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        DimensionTooLarge,
-        NonConvergence,
-        SingularPencil,
-        SamplerExhausted,
-        NotDoublyStochastic,
-        NotIndecomposable,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantBreach as exc:
-        print(f"INVARIANT BREACH: {exc}", file=sys.stderr)
-        return 3
-    except MixdiscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        report = args.fn(args, tol)
+        if report is not None:
+            print(json.dumps({
+                "command": args.command,
+                "inputs_digest": report.digest,
+                "results": report.results,
+                "tolerances": {f: getattr(tol, f) for f in _TOL_FIELDS},
+                "seed": report.seed,
+                "wall_time": time.monotonic() - t0,
+            }, sort_keys=True))
+            if report.breach:
+                raise InvariantBreach(report.breach)
+        return 0
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+        label = "INVARIANT BREACH" if isinstance(exc, InvariantBreach) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -136,24 +136,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def det(a) -> complex:
-    """Determinant of a square complex matrix via pivoted LU."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"det needs a square matrix, got shape {a.shape}")
-    return complex(np.linalg.det(a))
-
-
-def det_hermitian(a) -> float:
-    """Determinant of a Hermitian matrix, imaginary residue truncated."""
-    d = det(a)
-    if abs(d.imag) > 1e-10 * (1.0 + abs(d)):
-        raise NumericalInconsistency(
-            f"Hermitian determinant has imaginary residue {d.imag:.3e}"
-        )
-    return d.real
-
-
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and a unitary eigenvector matrix of Hermitian ``a``.
 
@@ -180,15 +162,6 @@ def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         )
     l = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return (l + l.conj().T) / 2.0
-
-
-def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root (eigenvalues clipped at zero)."""
-    w, v = eig_hermitian(a)
-    if w.size and w[-1] < -tol.psd_tol * max(1.0, abs(w[0])):
-        raise NotPositiveDefinite("matrix has a significantly negative eigenvalue")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (s + s.conj().T) / 2.0
 
 
 def min_eigenvalue(a) -> float:

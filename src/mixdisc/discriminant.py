@@ -48,6 +48,9 @@ _GATE_POLARIZED = 20
 _GATE_PERMANENT = 20
 
 _DET_CHUNK = 8192
+_PERM_CHUNK = 65536
+# Relative agreement demanded of the two exchange_value routes.
+_EXCHANGE_CHECK_REL = 1e-8
 
 
 class MatrixTuple:
@@ -118,38 +121,36 @@ def _as_real(z: complex, tol_scale: float = 1e-9) -> float:
     return z.real
 
 
+def _perm_signs(perms: np.ndarray) -> np.ndarray:
+    """+1 or -1 for each row of a (k, n) permutation array, by inversion count."""
+    inv = np.zeros(len(perms), dtype=np.int64)
+    for i in range(perms.shape[1]):
+        for j in range(i + 1, perms.shape[1]):
+            inv += perms[:, i] > perms[:, j]
+    return np.where(inv % 2 == 0, 1.0, -1.0)
+
+
 @lru_cache(maxsize=16)
 def _perms_and_signs(n: int):
     """All permutations of range(n) as an (n!, n) array with their signs."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     if n == 0:
         perms = perms.reshape(1, 0)
-    inv = np.zeros(len(perms), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inv += perms[:, i] > perms[:, j]
-    signs = np.where(inv % 2 == 0, 1.0, -1.0)
+    signs = _perm_signs(perms)
     perms.flags.writeable = False
     signs.flags.writeable = False
     return perms, signs
 
 
-def _iter_perm_chunks(n: int, chunk: int = 65536):
+def _iter_perm_chunks(n: int):
     """Yield (perms, signs) chunks without materializing all of S_n at once."""
     if n <= 8:
         yield _perms_and_signs(n)
         return
     it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
+    while block := list(itertools.islice(it, _PERM_CHUNK)):
         perms = np.array(block, dtype=np.int8)
-        inv = np.zeros(len(perms), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                inv += perms[:, i] > perms[:, j]
-        yield perms, np.where(inv % 2 == 0, 1.0, -1.0)
+        yield perms, _perm_signs(perms)
 
 
 def _gate(n: int, limit: int, what: str) -> None:
@@ -405,13 +406,12 @@ def exchange_value(
     i: int,
     j: int,
     grad: DiscriminantGradient | None = None,
-    check_rel: float = 1e-8,
 ) -> tuple[float, float]:
     """(D(A^{i,j}), D(A^{j,i})): slot j replaced by A_i, and vice versa.
 
     Both are computed directly (polarization of the substituted tuple) and as
-    tr(A_i Q_j) / tr(A_j Q_i); the two routes must agree within ``check_rel``
-    relative.  A precomputed ``grad`` avoids recomputing Q.
+    tr(A_i Q_j) / tr(A_j Q_i); the two routes must agree within
+    ``_EXCHANGE_CHECK_REL`` relative.  A precomputed ``grad`` avoids recomputing Q.
     """
     if i == j:
         raise ValueError("exchange_value needs two distinct slots")
@@ -420,8 +420,8 @@ def exchange_value(
     d_ji = eval_polarized(t.replaced(i, t.matrices[j]))
     t_ij = _as_real(np.trace(t.matrices[i] @ g.Q[j]), 1e-8)
     t_ji = _as_real(np.trace(t.matrices[j] @ g.Q[i]), 1e-8)
-    scale = 1.0 + abs(d_ij) + abs(d_ji)
-    if abs(d_ij - t_ij) > check_rel * scale or abs(d_ji - t_ji) > check_rel * scale:
+    bound = _EXCHANGE_CHECK_REL * (1.0 + abs(d_ij) + abs(d_ji))
+    if abs(d_ij - t_ij) > bound or abs(d_ji - t_ji) > bound:
         raise NumericalInconsistency(
             f"exchange values disagree: direct ({d_ij:.12g}, {d_ji:.12g}) vs "
             f"trace form ({t_ij:.12g}, {t_ji:.12g})"

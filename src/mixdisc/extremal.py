@@ -35,6 +35,8 @@ from .capacity import scale_to_doubly_stochastic
 
 _BOUND_SLACK = 1e-7
 _GATE_SEARCH = 6
+_DS_RETRIES = 100  # draws random_ds_tuple tries before SamplerExhausted
+_DESCENT_MAX_STEPS = 2000
 
 
 @dataclass
@@ -57,22 +59,20 @@ def bapat_bound(n: int) -> float:
     return float(math.factorial(n)) / float(n**n)
 
 
-def random_ds_tuple(
-    n: int, seed: int, tol: Tolerances = DEFAULT_TOL, retries: int = 100
-) -> MatrixTuple:
+def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixTuple:
     """Random doubly stochastic tuple: PSD Wishart draws, operator-scaled.
 
     Deterministic in (n, seed).  Decomposable or non-converging draws are
-    retried with derived seeds; SamplerExhausted after ``retries`` failures.
+    retried with derived seeds; SamplerExhausted after ``_DS_RETRIES`` failures.
     """
-    for child in itertools.islice(iter_seeds(seed), retries):
+    for child in itertools.islice(iter_seeds(seed), _DS_RETRIES):
         mat_seeds = spawn_seeds(child, n)
         t = MatrixTuple([random_psd(n, s) for s in mat_seeds], tol)
         try:
             return scale_to_doubly_stochastic(t, tol).scaled
         except (NotIndecomposable, NonConvergence):
             continue
-    raise SamplerExhausted(f"no doubly stochastic tuple after {retries} draws")
+    raise SamplerExhausted(f"no doubly stochastic tuple after {_DS_RETRIES} draws")
 
 
 def averaging_sweep(t: MatrixTuple, sweeps: int) -> MatrixTuple:
@@ -151,13 +151,13 @@ def _tangent_direction(n: int, rng) -> np.ndarray:
     return zs / norm
 
 
-def _descend(t: MatrixTuple, rng, tol: Tolerances, max_steps: int = 2000):
+def _descend(t: MatrixTuple, rng, tol: Tolerances):
     """Random projected descent; strict decreases only, PSD enforced by rejection."""
     value = eval_polarized(t)
     step = 0.1
     rejections = 0
     steps = 0
-    while rejections < 40 and steps < max_steps:
+    while rejections < 40 and steps < _DESCENT_MAX_STEPS:
         steps += 1
         zs = _tangent_direction(t.n, rng)
         accepted = False

@@ -26,6 +26,8 @@ from .core import (
 from .discriminant import _as_real, _polarized_raw
 from .extremal import bapat_bound, random_ds_tuple
 
+_MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
+
 
 class HyperbolicPencil:
     """p(x) = det(sum x_i B_i) with direction e such that sum e_i B_i > 0.
@@ -173,11 +175,7 @@ class ConjectureExperimentReport:
 
 
 def conjecture_experiment(
-    n: int,
-    samples: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    mixtures_per_pencil: int = 50,
+    n: int, samples: int, seed: int, tol: Tolerances = DEFAULT_TOL
 ) -> ConjectureExperimentReport:
     """Sample e-doubly stochastic tuples and record min M_p / p(e).
 
@@ -196,7 +194,7 @@ def conjecture_experiment(
     while done < samples:
         t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
         pencil = pencil_from_tuple(t, tol)
-        for mix in _random_ds_matrices(min(mixtures_per_pencil, samples - done), n, rng):
+        for mix in _random_ds_matrices(min(_MIXTURES_PER_PENCIL, samples - done), n, rng):
             xs = list(mix.T)
             rep = check_hd_membership(pencil, xs, tol)
             if not rep.passes:

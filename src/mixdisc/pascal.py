@@ -31,6 +31,7 @@ from .discriminant import _as_real, _double_perm_raw, _perms_and_signs, _polariz
 
 _GATE_QP_BLOCK = 6
 _GATE_QP_TENSOR = 4
+_SAMPLER_MAX_ITER = 500  # alternating normalization rounds of the block-DS samplers
 
 
 class BlockMatrix:
@@ -151,13 +152,7 @@ def _trace_weighted_sum(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (np.trace(w, axis1=1, axis2=2).real[:, None, None] * m).sum(0)
 
 
-def sample_separable_ds(
-    n: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    max_iter: int = 500,
-    max_terms: int | None = None,
-):
+def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     """One random separable block-DS matrix, or None if scaling fails to converge.
 
     Wishart factors are alternately normalized toward the identity-sum and
@@ -165,15 +160,14 @@ def sample_separable_ds(
     act as (I (x) S) rho (I (x) S) and (S (x) I) rho (S (x) I)).
     """
     rng = make_rng(seed)
-    k_max = max_terms if max_terms is not None else n * n
-    k = int(rng.integers(1, k_max + 1))
+    k = int(rng.integers(1, n * n + 1))
     g = np.array(
         [(random_complex_gaussian(n, rng), random_complex_gaussian(n, rng)) for _ in range(k)]
     )
     pq = as_hermitian(g @ g.conj().swapaxes(-1, -2))
     p, q = pq[:, 0], pq[:, 1]
     eye = np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(_SAMPLER_MAX_ITER):
         diag_sum = _trace_weighted_sum(p, q)
         trace_m = _trace_weighted_sum(q, p)
         if max_abs(diag_sum - eye) + max_abs(trace_m - eye) <= tol.ds_tol:
@@ -186,15 +180,13 @@ def sample_separable_ds(
     return None
 
 
-def sample_block_ds(
-    n: int, seed: int, tol: Tolerances = DEFAULT_TOL, max_iter: int = 500
-):
+def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     """One random (not necessarily separable) block-DS matrix, or None."""
     rng = make_rng(seed)
     g = random_complex_gaussian(n * n, rng)
     rho = as_hermitian(g @ g.conj().T)
     eye = np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(_SAMPLER_MAX_ITER):
         bm = BlockMatrix.from_assembled(rho, n)
         diag_sum = np.trace(bm.blocks)
         if max_abs(diag_sum - eye) + max_abs(bm.trace_matrix() - eye) <= tol.ds_tol:

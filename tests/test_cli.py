@@ -1,14 +1,42 @@
+import argparse
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixdisc import cli
 from mixdisc.capacity import capacity_via_scaling
-from mixdisc.cli import main, matrix_to_doc, tuple_to_doc
+from mixdisc.cli import (
+    CliInputError,
+    InvariantBreach,
+    block_to_doc,
+    main,
+    matrix_to_doc,
+    pencil_to_doc,
+    tuple_to_doc,
+)
+from mixdisc.core import (
+    DecompositionInconsistent,
+    DimensionTooLarge,
+    MixdiscError,
+    NonConvergence,
+    NotDoublyStochastic,
+    NotIndecomposable,
+    NumericalInconsistency,
+    SamplerExhausted,
+    SingularPencil,
+)
 from mixdisc.discriminant import MatrixTuple
 from mixdisc.extremal import random_ds_tuple
+from mixdisc.hyperbolic import pencil_from_tuple
+from mixdisc.pascal import BlockMatrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -71,6 +99,14 @@ class TestEval:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "/nonexistent/x.json")
         assert code == 1
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"n": "\xe9"}')
+        code, out, err = run(capsys, "eval", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read")
 
     def test_stdin(self, capsys, monkeypatch):
         doc = json.dumps(tuple_to_doc(MatrixTuple([np.eye(2) / 2] * 2)))
@@ -218,9 +254,6 @@ class TestGenRandomPipe:
 
 class TestHypOps:
     def _pencil_path(self, tmp_path, extra=None):
-        from mixdisc.cli import pencil_to_doc
-        from mixdisc.hyperbolic import pencil_from_tuple
-
         t = random_ds_tuple(3, 8)
         doc = pencil_to_doc(pencil_from_tuple(t))
         if extra:
@@ -261,3 +294,166 @@ class TestReportShape:
         _, out, _ = run(capsys, "eval", ds3)
         keys = list(json.loads(out).keys())
         assert keys == sorted(keys)
+
+
+def _tuple_doc(entry):
+    """J_2 as a tuple document, with matrices[0][0][0] replaced by ``entry``."""
+    doc = tuple_to_doc(MatrixTuple([np.eye(2) / 2] * 2))
+    doc["matrices"][0][0][0] = entry
+    return doc
+
+
+def _block_doc(entry):
+    """The block-DS matrix with blocks delta_ij I / 2, one entry replaced."""
+    doc = block_to_doc(BlockMatrix(np.einsum("ij,kl->ijkl", np.eye(2), np.eye(2) / 2)))
+    doc["blocks"][0][0][0][0] = entry
+    return doc
+
+
+def _pencil_doc(**fields):
+    doc = pencil_to_doc(pencil_from_tuple(MatrixTuple([np.eye(3) / 3] * 3)))
+    doc.update(fields)
+    return doc
+
+
+# Stands for a 5000-digit integer, which json.dumps refuses to write.
+_OVERLONG = "<overlong int>"
+_AF_COMBINATION = {"weights": [0.5, 0.5], "vectors": [[2, 0, 1], [0, 2, 1]], "target": [1, 1, 1]}
+
+
+class TestMalformedNumbers:
+    """Numeric fields take finite JSON numbers only; anything else exits 1."""
+
+    @pytest.mark.parametrize(
+        "command, doc, combination",
+        [
+            ("eval", _tuple_doc([10**400, 0]), None),
+            ("eval", _tuple_doc([_OVERLONG, 0]), None),
+            ("eval", _tuple_doc([True, 0]), None),
+            ("qp", _block_doc([float("nan"), 0.0]), None),
+            ("roots", _pencil_doc(x=["a", 1, 1]), None),
+            ("roots", _pencil_doc(x=[[1], 1, 1]), None),
+            ("roots", _pencil_doc(x=["1", 1, 1]), None),
+            ("trace", _pencil_doc(x=[1, 1, 1], e=["1", "1", "1"]), None),
+            ("mixed-value", _pencil_doc(X=[[1, 0, 0], [0, 1, 0], [0, 0, float("inf")]]), None),
+            ("genaf", None, dict(_AF_COMBINATION, target=["1", "1", "1"])),
+            ("genaf", None, dict(_AF_COMBINATION, weights=[True, False], target=[2, 0, 1])),
+        ],
+        ids=[
+            "oversized-int-in-tuple", "overlong-int-in-tuple", "bool-in-tuple", "nan-in-block",
+            "string-in-x", "list-in-x", "numeric-string-in-x", "numeric-strings-in-e", "inf-in-X",
+            "numeric-strings-in-target", "bool-weights",
+        ],
+    )
+    def test_exit_1(self, capsys, tmp_path, ds3, command, doc, combination):
+        if combination is not None:
+            comb = tmp_path / "comb.json"
+            comb.write_text(json.dumps(combination))
+            argv = ["genaf", ds3, str(comb)]
+        else:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc).replace(json.dumps(_OVERLONG), "9" * 5000))
+            if command in ("eval", "qp"):
+                argv = [command, str(path)]
+            else:
+                argv = ["hyp", str(path), "--op", command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize(
+        "exc, expected",
+        [
+            (CliInputError, 1),
+            (MixdiscError, 1),
+            (NumericalInconsistency, 1),
+            (DecompositionInconsistent, 1),
+            (DimensionTooLarge, 2),
+            (NonConvergence, 2),
+            (SingularPencil, 2),
+            (SamplerExhausted, 2),
+            (NotDoublyStochastic, 2),
+            (NotIndecomposable, 2),
+            (InvariantBreach, 3),
+        ],
+    )
+    def test_code_of_each_class(self, capsys, ds3, monkeypatch, exc, expected):
+        def fail(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "_capacity", fail)
+        code, out, err = run(capsys, "capacity", ds3)
+        assert code == expected
+        assert out == ""
+        assert err == ("INVARIANT BREACH: boom\n" if expected == 3 else "error: boom\n")
+
+    def test_unlisted_exception_propagates(self, capsys, ds3, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "_capacity", fail)
+        with pytest.raises(ZeroDivisionError):
+            main(["capacity", ds3])
+
+
+class TestOneParserPerProcess:
+    def test_tolerance_flags_do_not_leak_between_calls(self, capsys, ds3, monkeypatch):
+        monkeypatch.delenv("MIXDISC_DS_TOL", raising=False)
+        seen = []
+        for argv in (
+            ["check-ds", ds3, "--ds-tol", "1e-3"],
+            ["--ds-tol", "1e-4", "check-ds", ds3],
+            ["check-ds", ds3],
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            seen.append(json.loads(out)["tolerances"]["ds_tol"])
+        assert seen == [1e-3, 1e-4, 1e-8]
+
+    def test_max_iter_does_not_leak_between_calls(self, capsys, tmp_path):
+        path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
+        assert run(capsys, "capacity", path, "--max-iter", "0")[0] == 2
+        assert run(capsys, "capacity", path)[0] == 0
+
+    def test_parser_is_built_once(self, capsys, ds3, monkeypatch):
+        cli.build_parser.cache_clear()
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            assert run(capsys, "check-ds", ds3)[0] == 0
+        assert progs.count("mixdisc") == 1
+
+
+class TestModuleEntryPoint:
+    """``python -m mixdisc.cli``, the path the ``mixdisc`` console script takes."""
+
+    def _run(self, cwd, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "mixdisc.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        )
+
+    def test_gen_random_prints_a_document(self, tmp_path):
+        proc = self._run(tmp_path, "gen-random", "2", "--kind", "psd", "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["kind"] == "tuple" and doc["n"] == 2
+
+    def test_missing_file_exits_1_without_a_traceback(self, tmp_path):
+        proc = self._run(tmp_path, "eval", "/nonexistent.json")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -10,7 +10,6 @@ from mixdisc.core import (
     NotPositiveDefinite,
     Tolerances,
     as_hermitian,
-    det_hermitian,
     eig_hermitian,
     fsum_complex,
     fsum_real,
@@ -25,7 +24,6 @@ from mixdisc.core import (
     random_psd,
     rank_psd,
     spawn_seeds,
-    sqrt_psd,
 )
 
 
@@ -81,11 +79,6 @@ class TestEigAndRoots:
         with pytest.raises(NotPositiveDefinite):
             inv_sqrt_psd(np.diag([1.0, 0.0]))
 
-    def test_sqrt_squares_back(self):
-        a = random_psd(4, 9)
-        s = sqrt_psd(a)
-        np.testing.assert_allclose(s @ s, a, atol=1e-9)
-
     def test_rank_psd(self):
         assert rank_psd(np.diag([1.0, 1e-3, 0.0])) == 2
         assert rank_psd(np.zeros((3, 3))) == 0
@@ -96,13 +89,6 @@ class TestEigAndRoots:
 
     def test_min_eigenvalue(self):
         assert min_eigenvalue(np.diag([3.0, -2.0, 5.0])) == pytest.approx(-2.0)
-
-
-class TestDet:
-    def test_det_hermitian_real(self):
-        a = random_psd(5, 7)
-        d = det_hermitian(a)
-        assert isinstance(d, float) and d > 0
 
 
 class TestRandomness:
