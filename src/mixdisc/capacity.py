@@ -15,8 +15,19 @@ It is computed two independent ways, which the tests hold to agreement:
   linearly there, as on a pencil collapsing toward Cap = 0).  Armijo
   backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
   trial point whose computed pencil is singular counts as a rejected step.
-* ``capacity_via_scaling`` reads Cap off the Gurvits operator-scaling fixed
-  point (``scale_to_doubly_stochastic``), the independent oracle.
+* ``capacity_via_scaling`` reads Cap off the fixed point of cold Gurvits
+  operator scaling: alternating normalization started from the tuple itself,
+  which shares nothing with the Newton solver.  It is the independent oracle.
+
+``scale_to_doubly_stochastic`` is warm-started from the Newton minimizer x:
+with M = sum x_i A_i and L = M^(-1/2), the tuple x_i L A_i L is doubly
+stochastic at the optimum (Gurvits 2004), because sum_i x_i L A_i L = I and
+tr(x_i L A_i L) = g_i = 1.  One alternating step from B_i = x_i A_i produces
+it, and further steps polish it until the defect is within ``ds_tol``.  Cold
+scaling converges only linearly, at a rate that tends to 1 near decomposable
+or boundary tuples, where it takes thousands of steps; warm-started, the
+median is one step and rank-one + 1e-6 I slots take at most a few hundred.
+``random_ds_tuple`` keeps the cold loop, so sampled tuples do not change.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
@@ -24,9 +35,13 @@ It is computed two independent ways, which the tests hold to agreement:
 * ``"roundoff"``: lambda^2 <= 256 u (1 + |f|), u the unit round-off.  Since
   lambda^2 / 2 estimates f - min f, Cap is then accurate to about
   128 u (1 + |f|) relative, i.e. to working precision; this is how Newton
-  stops when round-off keeps the gradient above ``opt_tol``;
+  stops when round-off keeps the gradient above ``opt_tol``.  It is also the
+  stop when backtracking finds no decrease while lambda^2 is within the
+  rounding noise of f, estimated as n u cond(M) (1 + |f|) (rounding M by
+  u |M| moves log det M by up to n u cond(M)): on an ill-conditioned M no
+  line search can see a decrease that small, and Cap is as accurate as f;
 * ``"stalled"``: backtracking found no decrease while lambda^2 was still above
-  round-off; the best iterate is returned with ``converged=False``;
+  that noise; the best iterate is returned with ``converged=False``;
 * ``"max_iter"``: the iteration cap was hit; ``NonConvergence`` is raised and
   carries the result.
 
@@ -70,11 +85,14 @@ _LOG_FLOOR = math.log(1e-300)
 # near-boundary (rank one + 1e-6 I) and 1e+-6 slot-scaled tuples with n <= 6;
 # the cap bounds the damped phase on worse input.
 CAPACITY_MAX_ITER = 100
+# Alternating steps: cold scaling near the boundary can need thousands.
+SCALING_MAX_ITER = 10000
 _ARMIJO = 1e-4
 # Below this lambda^2 the predicted decrease lambda^2 / 2 is within ~128 ulps
 # of f, about the rounding error of log det itself, so no line search can
 # resolve further progress and Cap is already that accurate.
-_ROUNDOFF = 256.0 * sys.float_info.epsilon
+_EPS = sys.float_info.epsilon
+_ROUNDOFF = 256.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -141,7 +159,7 @@ def _newton_direction(q, g, r, opt_tol):
     h = np.diag(g) - np.einsum("iab,jba->ij", q, q)
     lam, v = np.linalg.eigh(h + 1.0 / n)
     c = v.conj().T @ r
-    cut = n * sys.float_info.epsilon * lam[-1]
+    cut = n * _EPS * lam[-1]
     use = (lam > cut) | (np.abs(c) >= opt_tol)
     d = -(v[:, use] @ (c[use] / np.maximum(lam[use], cut))).real
     d -= d.mean()
@@ -156,7 +174,7 @@ def _backtrack(mats, y, f, d, lam2):
     is below the rounding of y, s ||d|| <= u (1 + ||y||), which bounds the
     halvings by about 53 + log2(||d|| / (1 + ||y||)).
     """
-    tiny = sys.float_info.epsilon * (1.0 + float(np.linalg.norm(y)))
+    tiny = _EPS * (1.0 + float(np.linalg.norm(y)))
     s = 1.0
     dnorm = float(np.linalg.norm(d))
     while s * dnorm > tiny:
@@ -168,25 +186,11 @@ def _backtrack(mats, y, f, d, lam2):
     return None
 
 
-def _numerically_singular(m):
-    """Whether the smallest eigenvalue of PSD m is at the rounding of the largest."""
-    ev = np.linalg.eigvalsh(m)
-    return ev[0] <= len(ev) * sys.float_info.epsilon * ev[-1]
-
-
-def capacity(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = CAPACITY_MAX_ITER
-) -> CapacityResult:
-    """Cap(t) by damped Newton on log det(sum e^{y_i} A_i) over sum y_i = 0.
-
-    See the module docstring for the step and the stop reasons.  Raises
-    ``NonConvergence`` (carrying the result) when ``max_iter`` Newton steps
-    leave the iterate short of every stopping test, and ``SingularPencil``
-    when Cap is zero to working precision.
-    """
-    _require_psd(t, tol)
-    mats = t.matrices
-    y = np.zeros(t.n)
+def _newton(mats, tol, max_iter) -> CapacityResult:
+    """The damped-Newton loop of ``capacity`` on a PSD stack, without its
+    precondition check; a ``"max_iter"`` result is returned, not raised."""
+    n = len(mats)
+    y = np.zeros(n)
     start = _objective(mats, y)
     if start is None:
         raise SingularPencil(
@@ -215,13 +219,18 @@ def capacity(
             break
         y, f, m, w = step
         it += 1
-    if stop in ("roundoff", "stalled") and _numerically_singular(m):
-        raise SingularPencil(
-            "sum e^{y_i} A_i is numerically singular at prod e^{y_i} = 1, where "
-            "its det bounds Cap; the tuple violates the weak rank condition to "
-            "working precision"
-        )
-    result = CapacityResult(
+    if stop in ("roundoff", "stalled"):
+        # M is scaled by e^{-max y}, which leaves its condition number alone.
+        ev = np.linalg.eigvalsh(m)
+        if ev[0] <= n * _EPS * ev[-1]:
+            raise SingularPencil(
+                "sum e^{y_i} A_i is numerically singular at prod e^{y_i} = 1, "
+                "where its det bounds Cap; the tuple violates the weak rank "
+                "condition to working precision"
+            )
+        if stop == "stalled" and lam2 <= n * _EPS * (ev[-1] / ev[0]) * (1.0 + abs(f)):
+            stop = "roundoff"
+    return CapacityResult(
         value=math.exp(f),
         minimizer_x=np.exp(y),
         gradient_norm=gnorm,
@@ -229,34 +238,52 @@ def capacity(
         converged=stop in ("gradient", "roundoff"),
         stop_reason=stop,
     )
-    if stop == "max_iter":
+
+
+def capacity(
+    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = CAPACITY_MAX_ITER
+) -> CapacityResult:
+    """Cap(t) by damped Newton on log det(sum e^{y_i} A_i) over sum y_i = 0.
+
+    See the module docstring for the step and the stop reasons.  Raises
+    ``NonConvergence`` (carrying the result) when ``max_iter`` Newton steps
+    leave the iterate short of every stopping test, and ``SingularPencil``
+    when Cap is zero to working precision.
+    """
+    _require_psd(t, tol)
+    result = _newton(t.matrices, tol, max_iter)
+    if result.stop_reason == "max_iter":
         raise NonConvergence(
-            f"capacity Newton hit max_iter = {max_iter} with gradient norm {gnorm:.3e}",
+            f"capacity Newton hit max_iter = {max_iter} with gradient norm "
+            f"{result.gradient_norm:.3e}",
             result=result,
         )
     return result
 
 
-def scale_to_doubly_stochastic(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = 10000
-) -> ScalingResult:
-    """Alternating normalization to a doubly stochastic tuple.
-
-    Step (a) conjugates by (sum A_i)^(-1/2) to fix the identity-sum condition;
-    step (b) rescales each slot to unit trace.  transform_X accumulates the
-    congruence factors and trace_scalars the per-slot scalars, so the scaled
-    tuple always reconstructs as s_i * X @ A_i @ X^H.  A returned result has
-    stop_reason "ds_tol"; hitting ``max_iter`` raises ``NonConvergence``
-    carrying a result with "max_iter".
-    """
+def _require_scalable(t: MatrixTuple, tol: Tolerances) -> None:
     _require_psd(t, tol)
     indec, witness = is_indecomposable(t, tol)
     if not indec:
         raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
+
+
+def _alternate(
+    t: MatrixTuple, tol: Tolerances, max_iter: int, weights: np.ndarray
+) -> ScalingResult:
+    """Alternating normalization from B_i = w_i A_i, X = I, s = w.
+
+    Step (a) conjugates by (sum B_i)^(-1/2) to fix the identity-sum condition;
+    step (b) rescales each slot to unit trace.  transform_X accumulates the
+    congruence factors and trace_scalars the per-slot scalars, so the scaled
+    tuple always reconstructs as s_i * X @ A_i @ X^H.  Stops once the DS
+    defect is within ``ds_tol``; hitting ``max_iter`` raises
+    ``NonConvergence`` carrying a result with stop_reason "max_iter".
+    """
     n = t.n
-    mats = t.matrices
+    mats = weights[:, None, None] * t.matrices
     x = np.eye(n, dtype=np.complex128)
-    scalars = np.ones(n)
+    scalars = np.array(weights, dtype=float)
     defect = sum(_trace_and_sum_violations(mats))
     it = 0
     while defect > tol.ds_tol and it < max_iter:
@@ -292,11 +319,38 @@ def scale_to_doubly_stochastic(
     return result
 
 
+def scale_to_doubly_stochastic(
+    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
+) -> ScalingResult:
+    """Doubly stochastic scaling, warm-started from the Newton minimizer.
+
+    With x the minimizer of ``capacity`` (its best iterate also on a
+    ``"stalled"`` or ``"max_iter"`` stop), one alternating step from
+    B_i = x_i A_i is the closed-form scaling x_i L A_i L, L = (sum x_i A_i)^(-1/2);
+    further steps polish it until the defect is within ``ds_tol``.
+    ``max_iter`` and ``iterations`` count these alternating steps.  Raises
+    ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
+    (carrying a "max_iter" result) when polishing runs out of steps.
+    """
+    _require_scalable(t, tol)
+    x = _newton(t.matrices, tol, CAPACITY_MAX_ITER).minimizer_x
+    return _alternate(t, tol, max_iter, x)
+
+
+def _scale_cold(
+    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
+) -> ScalingResult:
+    """Gurvits alternating scaling from the tuple itself (w = 1), the route
+    that shares nothing with the Newton solver."""
+    _require_scalable(t, tol)
+    return _alternate(t, tol, max_iter, np.ones(t.n))
+
+
 def capacity_via_scaling(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = 10000
+    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> float:
-    """Cap(t) from the scaling fixed point; see ``_capacity_of_scaling``."""
-    return _capacity_of_scaling(scale_to_doubly_stochastic(t, tol, max_iter))
+    """Cap(t) from the cold scaling fixed point; see ``_capacity_of_scaling``."""
+    return _capacity_of_scaling(_scale_cold(t, tol, max_iter))
 
 
 def _capacity_of_scaling(res: ScalingResult) -> float:
@@ -313,14 +367,17 @@ def _capacity_of_scaling(res: ScalingResult) -> float:
 def capacity_bound_report(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[float, bool]:
-    """Cap(t) / D(t) and whether it sits inside [1, n^n / n!] with 1e-6 slack."""
+    """Cap(t) / D(t) and whether it sits inside [1, n^n / n!] with 1e-6 slack.
+
+    ``within`` is False when the capacity solve did not converge.
+    """
     d = eval_polarized(t)
     if d <= 0.0:
         raise PreconditionViolated(f"D(t) = {d:.3e} is not positive")
-    cap = capacity(t, tol).value
-    ratio = cap / d
+    cap = capacity(t, tol)
+    ratio = cap.value / d
     upper = float(n_pow_n_over_factorial(t.n))
-    within = (1.0 - 1e-6) <= ratio <= upper + 1e-6
+    within = cap.converged and (1.0 - 1e-6) <= ratio <= upper + 1e-6
     return ratio, within
 
 

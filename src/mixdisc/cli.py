@@ -36,7 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import extremal, genaf, hyperbolic, pascal, structure
-from .capacity import CAPACITY_MAX_ITER, _capacity_of_scaling, scale_to_doubly_stochastic
+from .capacity import (
+    CAPACITY_MAX_ITER,
+    SCALING_MAX_ITER,
+    _capacity_of_scaling,
+    scale_to_doubly_stochastic,
+)
 from .capacity import capacity as _capacity
 from .core import (
     DimensionTooLarge,
@@ -162,6 +167,13 @@ def pencil_to_doc(p: hyperbolic.HyperbolicPencil) -> dict:
     }
 
 
+def _positive_int(doc: dict, field: str) -> int:
+    v = doc.get(field)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:  # bool is an int
+        raise CliInputError(f"field {field!r} must be a positive integer")
+    return v
+
+
 def _check_header(doc: dict, kind: str) -> int:
     if not isinstance(doc, dict):
         raise CliInputError("document root must be a JSON object")
@@ -169,9 +181,7 @@ def _check_header(doc: dict, kind: str) -> int:
         raise CliInputError(
             f"schema_version must be {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}"
         )
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise CliInputError("field 'n' must be a positive integer")
+    n = _positive_int(doc, "n")
     if "kind" in doc and doc["kind"] != kind:
         raise CliInputError(f"expected a {kind!r} document, got {doc['kind']!r}")
     return n
@@ -193,9 +203,7 @@ def doc_to_block(doc: dict) -> pascal.BlockMatrix:
 
 def doc_to_pencil(doc: dict, tol: Tolerances) -> hyperbolic.HyperbolicPencil:
     n = _check_header(doc, "pencil")
-    m = doc.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise CliInputError("field 'm' must be a positive integer")
+    m = _positive_int(doc, "m")
     mats = _complex_numbers(doc.get("matrices"), (m, n, n), "matrices")
     e = _numbers(doc.get("e"), (m,), "e")
     try:
@@ -225,6 +233,13 @@ def digest_of(payload: bytes) -> str:
 
 def params_digest(**params) -> str:
     return digest_of(json.dumps(params, sort_keys=True).encode("utf-8"))
+
+
+def _require_positive(**values: int) -> None:
+    """Integer arguments that count something (a dimension, trials, samples)."""
+    for name, v in values.items():
+        if v < 1:
+            raise CliInputError(f"{name} must be >= 1, got {v}")
 
 
 def _tol_from_args(args) -> Tolerances:
@@ -333,6 +348,7 @@ def _cmd_check_ds(args, tol: Tolerances) -> _Report:
 
 
 def _cmd_bapat_search(args, tol: Tolerances) -> _Report:
+    _require_positive(n=args.n, trials=args.trials)
     record = extremal.minimize_search(args.n, args.trials, args.seed, tol)
     digest = params_digest(n=args.n, trials=args.trials, seed=args.seed)
     csv_path = f"bapat-search-{digest[:16]}.csv"
@@ -370,7 +386,12 @@ def _cmd_genaf(args, tol: Tolerances) -> _Report:
     except MixdiscError as exc:
         raise CliInputError(f"invalid combination: {exc}") from exc
     rep = genaf.check_theorem52(t, comb, tol)
-    results = {"cap_slack": rep.cap_slack, "m_slack": rep.m_slack, "holds": rep.holds}
+    results = {
+        "cap_slack": rep.cap_slack,
+        "m_slack": rep.m_slack,
+        "holds": rep.holds,
+        "cap_stop_reasons": list(rep.cap_stop_reasons),
+    }
     return _Report(results, digest_of(payload + cpayload))
 
 
@@ -407,6 +428,7 @@ def _cmd_qp(args, tol: Tolerances) -> _Report:
 
 def _cmd_hyp(args, tol: Tolerances) -> _Report:
     if args.op == "conjecture":
+        _require_positive(n=args.n, samples=args.samples)
         rep = hyperbolic.conjecture_experiment(args.n, args.samples, args.seed, tol)
         results = {
             "n": rep.n,
@@ -450,6 +472,7 @@ def _cmd_hyp(args, tol: Tolerances) -> _Report:
 def _cmd_gen_random(args, tol: Tolerances) -> None:
     # Prints the bare document (sorted keys), not a report, so it pipes into
     # the other commands.
+    _require_positive(n=args.n)
     if args.kind == "psd":
         mats = [random_psd(args.n, s) for s in spawn_seeds(args.seed, args.n)]
         doc = tuple_to_doc(MatrixTuple(mats, tol))
@@ -506,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=CAPACITY_MAX_ITER)
 
     p = command("scale", _cmd_scale, "operator scaling to doubly stochastic form", "file")
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--max-iter", type=int, default=SCALING_MAX_ITER)
 
     command("decompose", _cmd_decompose, "indecomposable block decomposition", "file")
     command("check-ds", _cmd_check_ds, "doubly stochastic tuple report", "file")

@@ -31,7 +31,7 @@ from .core import (
     spawn_seeds,
 )
 from .discriminant import MatrixTuple, eval_polarized
-from .capacity import scale_to_doubly_stochastic
+from .capacity import _scale_cold
 
 _BOUND_SLACK = 1e-7
 _GATE_SEARCH = 6
@@ -62,14 +62,16 @@ def bapat_bound(n: int) -> float:
 def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixTuple:
     """Random doubly stochastic tuple: PSD Wishart draws, operator-scaled.
 
-    Deterministic in (n, seed).  Decomposable or non-converging draws are
+    Deterministic in (n, seed).  Draws are scaled by the cold alternating
+    loop, not the Newton warm start, so a sample does not move when the
+    Newton solver changes.  Decomposable or non-converging draws are
     retried with derived seeds; SamplerExhausted after ``_DS_RETRIES`` failures.
     """
     for child in itertools.islice(iter_seeds(seed), _DS_RETRIES):
         mat_seeds = spawn_seeds(child, n)
         t = MatrixTuple([random_psd(n, s) for s in mat_seeds], tol)
         try:
-            return scale_to_doubly_stochastic(t, tol).scaled
+            return _scale_cold(t, tol).scaled
         except (NotIndecomposable, NonConvergence):
             continue
     raise SamplerExhausted(f"no doubly stochastic tuple after {_DS_RETRIES} draws")

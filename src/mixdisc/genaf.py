@@ -56,6 +56,7 @@ class Theorem52Report:
     cap_slack: float
     m_slack: float
     holds: bool
+    cap_stop_reasons: tuple  # of the capacity calls: each vector, then the target
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,16 @@ def check_theorem52(
 
     cap_slack = log Cap(target) - sum gamma_i log Cap(alpha^i)        (>= 0)
     m_slack   = log D(target) - sum gamma_i log D(alpha^i) + log(n^n/n!)
-    Both must be >= -1e-6 for ``holds``.
+    Both must be >= -1e-6, and every capacity call must have converged, for
+    ``holds``.
     """
     n = t.n
-    log_caps = []
-    for vec in comb.vectors:
-        cap = capacity(expand_tuple(t, vec), tol).value
-        log_caps.append(_log_positive(cap, f"Cap^{tuple(vec)}"))
-    cap_target = capacity(expand_tuple(t, comb.target), tol).value
-    cap_slack = _log_positive(cap_target, "Cap(target)") - float(
+    caps = [capacity(expand_tuple(t, vec), tol) for vec in (*comb.vectors, comb.target)]
+    log_caps = [
+        _log_positive(cap.value, f"Cap^{tuple(vec)}")
+        for cap, vec in zip(caps, comb.vectors)
+    ]
+    cap_slack = _log_positive(caps[-1].value, "Cap(target)") - float(
         np.dot(comb.weights, log_caps)
     )
     log_ms = []
@@ -114,7 +116,8 @@ def check_theorem52(
     return Theorem52Report(
         cap_slack=cap_slack,
         m_slack=m_slack,
-        holds=cap_slack >= -1e-6 and m_slack >= -1e-6,
+        holds=cap_slack >= -1e-6 and m_slack >= -1e-6 and all(c.converged for c in caps),
+        cap_stop_reasons=tuple(c.stop_reason for c in caps),
     )
 
 

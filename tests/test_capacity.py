@@ -1,12 +1,14 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixdisc.capacity import (
+    _scale_cold,
     capacity,
     capacity_bound_report,
     capacity_via_scaling,
@@ -26,6 +28,7 @@ from mixdisc.core import (
 )
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import random_ds_tuple
+from mixdisc.structure import is_indecomposable
 
 
 def random_tuple(n, seed):
@@ -113,9 +116,10 @@ class TestScaling:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_per_matrix_reference(self, n):
+        # The cold engine (from the tuple itself) step for step.
         for seed in range(3):
             t = random_tuple(n, 300 + 10 * n + seed)
-            res = scale_to_doubly_stochastic(t)
+            res = _scale_cold(t)
             mats, x, scalars, iterations = _per_matrix_scaling(list(t.matrices))
             assert res.iterations == iterations
             np.testing.assert_allclose(res.scaled.matrices, np.array(mats), rtol=0, atol=1e-14)
@@ -132,6 +136,26 @@ class TestScaling:
             t = random_tuple(4, 90 + seed)
             assert capacity_via_scaling(t) == pytest.approx(
                 capacity(t).value, rel=1e-6
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_warm_and_cold_agree_up_to_a_unitary_congruence(self, n):
+        # The doubly stochastic scaling of an indecomposable tuple is unique up
+        # to B_i -> V B_i V* with V unitary.  U = X_warm X_cold^-1 is that V
+        # times a positive scalar, which the (X, s) bookkeeping leaves free:
+        # (c X, s / c^2) scales to the same tuple.  Both results are within
+        # ds_tol of doubly stochastic, and on these well-conditioned tuples
+        # their distance along the orbit is a small multiple of that.
+        tol = 100.0 * DEFAULT_TOL.ds_tol
+        for seed in range(3):
+            t = random_tuple(n, 700 + 10 * n + seed)
+            warm = scale_to_doubly_stochastic(t)
+            cold = _scale_cold(t)
+            u = warm.transform_X @ np.linalg.inv(cold.transform_X)
+            v = u / math.sqrt(np.trace(u @ u.conj().T).real / n)
+            np.testing.assert_allclose(v @ v.conj().T, np.eye(n), rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                warm.scaled.matrices, v @ cold.scaled.matrices @ v.conj().T, rtol=0, atol=tol
             )
 
 
@@ -153,6 +177,21 @@ class TestSandwich:
             t = random_ds_tuple(4, 60 + seed)
             ratio, ok = capacity_bound_report(t)
             assert ok, ratio
+
+    def test_unconverged_capacity_is_not_within(self, monkeypatch):
+        # The same ratio from a result flagged as stalled is not reported
+        # as inside the sandwich.
+        t = random_ds_tuple(4, 60)
+        ratio, ok = capacity_bound_report(t)
+        assert ok
+        mod = sys.modules["mixdisc.capacity"]
+        real = mod.capacity
+        monkeypatch.setattr(
+            mod,
+            "capacity",
+            lambda *args: replace(real(*args), converged=False, stop_reason="stalled"),
+        )
+        assert capacity_bound_report(t) == (ratio, False)
 
 
 def _wishart(n, rng):
@@ -183,6 +222,19 @@ def near_decomposable_tuples(draw):
         block = first if i < k else ~first
         mats.append(_wishart(n, rng) * np.outer(block, block) + delta * _wishart(n, rng))
     return MatrixTuple(mats)
+
+
+# Alternating steps that warm-started scaling may take to polish the Newton
+# scaling on the near-boundary tuples below; cold scaling needs thousands
+# there and often runs out of its default 10000.
+_POLISH_BOUND = 500
+
+
+def _check_warm_scaling(t):
+    res = scale_to_doubly_stochastic(t, max_iter=_POLISH_BOUND)
+    assert res.converged and res.stop_reason == "ds_tol"
+    assert res.ds_defect <= DEFAULT_TOL.ds_tol
+    assert check_doubly_stochastic(res.scaled).is_doubly_stochastic
 
 
 def _check_against_scaling(t, res):
@@ -229,6 +281,13 @@ def test_near_decomposable_sandwich_and_routes(t):
     _check_against_scaling(t, res)
 
 
+@settings(max_examples=30, deadline=None)
+@given(near_decomposable_tuples())
+def test_warm_scaling_reaches_ds_tol_near_decomposable(t):
+    assume(is_indecomposable(t)[0])
+    _check_warm_scaling(t)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(2, 6),
@@ -270,6 +329,38 @@ def test_near_boundary_tuple_stops_at_roundoff(seed):
     assert res.gradient_norm >= DEFAULT_TOL.opt_tol
     assert res.iterations <= 20
     assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-10)
+
+
+def test_warm_scaling_reaches_ds_tol_near_boundary():
+    for seed in range(20):
+        _check_warm_scaling(_near_boundary_tuple(seed))
+
+
+def _repeated_near_boundary_tuple(seed):
+    """(R, R, W): a rank-one + 1e-6 I slot twice and a Wishart slot (n = 3).
+
+    This is the kind of expansion ``check_theorem52`` makes of a tuple with one
+    near-boundary slot.  cond(M) reaches 1e6 to 1e7 at the minimizer, so f
+    carries rounding noise near 1e-8 and no line search can see a decrease
+    once lambda^2 falls to that level.
+    """
+    rng = make_rng(seed)
+    w = _wishart(3, rng)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    r = np.outer(v, v.conj()) + 1e-6 * np.eye(3)
+    return MatrixTuple([r, r, w])
+
+
+@pytest.mark.parametrize("seed", [40, 87, 88])
+def test_repeated_near_boundary_slot_stops_converged(seed):
+    # With the fixed round-off threshold alone these stop "stalled":
+    # backtracking finds no decrease.  The conditioning-aware noise estimate
+    # n u cond(M) (1 + |f|) reports them as converged at round-off.
+    t = _repeated_near_boundary_tuple(seed)
+    res = capacity(t)
+    assert res.stop_reason == "roundoff" and res.converged
+    # Cap is as accurate as f's noise allows: within 1e-9 relative here.
+    assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -321,6 +321,13 @@ _OVERLONG = "<overlong int>"
 _AF_COMBINATION = {"weights": [0.5, 0.5], "vectors": [[2, 0, 1], [0, 2, 1]], "target": [1, 1, 1]}
 
 
+def _exits_1_with_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 class TestMalformedNumbers:
     """Numeric fields take finite JSON numbers only; anything else exits 1."""
 
@@ -357,11 +364,65 @@ class TestMalformedNumbers:
                 argv = [command, str(path)]
             else:
                 argv = ["hyp", str(path), "--op", command]
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        _exits_1_with_one_error_line(*run(capsys, *argv))
+
+
+class TestIntegerRanges:
+    """Counts and dimensions below 1 are input errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-random", "0"],
+            ["gen-random", "0", "--kind", "block-ds"],
+            ["bapat-search", "0"],
+            ["bapat-search", "2", "--trials", "0"],
+            ["hyp", "--op", "conjecture", "--n", "0"],
+            ["hyp", "--op", "conjecture", "--samples", "0"],
+        ],
+        ids=["gen-random-n", "gen-random-block-ds-n", "bapat-n", "bapat-trials", "hyp-n", "hyp-samples"],
+    )
+    def test_exit_1(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        _exits_1_with_one_error_line(*run(capsys, *argv))
+        assert list(tmp_path.iterdir()) == []
+
+
+def _one_by_one_doc(kind, field):
+    """A valid 1 x 1 document of ``kind`` whose ``field`` is ``true``."""
+    one = MatrixTuple([np.eye(1)])
+    doc = {
+        "tuple": lambda: tuple_to_doc(one),
+        "block": lambda: block_to_doc(BlockMatrix(np.ones((1, 1, 1, 1)))),
+        "pencil": lambda: pencil_to_doc(pencil_from_tuple(one)),
+    }[kind]()
+    doc[field] = True
+    return doc
+
+
+class TestBooleanHeaderFields:
+    @pytest.mark.parametrize(
+        "kind, field, argv",
+        [
+            ("tuple", "n", ["eval"]),
+            ("block", "n", ["qp"]),
+            ("pencil", "n", ["hyp", "--op", "trace"]),
+            ("pencil", "m", ["hyp", "--op", "trace"]),
+        ],
+    )
+    def test_true_is_not_1(self, capsys, tmp_path, kind, field, argv):
+        path = tmp_path / "doc.json"
+        doc = _one_by_one_doc(kind, field)
+        if kind == "pencil":
+            doc["x"] = [1.0]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv[:1], str(path), *argv[1:])
+        _exits_1_with_one_error_line(code, out, err)
+        assert repr(field) in err
+        # The same document with the integer 1 is accepted.
+        doc[field] = 1
+        path.write_text(json.dumps(doc))
+        assert run(capsys, *argv[:1], str(path), *argv[1:])[0] == 0
 
 
 class TestExitCodeTable:

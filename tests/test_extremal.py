@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixdisc import extremal
-from mixdisc.capacity import scale_to_doubly_stochastic
+from mixdisc.capacity import _scale_cold
 from mixdisc.core import (
     NonConvergence,
     NotIndecomposable,
@@ -51,11 +51,12 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 77), (4, 5), (5, 1234), (6, 9)])
     def test_matches_the_eagerly_spawned_retry_seeds(self, n, seed):
-        # Reference: the retry children spawned up front, as one list of 100.
+        # Reference: the retry children spawned up front, as one list of 100,
+        # each scaled by the cold engine the sampler uses.
         for child in spawn_seeds(seed, 100):
             t = MatrixTuple([random_psd(n, s) for s in spawn_seeds(child, n)])
             try:
-                expected = scale_to_doubly_stochastic(t).scaled
+                expected = _scale_cold(t).scaled
                 break
             except (NotIndecomposable, NonConvergence):
                 continue

@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +88,30 @@ class TestTheorem52:
         rep = check_theorem52(t, comb)
         assert rep.cap_slack == pytest.approx(0.0, abs=1e-9)
         assert rep.m_slack == pytest.approx(math.log(27.0 / 6.0), rel=1e-9)
+
+    def test_an_unconverged_capacity_call_fails_the_check(self, monkeypatch):
+        # Same values, one capacity call flagged as stalled: the slacks stay
+        # and ``holds`` goes False, with the stop reason on record.
+        t = random_tuple(3, 300)
+        comb = classical_af_combination(3)
+        good = check_theorem52(t, comb)
+        assert good.holds
+        assert len(good.cap_stop_reasons) == 3
+        assert set(good.cap_stop_reasons) <= {"gradient", "roundoff"}
+        mod = sys.modules["mixdisc.genaf"]
+        real = mod.capacity
+        calls = []
+
+        def second_stalls(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res)
+            return replace(res, converged=False, stop_reason="stalled") if len(calls) == 2 else res
+
+        monkeypatch.setattr(mod, "capacity", second_stalls)
+        rep = check_theorem52(t, comb)
+        assert (rep.cap_slack, rep.m_slack) == (good.cap_slack, good.m_slack)
+        assert not rep.holds
+        assert rep.cap_stop_reasons[1] == "stalled"
 
 
 class TestPermanentExperiment:
