@@ -13,9 +13,10 @@ hierarchy of the exception:
 - 0: success;
 - 1: input or validation error (``CliInputError`` and every other
   ``MixdiscError``);
-- 2: numerical non-convergence or a gate (``DimensionTooLarge``,
+- 2: numerical failure or a gate (``DimensionTooLarge``,
   ``NonConvergence``, ``SingularPencil``, ``SamplerExhausted``,
-  ``NotDoublyStochastic``, ``NotIndecomposable``);
+  ``NotDoublyStochastic``, ``NotIndecomposable``, and the failed internal
+  cross-checks ``NumericalInconsistency`` and ``DecompositionInconsistent``);
 - 3: internal invariant breach (``InvariantBreach``, a would-be
   mathematical-news event).
 """
@@ -44,11 +45,13 @@ from .capacity import (
 )
 from .capacity import capacity as _capacity
 from .core import (
+    DecompositionInconsistent,
     DimensionTooLarge,
     MixdiscError,
     NonConvergence,
     NotDoublyStochastic,
     NotIndecomposable,
+    NumericalInconsistency,
     SamplerExhausted,
     SingularPencil,
     Tolerances,
@@ -97,6 +100,8 @@ _EXIT_CODES = {
     SamplerExhausted: 2,
     NotDoublyStochastic: 2,
     NotIndecomposable: 2,
+    NumericalInconsistency: 2,
+    DecompositionInconsistent: 2,
     InvariantBreach: 3,
 }
 

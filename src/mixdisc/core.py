@@ -136,16 +136,20 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _eigh(a):
+    """``np.linalg.eigh`` (ascending) of a Hermitian matrix or (..., n, n) stack."""
+    try:
+        return np.linalg.eigh(np.asarray(a, dtype=np.complex128))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+
+
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and a unitary eigenvector matrix of Hermitian ``a``.
 
     Column k of the returned matrix is the eigenvector for eigenvalue k.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    w, v = _eigh(a)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -153,15 +157,21 @@ def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian positive definite L with L @ a @ L == I.
 
     Requires all eigenvalues of ``a`` to exceed ``psd_tol`` times the largest.
+    One ``np.linalg.eigh`` call; L is summed over the eigenpairs in the
+    descending order of ``eig_hermitian``.  The scaling loops pay this once
+    per step.
     """
-    w, v = eig_hermitian(a)
+    w, v = _eigh(a)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     if w.size == 0 or w[0] <= 0.0 or w[-1] <= tol.psd_tol * w[0]:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (eigenvalue range [{w[-1] if w.size else 0.0:.3e}, "
             f"{w[0] if w.size else 0.0:.3e}])"
         )
     l = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return (l + l.conj().T) / 2.0
+    l += l.conj().T
+    l /= 2.0
+    return l
 
 
 def min_eigenvalue(a) -> float:
@@ -169,12 +179,17 @@ def min_eigenvalue(a) -> float:
     return float(w[-1])
 
 
-def rank_psd(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count of eigenvalues above rank_tol times the largest (0 for the zero matrix)."""
-    w, _ = eig_hermitian(a)
-    if w.size == 0 or w[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(w > tol.rank_tol * w[0]))
+def rank_psd(a, tol: Tolerances = DEFAULT_TOL):
+    """Count of eigenvalues above rank_tol times the largest (0 for the zero matrix).
+
+    ``a`` is one Hermitian matrix (an int is returned) or a stack (..., n, n)
+    (an integer array of the stack's shape): one batched ``np.linalg.eigh``
+    call, whose eigenvalues match the per-matrix calls bit for bit.
+    """
+    w = _eigh(a)[0]
+    top = w.max(axis=-1, initial=0.0, keepdims=True)
+    ranks = np.count_nonzero(w > tol.rank_tol * top, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def psd_violation(a) -> float:

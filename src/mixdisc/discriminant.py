@@ -387,16 +387,20 @@ def _require_psd(t: MatrixTuple, tol: Tolerances) -> None:
         raise PreconditionViolated(f"tuple is not PSD (violation {worst:.3e})")
 
 
-def _trace_and_sum_violations(mats: np.ndarray) -> tuple[float, float]:
-    """max_i |tr A_i - 1| and max|sum_i A_i - I| for an (n, n, n) stack."""
-    trace_v = float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)))
-    return trace_v, max_abs(mats.sum(0) - np.eye(len(mats)))
+def _trace_and_sum_violations(
+    mats: np.ndarray, total: np.ndarray, eye: np.ndarray
+) -> tuple[float, float]:
+    """max_i |tr A_i - 1| and max|sum_i A_i - I| for a nonempty (n, n, n)
+    stack, given its sum ``total`` and the identity ``eye`` (the scaling loop
+    forms the sum once per step and keeps one identity)."""
+    trace_v = abs(mats.trace(axis1=1, axis2=2).real - 1.0).max()
+    return float(trace_v), float(abs(total - eye).max())
 
 
 def check_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DsTupleReport:
     """Violations of the three doubly stochastic tuple conditions."""
     psd_v = psd_violation(t.matrices)
-    trace_v, sum_v = _trace_and_sum_violations(t.matrices)
+    trace_v, sum_v = _trace_and_sum_violations(t.matrices, t.matrices.sum(0), np.eye(t.n))
     ok = psd_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
     return DsTupleReport(psd_v, trace_v, sum_v, ok)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ from .discriminant import (
 )
 
 _GATE_SUBSETS = 16
+# Matrix entries gathered per chunk of the subset scan (2 MB of complex128).
+_SCAN_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,22 @@ def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances):
     """First proper subset S with rank_test(rank(sum_{i in S} A_i), |S|), or None.
 
     Subsets are scanned in ascending cardinality and canonical order, so the
-    subset found is minimal.
+    subset found is minimal.  Each cardinality's subset sums are formed as
+    ``mats[idx].sum(1)`` (the same additions, in the same order, as one
+    subset at a time) and ranked by one batched ``rank_psd`` call per chunk;
+    a chunk gathers at most ``_SCAN_CHUNK`` matrix entries, so the scan's
+    memory stays near 2 MB at any n.  The scan stops after the first chunk
+    that holds a witness.
     """
     n = len(mats)
     for k in range(1, n):
-        for subset in itertools.combinations(range(n), k):
-            if rank_test(rank_psd(mats[list(subset)].sum(0), tol), k):
-                return subset
+        rows = _SCAN_CHUNK // (k * n * n)
+        combos = itertools.combinations(range(n), k)
+        for _ in range(0, math.comb(n, k), rows):
+            idx = np.fromiter(itertools.islice(combos, rows), dtype=(np.intp, k))
+            hits = np.flatnonzero(rank_test(rank_psd(mats[idx].sum(1), tol), k))
+            if hits.size:
+                return tuple(int(i) for i in idx[hits[0]])
     return None
 
 

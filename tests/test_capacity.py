@@ -19,6 +19,8 @@ from mixdisc.core import (
     DEFAULT_TOL,
     NonConvergence,
     NotIndecomposable,
+    NotPositiveDefinite,
+    PreconditionViolated,
     SingularPencil,
     inv_sqrt_psd,
     make_rng,
@@ -130,6 +132,31 @@ class TestScaling:
         t = MatrixTuple([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         with pytest.raises(NotIndecomposable):
             scale_to_doubly_stochastic(t)
+
+    def test_non_psd_rejected(self):
+        # The PSD precondition comes from the indecomposability scan alone.
+        t = MatrixTuple([np.diag([1.0, -1.0]), np.eye(2)])
+        for route in (scale_to_doubly_stochastic, _scale_cold):
+            with pytest.raises(PreconditionViolated):
+                route(t)
+
+    def test_singular_slot_sum_raises_in_the_loop(self, monkeypatch):
+        # An indecomposable PSD tuple never reaches these checks, so the
+        # precondition is bypassed: sum A_i = diag(2, 0) has no inverse root.
+        monkeypatch.setattr(
+            sys.modules["mixdisc.capacity"], "is_indecomposable", lambda t, tol: (True, None)
+        )
+        e1 = np.diag([1.0, 0.0])
+        with pytest.raises(NotPositiveDefinite):
+            _scale_cold(MatrixTuple([e1, e1]))
+
+    def test_slot_without_trace_raises_in_the_loop(self, monkeypatch):
+        # (I, 0): the sum is I, so L = I, and the zero slot keeps trace 0.
+        monkeypatch.setattr(
+            sys.modules["mixdisc.capacity"], "is_indecomposable", lambda t, tol: (True, None)
+        )
+        with pytest.raises(SingularPencil, match="lost its trace"):
+            _scale_cold(MatrixTuple([np.eye(2), np.zeros((2, 2))]))
 
     def test_two_capacity_routes_agree(self):
         for seed in range(5):

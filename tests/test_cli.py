@@ -431,8 +431,8 @@ class TestExitCodeTable:
         [
             (CliInputError, 1),
             (MixdiscError, 1),
-            (NumericalInconsistency, 1),
-            (DecompositionInconsistent, 1),
+            (NumericalInconsistency, 2),
+            (DecompositionInconsistent, 2),
             (DimensionTooLarge, 2),
             (NonConvergence, 2),
             (SingularPencil, 2),

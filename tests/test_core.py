@@ -83,6 +83,23 @@ class TestEigAndRoots:
         assert rank_psd(np.diag([1.0, 1e-3, 0.0])) == 2
         assert rank_psd(np.zeros((3, 3))) == 0
 
+    def test_rank_psd_of_a_stack_matches_per_matrix_calls(self):
+        def reference(a):
+            w = np.linalg.eigh(a)[0]
+            return 0 if w[-1] <= 0.0 else int(np.count_nonzero(w > DEFAULT_TOL.rank_tol * w[-1]))
+
+        rng = make_rng(8)
+        mats = [np.zeros((4, 4)), -np.eye(4), np.diag([1.0, 1e-3, 1e-12, 0.0])]
+        for r in (0, 1, 2, 3, 4):
+            g = random_complex_gaussian(4, rng)[:, :r]
+            mats.append(g @ g.conj().T)
+        stack = np.array(mats)
+        single = [rank_psd(a) for a in mats]
+        assert all(type(r) is int for r in single)
+        assert single == [reference(a) for a in mats] == [0, 0, 2, 0, 1, 2, 3, 4]
+        assert rank_psd(stack).tolist() == single
+        assert rank_psd(stack.reshape(2, 4, 4, 4)).tolist() == [single[:4], single[4:]]
+
     def test_psd_violation(self):
         assert psd_violation(np.diag([1.0, -0.25])) == pytest.approx(0.25)
         assert psd_violation(np.eye(2)) == 0.0

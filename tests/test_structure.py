@@ -1,16 +1,28 @@
+import itertools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixdisc import structure
 from mixdisc.core import (
+    DEFAULT_TOL,
+    MixdiscError,
     NotDoublyStochastic,
     NotUnitary,
     PreconditionViolated,
+    make_rng,
+    random_complex_gaussian,
     random_psd,
+    rank_psd,
     spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple, eval_polarized
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.structure import (
+    _first_subset,
     decompose,
     is_fully_indecomposable_support,
     is_indecomposable,
@@ -116,3 +128,113 @@ class TestSupportConnectivity:
     def test_block_diagonal_disconnected(self):
         m = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
         assert not is_fully_indecomposable_support(m, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stacked subset scan against one subset at a time
+
+_RANK_TESTS = (operator.le, operator.lt, operator.eq)
+
+
+def _reference_first_subset(mats, rank_test, tol=DEFAULT_TOL):
+    """One ``rank_psd`` call per subset, in ascending cardinality and canonical order."""
+    n = len(mats)
+    for k in range(1, n):
+        for subset in itertools.combinations(range(n), k):
+            if rank_test(rank_psd(mats[list(subset)].sum(0), tol), k):
+                return subset
+    return None
+
+
+def _gram(n, r, rng):
+    g = random_complex_gaussian(n, rng)[:, :r]
+    return g @ g.conj().T
+
+
+@st.composite
+def rank_deficient_stacks(draw):
+    """PSD stacks (n <= 6) with drawn slot ranks, one subset of slots confined
+    to a subspace of about its own size, and repeated slots."""
+    n = draw(st.integers(2, 6))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = draw(st.lists(st.integers(0, n).map(lambda r: n - r), min_size=n, max_size=n))
+    mats = [_gram(n, r, rng) for r in ranks]
+    k = draw(st.integers(1, n - 1))
+    dim = draw(st.integers(max(0, k - 1), min(n, k + 1)))
+    q = np.linalg.qr(random_complex_gaussian(n, rng))[0][:, :dim]
+    for i in draw(st.permutations(range(n)))[:k]:
+        mats[i] = q @ _gram(dim, n, rng) @ q.conj().T
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+        mats[j] = mats[i]
+    return MatrixTuple(mats).matrices
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient_stacks())
+def test_stacked_scan_matches_one_subset_at_a_time(mats):
+    for rank_test in _RANK_TESTS:
+        assert _first_subset(mats, rank_test, DEFAULT_TOL) == _reference_first_subset(
+            mats, rank_test
+        )
+
+
+@st.composite
+def block_ds_tuples(draw):
+    """A doubly stochastic tuple of 1 to 3 blocks (n <= 6): random DS blocks or
+    J_k blocks (k repeated slots I/k), with its slots permuted and conjugated by
+    a unitary."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6))
+    seed = draw(st.integers(0, 2**20))
+    n = sum(sizes)
+    mats, lo = [], 0
+    for j, k in enumerate(sizes):
+        block = [np.eye(k) / k] * k if draw(st.booleans()) else random_ds_tuple(k, seed + j).matrices
+        for b in block:
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[lo : lo + k, lo : lo + k] = b
+            mats.append(m)
+        lo += k
+    u = np.linalg.qr(random_complex_gaussian(n, make_rng(seed)))[0]
+    return MatrixTuple([u @ mats[i] @ u.conj().T for i in draw(st.permutations(range(n)))])
+
+
+def _decompose_outcome(t):
+    try:
+        res = decompose(t)
+    except MixdiscError as exc:
+        return type(exc).__name__
+    return [(labels, basis) for labels, basis, _ in res.parts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_ds_tuples())
+def test_decompose_matches_one_subset_at_a_time(t):
+    got = _decompose_outcome(t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_first_subset", _reference_first_subset)
+        want = _decompose_outcome(t)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [labels for labels, _ in got] == [labels for labels, _ in want]
+    assert sorted(i for labels, _ in got for i in labels) == list(range(t.n))
+    for (_, a), (_, b) in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_witness_past_the_first_chunk_of_its_cardinality():
+    # n = 14: slots 10..13 live in one 4-dimensional subspace, the others have
+    # full rank.  The only witness of size <= 4 is (10, 11, 12, 13), the last
+    # 4-subset in canonical order, which the scan reaches in a later chunk.
+    n, k = 14, 4
+    rng = make_rng(14)
+    q = np.linalg.qr(random_complex_gaussian(n, rng))[0][:, :k]
+    mats = [_gram(n, n, rng) for _ in range(n - k)]
+    mats += [q @ _gram(k, k, rng) @ q.conj().T for _ in range(k)]
+    t = MatrixTuple(mats)
+    witness = tuple(range(n - k, n))
+    rows = structure._SCAN_CHUNK // (k * n * n)
+    assert list(itertools.combinations(range(n), k)).index(witness) >= rows
+    assert is_indecomposable(t) == (False, witness)
+    assert _first_subset(t.matrices, operator.eq, DEFAULT_TOL) == witness
+    assert _reference_first_subset(t.matrices, operator.le) == witness
