@@ -2,10 +2,14 @@
 
 The production evaluator is :func:`eval_polarized`: the centered
 polarization D = 2^(1-n) sum over eps in {+-1}^n with eps_n = +1 of
-prod(eps) det(sum eps_i A_i), 2^(n-1) determinants (the mixed-discriminant
-form of Glynn's permanent formula).  One chunked eps-enumeration kernel also
-gives Glynn permanents (:func:`permanent`), the gradients Q_i from
-adjugates (:func:`gradient`) and the hyperbolic mixed values.  The
+prod(eps) det(sum eps_i A_i) (the mixed-discriminant form of Glynn's
+permanent formula).  One chunked eps-enumeration kernel also gives Glynn
+permanents (:func:`permanent`), the gradients Q_i from adjugates
+(:func:`gradient`) and the hyperbolic mixed values.  From n = 8 on the kernel
+groups bitwise-equal slots (rows): a tuple whose groups have free_g free
+signs costs prod_g (free_g + 1) determinants instead of 2^(n-1), so J_n and
+D(P/n, .., P/n) take n, and a tuple of distinct slots still takes 2^(n-1).
+The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  The
 permutation-sum formulas are kept as independent oracles behind hard
 dimension gates:
 
@@ -22,6 +26,7 @@ J_n = (I/n, .., I/n) its relative error stays below 1e-12 for n <= 20.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +53,9 @@ _GATE_POLARIZED = 20
 _GATE_PERMANENT = 20
 
 _DET_CHUNK = 8192
+# Slot count from which the centered kernel groups repeated slots (see
+# _eps_combinations for why not below).
+_GROUP_MIN_N = 8
 _PERM_CHUNK = 65536
 # Relative agreement demanded of the two exchange_value routes.
 _EXCHANGE_CHECK_REL = 1e-8
@@ -165,29 +173,96 @@ def _dets_batched(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_vectors(sizes: tuple, free: tuple, c: np.ndarray):
+    """Coefficients, weights and per-group mean signs of the count vectors
+    ``c`` (one per row) of groups of ``sizes`` equal slots, ``free`` of whose
+    signs are free (all of them, or all but slot n-1's).
+
+    c_g in 0..free[g] counts the -1 signs among the free slots of group g.
+    The class of eps with counts c has the combination sum_g (k_g - 2 c_g) B_g
+    (k_g = sizes[g]), the weight (-1)^(sum c) prod_g C(free[g], c_g), which is
+    prod(eps) summed over the class, and on a free slot of group g the mean
+    sign (free[g] - 2 c_g) / free[g].
+    """
+    coef = np.asarray(sizes, dtype=float) - 2.0 * c
+    mean = coef.copy()  # a group of one slot: its sign
+    weight = np.ones(len(c))
+    for g, (k, f) in enumerate(zip(sizes, free)):
+        if k > 1:
+            mean[:, g] = (f - 2.0 * c[:, g]) / f
+        if f > 1:
+            weight *= np.array([math.comb(f, j) for j in range(f + 1)], dtype=float)[c[:, g]]
+    return coef, np.where(c.sum(axis=1) % 2 == 0, weight, -weight), mean
+
+
 @lru_cache(maxsize=16)
-def _eps_table(n: int):
-    """All 2^(n-1) sign vectors with eps[n-1] = +1 and their products prod(eps)."""
-    return _eps_from_index(np.arange(1 << (n - 1)), n)
+def _count_table(sizes: tuple, free: tuple):
+    """How many leading groups (``low``) have at most ``_DET_CHUNK`` count
+    vectors together, and :func:`_count_vectors` of all of those, in mixed
+    radix with group 0 least significant.  With every group one slot, row k
+    is the sign vector with eps_i = -1 where bit i of k is set."""
+    radix = np.array(free) + 1
+    low = int(np.searchsorted(np.cumprod(radix), _DET_CHUNK, side="right"))
+    radix = radix[:low]
+    c = np.arange(int(np.prod(radix)))[:, None] // (np.cumprod(radix) // radix) % radix
+    table = _count_vectors(sizes[:low], free[:low], c)
+    for a in table:
+        a.flags.writeable = False
+    return low, table
 
 
-def _eps_from_index(k: np.ndarray, n: int):
-    """Sign vectors read off the bits of ``k`` (bit i set means eps_i = -1)."""
-    bits = (k[:, None] >> np.arange(n - 1)) & 1
-    eps = np.ones((len(k), n))
-    eps[:, : n - 1] -= 2.0 * bits
-    sign = np.where(bits.sum(axis=1) % 2 == 0, 1.0, -1.0)
-    eps.flags.writeable = False
-    sign.flags.writeable = False
-    return eps, sign
+def _slot_groups(flat: np.ndarray):
+    """Split the rows of ``flat`` into groups of bitwise-equal rows.
+
+    Returns (representative rows, group sizes, free signs per group, slot ->
+    group labels or None when every group is one slot).  Groups are ordered
+    by their first slot; the group of slot n-1 has one free sign fewer than
+    its size.  Repeats are looked for only from ``_GROUP_MIN_N`` slots on.
+    """
+    n = flat.shape[0]
+    if n >= _GROUP_MIN_N:
+        bits = flat.view(np.uint64)
+        # Equal rows have equal first entries: compare whole rows only if some do.
+        if len(set(bits[:, 0].tolist())) < n:
+            first = (bits[:, None] == bits[None]).all(-1).argmax(1)
+            if (first != np.arange(n)).any():
+                reps, labels, sizes = np.unique(first, return_inverse=True, return_counts=True)
+                free = sizes.copy()
+                free[labels[-1]] -= 1
+                return flat[reps], tuple(sizes.tolist()), tuple(free.tolist()), labels
+    return flat, (1,) * n, (1,) * (n - 1) + (0,), None
+
+
+def _beside(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The columns of ``lo`` followed by the one row ``hi`` on every row."""
+    return np.concatenate((lo, np.broadcast_to(hi, (len(lo), hi.shape[1]))), axis=1)
 
 
 def _eps_combinations(rows: np.ndarray):
-    """Yield (eps, prod(eps), eps @ rows) over every eps in {+-1}^n with eps[n-1] = +1.
+    """Yield (eps, sign, combinations) over the classes of eps in {+-1}^n with
+    eps[n-1] = +1 whose combinations eps @ rows are equal.
 
-    ``rows`` is (n, m).  Chunks hold at most ``_DET_CHUNK`` sign vectors: the
-    table is cached while it fits in one chunk, above that each chunk is
-    generated from its index bits.  The combinations are real when the
+    ``rows`` is (n, m).  Sign vectors that put the same number of -1 signs on
+    each group of bitwise-equal rows give the same combination
+    sum_g (k_g - 2 c_g) B_g (see :func:`_count_vectors`), so one class stands
+    for all of them.  A group of k_g rows has k_g free signs, the group of
+    slot n-1 one fewer, so there are prod_g (free_g + 1) classes instead of
+    2^(n-1): 18 for J_18 rather than 131,072.  ``sign`` is prod(eps) summed
+    over the class and ``eps`` the mean eps of each slot over it (+1 for slot
+    n-1), so sum sign * eps_i * f(combination) is the ungrouped sum for any f.
+    The coefficients are integers applied to the representative rows, so
+    every combination entry is rounded once.
+
+    Repeats are looked for only when n >= ``_GROUP_MIN_N``: the check (the
+    set of first entries, then one broadcast compare of the rows if two of
+    those agree) costs a few microseconds, about what the at most 64
+    determinants it could save below that size cost.  With all rows
+    distinct the classes are the single sign vectors, in the order of the
+    bits of their index (bit i set means eps_i = -1).
+
+    Chunks hold at most ``_DET_CHUNK`` classes: the cached table of the
+    leading groups whose classes fit in one chunk, beside one count vector of
+    the remaining groups per chunk.  The combinations are real when the
     imaginary part of ``rows`` is exactly zero, complex otherwise; either way
     one real matmul forms a chunk.  Every chunk is written into the same
     buffer, so a consumer must be done with one chunk before the next.
@@ -196,15 +271,29 @@ def _eps_combinations(rows: np.ndarray):
     if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
         rows = np.ascontiguousarray(rows.real)
     flat = rows.view(np.float64)  # complex entries as (re, im) pairs
-    n = rows.shape[0]
-    total = 1 << (n - 1)
-    buf = np.empty((min(total, _DET_CHUNK), flat.shape[1]))
-    for lo in range(0, total, _DET_CHUNK):
-        if total <= _DET_CHUNK:
-            eps, sign = _eps_table(n)
+    reps, sizes, free, labels = _slot_groups(flat)
+    low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free)
+    buf = np.empty((len(lo_coef), flat.shape[1]))
+    # One count vector of the other groups per chunk: the high digits of the
+    # class index, the last group's slowest.
+    highs = [()]
+    if low < len(free):
+        highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
+    for high in highs:
+        coef, sign, mean = lo_coef, lo_sign, lo_mean
+        if high:
+            hi_coef, hi_sign, hi_mean = _count_vectors(
+                sizes[low:], free[low:], np.array([high[::-1]])
+            )
+            coef, sign = _beside(lo_coef, hi_coef), lo_sign * hi_sign
+            if labels is not None:
+                mean = _beside(lo_mean, hi_mean)
+        if labels is None:
+            eps = coef
         else:
-            eps, sign = _eps_from_index(np.arange(lo, min(lo + _DET_CHUNK, total)), n)
-        out = np.matmul(eps, flat, out=buf[: len(eps)])
+            eps = mean[:, labels]
+            eps[:, -1] = 1.0
+        out = np.matmul(coef, reps, out=buf)
         yield eps, sign, out.view(rows.dtype)
 
 
@@ -213,11 +302,14 @@ def _centered_sum(rows: np.ndarray, term):
 
     ``rows`` is (n, m): the n summands, flattened.  ``term`` maps a chunk of
     combinations (c, m) to c values.  Only eps with eps[n-1] = +1 appear,
-    which halves the work for terms homogeneous of degree n.  The signed
-    terms are summed with compensation; the second result, sum |terms|, is
-    the scale of the rounding error of the first (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 4): that error is a small
-    multiple of the unit round-off times it.
+    which halves the work for terms homogeneous of degree n, and from
+    n = ``_GROUP_MIN_N`` on equal rows are grouped, so ``term`` sees
+    prod_g (free_g + 1) combinations (see :func:`_eps_combinations`).  The
+    signed terms are summed with compensation; the second result, sum |terms|
+    over all 2^(n-1) ungrouped terms (a class weight times |term|), is the
+    scale of the rounding error of the first (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 4): that error is a small multiple of the
+    unit round-off times it.
     """
     terms = np.concatenate([sign * term(s) for _, sign, s in _eps_combinations(rows)])
     total = fsum_complex(terms) if np.iscomplexobj(terms) else fsum_real(terms)
@@ -234,10 +326,11 @@ def _polarized_raw(mats) -> complex:
 
 
 def eval_polarized(t: MatrixTuple) -> float:
-    """Mixed discriminant via the 2^(n-1)-determinant centered polarization.
+    """Mixed discriminant via the centered polarization.
 
     The production path: D = 2^(1-n) sum over eps in {+-1}^n with
-    eps_n = +1 of prod(eps) det(sum eps_i A_i).
+    eps_n = +1 of prod(eps) det(sum eps_i A_i), 2^(n-1) determinants for
+    distinct slots and prod_g (free_g + 1) when n >= 8 and slots repeat.
     """
     return _as_real(_polarized_raw(t.matrices))
 
@@ -282,7 +375,8 @@ def permanent(c):
     """Permanent by Glynn's formula with compensated summation.
 
     per(c) = 2^(1-n) sum over eps in {+-1}^n with eps_n = +1 of
-    prod(eps) prod_j (eps @ c)_j: 2^(n-1) products of row-combination sums.
+    prod(eps) prod_j (eps @ c)_j: 2^(n-1) products of row-combination sums,
+    fewer when n >= 8 and rows repeat.
     Accepts real or complex square matrices; the result dtype follows the
     input.  Gated at n <= 20.
     """
@@ -353,7 +447,8 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
 
     Differentiating the centered polarization in slot i gives
     Q_i = 2^(1-n) sum over eps (eps_n = +1) of prod(eps) eps_i adj(M_eps)
-    with M_eps = sum eps_j A_j; 2^(n-1) Hermitian eigendecompositions.
+    with M_eps = sum eps_j A_j; 2^(n-1) Hermitian eigendecompositions, one
+    per class of equal M_eps when n >= 8 and slots repeat.
     """
     n = t.n
     _gate(n, _GATE_POLARIZED, "gradient")

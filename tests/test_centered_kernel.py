@@ -3,7 +3,10 @@
 One eps-enumeration kernel evaluates D (``eval_polarized``), permanents,
 the gradients Q_i and hyperbolic mixed values; these tests hold each of them
 to an independent route: closed forms at the gate sizes, the permutation-sum
-oracle, brute-force permanents and a per-mask polarization of p.
+oracle, brute-force permanents and a per-mask polarization of p.  From n = 8
+on the kernel groups repeated slots; the grouped path is held to the
+permutation-sum oracle, to multilinearity (copies rescaled so that they are
+no longer equal take the ungrouped path) and to the plain sign table.
 """
 
 import itertools
@@ -16,8 +19,11 @@ from hypothesis import strategies as st
 
 from mixdisc.core import make_rng, random_complex_gaussian, random_hermitian
 from mixdisc.discriminant import (
+    _DET_CHUNK,
     MatrixTuple,
     _centered_sum,
+    _count_table,
+    _eps_combinations,
     eval_polarized,
     eval_sigma_det,
     gradient,
@@ -28,12 +34,31 @@ from mixdisc.genaf import af_lower_bound_experiment
 from mixdisc.hyperbolic import HyperbolicPencil, mixed_value
 
 
+def _distinct_scaled_identities(n):
+    """A_j = s_j I / n with distinct dyadic s_j = 1 + j/64, and D = n! prod a_j
+    read off the stored diagonals a_j.  The slots are distinct, so the kernel
+    takes the ungrouped path at any n.  (Distinct powers of two would spread
+    the s_j over 2^(+-n/2), and the centered sum then cancels far beyond 1e-12.)
+    """
+    mats = [(1.0 + j / 64.0) * np.eye(n) / n for j in range(n)]
+    return mats, math.factorial(n) * math.prod(float(m[0, 0]) for m in mats)
+
+
+def _det_term(n):
+    return lambda s: np.linalg.det(s.reshape(-1, n, n))
+
+
 class TestGateAccuracy:
     @pytest.mark.parametrize("n", [14, 16, 18])
     def test_jn_closed_form(self, n):
         d = eval_polarized(MatrixTuple([np.eye(n) / n] * n))
         expected = math.factorial(n) / n**n
         assert abs(d - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_distinct_slot_closed_form(self, n):
+        mats, expected = _distinct_scaled_identities(n)
+        assert abs(eval_polarized(MatrixTuple(mats)) - expected) <= 1e-12 * expected
 
     def test_dnp_family_n16(self):
         # dnp_family_value itself checks D(P/n, .., P/n) = (n!/n^n) det P;
@@ -53,8 +78,14 @@ class TestGateAccuracy:
         # The kernel's second result, sum |terms|, scaled by n times the unit
         # round-off, must cover the actual error on J_n.
         rows = np.array([np.eye(n) / n] * n).reshape(n, n * n)
-        value, magnitude = _centered_sum(rows, lambda s: np.linalg.det(s.reshape(-1, n, n)))
+        value, magnitude = _centered_sum(rows, _det_term(n))
         assert abs(value - math.factorial(n) / n**n) <= n * 2.0**-53 * magnitude
+
+    def test_magnitude_sum_covers_the_error_on_distinct_slots(self):
+        n = 16
+        mats, expected = _distinct_scaled_identities(n)
+        value, magnitude = _centered_sum(np.array(mats).reshape(n, n * n), _det_term(n))
+        assert abs(value - expected) <= n * 2.0**-53 * magnitude
 
     def test_af_experiment_n20_is_exact(self):
         r = af_lower_bound_experiment(20)
@@ -163,3 +194,157 @@ def test_mixed_value_matches_per_mask_polarization(n, m, real, seed):
     xs = [rng.standard_normal(m) for _ in range(n)]
     scale = _norm_scale([pencil.at(x) for x in xs])
     assert _close(mixed_value(pencil, xs), _per_mask_mixed_value(pencil, xs), scale)
+
+
+# ---------------------------------------------------------------------------
+# the grouped path: repeated slots, n >= 8
+
+
+def _plain_sign_table(k, n):
+    """The ungrouped sign table as the kernel first built it: bit i of k set
+    means eps_i = -1, eps[n-1] = +1, and the sign is prod(eps)."""
+    bits = (k[:, None] >> np.arange(n - 1)) & 1
+    eps = np.ones((len(k), n))
+    eps[:, : n - 1] -= 2.0 * bits
+    return eps, np.where(bits.sum(axis=1) % 2 == 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_single_slot_profile_is_the_plain_sign_table(n):
+    low, (coef, sign, _) = _count_table((1,) * n, (1,) * (n - 1) + (0,))
+    assert low == n  # one chunk up to n = 14
+    eps, plain_sign = _plain_sign_table(np.arange(1 << (n - 1)), n)
+    assert coef.dtype == eps.dtype
+    assert np.array_equal(coef, eps) and np.array_equal(sign, plain_sign)
+
+
+def test_distinct_rows_stream_the_plain_sign_table_at_n16():
+    # Above one chunk the table is generated per chunk; check the third chunk
+    # of distinct rows, and that its combinations are eps @ rows bit for bit.
+    n = 16
+    rows = make_rng(16).standard_normal((n, 5))
+    chunks = _eps_combinations(rows)
+    for _ in range(2):
+        next(chunks)
+    eps, sign, comb = next(chunks)
+    plain_eps, plain_sign = _plain_sign_table(np.arange(2 * _DET_CHUNK, 3 * _DET_CHUNK), n)
+    assert np.array_equal(eps, plain_eps) and np.array_equal(sign, plain_sign)
+    assert np.array_equal(comb, plain_eps @ rows)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0] * 8, [0, 1, 0, 1, 2, 2, 3, 0], [0] * 7 + [1], [1] + [0] * 7, [0, 1, 2, 3, 4, 5, 6, 2]],
+)
+def test_class_sums_are_the_ungrouped_sums(labels):
+    # For any function f of the combination, sum sign * f and, slot by slot,
+    # sum sign * eps_i * f over the classes equal the sums over all 2^(n-1)
+    # sign vectors; the gradient needs the second.
+    n = len(labels)
+    rows = make_rng(8).standard_normal((max(labels) + 1, 3))[labels]
+
+    def f(comb):  # neither even nor odd, so no class sum cancels by symmetry
+        return np.exp(comb @ np.array([0.1, 0.2, 0.3]))
+
+    total, per_slot = 0.0, np.zeros(n)
+    for eps, sign, comb in _eps_combinations(rows):
+        assert len(sign) <= 1 << (n - 1)
+        terms = sign * f(comb)
+        total += terms.sum()
+        per_slot += eps.T @ terms
+    plain_eps, plain_sign = _plain_sign_table(np.arange(1 << (n - 1)), n)
+    terms = plain_sign * f(plain_eps @ rows)
+    assert total == pytest.approx(terms.sum(), abs=1e-9)
+    assert per_slot == pytest.approx(plain_eps.T @ terms, abs=1e-9)
+
+
+# Slot patterns of an n = 8 tuple: which slots share one matrix.
+_PATTERNS = {
+    "all_equal": st.just([0] * 8),
+    "pairs": st.permutations([0, 0, 1, 1, 2, 2, 3, 3]),
+    "last_repeated": st.integers(0, 6).map(lambda j: list(range(7)) + [j]),
+    "one_odd": st.permutations([0] * 7 + [1]),
+    "any": st.lists(st.integers(0, 3), min_size=8, max_size=8),
+}
+
+
+@st.composite
+def repeated_slot_tuples(draw):
+    """n = 8 PSD tuples whose slots repeat in one of the ``_PATTERNS``."""
+    n = 8
+    labels = draw(st.sampled_from(sorted(_PATTERNS)).flatmap(_PATTERNS.get))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    distinct = {
+        label: (_rank_one if draw(st.booleans()) else _wishart)(n, rng, real)
+        for label in sorted(set(labels))
+    }
+    return MatrixTuple([distinct[label] for label in labels])
+
+
+@settings(max_examples=15, deadline=None)
+@given(repeated_slot_tuples())
+def test_grouped_polarized_matches_sigma_det(t):
+    assert _close(eval_polarized(t), eval_sigma_det(t), _norm_scale(t.matrices))
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_slot_tuples(), st.integers(0, 2**32 - 1))
+def test_grouped_gradient_is_the_slot_functional(t, seed):
+    rng = make_rng(seed)
+    g = gradient(t)
+    for i in range(t.n):
+        x = random_hermitian(t.n, rng)
+        t_x = t.replaced(i, x)
+        via_q = float(np.trace(x @ g.Q[i]).real)
+        assert _close(via_q, eval_polarized(t_x), _norm_scale(t_x.matrices))
+
+
+# Slot labels at n = 12 and 16: groups of two to four, slot n-1 in a group.
+_GROUPED_LABELS = {
+    12: [0, 1, 0, 2, 2, 2, 3, 1, 3, 3, 4, 0],
+    16: [0, 1, 1, 2, 0, 3, 3, 3, 2, 4, 4, 4, 4, 5, 6, 0],
+}
+# Distinct powers of two with product 1 for the copies of a group of size k.
+_COPY_SCALES = {1: [1.0], 2: [0.5, 2.0], 3: [0.5, 1.0, 2.0], 4: [0.25, 0.5, 2.0, 4.0]}
+
+
+def _rescaled_copies(labels):
+    """Per-slot scales that make the copies of each group distinct while
+    keeping, by multilinearity, every slot-multilinear value unchanged."""
+    scales = np.empty(len(labels))
+    for label in set(labels):
+        where = [i for i, x in enumerate(labels) if x == label]
+        scales[where] = _COPY_SCALES[len(where)]
+    return scales
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_grouped_path_matches_the_multilinear_reference(n):
+    labels = _GROUPED_LABELS[n]
+    scales = _rescaled_copies(labels)
+    rng = make_rng(n)
+    base = [_wishart(n, rng, real=False) for _ in range(max(labels) + 1)]
+    mats = np.array([base[x] for x in labels])
+    scaled = scales[:, None, None] * mats
+    assert len({m.tobytes() for m in scaled}) == n  # the reference is ungrouped
+    # The values are far from zero, so a relative 1e-10 is the whole rule here.
+    reference = eval_polarized(MatrixTuple(scaled))
+    assert eval_polarized(MatrixTuple(mats)) == pytest.approx(reference, rel=1e-10)
+
+    c = rng.standard_normal((max(labels) + 1, n))[labels]
+    assert permanent(c) == pytest.approx(permanent(scales[:, None] * c), rel=1e-10)
+
+    m = 3
+    extra = [_wishart(n, rng, True) - _wishart(n, rng, True) for _ in range(m - 1)]
+    pencil = HyperbolicPencil([np.eye(n)] + extra, np.eye(m)[0])
+    xs = rng.standard_normal((max(labels) + 1, m))[labels]
+    reference = mixed_value(pencil, scales[:, None] * xs)
+    assert mixed_value(pencil, xs) == pytest.approx(reference, rel=1e-10)
+
+    # sum |terms| of the grouped kernel is the ungrouped sum, term by term.
+    rows = mats.reshape(n, n * n)
+    eps, _ = _plain_sign_table(np.arange(1 << (n - 1)), n)
+    ungrouped = 2.0 ** (1 - n) * math.fsum(np.abs(_det_term(n)(eps @ rows)))
+    assert abs(_centered_sum(rows, _det_term(n))[1] - ungrouped) <= 1e-12 * ungrouped
+
