@@ -40,7 +40,6 @@ from .core import (
     Tolerances,
     as_hermitian,
     fsum_complex,
-    fsum_real,
     max_abs,
     psd_violation,
 )
@@ -212,16 +211,18 @@ def _count_table(sizes: tuple, free: tuple):
 
 
 def _slot_groups(flat: np.ndarray):
-    """Split the rows of ``flat`` into groups of bitwise-equal rows.
+    """Split the rows of the one tuple in ``flat`` (1, n, w) into groups of
+    bitwise-equal rows.
 
-    Returns (representative rows, group sizes, free signs per group, slot ->
-    group labels or None when every group is one slot).  Groups are ordered
-    by their first slot; the group of slot n-1 has one free sign fewer than
-    its size.  Repeats are looked for only from ``_GROUP_MIN_N`` slots on.
+    Returns (representative rows as a (1, groups, w) stack, group sizes, free
+    signs per group, slot -> group labels or None when every group is one
+    slot).  Groups are ordered by their first slot; the group of slot n-1 has
+    one free sign fewer than its size.  Repeats are looked for only from
+    ``_GROUP_MIN_N`` slots on, and never in a stack of several tuples.
     """
-    n = flat.shape[0]
-    if n >= _GROUP_MIN_N:
-        bits = flat.view(np.uint64)
+    b, n = flat.shape[:2]
+    if b == 1 and n >= _GROUP_MIN_N:
+        bits = flat[0].view(np.uint64)
         # Equal rows have equal first entries: compare whole rows only if some do.
         if len(set(bits[:, 0].tolist())) < n:
             first = (bits[:, None] == bits[None]).all(-1).argmax(1)
@@ -229,7 +230,7 @@ def _slot_groups(flat: np.ndarray):
                 reps, labels, sizes = np.unique(first, return_inverse=True, return_counts=True)
                 free = sizes.copy()
                 free[labels[-1]] -= 1
-                return flat[reps], tuple(sizes.tolist()), tuple(free.tolist()), labels
+                return flat[:, reps], tuple(sizes.tolist()), tuple(free.tolist()), labels
     return flat, (1,) * n, (1,) * (n - 1) + (0,), None
 
 
@@ -242,30 +243,33 @@ def _eps_combinations(rows: np.ndarray):
     """Yield (eps, sign, combinations) over the classes of eps in {+-1}^n with
     eps[n-1] = +1 whose combinations eps @ rows are equal.
 
-    ``rows`` is (n, m).  Sign vectors that put the same number of -1 signs on
-    each group of bitwise-equal rows give the same combination
-    sum_g (k_g - 2 c_g) B_g (see :func:`_count_vectors`), so one class stands
-    for all of them.  A group of k_g rows has k_g free signs, the group of
-    slot n-1 one fewer, so there are prod_g (free_g + 1) classes instead of
-    2^(n-1): 18 for J_18 rather than 131,072.  ``sign`` is prod(eps) summed
-    over the class and ``eps`` the mean eps of each slot over it (+1 for slot
-    n-1), so sum sign * eps_i * f(combination) is the ungrouped sum for any f.
-    The coefficients are integers applied to the representative rows, so
-    every combination entry is rounded once.
+    ``rows`` is a (B, n, m) stack of B tuples of n rows; ``combinations`` is
+    (B, c, m), the c combinations of each tuple.  Sign vectors that put the
+    same number of -1 signs on each group of bitwise-equal rows give the same
+    combination sum_g (k_g - 2 c_g) B_g (see :func:`_count_vectors`), so one
+    class stands for all of them.  A group of k_g rows has k_g free signs, the
+    group of slot n-1 one fewer, so there are prod_g (free_g + 1) classes
+    instead of 2^(n-1): 18 for J_18 rather than 131,072.  ``sign`` is
+    prod(eps) summed over the class and ``eps`` the mean eps of each slot
+    over it (+1 for slot n-1), so sum sign * eps_i * f(combination) is the
+    ungrouped sum for any f.  The coefficients are integers applied to the
+    representative rows, so every combination entry is rounded once.
 
-    Repeats are looked for only when n >= ``_GROUP_MIN_N``: the check (the
-    set of first entries, then one broadcast compare of the rows if two of
-    those agree) costs a few microseconds, about what the at most 64
-    determinants it could save below that size cost.  With all rows
-    distinct the classes are the single sign vectors, in the order of the
-    bits of their index (bit i set means eps_i = -1).
+    Repeats are looked for only in a single tuple (B = 1) with
+    n >= ``_GROUP_MIN_N``: the check (the set of first entries, then one
+    broadcast compare of the rows if two of those agree) costs a few
+    microseconds, about what the at most 64 determinants it could save below
+    that size cost.  With all rows distinct the classes are the single sign
+    vectors, in the order of the bits of their index (bit i set means
+    eps_i = -1).
 
     Chunks hold at most ``_DET_CHUNK`` classes: the cached table of the
     leading groups whose classes fit in one chunk, beside one count vector of
     the remaining groups per chunk.  The combinations are real when the
-    imaginary part of ``rows`` is exactly zero, complex otherwise; either way
-    one real matmul forms a chunk.  Every chunk is written into the same
-    buffer, so a consumer must be done with one chunk before the next.
+    imaginary part of the whole stack is exactly zero, complex otherwise;
+    either way one real matmul forms a chunk, one BLAS product of the same
+    shape per tuple.  Every chunk is written into the same buffer, so a
+    consumer must be done with one chunk before the next.
     """
     rows = np.ascontiguousarray(rows)
     if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
@@ -273,7 +277,7 @@ def _eps_combinations(rows: np.ndarray):
     flat = rows.view(np.float64)  # complex entries as (re, im) pairs
     reps, sizes, free, labels = _slot_groups(flat)
     low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free)
-    buf = np.empty((len(lo_coef), flat.shape[1]))
+    buf = np.empty((len(flat), len(lo_coef), flat.shape[2]))
     # One count vector of the other groups per chunk: the high digits of the
     # class index, the last group's slowest.
     highs = [()]
@@ -298,30 +302,69 @@ def _eps_combinations(rows: np.ndarray):
 
 
 def _centered_sum(rows: np.ndarray, term):
-    """2^(1-n) sum over eps of prod(eps) * term(eps @ rows), and of |terms|.
+    """For each tuple of ``rows``: 2^(1-n) sum over eps of prod(eps) *
+    term(eps @ rows[b]), and of |terms|, as two (B,) arrays.
 
-    ``rows`` is (n, m): the n summands, flattened.  ``term`` maps a chunk of
-    combinations (c, m) to c values.  Only eps with eps[n-1] = +1 appear,
-    which halves the work for terms homogeneous of degree n, and from
-    n = ``_GROUP_MIN_N`` on equal rows are grouped, so ``term`` sees
-    prod_g (free_g + 1) combinations (see :func:`_eps_combinations`).  The
-    signed terms are summed with compensation; the second result, sum |terms|
-    over all 2^(n-1) ungrouped terms (a class weight times |term|), is the
-    scale of the rounding error of the first (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 4): that error is a small multiple of the
-    unit round-off times it.
+    ``rows`` is a (B, n, m) stack: B tuples of n summands, flattened.
+    ``term`` maps a chunk of combinations (k, m) to k values.  Only eps with
+    eps[n-1] = +1 appear, which halves the work for terms homogeneous of
+    degree n, and from n = ``_GROUP_MIN_N`` on equal rows are grouped, so
+    ``term`` sees prod_g (free_g + 1) combinations (see
+    :func:`_eps_combinations`).  The signed terms are summed with
+    compensation; the second result, sum |terms| over all 2^(n-1) ungrouped
+    terms (a class weight times |term|), is the scale of the rounding error
+    of the first (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 4): that error is a small multiple of the unit round-off times it.
+
+    Each tuple's pair is bit for bit what the stack of that tuple alone
+    (B = 1) gives.  A stack runs as one enumeration below ``_GROUP_MIN_N``
+    when its tuples are all real or all complex; a mixed stack runs as its
+    real and its complex part, and from ``_GROUP_MIN_N`` on, where grouping
+    is per tuple, a stack runs tuple by tuple.  The values come back complex
+    if any tuple is complex.
     """
-    terms = np.concatenate([sign * term(s) for _, sign, s in _eps_combinations(rows)])
-    total = fsum_complex(terms) if np.iscomplexobj(terms) else fsum_real(terms)
-    scale = 2.0 ** (1 - rows.shape[0])
-    return scale * total, scale * fsum_real(np.abs(terms))
+    rows = np.asarray(rows)
+    b, n, m = rows.shape
+    parts = None
+    if b > 1 and n >= _GROUP_MIN_N:
+        parts = [[i] for i in range(b)]
+    elif b > 1 and np.iscomplexobj(rows):
+        real = ~rows.imag.reshape(b, -1).any(axis=1)
+        if real.any() and not real.all():
+            parts = [np.flatnonzero(real), np.flatnonzero(~real)]
+    if parts is not None:
+        results = [(idx, _centered_sum(rows[idx], term)) for idx in parts]
+        values = np.empty(b, np.result_type(*(v for _, (v, _) in results)))
+        magnitudes = np.empty(b)
+        for idx, (v, mag) in results:
+            values[idx], magnitudes[idx] = v, mag
+        return values, magnitudes
+    chunks = [sign * term(s.reshape(-1, m)).reshape(b, -1) for _, sign, s in _eps_combinations(rows)]
+    terms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    scale = 2.0 ** (1 - n)
+    if np.iscomplexobj(terms):
+        parts = zip(_fsum_rows(terms.real), _fsum_rows(terms.imag))
+        values = [scale * complex(re, im) for re, im in parts]
+    else:
+        values = [scale * total for total in _fsum_rows(terms)]
+    magnitudes = [scale * total for total in _fsum_rows(np.abs(terms))]
+    return np.array(values), np.array(magnitudes)
 
 
-def _polarized_raw(mats) -> complex:
-    """D(mats) by the centered polarization 2^(1-n) sum prod(eps) det(sum eps_i mats[i])."""
-    n = len(mats)
+def _fsum_rows(a: np.ndarray) -> list:
+    """``math.fsum`` of each row of a real 2-D array.  A small array goes
+    through one ``tolist()``, since fsum reads Python floats fastest; a large
+    one is read in place, so that no list of boxed floats is built."""
+    return [math.fsum(row) for row in (a.tolist() if a.size <= 4096 else a)]
+
+
+def _polarized_raw(mats) -> np.ndarray:
+    """D of each tuple of a (B, n, n, n) stack by the centered polarization
+    2^(1-n) sum prod(eps) det(sum eps_i mats[b, i]): B values, real or complex."""
+    mats = np.asarray(mats)
+    b, n = mats.shape[:2]
     _gate(n, _GATE_POLARIZED, "eval_polarized")
-    rows = np.asarray(mats).reshape(n, n * n)
+    rows = mats.reshape(b, n, n * n)
     return _centered_sum(rows, lambda s: np.linalg.det(s.reshape(-1, n, n)))[0]
 
 
@@ -332,7 +375,7 @@ def eval_polarized(t: MatrixTuple) -> float:
     eps_n = +1 of prod(eps) det(sum eps_i A_i), 2^(n-1) determinants for
     distinct slots and prod_g (free_g + 1) when n >= 8 and slots repeat.
     """
-    return _as_real(_polarized_raw(t.matrices))
+    return _as_real(_polarized_raw(t.matrices[None])[0])
 
 
 def eval_sigma_det(t: MatrixTuple) -> float:
@@ -389,8 +432,8 @@ def permanent(c):
     a = a.astype(np.complex128 if is_complex else np.float64)
     if n == 0:
         return 1.0
-    value = _centered_sum(a, lambda s: np.prod(s, axis=1))[0]
-    return complex(value) if is_complex else value
+    value = _centered_sum(a[None], lambda s: np.prod(s, axis=1))[0][0]
+    return complex(value) if is_complex else float(value)
 
 
 def eval_signed_permanent(t: MatrixTuple) -> float:
@@ -452,7 +495,7 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
     """
     n = t.n
     _gate(n, _GATE_POLARIZED, "gradient")
-    rows = t.matrices.reshape(n, n * n)
+    rows = t.matrices.reshape(1, n, n * n)
     q = sum(
         (eps * sign[:, None]).T @ _adjugates(s.reshape(-1, n, n)).reshape(-1, n * n)
         for eps, sign, s in _eps_combinations(rows)

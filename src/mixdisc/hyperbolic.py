@@ -3,6 +3,11 @@
 Only determinantal representations p(x) = det(sum x_i B_i) with a positive
 definite direction pencil are supported; for those, root extraction reduces
 to a single Hermitian eigenproblem via congruence, so realness is structural.
+
+Membership checks take a whole stack of vector tuples through one batched
+eigensolve; :func:`conjecture_experiment` checks the mixtures of one pencil
+together and evaluates the accepted ones with one call of the centered
+kernel, with the same report, bit for bit, as one mixture at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .core import (
     DEFAULT_TOL,
     PreconditionViolated,
     Tolerances,
+    _eigh,
     as_hermitian,
     eig_hermitian,
     fsum_real,
@@ -109,6 +115,11 @@ def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: float = DEFAULT_TOL.psd_t
     return float(roots(pencil, x).lam[-1]) >= -tol
 
 
+def _pencil_points(pencil: HyperbolicPencil, xs: np.ndarray) -> np.ndarray:
+    """B(x) = sum_j x_j B_j for every real m-vector of ``xs`` (..., m)."""
+    return (xs[..., :, None, None] * pencil.matrices).sum(-3)
+
+
 def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     """p-mixed value of n vectors: the mixed discriminant of their pencil matrices.
 
@@ -119,25 +130,39 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     n = pencil.degree
     if xs.shape != (n, pencil.m):
         raise ValueError(f"need exactly {n} real {pencil.m}-vectors (the degree of p)")
-    return _as_real(_polarized_raw((xs[:, :, None, None] * pencil.matrices).sum(1)))
+    return _as_real(_polarized_raw(_pencil_points(pencil, xs[None]))[0])
+
+
+def _membership(pencil: HyperbolicPencil, xs: np.ndarray, tol: Tolerances):
+    """Membership of a stack (K, k, m) of K vector tuples: the (K,) arrays of
+    the nonnegativity, e-trace and sum violations and of ``passes``, and the
+    points B(x) as a (K, k, n, n) stack.
+
+    The roots of every vector come from one batched ``eigh`` of L B(x) L
+    (the eigenvalues :func:`roots` gives, ascending); each root vector is
+    summed with ``math.fsum`` and the vectors of a tuple are added in order.
+    """
+    points = _pencil_points(pencil, xs)
+    l = pencil._reducer
+    lam = _eigh(l @ points @ l)[0]
+    nonneg = np.maximum(0.0, -lam[..., 0]).max(axis=-1, initial=0.0)
+    traces = np.array([math.fsum(r) for r in lam.reshape(-1, lam.shape[-1]).tolist()])
+    trace = np.abs(traces.reshape(xs.shape[:2]) - 1.0).max(axis=-1, initial=0.0)
+    total = np.zeros((len(xs), pencil.m))
+    for i in range(xs.shape[1]):
+        total += xs[:, i]
+    sums = np.abs(total - pencil.e).max(axis=-1)
+    passes = (nonneg <= tol.ds_tol) & (trace <= tol.ds_tol) & (sums <= tol.ds_tol)
+    return nonneg, trace, sums, passes, points
 
 
 def check_hd_membership(
     pencil: HyperbolicPencil, xs, tol: Tolerances = DEFAULT_TOL
 ) -> HdMembershipReport:
     """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces, sum e."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    nonneg_v = 0.0
-    trace_v = 0.0
-    total = np.zeros(pencil.m)
-    for x in xs:
-        r = roots(pencil, x)
-        nonneg_v = max(nonneg_v, max(0.0, -float(r.lam[-1])))
-        trace_v = max(trace_v, abs(fsum_real(r.lam) - 1.0))
-        total += x
-    sum_v = float(np.max(np.abs(total - pencil.e)))
-    passes = nonneg_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
-    return HdMembershipReport(nonneg_v, trace_v, sum_v, passes)
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
+    nonneg, trace, sums, passes, _ = _membership(pencil, xs[None], tol)
+    return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), bool(passes[0]))
 
 
 def pencil_from_tuple(t, tol: Tolerances = DEFAULT_TOL) -> HyperbolicPencil:
@@ -183,6 +208,8 @@ def conjecture_experiment(
     axis-vector tuple mixed by random doubly stochastic matrices; mixing
     preserves membership, which is rechecked and rejected on failure.
     A ratio below n!/n^n - 1e-6 is recorded as a violation, not raised.
+    The up to ``_MIXTURES_PER_PENCIL`` mixtures of a pencil are checked as
+    one stack, and p(e) is computed once per pencil.
     """
     bound = bapat_bound(n)
     rng = make_rng(seed)
@@ -194,20 +221,21 @@ def conjecture_experiment(
     while done < samples:
         t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
         pencil = pencil_from_tuple(t, tol)
-        for mix in _random_ds_matrices(min(_MIXTURES_PER_PENCIL, samples - done), n, rng):
-            xs = list(mix.T)
-            rep = check_hd_membership(pencil, xs, tol)
-            if not rep.passes:
-                rejected += 1
-                continue
-            ratio = mixed_value(pencil, xs) / pencil.value(pencil.e)
-            done += 1
-            if ratio < min_ratio:
-                min_ratio = ratio
-            if ratio < bound - 1e-6:
-                violations.append(
-                    {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
-                )
+        p_e = pencil.value(pencil.e)
+        mixes = _random_ds_matrices(min(_MIXTURES_PER_PENCIL, samples - done), n, rng)
+        # The vectors of a mixture are its columns.
+        *_, passes, points = _membership(pencil, mixes.swapaxes(-1, -2), tol)
+        rejected += int(np.count_nonzero(~passes))
+        if passes.any():
+            for value in _polarized_raw(points[passes]).tolist():
+                ratio = _as_real(value) / p_e
+                done += 1
+                if ratio < min_ratio:
+                    min_ratio = ratio
+                if ratio < bound - 1e-6:
+                    violations.append(
+                        {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
+                    )
         pencil_index += 1
     return ConjectureExperimentReport(
         n=n,

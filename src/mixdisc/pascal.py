@@ -93,10 +93,8 @@ def qp_block(rho: BlockMatrix) -> float:
     if n > _GATE_QP_BLOCK:
         raise DimensionTooLarge(f"qp_block gated at n <= {_GATE_QP_BLOCK}")
     perms, signs = _perms_and_signs(n)
-    rows = np.arange(n)
-    totals = np.empty(len(perms), dtype=np.complex128)
-    for s, sigma in enumerate(perms):
-        totals[s] = signs[s] * _polarized_raw(rho.blocks[rows, sigma])
+    # One kernel call over the n! tuples (A_{1,sigma(1)}, .., A_{n,sigma(n)}).
+    totals = signs * _polarized_raw(rho.blocks[np.arange(n), perms])
     return _as_real(fsum_complex(totals))
 
 

@@ -6,7 +6,8 @@ to an independent route: closed forms at the gate sizes, the permutation-sum
 oracle, brute-force permanents and a per-mask polarization of p.  From n = 8
 on the kernel groups repeated slots; the grouped path is held to the
 permutation-sum oracle, to multilinearity (copies rescaled so that they are
-no longer equal take the ungrouped path) and to the plain sign table.
+no longer equal take the ungrouped path) and to the plain sign table.  A
+stack of tuples is held to the single call of each of its tuples, bit for bit.
 """
 
 import itertools
@@ -20,10 +21,12 @@ from hypothesis import strategies as st
 from mixdisc.core import make_rng, random_complex_gaussian, random_hermitian
 from mixdisc.discriminant import (
     _DET_CHUNK,
+    _GROUP_MIN_N,
     MatrixTuple,
     _centered_sum,
     _count_table,
     _eps_combinations,
+    _polarized_raw,
     eval_polarized,
     eval_sigma_det,
     gradient,
@@ -77,14 +80,14 @@ class TestGateAccuracy:
     def test_magnitude_sum_covers_the_error(self, n):
         # The kernel's second result, sum |terms|, scaled by n times the unit
         # round-off, must cover the actual error on J_n.
-        rows = np.array([np.eye(n) / n] * n).reshape(n, n * n)
-        value, magnitude = _centered_sum(rows, _det_term(n))
+        rows = np.array([np.eye(n) / n] * n).reshape(1, n, n * n)
+        (value,), (magnitude,) = _centered_sum(rows, _det_term(n))
         assert abs(value - math.factorial(n) / n**n) <= n * 2.0**-53 * magnitude
 
     def test_magnitude_sum_covers_the_error_on_distinct_slots(self):
         n = 16
         mats, expected = _distinct_scaled_identities(n)
-        value, magnitude = _centered_sum(np.array(mats).reshape(n, n * n), _det_term(n))
+        (value,), (magnitude,) = _centered_sum(np.array(mats).reshape(1, n, n * n), _det_term(n))
         assert abs(value - expected) <= n * 2.0**-53 * magnitude
 
     def test_af_experiment_n20_is_exact(self):
@@ -129,20 +132,30 @@ def psd_tuples(draw):
     return MatrixTuple(mats)
 
 
-def _norm_scale(mats) -> float:
-    """(sum ||A_i||_2)^n: bounds every |det(sum eps_i A_i)| and, by the
-    multinomial theorem, n! prod ||A_i||_2 >= |D| (Hadamard) as well."""
-    return sum(float(np.linalg.norm(m, 2)) for m in mats) ** len(mats)
+def _term_bounds(mats) -> float:
+    """2^(1-n) sum over eps of ||sum eps_i A_i||_2^n, summed by the kernel.
+
+    Each summand bounds its determinant (Hadamard), so n u times the sum
+    bounds the rounding of the kernel whatever the conditioning; the kernel's
+    own sum |terms| does not when D = 0 (repeated rank-one slots), where every
+    computed determinant is itself rounding noise.  It is at most
+    (sum ||A_i||_2)^n, the scale these tests used before.
+    """
+    n = len(mats)
+    rows = np.asarray(mats).reshape(1, n, -1)
+    return _centered_sum(rows, lambda s: np.linalg.norm(s.reshape(-1, n, n), 2, axis=(1, 2)) ** n)[1][0]
 
 
-def _close(a, b, scale) -> bool:
-    return abs(a - b) <= 1e-10 * abs(b) + 1e-12 * scale
+def _close(a, b, scale, n) -> bool:
+    """Within a relative 1e-10, or 8 n u times ``scale``: a bound on the terms
+    both routes sum, in which their rounding error is n u."""
+    return abs(a - b) <= 1e-10 * abs(b) + 8 * n * 2.0**-53 * scale
 
 
 @settings(max_examples=60, deadline=None)
 @given(psd_tuples())
 def test_polarized_matches_sigma_det(t):
-    assert _close(eval_polarized(t), eval_sigma_det(t), _norm_scale(t.matrices))
+    assert _close(eval_polarized(t), eval_sigma_det(t), _term_bounds(t.matrices), t.n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +167,7 @@ def test_gradient_is_the_slot_functional(t, seed):
         x = random_hermitian(t.n, rng)
         t_x = t.replaced(i, x)
         via_q = float(np.trace(x @ g.Q[i]).real)
-        assert _close(via_q, eval_polarized(t_x), _norm_scale(t_x.matrices))
+        assert _close(via_q, eval_polarized(t_x), _term_bounds(t_x.matrices), t.n)
 
 
 def _brute_permanent(a):
@@ -171,18 +184,21 @@ def test_permanent_matches_brute_force(n, real, seed):
         a = a + 1j * rng.standard_normal((n, n))
     value = permanent(a)
     assert isinstance(value, complex) != real
-    assert _close(value, _brute_permanent(a), _brute_permanent(np.abs(a)))
+    assert _close(value, _brute_permanent(a), _brute_permanent(np.abs(a)), n)
 
 
 def _per_mask_mixed_value(pencil, xs):
-    """sum over S of (-1)^(n-|S|) p(sum_{i in S} x_i), one det per mask."""
+    """sum over S of (-1)^(n-|S|) p(sum_{i in S} x_i), one det per mask, and
+    the sum over S of ||B(sum_{i in S} x_i)||_2^n, which bounds its terms."""
     n = len(xs)
-    total = 0.0
+    total = bounds = 0.0
     for mask in range(1, 1 << n):
         members = [xs[i] for i in range(n) if mask >> i & 1]
         sign = -1.0 if (n - len(members)) % 2 else 1.0
-        total += sign * pencil.value(np.sum(members, axis=0))
-    return total
+        point = np.sum(members, axis=0)
+        total += sign * pencil.value(point)
+        bounds += float(np.linalg.norm(pencil.at(point), 2)) ** n
+    return total, bounds
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,8 +208,9 @@ def test_mixed_value_matches_per_mask_polarization(n, m, real, seed):
     extra = [_wishart(n, rng, real) - _wishart(n, rng, real) for _ in range(m - 1)]
     pencil = HyperbolicPencil([np.eye(n)] + extra, np.eye(m)[0])
     xs = [rng.standard_normal(m) for _ in range(n)]
-    scale = _norm_scale([pencil.at(x) for x in xs])
-    assert _close(mixed_value(pencil, xs), _per_mask_mixed_value(pencil, xs), scale)
+    reference, bounds = _per_mask_mixed_value(pencil, xs)
+    scale = _term_bounds([pencil.at(x) for x in xs]) + bounds
+    assert _close(mixed_value(pencil, xs), reference, scale, n)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +240,13 @@ def test_distinct_rows_stream_the_plain_sign_table_at_n16():
     # of distinct rows, and that its combinations are eps @ rows bit for bit.
     n = 16
     rows = make_rng(16).standard_normal((n, 5))
-    chunks = _eps_combinations(rows)
+    chunks = _eps_combinations(rows[None])
     for _ in range(2):
         next(chunks)
     eps, sign, comb = next(chunks)
     plain_eps, plain_sign = _plain_sign_table(np.arange(2 * _DET_CHUNK, 3 * _DET_CHUNK), n)
     assert np.array_equal(eps, plain_eps) and np.array_equal(sign, plain_sign)
-    assert np.array_equal(comb, plain_eps @ rows)
+    assert np.array_equal(comb[0], plain_eps @ rows)
 
 
 @pytest.mark.parametrize(
@@ -247,9 +264,9 @@ def test_class_sums_are_the_ungrouped_sums(labels):
         return np.exp(comb @ np.array([0.1, 0.2, 0.3]))
 
     total, per_slot = 0.0, np.zeros(n)
-    for eps, sign, comb in _eps_combinations(rows):
+    for eps, sign, comb in _eps_combinations(rows[None]):
         assert len(sign) <= 1 << (n - 1)
-        terms = sign * f(comb)
+        terms = sign * f(comb[0])
         total += terms.sum()
         per_slot += eps.T @ terms
     plain_eps, plain_sign = _plain_sign_table(np.arange(1 << (n - 1)), n)
@@ -285,7 +302,7 @@ def repeated_slot_tuples(draw):
 @settings(max_examples=15, deadline=None)
 @given(repeated_slot_tuples())
 def test_grouped_polarized_matches_sigma_det(t):
-    assert _close(eval_polarized(t), eval_sigma_det(t), _norm_scale(t.matrices))
+    assert _close(eval_polarized(t), eval_sigma_det(t), _term_bounds(t.matrices), t.n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,7 +314,7 @@ def test_grouped_gradient_is_the_slot_functional(t, seed):
         x = random_hermitian(t.n, rng)
         t_x = t.replaced(i, x)
         via_q = float(np.trace(x @ g.Q[i]).real)
-        assert _close(via_q, eval_polarized(t_x), _norm_scale(t_x.matrices))
+        assert _close(via_q, eval_polarized(t_x), _term_bounds(t_x.matrices), t.n)
 
 
 # Slot labels at n = 12 and 16: groups of two to four, slot n-1 in a group.
@@ -346,5 +363,74 @@ def test_grouped_path_matches_the_multilinear_reference(n):
     rows = mats.reshape(n, n * n)
     eps, _ = _plain_sign_table(np.arange(1 << (n - 1)), n)
     ungrouped = 2.0 ** (1 - n) * math.fsum(np.abs(_det_term(n)(eps @ rows)))
-    assert abs(_centered_sum(rows, _det_term(n))[1] - ungrouped) <= 1e-12 * ungrouped
+    assert abs(_centered_sum(rows[None], _det_term(n))[1][0] - ungrouped) <= 1e-12 * ungrouped
 
+
+
+# ---------------------------------------------------------------------------
+# stacks of tuples: each tuple bit for bit as its single call
+
+
+def _bytes(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+def _assert_stack_matches_single_calls(mats):
+    """``mats`` is (B, n, n, n): the determinant and permanent forms of the
+    kernel on the stack against each tuple alone (B = 1)."""
+    b, n = mats.shape[:2]
+    values = _polarized_raw(mats)
+    assert values.shape == (b,)
+    for i in range(b):
+        (single,) = _polarized_raw(mats[i : i + 1])
+        assert _bytes(values[i]) == _bytes(single)
+    if b > 1:
+        assert _bytes(values[0]) == _bytes(_polarized_raw(mats[0][None])[0])
+    rows = mats[:, :, 0, :]  # n x n matrices as the rows of a permanent
+    values, magnitudes = _centered_sum(rows, lambda s: np.prod(s, axis=1))
+    for i in range(b):
+        (single,), (magnitude,) = _centered_sum(rows[i : i + 1], lambda s: np.prod(s, axis=1))
+        assert _bytes(values[i]) == _bytes(single)
+        assert magnitudes[i].tobytes() == magnitude.tobytes()
+
+
+def _stack(n, kinds, rng):
+    """One tuple per kind: "complex" Wishart slots, "real" ones, or "jn"."""
+    tuples = []
+    for kind in kinds:
+        if kind == "jn":
+            tuples.append([np.eye(n) / n] * n)
+        else:
+            tuples.append([_wishart(n, rng, kind == "real") for _ in range(n)])
+    return np.array(tuples, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize(
+    "kinds",
+    [["complex"] * 4, ["real"] * 3, ["real", "complex", "jn", "complex", "real"], ["complex"]],
+)
+def test_stack_matches_single_calls(n, kinds):
+    _assert_stack_matches_single_calls(_stack(n, kinds, make_rng(100 * n + len(kinds))))
+
+
+def test_stack_from_the_grouping_size_runs_tuple_by_tuple():
+    # n >= _GROUP_MIN_N: tuples with repeated slots take the grouped path
+    # one by one, beside a tuple of distinct slots and a real one.
+    n = _GROUP_MIN_N
+    rng = make_rng(n)
+    base = [_wishart(n, rng, real=False) for _ in range(3)]
+    repeated = [base[x] for x in [0, 1, 0, 1, 2, 2, 0, 1]]
+    distinct = [_wishart(n, rng, real=False) for _ in range(n)]
+    real = [_wishart(n, rng, real=True) for _ in range(n)]
+    mats = np.array([repeated, [np.eye(n) / n] * n, distinct, real], dtype=np.complex128)
+    _assert_stack_matches_single_calls(mats)
+    assert eval_polarized(MatrixTuple(mats[0])) == _polarized_raw(mats[:1])[0].real
+
+
+def test_single_tuple_stack_is_eval_polarized():
+    rng = make_rng(5)
+    for n in range(1, 8):
+        t = MatrixTuple([_wishart(n, rng, real=False) for _ in range(n)])
+        (raw,) = _polarized_raw(t.matrices[None])
+        assert eval_polarized(t) == raw.real

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mixdisc.core import PreconditionViolated, make_rng, random_psd, spawn_seeds
+from mixdisc import hyperbolic
+from mixdisc.core import (
+    DEFAULT_TOL,
+    PreconditionViolated,
+    fsum_real,
+    make_rng,
+    random_psd,
+    spawn_seeds,
+)
 from mixdisc.discriminant import MatrixTuple, eval_polarized
 from mixdisc.extremal import bapat_bound, random_ds_tuple
 from mixdisc.hyperbolic import (
@@ -144,3 +152,94 @@ class TestConjectureExperiment:
         assert rep.min_ratio == pytest.approx(min_ratio, rel=1e-12)
         assert rep.rejection_rate == 0.0
         assert rep.violations == []
+
+
+# ---------------------------------------------------------------------------
+# the stacked membership and conjecture loop against one vector at a time
+
+
+def _sequential_membership(pencil, xs, tol=DEFAULT_TOL):
+    """Membership one vector at a time through ``roots``, as fields."""
+    nonneg_v = trace_v = 0.0
+    total = np.zeros(pencil.m)
+    for x in xs:
+        r = roots(pencil, x)
+        nonneg_v = max(nonneg_v, max(0.0, -float(r.lam[-1])))
+        trace_v = max(trace_v, abs(fsum_real(r.lam) - 1.0))
+        total += x
+    sum_v = float(np.max(np.abs(total - pencil.e)))
+    passes = nonneg_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
+    return nonneg_v, trace_v, sum_v, passes
+
+
+def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
+    """The conjecture experiment one mixture at a time."""
+    bound = hyperbolic.bapat_bound(n)
+    rng = make_rng(seed)
+    min_ratio, violations, rejected, done, pencil_index = math.inf, [], 0, 0, 0
+    while done < samples:
+        pencil = pencil_from_tuple(random_ds_tuple(n, seed + 7919 * pencil_index, tol), tol)
+        for mix in hyperbolic._random_ds_matrices(min(50, samples - done), n, rng):
+            xs = list(mix.T)
+            if not _sequential_membership(pencil, xs, tol)[3]:
+                rejected += 1
+                continue
+            ratio = mixed_value(pencil, xs) / pencil.value(pencil.e)
+            done += 1
+            min_ratio = min(min_ratio, ratio)
+            if ratio < bound - 1e-6:
+                violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
+        pencil_index += 1
+    return done, min_ratio, violations, rejected / max(1, done + rejected)
+
+
+def _bits(*values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestStackedMembership:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_report_matches_the_root_loop(self, n):
+        pencil = pencil_from_tuple(random_ds_tuple(n, 40 + n))
+        rng = make_rng(n)
+        for scale in (1.0, 1.0 + 1e-7, 2.0, -1.0):
+            for mix in _random_ds_matrices(4, n, rng):
+                xs = list(scale * mix.T)
+                rep = check_hd_membership(pencil, xs)
+                got = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation, rep.passes)
+                assert _bits(*got) == _bits(*_sequential_membership(pencil, xs))
+                assert type(rep.passes) is bool
+        for xs in (axis_vectors(n), axis_vectors(n)[:-1], []):
+            rep = check_hd_membership(pencil, xs)
+            got = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation, rep.passes)
+            assert _bits(*got) == _bits(*_sequential_membership(pencil, xs))
+
+
+class TestStackedConjecture:
+    @pytest.mark.parametrize("n, samples, seed", [(1, 10, 3), (2, 60, 0), (3, 120, 1), (4, 80, 7), (5, 60, 3)])
+    def test_matches_one_mixture_at_a_time(self, n, samples, seed):
+        rep = conjecture_experiment(n, samples, seed)
+        done, min_ratio, violations, rate = _sequential_conjecture(n, samples, seed)
+        assert (rep.samples, rep.min_ratio.hex(), rep.violations, rep.rejection_rate) == (
+            done, min_ratio.hex(), violations, rate
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rejections_and_violations_match(self, n, monkeypatch):
+        # Every third mixture, from the second on, is scaled off the e-trace
+        # and rejected (the first never is, so every draw makes progress); a bound
+        # of 1 makes every accepted ratio a violation.
+        draw = hyperbolic._random_ds_matrices
+
+        def some_rejected(k, n, rng):
+            m = draw(k, n, rng)
+            m[1::3] *= 1.0 + 1e-7
+            return m
+
+        monkeypatch.setattr(hyperbolic, "_random_ds_matrices", some_rejected)
+        monkeypatch.setattr(hyperbolic, "bapat_bound", lambda n: 1.0)
+        rep = conjecture_experiment(n, 70, 5)
+        done, min_ratio, violations, rate = _sequential_conjecture(n, 70, 5)
+        assert rep.rejection_rate == rate > 0.3
+        assert len(rep.violations) == 70
+        assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
