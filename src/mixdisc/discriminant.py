@@ -352,10 +352,8 @@ def _centered_sum(rows: np.ndarray, term):
 
 
 def _fsum_rows(a: np.ndarray) -> list:
-    """``math.fsum`` of each row of a real 2-D array.  A small array goes
-    through one ``tolist()``, since fsum reads Python floats fastest; a large
-    one is read in place, so that no list of boxed floats is built."""
-    return [math.fsum(row) for row in (a.tolist() if a.size <= 4096 else a)]
+    """``math.fsum`` of each row of a real 2-D array, read in place."""
+    return [math.fsum(row) for row in a]
 
 
 def _polarized_raw(mats) -> np.ndarray:

@@ -67,7 +67,7 @@ class HyperbolicPencil:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.m,):
             raise ValueError(f"point must be a real {self.m}-vector")
-        return (x[:, None, None] * self.matrices).sum(0)
+        return _pencil_points(self, x)
 
     def value(self, x) -> float:
         """p(x) = det(sum x_i B_i); real for real x and a Hermitian pencil."""
