@@ -5,7 +5,9 @@ even when the imaginary part is zero.  Documents carry schema_version "1".
 Every numeric field (``matrices``, ``blocks``, ``e``, ``x``, ``X`` and the
 genaf ``weights``, ``vectors`` and ``target``) takes finite JSON numbers
 only, nested in exactly its shape: a string, boolean, null, NaN, infinity or
-a number beyond the float range is an input error.
+a number beyond the float range is an input error.  A report's ``results``
+carry the fields of the library result it comes from, by name, plus any
+extra field the command adds.
 
 Exit codes come from one table, ``_EXIT_CODES``, looked up along the class
 hierarchy of the exception:
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +174,25 @@ def pencil_to_doc(p: hyperbolic.HyperbolicPencil) -> dict:
     }
 
 
+def _encode(value):
+    """A library result as JSON values: a dataclass as the dict of its fields,
+    a ``MatrixTuple`` as its document, a complex array as [re, im] pairs, a
+    real array or a tuple as a list.  Every report that is a result's fields
+    comes from here.  ``roots`` (``lam`` named ``roots``), ``decompose``
+    (triples as named objects), ``bapat-search`` (adds ``bound`` and ``csv``,
+    drops the tuples) and ``eval`` (no result class) map their fields by hand.
+    """
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, MatrixTuple):
+        return tuple_to_doc(value)
+    if isinstance(value, np.ndarray):
+        return matrix_to_doc(value) if np.iscomplexobj(value) else value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 def _positive_int(doc: dict, field: str) -> int:
     v = doc.get(field)
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:  # bool is an int
@@ -295,31 +316,13 @@ def _cmd_eval(args, tol: Tolerances) -> _Report:
 def _cmd_capacity(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
     res = _capacity(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
-    results = {
-        "value": res.value,
-        "minimizer_x": list(map(float, res.minimizer_x)),
-        "gradient_norm": res.gradient_norm,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "stop_reason": res.stop_reason,
-    }
-    return _Report(results, digest_of(payload))
+    return _Report(_encode(res), digest_of(payload))
 
 
 def _cmd_scale(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
     res = scale_to_doubly_stochastic(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
-    results = {
-        "scaled": tuple_to_doc(res.scaled),
-        "alpha": list(map(float, res.alpha)),
-        "trace_scalars": list(map(float, res.trace_scalars)),
-        "transform_X": matrix_to_doc(res.transform_X),
-        "ds_defect": res.ds_defect,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "stop_reason": res.stop_reason,
-        "capacity_via_scaling": _capacity_of_scaling(res),
-    }
+    results = {**_encode(res), "capacity_via_scaling": _capacity_of_scaling(res)}
     return _Report(results, digest_of(payload))
 
 
@@ -343,13 +346,7 @@ def _cmd_decompose(args, tol: Tolerances) -> _Report:
 def _cmd_check_ds(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
     rep = check_doubly_stochastic(doc_to_tuple(doc, tol), tol)
-    results = {
-        "psd_violation": rep.psd_violation,
-        "trace_violation": rep.trace_violation,
-        "sum_violation": rep.sum_violation,
-        "is_doubly_stochastic": rep.is_doubly_stochastic,
-    }
-    return _Report(results, digest_of(payload))
+    return _Report(_encode(rep), digest_of(payload))
 
 
 def _cmd_bapat_search(args, tol: Tolerances) -> _Report:
@@ -391,25 +388,12 @@ def _cmd_genaf(args, tol: Tolerances) -> _Report:
     except MixdiscError as exc:
         raise CliInputError(f"invalid combination: {exc}") from exc
     rep = genaf.check_theorem52(t, comb, tol)
-    results = {
-        "cap_slack": rep.cap_slack,
-        "m_slack": rep.m_slack,
-        "holds": rep.holds,
-        "cap_stop_reasons": list(rep.cap_stop_reasons),
-    }
-    return _Report(results, digest_of(payload + cpayload))
+    return _Report(_encode(rep), digest_of(payload + cpayload))
 
 
 def _cmd_af_experiment(args, tol: Tolerances) -> _Report:
     res = genaf.af_lower_bound_experiment(args.n)
-    results = {
-        "per_e": res.per_e,
-        "per_alpha1": res.per_alpha1,
-        "per_alpha2": res.per_alpha2,
-        "ratio": res.ratio,
-        "log_deficit": res.log_deficit,
-        "log_deficit_over_n": res.log_deficit / args.n,
-    }
+    results = {**_encode(res), "log_deficit_over_n": res.log_deficit / args.n}
     return _Report(results, params_digest(n=args.n))
 
 
@@ -421,13 +405,7 @@ def _cmd_qp(args, tol: Tolerances) -> _Report:
         results["qp_block"] = pascal.qp_block(bm)
     if args.method in ("tensor", "both"):
         results["qp_tensor"] = pascal.qp_tensor(bm)
-    rep = pascal.check_block_ds(bm, tol)
-    results["block_ds"] = {
-        "psd_violation": rep.psd_violation,
-        "sum_violation": rep.sum_violation,
-        "trace_violation": rep.trace_violation,
-        "passes": rep.passes,
-    }
+    results["block_ds"] = _encode(pascal.check_block_ds(bm, tol))
     return _Report(results, digest_of(payload))
 
 
@@ -435,19 +413,11 @@ def _cmd_hyp(args, tol: Tolerances) -> _Report:
     if args.op == "conjecture":
         _require_positive(n=args.n, samples=args.samples)
         rep = hyperbolic.conjecture_experiment(args.n, args.samples, args.seed, tol)
-        results = {
-            "n": rep.n,
-            "samples": rep.samples,
-            "min_ratio": rep.min_ratio,
-            "bound": rep.bound,
-            "violations": rep.violations,
-            "rejection_rate": rep.rejection_rate,
-        }
         digest = params_digest(op="conjecture", n=args.n, samples=args.samples, seed=args.seed)
         breach = None
         if rep.violations:
             breach = f"{len(rep.violations)} conjecture counterexample candidates"
-        return _Report(results, digest, args.seed, breach)
+        return _Report(_encode(rep), digest, args.seed, breach)
     if args.file is None:
         raise CliInputError("hyp needs a pencil document file for this --op")
     doc, payload = read_json(args.file)
@@ -464,13 +434,7 @@ def _cmd_hyp(args, tol: Tolerances) -> _Report:
     elif args.op == "mixed-value":
         results = {"mixed_value": hyperbolic.mixed_value(pencil, xs)}
     else:  # check-hd
-        rep = hyperbolic.check_hd_membership(pencil, xs, tol)
-        results = {
-            "nonneg_violation": rep.nonneg_violation,
-            "trace_violation": rep.trace_violation,
-            "sum_violation": rep.sum_violation,
-            "passes": rep.passes,
-        }
+        results = _encode(hyperbolic.check_hd_membership(pencil, xs, tol))
     return _Report(results, digest_of(payload))
 
 

@@ -161,8 +161,7 @@ def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     descending order of ``eig_hermitian``.  The scaling loops pay this once
     per step.
     """
-    w, v = _eigh(a)
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    w, v = eig_hermitian(a)
     if w.size == 0 or w[0] <= 0.0 or w[-1] <= tol.psd_tol * w[0]:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (eigenvalue range [{w[-1] if w.size else 0.0:.3e}, "

@@ -55,7 +55,6 @@ _DET_CHUNK = 8192
 # Slot count from which the centered kernel groups repeated slots (see
 # _eps_combinations for why not below).
 _GROUP_MIN_N = 8
-_PERM_CHUNK = 65536
 # Relative agreement demanded of the two exchange_value routes.
 _EXCHANGE_CHECK_REL = 1e-8
 
@@ -150,26 +149,21 @@ def _perms_and_signs(n: int):
 
 
 def _iter_perm_chunks(n: int):
-    """Yield (perms, signs) chunks without materializing all of S_n at once."""
+    """S_n as (k, n) arrays of at most ``_DET_CHUNK`` permutations: slices of
+    the cached table up to n = 8, generated chunk by chunk above."""
     if n <= 8:
-        yield _perms_and_signs(n)
+        perms = _perms_and_signs(n)[0]
+        for lo in range(0, len(perms), _DET_CHUNK):
+            yield perms[lo : lo + _DET_CHUNK]
         return
     it = itertools.permutations(range(n))
-    while block := list(itertools.islice(it, _PERM_CHUNK)):
-        perms = np.array(block, dtype=np.int8)
-        yield perms, _perm_signs(perms)
+    while block := list(itertools.islice(it, _DET_CHUNK)):
+        yield np.array(block, dtype=np.int8)
 
 
 def _gate(n: int, limit: int, what: str) -> None:
     if n > limit:
         raise DimensionTooLarge(f"{what} is gated at n <= {limit}, got n = {n}")
-
-
-def _dets_batched(stack: np.ndarray) -> np.ndarray:
-    out = np.empty(stack.shape[0], dtype=np.complex128)
-    for lo in range(0, stack.shape[0], _DET_CHUNK):
-        out[lo : lo + _DET_CHUNK] = np.linalg.det(stack[lo : lo + _DET_CHUNK])
-    return out
 
 
 def _count_vectors(sizes: tuple, free: tuple, c: np.ndarray):
@@ -385,11 +379,11 @@ def eval_sigma_det(t: MatrixTuple) -> float:
     _gate(n, _GATE_SIGMA_DET, "eval_sigma_det")
     cols = t.matrices  # cols[j, :, i] is column i of A_j
     totals = []
-    for perms, _ in _iter_perm_chunks(n):
+    for perms in _iter_perm_chunks(n):
         stacked = np.empty((len(perms), n, n), dtype=np.complex128)
         for i in range(n):
             stacked[:, :, i] = cols[perms[:, i], :, i]
-        totals.append(_dets_batched(stacked))
+        totals.append(np.linalg.det(stacked))
     return _as_real(fsum_complex(np.concatenate(totals)))
 
 
@@ -439,13 +433,16 @@ def eval_signed_permanent(t: MatrixTuple) -> float:
     n = t.n
     _gate(n, _GATE_SIGNED_PERM, "eval_signed_permanent")
     perms, signs = _perms_and_signs(n)
-    rows = t.matrices
-    idx = np.arange(n)
-    totals = np.empty(len(perms), dtype=np.complex128)
-    for s, sigma in enumerate(perms):
-        b = rows[:, idx, sigma.astype(np.intp)].T  # b[k, l] = A_l(k, sigma(k))
-        totals[s] = signs[s] * permanent(b)
-    return _as_real(fsum_complex(totals))
+    # b[s, k, l] = A_l(k, sigma_s(k)).  Each kernel call takes the per(B_sigma)
+    # of a block of sigma with at most _DET_CHUNK sign vectors in all, each
+    # with the bits of its own :func:`permanent` call.
+    b = t.matrices[:, np.arange(n), perms.astype(np.intp)].transpose(1, 2, 0)
+    block = _DET_CHUNK >> (n - 1)
+    pers = np.concatenate([
+        _centered_sum(b[lo : lo + block], lambda s: np.prod(s, axis=1))[0]
+        for lo in range(0, len(b), block)
+    ])
+    return _as_real(fsum_complex(signs * pers))
 
 
 def eval_tensor(t: MatrixTuple) -> float:
@@ -470,17 +467,19 @@ def eval_tensor(t: MatrixTuple) -> float:
 # ---------------------------------------------------------------------------
 # gradient and identities
 
-def _adjugates(m: np.ndarray) -> np.ndarray:
-    """adj(M) for a stack of Hermitian M, valid when M is singular.
+def _adjugates(m: np.ndarray):
+    """adj(M) and det(M) for a stack of Hermitian M, valid when M is singular.
 
     With M = V diag(lam) V^*, adj(M) = V diag(prod_{k != j} lam_k) V^*; the
     cofactor products come from prefix and suffix products, with no division.
+    det(M) is prod lam.
     """
     lam, v = np.linalg.eigh(m)
     ones = np.ones_like(lam[:, :1])
     before = np.cumprod(np.concatenate([ones, lam[:, :-1]], axis=1), axis=1)
     after = np.cumprod(np.concatenate([ones, lam[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    return (v * (before * after)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    adj = (v * (before * after)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return adj, np.prod(lam, axis=1)
 
 
 def gradient(t: MatrixTuple) -> DiscriminantGradient:
@@ -489,17 +488,21 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
     Differentiating the centered polarization in slot i gives
     Q_i = 2^(1-n) sum over eps (eps_n = +1) of prod(eps) eps_i adj(M_eps)
     with M_eps = sum eps_j A_j; 2^(n-1) Hermitian eigendecompositions, one
-    per class of equal M_eps when n >= 8 and slots repeat.
+    per class of equal M_eps when n >= 8 and slots repeat.  The same
+    eigenvalues give D = 2^(1-n) sum prod(eps) det(M_eps), summed with
+    ``math.fsum``.
     """
     n = t.n
     _gate(n, _GATE_POLARIZED, "gradient")
     rows = t.matrices.reshape(1, n, n * n)
-    q = sum(
-        (eps * sign[:, None]).T @ _adjugates(s.reshape(-1, n, n)).reshape(-1, n * n)
-        for eps, sign, s in _eps_combinations(rows)
-    )
-    qs = as_hermitian(q.reshape(n, n, n) * 2.0 ** (1 - n), tol=1e-6)
-    return DiscriminantGradient(Q=qs, value=eval_polarized(t))
+    q, terms = 0, []
+    for eps, sign, s in _eps_combinations(rows):
+        adj, det = _adjugates(s.reshape(-1, n, n))
+        q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
+        terms.append(sign * det)
+    scale = 2.0 ** (1 - n)
+    qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
+    return DiscriminantGradient(Q=qs, value=scale * math.fsum(np.concatenate(terms)))
 
 
 def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:

@@ -23,8 +23,6 @@ from .core import (
     Tolerances,
     _eigh,
     as_hermitian,
-    eig_hermitian,
-    fsum_real,
     inv_sqrt_psd,
     make_rng,
     min_eigenvalue,
@@ -33,6 +31,7 @@ from .discriminant import _as_real, _polarized_raw
 from .extremal import bapat_bound, random_ds_tuple
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
+_SINKHORN_SWEEPS = 200  # row and column normalizations of a random DS matrix
 
 
 class HyperbolicPencil:
@@ -96,8 +95,7 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
     They are the eigenvalues of L B(x) L with L = (sum e_i B_i)^(-1/2), hence
     real.  The residual compares their product against p(x) relatively.
     """
-    l = pencil._reducer
-    w, _ = eig_hermitian(l @ pencil.at(x) @ l)
+    w = _roots_ascending(pencil, pencil.at(x))[::-1].copy()
     # p(x - lam e) = det(B(x) - lam E) = det(E) * prod(eig - lam)
     p_x = pencil.value(x)
     scaled = float(np.prod(w)) * pencil.value(pencil.e)
@@ -107,12 +105,19 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
 
 def trace_e(pencil: HyperbolicPencil, x) -> float:
     """Sum of the roots of p(x - lambda e); linear in x."""
-    return float(fsum_real(roots(pencil, x).lam))
+    return math.fsum(_roots_ascending(pencil, pencil.at(x)))
 
 
 def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: float = DEFAULT_TOL.psd_tol) -> bool:
     """Whether the smallest root of p(x - lambda e) is >= -tol."""
-    return float(roots(pencil, x).lam[-1]) >= -tol
+    return float(_roots_ascending(pencil, pencil.at(x))[0]) >= -tol
+
+
+def _roots_ascending(pencil: HyperbolicPencil, points: np.ndarray) -> np.ndarray:
+    """The roots of p(x - lambda e), ascending, for the points B(x) of a stack
+    (..., n, n): the eigenvalues of L B(x) L from one batched ``eigh``."""
+    l = pencil._reducer
+    return _eigh(l @ points @ l)[0]
 
 
 def _pencil_points(pencil: HyperbolicPencil, xs: np.ndarray) -> np.ndarray:
@@ -138,13 +143,12 @@ def _membership(pencil: HyperbolicPencil, xs: np.ndarray, tol: Tolerances):
     the nonnegativity, e-trace and sum violations and of ``passes``, and the
     points B(x) as a (K, k, n, n) stack.
 
-    The roots of every vector come from one batched ``eigh`` of L B(x) L
-    (the eigenvalues :func:`roots` gives, ascending); each root vector is
-    summed with ``math.fsum`` and the vectors of a tuple are added in order.
+    The roots of every vector come from one :func:`_roots_ascending` call;
+    each root vector is summed with ``math.fsum`` and the vectors of a tuple
+    are added in order.
     """
     points = _pencil_points(pencil, xs)
-    l = pencil._reducer
-    lam = _eigh(l @ points @ l)[0]
+    lam = _roots_ascending(pencil, points)
     nonneg = np.maximum(0.0, -lam[..., 0]).max(axis=-1, initial=0.0)
     traces = np.array([math.fsum(r) for r in lam.reshape(-1, lam.shape[-1]).tolist()])
     trace = np.abs(traces.reshape(xs.shape[:2]) - 1.0).max(axis=-1, initial=0.0)
@@ -174,14 +178,14 @@ def axis_vectors(n: int) -> list[np.ndarray]:
     return [np.eye(n)[i] for i in range(n)]
 
 
-def _random_ds_matrices(k: int, n: int, rng, iters: int = 200) -> np.ndarray:
+def _random_ds_matrices(k: int, n: int, rng) -> np.ndarray:
     """k positive random matrices, Sinkhorn-normalized as one (k, n, n) stack.
 
     Each slice has rows and columns summing to 1 and equals what the same
     draws would give normalized one matrix at a time.
     """
     m = np.exp(rng.standard_normal((k, n, n)))
-    for _ in range(iters):
+    for _ in range(_SINKHORN_SWEEPS):
         m /= m.sum(axis=-1, keepdims=True)
         m /= m.sum(axis=-2, keepdims=True)
     return m

@@ -7,7 +7,9 @@ oracle, brute-force permanents and a per-mask polarization of p.  From n = 8
 on the kernel groups repeated slots; the grouped path is held to the
 permutation-sum oracle, to multilinearity (copies rescaled so that they are
 no longer equal take the ungrouped path) and to the plain sign table.  A
-stack of tuples is held to the single call of each of its tuples, bit for bit.
+stack of tuples is held to the single call of each of its tuples, bit for bit,
+and so are the permutation oracles to their one-call-per-sigma forms.  The
+gradient's D, from its own eigenvalues, is held to the permutation sum.
 """
 
 import itertools
@@ -18,17 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixdisc.core import make_rng, random_complex_gaussian, random_hermitian
+from mixdisc.core import fsum_complex, make_rng, random_complex_gaussian, random_hermitian
 from mixdisc.discriminant import (
     _DET_CHUNK,
     _GROUP_MIN_N,
     MatrixTuple,
+    _as_real,
     _centered_sum,
     _count_table,
     _eps_combinations,
+    _iter_perm_chunks,
+    _perms_and_signs,
     _polarized_raw,
     eval_polarized,
     eval_sigma_det,
+    eval_signed_permanent,
     gradient,
     permanent,
 )
@@ -434,3 +440,74 @@ def test_single_tuple_stack_is_eval_polarized():
         t = MatrixTuple([_wishart(n, rng, real=False) for _ in range(n)])
         (raw,) = _polarized_raw(t.matrices[None])
         assert eval_polarized(t) == raw.real
+
+
+# ---------------------------------------------------------------------------
+# the permutation oracles and the gradient's D on the kernel
+
+
+def _oracle_tuples(n, rng):
+    """A complex, an exactly real, a repeated-slot and a rank-one tuple."""
+    base = [_wishart(n, rng, real=False) for _ in range(2)]
+    return [
+        MatrixTuple([_wishart(n, rng, real=False) for _ in range(n)]),
+        MatrixTuple([_wishart(n, rng, real=True) for _ in range(n)]),
+        MatrixTuple([base[i % 2] for i in range(n)]),
+        MatrixTuple([_rank_one(n, rng, real=False) for _ in range(n)]),
+    ]
+
+
+def _signed_permanent_per_sigma(t):
+    """eval_signed_permanent as one ``permanent`` call per sigma."""
+    n = t.n
+    perms, signs = _perms_and_signs(n)
+    idx = np.arange(n)
+    totals = np.empty(len(perms), dtype=np.complex128)
+    for s, sigma in enumerate(perms):
+        totals[s] = signs[s] * permanent(t.matrices[:, idx, sigma.astype(np.intp)].T)
+    return _as_real(fsum_complex(totals))
+
+
+def _sigma_det_whole_table(t):
+    """eval_sigma_det with every A_sigma of S_n stacked at once (n <= 8)."""
+    n = t.n
+    perms = _perms_and_signs(n)[0]
+    stacked = np.empty((len(perms), n, n), dtype=np.complex128)
+    for i in range(n):
+        stacked[:, :, i] = t.matrices[perms[:, i], :, i]
+    return _as_real(fsum_complex(np.linalg.det(stacked)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_signed_permanent_keeps_the_per_sigma_bits(n):
+    for t in _oracle_tuples(n, make_rng(500 + n)) + [MatrixTuple([np.eye(n) / n] * n)]:
+        assert eval_signed_permanent(t).hex() == _signed_permanent_per_sigma(t).hex()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sigma_det_keeps_the_whole_table_bits(n):
+    for t in _oracle_tuples(n, make_rng(600 + n)):
+        assert eval_sigma_det(t).hex() == _sigma_det_whole_table(t).hex()
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9])
+def test_perm_chunks_are_s_n_in_order(n):
+    # Chunks of at most _DET_CHUNK rows: slices of the cached table up to
+    # n = 8, generated above.  Together they are S_n in lexicographic order.
+    chunks = list(_iter_perm_chunks(n))
+    assert all(0 < len(c) <= _DET_CHUNK for c in chunks)
+    expected = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    assert np.array_equal(np.concatenate(chunks), expected)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gradient_value_matches_sigma_det(n):
+    for t in _oracle_tuples(n, make_rng(700 + n)):
+        assert _close(gradient(t).value, eval_sigma_det(t), _term_bounds(t.matrices), n)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_grouped_gradient_value_on_jn(n):
+    # J_n takes the grouped path: n eigendecompositions give D.
+    expected = math.factorial(n) / n**n
+    assert abs(gradient(MatrixTuple([np.eye(n) / n] * n)).value - expected) <= 1e-12 * expected

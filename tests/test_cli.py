@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixdisc import cli
-from mixdisc.capacity import capacity_via_scaling
+from mixdisc.capacity import CapacityResult, ScalingResult, capacity_via_scaling
 from mixdisc.cli import (
     CliInputError,
     InvariantBreach,
@@ -31,10 +32,15 @@ from mixdisc.core import (
     SamplerExhausted,
     SingularPencil,
 )
-from mixdisc.discriminant import MatrixTuple
+from mixdisc.discriminant import DsTupleReport, MatrixTuple
 from mixdisc.extremal import random_ds_tuple
-from mixdisc.hyperbolic import pencil_from_tuple
-from mixdisc.pascal import BlockMatrix
+from mixdisc.genaf import AfExperimentResult, Theorem52Report
+from mixdisc.hyperbolic import (
+    ConjectureExperimentReport,
+    HdMembershipReport,
+    pencil_from_tuple,
+)
+from mixdisc.pascal import BlockDsReport, BlockMatrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -294,6 +300,53 @@ class TestReportShape:
         _, out, _ = run(capsys, "eval", ds3)
         keys = list(json.loads(out).keys())
         assert keys == sorted(keys)
+
+
+class TestResultEncoder:
+    """Reports that come from a library result carry exactly its fields, plus
+    the extras their command names, as plain JSON values."""
+
+    @pytest.mark.parametrize(
+        "argv, result_class, extras",
+        [
+            (["capacity", "{tuple}"], CapacityResult, set()),
+            (["scale", "{tuple}"], ScalingResult, {"capacity_via_scaling"}),
+            (["check-ds", "{tuple}"], DsTupleReport, set()),
+            (["genaf", "{tuple}", "{combination}"], Theorem52Report, set()),
+            (["af-experiment", "8"], AfExperimentResult, {"log_deficit_over_n"}),
+            (["qp", "{block}", "--method", "both"], BlockDsReport, None),
+            (["hyp", "--op", "conjecture", "--samples", "20"], ConjectureExperimentReport, set()),
+            (["hyp", "{pencil}", "--op", "check-hd"], HdMembershipReport, set()),
+        ],
+        ids=["capacity", "scale", "check-ds", "genaf", "af-experiment", "qp", "conjecture", "check-hd"],
+    )
+    def test_fields_and_json_round_trip(self, tmp_path, ds3, argv, result_class, extras):
+        paths = {"tuple": ds3}
+        for name, doc in [
+            ("combination", _AF_COMBINATION),
+            ("block", _block_doc([0.5, 0.0])),
+            ("pencil", _pencil_doc(X=np.eye(3).tolist())),
+        ]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        args = cli.build_parser().parse_args([a.format(**paths) for a in argv])
+        results = args.fn(args, cli._tol_from_args(args)).results
+        names = {f.name for f in fields(result_class)}
+        if extras is None:  # qp: the block-DS report under block_ds
+            assert set(results) == {"qp_block", "qp_tensor", "block_ds"}
+            assert set(results["block_ds"]) == names
+        else:
+            assert set(results) == names | extras
+        assert json.loads(json.dumps(results)) == results
+
+    def test_encoder_values(self):
+        t = MatrixTuple([np.eye(2) / 2] * 2)
+        assert cli._encode(t) == tuple_to_doc(t)
+        z = np.array([[1 + 2j, 0], [0, 3]])
+        assert cli._encode(z) == matrix_to_doc(z)
+        assert cli._encode(np.array([1.5, 2.0])) == [1.5, 2.0]
+        assert cli._encode(("a", 1)) == ["a", 1]
+        assert cli._encode({"k": (1,)}) == {"k": (1,)}  # passes through as is
 
 
 def _tuple_doc(entry):

@@ -7,6 +7,7 @@ from mixdisc import hyperbolic
 from mixdisc.core import (
     DEFAULT_TOL,
     PreconditionViolated,
+    eig_hermitian,
     fsum_real,
     make_rng,
     random_psd,
@@ -243,3 +244,45 @@ class TestStackedConjecture:
         assert rep.rejection_rate == rate > 0.3
         assert len(rep.violations) == 70
         assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
+
+
+# ---------------------------------------------------------------------------
+# roots, trace_e and is_e_nonnegative against the eig_hermitian root path
+
+
+def _eig_hermitian_roots(pencil, x):
+    """The roots as ``roots`` first computed them: ``eig_hermitian`` of
+    L B(x) L, descending."""
+    l = pencil._reducer
+    return eig_hermitian(l @ pencil.at(x) @ l)[0]
+
+
+def _seeded_pencils():
+    """A DS-tuple pencil, a complex one, an exactly real one with a mixed
+    direction, and one with m = 2 < n = 5."""
+    rng = make_rng(77)
+    sym = [(g + g.T) / 2 for g in rng.standard_normal((3, 5, 5))]
+    return [
+        pencil_from_tuple(random_ds_tuple(4, 3)),
+        random_pencil(3, 5),
+        HyperbolicPencil([np.eye(5), sym[0], sym[1] + 3 * np.eye(5)], np.array([0.5, 0.0, 0.5])),
+        HyperbolicPencil([np.eye(5), sym[2]], np.array([1.0, 0.0])),
+    ]
+
+
+class TestRootPath:
+    def test_roots_trace_and_nonnegativity_keep_the_eig_hermitian_bits(self):
+        rng = make_rng(78)
+        outcomes = set()
+        for pencil in _seeded_pencils():
+            points = [pencil.e, -pencil.e, np.zeros(pencil.m)]
+            points += [rng.standard_normal(pencil.m) for _ in range(6)]
+            for x in points:
+                lam = _eig_hermitian_roots(pencil, x)
+                assert roots(pencil, x).lam.tobytes() == lam.tobytes()
+                assert trace_e(pencil, x).hex() == float(fsum_real(lam)).hex()
+                for tol in (DEFAULT_TOL.psd_tol, 0.0, 0.5):
+                    expected = float(lam[-1]) >= -tol
+                    assert is_e_nonnegative(pencil, x, tol) is expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
