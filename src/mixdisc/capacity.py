@@ -15,19 +15,31 @@ It is computed two independent ways, which the tests hold to agreement:
   linearly there, as on a pencil collapsing toward Cap = 0).  Armijo
   backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
   trial point whose computed pencil is singular counts as a rejected step.
-* ``capacity_via_scaling`` reads Cap off the fixed point of cold Gurvits
-  operator scaling: alternating normalization started from the tuple itself,
-  which shares nothing with the Newton solver.  It is the independent oracle.
+* ``capacity_via_scaling`` reads Cap off cold Gurvits operator scaling
+  started from the tuple itself, which shares nothing with the Newton
+  solver.  It is the independent oracle.  Its state is the scaling vector s
+  (B_i = s_i A_i, from s = 1): one alternating step gives
+  L = (sum s_i A_i)^(-1/2) and s'_i = s_i / tr(L B_i L), and the loop stops
+  once s'_i L A_i L is within ``ds_tol`` of doubly stochastic; then
+  Cap = |det L|^(-2) / prod s'.  The next s is the Anderson extrapolation of
+  log s over the last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken
+  only where the capacity potential Phi(s) = log det(sum s_i A_i) -
+  sum log s_i is no larger than at s'; otherwise s' is taken.  A plain step
+  never raises Phi (AM-GM on both terms), so neither does the guarded one.
+  Rank-one + 1e-6 I slots take 10 to 25 steps, where plain steps take
+  thousands and often run out of ``SCALING_MAX_ITER``; Wishart tuples take
+  about 7.
 
 ``scale_to_doubly_stochastic`` is warm-started from the Newton minimizer x:
 with M = sum x_i A_i and L = M^(-1/2), the tuple x_i L A_i L is doubly
 stochastic at the optimum (Gurvits 2004), because sum_i x_i L A_i L = I and
 tr(x_i L A_i L) = g_i = 1.  One alternating step from B_i = x_i A_i produces
-it, and further steps polish it until the defect is within ``ds_tol``.  Cold
-scaling converges only linearly, at a rate that tends to 1 near decomposable
-or boundary tuples, where it takes thousands of steps; warm-started, the
-median is one step and rank-one + 1e-6 I slots take at most a few hundred.
-``random_ds_tuple`` keeps the cold loop, so sampled tuples do not change.
+it, and further steps polish it until the defect is within ``ds_tol``.  Plain
+alternating scaling converges only linearly, at a rate that tends to 1 near
+decomposable or boundary tuples, where it takes thousands of steps from the
+tuple itself; warm-started, the median is one step and rank-one + 1e-6 I
+slots take at most a few hundred.  ``random_ds_tuple`` keeps the plain cold
+loop (``_scale_cold``), so sampled tuples do not change.
 
 One alternating step (``_alternate``) costs one Hermitian eigensolve of the
 slot sum (``inv_sqrt_psd``), the congruence of the stack and of X, one trace
@@ -35,7 +47,8 @@ for the normalization and one slot sum plus one trace for the defect test.
 The slot sum is formed once per step and feeds both that test and the next
 eigensolve; symmetrization and normalization run in place.  That is about
 75 us per 3 x 3 step and 95 us per 6 x 6 step on a shared 2-core Xeon with
-one BLAS thread, almost all of it numpy call overhead.
+one BLAS thread, almost all of it numpy call overhead.  An oracle step adds
+the extrapolation and one batched eigenvalue solve for the two potentials.
 The precondition of every scaling call is one PSD check and one subset scan
 (``structure._first_subset``: one batched eigensolve per cardinality up to
 n = 10, more chunks above).
@@ -98,6 +111,9 @@ _LOG_FLOOR = math.log(1e-300)
 CAPACITY_MAX_ITER = 100
 # Alternating steps: cold scaling near the boundary can need thousands.
 SCALING_MAX_ITER = 10000
+# Anderson depth m of the capacity oracle: its extrapolation combines the
+# last m + 1 iterates (m differences).
+_ANDERSON_DEPTH = 3
 _ARMIJO = 1e-4
 # Below this lambda^2 the predicted decrease lambda^2 / 2 is within ~128 ulps
 # of f, about the rounding error of log det itself, so no line search can
@@ -279,41 +295,27 @@ def _require_scalable(t: MatrixTuple, tol: Tolerances) -> None:
         raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
 
 
-def _alternate(
-    t: MatrixTuple, tol: Tolerances, max_iter: int, weights: np.ndarray
-) -> ScalingResult:
-    """Alternating normalization from B_i = w_i A_i, X = I, s = w.
+def _alternating_step(mats, total, tol: Tolerances):
+    """One alternating step on the stack ``mats`` with slot sum ``total``.
 
-    Step (a) conjugates by (sum B_i)^(-1/2) to fix the identity-sum condition;
-    step (b) rescales each slot to unit trace.  transform_X accumulates the
-    congruence factors and trace_scalars the per-slot scalars, so the scaled
-    tuple always reconstructs as s_i * X @ A_i @ X^H.  Stops once the DS
-    defect is within ``ds_tol``; hitting ``max_iter`` raises
-    ``NonConvergence`` carrying a result with stop_reason "max_iter".
+    Step (a) conjugates by L = total^(-1/2) to fix the identity-sum condition;
+    step (b) rescales each slot to unit trace.  Returns L, the new stack and
+    the traces it was divided by.
     """
-    n = t.n
-    eye = np.eye(n)
-    mats = weights[:, None, None] * t.matrices
-    x = np.eye(n, dtype=np.complex128)
-    scalars = np.array(weights, dtype=float)
-    # One slot sum per step feeds both the defect test and the next L.
-    total = mats.sum(0)
-    defect = sum(_trace_and_sum_violations(mats, total, eye))
-    it = 0
-    while defect > tol.ds_tol and it < max_iter:
-        l = inv_sqrt_psd(total, tol)
-        mats = l @ mats @ l
-        mats += mats.conj().transpose(0, 2, 1)
-        mats /= 2.0
-        x = l @ x
-        traces = mats.trace(axis1=1, axis2=2).real
-        if (traces <= 0.0).any():
-            raise SingularPencil("a slot lost its trace during scaling")
-        mats /= traces[:, None, None]
-        scalars /= traces
-        it += 1
-        total = mats.sum(0)
-        defect = sum(_trace_and_sum_violations(mats, total, eye))
+    l = inv_sqrt_psd(total, tol)
+    mats = l @ mats @ l
+    mats += mats.conj().transpose(0, 2, 1)
+    mats /= 2.0
+    traces = mats.trace(axis1=1, axis2=2).real
+    if (traces <= 0.0).any():
+        raise SingularPencil("a slot lost its trace during scaling")
+    mats /= traces[:, None, None]
+    return l, mats, traces
+
+
+def _scaling_result(mats, x, scalars, defect, it, tol: Tolerances) -> ScalingResult:
+    """The result of a scaling loop; raises ``NonConvergence`` carrying it,
+    with stop_reason "max_iter", when the defect is above ``ds_tol``."""
     converged = defect <= tol.ds_tol
     log_s = np.log(scalars)
     alpha = np.exp(log_s - log_s.mean())
@@ -333,6 +335,36 @@ def _alternate(
             result=result,
         )
     return result
+
+
+def _alternate(
+    t: MatrixTuple, tol: Tolerances, max_iter: int, weights: np.ndarray
+) -> ScalingResult:
+    """Alternating normalization from B_i = w_i A_i, X = I, s = w.
+
+    transform_X accumulates the congruence factors and trace_scalars the
+    per-slot scalars, so the scaled tuple always reconstructs as
+    s_i * X @ A_i @ X^H.  Stops once the DS defect is within ``ds_tol``;
+    hitting ``max_iter`` raises ``NonConvergence`` carrying a result with
+    stop_reason "max_iter".
+    """
+    n = t.n
+    eye = np.eye(n)
+    mats = weights[:, None, None] * t.matrices
+    x = np.eye(n, dtype=np.complex128)
+    scalars = np.array(weights, dtype=float)
+    # One slot sum per step feeds both the defect test and the next L.
+    total = mats.sum(0)
+    defect = sum(_trace_and_sum_violations(mats, total, eye))
+    it = 0
+    while defect > tol.ds_tol and it < max_iter:
+        l, mats, traces = _alternating_step(mats, total, tol)
+        x = l @ x
+        scalars /= traces
+        it += 1
+        total = mats.sum(0)
+        defect = sum(_trace_and_sum_violations(mats, total, eye))
+    return _scaling_result(mats, x, scalars, defect, it, tol)
 
 
 def scale_to_doubly_stochastic(
@@ -362,11 +394,111 @@ def _scale_cold(
     return _alternate(t, tol, max_iter, np.ones(t.n))
 
 
+def _potential(totals, s, tol: Tolerances) -> np.ndarray:
+    """Phi(s) = log det(sum s_i A_i) - sum log s_i for each row of the (k, n)
+    array s, given the (k, n, n) slot sums.
+
+    Cap is the infimum of exp(Phi).  Phi is +inf where a sum fails the
+    positive-definiteness test of ``inv_sqrt_psd``, so no step is taken to a
+    point that the next alternating step could not start from.
+    """
+    w = np.linalg.eigvalsh(totals)
+    ok = (w[:, -1] > 0.0) & (w[:, 0] > tol.psd_tol * w[:, -1])
+    logdet = np.log(np.where(ok[:, None], w, 1.0)).sum(1)
+    return np.where(ok, logdet - np.log(s).sum(1), np.inf)
+
+
+def _extrapolate(logs, resid):
+    """Anderson (type II) extrapolation of log s, or None.
+
+    From the iterates u_j = log s_j and residuals f_j = log s_j' - log s_j
+    (s_j' the plain step from s_j), gamma minimizes |f_k - dF gamma| over the
+    differences dF of the residuals, solved through its m x m Gram matrix,
+    and the next iterate is u_k + f_k - (dU + dF) gamma (Walker and Ni,
+    SIAM J. Numer. Anal. 49 (2011)).  It is shifted so that its largest entry
+    is 0: a common factor of s changes neither the potential nor the
+    alternating step.  Returns the candidate s, or None when the history is
+    one step, the Gram matrix is singular or the candidate is not finite and
+    positive.
+    """
+    if len(logs) < 2:
+        return None
+    u, f = np.array(logs), np.array(resid)
+    du, df = u[1:] - u[:-1], f[1:] - f[:-1]
+    with np.errstate(all="ignore"):
+        try:
+            gamma = np.linalg.solve(df @ df.T, df @ f[-1])
+        except np.linalg.LinAlgError:
+            return None
+        v = u[-1] + f[-1] - gamma @ (du + df)
+        s = np.exp(v - v.max())
+    # s lies in [0, 1] or carries a NaN, which fails this test too.
+    return s if s.min() > 0.0 else None
+
+
+def _next_scaling(a, s, plain, logs, resid, tol: Tolerances):
+    """The scaling vector after the step from s to ``plain``, with the stack
+    B_i = s_i A_i and its sum.
+
+    The Anderson extrapolation of log s is taken where the capacity
+    potential is no larger there than at ``plain``, and ``plain`` otherwise.
+    A plain step never raises the potential, so neither does this choice.
+    """
+    logs.append(np.log(s))
+    resid.append(np.log(plain) - logs[-1])
+    del logs[: -_ANDERSON_DEPTH - 1], resid[: -_ANDERSON_DEPTH - 1]
+    cand = _extrapolate(logs, resid)
+    if cand is None:
+        mats = plain[:, None, None] * a
+        return plain, mats, mats.sum(0)
+    both = np.array((cand, plain))
+    mats = both[:, :, None, None] * a
+    totals = mats.sum(1)
+    phi = _potential(totals, both, tol)
+    k = 0 if phi[0] <= phi[1] else 1
+    return both[k], mats[k], totals[k]
+
+
+def _scale_vector(t: MatrixTuple, tol: Tolerances, max_iter: int) -> ScalingResult:
+    """Cold Gurvits scaling on the scaling vector s, Anderson-accelerated.
+
+    Each iteration is one alternating step from B_i = s_i A_i, which gives
+    L = (sum s_i A_i)^(-1/2) and s' = s / tr(L B_i L); the loop stops once
+    that step's tuple s'_i L A_i L is within ``ds_tol`` of doubly stochastic.
+    The first step, from s = 1, is ``_alternate``'s first step.  The result
+    carries X = L and trace_scalars = s' of the last step.
+    """
+    n = t.n
+    eye = np.eye(n)
+    a = t.matrices
+    s = np.ones(n)
+    mats = s[:, None, None] * a
+    total = mats.sum(0)
+    x, scalars = np.eye(n, dtype=np.complex128), s
+    defect = sum(_trace_and_sum_violations(mats, total, eye))
+    logs, resid = [], []
+    it = 0
+    while defect > tol.ds_tol and it < max_iter:
+        if it:
+            s, mats, total = _next_scaling(a, s, scalars, logs, resid, tol)
+        x, mats, traces = _alternating_step(mats, total, tol)
+        scalars = s / traces
+        it += 1
+        total = mats.sum(0)
+        defect = sum(_trace_and_sum_violations(mats, total, eye))
+    return _scaling_result(mats, x, scalars, defect, it, tol)
+
+
 def capacity_via_scaling(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> float:
-    """Cap(t) from the cold scaling fixed point; see ``_capacity_of_scaling``."""
-    return _capacity_of_scaling(_scale_cold(t, tol, max_iter))
+    """Cap(t) from cold scaling on the scaling vector (``_scale_vector``),
+    read off by ``_capacity_of_scaling``.  Raises ``NotIndecomposable`` on a
+    decomposable tuple and ``NonConvergence`` (carrying a "max_iter" result)
+    when ``max_iter`` steps leave the defect above ``ds_tol``.
+    """
+    _require_scalable(t, tol)
+    return _capacity_of_scaling(_scale_vector(t, tol, max_iter))
 
 
 def _capacity_of_scaling(res: ScalingResult) -> float:

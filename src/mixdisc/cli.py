@@ -365,6 +365,7 @@ def _cmd_bapat_search(args, tol: Tolerances) -> _Report:
         "trials": record.trials,
         "below_bound": record.below_bound,
         "distance_to_jn": record.distance_to_jn,
+        "stop_reasons": record.stop_reasons,
         "csv": csv_path,
     }
     breach = None

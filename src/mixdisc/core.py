@@ -244,12 +244,6 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # compensated accumulation
 
-def fsum_real(terms) -> float:
-    """Error-free-transform sum of real terms (math.fsum)."""
-    a = np.asarray(terms, dtype=np.float64).ravel()
-    return math.fsum(a)
-
-
 def fsum_complex(terms) -> complex:
     """Compensated sum of complex terms, real and imaginary parts separately."""
     a = np.asarray(terms, dtype=np.complex128).ravel()

@@ -373,18 +373,28 @@ def eval_polarized(t: MatrixTuple) -> float:
 def eval_sigma_det(t: MatrixTuple) -> float:
     """Mixed discriminant as sum over sigma of det(A_sigma).
 
-    Column i of A_sigma is column i of A_{sigma(i)}.
+    Column i of A_sigma is column i of A_{sigma(i)}.  The real parts of the
+    n! determinants go through one ``math.fsum`` as each chunk is computed,
+    so no chunk outlives its own sum; the imaginary parts only feed the
+    residue check, summed per chunk.
     """
     n = t.n
     _gate(n, _GATE_SIGMA_DET, "eval_sigma_det")
     cols = t.matrices  # cols[j, :, i] is column i of A_j
-    totals = []
-    for perms in _iter_perm_chunks(n):
-        stacked = np.empty((len(perms), n, n), dtype=np.complex128)
-        for i in range(n):
-            stacked[:, :, i] = cols[perms[:, i], :, i]
-        totals.append(np.linalg.det(stacked))
-    return _as_real(fsum_complex(np.concatenate(totals)))
+    buf = np.empty((min(_DET_CHUNK, math.factorial(n)), n, n), dtype=np.complex128)
+    imag = []
+
+    def real_parts():
+        for perms in _iter_perm_chunks(n):
+            stacked = buf[: len(perms)]
+            for i in range(n):
+                stacked[:, :, i] = cols[perms[:, i], :, i]
+            dets = np.linalg.det(stacked)
+            imag.append(math.fsum(dets.imag.tolist()))
+            yield dets.real.tolist()
+
+    real = math.fsum(itertools.chain.from_iterable(real_parts()))
+    return _as_real(complex(real, math.fsum(imag)))
 
 
 def _double_perm_raw(mats) -> complex:

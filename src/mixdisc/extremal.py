@@ -43,6 +43,7 @@ _BOUND_SLACK = 1e-7
 _GATE_SEARCH = 6
 _DS_RETRIES = 100  # draws random_ds_tuple tries before SamplerExhausted
 _DESCENT_MAX_STEPS = 2000
+_DESCENT_REJECTIONS = 40
 # Trials descended together as one stack.  The stack, its candidates and its
 # block of directions (3.5 MB at n = 6) grow with the width, so a fixed width
 # keeps memory flat in the trial count.  Wider stacks spread numpy's per-call
@@ -66,6 +67,9 @@ class SearchRecord:
     below_bound: bool
     trial_bests: list = field(default_factory=list)
     distance_to_jn: float | None = None
+    # Why each trial's descent stopped: "rejections" (_DESCENT_REJECTIONS in
+    # a row) or "max_steps" (_DESCENT_MAX_STEPS steps).
+    stop_reasons: list = field(default_factory=list)
 
 
 def bapat_bound(n: int) -> float:
@@ -196,12 +200,15 @@ def _descend(mats: np.ndarray, rngs, tol: Tolerances):
     ``as_hermitian`` call symmetrizes and validates it, one ``eigvalsh``
     tests it for PSD and one kernel call evaluates it.  A trial moves to the
     first sign, in the order +, -, that passes and strictly decreases D.
-    Returns the final stack and its (T,) values, each bit for bit what one
-    trial descended alone gives.
+    Returns the final stack, its (T,) values, each bit for bit what one
+    trial descended alone gives, and each trial's stop reason: "rejections"
+    after ``_DESCENT_REJECTIONS`` rejected steps in a row (also when that
+    step is the last one allowed), "max_steps" at the step cap.
     """
     mats = mats.copy()
     n = mats.shape[1]
     values = np.array([_as_real(z) for z in _polarized_raw(mats).tolist()])
+    reasons = [""] * len(mats)
     # The working state of the trials still descending; ``live`` holds their
     # rows in ``mats``.
     live = np.arange(len(mats))
@@ -235,15 +242,18 @@ def _descend(mats: np.ndarray, rngs, tol: Tolerances):
         value = np.where(moved, raw.real[trial, sign], value)
         rejections = np.where(moved, 0, rejections + 1)
         step = np.where(moved, np.minimum(step * 1.5, 0.1), step * 0.5)
-        stop = (rejections >= 40) | (steps >= _DESCENT_MAX_STEPS)
+        rejected = rejections >= _DESCENT_REJECTIONS
+        stop = rejected | (steps >= _DESCENT_MAX_STEPS)
         if stop.any():
             mats[live[stop]], values[live[stop]] = x[stop], value[stop]
+            for k, r in zip(live[stop].tolist(), rejected[stop].tolist()):
+                reasons[k] = "rejections" if r else "max_steps"
             keep = ~stop
             live, x, value, step, rejections, directions = (
                 a[keep] for a in (live, x, value, step, rejections, directions)
             )
             rngs = [rng for rng, k in zip(rngs, keep) if k]
-    return mats, values
+    return mats, values, reasons
 
 
 def minimize_search(
@@ -262,12 +272,13 @@ def minimize_search(
     bound = bapat_bound(n)
     best_value = math.inf
     best_mats = None
-    trial_bests = []
+    trial_bests, stop_reasons = [], []
     seeds = itertools.islice(iter_seeds(seed), trials)
     while chunk := list(itertools.islice(seeds, _DESCENT_CHUNK)):
         start = np.array([random_ds_tuple(n, child, tol).matrices for child in chunk])
         rngs = [make_rng(child ^ 0x5EED) for child in chunk]
-        mats, values = _descend(start, rngs, tol)
+        mats, values, reasons = _descend(start, rngs, tol)
+        stop_reasons += reasons
         for m, value in zip(mats, values.tolist()):
             trial_bests.append(value)
             if value < best_value:
@@ -281,6 +292,7 @@ def minimize_search(
         seed=seed,
         below_bound=best_value < bound - _BOUND_SLACK,
         trial_bests=trial_bests,
+        stop_reasons=stop_reasons,
     )
     if best_value < bound + 1e-5 and best_tuple is not None:
         jn = np.eye(n) / n

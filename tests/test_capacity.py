@@ -8,7 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixdisc.capacity import (
+    SCALING_MAX_ITER,
+    _capacity_of_scaling,
     _scale_cold,
+    _scale_vector,
     capacity,
     capacity_bound_report,
     capacity_via_scaling,
@@ -147,22 +150,24 @@ class TestScaling:
             sys.modules["mixdisc.capacity"], "is_indecomposable", lambda t, tol: (True, None)
         )
         e1 = np.diag([1.0, 0.0])
-        with pytest.raises(NotPositiveDefinite):
-            _scale_cold(MatrixTuple([e1, e1]))
+        for route in (_scale_cold, capacity_via_scaling):
+            with pytest.raises(NotPositiveDefinite):
+                route(MatrixTuple([e1, e1]))
 
     def test_slot_without_trace_raises_in_the_loop(self, monkeypatch):
         # (I, 0): the sum is I, so L = I, and the zero slot keeps trace 0.
         monkeypatch.setattr(
             sys.modules["mixdisc.capacity"], "is_indecomposable", lambda t, tol: (True, None)
         )
-        with pytest.raises(SingularPencil, match="lost its trace"):
-            _scale_cold(MatrixTuple([np.eye(2), np.zeros((2, 2))]))
+        for route in (_scale_cold, capacity_via_scaling):
+            with pytest.raises(SingularPencil, match="lost its trace"):
+                route(MatrixTuple([np.eye(2), np.zeros((2, 2))]))
 
     def test_two_capacity_routes_agree(self):
         for seed in range(5):
             t = random_tuple(4, 90 + seed)
             assert capacity_via_scaling(t) == pytest.approx(
-                capacity(t).value, rel=1e-6
+                capacity(t).value, rel=1e-10
             )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -252,8 +257,9 @@ def near_decomposable_tuples(draw):
 
 
 # Alternating steps that warm-started scaling may take to polish the Newton
-# scaling on the near-boundary tuples below; cold scaling needs thousands
-# there and often runs out of its default 10000.
+# scaling on the near-boundary tuples below; plain cold alternating scaling
+# (``_scale_cold``) needs thousands there and often runs out of its default
+# 10000.
 _POLISH_BOUND = 500
 
 
@@ -267,8 +273,9 @@ def _check_warm_scaling(t):
 def _check_against_scaling(t, res):
     """The Newton result agrees with the scaling route wherever scaling converges.
 
-    Scaling converges linearly, at a rate that tends to 1 as the tuple nears a
-    decomposable one, so it gets 2000 steps here rather than its default 10000.
+    The accelerated oracle takes tens of steps on these tuples; it gets 2000
+    here rather than its default 10000, so that a tuple so close to a
+    decomposable one that it runs long is skipped rather than waited for.
     """
     try:
         via = capacity_via_scaling(t, max_iter=2000)
@@ -356,6 +363,51 @@ def test_near_boundary_tuple_stops_at_roundoff(seed):
     assert res.gradient_norm >= DEFAULT_TOL.opt_tol
     assert res.iterations <= 20
     assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-10)
+
+
+# Plain cold alternating scaling ran out of its 10000 steps on seeds 24, 25,
+# 26 and 51; the accelerated oracle takes at most 18 steps on seeds 0 to 199.
+@pytest.mark.parametrize("seed", [*range(8), 24, 25, 26, 51])
+def test_oracle_converges_in_tens_of_steps_near_boundary(seed):
+    t = _near_boundary_tuple(seed)
+    res = _scale_vector(t, DEFAULT_TOL, 50)
+    assert res.converged and res.ds_defect <= DEFAULT_TOL.ds_tol
+    assert _capacity_of_scaling(res) == pytest.approx(capacity(t).value, rel=1e-10)
+    assert capacity_via_scaling(t) == _capacity_of_scaling(res)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_oracle_with_every_extrapolation_rejected_is_plain_scaling(n, monkeypatch):
+    # A NaN potential fails every comparison, so every step is the plain
+    # Gurvits step: the same count as the cold alternating loop, and Cap to
+    # rounding.
+    mod = sys.modules["mixdisc.capacity"]
+    calls = []
+    monkeypatch.setattr(mod, "_potential", lambda totals, s, tol: calls.append(s) or np.full(len(s), np.nan))
+    for seed in range(3):
+        t = random_tuple(n, 800 + 10 * n + seed)
+        res = _scale_vector(t, DEFAULT_TOL, SCALING_MAX_ITER)
+        cold = _scale_cold(t)
+        assert res.iterations == cold.iterations
+        assert _capacity_of_scaling(res) == pytest.approx(_capacity_of_scaling(cold), rel=1e-12)
+    assert calls
+
+
+def test_oracle_max_iter_raises_with_the_first_alternating_step():
+    t = random_tuple(4, 17)
+    with pytest.raises(NonConvergence) as info:
+        capacity_via_scaling(t, max_iter=1)
+    res = info.value.result
+    assert res.converged is False
+    assert res.stop_reason == "max_iter"
+    assert res.iterations == 1
+    # The first step from s = 1 is the cold alternating loop's, bit for bit.
+    with pytest.raises(NonConvergence) as info:
+        _scale_cold(t, max_iter=1)
+    cold = info.value.result
+    assert res.transform_X.tobytes() == cold.transform_X.tobytes()
+    assert res.trace_scalars.tobytes() == cold.trace_scalars.tobytes()
+    assert res.scaled.matrices.tobytes() == cold.scaled.matrices.tobytes()
 
 
 def test_warm_scaling_reaches_ds_tol_near_boundary():

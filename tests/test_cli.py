@@ -215,6 +215,7 @@ class TestSearchAndExperiments:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "trial,best_value"
         assert len(lines) == 4
+        assert rep["results"]["stop_reasons"] == ["rejections"] * 3
 
     def test_af_experiment(self, capsys):
         code, out, _ = run(capsys, "af-experiment", "6")

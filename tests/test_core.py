@@ -12,7 +12,6 @@ from mixdisc.core import (
     as_hermitian,
     eig_hermitian,
     fsum_complex,
-    fsum_real,
     inv_sqrt_psd,
     iter_seeds,
     make_rng,
@@ -131,10 +130,6 @@ class TestRandomness:
 
 
 class TestCompensatedSums:
-    def test_fsum_real_cancellation(self):
-        terms = [1e16, 1.0, -1e16]
-        assert fsum_real(terms) == 1.0
-
     def test_fsum_complex(self):
         terms = np.array([1e16 + 1j, 1.0 - 1j, -1e16 + 0j])
         assert fsum_complex(terms) == complex(1.0, 0.0)

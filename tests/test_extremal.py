@@ -224,7 +224,11 @@ class TestStackedDescent:
         assert len(set(steps)) > 1
         if n == 4:
             assert extremal._DESCENT_MAX_STEPS in steps
-        _assert_same_search(minimize_search(n, trials, seed), trial_bests, best_tuple)
+        rec = minimize_search(n, trials, seed)
+        _assert_same_search(rec, trial_bests, best_tuple)
+        # A trial stopped short of the cap only after 40 rejections in a row.
+        cap = extremal._DESCENT_MAX_STEPS
+        assert rec.stop_reasons == ["max_steps" if k == cap else "rejections" for k in steps]
 
     def test_several_chunks_match_one_trial_at_a_time(self, monkeypatch):
         monkeypatch.setattr(extremal, "_DESCENT_CHUNK", 2)
