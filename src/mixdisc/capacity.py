@@ -16,40 +16,38 @@ It is computed two independent ways, which the tests hold to agreement:
   backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
   trial point whose computed pencil is singular counts as a rejected step.
 * ``capacity_via_scaling`` reads Cap off cold Gurvits operator scaling
-  started from the tuple itself, which shares nothing with the Newton
-  solver.  It is the independent oracle.  Its state is the scaling vector s
-  (B_i = s_i A_i, from s = 1): one alternating step gives
-  L = (sum s_i A_i)^(-1/2) and s'_i = s_i / tr(L B_i L), and the loop stops
-  once s'_i L A_i L is within ``ds_tol`` of doubly stochastic; then
-  Cap = |det L|^(-2) / prod s'.  The next s is the Anderson extrapolation of
-  log s over the last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken
-  only where the capacity potential Phi(s) = log det(sum s_i A_i) -
-  sum log s_i is no larger than at s'; otherwise s' is taken.  A plain step
-  never raises Phi (AM-GM on both terms), so neither does the guarded one.
-  Rank-one + 1e-6 I slots take 10 to 25 steps, where plain steps take
-  thousands and often run out of ``SCALING_MAX_ITER``; Wishart tuples take
-  about 7.
+  started from the tuple itself (``_scale_cold``, s = 1), which shares
+  nothing with the Newton solver.  It is the independent oracle:
+  Cap = |det X|^(-2) / prod s' at the end of the scaling loop below.
 
-``scale_to_doubly_stochastic`` is warm-started from the Newton minimizer x:
-with M = sum x_i A_i and L = M^(-1/2), the tuple x_i L A_i L is doubly
-stochastic at the optimum (Gurvits 2004), because sum_i x_i L A_i L = I and
-tr(x_i L A_i L) = g_i = 1.  One alternating step from B_i = x_i A_i produces
-it, and further steps polish it until the defect is within ``ds_tol``.  Plain
-alternating scaling converges only linearly, at a rate that tends to 1 near
-decomposable or boundary tuples, where it takes thousands of steps from the
-tuple itself; warm-started, the median is one step and rank-one + 1e-6 I
-slots take at most a few hundred.  ``random_ds_tuple`` keeps the plain cold
-loop (``_scale_cold``), so sampled tuples do not change.
+Every doubly stochastic scaling runs one loop, ``_scale_vector``, whose
+state is the scaling vector s, from a start the caller passes.  One
+alternating step from B_i = s_i A_i gives L = (sum s_i A_i)^(-1/2) and
+s'_i = s_i / tr(L B_i L), and the loop stops once s'_i L A_i L is within
+``ds_tol`` of doubly stochastic.  The result carries X = L of that last step,
+which is Hermitian, and trace_scalars = s', so the scaled tuple is
+s'_i X A_i X^*.  The next s is the Anderson extrapolation of log s over the
+last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken only where the
+capacity potential Phi(s) = log det(sum s_i A_i) - sum log s_i is no larger
+than at s'; otherwise s' is taken.  A plain step never raises Phi (AM-GM on
+both terms), so neither does the guarded one.  Plain alternating scaling
+converges only linearly, at a rate that tends to 1 near decomposable or
+boundary tuples, where it takes thousands of steps from s = 1; accelerated,
+rank-one + 1e-6 I slots take 10 to 25 steps and Wishart tuples about 7.
 
-One alternating step (``_alternate``) costs one Hermitian eigensolve of the
-slot sum (``inv_sqrt_psd``), the congruence of the stack and of X, one trace
-for the normalization and one slot sum plus one trace for the defect test.
-The slot sum is formed once per step and feeds both that test and the next
-eigensolve; symmetrization and normalization run in place.  That is about
-75 us per 3 x 3 step and 95 us per 6 x 6 step on a shared 2-core Xeon with
-one BLAS thread, almost all of it numpy call overhead.  An oracle step adds
-the extrapolation and one batched eigenvalue solve for the two potentials.
-The precondition of every scaling call is one PSD check and one subset scan
+There are two starts.  ``_scale_cold`` starts from s = 1; both the oracle and
+``extremal.random_ds_tuple`` take this route.  ``scale_to_doubly_stochastic``
+starts from the Newton minimizer x: with M = sum x_i A_i and L = M^(-1/2),
+the tuple x_i L A_i L is doubly stochastic at the optimum (Gurvits 2004),
+because sum_i x_i L A_i L = I and tr(x_i L A_i L) = g_i = 1.  The first step
+produces it and further steps polish it; the median is one step, and
+rank-one + 1e-6 I slots took at most 6 on 400 seeded draws.
+
+A step costs one Hermitian eigensolve of the slot sum (``inv_sqrt_psd``),
+the congruence of the stack, one trace for the normalization and one slot
+sum plus one trace for the defect test; from the second step on it adds the
+extrapolation and one batched eigenvalue solve for the two potentials.  The
+precondition of every scaling call is one PSD check and one subset scan
 (``structure._first_subset``: one batched eigensolve per cardinality up to
 n = 10, more chunks above).
 
@@ -109,7 +107,8 @@ _LOG_FLOOR = math.log(1e-300)
 # near-boundary (rank one + 1e-6 I) and 1e+-6 slot-scaled tuples with n <= 6;
 # the cap bounds the damped phase on worse input.
 CAPACITY_MAX_ITER = 100
-# Alternating steps: cold scaling near the boundary can need thousands.
+# Scaling steps: the accelerated loop takes tens near the boundary; the cap
+# bounds a tuple so close to a decomposable one that it runs long.
 SCALING_MAX_ITER = 10000
 # Anderson depth m of the capacity oracle: its extrapolation combines the
 # last m + 1 iterates (m differences).
@@ -295,103 +294,31 @@ def _require_scalable(t: MatrixTuple, tol: Tolerances) -> None:
         raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
 
 
-def _alternating_step(mats, total, tol: Tolerances):
-    """One alternating step on the stack ``mats`` with slot sum ``total``.
-
-    Step (a) conjugates by L = total^(-1/2) to fix the identity-sum condition;
-    step (b) rescales each slot to unit trace.  Returns L, the new stack and
-    the traces it was divided by.
-    """
-    l = inv_sqrt_psd(total, tol)
-    mats = l @ mats @ l
-    mats += mats.conj().transpose(0, 2, 1)
-    mats /= 2.0
-    traces = mats.trace(axis1=1, axis2=2).real
-    if (traces <= 0.0).any():
-        raise SingularPencil("a slot lost its trace during scaling")
-    mats /= traces[:, None, None]
-    return l, mats, traces
-
-
-def _scaling_result(mats, x, scalars, defect, it, tol: Tolerances) -> ScalingResult:
-    """The result of a scaling loop; raises ``NonConvergence`` carrying it,
-    with stop_reason "max_iter", when the defect is above ``ds_tol``."""
-    converged = defect <= tol.ds_tol
-    log_s = np.log(scalars)
-    alpha = np.exp(log_s - log_s.mean())
-    result = ScalingResult(
-        scaled=MatrixTuple(mats),
-        alpha=alpha,
-        transform_X=x,
-        trace_scalars=scalars,
-        ds_defect=defect,
-        iterations=it,
-        converged=converged,
-        stop_reason="ds_tol" if converged else "max_iter",
-    )
-    if not converged:
-        raise NonConvergence(
-            f"scaling stalled at ds_defect = {defect:.3e} after {it} iterations",
-            result=result,
-        )
-    return result
-
-
-def _alternate(
-    t: MatrixTuple, tol: Tolerances, max_iter: int, weights: np.ndarray
-) -> ScalingResult:
-    """Alternating normalization from B_i = w_i A_i, X = I, s = w.
-
-    transform_X accumulates the congruence factors and trace_scalars the
-    per-slot scalars, so the scaled tuple always reconstructs as
-    s_i * X @ A_i @ X^H.  Stops once the DS defect is within ``ds_tol``;
-    hitting ``max_iter`` raises ``NonConvergence`` carrying a result with
-    stop_reason "max_iter".
-    """
-    n = t.n
-    eye = np.eye(n)
-    mats = weights[:, None, None] * t.matrices
-    x = np.eye(n, dtype=np.complex128)
-    scalars = np.array(weights, dtype=float)
-    # One slot sum per step feeds both the defect test and the next L.
-    total = mats.sum(0)
-    defect = sum(_trace_and_sum_violations(mats, total, eye))
-    it = 0
-    while defect > tol.ds_tol and it < max_iter:
-        l, mats, traces = _alternating_step(mats, total, tol)
-        x = l @ x
-        scalars /= traces
-        it += 1
-        total = mats.sum(0)
-        defect = sum(_trace_and_sum_violations(mats, total, eye))
-    return _scaling_result(mats, x, scalars, defect, it, tol)
-
-
 def scale_to_doubly_stochastic(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> ScalingResult:
     """Doubly stochastic scaling, warm-started from the Newton minimizer.
 
     With x the minimizer of ``capacity`` (its best iterate also on a
-    ``"stalled"`` or ``"max_iter"`` stop), one alternating step from
-    B_i = x_i A_i is the closed-form scaling x_i L A_i L, L = (sum x_i A_i)^(-1/2);
+    ``"stalled"`` or ``"max_iter"`` stop), the first step of ``_scale_vector``
+    from s = x is the closed-form scaling x_i L A_i L, L = (sum x_i A_i)^(-1/2);
     further steps polish it until the defect is within ``ds_tol``.
-    ``max_iter`` and ``iterations`` count these alternating steps.  Raises
+    ``max_iter`` and ``iterations`` count these steps.  Raises
     ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
     (carrying a "max_iter" result) when polishing runs out of steps.
     """
     _require_scalable(t, tol)
     x = _newton(t.matrices, tol, CAPACITY_MAX_ITER).minimizer_x
-    return _alternate(t, tol, max_iter, x)
+    return _scale_vector(t, x, tol, max_iter)
 
 
 def _scale_cold(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> ScalingResult:
-    """Gurvits alternating scaling from the tuple itself (w = 1), the route
-    that shares nothing with the Newton solver."""
+    """Gurvits scaling from the tuple itself (s = 1), the route that shares
+    nothing with the Newton solver."""
     _require_scalable(t, tol)
-    return _alternate(t, tol, max_iter, np.ones(t.n))
+    return _scale_vector(t, np.ones(t.n), tol, max_iter)
 
 
 def _potential(totals, s, tol: Tolerances) -> np.ndarray:
@@ -459,19 +386,20 @@ def _next_scaling(a, s, plain, logs, resid, tol: Tolerances):
     return both[k], mats[k], totals[k]
 
 
-def _scale_vector(t: MatrixTuple, tol: Tolerances, max_iter: int) -> ScalingResult:
-    """Cold Gurvits scaling on the scaling vector s, Anderson-accelerated.
+def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingResult:
+    """Gurvits scaling on the scaling vector s, Anderson-accelerated.
 
-    Each iteration is one alternating step from B_i = s_i A_i, which gives
-    L = (sum s_i A_i)^(-1/2) and s' = s / tr(L B_i L); the loop stops once
-    that step's tuple s'_i L A_i L is within ``ds_tol`` of doubly stochastic.
-    The first step, from s = 1, is ``_alternate``'s first step.  The result
-    carries X = L and trace_scalars = s' of the last step.
+    Each iteration is one alternating step from B_i = s_i A_i: L =
+    (sum s_i A_i)^(-1/2) fixes the identity-sum condition and
+    s'_i = s_i / tr(L B_i L) the unit traces.  The loop stops once that
+    step's tuple s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The
+    result carries X = L and trace_scalars = s' of the last step (X = I and
+    s' = s when s already scales the tuple).  Hitting ``max_iter`` raises
+    ``NonConvergence`` carrying a result with stop_reason "max_iter".
     """
     n = t.n
     eye = np.eye(n)
     a = t.matrices
-    s = np.ones(n)
     mats = s[:, None, None] * a
     total = mats.sum(0)
     x, scalars = np.eye(n, dtype=np.complex128), s
@@ -481,24 +409,47 @@ def _scale_vector(t: MatrixTuple, tol: Tolerances, max_iter: int) -> ScalingResu
     while defect > tol.ds_tol and it < max_iter:
         if it:
             s, mats, total = _next_scaling(a, s, scalars, logs, resid, tol)
-        x, mats, traces = _alternating_step(mats, total, tol)
+        x = inv_sqrt_psd(total, tol)
+        mats = x @ mats @ x
+        mats += mats.conj().transpose(0, 2, 1)
+        mats /= 2.0
+        traces = mats.trace(axis1=1, axis2=2).real
+        if (traces <= 0.0).any():
+            raise SingularPencil("a slot lost its trace during scaling")
+        mats /= traces[:, None, None]
         scalars = s / traces
         it += 1
         total = mats.sum(0)
         defect = sum(_trace_and_sum_violations(mats, total, eye))
-    return _scaling_result(mats, x, scalars, defect, it, tol)
+    converged = defect <= tol.ds_tol
+    log_s = np.log(scalars)
+    result = ScalingResult(
+        scaled=MatrixTuple(mats),
+        alpha=np.exp(log_s - log_s.mean()),
+        transform_X=x,
+        trace_scalars=scalars,
+        ds_defect=defect,
+        iterations=it,
+        converged=converged,
+        stop_reason="ds_tol" if converged else "max_iter",
+    )
+    if not converged:
+        raise NonConvergence(
+            f"scaling stalled at ds_defect = {defect:.3e} after {it} iterations",
+            result=result,
+        )
+    return result
 
 
 def capacity_via_scaling(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> float:
-    """Cap(t) from cold scaling on the scaling vector (``_scale_vector``),
-    read off by ``_capacity_of_scaling``.  Raises ``NotIndecomposable`` on a
-    decomposable tuple and ``NonConvergence`` (carrying a "max_iter" result)
-    when ``max_iter`` steps leave the defect above ``ds_tol``.
+    """Cap(t) from cold scaling (``_scale_cold``), read off by
+    ``_capacity_of_scaling``.  Raises ``NotIndecomposable`` on a decomposable
+    tuple and ``NonConvergence`` (carrying a "max_iter" result) when
+    ``max_iter`` steps leave the defect above ``ds_tol``.
     """
-    _require_scalable(t, tol)
-    return _capacity_of_scaling(_scale_vector(t, tol, max_iter))
+    return _capacity_of_scaling(_scale_cold(t, tol, max_iter))
 
 
 def _capacity_of_scaling(res: ScalingResult) -> float:

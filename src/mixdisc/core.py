@@ -136,10 +136,12 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _eigh(a):
-    """``np.linalg.eigh`` (ascending) of a Hermitian matrix or (..., n, n) stack."""
+def _eigh(a, vectors: bool = True):
+    """``np.linalg.eigh`` (ascending) of a Hermitian matrix or (..., n, n) stack;
+    with ``vectors`` False, the eigenvalues alone by ``np.linalg.eigvalsh``."""
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        return np.linalg.eigh(np.asarray(a, dtype=np.complex128))
+        return solve(np.asarray(a, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc
 
@@ -182,10 +184,10 @@ def rank_psd(a, tol: Tolerances = DEFAULT_TOL):
     """Count of eigenvalues above rank_tol times the largest (0 for the zero matrix).
 
     ``a`` is one Hermitian matrix (an int is returned) or a stack (..., n, n)
-    (an integer array of the stack's shape): one batched ``np.linalg.eigh``
-    call, whose eigenvalues match the per-matrix calls bit for bit.
+    (an integer array of the stack's shape): one batched ``np.linalg.eigvalsh``
+    call, eigenvalues only, which match the per-matrix calls bit for bit.
     """
-    w = _eigh(a)[0]
+    w = _eigh(a, vectors=False)
     top = w.max(axis=-1, initial=0.0, keepdims=True)
     ranks = np.count_nonzero(w > tol.rank_tol * top, axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks

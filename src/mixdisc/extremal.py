@@ -82,10 +82,12 @@ def bapat_bound(n: int) -> float:
 def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixTuple:
     """Random doubly stochastic tuple: PSD Wishart draws, operator-scaled.
 
-    Deterministic in (n, seed).  Draws are scaled by the cold alternating
-    loop, not the Newton warm start, so a sample does not move when the
-    Newton solver changes.  Decomposable or non-converging draws are
-    retried with derived seeds; SamplerExhausted after ``_DS_RETRIES`` failures.
+    Deterministic in (n, seed).  Draws are scaled cold, from s = 1, by the
+    route of the ``capacity_via_scaling`` oracle (``capacity._scale_cold``),
+    not the Newton warm start, so a sample does not move when the Newton
+    solver changes; the sample is s'_i L A_i L with L Hermitian.  Decomposable
+    or non-converging draws are retried with derived seeds; SamplerExhausted
+    after ``_DS_RETRIES`` failures.
     """
     for child in itertools.islice(iter_seeds(seed), _DS_RETRIES):
         mat_seeds = spawn_seeds(child, n)

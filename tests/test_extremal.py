@@ -216,9 +216,10 @@ def _assert_same_search(rec, trial_bests, best_tuple):
 
 
 class TestStackedDescent:
-    # Trials stop at different steps in every case: 158 to 189 at n = 2,
-    # 788 to 810 at n = 3; at n = 4 seed 7 the first trial hits the step cap.
-    @pytest.mark.parametrize("n, trials, seed", [(2, 5, 52), (3, 3, 53), (4, 2, 7)])
+    # Trials stop at different steps in every case: 140 to 177 at n = 2,
+    # 697 to 793 at n = 3; at n = 4 seed 1 the first trial hits the step cap
+    # and the second stops after 1922.
+    @pytest.mark.parametrize("n, trials, seed", [(2, 5, 52), (3, 3, 53), (4, 2, 1)])
     def test_matches_one_trial_at_a_time(self, n, trials, seed):
         trial_bests, best_tuple, steps = _sequential_search(n, trials, seed)
         assert len(set(steps)) > 1
@@ -247,8 +248,8 @@ class TestStackedDescent:
     @pytest.mark.parametrize(
         "n, trials, seed, trial_bests",
         [
-            (2, 5, 52, [0.5000000000000008, 0.5000000000000006, 0.5000000000000004, 0.5, 0.5000000000000002]),
-            (3, 3, 53, [0.2222222222222238, 0.2222222222222232, 0.2222222222222227]),
+            (2, 5, 52, [0.5000000000000001, 0.5000000000000007, 0.5000000000000003, 0.4999999999999999, 0.49999999999999994]),
+            (3, 3, 53, [0.22222222222222238, 0.22222222222222324, 0.22222222222222318]),
         ],
     )
     def test_pinned_trial_bests(self, n, trials, seed, trial_bests):

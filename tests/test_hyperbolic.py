@@ -141,8 +141,8 @@ class TestConjectureExperiment:
         "n, samples, seed, min_ratio",
         [
             (2, 60, 0, 0.5000116012816989),
-            (3, 120, 1, 0.22365295099005672),
-            (4, 80, 7, 0.09506751904839511),
+            (3, 120, 1, 0.22365295100417262),
+            (4, 80, 7, 0.09506751904618374),
             (5, 60, 3, 0.03909637374559032),
         ],
     )
