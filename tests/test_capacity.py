@@ -389,6 +389,26 @@ def test_oracle_converges_in_tens_of_steps_near_boundary(seed):
     assert capacity_via_scaling(t) == _capacity_of_scaling(res)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_oracle_with_every_extrapolation_rejected_is_plain_scaling(n, monkeypatch):
+    # A NaN potential fails every comparison, so every step is the plain
+    # Gurvits step: the oracle takes the plain reference's step count and
+    # returns its Cap = |det X_ref|^(-2) / prod(s_ref) to rounding.
+    calls = []
+    monkeypatch.setattr(
+        sys.modules["mixdisc.capacity"],
+        "_potential",
+        lambda totals, s, tol: calls.append(s) or np.full(len(s), np.nan),
+    )
+    for seed in range(3):
+        t = random_tuple(n, 800 + 10 * n + seed)
+        _, x, scalars, iterations = _per_matrix_scaling(list(t.matrices))
+        plain_cap = 1.0 / (abs(np.linalg.det(x)) ** 2 * float(np.prod(scalars)))
+        assert _scale_cold(t).iterations == iterations
+        assert capacity_via_scaling(t) == pytest.approx(plain_cap, rel=1e-12)
+    assert calls
+
+
 def test_oracle_max_iter_raises_with_the_first_alternating_step():
     t = random_tuple(4, 17)
     with pytest.raises(NonConvergence) as info:
