@@ -267,8 +267,12 @@ def minimize_search(
     directions from ``make_rng(child_k ^ 0x5EED)``, child_k the k-th seed of
     ``iter_seeds(seed)``; the trials descend in stacks of ``_DESCENT_CHUNK``
     (see :func:`_descend`), which changes no result.  ``below_bound`` turning true would falsify the n!/n^n theorem (or reveal
-    a bug) and is treated as a release-blocking event by the CLI.
+    a bug) and is treated as a release-blocking event by the CLI.  n = 1 is a
+    precondition error: the only doubly stochastic 1-tuple is (1), so there is
+    no direction to descend along.
     """
+    if n < 2:
+        raise PreconditionViolated("the search needs n >= 2; the only DS 1-tuple is (1)")
     if n > _GATE_SEARCH:
         raise DimensionTooLarge(f"minimize_search gated at n <= {_GATE_SEARCH}")
     bound = bapat_bound(n)

@@ -5,7 +5,9 @@ over block-column permutations (qp_block) and the quadruple permutation sum
 over the 4-index tensor form (qp_tensor).  The block-to-tensor convention is
 rho(i1, i2, i3, i4) = A_{i1, i3}(i2, i4), locked by brute-force agreement of
 the two formulas at n = 2 (see tests); if agreement ever breaks the
-convention must be revisited, not patched.
+convention must be revisited, not patched.  Both random block doubly
+stochastic samplers (sum_i A_ii = I, [tr A_ij] = I) run one operator-scaling
+loop on the Kraus form of rho, ``_scale_kraus``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .discriminant import _as_real, _double_perm_raw, _perms_and_signs, _polariz
 
 _GATE_QP_BLOCK = 6
 _GATE_QP_TENSOR = 4
-_SAMPLER_MAX_ITER = 500  # alternating normalization rounds of the block-DS samplers
+_SAMPLER_MAX_ITER = 500  # alternating scaling rounds of _scale_kraus
 
 
 class BlockMatrix:
@@ -145,54 +147,51 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     return BlockMatrix((p[:, :, :, None, None] * q[:, None, None]).sum(0))
 
 
-def _trace_weighted_sum(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_k tr(w_k) m_k over two (k, n, n) stacks."""
-    return (np.trace(w, axis1=1, axis2=2).real[:, None, None] * m).sum(0)
+def _scale_kraus(k: np.ndarray, tol: Tolerances):
+    """Operator scaling (Gurvits 2004) of rho = sum_r vec(K_r) vec(K_r)* to block DS.
+
+    ``k`` is an (m, n, n) stack; entry (a, i) of K_r sits in block row a, row i.
+    I (x) S maps K_r to K_r S^T and S (x) I maps it to S K_r, so rho stays
+    Hermitian PSD.  Returns (rho, L, R) with rho = (L (x) R) rho_0 (L (x) R)*, or
+    None after ``_SAMPLER_MAX_ITER`` steps.
+    """
+    n = k.shape[-1]
+    eye = left = right = np.eye(n)
+    for _ in range(_SAMPLER_MAX_ITER):
+        bm = BlockMatrix(np.einsum("rai,rbj->abij", k, k.conj()))
+        diag_sum = np.trace(bm.blocks)
+        if max_abs(diag_sum - eye) + max_abs(bm.trace_matrix() - eye) <= tol.ds_tol:
+            return bm, left, right
+        s = inv_sqrt_psd(diag_sum, tol)
+        k, right = k @ s.T, s @ right
+        s = inv_sqrt_psd(np.einsum("rai,rbi->ab", k, k.conj()), tol)
+        k, left = s @ k, s @ left
+    return None
 
 
 def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
-    """One random separable block-DS matrix, or None if scaling fails to converge.
+    """One random separable block-DS matrix and its witness, or None if scaling fails.
 
-    Wishart factors are alternately normalized toward the identity-sum and
-    identity-trace-matrix conditions; both maps preserve separability (they
-    act as (I (x) S) rho (I (x) S) and (S (x) I) rho (S (x) I)).
+    rho = sum_t P_t (x) Q_t with Wishart factors P_t = G_t G_t*, Q_t = H_t H_t*.
+    Its Kraus operators g h^T, over the columns g of G_t and h of H_t, stay
+    rank one, so the witness is the pairs (L G_t)(L G_t)*, (R H_t)(R H_t)*.
     """
     rng = make_rng(seed)
     k = int(rng.integers(1, n * n + 1))
-    g = np.array(
-        [(random_complex_gaussian(n, rng), random_complex_gaussian(n, rng)) for _ in range(k)]
-    )
-    pq = as_hermitian(g @ g.conj().swapaxes(-1, -2))
-    p, q = pq[:, 0], pq[:, 1]
-    eye = np.eye(n)
-    for _ in range(_SAMPLER_MAX_ITER):
-        diag_sum = _trace_weighted_sum(p, q)
-        trace_m = _trace_weighted_sum(q, p)
-        if max_abs(diag_sum - eye) + max_abs(trace_m - eye) <= tol.ds_tol:
-            spec = SeparableSpec(terms=tuple(zip(p, q)))
-            return assemble_separable(spec, tol), spec
-        s = inv_sqrt_psd(diag_sum, tol)
-        q = as_hermitian(s @ q @ s, tol=1e-8)
-        s = inv_sqrt_psd(_trace_weighted_sum(q, p), tol)
-        p = as_hermitian(s @ p @ s, tol=1e-8)
-    return None
+    g = np.array([random_complex_gaussian(n, rng) for _ in range(2 * k)]).reshape(k, 2, n, n)
+    res = _scale_kraus(np.einsum("tac,tid->tcdai", g[:, 0], g[:, 1]).reshape(-1, n, n), tol)
+    if res is None:
+        return None
+    w = np.array(res[1:]) @ g  # w[t] = (L G_t, R H_t)
+    pq = w @ w.conj().swapaxes(-1, -2)
+    return res[0], SeparableSpec(terms=tuple(zip(pq[:, 0], pq[:, 1])))
 
 
 def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
-    """One random (not necessarily separable) block-DS matrix, or None."""
-    rng = make_rng(seed)
-    g = random_complex_gaussian(n * n, rng)
-    rho = as_hermitian(g @ g.conj().T)
-    eye = np.eye(n)
-    for _ in range(_SAMPLER_MAX_ITER):
-        bm = BlockMatrix.from_assembled(rho, n)
-        diag_sum = np.trace(bm.blocks)
-        if max_abs(diag_sum - eye) + max_abs(bm.trace_matrix() - eye) <= tol.ds_tol:
-            return bm
-        s = np.kron(eye, inv_sqrt_psd(diag_sum, tol))
-        rho = as_hermitian(s @ rho @ s, tol=1e-8)
-        bm = BlockMatrix.from_assembled(rho, n)
-        t = as_hermitian(bm.trace_matrix(), tol=1e-8)
-        s = np.kron(inv_sqrt_psd(t, tol), eye)
-        rho = as_hermitian(s @ rho @ s, tol=1e-8)
-    return None
+    """One random (not necessarily separable) block-DS matrix, or None.
+
+    rho = G G* for an n^2 x n^2 complex Gaussian G; its Kraus operators are
+    the columns of G.
+    """
+    res = _scale_kraus(random_complex_gaussian(n * n, make_rng(seed)).T.reshape(-1, n, n), tol)
+    return None if res is None else res[0]

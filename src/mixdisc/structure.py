@@ -165,23 +165,11 @@ def is_fully_indecomposable_support(m, threshold: float) -> bool:
     For doubly stochastic matrices this reduces to connectivity of the
     bipartite support graph (no k x (n-k) zero submatrix after permutation).
     """
-    m = np.asarray(m)
-    n = m.shape[0]
-    support = m > threshold
-    # BFS over the bipartite graph rows <-> columns.
-    seen_rows = {0}
-    seen_cols = set()
-    frontier_rows = [0]
-    while frontier_rows:
-        cols = set()
-        for r in frontier_rows:
-            cols.update(np.nonzero(support[r])[0].tolist())
-        cols -= seen_cols
-        seen_cols |= cols
-        rows = set()
-        for c in cols:
-            rows.update(np.nonzero(support[:, c])[0].tolist())
-        rows -= seen_rows
-        seen_rows |= rows
-        frontier_rows = sorted(rows)
-    return len(seen_rows) == n and len(seen_cols) == n
+    support = np.asarray(m) > threshold
+    rows = np.arange(len(support)) == 0
+    while True:  # grow the rows reachable from row 0 until they stop growing
+        cols = support[rows].any(axis=0)
+        reached = rows | support[:, cols].any(axis=1)
+        if (reached == rows).all():
+            return bool(rows.all() and cols.all())
+        rows = reached

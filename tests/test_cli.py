@@ -217,6 +217,11 @@ class TestSearchAndExperiments:
         assert len(lines) == 4
         assert rep["results"]["stop_reasons"] == ["rejections"] * 3
 
+    def test_bapat_search_n1_exits_1_without_csv(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _exits_1_with_one_error_line(*run(capsys, "bapat-search", "1", "--trials", "1"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_af_experiment(self, capsys):
         code, out, _ = run(capsys, "af-experiment", "6")
         rep = json.loads(out)

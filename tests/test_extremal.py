@@ -148,6 +148,11 @@ class TestSearch:
         assert rec.best_value >= bapat_bound(2) - 1e-7
         assert len(rec.trial_bests) == 10
 
+    def test_n1_is_a_precondition_error(self):
+        # The DS tangent space at n = 1 is {0}: no descent direction exists.
+        with pytest.raises(PreconditionViolated):
+            minimize_search(1, trials=1, seed=0)
+
     def test_search_approaches_half(self):
         rec = minimize_search(2, trials=20, seed=1)
         assert rec.best_value == pytest.approx(0.5, abs=1e-4)

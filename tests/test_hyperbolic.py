@@ -143,13 +143,13 @@ class TestConjectureExperiment:
             (2, 60, 0, 0.5000116012816989),
             (3, 120, 1, 0.22365295100417262),
             (4, 80, 7, 0.09506751904618374),
-            (5, 60, 3, 0.03909637374559032),
+            (5, 60, 3, 0.039096373744726944),
         ],
     )
     def test_pinned_outputs(self, n, samples, seed, min_ratio):
         rep = conjecture_experiment(n, samples, seed)
         assert rep.samples == samples
-        assert rep.min_ratio == pytest.approx(min_ratio, rel=1e-12)
+        assert rep.min_ratio == pytest.approx(min_ratio, rel=1e-12, abs=0)
         assert rep.rejection_rate == 0.0
         assert rep.violations == []
 

@@ -30,6 +30,18 @@ def random_hermitian_block(n, seed):
     return BlockMatrix.from_assembled((g + g.conj().T) / 2.0, n)
 
 
+def _count_inv_sqrt_calls(monkeypatch):
+    """Record every inv_sqrt_psd call the samplers make; returns the record list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inv_sqrt_psd(*args, **kwargs)
+
+    monkeypatch.setattr("mixdisc.pascal.inv_sqrt_psd", counted)
+    return calls
+
+
 class TestBlockMatrix:
     def test_roundtrip(self):
         bm = random_hermitian_block(3, 0)
@@ -110,6 +122,42 @@ class TestSeparable:
                 assemble_separable(spec).assembled(), bm.assembled(), atol=1e-10
             )
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_factor_loop(self, n, monkeypatch):
+        # Reference: alternating normalization of the PSD factor pairs (P_t, Q_t).
+        calls = _count_inv_sqrt_calls(monkeypatch)
+        eye = np.eye(n)
+
+        def weighted(w, m):  # sum_k tr(w_k) m_k
+            return (np.trace(w, axis1=1, axis2=2).real[:, None, None] * m).sum(0)
+
+        for seed in range(10):
+            rng = make_rng(seed)
+            k = int(rng.integers(1, n * n + 1))
+            g = np.array(
+                [(random_complex_gaussian(n, rng), random_complex_gaussian(n, rng)) for _ in range(k)]
+            )
+            pq = as_hermitian(g @ g.conj().swapaxes(-1, -2))
+            p, q = pq[:, 0], pq[:, 1]
+            steps = 0
+            for _ in range(500):
+                diag_sum, trace_m = weighted(p, q), weighted(q, p)
+                if np.abs(diag_sum - eye).max() + np.abs(trace_m - eye).max() <= 1e-8:
+                    break
+                s = inv_sqrt_psd(diag_sum)
+                q = as_hermitian(s @ q @ s, tol=1e-8)
+                s = inv_sqrt_psd(weighted(q, p))
+                p = as_hermitian(s @ p @ s, tol=1e-8)
+                steps += 1
+            expected = assemble_separable(SeparableSpec(terms=tuple(zip(p, q))))
+            calls.clear()
+            bm, spec = sample_separable_ds(n, seed)
+            assert len(calls) == 2 * steps
+            np.testing.assert_allclose(bm.blocks, expected.blocks, rtol=0, atol=1e-12)
+            rho = bm.assembled()
+            np.testing.assert_allclose(assemble_separable(spec).assembled(), rho, atol=1e-10)
+            assert np.array_equal(rho, rho.conj().T)
+
     def test_separable_qp_above_half(self):
         for seed in range(20):
             res = sample_separable_ds(2, 1000 + seed)
@@ -127,13 +175,16 @@ class TestBlockDsSampler:
             assert rep.passes
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_the_check_block_ds_loop(self, n):
-        # Reference: stop on check_block_ds's sum and trace violations.
+    def test_matches_the_check_block_ds_loop(self, n, monkeypatch):
+        # Reference: the assembled-matrix np.kron loop, stopping on
+        # check_block_ds's sum and trace violations.
+        calls = _count_inv_sqrt_calls(monkeypatch)
         for seed in range(3):
             rng = make_rng(seed)
             g = random_complex_gaussian(n * n, rng)
             rho = as_hermitian(g @ g.conj().T)
             eye = np.eye(n)
+            steps = 0
             for _ in range(500):
                 bm = BlockMatrix.from_assembled(rho, n)
                 rep = check_block_ds(bm)
@@ -144,7 +195,12 @@ class TestBlockDsSampler:
                 bm = BlockMatrix.from_assembled(rho, n)
                 s = np.kron(inv_sqrt_psd(as_hermitian(bm.trace_matrix(), tol=1e-8)), eye)
                 rho = as_hermitian(s @ rho @ s, tol=1e-8)
-            np.testing.assert_array_equal(sample_block_ds(n, seed).blocks, bm.blocks)
+                steps += 1
+            calls.clear()
+            got = sample_block_ds(n, seed)
+            assert len(calls) == 2 * steps
+            np.testing.assert_allclose(got.blocks, bm.blocks, rtol=0, atol=1e-13)
+            assert check_block_ds(got).passes
 
     def test_check_flags_identity(self):
         bm = BlockMatrix.from_assembled(np.eye(4, dtype=complex), 2)

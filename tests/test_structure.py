@@ -130,6 +130,31 @@ class TestSupportConnectivity:
         assert not is_fully_indecomposable_support(m, 1e-12)
 
 
+    def test_zero_and_one_by_one(self):
+        assert is_fully_indecomposable_support(np.ones((1, 1)), 1e-12)
+        assert not is_fully_indecomposable_support(np.zeros((1, 1)), 1e-12)
+        assert not is_fully_indecomposable_support(np.zeros((3, 3)), 1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_definition_on_birkhoff_mixtures(self, n):
+        # Fully indecomposable: |N(S)| > |S| for every proper nonempty row set S.
+        rng = make_rng(400 + n)
+        outcomes = set()
+        for _ in range(40):
+            count = int(rng.integers(1, n + 1))
+            weights = rng.random(count) + 0.1
+            m = sum(w * np.eye(n)[rng.permutation(n)] for w in weights / weights.sum())
+            support = m > 1e-12
+            expected = all(
+                support[list(rows)].any(axis=0).sum() > len(rows)
+                for k in range(1, n)
+                for rows in itertools.combinations(range(n), k)
+            )
+            assert is_fully_indecomposable_support(m, 1e-12) == expected
+            outcomes.add(expected)
+        assert outcomes == ({True} if n == 1 else {True, False})
+
+
 # ---------------------------------------------------------------------------
 # the stacked subset scan against one subset at a time
 
