@@ -261,11 +261,14 @@ def params_digest(**params) -> str:
     return digest_of(json.dumps(params, sort_keys=True).encode("utf-8"))
 
 
-def _require_positive(**values: int) -> None:
-    """Integer arguments that count something (a dimension, trials, samples)."""
-    for name, v in values.items():
+def _require_ranges(seed: int, **counts: int) -> None:
+    """Integer arguments that count something (a dimension, trials, samples)
+    must be >= 1, and a seed >= 0 (numpy seeds no generator from a negative)."""
+    for name, v in counts.items():
         if v < 1:
             raise CliInputError(f"{name} must be >= 1, got {v}")
+    if seed < 0:
+        raise CliInputError(f"seed must be >= 0, got {seed}")
 
 
 def _tol_from_args(args) -> Tolerances:
@@ -302,8 +305,10 @@ def _cmd_eval(args, tol: Tolerances) -> _Report:
     t = doc_to_tuple(doc, tol)
     results = {"D": _ALGORITHMS[args.algorithm](t), "algorithm": args.algorithm}
     if args.cross_check:
-        values = {}
+        values = {args.algorithm: results["D"]}
         for name, f in _ALGORITHMS.items():
+            if name in values:
+                continue
             try:
                 values[name] = f(t)
             except DimensionTooLarge:  # every evaluator gates before any work
@@ -350,7 +355,7 @@ def _cmd_check_ds(args, tol: Tolerances) -> _Report:
 
 
 def _cmd_bapat_search(args, tol: Tolerances) -> _Report:
-    _require_positive(n=args.n, trials=args.trials)
+    _require_ranges(args.seed, n=args.n, trials=args.trials)
     record = extremal.minimize_search(args.n, args.trials, args.seed, tol)
     digest = params_digest(n=args.n, trials=args.trials, seed=args.seed)
     csv_path = f"bapat-search-{digest[:16]}.csv"
@@ -412,7 +417,7 @@ def _cmd_qp(args, tol: Tolerances) -> _Report:
 
 def _cmd_hyp(args, tol: Tolerances) -> _Report:
     if args.op == "conjecture":
-        _require_positive(n=args.n, samples=args.samples)
+        _require_ranges(args.seed, n=args.n, samples=args.samples)
         rep = hyperbolic.conjecture_experiment(args.n, args.samples, args.seed, tol)
         digest = params_digest(op="conjecture", n=args.n, samples=args.samples, seed=args.seed)
         breach = None
@@ -442,7 +447,7 @@ def _cmd_hyp(args, tol: Tolerances) -> _Report:
 def _cmd_gen_random(args, tol: Tolerances) -> None:
     # Prints the bare document (sorted keys), not a report, so it pipes into
     # the other commands.
-    _require_positive(n=args.n)
+    _require_ranges(args.seed, n=args.n)
     if args.kind == "psd":
         mats = [random_psd(args.n, s) for s in spawn_seeds(args.seed, args.n)]
         doc = tuple_to_doc(MatrixTuple(mats, tol))

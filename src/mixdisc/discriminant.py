@@ -118,7 +118,15 @@ class DsTupleReport:
     is_doubly_stochastic: bool
 
 
-def _as_real(z: complex, tol_scale: float = 1e-9) -> float:
+def _as_real(z, tol_scale: float = 1e-9):
+    """The real part of a value, or of an array of values, whose imaginary
+    residues all satisfy |Im z| <= tol_scale * (1 + |z|); NumericalInconsistency
+    otherwise.  A scalar comes back as a float, an array as its real array."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        bad = np.abs(z.imag) > tol_scale * (1.0 + np.abs(z))
+        if bad.any():
+            _as_real(z[bad][0], tol_scale)  # raises on the first such value
+        return z.real
     z = complex(z)
     if abs(z.imag) > tol_scale * (1.0 + abs(z)):
         raise NumericalInconsistency(
@@ -569,8 +577,9 @@ def exchange_value(
     if i == j:
         raise ValueError("exchange_value needs two distinct slots")
     g = grad if grad is not None else gradient(t)
-    d_ij = eval_polarized(t.replaced(j, t.matrices[i]))
-    d_ji = eval_polarized(t.replaced(i, t.matrices[j]))
+    pair = np.array([t.matrices, t.matrices])
+    pair[0, j], pair[1, i] = t.matrices[i], t.matrices[j]
+    d_ij, d_ji = _as_real(_polarized_raw(pair)).tolist()
     t_ij = _as_real(np.trace(t.matrices[i] @ g.Q[j]), 1e-8)
     t_ji = _as_real(np.trace(t.matrices[j] @ g.Q[i]), 1e-8)
     bound = _EXCHANGE_CHECK_REL * (1.0 + abs(d_ij) + abs(d_ji))

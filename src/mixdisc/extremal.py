@@ -5,10 +5,10 @@ samples the feasible set, or tries (and must fail) to push below it.
 
 :func:`minimize_search` descends its trials as stacks of up to
 ``_DESCENT_CHUNK`` tuples: a step tests the +- candidates of every live trial
-with one eigensolve, validates them with one ``as_hermitian`` call and
-evaluates them with one call of the centered kernel.  Each trial keeps its
-own Philox stream, so every result is the one a trial descended alone gives,
-bit for bit.
+for PSD with one eigensolve and evaluates them with one call of the centered
+kernel, whose values pass one residue gate.  Each trial keeps its own Philox
+stream, so every result is the one a trial descended alone gives, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     PreconditionViolated,
     SamplerExhausted,
     Tolerances,
-    as_hermitian,
     iter_seeds,
     make_rng,
     max_abs,
@@ -166,8 +165,8 @@ def dnp_family_value(p, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def _tangent_directions(n: int, rngs, count: int) -> np.ndarray:
     """The next ``count`` random descent directions of each generator, as a
-    (k, count, n, n, n) stack of Hermitian tuples with zero traces, zero slot
-    sum and unit Frobenius norm.
+    (k, count, n, n, n) stack of exactly Hermitian tuples with zero traces,
+    zero slot sum and unit Frobenius norm.
 
     A direction takes n Hermitian slots from one ``standard_normal((n, 2, n,
     n))`` block, element for element the stream of n ``random_hermitian``
@@ -198,10 +197,10 @@ def _descend(mats: np.ndarray, rngs, tol: Tolerances):
     The trials step in lockstep, each with its own step length, rejection
     count and ``_DESCENT_MAX_STEPS`` cap; a trial leaves the working stack
     when it stops.  Directions are drawn ``_DIRECTION_BLOCK`` steps ahead.  A
-    step forms the (T, 2) stack of candidates x +- step * z: one
-    ``as_hermitian`` call symmetrizes and validates it, one ``eigvalsh``
-    tests it for PSD and one kernel call evaluates it.  A trial moves to the
-    first sign, in the order +, -, that passes and strictly decreases D.
+    step forms the (T, 2) stack of candidates x +- step * z, exactly
+    Hermitian as x and z are; one ``eigvalsh`` tests it for PSD and one gated
+    kernel call evaluates it.  A trial moves to the first sign, in the order
+    +, -, that passes and strictly decreases D.
     Returns the final stack, its (T,) values, each bit for bit what one
     trial descended alone gives, and each trial's stop reason: "rejections"
     after ``_DESCENT_REJECTIONS`` rejected steps in a row (also when that
@@ -209,7 +208,7 @@ def _descend(mats: np.ndarray, rngs, tol: Tolerances):
     """
     mats = mats.copy()
     n = mats.shape[1]
-    values = np.array([_as_real(z) for z in _polarized_raw(mats).tolist()])
+    values = _as_real(_polarized_raw(mats))
     reasons = [""] * len(mats)
     # The working state of the trials still descending; ``live`` holds their
     # rows in ``mats``.
@@ -225,23 +224,15 @@ def _descend(mats: np.ndarray, rngs, tol: Tolerances):
         zs = directions[:, steps % _DIRECTION_BLOCK]
         steps += 1
         cand = x[:, None] + (signs * step[:, None])[..., None, None, None] * zs[:, None]
-        cand = as_hermitian(cand, tol.hermitian_tol)
         psd = -np.linalg.eigvalsh(cand).min(axis=(-2, -1)) <= tol.psd_tol
-        raw = _polarized_raw(cand.reshape(-1, n, n, n)).reshape(psd.shape)
-        better = psd & (raw.real < value[:, None])
+        d = _as_real(_polarized_raw(cand.reshape(-1, n, n, n))).reshape(psd.shape)
+        better = psd & (d < value[:, None])
         plus = better[:, 0]
-        if np.abs(raw.imag).max() > 1e-9:  # _as_real passes anything less
-            # Check what one trial alone evaluates: + when it passes, - when
-            # it passes and + was not taken.
-            evaluated = psd.copy()
-            evaluated[:, 1] &= ~plus
-            for z in raw[evaluated].tolist():
-                _as_real(z)
         moved = plus | better[:, 1]
         sign = np.where(plus, 0, 1)  # the candidate a moving trial takes
         trial = np.arange(len(live))
         x[moved] = cand[trial, sign][moved]
-        value = np.where(moved, raw.real[trial, sign], value)
+        value = np.where(moved, d[trial, sign], value)
         rejections = np.where(moved, 0, rejections + 1)
         step = np.where(moved, np.minimum(step * 1.5, 0.1), step * 0.5)
         rejected = rejections >= _DESCENT_REJECTIONS

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, InvalidWeight, SingularPencil, Tolerances
 from .capacity import capacity, n_pow_n_over_factorial
-from .discriminant import MatrixTuple, eval_polarized, permanent
+from .discriminant import MatrixTuple, _as_real, _polarized_raw, eval_polarized, permanent
 
 _VALUE_FLOOR = 1e-300
 
@@ -96,7 +96,8 @@ def check_theorem52(
     ``holds``.
     """
     n = t.n
-    caps = [capacity(expand_tuple(t, vec), tol) for vec in (*comb.vectors, comb.target)]
+    expanded = [expand_tuple(t, vec) for vec in (*comb.vectors, comb.target)]
+    caps = [capacity(e, tol) for e in expanded]
     log_caps = [
         _log_positive(cap.value, f"Cap^{tuple(vec)}")
         for cap, vec in zip(caps, comb.vectors)
@@ -104,10 +105,9 @@ def check_theorem52(
     cap_slack = _log_positive(caps[-1].value, "Cap(target)") - float(
         np.dot(comb.weights, log_caps)
     )
-    log_ms = []
-    for vec in comb.vectors:
-        log_ms.append(_log_positive(m_alpha(t, vec), f"M^{tuple(vec)}"))
-    m_target = _log_positive(m_alpha(t, comb.target), "M(target)")
+    ms = _as_real(_polarized_raw(np.array([e.matrices for e in expanded]))).tolist()
+    log_ms = [_log_positive(m, f"M^{tuple(vec)}") for m, vec in zip(ms, comb.vectors)]
+    m_target = _log_positive(ms[-1], "M(target)")
     m_slack = (
         m_target
         - float(np.dot(comb.weights, log_ms))

@@ -115,9 +115,9 @@ def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: float = DEFAULT_TOL.psd_t
 
 def _roots_ascending(pencil: HyperbolicPencil, points: np.ndarray) -> np.ndarray:
     """The roots of p(x - lambda e), ascending, for the points B(x) of a stack
-    (..., n, n): the eigenvalues of L B(x) L from one batched ``eigh``."""
+    (..., n, n): the eigenvalues of L B(x) L from one batched ``eigvalsh``."""
     l = pencil._reducer
-    return _eigh(l @ points @ l)[0]
+    return _eigh(l @ points @ l, vectors=False)
 
 
 def _pencil_points(pencil: HyperbolicPencil, xs: np.ndarray) -> np.ndarray:
@@ -231,8 +231,7 @@ def conjecture_experiment(
         *_, passes, points = _membership(pencil, mixes.swapaxes(-1, -2), tol)
         rejected += int(np.count_nonzero(~passes))
         if passes.any():
-            for value in _polarized_raw(points[passes]).tolist():
-                ratio = _as_real(value) / p_e
+            for ratio in (_as_real(_polarized_raw(points[passes])) / p_e).tolist():
                 done += 1
                 if ratio < min_ratio:
                     min_ratio = ratio

@@ -15,7 +15,6 @@ from .core import (
     DimensionTooLarge,
     NotDoublyStochastic,
     NotUnitary,
-    NumericalInconsistency,
     Tolerances,
     eig_hermitian,
     max_abs,
@@ -23,6 +22,7 @@ from .core import (
 )
 from .discriminant import (
     MatrixTuple,
+    _as_real,
     _require_psd,
     check_doubly_stochastic,
     eval_polarized,
@@ -86,8 +86,12 @@ def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
 
 
 def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Weak rank condition (>=) over all subsets; equivalent to D(t) > 0 for PSD tuples."""
-    return _scan_psd_tuple(t, operator.lt, tol) is None
+    """Weak rank condition rank(sum_{i in S} A_i) >= |S| over all subsets S: the
+    proper ones by the scan, then S = all slots; equivalent to D(t) > 0 for PSD
+    tuples."""
+    if _scan_psd_tuple(t, operator.lt, tol) is not None:
+        return False
+    return rank_psd(t.matrices.sum(0), tol) >= t.n
 
 
 def _split(mats, labels, basis, tol: Tolerances, parts):
@@ -152,11 +156,7 @@ def m_matrix(t: MatrixTuple, w) -> np.ndarray:
         raise ValueError(f"W must be {n} x {n}")
     if max_abs(w.conj().T @ w - np.eye(n)) > 1e-9:
         raise NotUnitary("W is not unitary within 1e-9")
-    q = np.einsum("ki,jkl,li->ij", w.conj(), t.matrices, w)
-    bad = np.abs(q.imag) > 1e-10 * (1.0 + np.abs(q))
-    if bad.any():
-        raise NumericalInconsistency(f"quadratic form not real: {complex(q[bad][0])!r}")
-    return q.real
+    return _as_real(np.einsum("ki,jkl,li->ij", w.conj(), t.matrices, w), 1e-10)
 
 
 def is_fully_indecomposable_support(m, threshold: float) -> bool:

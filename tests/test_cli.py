@@ -91,6 +91,20 @@ class TestEval:
         assert set(check["values"]) == names
         assert check["max_deviation"] <= 1e-12
 
+    @pytest.mark.parametrize("algorithm", ["polarized", "sigma-det"])
+    def test_cross_check_evaluates_each_algorithm_once(self, capsys, ds3, monkeypatch, algorithm):
+        calls = {}
+        for name, f in list(cli._ALGORITHMS.items()):
+            def counting(t, name=name, f=f):
+                calls[name] = calls.get(name, 0) + 1
+                return f(t)
+            monkeypatch.setitem(cli._ALGORITHMS, name, counting)
+        code, out, _ = run(capsys, "eval", ds3, "--algorithm", algorithm, "--cross-check")
+        assert code == 0
+        assert calls == dict.fromkeys(cli._ALGORITHMS, 1)
+        results = json.loads(out)["results"]
+        assert results["cross_check"]["values"][algorithm] == results["D"]
+
     def test_algorithm_choice(self, capsys, ds3):
         code, out, _ = run(capsys, "eval", ds3, "--algorithm", "sigma-det")
         assert json.loads(out)["results"]["algorithm"] == "sigma-det"
@@ -438,8 +452,18 @@ class TestIntegerRanges:
             ["bapat-search", "2", "--trials", "0"],
             ["hyp", "--op", "conjecture", "--n", "0"],
             ["hyp", "--op", "conjecture", "--samples", "0"],
+            ["gen-random", "2", "--seed", "-1"],
+            ["gen-random", "2", "--seed", "-1", "--kind", "ds"],
+            ["gen-random", "2", "--seed", "-1", "--kind", "block-ds"],
+            ["gen-random", "2", "--seed", "-1", "--kind", "separable"],
+            ["bapat-search", "2", "--trials", "2", "--seed", "-1"],
+            ["hyp", "--op", "conjecture", "--samples", "3", "--seed", "-1"],
         ],
-        ids=["gen-random-n", "gen-random-block-ds-n", "bapat-n", "bapat-trials", "hyp-n", "hyp-samples"],
+        ids=[
+            "gen-random-n", "gen-random-block-ds-n", "bapat-n", "bapat-trials", "hyp-n",
+            "hyp-samples", "gen-random-seed", "gen-random-ds-seed", "gen-random-block-ds-seed",
+            "gen-random-separable-seed", "bapat-seed", "hyp-seed",
+        ],
     )
     def test_exit_1(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -7,12 +7,14 @@ from mixdisc.core import (
     DEFAULT_TOL,
     DimensionTooLarge,
     NotHermitian,
+    NumericalInconsistency,
     make_rng,
     random_psd,
     spawn_seeds,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
+    _as_real,
     check_doubly_stochastic,
     diagonal_tuple,
     euler_identity_residual,
@@ -203,6 +205,41 @@ class TestExchange:
         t = random_tuple(3, 1)
         with pytest.raises(ValueError):
             exchange_value(t, 1, 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_stacked_call_keeps_the_bits_of_the_substituted_tuples(self, n):
+        # From n = 8 on the kernel groups repeated slots, and every
+        # substituted tuple repeats one; the third n = 8 tuple repeats three
+        # of its own slots as well.
+        tuples = [random_tuple(n, 40 + n), random_tuple(n, 50 + n)]
+        if n == 8:
+            base = random_tuple(8, 60).matrices
+            tuples.append(MatrixTuple(base[[0, 0, 1, 1, 2, 2, 2, 3]]))
+        for t in tuples:
+            for i, j in [(0, 1), (1, 0), (0, n - 1), (n - 1, n - 2)]:
+                d_ij, d_ji = exchange_value(t, i, j)
+                assert d_ij.hex() == eval_polarized(t.replaced(j, t.matrices[i])).hex()
+                assert d_ji.hex() == eval_polarized(t.replaced(i, t.matrices[j])).hex()
+
+
+class TestAsReal:
+    def test_scalar_comes_back_as_a_float(self):
+        assert type(_as_real(np.complex128(0.25 + 1e-12j))) is float
+        assert _as_real(2.0) == 2.0
+
+    def test_array_comes_back_as_its_real_array(self):
+        z = np.array([1.0 + 1e-12j, -3.0 - 1e-10j, 0.5 + 0j])
+        assert _as_real(z).tobytes() == z.real.tobytes()
+        assert _as_real(np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_one_residue_above_the_gate_raises(self, shape):
+        z = np.full(shape, 1.0 + 0j)
+        z.flat[-1] = 1.0 + 3e-9j  # gate 1e-9 * (1 + |z|), about 2e-9
+        with pytest.raises(NumericalInconsistency, match=r"\(1\+3e-09j\)"):
+            _as_real(z)
+        z.flat[-1] = 1.0 + 1.5e-9j
+        assert _as_real(z).tolist() == np.ones(shape).tolist()
 
 
 class TestDsCheck:

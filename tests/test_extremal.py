@@ -260,6 +260,31 @@ class TestStackedDescent:
     def test_pinned_trial_bests(self, n, trials, seed, trial_bests):
         assert minimize_search(n, trials, seed).trial_bests == trial_bests
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_directions_and_candidates_are_exactly_hermitian(self, n, monkeypatch):
+        # The descent evaluates x +- step * z without symmetrizing it: both
+        # terms are exactly Hermitian, so every candidate must be too.
+        def exactly_hermitian(a):
+            return np.array_equal(a, a.conj().swapaxes(-1, -2))
+
+        for seed in (n, n + 10):
+            rngs = [make_rng(seed), make_rng(seed + 100)]
+            assert exactly_hermitian(extremal._tangent_directions(n, rngs, 8))
+        stacks = []
+        kernel = extremal._polarized_raw
+
+        def recording(mats):
+            stacks.append(np.array(mats))
+            return kernel(mats)
+
+        monkeypatch.setattr(extremal, "_polarized_raw", recording)
+        monkeypatch.setattr(extremal, "_DESCENT_MAX_STEPS", 40)
+        for seed in (n, n + 10):
+            minimize_search(n, 3, seed)
+        # Per search: the start values, then one call per step.
+        assert len(stacks) == 2 * (1 + 40)
+        assert all(exactly_hermitian(s) for s in stacks)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_tiny_directions_are_drawn_again(self, n):
         # A stream whose first and fourth directions are all zeros: both are

@@ -7,6 +7,7 @@ import pytest
 
 from mixdisc.core import InvalidWeight, random_psd, spawn_seeds
 from mixdisc.discriminant import MatrixTuple, eval_polarized, exchange_value, gradient
+from mixdisc import genaf
 from mixdisc.genaf import (
     ConvexCombination,
     af_lower_bound_experiment,
@@ -112,6 +113,34 @@ class TestTheorem52:
         assert (rep.cap_slack, rep.m_slack) == (good.cap_slack, good.m_slack)
         assert not rep.holds
         assert rep.cap_stop_reasons[1] == "stalled"
+
+    @pytest.mark.parametrize(
+        "n, comb",
+        [
+            (3, classical_af_combination(3)),
+            (3, ConvexCombination.build([1 / 3] * 3, 3 * np.eye(3, dtype=np.int64), [1, 1, 1], 3)),
+            (4, classical_af_combination(4)),
+            (8, classical_af_combination(8)),
+        ],
+        ids=["classical-3", "three-vectors-3", "classical-4", "classical-8"],
+    )
+    def test_m_values_are_m_alpha_bit_for_bit(self, n, comb, monkeypatch):
+        # The M values come from one stacked kernel call; each must be what
+        # m_alpha gives its weight vector alone (at n = 8 the kernel groups
+        # the repeated slots of every expansion).
+        seen = {}
+        log_positive = genaf._log_positive
+
+        def recording(value, what):
+            seen[what] = value
+            return log_positive(value, what)
+
+        monkeypatch.setattr(genaf, "_log_positive", recording)
+        t = random_tuple(n, 330 + n)
+        check_theorem52(t, comb)
+        expected = {f"M^{tuple(v)}": m_alpha(t, v) for v in comb.vectors}
+        expected["M(target)"] = m_alpha(t, comb.target)
+        assert {k: seen[k].hex() for k in expected} == {k: v.hex() for k, v in expected.items()}
 
 
 class TestPermanentExperiment:

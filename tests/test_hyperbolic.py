@@ -270,18 +270,24 @@ def _seeded_pencils():
 
 
 class TestRootPath:
-    def test_roots_trace_and_nonnegativity_keep_the_eig_hermitian_bits(self):
+    def test_roots_trace_and_nonnegativity_come_from_eigvalsh(self):
+        # The roots are the eigenvalues alone of L B(x) L; they stay within
+        # 1e-13 of the first eigendecomposition route and decide every
+        # nonnegativity test as it did.
         rng = make_rng(78)
         outcomes = set()
         for pencil in _seeded_pencils():
             points = [pencil.e, -pencil.e, np.zeros(pencil.m)]
             points += [rng.standard_normal(pencil.m) for _ in range(6)]
             for x in points:
-                lam = _eig_hermitian_roots(pencil, x)
+                l = pencil._reducer
+                lam = np.linalg.eigvalsh(l @ pencil.at(x) @ l)[::-1]
+                reference = _eig_hermitian_roots(pencil, x)
+                assert np.abs(lam - reference).max() <= 1e-13
                 assert roots(pencil, x).lam.tobytes() == lam.tobytes()
                 assert trace_e(pencil, x).hex() == math.fsum(lam).hex()
                 for tol in (DEFAULT_TOL.psd_tol, 0.0, 0.5):
-                    expected = float(lam[-1]) >= -tol
+                    expected = float(reference[-1]) >= -tol
                     assert is_e_nonnegative(pencil, x, tol) is expected
                     outcomes.add(expected)
         assert outcomes == {True, False}

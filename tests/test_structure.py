@@ -19,7 +19,7 @@ from mixdisc.core import (
     rank_psd,
     spawn_seeds,
 )
-from mixdisc.discriminant import MatrixTuple, eval_polarized
+from mixdisc.discriminant import MatrixTuple, diagonal_tuple, eval_polarized, permanent
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.structure import (
     _first_subset,
@@ -62,6 +62,34 @@ class TestIndecomposability:
         assert positivity_rank_test(t)
         bad = MatrixTuple([np.diag([1.0, 0, 0])] * 3)
         assert not positivity_rank_test(bad)
+
+    @pytest.mark.parametrize(
+        "diagonals",
+        [
+            [[1.0, 0.0]] * 2,
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+            [[1.0, 1.0, 0.0]] * 3,
+        ],
+    )
+    def test_positivity_needs_the_full_sum_to_have_full_rank(self, diagonals):
+        # Every proper subset passes the weak rank test; only S = all slots
+        # fails, and D = 0.
+        t = MatrixTuple([np.diag(d) for d in diagonals])
+        assert eval_polarized(t) == 0.0
+        assert not positivity_rank_test(t)
+
+    def test_positivity_of_0_1_diagonal_tuples_is_a_perfect_matching(self):
+        # D(diagonal_tuple(C)) = per(C), and by Hall's theorem the weak rank
+        # condition over all subsets holds exactly when per(C) > 0.
+        rng = make_rng(17)
+        outcomes = set()
+        for _ in range(50):
+            for n in range(1, 7):
+                c = (rng.random((n, n)) < rng.uniform(0.1, 0.6)).astype(float)
+                expected = permanent(c) > 0.5
+                assert positivity_rank_test(diagonal_tuple(c)) is expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
     def test_non_psd_tuple_is_a_precondition_violation(self):
