@@ -176,8 +176,8 @@ def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def min_eigenvalue(a) -> float:
-    w, _ = eig_hermitian(a)
-    return float(w[-1])
+    """The smallest eigenvalue of a Hermitian matrix (eigenvalues only)."""
+    return float(_eigh(a, vectors=False)[0])
 
 
 def rank_psd(a, tol: Tolerances = DEFAULT_TOL):
@@ -196,9 +196,9 @@ def rank_psd(a, tol: Tolerances = DEFAULT_TOL):
 def psd_violation(a) -> float:
     """How far a Hermitian matrix (or the worst of a stack) is from PSD.
 
-    That is max(0, -smallest eigenvalue).
+    That is max(0, -smallest eigenvalue), from eigenvalues only.
     """
-    return max(0.0, -float(np.linalg.eigvalsh(a).min()))
+    return max(0.0, -float(_eigh(a, vectors=False).min()))
 
 
 # ---------------------------------------------------------------------------

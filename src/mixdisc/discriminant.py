@@ -38,6 +38,7 @@ from .core import (
     NumericalInconsistency,
     PreconditionViolated,
     Tolerances,
+    _eigh,
     as_hermitian,
     fsum_complex,
     max_abs,
@@ -133,6 +134,48 @@ def _as_real(z, tol_scale: float = 1e-9):
             f"value {z!r} has imaginary residue above {tol_scale:g} gate"
         )
     return z.real
+
+
+def _as_real_d(z, mats):
+    """The real part of the mixed discriminant ``z`` of the Hermitian tuple
+    ``mats`` (n, n, n), or of the (B,) values of a (B, n, n, n) stack, whose
+    imaginary residues all satisfy |Im z| <= 8 n u S with S =
+    (sum_i ||A_i||_2)^n of its tuple, u the unit round-off;
+    NumericalInconsistency otherwise.
+
+    D of a Hermitian tuple is real, so Im z is rounding error alone, and S
+    bounds every term both routes sum.  A kernel term det(M_eps), M_eps =
+    sum eps_i A_i, has |det M_eps| <= ||M_eps||_2^n <= S.  A term det(A_sigma)
+    of the permutation sum has |det A_sigma| <= prod_i ||A_sigma(i) e_i||_2
+    (Hadamard), so those terms sum in absolute value to at most per(C),
+    C_ji = ||A_j e_i||_2, and per(C) <= prod_i sum_j C_ji <= S.  The rounding
+    error of either sum is a small multiple of n u times its scale.  A gate
+    relative to |z| would reject valid tuples whose terms cancel: with a
+    rank-one slot repeated D = 0 and every term is itself rounding noise.
+    Since ||A_i||_2 >= max |entry of A_i|, S >= max |entry of the tuple|^n;
+    that lower bound passes almost every nonzero residue, and S itself is
+    computed, by one batched ``eigvalsh``, only for the values it does not
+    pass.
+    """
+    z = np.asarray(z)
+    mats = np.asarray(mats)
+    n = mats.shape[-1]
+    imag = np.abs(z.imag).reshape(-1)
+    if imag.any():
+        mats = mats.reshape(-1, n, n, n)
+        gate = 8 * n * 2.0**-53
+        unsure = np.flatnonzero(imag > gate * np.abs(mats).max(axis=(1, 2, 3)) ** n)
+        if unsure.size:
+            norms = np.abs(_eigh(mats[unsure], vectors=False)).max(-1)
+            bounds = gate * norms.sum(-1) ** n
+            bad = imag[unsure] > bounds
+            if bad.any():
+                k = int(bad.argmax())
+                raise NumericalInconsistency(
+                    f"value {complex(z.reshape(-1)[unsure[k]])!r} has imaginary "
+                    f"residue above 8 n u S = {bounds[k]:.3g}"
+                )
+    return float(z.real) if z.ndim == 0 else z.real
 
 
 def _perm_signs(perms: np.ndarray) -> np.ndarray:
@@ -375,7 +418,7 @@ def eval_polarized(t: MatrixTuple) -> float:
     eps_n = +1 of prod(eps) det(sum eps_i A_i), 2^(n-1) determinants for
     distinct slots and prod_g (free_g + 1) when n >= 8 and slots repeat.
     """
-    return _as_real(_polarized_raw(t.matrices[None])[0])
+    return _as_real_d(_polarized_raw(t.matrices[None])[0], t.matrices)
 
 
 def eval_sigma_det(t: MatrixTuple) -> float:
@@ -402,7 +445,7 @@ def eval_sigma_det(t: MatrixTuple) -> float:
             yield dets.real.tolist()
 
     real = math.fsum(itertools.chain.from_iterable(real_parts()))
-    return _as_real(complex(real, math.fsum(imag)))
+    return _as_real_d(complex(real, math.fsum(imag)), t.matrices)
 
 
 def _double_perm_raw(mats) -> complex:
@@ -510,17 +553,26 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
     eigenvalues give D = 2^(1-n) sum prod(eps) det(M_eps), summed with
     ``math.fsum``.
     """
-    n = t.n
+    q, value, _ = _gradient_raw(t.matrices)
+    return DiscriminantGradient(Q=q, value=value)
+
+
+def _gradient_raw(mats: np.ndarray):
+    """(Q, D, sum |terms|) of one (n, n, n) tuple by the eigen-adjugate pass
+    of :func:`gradient`; the third is the kernel's rounding scale of D (see
+    :func:`_centered_sum`)."""
+    n = len(mats)
     _gate(n, _GATE_POLARIZED, "gradient")
-    rows = t.matrices.reshape(1, n, n * n)
+    rows = mats.reshape(1, n, n * n)
     q, terms = 0, []
     for eps, sign, s in _eps_combinations(rows):
         adj, det = _adjugates(s.reshape(-1, n, n))
         q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
         terms.append(sign * det)
     scale = 2.0 ** (1 - n)
+    terms = np.concatenate(terms).tolist()
     qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
-    return DiscriminantGradient(Q=qs, value=scale * math.fsum(np.concatenate(terms)))
+    return qs, scale * math.fsum(terms), scale * math.fsum(map(abs, terms))
 
 
 def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:
@@ -579,7 +631,7 @@ def exchange_value(
     g = grad if grad is not None else gradient(t)
     pair = np.array([t.matrices, t.matrices])
     pair[0, j], pair[1, i] = t.matrices[i], t.matrices[j]
-    d_ij, d_ji = _as_real(_polarized_raw(pair)).tolist()
+    d_ij, d_ji = _as_real_d(_polarized_raw(pair), pair).tolist()
     t_ij = _as_real(np.trace(t.matrices[i] @ g.Q[j]), 1e-8)
     t_ji = _as_real(np.trace(t.matrices[j] @ g.Q[i]), 1e-8)
     bound = _EXCHANGE_CHECK_REL * (1.0 + abs(d_ij) + abs(d_ji))

@@ -3,12 +3,10 @@
 The lower bound n!/n^n is a theorem; everything here either evaluates it,
 samples the feasible set, or tries (and must fail) to push below it.
 
-:func:`minimize_search` descends its trials as stacks of up to
-``_DESCENT_CHUNK`` tuples: a step tests the +- candidates of every live trial
-for PSD with one eigensolve and evaluates them with one call of the centered
-kernel, whose values pass one residue gate.  Each trial keeps its own Philox
-stream, so every result is the one a trial descended alone gives, bit for
-bit.
+:func:`minimize_search` descends each trial by projected gradient: the
+steepest descent of D within the doubly stochastic tuples, with Armijo
+backtracking that also rejects non-PSD candidates, until the predicted
+decrease is rounding noise (:func:`_descend`).
 """
 
 from __future__ import annotations
@@ -29,35 +27,30 @@ from .core import (
     SamplerExhausted,
     Tolerances,
     iter_seeds,
-    make_rng,
     max_abs,
     min_eigenvalue,
+    psd_violation,
     random_psd,
     spawn_seeds,
 )
-from .discriminant import MatrixTuple, _as_real, _polarized_raw, eval_polarized
+from .discriminant import MatrixTuple, _gradient_raw, eval_polarized
 from .capacity import _scale_cold
 
 _BOUND_SLACK = 1e-7
 _GATE_SEARCH = 6
 _DS_RETRIES = 100  # draws random_ds_tuple tries before SamplerExhausted
 _DESCENT_MAX_STEPS = 2000
-_DESCENT_REJECTIONS = 40
-# Trials descended together as one stack.  The stack, its candidates and its
-# block of directions (3.5 MB at n = 6) grow with the width, so a fixed width
-# keeps memory flat in the trial count.  Wider stacks spread numpy's per-call
-# cost further: 64 trials at n = 3 took 9.9 s at width 1, 3.1 s at 8, 1.9 s
-# at 32 and 1.6 s at 64, and 128 trials were no faster at 128.
-_DESCENT_CHUNK = 64
-# Directions drawn ahead per trial, so that their arithmetic runs once per
-# block of steps: one n = 3 trial took 184 ms drawing one step ahead and
-# 120 to 140 ms drawing 4 to 64 ahead.
-_DIRECTION_BLOCK = 16
+# Sufficient-decrease fraction of the Armijo condition in _descend.
+_ARMIJO = 1e-4
 
 
 @dataclass
 class SearchRecord:
-    """Outcome of a falsification search against the n!/n^n bound."""
+    """Outcome of a falsification search against the n!/n^n bound.
+
+    ``trial_bests`` holds each trial's final D in trial order and
+    ``stop_reasons`` why its descent stopped.
+    """
 
     best_value: float
     best_tuple: MatrixTuple
@@ -66,8 +59,9 @@ class SearchRecord:
     below_bound: bool
     trial_bests: list = field(default_factory=list)
     distance_to_jn: float | None = None
-    # Why each trial's descent stopped: "rejections" (_DESCENT_REJECTIONS in
-    # a row) or "max_steps" (_DESCENT_MAX_STEPS steps).
+    # Why each trial's descent stopped: "roundoff" (the predicted decrease
+    # fell to the rounding scale of D) or "max_steps" (_DESCENT_MAX_STEPS
+    # candidates).
     stop_reasons: list = field(default_factory=list)
 
 
@@ -163,90 +157,53 @@ def dnp_family_value(p, tol: Tolerances = DEFAULT_TOL) -> float:
     return value
 
 
-def _tangent_directions(n: int, rngs, count: int) -> np.ndarray:
-    """The next ``count`` random descent directions of each generator, as a
-    (k, count, n, n, n) stack of exactly Hermitian tuples with zero traces,
-    zero slot sum and unit Frobenius norm.
+def _direction(q: np.ndarray) -> np.ndarray:
+    """-P(Q): the steepest descent of D on the doubly stochastic tuples.
 
-    A direction takes n Hermitian slots from one ``standard_normal((n, 2, n,
-    n))`` block, element for element the stream of n ``random_hermitian``
-    calls, and ``count`` directions are one block of ``count`` times that
-    size.  A direction of norm below 1e-12 is dropped and the generator
-    draws one more, so the directions are those of one draw at a time with a
-    redraw after each tiny one.
+    P projects a tuple of Hermitian slots onto the tangent space (zero traces,
+    zero slot sum): it subtracts tr(Q_i)/n I from each slot, then the slot
+    mean.  Both steps add conjugate pairs to conjugate pairs, so the result is
+    exactly Hermitian when Q is.
     """
-    g = np.array([rng.standard_normal((count, n, 2, n, n)) for rng in rngs])
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
-    zs = (z + z.conj().swapaxes(-1, -2)) / 2.0
-    zs -= (np.trace(zs, axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
-    zs -= zs.sum(-3, keepdims=True) / n
-    norm = np.sqrt(np.sum(np.abs(zs) ** 2, axis=(-2, -1)).sum(-1))
-    tiny = norm < 1e-12
-    norm[tiny] = 1.0
-    zs /= norm[..., None, None, None]
-    for k in np.flatnonzero(tiny.any(axis=1)):
-        more = _tangent_directions(n, [rngs[k]], int(tiny[k].sum()))[0]
-        zs[k] = np.concatenate((zs[k][~tiny[k]], more))
-    return zs
+    n = len(q)
+    d = q - (np.trace(q, axis1=1, axis2=2).real / n)[:, None, None] * np.eye(n)
+    d -= d.sum(0) / n
+    return -d
 
 
-def _descend(mats: np.ndarray, rngs, tol: Tolerances):
-    """Random projected descent of a (T, n, n, n) stack of tuples, trial k
-    driven by ``rngs[k]``; strict decreases only, PSD enforced by rejection.
+def _descend(mats: np.ndarray, tol: Tolerances):
+    """Projected-gradient descent of one (n, n, n) doubly stochastic tuple.
 
-    The trials step in lockstep, each with its own step length, rejection
-    count and ``_DESCENT_MAX_STEPS`` cap; a trial leaves the working stack
-    when it stops.  Directions are drawn ``_DIRECTION_BLOCK`` steps ahead.  A
-    step forms the (T, 2) stack of candidates x +- step * z, exactly
-    Hermitian as x and z are; one ``eigvalsh`` tests it for PSD and one gated
-    kernel call evaluates it.  A trial moves to the first sign, in the order
-    +, -, that passes and strictly decreases D.
-    Returns the final stack, its (T,) values, each bit for bit what one
-    trial descended alone gives, and each trial's stop reason: "rejections"
-    after ``_DESCENT_REJECTIONS`` rejected steps in a row (also when that
-    step is the last one allowed), "max_steps" at the step cap.
+    From x with gradient Q (:func:`_gradient_raw`) the candidate is
+    x + s d, d = :func:`_direction` (Q), exactly Hermitian as x and d are.
+    It is taken when it is PSD within ``psd_tol`` and meets the Armijo
+    condition D(x + s d) <= D(x) - _ARMIJO s ||d||^2, and the step s then
+    doubles; otherwise s halves.  The descent stops with "roundoff" once the
+    predicted decrease s ||d||^2 is within 8 n u times the kernel's sum of
+    |terms| at x (u the unit round-off), the rounding scale of D, where no
+    decrease can be told from rounding; or with "max_steps" after
+    ``_DESCENT_MAX_STEPS`` candidates.  Returns the final tuple, its D and
+    the stop reason.
     """
-    mats = mats.copy()
-    n = mats.shape[1]
-    values = _as_real(_polarized_raw(mats))
-    reasons = [""] * len(mats)
-    # The working state of the trials still descending; ``live`` holds their
-    # rows in ``mats``.
-    live = np.arange(len(mats))
-    x, value, rngs = mats.copy(), values.copy(), list(rngs)
-    step = np.full(len(live), 0.1)
-    rejections = np.zeros(len(live), dtype=int)
-    signs = np.array([1.0, -1.0])
-    steps = 0  # the same for every live trial
-    while live.size:
-        if steps % _DIRECTION_BLOCK == 0:
-            directions = _tangent_directions(n, rngs, _DIRECTION_BLOCK)
-        zs = directions[:, steps % _DIRECTION_BLOCK]
-        steps += 1
-        cand = x[:, None] + (signs * step[:, None])[..., None, None, None] * zs[:, None]
-        psd = -np.linalg.eigvalsh(cand).min(axis=(-2, -1)) <= tol.psd_tol
-        d = _as_real(_polarized_raw(cand.reshape(-1, n, n, n))).reshape(psd.shape)
-        better = psd & (d < value[:, None])
-        plus = better[:, 0]
-        moved = plus | better[:, 1]
-        sign = np.where(plus, 0, 1)  # the candidate a moving trial takes
-        trial = np.arange(len(live))
-        x[moved] = cand[trial, sign][moved]
-        value = np.where(moved, d[trial, sign], value)
-        rejections = np.where(moved, 0, rejections + 1)
-        step = np.where(moved, np.minimum(step * 1.5, 0.1), step * 0.5)
-        rejected = rejections >= _DESCENT_REJECTIONS
-        stop = rejected | (steps >= _DESCENT_MAX_STEPS)
-        if stop.any():
-            mats[live[stop]], values[live[stop]] = x[stop], value[stop]
-            for k, r in zip(live[stop].tolist(), rejected[stop].tolist()):
-                reasons[k] = "rejections" if r else "max_steps"
-            keep = ~stop
-            live, x, value, step, rejections, directions = (
-                a[keep] for a in (live, x, value, step, rejections, directions)
-            )
-            rngs = [rng for rng, k in zip(rngs, keep) if k]
-    return mats, values, reasons
+    n = len(mats)
+    floor = 8 * n * 2.0**-53
+    q, value, magnitude = _gradient_raw(mats)
+    x, step, reason = mats, 1.0, "max_steps"
+    for _ in range(_DESCENT_MAX_STEPS):
+        d = _direction(q)
+        decrease = step * float(np.vdot(d, d).real)
+        if decrease <= floor * magnitude:
+            reason = "roundoff"
+            break
+        cand = x + step * d
+        if psd_violation(cand) <= tol.psd_tol:
+            cand_q, cand_value, cand_magnitude = _gradient_raw(cand)
+            if cand_value <= value - _ARMIJO * decrease:
+                x, q, value, magnitude = cand, cand_q, cand_value, cand_magnitude
+                step *= 2.0
+                continue
+        step /= 2.0
+    return x, value, reason
 
 
 def minimize_search(
@@ -254,10 +211,11 @@ def minimize_search(
 ) -> SearchRecord:
     """Sample doubly stochastic tuples and descend; record the global best.
 
-    Trial k starts from ``random_ds_tuple(n, child_k)`` and draws its
-    directions from ``make_rng(child_k ^ 0x5EED)``, child_k the k-th seed of
-    ``iter_seeds(seed)``; the trials descend in stacks of ``_DESCENT_CHUNK``
-    (see :func:`_descend`), which changes no result.  ``below_bound`` turning true would falsify the n!/n^n theorem (or reveal
+    Trial k starts from ``random_ds_tuple(n, child_k)``, child_k the k-th
+    seed of ``iter_seeds(seed)``, and descends alone by projected gradient
+    (:func:`_descend`); no target is taken from n!/n^n, so a trial stops on
+    rounding noise or at the step cap wherever its minimum lies.
+    ``below_bound`` turning true would falsify the n!/n^n theorem (or reveal
     a bug) and is treated as a release-blocking event by the CLI.  n = 1 is a
     precondition error: the only doubly stochastic 1-tuple is (1), so there is
     no direction to descend along.
@@ -270,17 +228,12 @@ def minimize_search(
     best_value = math.inf
     best_mats = None
     trial_bests, stop_reasons = [], []
-    seeds = itertools.islice(iter_seeds(seed), trials)
-    while chunk := list(itertools.islice(seeds, _DESCENT_CHUNK)):
-        start = np.array([random_ds_tuple(n, child, tol).matrices for child in chunk])
-        rngs = [make_rng(child ^ 0x5EED) for child in chunk]
-        mats, values, reasons = _descend(start, rngs, tol)
-        stop_reasons += reasons
-        for m, value in zip(mats, values.tolist()):
-            trial_bests.append(value)
-            if value < best_value:
-                best_value = value
-                best_mats = m
+    for child in itertools.islice(iter_seeds(seed), trials):
+        mats, value, reason = _descend(random_ds_tuple(n, child, tol).matrices, tol)
+        trial_bests.append(value)
+        stop_reasons.append(reason)
+        if value < best_value:
+            best_value, best_mats = value, mats
     best_tuple = None if best_mats is None else MatrixTuple(best_mats, tol)
     record = SearchRecord(
         best_value=best_value,

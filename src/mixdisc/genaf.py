@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, InvalidWeight, SingularPencil, Tolerances
 from .capacity import capacity, n_pow_n_over_factorial
-from .discriminant import MatrixTuple, _as_real, _polarized_raw, eval_polarized, permanent
+from .discriminant import MatrixTuple, _as_real_d, _polarized_raw, eval_polarized, permanent
 
 _VALUE_FLOOR = 1e-300
 
@@ -105,7 +105,8 @@ def check_theorem52(
     cap_slack = _log_positive(caps[-1].value, "Cap(target)") - float(
         np.dot(comb.weights, log_caps)
     )
-    ms = _as_real(_polarized_raw(np.array([e.matrices for e in expanded]))).tolist()
+    stack = np.array([e.matrices for e in expanded])
+    ms = _as_real_d(_polarized_raw(stack), stack).tolist()
     log_ms = [_log_positive(m, f"M^{tuple(vec)}") for m, vec in zip(ms, comb.vectors)]
     m_target = _log_positive(ms[-1], "M(target)")
     m_slack = (

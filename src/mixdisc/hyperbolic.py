@@ -27,7 +27,7 @@ from .core import (
     make_rng,
     min_eigenvalue,
 )
-from .discriminant import _as_real, _polarized_raw
+from .discriminant import _as_real_d, _polarized_raw
 from .extremal import bapat_bound, random_ds_tuple
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
@@ -135,7 +135,8 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     n = pencil.degree
     if xs.shape != (n, pencil.m):
         raise ValueError(f"need exactly {n} real {pencil.m}-vectors (the degree of p)")
-    return _as_real(_polarized_raw(_pencil_points(pencil, xs[None]))[0])
+    points = _pencil_points(pencil, xs)
+    return _as_real_d(_polarized_raw(points[None])[0], points)
 
 
 def _membership(pencil: HyperbolicPencil, xs: np.ndarray, tol: Tolerances):
@@ -231,7 +232,8 @@ def conjecture_experiment(
         *_, passes, points = _membership(pencil, mixes.swapaxes(-1, -2), tol)
         rejected += int(np.count_nonzero(~passes))
         if passes.any():
-            for ratio in (_as_real(_polarized_raw(points[passes])) / p_e).tolist():
+            members = points[passes]
+            for ratio in (_as_real_d(_polarized_raw(members), members) / p_e).tolist():
                 done += 1
                 if ratio < min_ratio:
                     min_ratio = ratio

@@ -311,6 +311,20 @@ def test_grouped_polarized_matches_sigma_det(t):
     assert _close(eval_polarized(t), eval_sigma_det(t), _term_bounds(t.matrices), t.n)
 
 
+@pytest.mark.parametrize("seed", [0, 134])
+def test_cancelling_terms_pass_the_residue_gate(seed):
+    # Seven complex rank-one slots, slot 3 repeated: D = 0 and every term
+    # either route sums is rounding noise.  A gate relative to |D| raised on
+    # seed 0 in eval_sigma_det and on seed 134 in eval_polarized
+    # (D = -5.6e-9 + 1.9e-9j).
+    rng = make_rng(seed)
+    distinct = [_rank_one(8, rng, real=False) for _ in range(7)]
+    t = MatrixTuple([distinct[i] for i in [0, 1, 2, 3, 4, 5, 6, 3]])
+    bound = _term_bounds(t.matrices)
+    assert _close(eval_polarized(t), 0.0, bound, t.n)
+    assert _close(eval_sigma_det(t), 0.0, bound, t.n)
+
+
 @settings(max_examples=30, deadline=None)
 @given(repeated_slot_tuples(), st.integers(0, 2**32 - 1))
 def test_grouped_gradient_is_the_slot_functional(t, seed):

@@ -229,7 +229,7 @@ class TestSearchAndExperiments:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "trial,best_value"
         assert len(lines) == 4
-        assert rep["results"]["stop_reasons"] == ["rejections"] * 3
+        assert rep["results"]["stop_reasons"] == ["roundoff"] * 3
 
     def test_bapat_search_n1_exits_1_without_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -12,9 +12,11 @@ from mixdisc.core import (
     random_psd,
     spawn_seeds,
 )
+from mixdisc import discriminant
 from mixdisc.discriminant import (
     MatrixTuple,
     _as_real,
+    _as_real_d,
     check_doubly_stochastic,
     diagonal_tuple,
     euler_identity_residual,
@@ -240,6 +242,35 @@ class TestAsReal:
             _as_real(z)
         z.flat[-1] = 1.0 + 1.5e-9j
         assert _as_real(z).tolist() == np.ones(shape).tolist()
+
+
+class TestAsRealD:
+    def test_residue_is_held_to_the_rounding_scale_of_the_terms(self):
+        # Three slots 4/3 I: sum ||A_i||_2 = 4, S = 4^3, gate 8 n u S.
+        mats = np.array([4 * np.eye(3) / 3] * 3)
+        gate = 8 * 3 * 2.0**-53 * 4.0**3
+        assert _as_real_d(np.complex128(1.0 + 0.9j * gate), mats) == 1.0
+        with pytest.raises(NumericalInconsistency):
+            _as_real_d(np.complex128(1.0 + 1.1j * gate), mats)
+
+    def test_each_value_of_a_stack_is_held_to_its_own_tuple(self):
+        small = np.array([np.eye(2) / 2] * 2)  # S = 1
+        stack = np.array([100 * small, small])  # S = 1e4 for the first
+        gate = 8 * 2 * 2.0**-53
+        z = np.array([1.0 + 1e3j * gate, -2.0 + 0j])
+        assert _as_real_d(z, stack).tolist() == [1.0, -2.0]
+        z[1] = -2.0 + 2j * gate
+        with pytest.raises(NumericalInconsistency):
+            _as_real_d(z, stack)
+
+    def test_real_values_take_no_eigensolve(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("S computed for a real value")
+
+        monkeypatch.setattr(discriminant, "_eigh", no_eigh)
+        mats = np.array([np.eye(2) / 2] * 2)
+        assert type(_as_real_d(np.complex128(0.5), mats)) is float
+        assert _as_real_d(np.array([0.5, 0.25 + 0j]), np.array([mats, mats])).tolist() == [0.5, 0.25]
 
 
 class TestDsCheck:

@@ -160,101 +160,28 @@ class TestSearch:
 
 
 # ---------------------------------------------------------------------------
-# the stacked descent against one trial at a time
+# the projected-gradient descent
 
 
-def _sequential_tangent(n, rng):
-    """The direction rule drawn one slot at a time: n random_hermitian calls."""
+def _unit_tangent(n, rng):
+    """A random tuple of Hermitian slots with zero traces and zero slot sum,
+    of unit Frobenius norm."""
     zs = np.array([random_hermitian(n, rng) for _ in range(n)])
     zs -= (np.trace(zs, axis1=1, axis2=2).real / n)[:, None, None] * np.eye(n)
     zs -= zs.sum(0) / n
-    norm = math.sqrt(np.sum(np.abs(zs) ** 2, axis=(1, 2)).sum())
-    if norm < 1e-12:
-        return _sequential_tangent(n, rng)
-    return zs / norm
+    return zs / math.sqrt(np.sum(np.abs(zs) ** 2))
 
 
-def _sequential_descend(t, rng, tol=DEFAULT_TOL):
-    """One trial's descent, a candidate at a time; also returns its step count."""
-    value = eval_polarized(t)
-    step, rejections, steps = 0.1, 0, 0
-    while rejections < 40 and steps < extremal._DESCENT_MAX_STEPS:
-        steps += 1
-        zs = _sequential_tangent(t.n, rng)
-        accepted = False
-        for sign in (1.0, -1.0):
-            cand = t.matrices + sign * step * zs
-            cand = (cand + cand.conj().transpose(0, 2, 1)) / 2.0
-            if psd_violation(cand) > tol.psd_tol:
-                continue
-            cand_t = MatrixTuple(cand, tol)
-            cand_value = eval_polarized(cand_t)
-            if cand_value < value:
-                t, value = cand_t, cand_value
-                accepted = True
-                break
-        if accepted:
-            rejections = 0
-            step = min(step * 1.5, 0.1)
-        else:
-            step *= 0.5
-            rejections += 1
-    return t, value, steps
-
-
-def _sequential_search(n, trials, seed):
-    """(trial_bests, best tuple, steps per trial), one trial after another."""
-    best_value, best_tuple, trial_bests, steps = math.inf, None, [], []
-    for child in spawn_seeds(seed, trials):
-        t, value, k = _sequential_descend(random_ds_tuple(n, child), make_rng(child ^ 0x5EED))
-        trial_bests.append(value)
-        steps.append(k)
-        if value < best_value:
-            best_value, best_tuple = value, t
-    return trial_bests, best_tuple, steps
-
-
-def _assert_same_search(rec, trial_bests, best_tuple):
-    assert [v.hex() for v in rec.trial_bests] == [v.hex() for v in trial_bests]
-    assert rec.best_value.hex() == min(trial_bests).hex()
-    assert rec.best_tuple.matrices.tobytes() == best_tuple.matrices.tobytes()
+def _exactly_hermitian(a):
+    return np.array_equal(a, a.conj().swapaxes(-1, -2))
 
 
 class TestStackedDescent:
-    # Trials stop at different steps in every case: 140 to 177 at n = 2,
-    # 697 to 793 at n = 3; at n = 4 seed 1 the first trial hits the step cap
-    # and the second stops after 1922.
-    @pytest.mark.parametrize("n, trials, seed", [(2, 5, 52), (3, 3, 53), (4, 2, 1)])
-    def test_matches_one_trial_at_a_time(self, n, trials, seed):
-        trial_bests, best_tuple, steps = _sequential_search(n, trials, seed)
-        assert len(set(steps)) > 1
-        if n == 4:
-            assert extremal._DESCENT_MAX_STEPS in steps
-        rec = minimize_search(n, trials, seed)
-        _assert_same_search(rec, trial_bests, best_tuple)
-        # A trial stopped short of the cap only after 40 rejections in a row.
-        cap = extremal._DESCENT_MAX_STEPS
-        assert rec.stop_reasons == ["max_steps" if k == cap else "rejections" for k in steps]
-
-    def test_several_chunks_match_one_trial_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(extremal, "_DESCENT_CHUNK", 2)
-        monkeypatch.setattr(extremal, "_DIRECTION_BLOCK", 5)
-        trial_bests, best_tuple, _ = _sequential_search(2, 5, 52)
-        _assert_same_search(minimize_search(2, 5, 52), trial_bests, best_tuple)
-
-    def test_more_trials_than_one_chunk(self, monkeypatch):
-        trials = extremal._DESCENT_CHUNK + 3
-        rec = minimize_search(2, trials, 8)
-        monkeypatch.setattr(extremal, "_DESCENT_CHUNK", 4)
-        monkeypatch.setattr(extremal, "_DIRECTION_BLOCK", 1)
-        _assert_same_search(minimize_search(2, trials, 8), rec.trial_bests, rec.best_tuple)
-        assert len(rec.trial_bests) == trials
-
     @pytest.mark.parametrize(
         "n, trials, seed, trial_bests",
         [
-            (2, 5, 52, [0.5000000000000001, 0.5000000000000007, 0.5000000000000003, 0.4999999999999999, 0.49999999999999994]),
-            (3, 3, 53, [0.22222222222222238, 0.22222222222222324, 0.22222222222222318]),
+            (2, 5, 52, [0.49999999999999983, 0.49999999999999994, 0.4999999999999997, 0.49999999999999994, 0.49999999999999994]),
+            (3, 3, 53, [0.22222222222222218, 0.22222222222222202, 0.22222222222222243]),
         ],
     )
     def test_pinned_trial_bests(self, n, trials, seed, trial_bests):
@@ -262,54 +189,78 @@ class TestStackedDescent:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_directions_and_candidates_are_exactly_hermitian(self, n, monkeypatch):
-        # The descent evaluates x +- step * z without symmetrizing it: both
+        # The descent evaluates x + step * d without symmetrizing it: both
         # terms are exactly Hermitian, so every candidate must be too.
-        def exactly_hermitian(a):
-            return np.array_equal(a, a.conj().swapaxes(-1, -2))
-
-        for seed in (n, n + 10):
-            rngs = [make_rng(seed), make_rng(seed + 100)]
-            assert exactly_hermitian(extremal._tangent_directions(n, rngs, 8))
         stacks = []
-        kernel = extremal._polarized_raw
+        kernel = extremal._gradient_raw
 
         def recording(mats):
             stacks.append(np.array(mats))
             return kernel(mats)
 
-        monkeypatch.setattr(extremal, "_polarized_raw", recording)
+        monkeypatch.setattr(extremal, "_gradient_raw", recording)
         monkeypatch.setattr(extremal, "_DESCENT_MAX_STEPS", 40)
         for seed in (n, n + 10):
             minimize_search(n, 3, seed)
-        # Per search: the start values, then one call per step.
-        assert len(stacks) == 2 * (1 + 40)
-        assert all(exactly_hermitian(s) for s in stacks)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_tiny_directions_are_drawn_again(self, n):
-        # A stream whose first and fourth directions are all zeros: both are
-        # dropped and the next draw of the same stream takes their place.
-        size = n * 2 * n * n
-        stream = make_rng(n).standard_normal(8 * size)
-        stream[:size] = 0.0
-        stream[3 * size : 4 * size] = 0.0
-        expected_rng = _StreamRng(stream)
-        expected = [_sequential_tangent(n, expected_rng) for _ in range(4)]
-        rng = _StreamRng(stream)
-        got = extremal._tangent_directions(n, [rng], 4)
-        assert got.shape == (1, 4, n, n, n)
-        assert got[0].tobytes() == np.array(expected).tobytes()
-        assert rng.pos == expected_rng.pos == 6 * size
+        # Per search: three starts and at least one candidate.
+        assert len(stacks) > 2 * 3
+        assert all(_exactly_hermitian(s) for s in stacks)
 
 
-class _StreamRng:
-    """Hands out one fixed stream of normals, whatever shapes are asked for."""
+class TestProjectedGradientDescent:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_trial_stops_at_roundoff_on_the_bound(self, n):
+        bound = bapat_bound(n)
+        for seed in range(60):
+            rec = minimize_search(n, 1, seed)
+            assert rec.stop_reasons == ["roundoff"]
+            assert abs(rec.best_value - bound) <= 1e-11 * bound
 
-    def __init__(self, stream):
-        self.stream, self.pos = stream, 0
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_direction_is_a_hermitian_tangent(self, n):
+        t = random_ds_tuple(n, 40 + n)
+        d = extremal._direction(extremal._gradient_raw(t.matrices)[0])
+        assert _exactly_hermitian(d)
+        scale = np.abs(d).max()
+        assert np.abs(np.trace(d, axis1=1, axis2=2)).max() <= 1e-14 * scale
+        assert np.abs(d.sum(0)).max() <= 1e-14 * scale
 
-    def standard_normal(self, shape):
-        k = math.prod(shape)
-        out = self.stream[self.pos : self.pos + k].reshape(shape)
-        self.pos += k
-        return out
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_returns_to_jn_from_a_nearby_start(self, n):
+        jn = np.array([np.eye(n) / n] * n)
+        start = MatrixTuple(jn + 1e-3 * _unit_tangent(n, make_rng(n)))
+        mats, value, reason = extremal._descend(start.matrices, DEFAULT_TOL)
+        assert reason == "roundoff"
+        assert np.abs(mats - jn).max() <= 1e-6
+        assert abs(value - bapat_bound(n)) <= 1e-11 * bapat_bound(n)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_near_boundary_start_descends(self, n):
+        # Slot 0 is rank one plus 1e-6 I before scaling: the descent starts
+        # next to the boundary of the PSD cone.
+        rng = make_rng(70 + n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mats = [np.outer(v, v.conj()) + 1e-6 * np.eye(n)]
+        mats += [random_psd(n, s) for s in spawn_seeds(70 + n, n - 1)]
+        start = _scale_cold(MatrixTuple(mats)).scaled
+        got, value, reason = extremal._descend(start.matrices, DEFAULT_TOL)
+        assert reason in ("roundoff", "max_steps")
+        assert value <= eval_polarized(start)
+        assert value >= bapat_bound(n) - 1e-7
+        assert psd_violation(got) <= DEFAULT_TOL.psd_tol
+        assert check_doubly_stochastic(MatrixTuple(got)).is_doubly_stochastic
+
+    def test_non_psd_candidates_are_rejected(self, monkeypatch):
+        # At n = 3, seed 15, one candidate leaves the PSD cone; the step
+        # halves and the trial still ends on the bound.
+        violations = []
+
+        def recording(a):
+            violations.append(psd_violation(a))
+            return violations[-1]
+
+        monkeypatch.setattr(extremal, "psd_violation", recording)
+        rec = minimize_search(3, 1, 15)
+        assert sum(v > DEFAULT_TOL.psd_tol for v in violations) == 1
+        assert rec.stop_reasons == ["roundoff"]
+        assert abs(rec.best_value - bapat_bound(3)) <= 1e-11 * bapat_bound(3)
