@@ -48,8 +48,12 @@ the congruence of the stack, one trace for the normalization and one slot
 sum plus one trace for the defect test; from the second step on it adds the
 extrapolation and one batched eigenvalue solve for the two potentials.  The
 precondition of every scaling call is one PSD check and one subset scan
-(``structure._first_subset``: one batched eigensolve per cardinality up to
-n = 10, more chunks above).
+(``structure._first_subset``).  The check's eigenvalues of the slots also
+rank the single slots; each larger cardinality costs one batched eigensolve
+up to n = 10 (more chunks above), and the scan stops at the first
+cardinality with a witness or whose subset sums all have rank n.  A tuple of
+full-rank slots, such as a Wishart draw, costs the one eigensolve of its
+slots.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 

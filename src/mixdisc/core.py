@@ -187,10 +187,14 @@ def rank_psd(a, tol: Tolerances = DEFAULT_TOL):
     (an integer array of the stack's shape): one batched ``np.linalg.eigvalsh``
     call, eigenvalues only, which match the per-matrix calls bit for bit.
     """
-    w = _eigh(a, vectors=False)
-    top = w.max(axis=-1, initial=0.0, keepdims=True)
-    ranks = np.count_nonzero(w > tol.rank_tol * top, axis=-1)
+    ranks = _rank_of_eigenvalues(_eigh(a, vectors=False), tol)
     return int(ranks) if ranks.ndim == 0 else ranks
+
+
+def _rank_of_eigenvalues(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The ranks ``rank_psd`` counts, from the eigenvalues (..., n) of a stack."""
+    top = w.max(axis=-1, initial=0.0, keepdims=True)
+    return np.count_nonzero(w > tol.rank_tol * top, axis=-1)
 
 
 def psd_violation(a) -> float:

@@ -590,10 +590,15 @@ def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradie
     return float(res)
 
 
-def _require_psd(t: MatrixTuple, tol: Tolerances) -> None:
-    worst = psd_violation(t.matrices)
+def _require_psd(t: MatrixTuple, tol: Tolerances) -> np.ndarray:
+    """Raise unless the ``psd_violation`` of the slots is within
+    psd_tol (1 + max|entry|); return the slots' eigenvalues, (n, n) ascending,
+    from the one batched ``eigvalsh`` the check ran."""
+    w = _eigh(t.matrices, vectors=False)
+    worst = max(0.0, -float(w.min()))
     if worst > tol.psd_tol * (1.0 + t.scale_of()):
         raise PreconditionViolated(f"tuple is not PSD (violation {worst:.3e})")
+    return w
 
 
 def _trace_and_sum_violations(

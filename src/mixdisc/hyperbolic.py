@@ -31,7 +31,7 @@ from .discriminant import _as_real_d, _polarized_raw
 from .extremal import bapat_bound, random_ds_tuple
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
-_SINKHORN_SWEEPS = 200  # row and column normalizations of a random DS matrix
+_SINKHORN_MAX_SWEEPS = 200  # cap on the row and column normalizations of a mixing stack
 
 
 class HyperbolicPencil:
@@ -179,17 +179,26 @@ def axis_vectors(n: int) -> list[np.ndarray]:
     return [np.eye(n)[i] for i in range(n)]
 
 
-def _random_ds_matrices(k: int, n: int, rng) -> np.ndarray:
-    """k positive random matrices, Sinkhorn-normalized as one (k, n, n) stack.
+def _random_ds_matrices(k: int, n: int, rng, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """k positive random matrices, Sinkhorn-normalized as one (k, n, n) stack,
+    and the number of sweeps taken.
 
-    Each slice has rows and columns summing to 1 and equals what the same
-    draws would give normalized one matrix at a time.
+    A sweep divides every row by its sum, then every column by its sum, so
+    the columns sum to 1 after each one.  The sweeps stop once every row sum
+    of the stack is within 1e-4 ``ds_tol`` of 1, or after
+    ``_SINKHORN_MAX_SWEEPS``.  The stack stops as a whole, so a slice is not
+    what the same draw normalized on its own would give.
     """
     m = np.exp(rng.standard_normal((k, n, n)))
-    for _ in range(_SINKHORN_SWEEPS):
-        m /= m.sum(axis=-1, keepdims=True)
+    stop = 1e-4 * tol.ds_tol
+    sweeps = 0
+    while True:
+        rows = m.sum(axis=-1, keepdims=True)
+        if sweeps == _SINKHORN_MAX_SWEEPS or np.abs(rows - 1.0).max() <= stop:
+            return m, sweeps
+        m /= rows
         m /= m.sum(axis=-2, keepdims=True)
-    return m
+        sweeps += 1
 
 
 @dataclass(frozen=True)
@@ -202,6 +211,7 @@ class ConjectureExperimentReport:
     bound: float
     violations: list
     rejection_rate: float
+    max_sinkhorn_sweeps: int  # over the mixing stacks; _SINKHORN_MAX_SWEEPS means the cap was hit
 
 
 def conjecture_experiment(
@@ -214,7 +224,10 @@ def conjecture_experiment(
     preserves membership, which is rechecked and rejected on failure.
     A ratio below n!/n^n - 1e-6 is recorded as a violation, not raised.
     The up to ``_MIXTURES_PER_PENCIL`` mixtures of a pencil are checked as
-    one stack, and p(e) is computed once per pencil.
+    one stack, and p(e) is computed once per pencil.  ``max_sinkhorn_sweeps``
+    is the most Sinkhorn sweeps any mixing stack took; at
+    ``_SINKHORN_MAX_SWEEPS`` a stack stopped at the cap, not at its row-sum
+    test, and its mixtures may fail the membership recheck.
     """
     bound = bapat_bound(n)
     rng = make_rng(seed)
@@ -223,11 +236,13 @@ def conjecture_experiment(
     rejected = 0
     done = 0
     pencil_index = 0
+    max_sweeps = 0
     while done < samples:
         t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
         pencil = pencil_from_tuple(t, tol)
         p_e = pencil.value(pencil.e)
-        mixes = _random_ds_matrices(min(_MIXTURES_PER_PENCIL, samples - done), n, rng)
+        mixes, sweeps = _random_ds_matrices(min(_MIXTURES_PER_PENCIL, samples - done), n, rng, tol)
+        max_sweeps = max(max_sweeps, sweeps)
         # The vectors of a mixture are its columns.
         *_, passes, points = _membership(pencil, mixes.swapaxes(-1, -2), tol)
         rejected += int(np.count_nonzero(~passes))
@@ -249,4 +264,5 @@ def conjecture_experiment(
         bound=bound,
         violations=violations,
         rejection_rate=rejected / max(1, done + rejected),
+        max_sinkhorn_sweeps=max_sweeps,
     )

@@ -16,6 +16,8 @@ from .core import (
     NotDoublyStochastic,
     NotUnitary,
     Tolerances,
+    _eigh,
+    _rank_of_eigenvalues,
     eig_hermitian,
     max_abs,
     rank_psd,
@@ -46,34 +48,46 @@ class DecompositionResult:
     product_check: float
 
 
-def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances):
+def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances, slot_eigs=None):
     """First proper subset S with rank_test(rank(sum_{i in S} A_i), |S|), or None.
 
     Subsets are scanned in ascending cardinality and canonical order, so the
     subset found is minimal.  Each cardinality's subset sums are formed as
     ``mats[idx].sum(1)`` (the same additions, in the same order, as one
-    subset at a time) and ranked by one batched ``rank_psd`` call per chunk;
+    subset at a time) and ranked from one batched ``eigvalsh`` call per chunk;
     a chunk gathers at most ``_SCAN_CHUNK`` matrix entries, so the scan's
-    memory stays near 2 MB at any n.  The scan stops after the first chunk
-    that holds a witness.
+    memory stays near 2 MB at any n.  The single slots are ranked from
+    ``slot_eigs``, their eigenvalues (n, n), when the caller has them.  The
+    scan stops after the first chunk that holds a witness, or after the
+    first cardinality whose subset sums all have rank n: a PSD sum only gains
+    rank as slots are added, so no larger proper subset can meet ``le``,
+    ``eq`` or ``lt``.
     """
     n = len(mats)
     for k in range(1, n):
         rows = _SCAN_CHUNK // (k * n * n)
         combos = itertools.combinations(range(n), k)
+        full_rank = True
         for _ in range(0, math.comb(n, k), rows):
             idx = np.fromiter(itertools.islice(combos, rows), dtype=(np.intp, k))
-            hits = np.flatnonzero(rank_test(rank_psd(mats[idx].sum(1), tol), k))
+            if k == 1 and slot_eigs is not None:
+                w = slot_eigs[idx[:, 0]]
+            else:
+                w = _eigh(mats[idx].sum(1), vectors=False)
+            ranks = _rank_of_eigenvalues(w, tol)
+            hits = np.flatnonzero(rank_test(ranks, k))
             if hits.size:
                 return tuple(int(i) for i in idx[hits[0]])
+            full_rank = full_rank and bool((ranks == n).all())
+        if full_rank:
+            return None
     return None
 
 
 def _scan_psd_tuple(t: MatrixTuple, rank_test, tol: Tolerances):
     if t.n > _GATE_SUBSETS:
         raise DimensionTooLarge(f"subset scan gated at n <= {_GATE_SUBSETS}")
-    _require_psd(t, tol)
-    return _first_subset(t.matrices, rank_test, tol)
+    return _first_subset(t.matrices, rank_test, tol, _require_psd(t, tol))
 
 
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):

@@ -125,17 +125,38 @@ class TestConjectureExperiment:
         assert rep.min_ratio >= bapat_bound(3) - 1e-6
         assert rep.bound == pytest.approx(bapat_bound(3))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
-    def test_stacked_sinkhorn_matches_one_matrix_at_a_time(self, n):
-        rng = make_rng(n)
-        expected = []
-        for _ in range(50):
-            m = np.exp(rng.standard_normal((n, n)))
-            for _ in range(200):
-                m /= m.sum(axis=1, keepdims=True)
-                m /= m.sum(axis=0, keepdims=True)
-            expected.append(m)
-        np.testing.assert_array_equal(_random_ds_matrices(50, n, make_rng(n)), np.array(expected))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_sinkhorn_stops_at_the_row_sum_threshold(self, n):
+        # Every column sums to 1 to rounding; every row sum is within the stop
+        # threshold unless the cap was hit; the same rng gives the same stack.
+        stop = 1e-4 * DEFAULT_TOL.ds_tol
+        for seed in range(5):
+            m, sweeps = _random_ds_matrices(50, n, make_rng(seed), DEFAULT_TOL)
+            assert 0 < sweeps <= hyperbolic._SINKHORN_MAX_SWEEPS
+            assert np.abs(m.sum(axis=-2) - 1.0).max() <= 4 * n * np.finfo(float).eps
+            if sweeps < hyperbolic._SINKHORN_MAX_SWEEPS:
+                assert np.abs(m.sum(axis=-1) - 1.0).max() <= stop
+            again, sweeps_again = _random_ds_matrices(50, n, make_rng(seed), DEFAULT_TOL)
+            assert (again.tobytes(), sweeps_again) == (m.tobytes(), sweeps)
+
+    def test_a_stack_at_the_cap_is_flagged(self, monkeypatch):
+        # 25 sweeps leave some row sums of seed 0's stacks off by more than
+        # ds_tol: the report says the cap was hit, and those mixtures are
+        # rejected by the membership recheck.
+        monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 25)
+        m, sweeps = _random_ds_matrices(50, 4, make_rng(0), DEFAULT_TOL)
+        assert sweeps == 25
+        assert np.abs(m.sum(axis=-1) - 1.0).max() > DEFAULT_TOL.ds_tol
+        rep = conjecture_experiment(4, 20, 0)
+        assert (rep.samples, rep.max_sinkhorn_sweeps) == (20, 25)
+        assert rep.rejection_rate > 0.0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conjecture_mixtures_stop_short_of_the_cap(self, n, seed):
+        rep = conjecture_experiment(n, 200, seed)
+        assert rep.samples == 200
+        assert 0 < rep.max_sinkhorn_sweeps < hyperbolic._SINKHORN_MAX_SWEEPS
 
     @pytest.mark.parametrize(
         "n, samples, seed, min_ratio",
@@ -179,7 +200,7 @@ def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
     min_ratio, violations, rejected, done, pencil_index = math.inf, [], 0, 0, 0
     while done < samples:
         pencil = pencil_from_tuple(random_ds_tuple(n, seed + 7919 * pencil_index, tol), tol)
-        for mix in hyperbolic._random_ds_matrices(min(50, samples - done), n, rng):
+        for mix in hyperbolic._random_ds_matrices(min(50, samples - done), n, rng, tol)[0]:
             xs = list(mix.T)
             if not _sequential_membership(pencil, xs, tol)[3]:
                 rejected += 1
@@ -203,7 +224,7 @@ class TestStackedMembership:
         pencil = pencil_from_tuple(random_ds_tuple(n, 40 + n))
         rng = make_rng(n)
         for scale in (1.0, 1.0 + 1e-7, 2.0, -1.0):
-            for mix in _random_ds_matrices(4, n, rng):
+            for mix in _random_ds_matrices(4, n, rng, DEFAULT_TOL)[0]:
                 xs = list(scale * mix.T)
                 rep = check_hd_membership(pencil, xs)
                 got = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation, rep.passes)
@@ -231,10 +252,10 @@ class TestStackedConjecture:
         # of 1 makes every accepted ratio a violation.
         draw = hyperbolic._random_ds_matrices
 
-        def some_rejected(k, n, rng):
-            m = draw(k, n, rng)
+        def some_rejected(k, n, rng, tol):
+            m, sweeps = draw(k, n, rng, tol)
             m[1::3] *= 1.0 + 1e-7
-            return m
+            return m, sweeps
 
         monkeypatch.setattr(hyperbolic, "_random_ds_matrices", some_rejected)
         monkeypatch.setattr(hyperbolic, "bapat_bound", lambda n: 1.0)

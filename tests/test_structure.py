@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -291,3 +292,86 @@ def test_witness_past_the_first_chunk_of_its_cardinality():
     assert is_indecomposable(t) == (False, witness)
     assert _first_subset(t.matrices, operator.eq, DEFAULT_TOL) == witness
     assert _reference_first_subset(t.matrices, operator.le) == witness
+
+
+# ---------------------------------------------------------------------------
+# the scan's full-rank stop against the scan of every cardinality
+
+
+def _full_scan(mats, rank_test, tol=DEFAULT_TOL):
+    """The chunked subset scan without its full-rank stop: every cardinality
+    1..n-1 is ranked unless a witness turns up first."""
+    n = len(mats)
+    for k in range(1, n):
+        rows = structure._SCAN_CHUNK // (k * n * n)
+        combos = itertools.combinations(range(n), k)
+        for _ in range(0, math.comb(n, k), rows):
+            idx = np.fromiter(itertools.islice(combos, rows), dtype=(np.intp, k))
+            hits = np.flatnonzero(rank_test(rank_psd(mats[idx].sum(1), tol), k))
+            if hits.size:
+                return tuple(int(i) for i in idx[hits[0]])
+    return None
+
+
+def _scan_families(n, seed):
+    """Wishart slots, rank-one + eps I slots (eps above and below rank_tol),
+    a block-diagonal decomposable DS tuple with its slots permuted and
+    conjugated by a unitary, and two 0/1 diagonal tuples."""
+    rng = make_rng(seed)
+    yield MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    for eps in (1e-6, 1e-12):
+        yield MatrixTuple([_gram(n, 1, rng) + eps * np.eye(n) for _ in range(n)])
+    k = n // 2
+    a, b = random_ds_tuple(k, seed), random_ds_tuple(n - k, seed + 1)
+    mats = [np.zeros((n, n), dtype=np.complex128) for _ in range(n)]
+    for i in range(k):
+        mats[i][:k, :k] = a.matrices[i]
+    for i in range(n - k):
+        mats[k + i][k:, k:] = b.matrices[i]
+    u = np.linalg.qr(random_complex_gaussian(n, rng))[0]
+    yield MatrixTuple([u @ mats[i] @ u.conj().T for i in rng.permutation(n)])
+    for density in (0.3, 0.6):
+        yield diagonal_tuple((rng.random((n, n)) < density).astype(float))
+
+
+class TestFullRankStop:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_witness_matches_the_full_scan(self, n):
+        witnesses = set()
+        for seed in range(3):
+            for t in _scan_families(n, 100 * n + seed):
+                for rank_test in _RANK_TESTS:
+                    want = _full_scan(t.matrices, rank_test)
+                    assert structure._scan_psd_tuple(t, rank_test, DEFAULT_TOL) == want
+                    assert _first_subset(t.matrices, rank_test, DEFAULT_TOL) == want
+                    witnesses.add(want is None)
+                assert is_indecomposable(t) == (
+                    _full_scan(t.matrices, operator.le) is None,
+                    _full_scan(t.matrices, operator.le),
+                )
+        assert witnesses == {True, False}
+
+    def test_full_rank_slots_need_no_subset_sum(self, monkeypatch):
+        # Full-rank slots stop the scan at cardinality 1, whose ranks come
+        # from the eigenvalues of the PSD check: the scan solves nothing.
+        calls = []
+        monkeypatch.setattr(structure, "_eigh", lambda *a, **k: calls.append(a))
+        t = MatrixTuple([random_psd(6, s) for s in spawn_seeds(5, 6)])
+        assert is_indecomposable(t) == (True, None)
+        assert positivity_rank_test(t)
+        assert calls == []
+
+    def test_non_psd_tuple_raises_before_the_scan(self):
+        # One slot with a negative eigenvalue: beside full-rank slots (the
+        # scan would stop at once) and beside a rank-one slot (a witness at
+        # cardinality 1).
+        bad = np.diag([1.0, 1.0, -1e-3])
+        for other in (np.eye(3), np.diag([1.0, 0.0, 0.0])):
+            t = MatrixTuple([bad, other, np.eye(3)])
+            for rank_test in _RANK_TESTS:
+                with pytest.raises(PreconditionViolated):
+                    structure._scan_psd_tuple(t, rank_test, DEFAULT_TOL)
+            with pytest.raises(PreconditionViolated):
+                is_indecomposable(t)
+            with pytest.raises(PreconditionViolated):
+                positivity_rank_test(t)
