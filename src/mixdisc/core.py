@@ -26,6 +26,12 @@ class DimensionTooLarge(MixdiscError):
     """An operation was asked to run above its hard cost gate."""
 
 
+def _gate(n: int, limit: int, what: str) -> None:
+    """The one dimension gate: DimensionTooLarge when ``n`` exceeds ``limit``."""
+    if n > limit:
+        raise DimensionTooLarge(f"{what} is gated at n <= {limit}, got n = {n}")
+
+
 class NotPositiveDefinite(MixdiscError):
     pass
 

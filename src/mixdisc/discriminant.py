@@ -9,9 +9,10 @@ permanents (:func:`permanent`), the gradients Q_i from adjugates
 groups bitwise-equal slots (rows): a tuple whose groups have free_g free
 signs costs prod_g (free_g + 1) determinants instead of 2^(n-1), so J_n and
 D(P/n, .., P/n) take n, and a tuple of distinct slots still takes 2^(n-1).
-The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  The
-permutation-sum formulas are kept as independent oracles behind hard
-dimension gates:
+The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  Every
+module reads D of Hermitian tuples through :func:`_discriminants`, one
+residue gate at 8 n u S (:func:`_as_real_d`).  The permutation-sum formulas
+are independent oracles behind hard dimension gates (``core._gate``):
 
 * :func:`eval_sigma_det`     -- sum over sigma of det(A_sigma), n <= 10
 * :func:`eval_double_perm`   -- signed double permutation sum, n <= 6
@@ -34,11 +35,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DimensionTooLarge,
     NumericalInconsistency,
     PreconditionViolated,
     Tolerances,
     _eigh,
+    _gate,
     as_hermitian,
     fsum_complex,
     max_abs,
@@ -123,25 +124,19 @@ def _as_real(z, tol_scale: float = 1e-9):
     """The real part of a value, or of an array of values, whose imaginary
     residues all satisfy |Im z| <= tol_scale * (1 + |z|); NumericalInconsistency
     otherwise.  A scalar comes back as a float, an array as its real array."""
-    if isinstance(z, np.ndarray) and z.ndim:
-        bad = np.abs(z.imag) > tol_scale * (1.0 + np.abs(z))
-        if bad.any():
-            _as_real(z[bad][0], tol_scale)  # raises on the first such value
-        return z.real
-    z = complex(z)
-    if abs(z.imag) > tol_scale * (1.0 + abs(z)):
+    z = np.asarray(z)
+    bad = np.abs(z.imag) > tol_scale * (1.0 + np.abs(z))
+    if bad.any():
         raise NumericalInconsistency(
-            f"value {z!r} has imaginary residue above {tol_scale:g} gate"
+            f"value {complex(z[bad][0])!r} has imaginary residue above {tol_scale:g} gate"
         )
-    return z.real
+    return float(z.real) if z.ndim == 0 else z.real
 
 
-def _as_real_d(z, mats):
-    """The real part of the mixed discriminant ``z`` of the Hermitian tuple
-    ``mats`` (n, n, n), or of the (B,) values of a (B, n, n, n) stack, whose
-    imaginary residues all satisfy |Im z| <= 8 n u S with S =
-    (sum_i ||A_i||_2)^n of its tuple, u the unit round-off;
-    NumericalInconsistency otherwise.
+def _as_real_d(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The real parts of the (B,) mixed discriminants ``z`` of the Hermitian
+    tuples of a (B, n, n, n) stack ``mats``; NumericalInconsistency unless
+    every |Im z| <= 8 n u S, S = (sum_i ||A_i||_2)^n of its tuple.
 
     D of a Hermitian tuple is real, so Im z is rounding error alone, and S
     bounds every term both routes sum.  A kernel term det(M_eps), M_eps =
@@ -149,20 +144,16 @@ def _as_real_d(z, mats):
     of the permutation sum has |det A_sigma| <= prod_i ||A_sigma(i) e_i||_2
     (Hadamard), so those terms sum in absolute value to at most per(C),
     C_ji = ||A_j e_i||_2, and per(C) <= prod_i sum_j C_ji <= S.  The rounding
-    error of either sum is a small multiple of n u times its scale.  A gate
-    relative to |z| would reject valid tuples whose terms cancel: with a
-    rank-one slot repeated D = 0 and every term is itself rounding noise.
-    Since ||A_i||_2 >= max |entry of A_i|, S >= max |entry of the tuple|^n;
-    that lower bound passes almost every nonzero residue, and S itself is
-    computed, by one batched ``eigvalsh``, only for the values it does not
-    pass.
+    error of either sum is a small multiple of n u (u the unit round-off)
+    times its scale.  A gate relative to |z| would reject valid tuples whose
+    terms cancel: with a rank-one slot repeated D = 0 and every term is
+    itself rounding noise.  The lower bound S >= max |entry of the tuple|^n
+    passes almost every nonzero residue, so S itself is computed, by one
+    batched ``eigvalsh``, only for the values it does not pass.
     """
-    z = np.asarray(z)
-    mats = np.asarray(mats)
     n = mats.shape[-1]
-    imag = np.abs(z.imag).reshape(-1)
+    imag = np.abs(z.imag)
     if imag.any():
-        mats = mats.reshape(-1, n, n, n)
         gate = 8 * n * 2.0**-53
         unsure = np.flatnonzero(imag > gate * np.abs(mats).max(axis=(1, 2, 3)) ** n)
         if unsure.size:
@@ -172,10 +163,10 @@ def _as_real_d(z, mats):
             if bad.any():
                 k = int(bad.argmax())
                 raise NumericalInconsistency(
-                    f"value {complex(z.reshape(-1)[unsure[k]])!r} has imaginary "
+                    f"value {complex(z[unsure[k]])!r} has imaginary "
                     f"residue above 8 n u S = {bounds[k]:.3g}"
                 )
-    return float(z.real) if z.ndim == 0 else z.real
+    return z.real
 
 
 def _perm_signs(perms: np.ndarray) -> np.ndarray:
@@ -210,11 +201,6 @@ def _iter_perm_chunks(n: int):
     it = itertools.permutations(range(n))
     while block := list(itertools.islice(it, _DET_CHUNK)):
         yield np.array(block, dtype=np.int8)
-
-
-def _gate(n: int, limit: int, what: str) -> None:
-    if n > limit:
-        raise DimensionTooLarge(f"{what} is gated at n <= {limit}, got n = {n}")
 
 
 def _count_vectors(sizes: tuple, free: tuple, c: np.ndarray):
@@ -404,11 +390,15 @@ def _fsum_rows(a: np.ndarray) -> list:
 def _polarized_raw(mats) -> np.ndarray:
     """D of each tuple of a (B, n, n, n) stack by the centered polarization
     2^(1-n) sum prod(eps) det(sum eps_i mats[b, i]): B values, real or complex."""
-    mats = np.asarray(mats)
     b, n = mats.shape[:2]
     _gate(n, _GATE_POLARIZED, "eval_polarized")
     rows = mats.reshape(b, n, n * n)
     return _centered_sum(rows, lambda s: np.linalg.det(s.reshape(-1, n, n)))[0]
+
+
+def _discriminants(stack: np.ndarray) -> np.ndarray:
+    """Real D of each Hermitian tuple of a (B, n, n, n) stack, gated by :func:`_as_real_d`."""
+    return _as_real_d(_polarized_raw(stack), stack)
 
 
 def eval_polarized(t: MatrixTuple) -> float:
@@ -418,7 +408,7 @@ def eval_polarized(t: MatrixTuple) -> float:
     eps_n = +1 of prod(eps) det(sum eps_i A_i), 2^(n-1) determinants for
     distinct slots and prod_g (free_g + 1) when n >= 8 and slots repeat.
     """
-    return _as_real_d(_polarized_raw(t.matrices[None])[0], t.matrices)
+    return float(_discriminants(t.matrices[None])[0])
 
 
 def eval_sigma_det(t: MatrixTuple) -> float:
@@ -445,7 +435,8 @@ def eval_sigma_det(t: MatrixTuple) -> float:
             yield dets.real.tolist()
 
     real = math.fsum(itertools.chain.from_iterable(real_parts()))
-    return _as_real_d(complex(real, math.fsum(imag)), t.matrices)
+    z = np.array([complex(real, math.fsum(imag))])
+    return float(_as_real_d(z, t.matrices[None])[0])
 
 
 def _double_perm_raw(mats) -> complex:
@@ -636,9 +627,9 @@ def exchange_value(
     g = grad if grad is not None else gradient(t)
     pair = np.array([t.matrices, t.matrices])
     pair[0, j], pair[1, i] = t.matrices[i], t.matrices[j]
-    d_ij, d_ji = _as_real_d(_polarized_raw(pair), pair).tolist()
-    t_ij = _as_real(np.trace(t.matrices[i] @ g.Q[j]), 1e-8)
-    t_ji = _as_real(np.trace(t.matrices[j] @ g.Q[i]), 1e-8)
+    d_ij, d_ji = _discriminants(pair).tolist()
+    traces = [np.trace(t.matrices[i] @ g.Q[j]), np.trace(t.matrices[j] @ g.Q[i])]
+    t_ij, t_ji = _as_real(np.array(traces), 1e-8).tolist()
     bound = _EXCHANGE_CHECK_REL * (1.0 + abs(d_ij) + abs(d_ji))
     if abs(d_ij - t_ij) > bound or abs(d_ji - t_ji) > bound:
         raise NumericalInconsistency(

@@ -19,13 +19,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DimensionTooLarge,
     NonConvergence,
     NotIndecomposable,
     NumericalInconsistency,
     PreconditionViolated,
     SamplerExhausted,
     Tolerances,
+    _gate,
     iter_seeds,
     max_abs,
     min_eigenvalue,
@@ -222,8 +222,7 @@ def minimize_search(
     """
     if n < 2:
         raise PreconditionViolated("the search needs n >= 2; the only DS 1-tuple is (1)")
-    if n > _GATE_SEARCH:
-        raise DimensionTooLarge(f"minimize_search gated at n <= {_GATE_SEARCH}")
+    _gate(n, _GATE_SEARCH, "minimize_search")
     bound = bapat_bound(n)
     best_value = math.inf
     best_mats = None

@@ -2,7 +2,8 @@
 
 A weight vector alpha (nonnegative integers summing to n) selects repetition
 multiplicities; the inequalities compare log Cap and log D of the repeated
-tuples across convex combinations of weight vectors.
+tuples across convex combinations of weight vectors.  The D values of one
+combination are read as one stack by ``discriminant._discriminants``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, InvalidWeight, SingularPencil, Tolerances
 from .capacity import capacity, n_pow_n_over_factorial
-from .discriminant import MatrixTuple, _as_real_d, _polarized_raw, eval_polarized, permanent
+from .discriminant import MatrixTuple, _discriminants, eval_polarized, permanent
 
 _VALUE_FLOOR = 1e-300
 
@@ -105,8 +106,7 @@ def check_theorem52(
     cap_slack = _log_positive(caps[-1].value, "Cap(target)") - float(
         np.dot(comb.weights, log_caps)
     )
-    stack = np.array([e.matrices for e in expanded])
-    ms = _as_real_d(_polarized_raw(stack), stack).tolist()
+    ms = _discriminants(np.array([e.matrices for e in expanded])).tolist()
     log_ms = [_log_positive(m, f"M^{tuple(vec)}") for m, vec in zip(ms, comb.vectors)]
     m_target = _log_positive(ms[-1], "M(target)")
     m_slack = (
@@ -135,13 +135,12 @@ def af_lower_bound_experiment(n_dim: int) -> AfExperimentResult:
 
     Splits e = (alpha^1 + alpha^2)/2 with alpha^1 doubling the odd-indexed
     columns and alpha^2 the even-indexed ones; per(B) = 2 against 2^(N/2)
-    on each side, so the ratio decays like 2^(1 - N/2).
+    on each side, so the ratio decays like 2^(1 - N/2).  An odd N or N < 2 is
+    an InvalidWeight; N > 20 meets the gate of :func:`permanent`.
     """
-    if n_dim % 2 != 0 or n_dim < 2 or n_dim > 20:
-        raise InvalidWeight("the experiment needs an even N with 2 <= N <= 20")
-    b = np.eye(n_dim)
-    for i in range(n_dim):
-        b[i, (i + 1) % n_dim] = 1.0
+    if n_dim % 2 != 0 or n_dim < 2:
+        raise InvalidWeight("the experiment needs an even N >= 2")
+    b = np.eye(n_dim) + np.roll(np.eye(n_dim), 1, axis=1)
     alpha1 = np.array([2, 0] * (n_dim // 2))
     alpha2 = np.array([0, 2] * (n_dim // 2))
     per_e = float(permanent(b))

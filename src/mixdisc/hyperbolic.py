@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     PreconditionViolated,
+    SamplerExhausted,
     Tolerances,
     _eigh,
     as_hermitian,
@@ -27,11 +28,12 @@ from .core import (
     make_rng,
     min_eigenvalue,
 )
-from .discriminant import _as_real_d, _polarized_raw
+from .discriminant import _discriminants
 from .extremal import bapat_bound, random_ds_tuple
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
 _SINKHORN_MAX_SWEEPS = 200  # cap on the row and column normalizations of a mixing stack
+_MAX_BARREN_PENCILS = 100  # consecutive pencils with no accepted mixture before giving up
 
 
 class HyperbolicPencil:
@@ -135,8 +137,7 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     n = pencil.degree
     if xs.shape != (n, pencil.m):
         raise ValueError(f"need exactly {n} real {pencil.m}-vectors (the degree of p)")
-    points = _pencil_points(pencil, xs)
-    return _as_real_d(_polarized_raw(points[None])[0], points)
+    return float(_discriminants(_pencil_points(pencil, xs)[None])[0])
 
 
 def _membership(pencil: HyperbolicPencil, xs: np.ndarray, tol: Tolerances):
@@ -227,7 +228,8 @@ def conjecture_experiment(
     one stack, and p(e) is computed once per pencil.  ``max_sinkhorn_sweeps``
     is the most Sinkhorn sweeps any mixing stack took; at
     ``_SINKHORN_MAX_SWEEPS`` a stack stopped at the cap, not at its row-sum
-    test, and its mixtures may fail the membership recheck.
+    test, and its mixtures may fail the membership recheck.  SamplerExhausted
+    after ``_MAX_BARREN_PENCILS`` pencils in a row accept no mixture.
     """
     bound = bapat_bound(n)
     rng = make_rng(seed)
@@ -237,6 +239,7 @@ def conjecture_experiment(
     done = 0
     pencil_index = 0
     max_sweeps = 0
+    last_hit = -1  # the last pencil that accepted a mixture
     while done < samples:
         t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
         pencil = pencil_from_tuple(t, tol)
@@ -247,8 +250,8 @@ def conjecture_experiment(
         *_, passes, points = _membership(pencil, mixes.swapaxes(-1, -2), tol)
         rejected += int(np.count_nonzero(~passes))
         if passes.any():
-            members = points[passes]
-            for ratio in (_as_real_d(_polarized_raw(members), members) / p_e).tolist():
+            last_hit = pencil_index
+            for ratio in (_discriminants(points[passes]) / p_e).tolist():
                 done += 1
                 if ratio < min_ratio:
                     min_ratio = ratio
@@ -256,6 +259,8 @@ def conjecture_experiment(
                     violations.append(
                         {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
                     )
+        elif pencil_index - last_hit == _MAX_BARREN_PENCILS:
+            raise SamplerExhausted(f"{_MAX_BARREN_PENCILS} pencils in a row accepted no mixture")
         pencil_index += 1
     return ConjectureExperimentReport(
         n=n,

@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DimensionTooLarge,
     TermNotPsd,
     Tolerances,
+    _gate,
     as_hermitian,
     fsum_complex,
     inv_sqrt_psd,
@@ -92,8 +92,7 @@ class SeparableSpec:
 def qp_block(rho: BlockMatrix) -> float:
     """QP as the signed sum over sigma of D(A_{1,sigma(1)}, .., A_{n,sigma(n)})."""
     n = rho.n
-    if n > _GATE_QP_BLOCK:
-        raise DimensionTooLarge(f"qp_block gated at n <= {_GATE_QP_BLOCK}")
+    _gate(n, _GATE_QP_BLOCK, "qp_block")
     perms, signs = _perms_and_signs(n)
     # One kernel call over the n! tuples (A_{1,sigma(1)}, .., A_{n,sigma(n)}).
     totals = signs * _polarized_raw(rho.blocks[np.arange(n), perms])
@@ -107,8 +106,7 @@ def qp_tensor(rho: BlockMatrix) -> float:
     permutation sum of gathered slices, which keeps the (n!)^4 cost usable.
     """
     n = rho.n
-    if n > _GATE_QP_TENSOR:
-        raise DimensionTooLarge(f"qp_tensor gated at n <= {_GATE_QP_TENSOR}")
+    _gate(n, _GATE_QP_TENSOR, "qp_tensor")
     t4 = rho.tensor4()
     perms, signs = _perms_and_signs(n)
     fact = len(perms)

@@ -1,4 +1,7 @@
-"""Indecomposability tests, block decomposition, and the M(A, W) bridge."""
+"""Indecomposability tests, block decomposition, and the M(A, W) bridge.
+
+Subset scans and :func:`decompose` are gated at n <= 16 by ``core._gate``, and
+count every rank from eigenvalues by ``core._rank_of_eigenvalues``."""
 
 from __future__ import annotations
 
@@ -12,11 +15,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     DecompositionInconsistent,
-    DimensionTooLarge,
     NotDoublyStochastic,
     NotUnitary,
     Tolerances,
     _eigh,
+    _gate,
     _rank_of_eigenvalues,
     eig_hermitian,
     max_abs,
@@ -85,8 +88,7 @@ def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances, slot_eigs=None):
 
 
 def _scan_psd_tuple(t: MatrixTuple, rank_test, tol: Tolerances):
-    if t.n > _GATE_SUBSETS:
-        raise DimensionTooLarge(f"subset scan gated at n <= {_GATE_SUBSETS}")
+    _gate(t.n, _GATE_SUBSETS, "subset scan")
     return _first_subset(t.matrices, rank_test, tol, _require_psd(t, tol))
 
 
@@ -120,7 +122,7 @@ def _split(mats, labels, basis, tol: Tolerances, parts):
         return
     inside = list(witness)
     w, v = eig_hermitian(mats[inside].sum(0))
-    cut = int(np.count_nonzero(w > tol.rank_tol * max(w[0], 0.0))) if w[0] > 0 else 0
+    cut = int(_rank_of_eigenvalues(w, tol))
     if cut != len(witness):
         raise DecompositionInconsistent(
             f"image of subset {witness} has rank {cut}, expected {len(witness)}"
@@ -138,8 +140,7 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     DecompositionInconsistent when the check fails (rank misclassification).
     """
     n = t.n
-    if n > _GATE_SUBSETS:
-        raise DimensionTooLarge(f"decompose gated at n <= {_GATE_SUBSETS}")
+    _gate(n, _GATE_SUBSETS, "decompose")
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:
         raise NotDoublyStochastic(f"input is not doubly stochastic: {report}")

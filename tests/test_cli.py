@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixdisc import cli
+from mixdisc import cli, extremal, hyperbolic
 from mixdisc.capacity import CapacityResult, ScalingResult, capacity_via_scaling
 from mixdisc.cli import (
     CliInputError,
@@ -32,8 +33,8 @@ from mixdisc.core import (
     SamplerExhausted,
     SingularPencil,
 )
-from mixdisc.discriminant import DsTupleReport, MatrixTuple
-from mixdisc.extremal import random_ds_tuple
+from mixdisc.discriminant import DsTupleReport, MatrixTuple, eval_polarized
+from mixdisc.extremal import bapat_bound, random_ds_tuple
 from mixdisc.genaf import AfExperimentResult, Theorem52Report
 from mixdisc.hyperbolic import (
     ConjectureExperimentReport,
@@ -200,6 +201,21 @@ class TestCapacityAndScale:
         code, _, err = run(capsys, "scale", path)
         assert code == 2
 
+    def test_decompose_partitions_the_slots(self, capsys, tmp_path):
+        # Slots 0, 1 act on the first two coordinates, slots 2, 3 on the last two.
+        mats = np.zeros((4, 4, 4), dtype=complex)
+        mats[:2, :2, :2] = random_ds_tuple(2, 3).matrices
+        mats[2:, 2:, 2:] = random_ds_tuple(2, 4).matrices
+        t = MatrixTuple(mats)
+        code, out, _ = run(capsys, "decompose", write_tuple(tmp_path, t))
+        assert code == 0
+        rep = json.loads(out)["results"]
+        indices = [part["indices"] for part in rep["parts"]]
+        assert sorted(indices) == [[0, 1], [2, 3]]
+        for part in rep["parts"]:
+            assert part["tuple"]["n"] == len(part["indices"])
+        assert rep["product_check"] <= 1e-8 * (1.0 + eval_polarized(t))
+
 
 class TestToleranceResolution:
     def test_flag_overrides_env(self, capsys, ds3, monkeypatch):
@@ -236,6 +252,18 @@ class TestSearchAndExperiments:
         _exits_1_with_one_error_line(*run(capsys, "bapat-search", "1", "--trials", "1"))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [(["af-experiment", "22"], 20), (["bapat-search", "7", "--trials", "1"], 6)],
+        ids=["af-experiment", "bapat-search"],
+    )
+    def test_dimension_gate_exits_2(self, capsys, tmp_path, monkeypatch, argv, limit):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"gated at n <= {limit}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_af_experiment(self, capsys):
         code, out, _ = run(capsys, "af-experiment", "6")
         rep = json.loads(out)
@@ -270,6 +298,17 @@ class TestGenRandomPipe:
         rep = json.loads(out)["results"]
         assert rep["qp_block"] == pytest.approx(rep["qp_tensor"], rel=1e-8)
         assert rep["block_ds"]["passes"]
+
+    def test_separable_pipes_into_qp(self, capsys, tmp_path):
+        out_path = str(tmp_path / "s.json")
+        code, _, _ = run(capsys, "gen-random", "3", "--seed", "1", "--kind",
+                         "separable", "--out", out_path)
+        assert code == 0
+        code, out, _ = run(capsys, "qp", out_path, "--method", "block")
+        rep = json.loads(out)["results"]
+        assert rep["block_ds"]["passes"]
+        # A separable block doubly stochastic rho has QP(rho) >= n!/n^n.
+        assert rep["qp_block"] >= bapat_bound(3)
 
     def test_bare_document(self, capsys):
         code, out, _ = run(capsys, "gen-random", "2", "--seed", "1", "--kind", "psd")
@@ -534,6 +573,34 @@ class TestExitCodeTable:
         assert code == expected
         assert out == ""
         assert err == ("INVARIANT BREACH: boom\n" if expected == 3 else "error: boom\n")
+
+    def test_search_below_the_bound_reports_then_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        search = extremal.minimize_search
+
+        def below(*args):
+            record = search(*args)
+            record.below_bound = True
+            return record
+
+        monkeypatch.setattr(extremal, "minimize_search", below)
+        code, out, err = run(capsys, "bapat-search", "2", "--trials", "1")
+        assert code == 3
+        assert json.loads(out)["results"]["below_bound"] is True
+        assert err.startswith("INVARIANT BREACH: search value ")
+
+    def test_conjecture_violation_reports_then_exits_3(self, capsys, monkeypatch):
+        experiment = hyperbolic.conjecture_experiment
+        violation = {"seed": 0, "pencil_index": 0, "ratio": 0.25}
+
+        def violated(*args):
+            return dataclasses.replace(experiment(*args), violations=[violation])
+
+        monkeypatch.setattr(hyperbolic, "conjecture_experiment", violated)
+        code, out, err = run(capsys, "hyp", "--op", "conjecture", "--n", "2", "--samples", "5")
+        assert code == 3
+        assert json.loads(out)["results"]["violations"] == [violation]
+        assert err == "INVARIANT BREACH: 1 conjecture counterexample candidates\n"
 
     def test_unlisted_exception_propagates(self, capsys, ds3, monkeypatch):
         def fail(*args, **kwargs):

@@ -249,9 +249,9 @@ class TestAsRealD:
         # Three slots 4/3 I: sum ||A_i||_2 = 4, S = 4^3, gate 8 n u S.
         mats = np.array([4 * np.eye(3) / 3] * 3)
         gate = 8 * 3 * 2.0**-53 * 4.0**3
-        assert _as_real_d(np.complex128(1.0 + 0.9j * gate), mats) == 1.0
+        assert _as_real_d(np.array([1.0 + 0.9j * gate]), mats[None]).tolist() == [1.0]
         with pytest.raises(NumericalInconsistency):
-            _as_real_d(np.complex128(1.0 + 1.1j * gate), mats)
+            _as_real_d(np.array([1.0 + 1.1j * gate]), mats[None])
 
     def test_each_value_of_a_stack_is_held_to_its_own_tuple(self):
         small = np.array([np.eye(2) / 2] * 2)  # S = 1
@@ -269,7 +269,7 @@ class TestAsRealD:
 
         monkeypatch.setattr(discriminant, "_eigh", no_eigh)
         mats = np.array([np.eye(2) / 2] * 2)
-        assert type(_as_real_d(np.complex128(0.5), mats)) is float
+        assert _as_real_d(np.array([0.5 + 0j]), mats[None]).tolist() == [0.5]
         assert _as_real_d(np.array([0.5, 0.25 + 0j]), np.array([mats, mats])).tolist() == [0.5, 0.25]
 
 

@@ -1,0 +1,101 @@
+"""Every dimension gate and the one residue gate of D.
+
+Each gated entry raises DimensionTooLarge one past its limit, through the
+single gate ``core._gate``; the limits are the ones the README table lists.
+The source checks keep each of the two gates in one place.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mixdisc import discriminant, extremal, genaf, pascal, structure
+from mixdisc.core import DimensionTooLarge
+from mixdisc.discriminant import MatrixTuple
+from mixdisc.pascal import BlockMatrix
+
+SRC = Path(discriminant.__file__).resolve().parent
+
+
+def _jn(n):
+    return MatrixTuple([np.eye(n) / n] * n)
+
+
+def _blocks(n):
+    return BlockMatrix(np.zeros((n, n, n, n)))
+
+
+# (entry, its argument builder, the largest n it accepts, the n it is called at)
+GATED = {
+    "eval_polarized": (discriminant.eval_polarized, _jn, 20, 21),
+    "gradient": (discriminant.gradient, _jn, 20, 21),
+    "permanent": (discriminant.permanent, lambda n: np.ones((n, n)), 20, 21),
+    "eval_sigma_det": (discriminant.eval_sigma_det, _jn, 10, 11),
+    "eval_signed_permanent": (discriminant.eval_signed_permanent, _jn, 7, 8),
+    "eval_double_perm": (discriminant.eval_double_perm, _jn, 6, 7),
+    "eval_tensor": (discriminant.eval_tensor, _jn, 6, 7),
+    "qp_block": (pascal.qp_block, _blocks, 6, 7),
+    "qp_tensor": (pascal.qp_tensor, _blocks, 4, 5),
+    "minimize_search": (lambda n: extremal.minimize_search(n, 1, 0), int, 6, 7),
+    "is_indecomposable": (structure.is_indecomposable, _jn, 16, 17),
+    "positivity_rank_test": (structure.positivity_rank_test, _jn, 16, 17),
+    "decompose": (structure.decompose, _jn, 16, 17),
+    # N must be even, so the first N past the permanent's gate is 22.
+    "af_lower_bound_experiment": (genaf.af_lower_bound_experiment, int, 20, 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_each_gated_entry_raises_one_past_its_limit(name):
+    entry, build, limit, n = GATED[name]
+    arg = build(n)
+    with pytest.raises(DimensionTooLarge, match=rf"gated at n <= {limit}, got n = {n}$"):
+        entry(arg)
+
+
+def _named(func) -> str | None:
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _callers(name: str) -> set:
+    """module.function of every call of ``name`` in the package, by the
+    innermost function around the call (the module itself at top level)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _named(child.func) == name:
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_dimension_too_large_is_raised_only_in_core():
+    raising = sorted(
+        path.name for path in SRC.glob("*.py")
+        if "raise DimensionTooLarge" in path.read_text(encoding="utf-8")
+    )
+    assert raising == ["core.py"]
+    assert _callers("DimensionTooLarge") == {"core._gate"}
+
+
+def test_d_of_hermitian_stacks_is_read_through_one_residue_gate():
+    assert _callers("_as_real_d") == {"discriminant._discriminants", "discriminant.eval_sigma_det"}
+    # qp_block's block tuples are not Hermitian; its signed sum keeps the fixed gate.
+    assert _callers("_polarized_raw") == {"discriminant._discriminants", "pascal.qp_block"}
+    for module in ("hyperbolic", "genaf"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported & {"_as_real_d", "_polarized_raw"}, module

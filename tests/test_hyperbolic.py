@@ -7,6 +7,7 @@ from mixdisc import hyperbolic
 from mixdisc.core import (
     DEFAULT_TOL,
     PreconditionViolated,
+    SamplerExhausted,
     eig_hermitian,
     make_rng,
     random_psd,
@@ -150,6 +151,22 @@ class TestConjectureExperiment:
         rep = conjecture_experiment(4, 20, 0)
         assert (rep.samples, rep.max_sinkhorn_sweeps) == (20, 25)
         assert rep.rejection_rate > 0.0
+
+    def test_a_run_that_accepts_nothing_gives_up(self, monkeypatch):
+        # At 3 sweeps no mixing stack of seed 0 is e-doubly stochastic, so no
+        # mixture passes the recheck: the loop stops after the consecutive
+        # barren pencils it allows instead of drawing pencils forever.
+        monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 3)
+        pencils = []
+
+        def counting(n, seed, tol):
+            pencils.append(seed)
+            return random_ds_tuple(n, seed, tol)
+
+        monkeypatch.setattr(hyperbolic, "random_ds_tuple", counting)
+        with pytest.raises(SamplerExhausted, match="100 pencils in a row"):
+            conjecture_experiment(4, 20, 0)
+        assert len(pencils) == hyperbolic._MAX_BARREN_PENCILS == 100
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
