@@ -112,7 +112,7 @@ DEFAULT_TOL = Tolerances()
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> None:
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains NaN or infinity")
 
 

@@ -5,9 +5,11 @@ polarization D = 2^(1-n) sum over eps in {+-1}^n with eps_n = +1 of
 prod(eps) det(sum eps_i A_i) (the mixed-discriminant form of Glynn's
 permanent formula).  One chunked eps-enumeration kernel also gives Glynn
 permanents (:func:`permanent`), the gradients Q_i from adjugates
-(:func:`gradient`) and the hyperbolic mixed values.  From n = 8 on the kernel
-groups bitwise-equal slots (rows): a tuple whose groups have free_g free
-signs costs prod_g (free_g + 1) determinants instead of 2^(n-1), so J_n and
+(:func:`gradient`: 2^(n-1) LU determinants and inverses, with Hermitian
+eigensolves only for the singular or ill-conditioned combinations) and the
+hyperbolic mixed values.  From n = 8 on the kernel groups bitwise-equal
+slots (rows): a tuple whose groups have free_g free signs costs
+prod_g (free_g + 1) determinants instead of 2^(n-1), so J_n and
 D(P/n, .., P/n) take n, and a tuple of distinct slots still takes 2^(n-1).
 The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  Every
 module reads D of Hermitian tuples through :func:`_discriminants`, one
@@ -59,6 +61,11 @@ _DET_CHUNK = 8192
 _GROUP_MIN_N = 8
 # Relative agreement demanded of the two exchange_value routes.
 _EXCHANGE_CHECK_REL = 1e-8
+# The LU adjugate det(M) M^-1 is accurate to kappa u ||M||^(n-1), with
+# kappa = ||M||_1 ||M^-1||_1 and u the unit round-off; the eigen-cofactor
+# route to u ||M||^(n-1) whatever kappa.  Above this kappa LU would lose four
+# or more digits the eigen route keeps, so those classes take the eigen route.
+_ADJ_LU_MAX_COND = 1e4
 
 
 class MatrixTuple:
@@ -519,19 +526,54 @@ def eval_tensor(t: MatrixTuple) -> float:
 # ---------------------------------------------------------------------------
 # gradient and identities
 
-def _adjugates(m: np.ndarray):
-    """adj(M) and det(M) for a stack of Hermitian M, valid when M is singular.
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest column sum of |entries|) of each matrix of a stack."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def _eigen_adjugates(m: np.ndarray) -> np.ndarray:
+    """adj(M) for a stack of Hermitian M, valid when M is singular.
 
     With M = V diag(lam) V^*, adj(M) = V diag(prod_{k != j} lam_k) V^*; the
     cofactor products come from prefix and suffix products, with no division.
-    det(M) is prod lam.
     """
     lam, v = np.linalg.eigh(m)
     ones = np.ones_like(lam[:, :1])
     before = np.cumprod(np.concatenate([ones, lam[:, :-1]], axis=1), axis=1)
     after = np.cumprod(np.concatenate([ones, lam[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    adj = (v * (before * after)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return adj, np.prod(lam, axis=1)
+    return (v * (before * after)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _adjugates(m: np.ndarray):
+    """adj(M) and det(M) for a (k, n, n) stack of Hermitian M.
+
+    det(M) is ``np.linalg.det``, the LU determinant the kernel takes of the
+    same M.  adj(M) is det(M) M^-1 from one batched LU ``inv``, except for the
+    matrices that need the eigen-cofactor route (:func:`_eigen_adjugates`):
+    those with det 0 or not finite, where M^-1 does not exist, and those with
+    kappa_1 = ||M||_1 ||M^-1||_1 above ``_ADJ_LU_MAX_COND``.  At n = 1,
+    adj = [[1]] exactly.
+    """
+    det = np.linalg.det(m)
+    n = m.shape[-1]
+    if n == 1:
+        return np.ones_like(m), det
+    lu = np.isfinite(det) & (det != 0)
+    # Where M^-1 does not exist, I is inverted instead and the row replaced below.
+    regular = m if lu.all() else np.where(lu[:, None, None], m, np.eye(n))
+    adj = np.linalg.inv(regular)
+    # Overflow and 0 * inf occur only in rows the eigen route replaces.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu &= _norm1(regular) * _norm1(adj) <= _ADJ_LU_MAX_COND
+        adj *= det[:, None, None]
+    # A quarter of the chunk at a time, the eigen route peaks below its own
+    # peak on the whole chunk even with adj held.
+    rest = np.flatnonzero(~lu)
+    step = -(-len(m) // 4)
+    for lo in range(0, len(rest), step):
+        part = rest[lo : lo + step]
+        adj[part] = _eigen_adjugates(m[part])
+    return adj, det
 
 
 def gradient(t: MatrixTuple) -> DiscriminantGradient:
@@ -539,19 +581,23 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
 
     Differentiating the centered polarization in slot i gives
     Q_i = 2^(1-n) sum over eps (eps_n = +1) of prod(eps) eps_i adj(M_eps)
-    with M_eps = sum eps_j A_j; 2^(n-1) Hermitian eigendecompositions, one
-    per class of equal M_eps when n >= 8 and slots repeat.  The same
-    eigenvalues give D = 2^(1-n) sum prod(eps) det(M_eps), summed with
-    ``math.fsum``.
+    with M_eps = sum eps_j A_j; 2^(n-1) LU determinants and inverses, one
+    per class of equal M_eps when n >= 8 and slots repeat, with Hermitian
+    eigensolves only for the singular or ill-conditioned M_eps
+    (:func:`_adjugates`).  The same determinants as :func:`eval_polarized`
+    give D = 2^(1-n) sum prod(eps) det(M_eps), summed with ``math.fsum``, so
+    ``value`` is bit for bit ``eval_polarized(t)``.
     """
     q, value, _ = _gradient_raw(t.matrices)
     return DiscriminantGradient(Q=q, value=value)
 
 
 def _gradient_raw(mats: np.ndarray):
-    """(Q, D, sum |terms|) of one (n, n, n) tuple by the eigen-adjugate pass
-    of :func:`gradient`; the third is the kernel's rounding scale of D (see
-    :func:`_centered_sum`)."""
+    """(Q, D, sum |terms|) of one (n, n, n) tuple by the adjugate pass of
+    :func:`gradient`: 2^(n-1) LU determinants and inverses, eigensolves only
+    for the classes :func:`_adjugates` sends there.  D and sum |terms| are
+    the kernel's values for the tuple (:func:`_centered_sum`), bit for bit;
+    the second is the rounding scale of D."""
     n = len(mats)
     _gate(n, _GATE_POLARIZED, "gradient")
     rows = mats.reshape(1, n, n * n)
@@ -561,9 +607,9 @@ def _gradient_raw(mats: np.ndarray):
         q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
         terms.append(sign * det)
     scale = 2.0 ** (1 - n)
-    terms = np.concatenate(terms).tolist()
+    terms = np.concatenate(terms)
     qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
-    return qs, scale * math.fsum(terms), scale * math.fsum(map(abs, terms))
+    return qs, scale * math.fsum(terms.real), scale * math.fsum(np.abs(terms))
 
 
 def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:

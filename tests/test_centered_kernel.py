@@ -9,7 +9,7 @@ permutation-sum oracle, to multilinearity (copies rescaled so that they are
 no longer equal take the ungrouped path) and to the plain sign table.  A
 stack of tuples is held to the single call of each of its tuples, bit for bit,
 and so are the permutation oracles to their one-call-per-sigma forms.  The
-gradient's D, from its own eigenvalues, is held to the permutation sum.
+gradient's D is the kernel's D bit for bit and is held to the permutation sum.
 """
 
 import itertools
@@ -29,6 +29,7 @@ from mixdisc.discriminant import (
     _centered_sum,
     _count_table,
     _eps_combinations,
+    _gradient_raw,
     _iter_perm_chunks,
     _perms_and_signs,
     _polarized_raw,
@@ -38,7 +39,7 @@ from mixdisc.discriminant import (
     gradient,
     permanent,
 )
-from mixdisc.extremal import dnp_family_value
+from mixdisc.extremal import dnp_family_value, random_ds_tuple
 from mixdisc.genaf import af_lower_bound_experiment
 from mixdisc.hyperbolic import HyperbolicPencil, mixed_value
 
@@ -522,6 +523,40 @@ def test_gradient_value_matches_sigma_det(n):
 
 @pytest.mark.parametrize("n", range(8, 13))
 def test_grouped_gradient_value_on_jn(n):
-    # J_n takes the grouped path: n eigendecompositions give D.
+    # J_n takes the grouped path: n determinants give D.
     expected = math.factorial(n) / n**n
     assert abs(gradient(MatrixTuple([np.eye(n) / n] * n)).value - expected) <= 1e-12 * expected
+
+
+def _gradient_d_tuples(n, seed):
+    """A doubly stochastic, a Wishart, a rank-one + 1e-6 I and a
+    repeated-slot tuple, seeded."""
+    rng = make_rng(seed)
+    base = [_wishart(n, rng, real=False) for _ in range(2)]
+    return [
+        random_ds_tuple(n, seed),
+        MatrixTuple([_wishart(n, rng, real=False) for _ in range(n)]),
+        MatrixTuple([_rank_one(n, rng, real=False) + 1e-6 * np.eye(n) for _ in range(n)]),
+        MatrixTuple([base[i % 2] for i in range(n)]),
+    ]
+
+
+def _assert_gradient_reads_the_kernel(t):
+    # One D per tuple: the gradient sums the kernel's own determinants.
+    n = t.n
+    _, value, magnitude = _gradient_raw(t.matrices)
+    kernel = _centered_sum(t.matrices.reshape(1, n, n * n), _det_term(n))
+    assert gradient(t).value == value == eval_polarized(t)
+    assert magnitude == kernel[1][0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gradient_d_is_the_kernel_d(n):
+    for seed in range(5):
+        for t in _gradient_d_tuples(n, 100 * n + seed):
+            _assert_gradient_reads_the_kernel(t)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_grouped_gradient_d_is_the_kernel_d(n):
+    _assert_gradient_reads_the_kernel(MatrixTuple([np.eye(n) / n] * n))

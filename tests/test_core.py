@@ -24,6 +24,7 @@ from mixdisc.core import (
     rank_psd,
     spawn_seeds,
 )
+from mixdisc.discriminant import MatrixTuple
 
 
 class TestTolerances:
@@ -60,6 +61,27 @@ class TestAsHermitian:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             as_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "broadcast"])
+    def test_non_contiguous_complex_input_validates(self, layout):
+        n = 4
+        a = random_hermitian(n, make_rng(3))
+        assert np.iscomplexobj(a) and np.count_nonzero(a.imag)
+        if layout == "transposed":
+            h, expected = as_hermitian(a.T), a.T
+        elif layout == "fortran":
+            h, expected = as_hermitian(np.asfortranarray(a)), a
+        else:
+            stack = np.broadcast_to(np.eye(n) / n, (n, n, n))
+            h, expected = MatrixTuple(stack).matrices, stack
+        assert np.array_equal(h, expected)
+
+    def test_rejects_nan_in_an_imaginary_part(self):
+        a = np.zeros((2, 2), dtype=complex)
+        a[0, 1], a[1, 0] = complex(0.0, np.nan), complex(0.0, -np.nan)
+        for view in (a, a.T):
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                as_hermitian(view)
 
 
 class TestEigAndRoots:

@@ -9,6 +9,7 @@ from mixdisc.core import (
     NotHermitian,
     NumericalInconsistency,
     make_rng,
+    random_complex_gaussian,
     random_psd,
     spawn_seeds,
 )
@@ -195,6 +196,78 @@ class TestGradient:
         w = make_rng(0).standard_normal(3)
         d = eval_polarized(t)
         assert euler_identity_residual(t, omega=w) <= 1e-8 * (1.0 + abs(d))
+
+
+def _hermitian_with_spectrum(lam, seed):
+    """U diag(lam) U^* for a seeded unitary U, and the eigen-cofactor
+    adjugate U diag(prod_{k != j} lam_k) U^* of the same spectrum."""
+    n = len(lam)
+    u, _ = np.linalg.qr(random_psd(n, seed))
+    cof = [math.prod(lam[:j] + lam[j + 1 :]) for j in range(n)]
+    return (u * lam) @ u.conj().T, (u * cof) @ u.conj().T
+
+
+class TestAdjugateRoutes:
+    @pytest.fixture
+    def eigen_calls(self, monkeypatch):
+        """The stacks the eigen-cofactor route is given."""
+        calls = []
+        route = discriminant._eigen_adjugates
+
+        def recording(m):
+            calls.append(m.copy())
+            return route(m)
+
+        monkeypatch.setattr(discriminant, "_eigen_adjugates", recording)
+        return calls
+
+    def test_n1_adjugate_is_exactly_one(self, eigen_calls):
+        m = np.array([49.0, 3.0, -2.5, 1e-300, 0.0]).reshape(-1, 1, 1)
+        adj, det = discriminant._adjugates(m)
+        assert adj.tolist() == [[[1.0]]] * 5
+        assert det.tolist() == np.linalg.det(m).tolist()
+        assert not eigen_calls
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_singular_stacks_take_the_eigen_route(self, n, eigen_calls):
+        zero = np.zeros((n, n), dtype=complex)
+        rank_n1 = _hermitian_with_spectrum([0.0] + [1.0 + k for k in range(n - 1)], n)
+        rank_n2 = _hermitian_with_spectrum([0.0, 0.0] + [1.0 + k for k in range(n - 2)], n + 1)
+        regular = _hermitian_with_spectrum([1.0 + k for k in range(n)], n + 2)
+        m = np.array([zero, rank_n1[0], rank_n2[0], regular[0]])
+        expected = np.array([zero, rank_n1[1], rank_n2[1], regular[1]])
+        adj, det = discriminant._adjugates(m)
+        assert det.tolist() == np.linalg.det(m).tolist()
+        # Rounding may leave the LU determinant of a singular matrix nonzero;
+        # its kappa_1 is then far above the constant: the three singular
+        # matrices take the eigen route, the regular one LU.
+        assert np.array_equal(np.concatenate(eigen_calls), m[:3])
+        assert np.abs(adj - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+    @pytest.mark.parametrize("factor, eigen", [(1.01, True), (0.99, False)])
+    def test_conditioning_picks_the_route(self, factor, eigen, eigen_calls):
+        # diag(1, .., 1, 1/c): kappa_1 = c, just above or below the constant.
+        n = 4
+        c = factor * discriminant._ADJ_LU_MAX_COND
+        diag = np.array([1.0] * (n - 1) + [1.0 / c])
+        adj, det = discriminant._adjugates(np.diag(diag)[None])
+        assert bool(eigen_calls) == eigen
+        expected = np.diag([math.prod(np.delete(diag, j)) for j in range(n)])
+        assert np.abs(adj[0] - expected).max() <= 1e-15
+
+    def test_wishart_gradient_takes_no_eigensolve(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rng = make_rng(8)
+        g = [random_complex_gaussian(8, rng) for _ in range(8)]
+        gradient(MatrixTuple([x @ x.conj().T / 8 for x in g]))
+        assert not calls
 
 
 class TestExchange:

@@ -180,12 +180,14 @@ class TestStackedDescent:
     @pytest.mark.parametrize(
         "n, trials, seed, trial_bests",
         [
-            (2, 5, 52, [0.49999999999999983, 0.49999999999999994, 0.4999999999999997, 0.49999999999999994, 0.49999999999999994]),
-            (3, 3, 53, [0.22222222222222218, 0.22222222222222202, 0.22222222222222243]),
+            (2, 5, 52, [0.49999999999999994, 0.49999999999999994, 0.5000000000000001, 0.5, 0.49999999999999994]),
+            (3, 3, 53, [0.22222222222222224, 0.22222222222222224, 0.22222222222222246]),
         ],
     )
     def test_pinned_trial_bests(self, n, trials, seed, trial_bests):
         assert minimize_search(n, trials, seed).trial_bests == trial_bests
+        bound = bapat_bound(n)
+        assert all(abs(v - bound) <= 2e-15 * bound for v in trial_bests)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_directions_and_candidates_are_exactly_hermitian(self, n, monkeypatch):
