@@ -22,15 +22,15 @@ It is computed two independent ways, which the tests hold to agreement:
 
 Every doubly stochastic scaling runs one loop, ``_scale_vector``, whose
 state is the scaling vector s, from a start the caller passes.  One
-alternating step from B_i = s_i A_i gives L = (sum s_i A_i)^(-1/2) and
-s'_i = s_i / tr(L B_i L), and the loop stops once s'_i L A_i L is within
-``ds_tol`` of doubly stochastic.  The result carries X = L of that last step,
-which is Hermitian, and trace_scalars = s', so the scaled tuple is
-s'_i X A_i X^*.  The next s is the Anderson extrapolation of log s over the
-last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken only where the
-capacity potential Phi(s) = log det(sum s_i A_i) - sum log s_i is no larger
-than at s'; otherwise s' is taken.  A plain step never raises Phi (AM-GM on
-both terms), so neither does the guarded one.  Plain alternating scaling
+alternating step from s gives L = M^(-1/2), M = sum s_i A_i, and
+s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
+s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The result carries
+X = L of that last step, which is Hermitian, and trace_scalars = s', so the
+scaled tuple is s'_i X A_i X^*.  The next s is the Anderson extrapolation of
+log s over the last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken
+only where the capacity potential Phi(s) = log det(sum s_i A_i) - sum log s_i
+is no larger than at s'; otherwise s' is taken.  A plain step never raises
+Phi (AM-GM on both terms), so neither does the guarded one.  Plain alternating scaling
 converges only linearly, at a rate that tends to 1 near decomposable or
 boundary tuples, where it takes thousands of steps from s = 1; accelerated,
 rank-one + 1e-6 I slots take 10 to 25 steps and Wishart tuples about 7.
@@ -43,11 +43,19 @@ because sum_i x_i L A_i L = I and tr(x_i L A_i L) = g_i = 1.  The first step
 produces it and further steps polish it; the median is one step, and
 rank-one + 1e-6 I slots took at most 6 on 400 seeded draws.
 
-A step costs one Hermitian eigensolve of the slot sum (``inv_sqrt_psd``),
-the congruence of the stack, one trace for the normalization and one slot
-sum plus one trace for the defect test; from the second step on it adds the
-extrapolation and one batched eigenvalue solve for the two potentials.  The
-precondition of every scaling call is one PSD check and one subset scan
+Each point the Newton loop evaluates, trial points of the line search
+included, costs one slot sum and one ``slogdet`` for f.  An accepted point
+adds one LU solve of M against the n slots side by side, an (n, n^2)
+right-hand side, so M is factored once rather than once per slot; one
+(n, n^2) by (n^2, n) product for the Gram matrix tr(q_i q_j); and one n x n
+Hermitian eigensolve for the step.  A scaling step costs one batched Hermitian eigensolve of the
+candidate slot sums (the Anderson candidate and the plain step, or the plain
+step alone), whose eigenvalues give both potentials and whose chosen
+eigenpairs give L and M^-1 = L^2; one matrix-vector product of M^-1 with the
+slots gives the traces, and one slot sum and two n x n products give the
+stop test max|L M(s') L - I|.  The (n, n, n) tuple is formed only on the
+step that passes that test (see ``_scale_vector``).  The precondition of
+every scaling call is one PSD check and one subset scan
 (``structure._first_subset``).  The check's eigenvalues of the slots also
 rank the single slots; each larger cardinality costs one batched eigensolve
 up to n = 10 (more chunks above), and the scan stops at the first
@@ -93,10 +101,11 @@ from .core import (
     DEFAULT_TOL,
     NonConvergence,
     NotIndecomposable,
+    NotPositiveDefinite,
     PreconditionViolated,
     SingularPencil,
     Tolerances,
-    inv_sqrt_psd,
+    _eigh,
 )
 from .discriminant import (
     MatrixTuple,
@@ -107,9 +116,10 @@ from .discriminant import (
 from .structure import is_indecomposable
 
 _LOG_FLOOR = math.log(1e-300)
-# Newton converges in 3 steps in the median and at most 12 on seeded Wishart,
-# near-boundary (rank one + 1e-6 I) and 1e+-6 slot-scaled tuples with n <= 6;
-# the cap bounds the damped phase on worse input.
+# Newton converges in 3 steps in the median on Wishart tuples, and took at
+# most 14 on 500 seeded draws each (n = 2..6) of Wishart tuples, one
+# rank-one + 1e-6 I slot, n - 1 repeated such slots and 1e+-6 slot-scaled
+# Wishart slots; the cap bounds the damped phase on worse input.
 CAPACITY_MAX_ITER = 100
 # Scaling steps: the accelerated loop takes tens near the boundary; the cap
 # bounds a tuple so close to a decomposable one that it runs long.
@@ -151,18 +161,20 @@ def _objective(mats, y):
     """f(y) = log det(sum e^{y_i} A_i), with M and w scaled by e^{-max y}.
 
     The shift keeps e^y finite for any y; w_i M^{-1} A_i is unchanged by it.
-    Returns None where the computed M is singular, which is a rounding verdict
-    on an overlong step and says nothing about Cap.  Raises ``SingularPencil``
-    where the computed det(M) is positive but f < log(1e-300): mean-zero y has
+    M is one product w @ (the slots flattened to rows).  Returns None where
+    the computed M is singular, which is a rounding verdict on an overlong
+    step and says nothing about Cap.  Raises ``SingularPencil`` where the
+    computed det(M) is positive but f < log(1e-300): mean-zero y has
     prod e^{y_i} = 1, so det(M) >= Cap there, and Cap < 1e-300.
     """
+    n = len(y)
     top = float(y.max())
     w = np.exp(y - top)
-    m = (w[:, None, None] * mats).sum(0)
+    m = (w @ mats.reshape(n, n * n)).reshape(n, n)
     sign, logdet = np.linalg.slogdet(m)
     if not sign.real > 0.0:
         return None
-    f = len(y) * top + float(logdet)
+    f = n * top + float(logdet)
     if f < _LOG_FLOOR:
         raise SingularPencil(
             "det(sum e^{y_i} A_i) < 1e-300 at prod e^{y_i} = 1; "
@@ -174,25 +186,31 @@ def _objective(mats, y):
 def _newton_direction(q, g, r, opt_tol):
     """Newton direction d (mean zero) and decrement lambda^2 = -r . d.
 
-    q is the stack w_i M^{-1} A_i, so H = diag(g) - [tr(q_i q_j)] stays finite
-    however far M is from the identity.  d comes from one Hermitian
-    eigendecomposition of H + 1 1^T / n.  An eigendirection whose curvature is
-    below working precision is left alone where the gradient along it is below
-    ``opt_tol`` too (f is flat there, as on decomposable tuples), and followed
-    with its curvature raised to that precision where it is not (f falls
-    linearly there: the pencil is collapsing toward Cap = 0).  H stays in the
-    complex dtype of the q stack (its imaginary part is rounding error), so
-    this is the Hermitian eigensolver the package already loads; a real or
-    least-squares LAPACK routine would add to peak memory.
+    q holds q_i = w_i M^{-1} A_i side by side, q[a, i, b] = (q_i)_{ab}, as
+    the one solve of ``_newton`` returns it, so H = diag(g) - [tr(q_i q_j)]
+    stays finite however far M is from the identity.  The Gram matrix
+    tr(q_i q_j) = sum_ab (q_i)_ab (q_j)_ba is one (n, n^2) by (n^2, n)
+    product.  d comes from one Hermitian eigendecomposition of
+    H + 1 1^T / n.  An eigendirection whose curvature is below working
+    precision is left alone where the gradient along it is below ``opt_tol``
+    too (f is flat there, as on decomposable tuples), and followed with its
+    curvature raised to that precision where it is not (f falls linearly
+    there: the pencil is collapsing toward Cap = 0).  H stays in the complex
+    dtype of q (its imaginary part is rounding error), so this is the
+    Hermitian eigensolver the package already loads; a real or least-squares
+    LAPACK routine would add to peak memory.
     """
     n = len(g)
-    h = np.diag(g) - np.einsum("iab,jba->ij", q, q)
-    lam, v = np.linalg.eigh(h + 1.0 / n)
+    rows = q.transpose(1, 0, 2).reshape(n, n * n)  # row i: vec(q_i)
+    cols = q.transpose(2, 0, 1).reshape(n * n, n)  # column j: vec(q_j^T)
+    h = 1.0 / n - rows @ cols
+    h.flat[:: n + 1] += g
+    lam, v = np.linalg.eigh(h)
     c = v.conj().T @ r
     cut = n * _EPS * lam[-1]
     use = (lam > cut) | (np.abs(c) >= opt_tol)
-    d = -(v[:, use] @ (c[use] / np.maximum(lam[use], cut))).real
-    d -= d.mean()
+    d = -(v @ np.where(use, c / np.maximum(lam, cut), 0.0)).real
+    d -= float(d.sum()) / n
     return d, -float(r @ d)
 
 
@@ -204,9 +222,9 @@ def _backtrack(mats, y, f, d, lam2):
     is below the rounding of y, s ||d|| <= u (1 + ||y||), which bounds the
     halvings by about 53 + log2(||d|| / (1 + ||y||)).
     """
-    tiny = _EPS * (1.0 + float(np.linalg.norm(y)))
+    tiny = _EPS * (1.0 + math.sqrt(float(y @ y)))
     s = 1.0
-    dnorm = float(np.linalg.norm(d))
+    dnorm = math.sqrt(float(d @ d))
     while s * dnorm > tiny:
         y_new = y + s * d
         trial = _objective(mats, y_new)
@@ -218,8 +236,12 @@ def _backtrack(mats, y, f, d, lam2):
 
 def _newton(mats, tol, max_iter) -> CapacityResult:
     """The damped-Newton loop of ``capacity`` on a PSD stack, without its
-    precondition check; a ``"max_iter"`` result is returned, not raised."""
+    precondition check; a ``"max_iter"`` result is returned, not raised.
+
+    Each point costs one LU solve of M against the slots side by side, an
+    (n, n^2) right-hand side."""
     n = len(mats)
+    side = mats.transpose(1, 0, 2).reshape(n, n * n)
     y = np.zeros(n)
     start = _objective(mats, y)
     if start is None:
@@ -229,10 +251,11 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
     f, m, w = start
     it = 0
     while True:
-        q = np.linalg.solve(m, w[:, None, None] * mats)
-        g = np.trace(q, axis1=1, axis2=2).real
-        r = g - g.mean()
-        gnorm = float(np.linalg.norm(r))
+        q = np.linalg.solve(m, side).reshape(n, n, n)
+        q *= w[:, None]
+        g = np.trace(q, axis1=0, axis2=2).real
+        r = g - float(g.sum()) / n
+        gnorm = math.sqrt(float(r @ r))
         if gnorm < tol.opt_tol:
             stop = "gradient"
             break
@@ -325,18 +348,24 @@ def _scale_cold(
     return _scale_vector(t, np.ones(t.n), tol, max_iter)
 
 
-def _potential(totals, s, tol: Tolerances) -> np.ndarray:
+def _definite(w, tol: Tolerances):
+    """The positive-definiteness test of ``inv_sqrt_psd`` on ascending
+    eigenvalues w (..., n): the largest is positive and the smallest exceeds
+    ``psd_tol`` times it."""
+    return (w[..., -1] > 0.0) & (w[..., 0] > tol.psd_tol * w[..., -1])
+
+
+def _potential(w, s, tol: Tolerances) -> np.ndarray:
     """Phi(s) = log det(sum s_i A_i) - sum log s_i for each row of the (k, n)
-    array s, given the (k, n, n) slot sums.
+    array s, given the (k, n) ascending eigenvalues w of the slot sums.
 
     Cap is the infimum of exp(Phi).  Phi is +inf where a sum fails the
     positive-definiteness test of ``inv_sqrt_psd``, so no step is taken to a
     point that the next alternating step could not start from.
     """
-    w = np.linalg.eigvalsh(totals)
-    ok = (w[:, -1] > 0.0) & (w[:, 0] > tol.psd_tol * w[:, -1])
-    logdet = np.log(np.where(ok[:, None], w, 1.0)).sum(1)
-    return np.where(ok, logdet - np.log(s).sum(1), np.inf)
+    ok = _definite(w, tol)
+    phi = np.log(np.where(ok[:, None], w, 1.0) / s).sum(1)
+    return np.where(ok, phi, np.inf)
 
 
 def _extrapolate(logs, resid):
@@ -367,71 +396,100 @@ def _extrapolate(logs, resid):
     return s if s.min() > 0.0 else None
 
 
-def _next_scaling(a, s, plain, logs, resid, tol: Tolerances):
-    """The scaling vector after the step from s to ``plain``, with the stack
-    B_i = s_i A_i and its sum.
+def _next_scaling(flat, cands, tol: Tolerances):
+    """The start of the next step among the rows of ``cands``, with the
+    ascending eigenpairs of its slot sum.
 
-    The Anderson extrapolation of log s is taken where the capacity
-    potential is no larger there than at ``plain``, and ``plain`` otherwise.
-    A plain step never raises the potential, so neither does this choice.
+    ``cands`` is the plain step alone, or the Anderson extrapolation of log s
+    and the plain step; ``flat`` is the slots flattened to rows, so the slot
+    sums are one product and their eigenpairs one batched eigensolve.  The
+    extrapolation is taken where the capacity potential is no larger there
+    than at the plain step.  A plain step never raises the potential, so
+    neither does this choice.
     """
-    logs.append(np.log(s))
-    resid.append(np.log(plain) - logs[-1])
-    del logs[: -_ANDERSON_DEPTH - 1], resid[: -_ANDERSON_DEPTH - 1]
-    cand = _extrapolate(logs, resid)
-    if cand is None:
-        mats = plain[:, None, None] * a
-        return plain, mats, mats.sum(0)
-    both = np.array((cand, plain))
-    mats = both[:, :, None, None] * a
-    totals = mats.sum(1)
-    phi = _potential(totals, both, tol)
-    k = 0 if phi[0] <= phi[1] else 1
-    return both[k], mats[k], totals[k]
+    n = len(flat)
+    w, v = _eigh((cands @ flat).reshape(-1, n, n))
+    k = 0
+    if len(cands) == 2:
+        phi = _potential(w, cands, tol)
+        k = 0 if phi[0] <= phi[1] else 1
+    return cands[k], w[k], v[k]
+
+
+def _congruence(a, s, x):
+    """The tuple s_i X A_i X, symmetrized and normalized to unit traces, and
+    the scalars s_i / tr(s_i X A_i X) that it carries."""
+    mats = x @ (s[:, None, None] * a) @ x
+    mats += mats.conj().transpose(0, 2, 1)
+    mats /= 2.0
+    traces = mats.trace(axis1=1, axis2=2).real
+    if (traces <= 0.0).any():
+        raise SingularPencil("a slot lost its trace during scaling")
+    mats /= traces[:, None, None]
+    return mats, s / traces
 
 
 def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingResult:
     """Gurvits scaling on the scaling vector s, Anderson-accelerated.
 
-    Each iteration is one alternating step from B_i = s_i A_i: L =
-    (sum s_i A_i)^(-1/2) fixes the identity-sum condition and
-    s'_i = s_i / tr(L B_i L) the unit traces.  The loop stops once that
-    step's tuple s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The
-    result carries X = L and trace_scalars = s' of the last step (X = I and
-    s' = s when s already scales the tuple).  Hitting ``max_iter`` raises
+    Each iteration is one alternating step from s: the eigenpairs of
+    M = sum s_i A_i give L = M^(-1/2), which fixes the identity-sum
+    condition, and M^-1 = L^2, from which one matrix-vector product gives
+    tr(L s_i A_i L) = s_i tr(M^-1 A_i) and s'_i = s_i / tr(L s_i A_i L) fixes
+    the unit traces.  The step's tuple s'_i L A_i L then has unit traces by
+    construction, and its slot sum is L M(s') L, so the loop tests
+    max|L M(s') L - I| <= ``ds_tol`` without forming the tuple.  Only when
+    that test passes (or at ``max_iter``) is the (n, n, n) tuple formed and
+    its full defect checked; if rounding leaves that above ``ds_tol``, the
+    loop goes on.  The start s is checked the same way, with L = I.  The
+    result carries X = L and trace_scalars = s' of the last step (X = I when
+    s already scales the tuple).  Hitting ``max_iter`` raises
     ``NonConvergence`` carrying a result with stop_reason "max_iter".
     """
     n = t.n
     eye = np.eye(n)
     a = t.matrices
-    mats = s[:, None, None] * a
-    total = mats.sum(0)
+    flat = a.reshape(n, n * n)
+    # Row i holds (A_i)_ba at position (a, b), so rows @ vec(B) = tr(B A_i).
+    rows = a.transpose(0, 2, 1).reshape(n, n * n)
     x, scalars = np.eye(n, dtype=np.complex128), s
-    defect = sum(_trace_and_sum_violations(mats, total, eye))
     logs, resid = [], []
     it = 0
-    while defect > tol.ds_tol and it < max_iter:
+    while True:
+        total = (scalars @ flat).reshape(n, n)
+        if it >= max_iter or abs(x @ total @ x - eye).max() <= tol.ds_tol:
+            x = (x + x.conj().T) / 2.0
+            mats, trace_scalars = _congruence(a, s, x)
+            defect = sum(_trace_and_sum_violations(mats, mats.sum(0), eye))
+            if defect <= tol.ds_tol or it >= max_iter:
+                break
+        cand = None
         if it:
-            s, mats, total = _next_scaling(a, s, scalars, logs, resid, tol)
-        x = inv_sqrt_psd(total, tol)
-        mats = x @ mats @ x
-        mats += mats.conj().transpose(0, 2, 1)
-        mats /= 2.0
-        traces = mats.trace(axis1=1, axis2=2).real
-        if (traces <= 0.0).any():
+            logs.append(np.log(s))
+            resid.append(np.log(scalars) - logs[-1])
+            del logs[: -_ANDERSON_DEPTH - 1], resid[: -_ANDERSON_DEPTH - 1]
+            cand = _extrapolate(logs, resid)
+        cands = scalars[None] if cand is None else np.array((cand, scalars))
+        s, w, v = _next_scaling(flat, cands, tol)
+        if not _definite(w, tol):
+            raise NotPositiveDefinite(
+                f"slot sum is not positive definite (eigenvalue range "
+                f"[{w[0]:.3e}, {w[-1]:.3e}])"
+            )
+        x = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+        # s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), with M^-1 = L^2.
+        inv_traces = (rows @ (x @ x).ravel()).real
+        if (inv_traces <= 0.0).any():
             raise SingularPencil("a slot lost its trace during scaling")
-        mats /= traces[:, None, None]
-        scalars = s / traces
+        scalars = 1.0 / inv_traces
         it += 1
-        total = mats.sum(0)
-        defect = sum(_trace_and_sum_violations(mats, total, eye))
     converged = defect <= tol.ds_tol
-    log_s = np.log(scalars)
+    log_s = np.log(trace_scalars)
     result = ScalingResult(
         scaled=MatrixTuple(mats),
         alpha=np.exp(log_s - log_s.mean()),
         transform_X=x,
-        trace_scalars=scalars,
+        trace_scalars=trace_scalars,
         ds_defect=defect,
         iterations=it,
         converged=converged,

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,12 @@ from mixdisc.core import (
     random_psd,
     spawn_seeds,
 )
-from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
+from mixdisc.discriminant import (
+    MatrixTuple,
+    _trace_and_sum_violations,
+    check_doubly_stochastic,
+    eval_polarized,
+)
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.structure import is_indecomposable
 
@@ -357,12 +363,12 @@ def test_one_newton_step_raises_with_the_result(n, seed, k, sign):
     assert res.iterations == 1
 
 
-def _near_boundary_tuple(seed):
-    """Two Wishart slots and a rank-one + 1e-6 I slot (n = 3)."""
+def _near_boundary_tuple(seed, n=3):
+    """n - 1 Wishart slots and a rank-one + 1e-6 I slot."""
     rng = make_rng(seed)
-    mats = [_wishart(3, rng) for _ in range(2)]
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    return MatrixTuple(mats + [np.outer(v, v.conj()) + 1e-6 * np.eye(3)])
+    mats = [_wishart(n, rng) for _ in range(n - 1)]
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return MatrixTuple(mats + [np.outer(v, v.conj()) + 1e-6 * np.eye(n)])
 
 
 @pytest.mark.parametrize("seed", [2, 7, 20])
@@ -447,16 +453,178 @@ def _repeated_near_boundary_tuple(seed):
     return MatrixTuple([r, r, w])
 
 
-@pytest.mark.parametrize("seed", [40, 87, 88])
-def test_repeated_near_boundary_slot_stops_converged(seed):
+def _recorder(f, log):
+    """f, appending the result of each call to ``log``."""
+
+    def call(*args):
+        log.append(f(*args))
+        return log[-1]
+
+    return call
+
+
+# Seeds whose Newton iterates stall at round-off: the last line search finds
+# no decrease while lambda^2 (about 1e-11) is above 256 u (1 + |f|) but below
+# the noise estimate n u cond(M) (1 + |f|).  Which seeds do this depends on
+# the rounding of each step, so the test checks that the stall happened.
+@pytest.mark.parametrize("seed", [90, 120, 158])
+def test_repeated_near_boundary_slot_stops_converged(seed, monkeypatch):
     # With the fixed round-off threshold alone these stop "stalled":
     # backtracking finds no decrease.  The conditioning-aware noise estimate
     # n u cond(M) (1 + |f|) reports them as converged at round-off.
+    mod = sys.modules["mixdisc.capacity"]
+    steps = []
+    monkeypatch.setattr(mod, "_backtrack", _recorder(mod._backtrack, steps))
     t = _repeated_near_boundary_tuple(seed)
     res = capacity(t)
+    assert steps[-1] is None
     assert res.stop_reason == "roundoff" and res.converged
     # Cap is as accurate as f's noise allows: within 1e-9 relative here.
     assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-8)
+
+
+@pytest.mark.parametrize("eps, stop", [(1e-5, "roundoff"), (1e-3, "stalled")])
+def test_stall_counts_as_roundoff_only_within_the_noise_of_f(eps, stop, monkeypatch):
+    # The seed-40 tuple rescaled so that y = 0 lies eps off its minimizer
+    # along e_1 - e_2, where lambda^2 is about 2 eps^2, and a line search
+    # that finds no decrease.  cond(M) is about 1e6 and |f| about 10 there,
+    # so the noise estimate n u cond(M) (1 + |f|) is about 1e-8 and
+    # 256 u (1 + |f|) about 6e-13: eps = 1e-5 puts lambda^2 inside that band,
+    # where the stall is reclassified as round-off, and eps = 1e-3 above it.
+    t = _repeated_near_boundary_tuple(40)
+    x = capacity(t).minimizer_x
+    start = MatrixTuple(t.matrices * (x * np.exp([eps, -eps, 0.0]))[:, None, None])
+    seen = []
+
+    def no_decrease(mats, y, f, d, lam2):
+        seen.append((lam2, f))
+        return None
+
+    monkeypatch.setattr(sys.modules["mixdisc.capacity"], "_backtrack", no_decrease)
+    res = capacity(start)
+    ((lam2, f),) = seen
+    ev = np.linalg.eigvalsh(start.matrices.sum(0))
+    u = sys.float_info.epsilon
+    assert lam2 > 256.0 * u * (1.0 + abs(f))
+    assert (lam2 <= start.n * u * (ev[-1] / ev[0]) * (1.0 + abs(f))) == (stop == "roundoff")
+    assert res.stop_reason == stop and res.iterations == 0
+    assert res.converged == (stop == "roundoff")
+
+
+def _mp_capacity(mats, y0, dps=40, steps=8):
+    """Cap by undamped Newton in ``dps``-digit mpmath arithmetic from y0.
+
+    The same objective and Hessian as the solver, with every product, the
+    inverse and the solve in mpmath; from a start near the minimizer Newton
+    converges quadratically, and the projected gradient norm at the last
+    step is returned with Cap so that the caller can check it.
+    """
+    n = len(mats)
+    with mpmath.workdps(dps):
+        a = [mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m]) for m in mats]
+        y = [mpmath.mpf(float(v)) for v in y0 - y0.mean()]
+
+        def pencil(y):
+            m = mpmath.matrix(n, n)
+            for yi, ai in zip(y, a):
+                m += mpmath.exp(yi) * ai
+            return m
+
+        def trace(m):
+            return mpmath.re(sum(m[k, k] for k in range(n)))
+
+        for _ in range(steps):
+            minv = pencil(y) ** -1
+            q = [mpmath.exp(yi) * minv * ai for yi, ai in zip(y, a)]
+            g = [trace(qi) for qi in q]
+            r = [gi - sum(g) / n for gi in g]
+            h = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    h[i, j] = (g[i] if i == j else 0) - trace(q[i] * q[j]) + mpmath.mpf(1) / n
+            d = mpmath.lu_solve(h, mpmath.matrix([-ri for ri in r]))
+            y = [yi + d[i] for i, yi in enumerate(y)]
+        gnorm = mpmath.sqrt(sum(ri * ri for ri in r))
+        return float(mpmath.re(mpmath.det(pencil(y)))), float(gnorm)
+
+
+@pytest.mark.parametrize("seed", [40, 87, 88])
+def test_repeated_near_boundary_capacity_matches_mpmath(seed):
+    # cond(M) reaches 1e6 to 1e7 at these minimizers, the hardest case for
+    # the float solver; its stop rule promises Cap to about f's noise.
+    t = _repeated_near_boundary_tuple(seed)
+    res = capacity(t)
+    ref, gnorm = _mp_capacity(t.matrices, np.log(res.minimizer_x))
+    assert gnorm < 1e-30
+    assert res.value == pytest.approx(ref, rel=1e-9)
+
+
+def test_newton_solves_once_per_point_with_the_slots_side_by_side(monkeypatch):
+    # One LU solve of M against an (n, n^2) right-hand side per point the
+    # loop evaluates the gradient at: the start and each accepted step.
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(np.ndim(b)) or solve(a, b))
+    t = random_tuple(4, 12)
+    res = capacity(t)
+    assert res.iterations >= 2
+    assert calls == [2] * (res.iterations + 1)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_scaling_step_is_one_eigensolve_and_forms_only_the_returned_tuple(warm, monkeypatch):
+    # Every step makes one batched eigh of the candidate slot sums and no
+    # other eigensolve; the (n, n, n) congruence runs once, on the returned
+    # step (no rounding trouble on these tuples).
+    mod = sys.modules["mixdisc.capacity"]
+    for seed in range(3):
+        t = random_tuple(5, 900 + seed)
+        start = capacity(t).minimizer_x if warm else np.ones(5)
+        eigh, eigvalsh, formed = [], [], []
+        monkeypatch.setattr(np.linalg, "eigh", _recorder(np.linalg.eigh, eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _recorder(np.linalg.eigvalsh, eigvalsh))
+        monkeypatch.setattr(mod, "_congruence", _recorder(mod._congruence, formed))
+        res = mod._scale_vector(t, start, DEFAULT_TOL, 50)
+        monkeypatch.undo()
+        assert res.iterations >= 1
+        assert len(eigh) == res.iterations and not eigvalsh
+        assert len(formed) == 1
+        np.testing.assert_array_equal(formed[0][0], res.scaled.matrices)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reported_ds_defect_is_the_returned_tuples(n):
+    # The loop's own stop test is cheaper than the full defect; the reported
+    # ds_defect must still be the full defect of the tuple it returns.
+    eye = np.eye(n)
+    for seed in range(1100 + 10 * n, 1104 + 10 * n):
+        for t in (random_tuple(n, seed), _near_boundary_tuple(seed + 100, n)):
+            for route in (_scale_cold, scale_to_doubly_stochastic):
+                res = route(t)
+                mats = res.scaled.matrices
+                assert res.ds_defect == sum(_trace_and_sum_violations(mats, mats.sum(0), eye))
+                assert res.ds_defect <= DEFAULT_TOL.ds_tol
+
+
+def test_full_defect_above_ds_tol_keeps_the_loop_going(monkeypatch):
+    # Rounding can leave the formed tuple above ds_tol although the loop's
+    # slot-sum test passed; the loop must then take another step, not return.
+    mod = sys.modules["mixdisc.capacity"]
+    t = random_tuple(4, 17)
+    plain = _scale_cold(t)
+    check = mod._trace_and_sum_violations
+    calls = []
+
+    def first_fails(mats, total, eye):
+        calls.append(mats)
+        trace_v, sum_v = check(mats, total, eye)
+        return (trace_v, 1.0) if len(calls) == 1 else (trace_v, sum_v)
+
+    monkeypatch.setattr(mod, "_trace_and_sum_violations", first_fails)
+    res = _scale_cold(t)
+    assert len(calls) == 2
+    assert res.converged and res.iterations == plain.iterations + 1
+    assert res.ds_defect <= DEFAULT_TOL.ds_tol
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

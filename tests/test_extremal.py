@@ -180,8 +180,8 @@ class TestStackedDescent:
     @pytest.mark.parametrize(
         "n, trials, seed, trial_bests",
         [
-            (2, 5, 52, [0.49999999999999994, 0.49999999999999994, 0.5000000000000001, 0.5, 0.49999999999999994]),
-            (3, 3, 53, [0.22222222222222224, 0.22222222222222224, 0.22222222222222246]),
+            (2, 5, 52, [0.5, 0.4999999999999999, 0.49999999999999994, 0.5000000000000001, 0.5000000000000001]),
+            (3, 3, 53, [0.22222222222222213, 0.2222222222222222, 0.22222222222222246]),
         ],
     )
     def test_pinned_trial_bests(self, n, trials, seed, trial_bests):

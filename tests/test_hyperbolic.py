@@ -181,7 +181,7 @@ class TestConjectureExperiment:
             (2, 60, 0, 0.5000116012816989),
             (3, 120, 1, 0.22365295100417262),
             (4, 80, 7, 0.09506751904618374),
-            (5, 60, 3, 0.039096373744726944),
+            (5, 60, 3, 0.03909637374730513),
         ],
     )
     def test_pinned_outputs(self, n, samples, seed, min_ratio):
