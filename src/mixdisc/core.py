@@ -257,6 +257,7 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 # compensated accumulation
 
 def fsum_complex(terms) -> complex:
-    """Compensated sum of complex terms, real and imaginary parts separately."""
+    """Compensated sum of complex terms, real and imaginary parts separately,
+    each read as Python floats (the bits of ``math.fsum`` over the array)."""
     a = np.asarray(terms, dtype=np.complex128).ravel()
-    return complex(math.fsum(a.real), math.fsum(a.imag))
+    return complex(math.fsum(a.real.tolist()), math.fsum(a.imag.tolist()))

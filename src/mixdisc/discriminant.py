@@ -272,11 +272,6 @@ def _slot_groups(flat: np.ndarray):
     return flat, (1,) * n, (1,) * (n - 1) + (0,), None
 
 
-def _beside(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The columns of ``lo`` followed by the one row ``hi`` on every row."""
-    return np.concatenate((lo, np.broadcast_to(hi, (len(lo), hi.shape[1]))), axis=1)
-
-
 def _eps_combinations(rows: np.ndarray):
     """Yield (eps, sign, combinations) over the classes of eps in {+-1}^n with
     eps[n-1] = +1 whose combinations eps @ rows are equal.
@@ -306,8 +301,9 @@ def _eps_combinations(rows: np.ndarray):
     the remaining groups per chunk.  The combinations are real when the
     imaginary part of the whole stack is exactly zero, complex otherwise;
     either way one real matmul forms a chunk, one BLAS product of the same
-    shape per tuple.  Every chunk is written into the same buffer, so a
-    consumer must be done with one chunk before the next.
+    shape per tuple.  Every chunk is written into the same buffers: the
+    yielded ``eps``, like the combinations, may be overwritten by the next
+    chunk, so a consumer must be done with both before it asks for the next.
     """
     rows = np.ascontiguousarray(rows)
     if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
@@ -316,20 +312,26 @@ def _eps_combinations(rows: np.ndarray):
     reps, sizes, free, labels = _slot_groups(flat)
     low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free)
     buf = np.empty((len(flat), len(lo_coef), flat.shape[2]))
+    coef, sign, mean = lo_coef, lo_sign, lo_mean
     # One count vector of the other groups per chunk: the high digits of the
-    # class index, the last group's slowest.
+    # class index, the last group's slowest, written into the tail columns of
+    # tables whose low columns hold the cached table from the start.
     highs = [()]
     if low < len(free):
         highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
+        coef = np.empty((len(lo_coef), len(free)))
+        coef[:, :low] = lo_coef
+        if labels is not None:
+            mean = np.empty_like(coef)
+            mean[:, :low] = lo_mean
     for high in highs:
-        coef, sign, mean = lo_coef, lo_sign, lo_mean
         if high:
             hi_coef, hi_sign, hi_mean = _count_vectors(
                 sizes[low:], free[low:], np.array([high[::-1]])
             )
-            coef, sign = _beside(lo_coef, hi_coef), lo_sign * hi_sign
+            coef[:, low:], sign = hi_coef, lo_sign * hi_sign
             if labels is not None:
-                mean = _beside(lo_mean, hi_mean)
+                mean[:, low:] = hi_mean
         if labels is None:
             eps = coef
         else:
@@ -349,10 +351,13 @@ def _centered_sum(rows: np.ndarray, term):
     degree n, and from n = ``_GROUP_MIN_N`` on equal rows are grouped, so
     ``term`` sees prod_g (free_g + 1) combinations (see
     :func:`_eps_combinations`).  The signed terms are summed with
-    compensation; the second result, sum |terms| over all 2^(n-1) ungrouped
-    terms (a class weight times |term|), is the scale of the rounding error
-    of the first (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 4): that error is a small multiple of the unit round-off times it.
+    compensation (:func:`_fsum_rows`); the second result, sum |terms| over
+    all 2^(n-1) ungrouped terms (a class weight times |term|), is the scale
+    of the rounding error of the first (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4): that error is a small multiple of the unit
+    round-off times it.  As a scale it needs no compensation: it is numpy's
+    pairwise sum of the nonnegative |terms|, within about log2(N) u of the
+    exact sum of its N terms.
 
     Each tuple's pair is bit for bit what the stack of that tuple alone
     (B = 1) gives.  A stack runs as one enumeration below ``_GROUP_MIN_N``
@@ -385,13 +390,15 @@ def _centered_sum(rows: np.ndarray, term):
         values = [scale * complex(re, im) for re, im in parts]
     else:
         values = [scale * total for total in _fsum_rows(terms)]
-    magnitudes = [scale * total for total in _fsum_rows(np.abs(terms))]
-    return np.array(values), np.array(magnitudes)
+    return np.array(values), scale * np.abs(terms).sum(axis=1)
 
 
 def _fsum_rows(a: np.ndarray) -> list:
-    """``math.fsum`` of each row of a real 2-D array, read in place."""
-    return [math.fsum(row) for row in a]
+    """``math.fsum`` of each row of a real 2-D array, read as Python floats.
+
+    ``math.fsum`` is correctly rounded, so the floats give the bits the
+    numpy scalars would, and ``tolist`` reads them in one pass."""
+    return [math.fsum(row) for row in a.tolist()]
 
 
 def _polarized_raw(mats) -> np.ndarray:
@@ -465,12 +472,22 @@ def eval_double_perm(t: MatrixTuple) -> float:
     return _as_real(_double_perm_raw(t.matrices))
 
 
+def _glynn_terms(s: np.ndarray) -> np.ndarray:
+    """prod_j s[k, j] of each row of a (k, m) chunk of combinations, j from
+    left to right: on real rows the bits of ``np.prod(s, axis=1)``."""
+    out = s[:, 0].copy()
+    for j in range(1, s.shape[1]):
+        out *= s[:, j]
+    return out
+
+
 def permanent(c):
     """Permanent by Glynn's formula with compensated summation.
 
     per(c) = 2^(1-n) sum over eps in {+-1}^n with eps_n = +1 of
-    prod(eps) prod_j (eps @ c)_j: 2^(n-1) products of row-combination sums,
-    fewer when n >= 8 and rows repeat.
+    prod(eps) prod_j (eps @ c)_j: 2^(n-1) products of row-combination sums
+    (:func:`_glynn_terms`, one column at a time), fewer when n >= 8 and rows
+    repeat, summed by :func:`_centered_sum`.
     Accepts real or complex square matrices; the result dtype follows the
     input.  Gated at n <= 20.
     """
@@ -483,7 +500,7 @@ def permanent(c):
     a = a.astype(np.complex128 if is_complex else np.float64)
     if n == 0:
         return 1.0
-    value = _centered_sum(a[None], lambda s: np.prod(s, axis=1))[0][0]
+    value = _centered_sum(a[None], _glynn_terms)[0][0]
     return complex(value) if is_complex else float(value)
 
 
@@ -498,7 +515,7 @@ def eval_signed_permanent(t: MatrixTuple) -> float:
     b = t.matrices[:, np.arange(n), perms.astype(np.intp)].transpose(1, 2, 0)
     block = _DET_CHUNK >> (n - 1)
     pers = np.concatenate([
-        _centered_sum(b[lo : lo + block], lambda s: np.prod(s, axis=1))[0]
+        _centered_sum(b[lo : lo + block], _glynn_terms)[0]
         for lo in range(0, len(b), block)
     ])
     return _as_real(fsum_complex(signs * pers))
@@ -604,12 +621,13 @@ def _gradient_raw(mats: np.ndarray):
     q, terms = 0, []
     for eps, sign, s in _eps_combinations(rows):
         adj, det = _adjugates(s.reshape(-1, n, n))
+        # The next chunk overwrites eps and s: both are consumed here.
         q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
         terms.append(sign * det)
     scale = 2.0 ** (1 - n)
     terms = np.concatenate(terms)
     qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
-    return qs, scale * math.fsum(terms.real), scale * math.fsum(np.abs(terms))
+    return qs, scale * math.fsum(terms.real.tolist()), float(scale * np.abs(terms).sum())
 
 
 def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:

@@ -107,7 +107,7 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
 
 def trace_e(pencil: HyperbolicPencil, x) -> float:
     """Sum of the roots of p(x - lambda e); linear in x."""
-    return math.fsum(_roots_ascending(pencil, pencil.at(x)))
+    return math.fsum(_roots_ascending(pencil, pencil.at(x)).tolist())
 
 
 def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: float = DEFAULT_TOL.psd_tol) -> bool:

@@ -10,6 +10,10 @@ no longer equal take the ungrouped path) and to the plain sign table.  A
 stack of tuples is held to the single call of each of its tuples, bit for bit,
 and so are the permutation oracles to their one-call-per-sigma forms.  The
 gradient's D is the kernel's D bit for bit and is held to the permutation sum.
+Above one chunk, D, Q and real permanents from the reused class buffers and
+the column-by-column Glynn product keep the bits of fresh per-chunk tables
+and ``np.prod``; the pairwise sum |terms| and the fsum reads are held to
+compensated sums of the same floats.
 """
 
 import itertools
@@ -20,19 +24,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixdisc.core import fsum_complex, make_rng, random_complex_gaussian, random_hermitian
+from mixdisc.core import (
+    as_hermitian,
+    fsum_complex,
+    make_rng,
+    random_complex_gaussian,
+    random_hermitian,
+)
 from mixdisc.discriminant import (
     _DET_CHUNK,
     _GROUP_MIN_N,
     MatrixTuple,
+    _adjugates,
     _as_real,
     _centered_sum,
     _count_table,
+    _count_vectors,
     _eps_combinations,
+    _fsum_rows,
     _gradient_raw,
     _iter_perm_chunks,
     _perms_and_signs,
     _polarized_raw,
+    _slot_groups,
     eval_polarized,
     eval_sigma_det,
     eval_signed_permanent,
@@ -560,3 +574,138 @@ def test_gradient_d_is_the_kernel_d(n):
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_grouped_gradient_d_is_the_kernel_d(n):
     _assert_gradient_reads_the_kernel(MatrixTuple([np.eye(n) / n] * n))
+
+
+# ---------------------------------------------------------------------------
+# the reduction stage: buffered class tables, the Glynn term and the sums
+
+
+def _beside(lo, hi):
+    """The columns of ``lo`` followed by the one row ``hi`` on every row."""
+    return np.concatenate((lo, np.broadcast_to(hi, (len(lo), hi.shape[1]))), axis=1)
+
+
+def _concatenated_classes(rows):
+    """The classes of :func:`_eps_combinations` with a fresh coefficient and
+    mean table concatenated per chunk and fresh combinations, as the kernel
+    built them before it kept one buffer of each."""
+    rows = np.ascontiguousarray(rows)
+    if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
+        rows = np.ascontiguousarray(rows.real)
+    flat = rows.view(np.float64)
+    reps, sizes, free, labels = _slot_groups(flat)
+    low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free)
+    highs = [()]
+    if low < len(free):
+        highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
+    for high in highs:
+        coef, sign, mean = lo_coef, lo_sign, lo_mean
+        if high:
+            hi_coef, hi_sign, hi_mean = _count_vectors(sizes[low:], free[low:], np.array([high[::-1]]))
+            coef, sign, mean = _beside(lo_coef, hi_coef), lo_sign * hi_sign, _beside(lo_mean, hi_mean)
+        eps = coef if labels is None else mean[:, labels]
+        if labels is not None:
+            eps[:, -1] = 1.0
+        yield eps, sign, np.matmul(coef, reps).view(rows.dtype)
+
+
+def _reference_d_and_q(t):
+    """D and the Q_i of ``t`` from :func:`_concatenated_classes`, each chunk
+    consumed after the whole enumeration."""
+    n = t.n
+    chunks = list(_concatenated_classes(t.matrices.reshape(1, n, n * n)))
+    terms, q = [], 0
+    for eps, sign, comb in chunks:
+        adj, det = _adjugates(comb.reshape(-1, n, n))
+        q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
+        terms.append(sign * det)
+    scale = 2.0 ** (1 - n)
+    d = scale * math.fsum(np.concatenate(terms).real)
+    return d, as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
+
+
+def _reference_permanent(c):
+    """Glynn's sum over :func:`_concatenated_classes` with ``np.prod`` terms."""
+    n = len(c)
+    terms = [sign * np.prod(comb.reshape(-1, n), axis=1) for _, sign, comb in _concatenated_classes(c[None])]
+    terms = np.concatenate(terms)
+    scale = 2.0 ** (1 - n)
+    if np.iscomplexobj(terms):
+        return scale * complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return scale * math.fsum(terms)
+
+
+def _pairs_tuple(n, seed):
+    """n Wishart slots in n/2 bitwise-equal pairs: 3^(n/2-1) * 2 classes."""
+    rng = make_rng(seed)
+    base = [_wishart(n, rng, real=False) for _ in range(n // 2)]
+    return MatrixTuple([base[i // 2] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "t, classes",
+    [(MatrixTuple(_distinct_scaled_identities(n)[0]), 2 ** (n - 1)) for n in (15, 16)]
+    + [(_pairs_tuple(18, 18), 13122)],
+    ids=["distinct15", "distinct16", "pairs18"],
+)
+def test_multi_chunk_values_keep_the_concatenated_table_bits(t, classes):
+    # Above one chunk the kernel writes each chunk's classes into reused
+    # buffers; D and every Q_i keep the bits of fresh tables per chunk.
+    _, _, free, _ = _slot_groups(t.matrices.reshape(1, t.n, -1).view(np.float64))
+    assert math.prod(f + 1 for f in free) == classes > _DET_CHUNK
+    d, q = _reference_d_and_q(t)
+    g = gradient(t)
+    assert eval_polarized(t).hex() == g.value.hex() == d.hex()
+    assert g.Q.tobytes() == q.tobytes()
+
+
+def test_real_permanent_keeps_the_np_prod_bits_at_n16():
+    n = 16
+    c = make_rng(16).standard_normal((n, n))
+    assert permanent(c).hex() == _reference_permanent(c).hex()
+    b = np.eye(n) + np.roll(np.eye(n), 1, axis=1)
+    assert permanent(b) == _reference_permanent(b) == 2.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_complex_permanent_within_1e14_of_np_prod(n):
+    # Complex products one column at a time round differently from np.prod;
+    # entries 1 + 0.5 z keep the sum well conditioned, so that shows as
+    # relative error at the level of the unit round-off.
+    for seed in range(5):
+        rng = make_rng(100 * n + seed)
+        c = 1.0 + 0.5 * random_complex_gaussian(n, rng)
+        value, reference = permanent(c), _reference_permanent(c)
+        assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_magnitude_is_the_compensated_sum_within_1e13(n):
+    # sum |terms| is a pairwise sum; it stays within 1e-13 of the correctly
+    # rounded sum of the same terms.
+    t = MatrixTuple([random_hermitian(n, make_rng(1000 + n + j)) for j in range(n)])
+    rows = t.matrices.reshape(1, n, n * n)
+    terms = [sign * _det_term(n)(comb[0]) for _, sign, comb in _eps_combinations(rows)]
+    exact = 2.0 ** (1 - n) * math.fsum(np.abs(np.concatenate(terms)))
+    (magnitude,) = _centered_sum(rows, _det_term(n))[1]
+    assert abs(magnitude - exact) <= 1e-13 * exact
+
+
+def _fsum_rows_cases():
+    rng = make_rng(40000)
+    tiny = 5e-324
+    yield "zeros", np.array([[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0]])
+    yield "subnormal", np.array([[tiny, -tiny, 3 * tiny, 2.0**-1030], [-tiny] * 4])
+    for size in (1, 2, 7, 8, 9, 33, 1000, 40000):
+        x = rng.standard_normal(size) * np.exp2(rng.integers(-60, 60, size))
+        # Heavy cancellation: each value with its negation, and 1 on top.
+        yield f"random{size}", np.stack([x, np.concatenate([x[: size // 2], -x[: size // 2], [1.0] * (size % 2)])])
+
+
+@pytest.mark.parametrize("case", list(_fsum_rows_cases()), ids=lambda c: c[0])
+def test_fsum_reads_give_the_in_place_bits(case):
+    _, a = case
+    expected = [math.fsum(row) for row in a]
+    assert [v.hex() for v in _fsum_rows(a)] == [v.hex() for v in expected]
+    z = fsum_complex(a[0] + 1j * a[-1])
+    assert (z.real.hex(), z.imag.hex()) == (expected[0].hex(), expected[-1].hex())
