@@ -66,14 +66,15 @@ slots.
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
 * ``"gradient"``: the projected gradient norm fell below ``opt_tol``;
-* ``"roundoff"``: lambda^2 <= 256 u (1 + |f|), u the unit round-off.  Since
-  lambda^2 / 2 estimates f - min f, Cap is then accurate to about
-  128 u (1 + |f|) relative, i.e. to working precision; this is how Newton
+* ``"roundoff"``: lambda^2 <= 256 eps (1 + |f|), eps = 2^-52 the machine
+  epsilon (``sys.float_info.epsilon``, twice the unit round-off u = 2^-53).
+  Since lambda^2 / 2 estimates f - min f, Cap is then accurate to about
+  128 eps (1 + |f|) relative, i.e. to working precision; this is how Newton
   stops when round-off keeps the gradient above ``opt_tol``.  It is also the
   stop when backtracking finds no decrease while lambda^2 is within the
-  rounding noise of f, estimated as n u cond(M) (1 + |f|) (rounding M by
-  u |M| moves log det M by up to n u cond(M)): on an ill-conditioned M no
-  line search can see a decrease that small, and Cap is as accurate as f;
+  rounding noise of f, estimated as n eps cond(M) (1 + |f|) (rounding M by
+  eps |M| moves log det M by up to n eps cond(M)): on an ill-conditioned M
+  no line search can see a decrease that small, and Cap is as accurate as f;
 * ``"stalled"``: backtracking found no decrease while lambda^2 was still above
   that noise; the best iterate is returned with ``converged=False``;
 * ``"max_iter"``: the iteration cap was hit; ``NonConvergence`` is raised and
@@ -87,6 +88,20 @@ below 1e-300 at any point the solver evaluates, and when a ``"roundoff"`` or
 ``ScalingResult.stop_reason`` is ``"ds_tol"`` on every returned result; the
 result that ``NonConvergence`` carries when scaling hits ``max_iter`` has
 ``"max_iter"``.
+
+A ``MatrixTuple`` never changes, so two results are memoized on it
+(``MatrixTuple._memoized``) and each is computed once per tuple.  The Newton
+``CapacityResult`` is keyed by (``Tolerances``, ``max_iter``); ``capacity``
+and ``scale_to_doubly_stochastic`` (at ``CAPACITY_MAX_ITER``) both read it,
+and its ``minimizer_x`` is read-only.  The indecomposability scan's verdict
+and witness are keyed by ``Tolerances``; the precondition of every scaling
+call reads it.  An entry is made only after the PSD check at the same
+tolerances has passed, so ``capacity`` skips that check exactly on a hit,
+and an exception is never memoized.  Both computations are deterministic,
+so a hit returns the bits a fresh tuple would give.  The oracle
+``capacity_via_scaling`` takes nothing from Newton: it shares only the
+precondition scan.  ``genaf.expand_tuple`` returns the tuple itself for the
+all-ones weight, so ``check_theorem52`` reuses the tuple's own solve there.
 """
 
 from __future__ import annotations
@@ -219,7 +234,7 @@ def _backtrack(mats, y, f, d, lam2):
 
     Halves the step until f decreases enough; a trial point whose computed
     pencil is singular counts as a rejected step.  Returns None once the step
-    is below the rounding of y, s ||d|| <= u (1 + ||y||), which bounds the
+    is below the rounding of y, s ||d|| <= eps (1 + ||y||), which bounds the
     halvings by about 53 + log2(||d|| / (1 + ||y||)).
     """
     tiny = _EPS * (1.0 + math.sqrt(float(y @ y)))
@@ -237,6 +252,7 @@ def _backtrack(mats, y, f, d, lam2):
 def _newton(mats, tol, max_iter) -> CapacityResult:
     """The damped-Newton loop of ``capacity`` on a PSD stack, without its
     precondition check; a ``"max_iter"`` result is returned, not raised.
+    Its ``minimizer_x`` is read-only, since the result is memoized.
 
     Each point costs one LU solve of M against the slots side by side, an
     (n, n^2) right-hand side."""
@@ -283,9 +299,11 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
             )
         if stop == "stalled" and lam2 <= n * _EPS * (ev[-1] / ev[0]) * (1.0 + abs(f)):
             stop = "roundoff"
+    x = np.exp(y)
+    x.flags.writeable = False
     return CapacityResult(
         value=math.exp(f),
-        minimizer_x=np.exp(y),
+        minimizer_x=x,
         gradient_norm=gnorm,
         iterations=it,
         converged=stop in ("gradient", "roundoff"),
@@ -303,8 +321,12 @@ def capacity(
     leave the iterate short of every stopping test, and ``SingularPencil``
     when Cap is zero to working precision.
     """
-    _require_psd(t, tol)
-    result = _newton(t.matrices, tol, max_iter)
+
+    def solve():
+        _require_psd(t, tol)
+        return _newton(t.matrices, tol, max_iter)
+
+    result = t._memoized(("newton", tol, max_iter), solve)
     if result.stop_reason == "max_iter":
         raise NonConvergence(
             f"capacity Newton hit max_iter = {max_iter} with gradient norm "
@@ -315,8 +337,11 @@ def capacity(
 
 
 def _require_scalable(t: MatrixTuple, tol: Tolerances) -> None:
-    """PSD (checked by the subset scan) and indecomposable, or raise."""
-    indec, witness = is_indecomposable(t, tol)
+    """PSD (checked by the subset scan) and indecomposable, or raise.  The
+    scan's verdict is memoized on t by tol."""
+    indec, witness = t._memoized(
+        ("indecomposable", tol), lambda: is_indecomposable(t, tol)
+    )
     if not indec:
         raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
 
@@ -335,7 +360,12 @@ def scale_to_doubly_stochastic(
     (carrying a "max_iter" result) when polishing runs out of steps.
     """
     _require_scalable(t, tol)
-    x = _newton(t.matrices, tol, CAPACITY_MAX_ITER).minimizer_x
+    # The scan has passed _require_psd at tol, so this may seed the memo
+    # that ``capacity`` reads.
+    x = t._memoized(
+        ("newton", tol, CAPACITY_MAX_ITER),
+        lambda: _newton(t.matrices, tol, CAPACITY_MAX_ITER),
+    ).minimizer_x
     return _scale_vector(t, x, tol, max_iter)
 
 

@@ -73,9 +73,16 @@ class MatrixTuple:
 
     ``matrices`` is one read-only complex (n, n, n) array whose slice
     ``matrices[i]`` is A_i; iterating the tuple yields the slices.
+
+    A tuple never changes, so a result derived from it deterministically can
+    be kept on it: the private ``_memo`` holds what ``_memoized`` computed,
+    by key.  The capacity layer keeps two results there, the damped-Newton
+    ``CapacityResult`` by ("newton", Tolerances, max_iter) and the
+    indecomposability scan by ("indecomposable", Tolerances); see the
+    ``capacity`` module docstring.
     """
 
-    __slots__ = ("n", "matrices")
+    __slots__ = ("n", "matrices", "_memo")
 
     def __init__(self, matrices, tol: Tolerances = DEFAULT_TOL):
         mats = as_hermitian(matrices, tol.hermitian_tol)
@@ -89,6 +96,7 @@ class MatrixTuple:
         mats.flags.writeable = False
         self.n = n
         self.matrices = mats
+        self._memo = {}
 
     def __iter__(self):
         return iter(self.matrices)
@@ -98,6 +106,15 @@ class MatrixTuple:
 
     def __len__(self):
         return self.n
+
+    def _memoized(self, key, compute):
+        """compute(), run on the first call with ``key`` and kept on the tuple
+        for later ones.  An exception from compute is raised and nothing is
+        kept, so the next call runs it again.  compute must return a value
+        that cannot change, such as a frozen dataclass of read-only arrays."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def replaced(self, i: int, m) -> "MatrixTuple":
         """Copy with slot ``i`` replaced by ``m``."""
@@ -686,6 +703,8 @@ def exchange_value(
     tr(A_i Q_j) / tr(A_j Q_i); the two routes must agree within
     ``_EXCHANGE_CHECK_REL`` relative.  A precomputed ``grad`` avoids recomputing Q.
     """
+    if not (0 <= i < t.n and 0 <= j < t.n):
+        raise ValueError(f"exchange_value slots ({i}, {j}) must lie in range({t.n})")
     if i == j:
         raise ValueError("exchange_value needs two distinct slots")
     g = grad if grad is not None else gradient(t)

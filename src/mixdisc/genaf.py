@@ -70,8 +70,13 @@ class AfExperimentResult:
 
 
 def expand_tuple(t: MatrixTuple, alpha) -> MatrixTuple:
-    """The n-tuple with A_i repeated alpha_i times, in index order."""
+    """The n-tuple with A_i repeated alpha_i times, in index order.
+
+    When every alpha_i = 1 that tuple is t, and t itself is returned, so a
+    result memoized on t (a capacity solve) serves it too."""
     a = validate_weight(alpha, t.n)
+    if (a == 1).all():
+        return t
     return MatrixTuple(t.matrices[np.repeat(np.arange(t.n), a)])
 
 

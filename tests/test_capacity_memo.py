@@ -1,0 +1,209 @@
+"""The capacity layer's results memoized on the immutable MatrixTuple.
+
+A tuple keeps its Newton ``CapacityResult`` by (Tolerances, max_iter) and its
+indecomposability scan by Tolerances.  Every value read from the memo must be
+the bits a fresh tuple of the same slots gives.
+"""
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mixdisc.capacity import (
+    capacity,
+    capacity_via_scaling,
+    scale_to_doubly_stochastic,
+)
+from mixdisc.core import (
+    DEFAULT_TOL,
+    MixdiscError,
+    NonConvergence,
+    PreconditionViolated,
+    SingularPencil,
+    Tolerances,
+    make_rng,
+    random_complex_gaussian,
+)
+from mixdisc.discriminant import MatrixTuple
+from mixdisc.genaf import check_theorem52, classical_af_combination, expand_tuple
+from mixdisc.structure import is_indecomposable
+
+_CAP = sys.modules["mixdisc.capacity"]
+
+
+def _wishart_tuple(n, seed):
+    rng = make_rng(seed)
+    g = [random_complex_gaussian(n, rng) for _ in range(n)]
+    return MatrixTuple([x @ x.conj().T for x in g])
+
+
+def _near_boundary_tuple(n, seed):
+    """n - 1 Wishart slots and one rank-one + 1e-6 I slot."""
+    rng = make_rng(seed)
+    mats = [x @ x.conj().T for x in (random_complex_gaussian(n, rng) for _ in range(n - 1))]
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return MatrixTuple(mats + [np.outer(v, v.conj()) + 1e-6 * np.eye(n)])
+
+
+def _decomposable_tuple(n):
+    """Slot 0 lives on the first coordinate alone: rank(A_0) = 1 = |{0}|."""
+    rng = make_rng(300 + n)
+    first = np.zeros((n, n))
+    first[0, 0] = 1.0
+    rest = [x @ x.conj().T for x in (random_complex_gaussian(n, rng) for _ in range(n - 1))]
+    return MatrixTuple([first] + rest)
+
+
+def _key(value):
+    """Everything a result carries, arrays by their bytes."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, MatrixTuple):
+        return _key(value.matrices)
+    if isinstance(value, tuple):
+        return tuple(_key(v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return tuple((f, _key(getattr(value, f))) for f in value.__dataclass_fields__)
+    return repr(value)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _key(fn(*args, **kwargs))
+    except MixdiscError as exc:
+        return type(exc).__name__, str(exc), _key(getattr(exc, "result", None))
+
+
+def _sequence(t):
+    """The capacity-layer calls an experiment makes of one tuple, in order."""
+    calls = [
+        (scale_to_doubly_stochastic, ()),
+        (capacity, ()),
+        (capacity_via_scaling, ()),
+        (is_indecomposable, ()),
+        (check_theorem52, (classical_af_combination(t.n),)),
+        (capacity, ()),
+        (scale_to_doubly_stochastic, ()),
+    ]
+    return [(fn, args, _outcome(fn, t, *args)) for fn, args in calls]
+
+
+_TUPLES = (
+    [("wishart", n, lambda n=n: _wishart_tuple(n, 40 + n)) for n in range(2, 7)]
+    + [("near-boundary", 3, lambda: _near_boundary_tuple(3, 7))]
+    + [("decomposable", 4, lambda: _decomposable_tuple(4))]
+)
+
+
+@pytest.mark.parametrize("kind, n, make", _TUPLES, ids=[f"{k}{n}" for k, n, _ in _TUPLES])
+def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
+    t = make()
+    for fn, args, memo in _sequence(t):
+        assert memo == _outcome(fn, MatrixTuple(t.matrices), *args), fn.__name__
+    # The memo entries themselves against fresh computations.
+    newton = t._memo[("newton", DEFAULT_TOL, _CAP.CAPACITY_MAX_ITER)]
+    fresh = _CAP._newton(MatrixTuple(t.matrices).matrices, DEFAULT_TOL, _CAP.CAPACITY_MAX_ITER)
+    assert newton.value.hex() == fresh.value.hex()
+    assert newton.minimizer_x.tobytes() == fresh.minimizer_x.tobytes()
+    assert (newton.stop_reason, newton.iterations) == (fresh.stop_reason, fresh.iterations)
+    scan = t._memo[("indecomposable", DEFAULT_TOL)]
+    assert scan == is_indecomposable(MatrixTuple(t.matrices))
+    assert scan[0] == (kind != "decomposable")
+
+
+def _count(monkeypatch, name):
+    calls = []
+    real = getattr(_CAP, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_CAP, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_newton_solve_per_distinct_tuple(n, monkeypatch):
+    # Scaling, capacity and theorem 5.2 on one tuple: the tuple itself (whose
+    # all-ones expansion is the tuple) and the two doubled-slot expansions.
+    newton = _count(monkeypatch, "_newton")
+    scans = _count(monkeypatch, "is_indecomposable")
+    t = _wishart_tuple(n, 70 + n)
+    scale_to_doubly_stochastic(t)
+    capacity(t)
+    report = check_theorem52(t, classical_af_combination(n))
+    capacity_via_scaling(t)
+    assert report.holds
+    solved = [mats.tobytes() for mats, _, _ in newton]
+    assert len(solved) == 3 == len(set(solved))
+    assert solved[0] == t.matrices.tobytes()
+    assert len(scans) == 1
+
+
+def test_expand_tuple_of_all_ones_is_the_tuple():
+    t = _wishart_tuple(4, 5)
+    assert expand_tuple(t, [1, 1, 1, 1]) is t
+    assert expand_tuple(t, [2, 0, 1, 1]) is not t
+
+
+def test_other_tolerances_or_iteration_cap_recompute(monkeypatch):
+    newton = _count(monkeypatch, "_newton")
+    scans = _count(monkeypatch, "is_indecomposable")
+    t = _wishart_tuple(4, 9)
+    base = capacity(t)
+    assert capacity(t, Tolerances()) is base  # an equal Tolerances is the same key
+    capacity(t, max_iter=50)
+    tighter = replace(DEFAULT_TOL, opt_tol=1e-10)
+    capacity(t, tighter)
+    assert len(newton) == 3
+    scale_to_doubly_stochastic(t)  # reads the default-tolerance solve
+    assert len(newton) == 3
+    scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, rank_tol=1e-8))
+    assert len(newton) == 4 and len(scans) == 2
+
+
+def test_memoized_minimizer_is_read_only():
+    t = _wishart_tuple(3, 11)
+    x = capacity(t).minimizer_x
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+    assert capacity(t).minimizer_x is x
+
+
+def test_iteration_cap_raises_on_every_call_with_equal_results():
+    t = _wishart_tuple(4, 13)
+    results = []
+    for _ in range(2):
+        with pytest.raises(NonConvergence) as info:
+            capacity(t, max_iter=0)
+        results.append(info.value.result)
+    assert results[0].stop_reason == "max_iter"
+    assert _key(results[0]) == _key(results[1])
+    with pytest.raises(NonConvergence) as info:
+        capacity(MatrixTuple(t.matrices), max_iter=0)
+    assert _key(info.value.result) == _key(results[0])
+
+
+def test_exceptions_are_not_memoized(monkeypatch):
+    newton = _count(monkeypatch, "_newton")
+    e1 = np.diag([1.0, 0.0, 0.0])
+    t = MatrixTuple([e1, e1, np.eye(3)])  # rank(A_0 + A_1) = 1 < 2: Cap = 0
+    for _ in range(2):
+        with pytest.raises(SingularPencil):
+            capacity(t)
+    assert len(newton) == 2 and not t._memo
+
+
+def test_entry_only_after_the_psd_check_at_its_tolerances():
+    # Within a loose psd_tol of PSD but not within the default: the solve made
+    # at the loose tolerances does not let the default check be skipped.
+    t = MatrixTuple([np.diag([1.0, -1e-7]), np.eye(2)])
+    loose = replace(DEFAULT_TOL, psd_tol=1e-6)
+    capacity(t, loose)
+    assert ("newton", loose, _CAP.CAPACITY_MAX_ITER) in t._memo
+    for route in (capacity, scale_to_doubly_stochastic, capacity_via_scaling):
+        with pytest.raises(PreconditionViolated):
+            route(t)

@@ -281,6 +281,13 @@ class TestExchange:
         with pytest.raises(ValueError):
             exchange_value(t, 1, 1)
 
+    @pytest.mark.parametrize("i, j", [(-1, 2), (0, -3), (3, 0), (1, 7), (-1, -1)])
+    def test_slot_outside_the_tuple_rejected(self, i, j):
+        # -1 and 2 name one slot at n = 3; negative indices are not wrapped.
+        t = random_tuple(3, 1)
+        with pytest.raises(ValueError, match="range"):
+            exchange_value(t, i, j)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_one_stacked_call_keeps_the_bits_of_the_substituted_tuples(self, n):
         # From n = 8 on the kernel groups repeated slots, and every
