@@ -22,8 +22,8 @@ It is computed two independent ways, which the tests hold to agreement:
 
 Every doubly stochastic scaling runs one loop, ``_scale_vector``, whose
 state is the scaling vector s, from a start the caller passes.  One
-alternating step from s gives L = M^(-1/2), M = sum s_i A_i, and
-s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
+alternating step from s gives L = M^(-1/2) (``core._inv_sqrt``), M = sum s_i A_i,
+and s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
 s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The result carries
 X = L of that last step, which is Hermitian, and trace_scalars = s', so the
 scaled tuple is s'_i X A_i X^*.  The next s is the Anderson extrapolation of
@@ -48,13 +48,10 @@ included, costs one slot sum and one ``slogdet`` for f.  An accepted point
 adds one LU solve of M against the n slots side by side, an (n, n^2)
 right-hand side, so M is factored once rather than once per slot; one
 (n, n^2) by (n^2, n) product for the Gram matrix tr(q_i q_j); and one n x n
-Hermitian eigensolve for the step.  A scaling step costs one batched Hermitian eigensolve of the
-candidate slot sums (the Anderson candidate and the plain step, or the plain
-step alone), whose eigenvalues give both potentials and whose chosen
-eigenpairs give L and M^-1 = L^2; one matrix-vector product of M^-1 with the
-slots gives the traces, and one slot sum and two n x n products give the
-stop test max|L M(s') L - I|.  The (n, n, n) tuple is formed only on the
-step that passes that test (see ``_scale_vector``).  The precondition of
+Hermitian eigensolve for the step.  A scaling step costs one batched
+Hermitian eigensolve of the candidate slot sums, whose eigenvalues give both
+potentials and whose chosen eigenpairs give L, and the few products that
+``_scale_vector`` lists.  The precondition of
 every scaling call is one PSD check and one subset scan
 (``structure._first_subset``).  The check's eigenvalues of the slots also
 rank the single slots; each larger cardinality costs one batched eigensolve
@@ -82,8 +79,9 @@ slots.
 
 On mean-zero y, det(sum e^{y_i} A_i) >= Cap.  So ``SingularPencil`` is raised,
 as a verdict of Cap = 0 (the weak rank condition fails), when that det falls
-below 1e-300 at any point the solver evaluates, and when a ``"roundoff"`` or
-``"stalled"`` stop lands on a pencil that is singular to working precision.
+below 1e-300 at any point the solver evaluates, when a ``"roundoff"`` or
+``"stalled"`` stop lands on a pencil that is singular to working precision,
+and when a slot is not PSD: some g_i < 0 beyond rounding (``_require_psd_gradient``).
 
 ``ScalingResult.stop_reason`` is ``"ds_tol"`` on every returned result; the
 result that ``NonConvergence`` carries when scaling hits ``max_iter`` has
@@ -116,11 +114,12 @@ from .core import (
     DEFAULT_TOL,
     NonConvergence,
     NotIndecomposable,
-    NotPositiveDefinite,
     PreconditionViolated,
     SingularPencil,
     Tolerances,
+    _definite,
     _eigh,
+    _inv_sqrt,
 )
 from .discriminant import (
     MatrixTuple,
@@ -221,12 +220,29 @@ def _newton_direction(q, g, r, opt_tol):
     h = 1.0 / n - rows @ cols
     h.flat[:: n + 1] += g
     lam, v = np.linalg.eigh(h)
+    if not lam[-1] > 0.0:  # exactly, H 1 = 0 puts eigenvalue 1 on the ones vector
+        raise SingularPencil("Newton Hessian lost its eigenvalue 1: M is singular")
     c = v.conj().T @ r
     cut = n * _EPS * lam[-1]
     use = (lam > cut) | (np.abs(c) >= opt_tol)
     d = -(v @ np.where(use, c / np.maximum(lam, cut), 0.0)).real
     d -= float(d.sum()) / n
     return d, -float(r @ d)
+
+
+def _require_psd_gradient(m, g) -> None:
+    """``SingularPencil`` where M is singular to working precision or some
+    g_i = w_i tr(M^{-1} A_i) is below -n^2 eps cond(M).  PSD slots make g_i the
+    trace of the PSD w_i M^{-1/2} A_i M^{-1/2}; the LU solve moves it by a
+    factor O(n eps cond(M)) of itself, and summing the diagonal of
+    w_i M^{-1} A_i (Frobenius norm <= sqrt(n cond(M))) adds <= n^2 eps cond(M).
+    Below that a slot that passed ``psd_tol`` is not PSD, and Cap = 0."""
+    n, ev = len(g), np.linalg.eigvalsh(m)
+    if ev[0] <= n * _EPS * ev[-1] or float(g.min()) * ev[0] < -n * n * _EPS * ev[-1]:
+        raise SingularPencil(
+            f"w_i tr(M^-1 A_i) = {g.min():.3e} < 0 beyond rounding or at a singular "
+            "M: a slot is not PSD or the weak rank condition fails, so Cap = 0"
+        )
 
 
 def _backtrack(mats, y, f, d, lam2):
@@ -270,6 +286,8 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
         q = np.linalg.solve(m, side).reshape(n, n, n)
         q *= w[:, None]
         g = np.trace(q, axis1=0, axis2=2).real
+        if g.min() < 0.0:
+            _require_psd_gradient(m, g)
         r = g - float(g.sum()) / n
         gnorm = math.sqrt(float(r @ r))
         if gnorm < tol.opt_tol:
@@ -378,20 +396,13 @@ def _scale_cold(
     return _scale_vector(t, np.ones(t.n), tol, max_iter)
 
 
-def _definite(w, tol: Tolerances):
-    """The positive-definiteness test of ``inv_sqrt_psd`` on ascending
-    eigenvalues w (..., n): the largest is positive and the smallest exceeds
-    ``psd_tol`` times it."""
-    return (w[..., -1] > 0.0) & (w[..., 0] > tol.psd_tol * w[..., -1])
-
-
 def _potential(w, s, tol: Tolerances) -> np.ndarray:
     """Phi(s) = log det(sum s_i A_i) - sum log s_i for each row of the (k, n)
     array s, given the (k, n) ascending eigenvalues w of the slot sums.
 
-    Cap is the infimum of exp(Phi).  Phi is +inf where a sum fails the
-    positive-definiteness test of ``inv_sqrt_psd``, so no step is taken to a
-    point that the next alternating step could not start from.
+    Cap is the infimum of exp(Phi).  Phi is +inf where a sum fails
+    ``core._definite``, so no step is taken to a point whose M^(-1/2) the
+    next alternating step could not take.
     """
     ok = _definite(w, tol)
     phi = np.log(np.where(ok[:, None], w, 1.0) / s).sum(1)
@@ -427,8 +438,8 @@ def _extrapolate(logs, resid):
 
 
 def _next_scaling(flat, cands, tol: Tolerances):
-    """The start of the next step among the rows of ``cands``, with the
-    ascending eigenpairs of its slot sum.
+    """The start of the next step among the rows of ``cands``, with
+    L = M^(-1/2) of its slot sum M (``core._inv_sqrt``).
 
     ``cands`` is the plain step alone, or the Anderson extrapolation of log s
     and the plain step; ``flat`` is the slots flattened to rows, so the slot
@@ -443,7 +454,7 @@ def _next_scaling(flat, cands, tol: Tolerances):
     if len(cands) == 2:
         phi = _potential(w, cands, tol)
         k = 0 if phi[0] <= phi[1] else 1
-    return cands[k], w[k], v[k]
+    return cands[k], _inv_sqrt(w[k], v[k], tol)
 
 
 def _congruence(a, s, x):
@@ -462,16 +473,14 @@ def _congruence(a, s, x):
 def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingResult:
     """Gurvits scaling on the scaling vector s, Anderson-accelerated.
 
-    Each iteration is one alternating step from s: the eigenpairs of
-    M = sum s_i A_i give L = M^(-1/2), which fixes the identity-sum
-    condition, and M^-1 = L^2, from which one matrix-vector product gives
-    tr(L s_i A_i L) = s_i tr(M^-1 A_i) and s'_i = s_i / tr(L s_i A_i L) fixes
-    the unit traces.  The step's tuple s'_i L A_i L then has unit traces by
-    construction, and its slot sum is L M(s') L, so the loop tests
-    max|L M(s') L - I| <= ``ds_tol`` without forming the tuple.  Only when
-    that test passes (or at ``max_iter``) is the (n, n, n) tuple formed and
-    its full defect checked; if rounding leaves that above ``ds_tol``, the
-    loop goes on.  The start s is checked the same way, with L = I.  The
+    Each iteration is one alternating step from s: ``_inv_sqrt`` of the
+    eigenpairs of M = sum s_i A_i gives L = M^(-1/2), and M^-1 = L^2 gives
+    s'_i = 1 / tr(M^-1 A_i) by one matrix-vector product.  The step's tuple
+    s'_i L A_i L has unit traces by construction and slot sum L M(s') L, so
+    the loop tests max|L M(s') L - I| <= ``ds_tol`` without forming it; only
+    when that passes (or at ``max_iter``) is the (n, n, n) tuple formed and
+    its full defect checked, and the loop goes on if rounding leaves that
+    above ``ds_tol``.  The start s is checked the same way, with L = I.  The
     result carries X = L and trace_scalars = s' of the last step (X = I when
     s already scales the tuple).  Hitting ``max_iter`` raises
     ``NonConvergence`` carrying a result with stop_reason "max_iter".
@@ -500,13 +509,7 @@ def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingR
             del logs[: -_ANDERSON_DEPTH - 1], resid[: -_ANDERSON_DEPTH - 1]
             cand = _extrapolate(logs, resid)
         cands = scalars[None] if cand is None else np.array((cand, scalars))
-        s, w, v = _next_scaling(flat, cands, tol)
-        if not _definite(w, tol):
-            raise NotPositiveDefinite(
-                f"slot sum is not positive definite (eigenvalue range "
-                f"[{w[0]:.3e}, {w[-1]:.3e}])"
-            )
-        x = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+        s, x = _next_scaling(flat, cands, tol)
         # s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), with M^-1 = L^2.
         inv_traces = (rows @ (x @ x).ravel()).real
         if (inv_traces <= 0.0).any():

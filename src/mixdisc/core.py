@@ -6,6 +6,10 @@ Hermitian goes through :func:`as_hermitian`, which takes one matrix or a
 stack, rejects each matrix that is non-Hermitian beyond tolerance at its own
 scale and then symmetrizes exactly, so downstream code may rely on
 ``A == A.conj().T`` holding bit-for-bit.
+
+Every inverse square root M^(-1/2) (tuple and Pascal scaling, the pencil
+reducer) is ``_inv_sqrt`` of the ascending eigenpairs of one ``_eigh`` call,
+under the one positive-definiteness rule ``_definite``.
 """
 
 from __future__ import annotations
@@ -152,33 +156,25 @@ def _eigh(a, vectors: bool = True):
         raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and a unitary eigenvector matrix of Hermitian ``a``.
+def _definite(w, tol: Tolerances):
+    """The one rule for taking M^(-1/2), on ascending eigenvalues w (..., n): the
+    largest is positive and the smallest exceeds ``psd_tol`` times it."""
+    return (w[..., -1] > 0.0) & (w[..., 0] > tol.psd_tol * w[..., -1])
 
-    Column k of the returned matrix is the eigenvector for eigenvalue k.
-    """
-    w, v = _eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
+
+def _inv_sqrt(w, v, tol: Tolerances) -> np.ndarray:
+    """M^(-1/2) = V diag(w^(-1/2)) V* from the ascending eigenpairs (w, V) of a
+    Hermitian M, not symmetrized; ``NotPositiveDefinite`` unless ``_definite``."""
+    if not (w.size and _definite(w, tol)):
+        raise NotPositiveDefinite(f"matrix is not positive definite (eigenvalues {w})")
+    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
 
 
 def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian positive definite L with L @ a @ L == I.
-
-    Requires all eigenvalues of ``a`` to exceed ``psd_tol`` times the largest.
-    One ``np.linalg.eigh`` call; L is summed over the eigenpairs in the
-    descending order of ``eig_hermitian``.  The scaling loops pay this once
-    per step.
-    """
-    w, v = eig_hermitian(a)
-    if w.size == 0 or w[0] <= 0.0 or w[-1] <= tol.psd_tol * w[0]:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (eigenvalue range [{w[-1] if w.size else 0.0:.3e}, "
-            f"{w[0] if w.size else 0.0:.3e}])"
-        )
-    l = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    l += l.conj().T
-    l /= 2.0
-    return l
+    """Hermitian positive definite L with L @ a @ L == I: ``_inv_sqrt`` of the
+    eigenpairs of one ``_eigh`` call, symmetrized exactly."""
+    l = _inv_sqrt(*_eigh(a), tol)
+    return (l + l.conj().T) / 2.0
 
 
 def min_eigenvalue(a) -> float:

@@ -23,10 +23,9 @@ from .core import (
     SamplerExhausted,
     Tolerances,
     _eigh,
+    _inv_sqrt,
     as_hermitian,
-    inv_sqrt_psd,
     make_rng,
-    min_eigenvalue,
 )
 from .discriminant import _discriminants
 from .extremal import bapat_bound, random_ds_tuple
@@ -57,12 +56,11 @@ class HyperbolicPencil:
         if e.shape != (self.m,):
             raise ValueError("direction must have one entry per pencil matrix")
         pencil_at_e = self.at(e)
-        if min_eigenvalue(pencil_at_e) <= tol.psd_tol * (
-            1.0 + float(np.max(np.abs(pencil_at_e)))
-        ):
+        w, v = _eigh(pencil_at_e)  # for both definiteness checks and L
+        if w[0] <= tol.psd_tol * (1.0 + float(np.max(np.abs(pencil_at_e)))):
             raise PreconditionViolated("sum e_i B_i must be positive definite")
         self.e = e
-        self._reducer = inv_sqrt_psd(pencil_at_e, tol)
+        self._reducer = _inv_sqrt(w, v, tol)
 
     def at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -150,16 +150,18 @@ def _scale_kraus(k: np.ndarray, tol: Tolerances):
 
     ``k`` is an (m, n, n) stack; entry (a, i) of K_r sits in block row a, row i.
     I (x) S maps K_r to K_r S^T and S (x) I maps it to S K_r, so rho stays
-    Hermitian PSD.  Returns (rho, L, R) with rho = (L (x) R) rho_0 (L (x) R)*, or
-    None after ``_SAMPLER_MAX_ITER`` steps.
+    Hermitian PSD.  The loop reads rho only through two Gram sums, its diagonal
+    block sum sum_r K_r^T conj(K_r) and trace matrix sum_r K_r K_r*.  Returns
+    (rho, L, R) with rho = (L (x) R) rho_0 (L (x) R)*, rho assembled only here,
+    or None after ``_SAMPLER_MAX_ITER`` steps.
     """
     n = k.shape[-1]
     eye = left = right = np.eye(n)
     for _ in range(_SAMPLER_MAX_ITER):
-        bm = BlockMatrix(np.einsum("rai,rbj->abij", k, k.conj()))
-        diag_sum = np.trace(bm.blocks)
-        if max_abs(diag_sum - eye) + max_abs(bm.trace_matrix() - eye) <= tol.ds_tol:
-            return bm, left, right
+        diag_sum = np.einsum("rai,raj->ij", k, k.conj())
+        trace_m = np.einsum("rai,rbi->ab", k, k.conj())
+        if max_abs(diag_sum - eye) + max_abs(trace_m - eye) <= tol.ds_tol:
+            return BlockMatrix(np.einsum("rai,rbj->abij", k, k.conj())), left, right
         s = inv_sqrt_psd(diag_sum, tol)
         k, right = k @ s.T, s @ right
         s = inv_sqrt_psd(np.einsum("rai,rbi->ab", k, k.conj()), tol)

@@ -21,7 +21,6 @@ from .core import (
     _eigh,
     _gate,
     _rank_of_eigenvalues,
-    eig_hermitian,
     max_abs,
     rank_psd,
 )
@@ -121,12 +120,13 @@ def _split(mats, labels, basis, tol: Tolerances, parts):
         parts.append((tuple(labels), basis, MatrixTuple(mats)))
         return
     inside = list(witness)
-    w, v = eig_hermitian(mats[inside].sum(0))
+    w, v = _eigh(mats[inside].sum(0))
     cut = int(_rank_of_eigenvalues(w, tol))
     if cut != len(witness):
         raise DecompositionInconsistent(
             f"image of subset {witness} has rank {cut}, expected {len(witness)}"
         )
+    v = v[:, ::-1]  # descending: the image of the witness sum comes first
     rest = [i for i in range(len(mats)) if i not in witness]
     for idx, u in ((inside, v[:, :cut]), (rest, v[:, cut:])):
         _split(u.conj().T @ mats[idx] @ u, [labels[i] for i in idx], basis @ u, tol, parts)

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -684,6 +685,18 @@ def test_cap_zero_with_a_full_rank_sum_raises():
     e1 = np.diag([1.0, 0.0, 0.0])
     with pytest.raises(SingularPencil):
         capacity(MatrixTuple([e1, e1, np.eye(3)]))
+
+
+@pytest.mark.parametrize("delta, psd_tol", [(1e-7, 1e-6), (1e-5, 1e-4)])
+def test_slot_psd_only_within_a_loose_psd_tol_raises(delta, psd_tol):
+    # diag(1, -delta) passes the PSD check at psd_tol, but along x_1 -> inf the
+    # pencil turns indefinite, so Cap = 0; Newton sees w_1 tr(M^-1 A_1) < 0 on
+    # the way and must say so, without dividing by a non-positive cut.
+    t = MatrixTuple([np.diag([1.0, -delta]), np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularPencil, match="not PSD"):
+            capacity(t, replace(DEFAULT_TOL, psd_tol=psd_tol))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -20,6 +20,7 @@ from mixdisc.core import (
     DEFAULT_TOL,
     MixdiscError,
     NonConvergence,
+    NotIndecomposable,
     PreconditionViolated,
     SingularPencil,
     Tolerances,
@@ -198,12 +199,17 @@ def test_exceptions_are_not_memoized(monkeypatch):
 
 
 def test_entry_only_after_the_psd_check_at_its_tolerances():
-    # Within a loose psd_tol of PSD but not within the default: the solve made
+    # Within a loose psd_tol of PSD but not within the default: the scan made
     # at the loose tolerances does not let the default check be skipped.
+    # Newton at the loose tolerances finds Cap = 0 (the slot is not PSD), and
+    # that verdict is never memoized.
     t = MatrixTuple([np.diag([1.0, -1e-7]), np.eye(2)])
     loose = replace(DEFAULT_TOL, psd_tol=1e-6)
-    capacity(t, loose)
-    assert ("newton", loose, _CAP.CAPACITY_MAX_ITER) in t._memo
+    with pytest.raises(NotIndecomposable):
+        capacity_via_scaling(t, loose)
+    with pytest.raises(SingularPencil):
+        capacity(t, loose)
+    assert list(t._memo) == [("indecomposable", loose)]
     for route in (capacity, scale_to_doubly_stochastic, capacity_via_scaling):
         with pytest.raises(PreconditionViolated):
             route(t)

@@ -185,6 +185,17 @@ class TestCapacityAndScale:
         assert out == ""
         assert "weak rank" in err
 
+    @pytest.mark.parametrize("delta, psd_tol", [("1e-7", "1e-6"), ("1e-5", "1e-4")])
+    def test_capacity_of_a_slot_psd_only_within_psd_tol_exit2(
+        self, capsys, tmp_path, delta, psd_tol
+    ):
+        t = MatrixTuple([np.diag([1.0, -float(delta)]), np.eye(2)])
+        path = write_tuple(tmp_path, t)
+        code, out, err = run(capsys, "capacity", path, "--psd-tol", psd_tol)
+        assert code == 2
+        assert out == ""
+        assert "not PSD" in err
+
     def test_scale_roundtrip(self, capsys, tmp_path):
         t = MatrixTuple([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
         path = write_tuple(tmp_path, t)

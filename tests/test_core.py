@@ -10,7 +10,6 @@ from mixdisc.core import (
     NotPositiveDefinite,
     Tolerances,
     as_hermitian,
-    eig_hermitian,
     fsum_complex,
     inv_sqrt_psd,
     iter_seeds,
@@ -85,12 +84,6 @@ class TestAsHermitian:
 
 
 class TestEigAndRoots:
-    def test_eig_descending_and_reconstruction(self):
-        a = random_psd(6, 3)
-        w, v = eig_hermitian(a)
-        assert np.all(np.diff(w) <= 1e-12)
-        np.testing.assert_allclose((v * w) @ v.conj().T, a, atol=1e-10)
-
     def test_inv_sqrt_inverts(self):
         a = random_psd(5, 4)
         l = inv_sqrt_psd(a)
