@@ -87,8 +87,13 @@ and when a slot is not PSD: some g_i < 0 beyond rounding (``_require_psd_gradien
 result that ``NonConvergence`` carries when scaling hits ``max_iter`` has
 ``"max_iter"``.
 
-A ``MatrixTuple`` never changes, so two results are memoized on it
-(``MatrixTuple._memoized``) and each is computed once per tuple.  The Newton
+A ``MatrixTuple`` never changes, so results are memoized on it
+(``MatrixTuple._memoized``) and each is computed once per tuple.  Its mixed
+discriminant D is one entry, filled only by ``eval_polarized`` (the float
+that passed the residue gate; ``gradient`` leaves the entry alone, since its
+``value`` never passed that gate), so ``capacity_bound_report`` reads the D
+the caller's ``eval_polarized`` already computed.  Two entries belong to this
+layer.  The Newton
 ``CapacityResult`` is keyed by (``Tolerances``, ``max_iter``); ``capacity``
 and ``scale_to_doubly_stochastic`` (at ``CAPACITY_MAX_ITER``) both read it,
 and its ``minimizer_x`` is read-only.  The indecomposability scan's verdict

@@ -57,7 +57,7 @@ from .core import (
     SamplerExhausted,
     SingularPencil,
     Tolerances,
-    random_psd,
+    _gram,
     spawn_seeds,
 )
 from .discriminant import (
@@ -449,8 +449,9 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
     # the other commands.
     _require_ranges(args.seed, n=args.n)
     if args.kind == "psd":
-        mats = [random_psd(args.n, s) for s in spawn_seeds(args.seed, args.n)]
-        doc = tuple_to_doc(MatrixTuple(mats, tol))
+        # One stacked validation, at the default tolerance as in random_ds_tuple.
+        mats = [_gram(args.n, s) for s in spawn_seeds(args.seed, args.n)]
+        doc = tuple_to_doc(MatrixTuple(mats))
     elif args.kind == "ds":
         doc = tuple_to_doc(extremal.random_ds_tuple(args.n, args.seed, tol))
     elif args.kind == "block-ds":

@@ -14,7 +14,6 @@ under the one positive-definiteness rule ``_definite``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -158,7 +157,13 @@ def _eigh(a, vectors: bool = True):
 
 def _definite(w, tol: Tolerances):
     """The one rule for taking M^(-1/2), on ascending eigenvalues w (..., n): the
-    largest is positive and the smallest exceeds ``psd_tol`` times it."""
+    largest is positive and the smallest exceeds ``psd_tol`` times it.
+
+    One nonempty vector w gives a bool from two float comparisons, which cost
+    far less than numpy's 0-d ones; a stack gives a bool array."""
+    if w.ndim == 1:
+        lo, hi = float(w[0]), float(w[-1])
+        return hi > 0.0 and lo > tol.psd_tol * hi
     return (w[..., -1] > 0.0) & (w[..., 0] > tol.psd_tol * w[..., -1])
 
 
@@ -227,8 +232,10 @@ def iter_seeds(seed: int) -> Iterator[int]:
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
-    """The first ``count`` seeds of ``iter_seeds(seed)``."""
-    return list(itertools.islice(iter_seeds(seed), count))
+    """The first ``count`` seeds of ``iter_seeds(seed)``, from one
+    ``SeedSequence.spawn(count)``."""
+    children = np.random.SeedSequence(seed).spawn(count)
+    return [int(c.generate_state(1)[0]) for c in children]
 
 
 def random_complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,12 +243,20 @@ def random_complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
 
 
-def random_psd(n: int, seed: int) -> np.ndarray:
-    """G @ G* for a seeded complex Gaussian G; almost surely positive definite."""
+def _gram(n: int, seed: int) -> np.ndarray:
+    """G @ G* for a seeded complex Gaussian G, as BLAS returns it: Hermitian
+    only up to rounding.  A caller that stacks several into one
+    ``MatrixTuple`` lets that one ``as_hermitian`` call symmetrize them."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     g = random_complex_gaussian(n, make_rng(seed))
-    return as_hermitian(g @ g.conj().T)
+    return g @ g.conj().T
+
+
+def random_psd(n: int, seed: int) -> np.ndarray:
+    """G @ G* for a seeded complex Gaussian G, symmetrized exactly; almost
+    surely positive definite."""
+    return as_hermitian(_gram(n, seed))
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

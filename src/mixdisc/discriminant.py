@@ -76,7 +76,12 @@ class MatrixTuple:
 
     A tuple never changes, so a result derived from it deterministically can
     be kept on it: the private ``_memo`` holds what ``_memoized`` computed,
-    by key.  The capacity layer keeps two results there, the damped-Newton
+    by key.  Three results are kept there.  :func:`eval_polarized` keeps D,
+    the float that passed the residue gate of :func:`_as_real_d`, by
+    "polarized", so every reader of D through it (``capacity_bound_report``,
+    ``decompose``, ``genaf.m_alpha``, repeat calls) shares one evaluation.
+    :func:`gradient` leaves that entry alone: its ``value`` has the same bits
+    but never passes the gate.  The capacity layer keeps the damped-Newton
     ``CapacityResult`` by ("newton", Tolerances, max_iter) and the
     indecomposability scan by ("indecomposable", Tolerances); see the
     ``capacity`` module docstring.
@@ -438,8 +443,9 @@ def eval_polarized(t: MatrixTuple) -> float:
     The production path: D = 2^(1-n) sum over eps in {+-1}^n with
     eps_n = +1 of prod(eps) det(sum eps_i A_i), 2^(n-1) determinants for
     distinct slots and prod_g (free_g + 1) when n >= 8 and slots repeat.
+    Computed once per tuple and kept in its memo (see :class:`MatrixTuple`).
     """
-    return float(_discriminants(t.matrices[None])[0])
+    return t._memoized("polarized", lambda: float(_discriminants(t.matrices[None])[0]))
 
 
 def eval_sigma_det(t: MatrixTuple) -> float:
@@ -452,16 +458,16 @@ def eval_sigma_det(t: MatrixTuple) -> float:
     """
     n = t.n
     _gate(n, _GATE_SIGMA_DET, "eval_sigma_det")
-    cols = t.matrices  # cols[j, :, i] is column i of A_j
-    buf = np.empty((min(_DET_CHUNK, math.factorial(n)), n, n), dtype=np.complex128)
+    flat = t.matrices.reshape(-1)
+    # Entry (r, i) of A_sigma is entry (r, i) of A_sigma(i), at offset
+    # sigma(i) n^2 + r n + i of ``flat``: one gather per chunk.
+    offsets = np.arange(n * n).reshape(n, n)
     imag = []
 
     def real_parts():
         for perms in _iter_perm_chunks(n):
-            stacked = buf[: len(perms)]
-            for i in range(n):
-                stacked[:, :, i] = cols[perms[:, i], :, i]
-            dets = np.linalg.det(stacked)
+            index = perms.astype(np.intp)[:, None, :] * (n * n) + offsets
+            dets = np.linalg.det(flat.take(index))
             imag.append(math.fsum(dets.imag.tolist()))
             yield dets.real.tolist()
 

@@ -26,11 +26,11 @@ from .core import (
     SamplerExhausted,
     Tolerances,
     _gate,
+    _gram,
     iter_seeds,
     max_abs,
     min_eigenvalue,
     psd_violation,
-    random_psd,
     spawn_seeds,
 )
 from .discriminant import MatrixTuple, _gradient_raw, eval_polarized
@@ -83,8 +83,10 @@ def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixT
     after ``_DS_RETRIES`` failures.
     """
     for child in itertools.islice(iter_seeds(seed), _DS_RETRIES):
-        mat_seeds = spawn_seeds(child, n)
-        t = MatrixTuple([random_psd(n, s) for s in mat_seeds], tol)
+        # The Gram products are validated and symmetrized once, as one stack
+        # and at the default Hermiticity tolerance: the slots of
+        # ``random_psd`` bit for bit, whatever ``tol`` asks of inputs.
+        t = MatrixTuple([_gram(n, s) for s in spawn_seeds(child, n)])
         try:
             return _scale_cold(t, tol).scaled
         except (NotIndecomposable, NonConvergence):

@@ -109,15 +109,17 @@ def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     return rank_psd(t.matrices.sum(0), tol) >= t.n
 
 
-def _split(mats, labels, basis, tol: Tolerances, parts):
+def _split(mats, labels, basis, tol: Tolerances, parts, whole=None):
     """Recursively peel off minimal rank-equality subsets.
 
     ``mats`` is the (c, c, c) stack in the current restricted coordinates;
-    ``basis`` maps those coordinates back to the original space.
+    ``basis`` maps those coordinates back to the original space.  ``whole``
+    is the tuple of ``mats`` when the caller has one: if it is
+    indecomposable it is its own part, not a validated copy.
     """
     witness = _first_subset(mats, operator.eq, tol)
     if witness is None:
-        parts.append((tuple(labels), basis, MatrixTuple(mats)))
+        parts.append((tuple(labels), basis, MatrixTuple(mats) if whole is None else whole))
         return
     inside = list(witness)
     w, v = _eigh(mats[inside].sum(0))
@@ -138,6 +140,8 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     Splits recursively along minimal subsets whose matrix sum has rank equal
     to the subset size; verifies D(t) = prod of block discriminants and raises
     DecompositionInconsistent when the check fails (rank misclassification).
+    An indecomposable t is its own single part, so D is computed once for the
+    check (``eval_polarized`` keeps it on the tuple) and read twice.
     """
     n = t.n
     _gate(n, _GATE_SUBSETS, "decompose")
@@ -145,7 +149,7 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     if not report.is_doubly_stochastic:
         raise NotDoublyStochastic(f"input is not doubly stochastic: {report}")
     parts: list = []
-    _split(t.matrices, list(range(n)), np.eye(n, dtype=np.complex128), tol, parts)
+    _split(t.matrices, list(range(n)), np.eye(n, dtype=np.complex128), tol, parts, t)
     d_total = eval_polarized(t)
     d_prod = 1.0
     for _, _, sub in parts:

@@ -1,6 +1,7 @@
-"""The capacity layer's results memoized on the immutable MatrixTuple.
+"""Results memoized on the immutable MatrixTuple.
 
-A tuple keeps its Newton ``CapacityResult`` by (Tolerances, max_iter) and its
+A tuple keeps its mixed discriminant D (filled by ``eval_polarized`` alone),
+its Newton ``CapacityResult`` by (Tolerances, max_iter) and its
 indecomposability scan by Tolerances.  Every value read from the memo must be
 the bits a fresh tuple of the same slots gives.
 """
@@ -13,11 +14,13 @@ import pytest
 
 from mixdisc.capacity import (
     capacity,
+    capacity_bound_report,
     capacity_via_scaling,
     scale_to_doubly_stochastic,
 )
 from mixdisc.core import (
     DEFAULT_TOL,
+    DimensionTooLarge,
     MixdiscError,
     NonConvergence,
     NotIndecomposable,
@@ -27,11 +30,13 @@ from mixdisc.core import (
     make_rng,
     random_complex_gaussian,
 )
-from mixdisc.discriminant import MatrixTuple
-from mixdisc.genaf import check_theorem52, classical_af_combination, expand_tuple
-from mixdisc.structure import is_indecomposable
+from mixdisc.discriminant import MatrixTuple, diagonal_tuple, eval_polarized, gradient
+from mixdisc.extremal import random_ds_tuple
+from mixdisc.genaf import check_theorem52, classical_af_combination, expand_tuple, m_alpha
+from mixdisc.structure import decompose, is_indecomposable
 
 _CAP = sys.modules["mixdisc.capacity"]
+_DISC = sys.modules["mixdisc.discriminant"]
 
 
 def _wishart_tuple(n, seed):
@@ -78,14 +83,17 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _sequence(t):
-    """The capacity-layer calls an experiment makes of one tuple, in order."""
+    """The memoized calls an experiment makes of one tuple, in order."""
     calls = [
+        (eval_polarized, ()),
         (scale_to_doubly_stochastic, ()),
         (capacity, ()),
+        (capacity_bound_report, ()),
         (capacity_via_scaling, ()),
         (is_indecomposable, ()),
         (check_theorem52, (classical_af_combination(t.n),)),
         (capacity, ()),
+        (eval_polarized, ()),
         (scale_to_doubly_stochastic, ()),
     ]
     return [(fn, args, _outcome(fn, t, *args)) for fn, args in calls]
@@ -104,6 +112,7 @@ def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
     for fn, args, memo in _sequence(t):
         assert memo == _outcome(fn, MatrixTuple(t.matrices), *args), fn.__name__
     # The memo entries themselves against fresh computations.
+    assert t._memo["polarized"].hex() == eval_polarized(MatrixTuple(t.matrices)).hex()
     newton = t._memo[("newton", DEFAULT_TOL, _CAP.CAPACITY_MAX_ITER)]
     fresh = _CAP._newton(MatrixTuple(t.matrices).matrices, DEFAULT_TOL, _CAP.CAPACITY_MAX_ITER)
     assert newton.value.hex() == fresh.value.hex()
@@ -213,3 +222,51 @@ def test_entry_only_after_the_psd_check_at_its_tolerances():
     for route in (capacity, scale_to_doubly_stochastic, capacity_via_scaling):
         with pytest.raises(PreconditionViolated):
             route(t)
+
+
+def test_one_discriminant_per_tuple(monkeypatch):
+    # The experiment's readers of D on one sampled DS tuple: the caller,
+    # capacity_bound_report, decompose (the tuple and its single part) and
+    # m_alpha at the all-ones weight, whose expansion is the tuple.
+    t = random_ds_tuple(4, 21)
+    stacks = []
+    real = _DISC._discriminants
+    monkeypatch.setattr(_DISC, "_discriminants", lambda m: stacks.append(m) or real(m))
+    d = eval_polarized(t)
+    capacity_bound_report(t)
+    dec = decompose(t)
+    assert m_alpha(t, [1, 1, 1, 1]) == d == eval_polarized(t)
+    assert len(stacks) == 1 and dec.product_check == 0.0
+
+
+def test_gradient_leaves_no_discriminant_entry():
+    # gradient's value has the bits of eval_polarized but never passed the
+    # residue gate, so it does not stand in for D.
+    t = _wishart_tuple(4, 17)
+    g = gradient(t)
+    assert "polarized" not in t._memo
+    assert eval_polarized(t).hex() == g.value.hex()
+    assert "polarized" in t._memo
+
+
+def test_gated_discriminant_is_not_memoized():
+    # J_20 sits at the gate and is kept; J_21 raises on every call, keeping nothing.
+    j20 = MatrixTuple(np.broadcast_to(np.eye(20) / 20, (20, 20, 20)))
+    d = eval_polarized(j20)
+    assert list(j20._memo.items()) == [("polarized", d)]
+    t = MatrixTuple(np.broadcast_to(np.eye(21) / 21, (21, 21, 21)))
+    for _ in range(2):
+        with pytest.raises(DimensionTooLarge):
+            eval_polarized(t)
+    assert not t._memo
+
+
+def test_indecomposable_tuple_is_its_own_part():
+    t = random_ds_tuple(5, 3)
+    dec = decompose(t)
+    assert len(dec.parts) == 1 and dec.parts[0][2] is t
+    # A decomposable tuple's blocks are new tuples in restricted coordinates.
+    c = np.zeros((3, 3))
+    c[0, 0], c[1:, 1:] = 1.0, 0.5
+    blocks = decompose(diagonal_tuple(c)).parts
+    assert sorted(idx for idx, _, _ in blocks) == [(0,), (1, 2)]
