@@ -524,7 +524,7 @@ def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingR
     converged = defect <= tol.ds_tol
     log_s = np.log(trace_scalars)
     result = ScalingResult(
-        scaled=MatrixTuple(mats),
+        scaled=MatrixTuple._of_hermitian(mats),
         alpha=np.exp(log_s - log_s.mean()),
         transform_X=x,
         trace_scalars=trace_scalars,

@@ -29,6 +29,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -136,8 +137,30 @@ def _numbers(value, shape: tuple, where: str) -> np.ndarray:
         for i, item in enumerate(v):
             check(item, dims[1:], f"{at}[{i}]")
 
-    check(value, tuple(shape), where)
+    if not _plain_numbers(value, shape):
+        check(value, tuple(shape), where)
     return np.array(value, dtype=float)
+
+
+def _plain_numbers(value, shape: tuple) -> bool:
+    """Whether ``value`` certainly passes ``_numbers``' check, by one pass per
+    nesting level: lists of exactly ``shape`` whose leaves are all exactly
+    int or float and convert to float64 with magnitude below the float
+    maximum.  False only means "not certain"; the recursive check then
+    decides and names the first bad position.  The bound is strict because
+    an int just beyond the float maximum rounds down to it."""
+    level = [value]
+    for size in shape:
+        if any(type(v) is not list or size not in (None, len(v)) for v in level):
+            return False
+        level = list(itertools.chain.from_iterable(level))
+    if not {type(v) for v in level} <= {int, float}:
+        return False
+    try:
+        leaves = np.array(level, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return False
+    return bool((np.abs(leaves) < _FLOAT_MAX).all())
 
 
 def _complex_numbers(value, shape: tuple, where: str) -> np.ndarray:

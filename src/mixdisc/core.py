@@ -142,7 +142,7 @@ def as_hermitian(a, tol: float = DEFAULT_TOL.hermitian_tol) -> np.ndarray:
 
 def max_abs(a) -> float:
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _eigh(a, vectors: bool = True):

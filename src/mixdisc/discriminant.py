@@ -45,7 +45,6 @@ from .core import (
     as_hermitian,
     fsum_complex,
     max_abs,
-    psd_violation,
 )
 
 _GATE_SIGMA_DET = 10
@@ -84,7 +83,16 @@ class MatrixTuple:
     but never passes the gate.  The capacity layer keeps the damped-Newton
     ``CapacityResult`` by ("newton", Tolerances, max_iter) and the
     indecomposability scan by ("indecomposable", Tolerances); see the
-    ``capacity`` module docstring.
+    ``capacity`` module docstring.  The slots' eigenvalues, which depend on
+    no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the
+    PSD checks of ``_require_psd`` and ``check_doubly_stochastic`` and the
+    single-slot ranks of ``decompose``'s first scan read them, each at its
+    own tolerance.
+
+    Library code that already holds an exactly Hermitian stack (a scaled
+    tuple, the repeated rows of a validated tuple) wraps it with
+    :meth:`_of_hermitian`, which skips ``as_hermitian``: symmetrizing such a
+    stack would return its bits unchanged.
     """
 
     __slots__ = ("n", "matrices", "_memo")
@@ -102,6 +110,17 @@ class MatrixTuple:
         self.n = n
         self.matrices = mats
         self._memo = {}
+
+    @classmethod
+    def _of_hermitian(cls, mats: np.ndarray) -> "MatrixTuple":
+        """The tuple of a complex (n, n, n) stack that is already exactly
+        Hermitian; the stack is made read-only and kept, not copied."""
+        mats.flags.writeable = False
+        t = cls.__new__(cls)
+        t.n = len(mats)
+        t.matrices = mats
+        t._memo = {}
+        return t
 
     def __iter__(self):
         return iter(self.matrices)
@@ -668,11 +687,23 @@ def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradie
     return float(res)
 
 
+def _slot_eigenvalues(t: MatrixTuple) -> np.ndarray:
+    """The slots' eigenvalues, (n, n) ascending and read-only, from one
+    batched ``eigvalsh`` per tuple, kept on it by "slot_eigs"."""
+
+    def compute():
+        w = _eigh(t.matrices, vectors=False)
+        w.flags.writeable = False
+        return w
+
+    return t._memoized("slot_eigs", compute)
+
+
 def _require_psd(t: MatrixTuple, tol: Tolerances) -> np.ndarray:
     """Raise unless the ``psd_violation`` of the slots is within
-    psd_tol (1 + max|entry|); return the slots' eigenvalues, (n, n) ascending,
-    from the one batched ``eigvalsh`` the check ran."""
-    w = _eigh(t.matrices, vectors=False)
+    psd_tol (1 + max|entry|); return the slots' eigenvalues
+    (``_slot_eigenvalues``)."""
+    w = _slot_eigenvalues(t)
     worst = max(0.0, -float(w.min()))
     if worst > tol.psd_tol * (1.0 + t.scale_of()):
         raise PreconditionViolated(f"tuple is not PSD (violation {worst:.3e})")
@@ -691,7 +722,7 @@ def _trace_and_sum_violations(
 
 def check_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DsTupleReport:
     """Violations of the three doubly stochastic tuple conditions."""
-    psd_v = psd_violation(t.matrices)
+    psd_v = max(0.0, -float(_slot_eigenvalues(t).min()))
     trace_v, sum_v = _trace_and_sum_violations(t.matrices, t.matrices.sum(0), np.eye(t.n))
     ok = psd_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
     return DsTupleReport(psd_v, trace_v, sum_v, ok)

@@ -77,7 +77,7 @@ def expand_tuple(t: MatrixTuple, alpha) -> MatrixTuple:
     a = validate_weight(alpha, t.n)
     if (a == 1).all():
         return t
-    return MatrixTuple(t.matrices[np.repeat(np.arange(t.n), a)])
+    return MatrixTuple._of_hermitian(t.matrices[np.repeat(np.arange(t.n), a)])
 
 
 def m_alpha(t: MatrixTuple, alpha) -> float:

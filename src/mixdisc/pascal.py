@@ -7,11 +7,19 @@ rho(i1, i2, i3, i4) = A_{i1, i3}(i2, i4), locked by brute-force agreement of
 the two formulas at n = 2 (see tests); if agreement ever breaks the
 convention must be revisited, not patched.  Both random block doubly
 stochastic samplers (sum_i A_ii = I, [tr A_ij] = I) run one operator-scaling
-loop on the Kraus form of rho, ``_scale_kraus``.
+loop on the Kraus form of rho, ``_scale_kraus``.  The loop keeps the Kraus
+operators as one C-contiguous (n, m, n) stack, kt[a, r, i] = (K_r)_{ai},
+whose tall (n m, n) and wide (n, m n) reshapes share its buffer, so each
+half-step is one 2-D GEMM for its Gram sum, one ``inv_sqrt_psd``, one 2-D
+GEMM for the update and one n x n product for the accumulated factor.  The
+trace Gram of the stop test is formed only once the diagonal block sum is
+within ``ds_tol``.  ``sample_separable_ds`` draws all its Gaussian factors
+in one ``standard_normal`` call, the stream its per-matrix draws read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,7 @@ from .core import (
     max_abs,
     psd_violation,
     random_complex_gaussian,
+    require_finite,
 )
 from .discriminant import _as_real, _double_perm_raw, _perms_and_signs, _polarized_raw
 
@@ -122,7 +131,9 @@ def qp_tensor(rho: BlockMatrix) -> float:
 def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsReport:
     """Violations of the three block doubly stochastic conditions."""
     eye = np.eye(rho.n)
-    psd_v = psd_violation(as_hermitian(rho.assembled(), tol=np.inf))
+    a = rho.assembled()
+    require_finite(a)
+    psd_v = psd_violation((a + a.conj().T) / 2.0)
     sum_v = max_abs(np.trace(rho.blocks) - eye)
     trace_v = max_abs(rho.trace_matrix() - eye)
     passes = psd_v <= tol.ds_tol and sum_v <= tol.ds_tol and trace_v <= tol.ds_tol
@@ -145,27 +156,35 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     return BlockMatrix((p[:, :, :, None, None] * q[:, None, None]).sum(0))
 
 
-def _scale_kraus(k: np.ndarray, tol: Tolerances):
+def _scale_kraus(kt: np.ndarray, tol: Tolerances):
     """Operator scaling (Gurvits 2004) of rho = sum_r vec(K_r) vec(K_r)* to block DS.
 
-    ``k`` is an (m, n, n) stack; entry (a, i) of K_r sits in block row a, row i.
-    I (x) S maps K_r to K_r S^T and S (x) I maps it to S K_r, so rho stays
-    Hermitian PSD.  The loop reads rho only through two Gram sums, its diagonal
-    block sum sum_r K_r^T conj(K_r) and trace matrix sum_r K_r K_r*.  Returns
-    (rho, L, R) with rho = (L (x) R) rho_0 (L (x) R)*, rho assembled only here,
-    or None after ``_SAMPLER_MAX_ITER`` steps.
+    ``kt`` is one C-contiguous (n, m, n) stack with kt[a, r, i] = (K_r)_{ai}:
+    entry (a, i) of K_r sits in block row a, row i.  I (x) S maps K_r to
+    K_r S^T and S (x) I maps it to S K_r, so rho stays Hermitian PSD.  Two
+    reshapes of the one buffer make each half-step two 2-D GEMMs: the tall
+    view (n m, n) gives the diagonal block sum sum_r K_r^T conj(K_r) as
+    tall^T conj(tall) and K_r S^T as tall S^T; the wide view (n, m n) gives
+    the trace matrix sum_r K_r K_r* as wide wide* and S K_r as S wide.  The
+    stop test needs both Gram sums within ``ds_tol`` in sum, so the trace
+    matrix is formed at the top of a step only once the diagonal block sum
+    alone passes.  Returns (rho, L, R) with rho = (L (x) R) rho_0 (L (x) R)*,
+    rho assembled only here, or None after ``_SAMPLER_MAX_ITER`` steps.
     """
-    n = k.shape[-1]
+    n, m = kt.shape[:2]
     eye = left = right = np.eye(n)
     for _ in range(_SAMPLER_MAX_ITER):
-        diag_sum = np.einsum("rai,raj->ij", k, k.conj())
-        trace_m = np.einsum("rai,rbi->ab", k, k.conj())
-        if max_abs(diag_sum - eye) + max_abs(trace_m - eye) <= tol.ds_tol:
-            return BlockMatrix(np.einsum("rai,rbj->abij", k, k.conj())), left, right
+        tall = kt.reshape(n * m, n)
+        diag_sum = tall.T @ tall.conj()
+        defect = max_abs(diag_sum - eye)
+        if defect <= tol.ds_tol:
+            wide = kt.reshape(n, m * n)
+            if defect + max_abs(wide @ wide.conj().T - eye) <= tol.ds_tol:
+                return BlockMatrix(np.einsum("ari,brj->abij", kt, kt.conj())), left, right
         s = inv_sqrt_psd(diag_sum, tol)
-        k, right = k @ s.T, s @ right
-        s = inv_sqrt_psd(np.einsum("rai,rbi->ab", k, k.conj()), tol)
-        k, left = s @ k, s @ left
+        wide, right = (tall @ s.T).reshape(n, m * n), s @ right
+        s = inv_sqrt_psd(wide @ wide.conj().T, tol)
+        kt, left = (s @ wide).reshape(n, m, n), s @ left
     return None
 
 
@@ -178,8 +197,11 @@ def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     """
     rng = make_rng(seed)
     k = int(rng.integers(1, n * n + 1))
-    g = np.array([random_complex_gaussian(n, rng) for _ in range(2 * k)]).reshape(k, 2, n, n)
-    res = _scale_kraus(np.einsum("tac,tid->tcdai", g[:, 0], g[:, 1]).reshape(-1, n, n), tol)
+    # One draw: z[t, f] holds the real then the imaginary part of factor f of
+    # term t, the stream 2k random_complex_gaussian calls read in turn.
+    z = rng.standard_normal((k, 2, 2, n, n))
+    g = (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0)
+    res = _scale_kraus(np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, -1, n), tol)
     if res is None:
         return None
     w = np.array(res[1:]) @ g  # w[t] = (L G_t, R H_t)
@@ -193,5 +215,6 @@ def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     rho = G G* for an n^2 x n^2 complex Gaussian G; its Kraus operators are
     the columns of G.
     """
-    res = _scale_kraus(random_complex_gaussian(n * n, make_rng(seed)).T.reshape(-1, n, n), tol)
+    g = random_complex_gaussian(n * n, make_rng(seed)).reshape(n, n, n * n)
+    res = _scale_kraus(np.ascontiguousarray(g.transpose(0, 2, 1)), tol)
     return None if res is None else res[0]

@@ -28,6 +28,7 @@ from .discriminant import (
     MatrixTuple,
     _as_real,
     _require_psd,
+    _slot_eigenvalues,
     check_doubly_stochastic,
     eval_polarized,
 )
@@ -114,10 +115,12 @@ def _split(mats, labels, basis, tol: Tolerances, parts, whole=None):
 
     ``mats`` is the (c, c, c) stack in the current restricted coordinates;
     ``basis`` maps those coordinates back to the original space.  ``whole``
-    is the tuple of ``mats`` when the caller has one: if it is
-    indecomposable it is its own part, not a validated copy.
+    is the tuple of ``mats`` when the caller has one: its memoized slot
+    eigenvalues rank the single slots, and if it is indecomposable it is its
+    own part, not a validated copy.
     """
-    witness = _first_subset(mats, operator.eq, tol)
+    slot_eigs = None if whole is None else _slot_eigenvalues(whole)
+    witness = _first_subset(mats, operator.eq, tol, slot_eigs)
     if witness is None:
         parts.append((tuple(labels), basis, MatrixTuple(mats) if whole is None else whole))
         return

@@ -1,8 +1,8 @@
 """Results memoized on the immutable MatrixTuple.
 
 A tuple keeps its mixed discriminant D (filled by ``eval_polarized`` alone),
-its Newton ``CapacityResult`` by (Tolerances, max_iter) and its
-indecomposability scan by Tolerances.  Every value read from the memo must be
+its slot eigenvalues, its Newton ``CapacityResult`` by (Tolerances, max_iter)
+and its indecomposability scan by Tolerances.  Every value read from the memo must be
 the bits a fresh tuple of the same slots gives.
 """
 
@@ -30,7 +30,13 @@ from mixdisc.core import (
     make_rng,
     random_complex_gaussian,
 )
-from mixdisc.discriminant import MatrixTuple, diagonal_tuple, eval_polarized, gradient
+from mixdisc.discriminant import (
+    MatrixTuple,
+    check_doubly_stochastic,
+    diagonal_tuple,
+    eval_polarized,
+    gradient,
+)
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.genaf import check_theorem52, classical_af_combination, expand_tuple, m_alpha
 from mixdisc.structure import decompose, is_indecomposable
@@ -204,7 +210,8 @@ def test_exceptions_are_not_memoized(monkeypatch):
     for _ in range(2):
         with pytest.raises(SingularPencil):
             capacity(t)
-    assert len(newton) == 2 and not t._memo
+    # The slot eigenvalues of the PSD check, which raised nothing, are kept.
+    assert len(newton) == 2 and list(t._memo) == ["slot_eigs"]
 
 
 def test_entry_only_after_the_psd_check_at_its_tolerances():
@@ -218,7 +225,7 @@ def test_entry_only_after_the_psd_check_at_its_tolerances():
         capacity_via_scaling(t, loose)
     with pytest.raises(SingularPencil):
         capacity(t, loose)
-    assert list(t._memo) == [("indecomposable", loose)]
+    assert list(t._memo) == ["slot_eigs", ("indecomposable", loose)]
     for route in (capacity, scale_to_doubly_stochastic, capacity_via_scaling):
         with pytest.raises(PreconditionViolated):
             route(t)
@@ -270,3 +277,53 @@ def test_indecomposable_tuple_is_its_own_part():
     c[0, 0], c[1:, 1:] = 1.0, 0.5
     blocks = decompose(diagonal_tuple(c)).parts
     assert sorted(idx for idx, _, _ in blocks) == [(0,), (1, 2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_one_slot_eigensolve_per_tuple(n, monkeypatch):
+    # The PSD checks of capacity_bound_report and check_doubly_stochastic and
+    # decompose's single-slot ranks all read one eigvalsh of the slots.
+    t = random_ds_tuple(n, 60 + n)
+    fresh = MatrixTuple(t.matrices)
+    slot_solves = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == t.matrices.shape and np.array_equal(a, t.matrices):
+            slot_solves.append(None)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    capacity_bound_report(t)
+    decompose(t)
+    report = check_doubly_stochastic(t)
+    assert len(slot_solves) == 1
+    w = t._memo["slot_eigs"]
+    assert not w.flags.writeable
+    monkeypatch.setattr(np.linalg, "eigvalsh", real)
+    assert w.tobytes() == real(fresh.matrices).tobytes()
+    assert _key(report) == _key(check_doubly_stochastic(fresh))
+
+
+def _count_as_hermitian(monkeypatch):
+    calls = []
+    real = _DISC.as_hermitian
+    monkeypatch.setattr(_DISC, "as_hermitian", lambda *a, **k: calls.append(None) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_library_stacks_skip_a_second_validation(n, monkeypatch):
+    # A scaled tuple and the repeated rows of a tuple are exactly Hermitian:
+    # they are wrapped without as_hermitian and keep the bits it would give.
+    t = _wishart_tuple(n, 80 + n)
+    calls = _count_as_hermitian(monkeypatch)
+    scaled = scale_to_doubly_stochastic(t).scaled
+    alpha = [2, 0] + [1] * (n - 2)
+    expanded = expand_tuple(t, alpha)
+    assert not calls
+    for made in (scaled, expanded):
+        assert not made.matrices.flags.writeable and not made._memo
+        assert made.n == n and len(made.matrices) == n
+        assert made.matrices.tobytes() == MatrixTuple(made.matrices).matrices.tobytes()
+    assert expanded.matrices.tobytes() == MatrixTuple(t.matrices[[0, 0] + list(range(2, n))]).matrices.tobytes()

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixdisc import cli, extremal, hyperbolic
 from mixdisc.capacity import CapacityResult, ScalingResult, capacity_via_scaling
@@ -488,6 +490,57 @@ class TestMalformedNumbers:
             else:
                 argv = ["hyp", str(path), "--op", command]
         _exits_1_with_one_error_line(*run(capsys, *argv))
+
+
+_SHAPE = (2, 2, 2, 2, 2)
+_MAX_INT = int(sys.float_info.max)
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    # The float maximum as an int, and ints beyond it that round down to it.
+    st.sampled_from([_MAX_INT, -_MAX_INT, _MAX_INT + 1, -_MAX_INT - 2**900]),
+)
+_BAD_LEAVES = st.sampled_from(
+    [True, False, "1.5", None, [1.0], [], math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+)
+
+
+@st.composite
+def nested_numbers(draw):
+    """Nested lists of shape (2, 2, 2, 2, 2), with one bad leaf or none."""
+    leaves = draw(st.lists(_LEAVES, min_size=32, max_size=32))
+    bad = draw(st.none() | st.tuples(st.integers(0, 31), _BAD_LEAVES))
+    if bad is not None:
+        leaves[bad[0]] = bad[1]
+    value = leaves
+    for _ in _SHAPE[1:]:
+        value = [value[i : i + 2] for i in range(0, len(value), 2)]
+    return value
+
+
+def _numbers_outcome(value):
+    try:
+        return cli._numbers(value, _SHAPE, "blocks")
+    except CliInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_numbers())
+def test_one_pass_numbers_match_the_recursive_check(value):
+    got = _numbers_outcome(value)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_plain_numbers", lambda value, shape: False)
+        want = _numbers_outcome(value)
+    if isinstance(want, str):
+        assert got == want
+        return
+    expected = np.array(value, dtype=float)
+    assert got.shape == expected.shape == _SHAPE
+    assert got.tobytes() == expected.tobytes()
+    # Below the float maximum the one-pass test alone accepts the document.
+    if (np.abs(expected) < sys.float_info.max).all():
+        assert cli._plain_numbers(value, _SHAPE)
 
 
 class TestIntegerRanges:

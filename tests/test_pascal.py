@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixdisc import pascal
 from mixdisc.core import (
     DimensionTooLarge,
     TermNotPsd,
@@ -122,7 +123,7 @@ class TestSeparable:
                 assemble_separable(spec).assembled(), bm.assembled(), atol=1e-10
             )
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_the_factor_loop(self, n, monkeypatch):
         # Reference: alternating normalization of the PSD factor pairs (P_t, Q_t).
         calls = _count_inv_sqrt_calls(monkeypatch)
@@ -131,7 +132,7 @@ class TestSeparable:
         def weighted(w, m):  # sum_k tr(w_k) m_k
             return (np.trace(w, axis1=1, axis2=2).real[:, None, None] * m).sum(0)
 
-        for seed in range(10):
+        for seed in range({2: 20, 3: 10, 4: 5}[n]):
             rng = make_rng(seed)
             k = int(rng.integers(1, n * n + 1))
             g = np.array(
@@ -158,6 +159,24 @@ class TestSeparable:
             np.testing.assert_allclose(assemble_separable(spec).assembled(), rho, atol=1e-10)
             assert np.array_equal(rho, rho.conj().T)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_draw_is_the_per_matrix_draws(self, n, monkeypatch):
+        # The Kraus stack the loop receives, kt[a, (t, c, d), i] = G_t[a, c] H_t[i, d],
+        # against factors drawn one random_complex_gaussian call at a time.
+        stacks = []
+        real = pascal._scale_kraus
+        monkeypatch.setattr(pascal, "_scale_kraus", lambda kt, tol: stacks.append(kt) or real(kt, tol))
+        for seed in range(10):
+            rng = make_rng(seed)
+            k = int(rng.integers(1, n * n + 1))
+            g = np.array([random_complex_gaussian(n, rng) for _ in range(2 * k)]).reshape(k, 2, n, n)
+            expected = np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, k * n * n, n)
+            stacks.clear()
+            sample_separable_ds(n, seed)
+            (kt,) = stacks
+            assert kt.flags.c_contiguous
+            assert kt.shape == expected.shape and kt.tobytes() == expected.tobytes()
+
     def test_separable_qp_above_half(self):
         for seed in range(20):
             res = sample_separable_ds(2, 1000 + seed)
@@ -174,12 +193,12 @@ class TestBlockDsSampler:
             rep = check_block_ds(bm)
             assert rep.passes
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_the_check_block_ds_loop(self, n, monkeypatch):
         # Reference: the assembled-matrix np.kron loop, stopping on
         # check_block_ds's sum and trace violations.
         calls = _count_inv_sqrt_calls(monkeypatch)
-        for seed in range(3):
+        for seed in range({2: 20, 3: 3, 4: 3}[n]):
             rng = make_rng(seed)
             g = random_complex_gaussian(n * n, rng)
             rho = as_hermitian(g @ g.conj().T)
@@ -201,6 +220,12 @@ class TestBlockDsSampler:
             assert len(calls) == 2 * steps
             np.testing.assert_allclose(got.blocks, bm.blocks, rtol=0, atol=1e-13)
             assert check_block_ds(got).passes
+
+    def test_check_rejects_a_nan_block(self):
+        blocks = np.array(sample_block_ds(2, 0).blocks)
+        blocks[1, 0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            check_block_ds(BlockMatrix(blocks))
 
     def test_check_flags_identity(self):
         bm = BlockMatrix.from_assembled(np.eye(4, dtype=complex), 2)

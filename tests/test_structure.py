@@ -190,8 +190,9 @@ class TestSupportConnectivity:
 _RANK_TESTS = (operator.le, operator.lt, operator.eq)
 
 
-def _reference_first_subset(mats, rank_test, tol=DEFAULT_TOL):
-    """One ``rank_psd`` call per subset, in ascending cardinality and canonical order."""
+def _reference_first_subset(mats, rank_test, tol=DEFAULT_TOL, slot_eigs=None):
+    """One ``rank_psd`` call per subset, in ascending cardinality and canonical
+    order; the single slots too, so ``slot_eigs`` is not read."""
     n = len(mats)
     for k in range(1, n):
         for subset in itertools.combinations(range(n), k):
