@@ -93,15 +93,15 @@ discriminant D is one entry, filled only by ``eval_polarized`` (the float
 that passed the residue gate; ``gradient`` leaves the entry alone, since its
 ``value`` never passed that gate), so ``capacity_bound_report`` reads the D
 the caller's ``eval_polarized`` already computed.  Two entries belong to this
-layer.  The Newton
-``CapacityResult`` is keyed by (``Tolerances``, ``max_iter``); ``capacity``
-and ``scale_to_doubly_stochastic`` (at ``CAPACITY_MAX_ITER``) both read it,
-and its ``minimizer_x`` is read-only.  The indecomposability scan's verdict
-and witness are keyed by ``Tolerances``; the precondition of every scaling
-call reads it.  An entry is made only after the PSD check at the same
-tolerances has passed, so ``capacity`` skips that check exactly on a hit,
-and an exception is never memoized.  Both computations are deterministic,
-so a hit returns the bits a fresh tuple would give.  The oracle
+layer.  The Newton ``CapacityResult`` is keyed by (``Tolerances``,
+``max_iter``); ``capacity`` and ``scale_to_doubly_stochastic`` (at
+``CAPACITY_MAX_ITER``) both read it through ``_newton_solve``, which makes
+the entry only after the PSD check at those tolerances (a read of the
+memoized slot eigenvalues), and its ``minimizer_x`` is read-only.  The indecomposability
+scan's verdict and witness are keyed by ``Tolerances``; the precondition of
+every scaling call reads it.  An exception is never memoized.  Both
+computations are deterministic, so a hit returns the bits a fresh tuple
+would give.  The oracle
 ``capacity_via_scaling`` takes nothing from Newton: it shares only the
 precondition scan.  ``genaf.expand_tuple`` returns the tuple itself for the
 all-ones weight, so ``check_theorem52`` reuses the tuple's own solve there.
@@ -334,6 +334,18 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
     )
 
 
+def _newton_solve(t: MatrixTuple, tol: Tolerances, max_iter: int) -> CapacityResult:
+    """The ``_newton`` result of t, kept on t by ("newton", tol, max_iter).
+    The one writer of that entry: it computes the entry only after the PSD
+    check of t at ``tol``, so a hit needs no check."""
+
+    def solve():
+        _require_psd(t, tol)
+        return _newton(t.matrices, tol, max_iter)
+
+    return t._memoized(("newton", tol, max_iter), solve)
+
+
 def capacity(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = CAPACITY_MAX_ITER
 ) -> CapacityResult:
@@ -345,11 +357,7 @@ def capacity(
     when Cap is zero to working precision.
     """
 
-    def solve():
-        _require_psd(t, tol)
-        return _newton(t.matrices, tol, max_iter)
-
-    result = t._memoized(("newton", tol, max_iter), solve)
+    result = _newton_solve(t, tol, max_iter)
     if result.stop_reason == "max_iter":
         raise NonConvergence(
             f"capacity Newton hit max_iter = {max_iter} with gradient norm "
@@ -383,12 +391,7 @@ def scale_to_doubly_stochastic(
     (carrying a "max_iter" result) when polishing runs out of steps.
     """
     _require_scalable(t, tol)
-    # The scan has passed _require_psd at tol, so this may seed the memo
-    # that ``capacity`` reads.
-    x = t._memoized(
-        ("newton", tol, CAPACITY_MAX_ITER),
-        lambda: _newton(t.matrices, tol, CAPACITY_MAX_ITER),
-    ).minimizer_x
+    x = _newton_solve(t, tol, CAPACITY_MAX_ITER).minimizer_x
     return _scale_vector(t, x, tol, max_iter)
 
 

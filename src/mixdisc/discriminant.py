@@ -75,19 +75,20 @@ class MatrixTuple:
 
     A tuple never changes, so a result derived from it deterministically can
     be kept on it: the private ``_memo`` holds what ``_memoized`` computed,
-    by key.  Three results are kept there.  :func:`eval_polarized` keeps D,
+    by key.  Four results are kept there.  :func:`eval_polarized` keeps D,
     the float that passed the residue gate of :func:`_as_real_d`, by
     "polarized", so every reader of D through it (``capacity_bound_report``,
     ``decompose``, ``genaf.m_alpha``, repeat calls) shares one evaluation.
     :func:`gradient` leaves that entry alone: its ``value`` has the same bits
     but never passes the gate.  The capacity layer keeps the damped-Newton
     ``CapacityResult`` by ("newton", Tolerances, max_iter) and the
-    indecomposability scan by ("indecomposable", Tolerances); see the
-    ``capacity`` module docstring.  The slots' eigenvalues, which depend on
+    indecomposability scan by ("indecomposable", Tolerances), the Newton
+    entry written only by ``capacity._newton_solve``; see the ``capacity``
+    module docstring.  The slots' eigenvalues, which depend on
     no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the
     PSD checks of ``_require_psd`` and ``check_doubly_stochastic`` and the
-    single-slot ranks of ``decompose``'s first scan read them, each at its
-    own tolerance.
+    single-slot ranks of the subset scan read them, each at its own
+    tolerance.
 
     Library code that already holds an exactly Hermitian stack (a scaled
     tuple, the repeated rows of a validated tuple) wraps it with

@@ -38,7 +38,7 @@ from .core import (
     random_complex_gaussian,
     require_finite,
 )
-from .discriminant import _as_real, _double_perm_raw, _perms_and_signs, _polarized_raw
+from .discriminant import _as_real, _perms_and_signs, _polarized_raw
 
 _GATE_QP_BLOCK = 6
 _GATE_QP_TENSOR = 4
@@ -109,23 +109,23 @@ def qp_block(rho: BlockMatrix) -> float:
 
 
 def qp_tensor(rho: BlockMatrix) -> float:
-    """QP as (1/n!) sum over four permutations of the signed tensor product.
+    """QP as (1/n!) sum over four permutations of the signed tensor product,
+    sgn(tau1 tau2 sigma tau) prod_i rho(tau1(i), tau2(i), sigma(i), tau(i)).
 
-    For fixed (tau1, tau2) the inner double sum is itself a signed double
-    permutation sum of gathered slices, which keeps the (n!)^4 cost usable.
+    The products are gathered one leading tau1 at a time, (n!)^3 n entries
+    (0.9 MB at n = 4), and all (n!)^4 terms go into one compensated sum.
     """
     n = rho.n
     _gate(n, _GATE_QP_TENSOR, "qp_tensor")
     t4 = rho.tensor4()
     perms, signs = _perms_and_signs(n)
     fact = len(perms)
-    totals = np.empty(fact * fact, dtype=np.complex128)
-    pos = 0
+    rest = perms[:, None, None], perms[None, :, None], perms[None, None, :]
+    rest_signs = signs[:, None, None] * signs[None, :, None] * signs[None, None, :]
+    terms = np.empty((fact, fact, fact, fact), dtype=np.complex128)
     for s1, tau1 in enumerate(perms):
-        for s2, tau2 in enumerate(perms):
-            totals[pos] = signs[s1] * signs[s2] * _double_perm_raw(t4[tau1, tau2])
-            pos += 1
-    return _as_real(fsum_complex(totals) / fact)
+        terms[s1] = signs[s1] * rest_signs * t4[(tau1, *rest)].prod(axis=-1)
+    return _as_real(fsum_complex(terms) / fact)
 
 
 def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsReport:

@@ -1,7 +1,9 @@
 """Indecomposability tests, block decomposition, and the M(A, W) bridge.
 
-Subset scans and :func:`decompose` are gated at n <= 16 by ``core._gate``, and
-count every rank from eigenvalues by ``core._rank_of_eigenvalues``."""
+The rank tests scan subsets, gated at n <= 16 by ``core._gate``, and count
+ranks by ``core._rank_of_eigenvalues``.  :func:`decompose` splits a doubly
+stochastic tuple along the components of its trace Gram matrix; its product
+check's ``eval_polarized`` gates it at n <= 20."""
 
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .discriminant import (
     MatrixTuple,
     _as_real,
     _require_psd,
-    _slot_eigenvalues,
     check_doubly_stochastic,
     eval_polarized,
 )
@@ -43,40 +44,42 @@ class DecompositionResult:
     """Indecomposable blocks of a doubly stochastic tuple.
 
     ``parts`` is a list of (index set, orthonormal subspace basis, restricted
-    tuple); the index sets partition {0,..,n-1} and D(t) equals the product of
-    the block discriminants up to ``product_check``.
+    tuple) in order of smallest slot; the index sets partition {0,..,n-1} and
+    D(t) equals the product of the block discriminants up to ``product_check``.
     """
 
     parts: list
     product_check: float
 
 
-def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances, slot_eigs=None):
+def _first_subset(t: MatrixTuple, rank_test, tol: Tolerances):
     """First proper subset S with rank_test(rank(sum_{i in S} A_i), |S|), or None.
 
+    The slots must pass the PSD check at ``tol`` (``_require_psd``, else
+    ``PreconditionViolated``), whose eigenvalues rank the single slots.
     Subsets are scanned in ascending cardinality and canonical order, so the
-    subset found is minimal.  Each cardinality's subset sums are formed as
-    ``mats[idx].sum(1)`` (the same additions, in the same order, as one
+    subset found is minimal.  Each larger cardinality's subset sums are formed
+    as ``t.matrices[idx].sum(1)`` (the same additions, in the same order, as one
     subset at a time) and ranked from one batched ``eigvalsh`` call per chunk;
     a chunk gathers at most ``_SCAN_CHUNK`` matrix entries, so the scan's
-    memory stays near 2 MB at any n.  The single slots are ranked from
-    ``slot_eigs``, their eigenvalues (n, n), when the caller has them.  The
-    scan stops after the first chunk that holds a witness, or after the
-    first cardinality whose subset sums all have rank n: a PSD sum only gains
-    rank as slots are added, so no larger proper subset can meet ``le``,
-    ``eq`` or ``lt``.
+    memory stays near 2 MB at any n.  The scan stops after the first chunk
+    that holds a witness, or after the first cardinality whose subset sums
+    all have rank n: a PSD sum only gains rank as slots are added, so no
+    larger proper subset can meet ``le`` or ``lt``.
     """
-    n = len(mats)
+    n = t.n
+    _gate(n, _GATE_SUBSETS, "subset scan")
+    slot_eigs = _require_psd(t, tol)
     for k in range(1, n):
         rows = _SCAN_CHUNK // (k * n * n)
         combos = itertools.combinations(range(n), k)
         full_rank = True
         for _ in range(0, math.comb(n, k), rows):
             idx = np.fromiter(itertools.islice(combos, rows), dtype=(np.intp, k))
-            if k == 1 and slot_eigs is not None:
+            if k == 1:
                 w = slot_eigs[idx[:, 0]]
             else:
-                w = _eigh(mats[idx].sum(1), vectors=False)
+                w = _eigh(t.matrices[idx].sum(1), vectors=False)
             ranks = _rank_of_eigenvalues(w, tol)
             hits = np.flatnonzero(rank_test(ranks, k))
             if hits.size:
@@ -87,17 +90,12 @@ def _first_subset(mats: np.ndarray, rank_test, tol: Tolerances, slot_eigs=None):
     return None
 
 
-def _scan_psd_tuple(t: MatrixTuple, rank_test, tol: Tolerances):
-    _gate(t.n, _GATE_SUBSETS, "subset scan")
-    return _first_subset(t.matrices, rank_test, tol, _require_psd(t, tol))
-
-
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
     """Strict rank test over all proper subsets: rank(sum_{i in S} A_i) > |S|.
 
     Returns (True, None) or (False, witness_subset); the witness is minimal.
     """
-    witness = _scan_psd_tuple(t, operator.le, tol)
+    witness = _first_subset(t, operator.le, tol)
     return witness is None, witness
 
 
@@ -105,55 +103,61 @@ def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Weak rank condition rank(sum_{i in S} A_i) >= |S| over all subsets S: the
     proper ones by the scan, then S = all slots; equivalent to D(t) > 0 for PSD
     tuples."""
-    if _scan_psd_tuple(t, operator.lt, tol) is not None:
+    if _first_subset(t, operator.lt, tol) is not None:
         return False
     return rank_psd(t.matrices.sum(0), tol) >= t.n
 
 
-def _split(mats, labels, basis, tol: Tolerances, parts, whole=None):
-    """Recursively peel off minimal rank-equality subsets.
-
-    ``mats`` is the (c, c, c) stack in the current restricted coordinates;
-    ``basis`` maps those coordinates back to the original space.  ``whole``
-    is the tuple of ``mats`` when the caller has one: its memoized slot
-    eigenvalues rank the single slots, and if it is indecomposable it is its
-    own part, not a validated copy.
-    """
-    slot_eigs = None if whole is None else _slot_eigenvalues(whole)
-    witness = _first_subset(mats, operator.eq, tol, slot_eigs)
-    if witness is None:
-        parts.append((tuple(labels), basis, MatrixTuple(mats) if whole is None else whole))
-        return
-    inside = list(witness)
-    w, v = _eigh(mats[inside].sum(0))
-    cut = int(_rank_of_eigenvalues(w, tol))
-    if cut != len(witness):
-        raise DecompositionInconsistent(
-            f"image of subset {witness} has rank {cut}, expected {len(witness)}"
-        )
-    v = v[:, ::-1]  # descending: the image of the witness sum comes first
-    rest = [i for i in range(len(mats)) if i not in witness]
-    for idx, u in ((inside, v[:, :cut]), (rest, v[:, cut:])):
-        _split(u.conj().T @ mats[idx] @ u, [labels[i] for i in idx], basis @ u, tol, parts)
+def _reachable(support: np.ndarray, rows: np.ndarray):
+    """Row and column masks reachable from the row mask ``rows`` in the
+    bipartite graph of the boolean matrix ``support``."""
+    while True:  # grow the rows until they stop growing
+        cols = rows @ support
+        reached = rows | (support @ cols)
+        if (reached == rows).all():
+            return rows, cols
+        rows = reached
 
 
 def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
     """Indecomposable block decomposition of a doubly stochastic tuple.
 
-    Splits recursively along minimal subsets whose matrix sum has rank equal
-    to the subset size; verifies D(t) = prod of block discriminants and raises
-    DecompositionInconsistent when the check fails (rank misclassification).
-    An indecomposable t is its own single part, so D is computed once for the
-    check (``eval_polarized`` keeps it on the tuple) and read twice.
+    On DS input G_ij = tr(A_i A_j) >= 0 vanishes exactly when A_i A_j = 0, and
+    S is tight (rank sum_S A_i = |S|) exactly when G vanishes between S and
+    its complement: P = sum_S A_i <= I has trace |S|, so it has rank |S|
+    exactly when it is a projection, and P (I - P) = sum_{i in S, j not in S}
+    A_i A_j.  So the parts are the connected components C of {G_ij >
+    rank_tol}, each with the top |C| eigenvectors of sum_C A_i as its basis.
+    Raises DecompositionInconsistent when that sum's rank is not |C| or
+    D(t) = prod of block discriminants fails.  An indecomposable t is its own
+    single part, so D is computed once for the check (``eval_polarized``
+    keeps it on the tuple) and read twice.
     """
-    n = t.n
-    _gate(n, _GATE_SUBSETS, "decompose")
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:
         raise NotDoublyStochastic(f"input is not doubly stochastic: {report}")
-    parts: list = []
-    _split(t.matrices, list(range(n)), np.eye(n, dtype=np.complex128), tol, parts, t)
+    n = t.n
     d_total = eval_polarized(t)
+    # Real view of the slots flattened to rows: tr(A_i A_j) = flat_i . flat_j.
+    flat = np.ascontiguousarray(t.matrices).reshape(n, n * n).view(np.float64)
+    support = flat @ flat.T > tol.rank_tol
+    parts: list = []
+    free = np.ones(n, dtype=bool)
+    while free.any():
+        comp, _ = _reachable(support, np.arange(n) == np.argmax(free))
+        free &= ~comp
+        if comp.all():
+            parts.append((tuple(range(n)), np.eye(n, dtype=np.complex128), t))
+            break
+        inside = np.flatnonzero(comp)
+        w, v = _eigh(t.matrices[inside].sum(0))
+        cut = int(_rank_of_eigenvalues(w, tol))
+        if cut != len(inside):
+            raise DecompositionInconsistent(
+                f"image of subset {tuple(inside.tolist())} has rank {cut}, expected {len(inside)}"
+            )
+        u = v[:, ::-1][:, :cut]  # descending: the image of the part's sum
+        parts.append((tuple(inside.tolist()), u, MatrixTuple(u.conj().T @ t.matrices[inside] @ u)))
     d_prod = 1.0
     for _, _, sub in parts:
         d_prod *= eval_polarized(sub)
@@ -188,10 +192,5 @@ def is_fully_indecomposable_support(m, threshold: float) -> bool:
     bipartite support graph (no k x (n-k) zero submatrix after permutation).
     """
     support = np.asarray(m) > threshold
-    rows = np.arange(len(support)) == 0
-    while True:  # grow the rows reachable from row 0 until they stop growing
-        cols = support[rows].any(axis=0)
-        reached = rows | support[:, cols].any(axis=1)
-        if (reached == rows).all():
-            return bool(rows.all() and cols.all())
-        rows = reached
+    rows, cols = _reachable(support, np.arange(len(support)) == 0)
+    return bool(rows.all() and cols.all())

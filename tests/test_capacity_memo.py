@@ -281,8 +281,8 @@ def test_indecomposable_tuple_is_its_own_part():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_one_slot_eigensolve_per_tuple(n, monkeypatch):
-    # The PSD checks of capacity_bound_report and check_doubly_stochastic and
-    # decompose's single-slot ranks all read one eigvalsh of the slots.
+    # The PSD check of capacity_bound_report and the doubly stochastic checks
+    # of decompose and check_doubly_stochastic all read one eigvalsh of the slots.
     t = random_ds_tuple(n, 60 + n)
     fresh = MatrixTuple(t.matrices)
     slot_solves = []

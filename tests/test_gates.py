@@ -41,7 +41,8 @@ GATED = {
     "minimize_search": (lambda n: extremal.minimize_search(n, 1, 0), int, 6, 7),
     "is_indecomposable": (structure.is_indecomposable, _jn, 16, 17),
     "positivity_rank_test": (structure.positivity_rank_test, _jn, 16, 17),
-    "decompose": (structure.decompose, _jn, 16, 17),
+    # decompose has no gate of its own: its product check calls eval_polarized.
+    "decompose": (structure.decompose, _jn, 20, 21),
     # N must be even, so the first N past the permanent's gate is 22.
     "af_lower_bound_experiment": (genaf.af_lower_bound_experiment, int, 20, 22),
 }
@@ -92,10 +93,35 @@ def test_d_of_hermitian_stacks_is_read_through_one_residue_gate():
     # qp_block's block tuples are not Hermitian; its signed sum keeps the fixed gate.
     assert _callers("_polarized_raw") == {"discriminant._discriminants", "pascal.qp_block"}
     for module in ("hyperbolic", "genaf"):
-        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-        imported = {
-            alias.name
-            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        }
-        assert not imported & {"_as_real_d", "_polarized_raw"}, module
+        assert not _imported(module) & {"_as_real_d", "_polarized_raw"}, module
+
+
+def _imported(module: str) -> set:
+    """Every name the package module imports with ``from ... import``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_one_route_per_decision():
+    # The subset scan serves the two rank tests on raw PSD tuples; decompose
+    # reads the trace Gram matrix instead, and the recursive split is gone.
+    assert _callers("_first_subset") == {
+        "structure.is_indecomposable",
+        "structure.positivity_rank_test",
+    }
+    names = {
+        getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert "_split" not in names
+    # One writer of the memoized Newton result: _newton runs only in the
+    # closure of _newton_solve, which capacity and scaling share.
+    assert _callers("_newton") == {"capacity.solve"}
+    assert _callers("_newton_solve") == {"capacity.capacity", "capacity.scale_to_doubly_stochastic"}
+    # qp_tensor sums its quadruple permutation sum itself.
+    assert "_double_perm_raw" not in _imported("pascal")

@@ -6,13 +6,20 @@ from mixdisc.core import (
     DimensionTooLarge,
     TermNotPsd,
     as_hermitian,
+    fsum_complex,
     inv_sqrt_psd,
     make_rng,
     random_complex_gaussian,
     random_psd,
     spawn_seeds,
 )
-from mixdisc.discriminant import MatrixTuple, eval_polarized, permanent
+from mixdisc.discriminant import (
+    MatrixTuple,
+    _double_perm_raw,
+    _perms_and_signs,
+    eval_polarized,
+    permanent,
+)
 from mixdisc.pascal import (
     BlockMatrix,
     SeparableSpec,
@@ -94,6 +101,23 @@ class TestQpAgreement:
              [np.diag([0.5, 0.25]), np.diag([3.0, 1.0])]]
         bm = BlockMatrix(d)
         assert qp_block(bm) == pytest.approx(qp_tensor(bm), rel=1e-12)
+
+    @pytest.mark.parametrize("n, seeds", [(2, range(10)), (3, range(5)), (4, range(1))])
+    def test_tensor_matches_the_loop_over_its_two_leading_permutations(self, n, seeds):
+        # The reference sums each (tau1, tau2) slice as a signed double
+        # permutation sum; qp_tensor sums all (n!)^4 terms at once, so only
+        # the rounding of the partial sums differs.
+        perms, signs = _perms_and_signs(n)
+        for seed in seeds:
+            rho = sample_block_ds(n, seed)
+            t4 = rho.tensor4()
+            slices = [
+                signs[a] * signs[b] * _double_perm_raw(t4[perms[a], perms[b]])
+                for a in range(len(perms))
+                for b in range(len(perms))
+            ]
+            want = (fsum_complex(slices) / len(perms)).real
+            assert qp_tensor(rho) == pytest.approx(want, rel=1e-14)
 
     def test_gates(self):
         bm = BlockMatrix([[np.eye(5)] * 5] * 5)
