@@ -15,33 +15,32 @@ It is computed two independent ways, which the tests hold to agreement:
   linearly there, as on a pencil collapsing toward Cap = 0).  Armijo
   backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
   trial point whose computed pencil is singular counts as a rejected step.
-* ``capacity_via_scaling`` reads Cap off cold Gurvits operator scaling
-  started from the tuple itself (``_scale_cold``, s = 1), which shares
-  nothing with the Newton solver.  It is the independent oracle:
+* ``capacity_via_scaling`` reads Cap off Gurvits operator scaling started
+  from the tuple itself (``scale_to_doubly_stochastic``, s = 1), which
+  shares nothing with the Newton solver.  It is the independent oracle:
   Cap = |det X|^(-2) / prod s' at the end of the scaling loop below.
 
 Every doubly stochastic scaling runs one loop, ``_scale_vector``, whose
-state is the scaling vector s, from a start the caller passes.  One
-alternating step from s gives L = M^(-1/2) (``core._inv_sqrt``), M = sum s_i A_i,
-and s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
+state is the scaling vector s, from s = 1.  One alternating step from s gives
+L = M^(-1/2) (``core._inv_sqrt``), M = sum s_i A_i, and
+s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
 s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The result carries
 X = L of that last step, which is Hermitian, and trace_scalars = s', so the
 scaled tuple is s'_i X A_i X^*.  The next s is the Anderson extrapolation of
 log s over the last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken
 only where the capacity potential Phi(s) = log det(sum s_i A_i) - sum log s_i
 is no larger than at s'; otherwise s' is taken.  A plain step never raises
-Phi (AM-GM on both terms), so neither does the guarded one.  Plain alternating scaling
-converges only linearly, at a rate that tends to 1 near decomposable or
-boundary tuples, where it takes thousands of steps from s = 1; accelerated,
-rank-one + 1e-6 I slots take 10 to 25 steps and Wishart tuples about 7.
+Phi (AM-GM on both terms), so neither does the guarded one.  Plain
+alternating scaling converges only linearly, at a rate that tends to 1 near
+decomposable or boundary tuples, where it takes thousands of steps.
 
-There are two starts.  ``_scale_cold`` starts from s = 1; both the oracle and
-``extremal.random_ds_tuple`` take this route.  ``scale_to_doubly_stochastic``
-starts from the Newton minimizer x: with M = sum x_i A_i and L = M^(-1/2),
-the tuple x_i L A_i L is doubly stochastic at the optimum (Gurvits 2004),
-because sum_i x_i L A_i L = I and tr(x_i L A_i L) = g_i = 1.  The first step
-produces it and further steps polish it; the median is one step, and
-rank-one + 1e-6 I slots took at most 6 on 400 seeded draws.
+There is one route, ``scale_to_doubly_stochastic``: the indecomposability
+scan, then the loop from s = 1.  The oracle, ``extremal.random_ds_tuple`` and
+the ``scale`` command all take it, and none of them runs Newton.  On seeded
+draws the loop took 7 steps in the median and at most 10 on Wishart tuples
+(n = 2..6), at most 17 with one rank-one + 1e-6 I slot (n = 3), at most 24
+with two equal such slots, and at most 14 on near-decomposable and on
+1e+-6 slot-scaled Wishart tuples (n = 2..5).
 
 Each point the Newton loop evaluates, trial points of the line search
 included, costs one slot sum and one ``slogdet`` for f.  An accepted point
@@ -51,9 +50,8 @@ right-hand side, so M is factored once rather than once per slot; one
 Hermitian eigensolve for the step.  A scaling step costs one batched
 Hermitian eigensolve of the candidate slot sums, whose eigenvalues give both
 potentials and whose chosen eigenpairs give L, and the few products that
-``_scale_vector`` lists.  The precondition of
-every scaling call is one PSD check and one subset scan
-(``structure._first_subset``).  The check's eigenvalues of the slots also
+``_scale_vector`` lists.  The precondition of a scaling is one PSD check
+and one subset scan (``structure._first_subset``).  The check's eigenvalues of the slots also
 rank the single slots; each larger cardinality costs one batched eigensolve
 up to n = 10 (more chunks above), and the scan stops at the first
 cardinality with a witness or whose subset sums all have rank n.  A tuple of
@@ -93,18 +91,18 @@ discriminant D is one entry, filled only by ``eval_polarized`` (the float
 that passed the residue gate; ``gradient`` leaves the entry alone, since its
 ``value`` never passed that gate), so ``capacity_bound_report`` reads the D
 the caller's ``eval_polarized`` already computed.  Two entries belong to this
-layer.  The Newton ``CapacityResult`` is keyed by (``Tolerances``,
-``max_iter``); ``capacity`` and ``scale_to_doubly_stochastic`` (at
-``CAPACITY_MAX_ITER``) both read it through ``_newton_solve``, which makes
-the entry only after the PSD check at those tolerances (a read of the
-memoized slot eigenvalues), and its ``minimizer_x`` is read-only.  The indecomposability
-scan's verdict and witness are keyed by ``Tolerances``; the precondition of
-every scaling call reads it.  An exception is never memoized.  Both
-computations are deterministic, so a hit returns the bits a fresh tuple
-would give.  The oracle
-``capacity_via_scaling`` takes nothing from Newton: it shares only the
-precondition scan.  ``genaf.expand_tuple`` returns the tuple itself for the
-all-ones weight, so ``check_theorem52`` reuses the tuple's own solve there.
+layer, each with one writer.  ``capacity`` keeps the Newton
+``CapacityResult`` by ("newton", ``Tolerances``, ``max_iter``), made only
+after the PSD check at those tolerances (a read of the memoized slot
+eigenvalues); its ``minimizer_x`` is read-only.
+``scale_to_doubly_stochastic`` keeps the ``ScalingResult`` by ("scaling",
+``Tolerances``, ``max_iter``), made only after the indecomposability scan at
+those tolerances, so the scan and the loop run once per tuple; its arrays are
+read-only.  ``capacity_via_scaling`` reads Cap off that same entry and takes
+nothing from Newton.  An exception is never memoized.  Both computations are
+deterministic, so a hit returns the bits a fresh tuple would give.
+``genaf.expand_tuple`` returns the tuple itself for the all-ones weight, so
+``check_theorem52`` reuses the tuple's own solve there.
 """
 
 from __future__ import annotations
@@ -334,18 +332,6 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
     )
 
 
-def _newton_solve(t: MatrixTuple, tol: Tolerances, max_iter: int) -> CapacityResult:
-    """The ``_newton`` result of t, kept on t by ("newton", tol, max_iter).
-    The one writer of that entry: it computes the entry only after the PSD
-    check of t at ``tol``, so a hit needs no check."""
-
-    def solve():
-        _require_psd(t, tol)
-        return _newton(t.matrices, tol, max_iter)
-
-    return t._memoized(("newton", tol, max_iter), solve)
-
-
 def capacity(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = CAPACITY_MAX_ITER
 ) -> CapacityResult:
@@ -354,10 +340,16 @@ def capacity(
     See the module docstring for the step and the stop reasons.  Raises
     ``NonConvergence`` (carrying the result) when ``max_iter`` Newton steps
     leave the iterate short of every stopping test, and ``SingularPencil``
-    when Cap is zero to working precision.
+    when Cap is zero to working precision.  The result is kept on t by
+    ("newton", tol, max_iter) and made only after the PSD check of t at
+    ``tol``, so a hit needs no check.
     """
 
-    result = _newton_solve(t, tol, max_iter)
+    def solve():
+        _require_psd(t, tol)
+        return _newton(t.matrices, tol, max_iter)
+
+    result = t._memoized(("newton", tol, max_iter), solve)
     if result.stop_reason == "max_iter":
         raise NonConvergence(
             f"capacity Newton hit max_iter = {max_iter} with gradient norm "
@@ -367,41 +359,26 @@ def capacity(
     return result
 
 
-def _require_scalable(t: MatrixTuple, tol: Tolerances) -> None:
-    """PSD (checked by the subset scan) and indecomposable, or raise.  The
-    scan's verdict is memoized on t by tol."""
-    indec, witness = t._memoized(
-        ("indecomposable", tol), lambda: is_indecomposable(t, tol)
-    )
-    if not indec:
-        raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
-
-
 def scale_to_doubly_stochastic(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> ScalingResult:
-    """Doubly stochastic scaling, warm-started from the Newton minimizer.
+    """Doubly stochastic scaling of t by ``_scale_vector`` from s = 1.
 
-    With x the minimizer of ``capacity`` (its best iterate also on a
-    ``"stalled"`` or ``"max_iter"`` stop), the first step of ``_scale_vector``
-    from s = x is the closed-form scaling x_i L A_i L, L = (sum x_i A_i)^(-1/2);
-    further steps polish it until the defect is within ``ds_tol``.
-    ``max_iter`` and ``iterations`` count these steps.  Raises
+    The subset scan runs first (it also checks that the slots are PSD).
+    ``max_iter`` and ``iterations`` count scaling steps.  Raises
     ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
-    (carrying a "max_iter" result) when polishing runs out of steps.
+    (carrying a "max_iter" result) when ``max_iter`` steps leave the defect
+    above ``ds_tol``.  The result is kept on t by ("scaling", tol, max_iter),
+    so the scan and the loop run once per tuple.
     """
-    _require_scalable(t, tol)
-    x = _newton_solve(t, tol, CAPACITY_MAX_ITER).minimizer_x
-    return _scale_vector(t, x, tol, max_iter)
 
+    def scale():
+        indec, witness = is_indecomposable(t, tol)
+        if not indec:
+            raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
+        return _scale_vector(t, tol, max_iter)
 
-def _scale_cold(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
-) -> ScalingResult:
-    """Gurvits scaling from the tuple itself (s = 1), the route that shares
-    nothing with the Newton solver."""
-    _require_scalable(t, tol)
-    return _scale_vector(t, np.ones(t.n), tol, max_iter)
+    return t._memoized(("scaling", tol, max_iter), scale)
 
 
 def _potential(w, s, tol: Tolerances) -> np.ndarray:
@@ -413,7 +390,10 @@ def _potential(w, s, tol: Tolerances) -> np.ndarray:
     next alternating step could not take.
     """
     ok = _definite(w, tol)
-    phi = np.log(np.where(ok[:, None], w, 1.0) / s).sum(1)
+    # w / s overflows where an Anderson candidate has a tiny s_i; the
+    # potential is then +inf, which only rejects that candidate.
+    with np.errstate(over="ignore"):
+        phi = np.log(np.where(ok[:, None], w, 1.0) / s).sum(1)
     return np.where(ok, phi, np.inf)
 
 
@@ -478,8 +458,8 @@ def _congruence(a, s, x):
     return mats, s / traces
 
 
-def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingResult:
-    """Gurvits scaling on the scaling vector s, Anderson-accelerated.
+def _scale_vector(t: MatrixTuple, tol: Tolerances, max_iter: int) -> ScalingResult:
+    """Gurvits scaling on the scaling vector s from s = 1, Anderson-accelerated.
 
     Each iteration is one alternating step from s: ``_inv_sqrt`` of the
     eigenpairs of M = sum s_i A_i gives L = M^(-1/2), and M^-1 = L^2 gives
@@ -488,10 +468,11 @@ def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingR
     the loop tests max|L M(s') L - I| <= ``ds_tol`` without forming it; only
     when that passes (or at ``max_iter``) is the (n, n, n) tuple formed and
     its full defect checked, and the loop goes on if rounding leaves that
-    above ``ds_tol``.  The start s is checked the same way, with L = I.  The
-    result carries X = L and trace_scalars = s' of the last step (X = I when
-    s already scales the tuple).  Hitting ``max_iter`` raises
-    ``NonConvergence`` carrying a result with stop_reason "max_iter".
+    above ``ds_tol``.  The start s = 1 is checked the same way, with L = I.
+    The result carries X = L and trace_scalars = s' of the last step (X = I
+    when t is already doubly stochastic), all three arrays read-only, since
+    the result is memoized.  Hitting ``max_iter`` raises ``NonConvergence``
+    carrying a result with stop_reason "max_iter".
     """
     n = t.n
     eye = np.eye(n)
@@ -499,7 +480,8 @@ def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingR
     flat = a.reshape(n, n * n)
     # Row i holds (A_i)_ba at position (a, b), so rows @ vec(B) = tr(B A_i).
     rows = a.transpose(0, 2, 1).reshape(n, n * n)
-    x, scalars = np.eye(n, dtype=np.complex128), s
+    s = scalars = np.ones(n)
+    x = np.eye(n, dtype=np.complex128)
     logs, resid = [], []
     it = 0
     while True:
@@ -526,9 +508,12 @@ def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingR
         it += 1
     converged = defect <= tol.ds_tol
     log_s = np.log(trace_scalars)
+    alpha = np.exp(log_s - log_s.mean())
+    for array in (alpha, x, trace_scalars):
+        array.flags.writeable = False
     result = ScalingResult(
         scaled=MatrixTuple._of_hermitian(mats),
-        alpha=np.exp(log_s - log_s.mean()),
+        alpha=alpha,
         transform_X=x,
         trace_scalars=trace_scalars,
         ds_defect=defect,
@@ -547,12 +532,10 @@ def _scale_vector(t: MatrixTuple, s, tol: Tolerances, max_iter: int) -> ScalingR
 def capacity_via_scaling(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> float:
-    """Cap(t) from cold scaling (``_scale_cold``), read off by
-    ``_capacity_of_scaling``.  Raises ``NotIndecomposable`` on a decomposable
-    tuple and ``NonConvergence`` (carrying a "max_iter" result) when
-    ``max_iter`` steps leave the defect above ``ds_tol``.
+    """Cap(t) read off ``scale_to_doubly_stochastic(t, tol, max_iter)`` by
+    ``_capacity_of_scaling``, with that function's exceptions.
     """
-    return _capacity_of_scaling(_scale_cold(t, tol, max_iter))
+    return _capacity_of_scaling(scale_to_doubly_stochastic(t, tol, max_iter))
 
 
 def _capacity_of_scaling(res: ScalingResult) -> float:

@@ -70,8 +70,10 @@ _ADJ_LU_MAX_COND = 1e4
 class MatrixTuple:
     """Ordered n-tuple of n x n Hermitian matrices (square tuples only).
 
-    ``matrices`` is one read-only complex (n, n, n) array whose slice
-    ``matrices[i]`` is A_i; iterating the tuple yields the slices.
+    ``matrices`` is one read-only, C-contiguous complex (n, n, n) array whose
+    slice ``matrices[i]`` is A_i; iterating the tuple yields the slices.  C
+    order whatever the input's strides (a broadcast stack, say) lets every
+    ``reshape(n, n * n)`` of the stack be a view.
 
     A tuple never changes, so a result derived from it deterministically can
     be kept on it: the private ``_memo`` holds what ``_memoized`` computed,
@@ -81,10 +83,11 @@ class MatrixTuple:
     ``decompose``, ``genaf.m_alpha``, repeat calls) shares one evaluation.
     :func:`gradient` leaves that entry alone: its ``value`` has the same bits
     but never passes the gate.  The capacity layer keeps the damped-Newton
-    ``CapacityResult`` by ("newton", Tolerances, max_iter) and the
-    indecomposability scan by ("indecomposable", Tolerances), the Newton
-    entry written only by ``capacity._newton_solve``; see the ``capacity``
-    module docstring.  The slots' eigenvalues, which depend on
+    ``CapacityResult`` by ("newton", Tolerances, max_iter), written only by
+    ``capacity.capacity``, and the doubly stochastic ``ScalingResult`` by
+    ("scaling", Tolerances, max_iter), written only by
+    ``capacity.scale_to_doubly_stochastic``; see the ``capacity`` module
+    docstring.  The slots' eigenvalues, which depend on
     no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the
     PSD checks of ``_require_psd`` and ``check_doubly_stochastic`` and the
     single-slot ranks of the subset scan read them, each at its own
@@ -99,7 +102,7 @@ class MatrixTuple:
     __slots__ = ("n", "matrices", "_memo")
 
     def __init__(self, matrices, tol: Tolerances = DEFAULT_TOL):
-        mats = as_hermitian(matrices, tol.hermitian_tol)
+        mats = np.ascontiguousarray(as_hermitian(matrices, tol.hermitian_tol))
         if mats.ndim != 3 or not mats.size:
             raise ValueError(f"expected a nonempty stack of matrices, got shape {mats.shape}")
         n = mats.shape[-1]

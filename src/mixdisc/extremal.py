@@ -34,7 +34,7 @@ from .core import (
     spawn_seeds,
 )
 from .discriminant import MatrixTuple, _gradient_raw, eval_polarized
-from .capacity import _scale_cold
+from .capacity import scale_to_doubly_stochastic
 
 _BOUND_SLACK = 1e-7
 _GATE_SEARCH = 6
@@ -75,12 +75,12 @@ def bapat_bound(n: int) -> float:
 def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixTuple:
     """Random doubly stochastic tuple: PSD Wishart draws, operator-scaled.
 
-    Deterministic in (n, seed).  Draws are scaled cold, from s = 1, by the
-    route of the ``capacity_via_scaling`` oracle (``capacity._scale_cold``),
-    not the Newton warm start, so a sample does not move when the Newton
-    solver changes; the sample is s'_i L A_i L with L Hermitian.  Decomposable
-    or non-converging draws are retried with derived seeds; SamplerExhausted
-    after ``_DS_RETRIES`` failures.
+    Deterministic in (n, seed).  Draws are scaled by
+    ``scale_to_doubly_stochastic``, from s = 1 with no Newton solve, so a
+    sample does not move when the Newton solver changes; the sample is
+    s'_i L A_i L with L Hermitian.  Decomposable or non-converging draws are
+    retried with derived seeds; SamplerExhausted after ``_DS_RETRIES``
+    failures.
     """
     for child in itertools.islice(iter_seeds(seed), _DS_RETRIES):
         # The Gram products are validated and symmetrized once, as one stack
@@ -88,7 +88,7 @@ def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixT
         # ``random_psd`` bit for bit, whatever ``tol`` asks of inputs.
         t = MatrixTuple([_gram(n, s) for s in spawn_seeds(child, n)])
         try:
-            return _scale_cold(t, tol).scaled
+            return scale_to_doubly_stochastic(t, tol).scaled
         except (NotIndecomposable, NonConvergence):
             continue
     raise SamplerExhausted(f"no doubly stochastic tuple after {_DS_RETRIES} draws")

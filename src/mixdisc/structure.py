@@ -1,8 +1,8 @@
 """Indecomposability tests, block decomposition, and the M(A, W) bridge.
 
 The rank tests scan subsets, gated at n <= 16 by ``core._gate``, and count
-ranks by ``core._rank_of_eigenvalues``.  :func:`decompose` splits a doubly
-stochastic tuple along the components of its trace Gram matrix; its product
+ranks by ``core._rank_of_eigenvalues``.  :func:`decompose` peels the tight
+components of its trace Gram graph off a doubly stochastic tuple; its product
 check's ``eval_polarized`` gates it at n <= 20."""
 
 from __future__ import annotations
@@ -119,45 +119,73 @@ def _reachable(support: np.ndarray, rows: np.ndarray):
         rows = reached
 
 
+def _first_tight(mats: np.ndarray, tol: Tolerances):
+    """The first component C of {G_ij > 2 (m - 1) rank_tol}, in the subset
+    scan's order (by size, then smallest slot), whose sum has rank |C| by the
+    rank rule, with that sum's eigenvectors in descending order; None when
+    there is no such proper component.
+
+    ``mats`` is a doubly stochastic (m, m, m) stack, so G_ij = tr(A_i A_j)
+    >= 0, and for P = sum_{i in C} A_i (0 <= P <= I, tr P = |C|) the cut of C
+    in G is tr(P (I - P)) = sum_{i in C, j not in C} G_ij.  If P has rank |C|
+    by the rank rule, its eigenvalues beyond the top |C| are at most
+    rank_tol times the largest, so at most rank_tol each, and the top |C|
+    fall short of 1 by as much in total: the cut is at most
+    2 (m - |C|) rank_tol.  So no edge above 2 (m - 1) rank_tol crosses a
+    tight set, and the components are never coarser than the parts.
+    """
+    m = len(mats)
+    # Real view of the slots flattened to rows: tr(A_i A_j) = flat_i . flat_j.
+    flat = mats.reshape(m, m * m).view(np.float64)
+    support = flat @ flat.T > 2.0 * (m - 1) * tol.rank_tol
+    comps = []
+    free = np.ones(m, dtype=bool)
+    while free.any():
+        comp, _ = _reachable(support, np.arange(m) == np.argmax(free))
+        free &= ~comp
+        comps.append(comp)
+    if len(comps) == 1:
+        return None
+    for comp in sorted(comps, key=lambda c: (c.sum(), np.argmax(c))):
+        w, v = _eigh(mats[comp].sum(0))
+        if _rank_of_eigenvalues(w, tol) == comp.sum():
+            return comp, v[:, ::-1]
+    return None
+
+
 def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
     """Indecomposable block decomposition of a doubly stochastic tuple.
 
-    On DS input G_ij = tr(A_i A_j) >= 0 vanishes exactly when A_i A_j = 0, and
-    S is tight (rank sum_S A_i = |S|) exactly when G vanishes between S and
-    its complement: P = sum_S A_i <= I has trace |S|, so it has rank |S|
-    exactly when it is a projection, and P (I - P) = sum_{i in S, j not in S}
-    A_i A_j.  So the parts are the connected components C of {G_ij >
-    rank_tol}, each with the top |C| eigenvectors of sum_C A_i as its basis.
-    Raises DecompositionInconsistent when that sum's rank is not |C| or
-    D(t) = prod of block discriminants fails.  An indecomposable t is its own
-    single part, so D is computed once for the check (``eval_polarized``
-    keeps it on the tuple) and read twice.
+    The first tight component C of the trace Gram graph (``_first_tight``)
+    is a part on the top |C| eigenvectors of its sum, and the other slots are
+    restricted to the remaining eigenvectors and decomposed the same way, as
+    the recursive split by subset scan peels off its first tight subset.  A
+    cut is thus kept when the rank rule holds on one side of it.  Raises
+    DecompositionInconsistent when D(t) = prod of block discriminants fails.
+    An indecomposable t is its own single part, so D is computed once for the
+    check (``eval_polarized`` keeps it on the tuple) and read twice.
     """
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:
         raise NotDoublyStochastic(f"input is not doubly stochastic: {report}")
     n = t.n
     d_total = eval_polarized(t)
-    # Real view of the slots flattened to rows: tr(A_i A_j) = flat_i . flat_j.
-    flat = np.ascontiguousarray(t.matrices).reshape(n, n * n).view(np.float64)
-    support = flat @ flat.T > tol.rank_tol
-    parts: list = []
-    free = np.ones(n, dtype=bool)
-    while free.any():
-        comp, _ = _reachable(support, np.arange(n) == np.argmax(free))
-        free &= ~comp
-        if comp.all():
-            parts.append((tuple(range(n)), np.eye(n, dtype=np.complex128), t))
-            break
-        inside = np.flatnonzero(comp)
-        w, v = _eigh(t.matrices[inside].sum(0))
-        cut = int(_rank_of_eigenvalues(w, tol))
-        if cut != len(inside):
-            raise DecompositionInconsistent(
-                f"image of subset {tuple(inside.tolist())} has rank {cut}, expected {len(inside)}"
-            )
-        u = v[:, ::-1][:, :cut]  # descending: the image of the part's sum
-        parts.append((tuple(inside.tolist()), u, MatrixTuple(u.conj().T @ t.matrices[inside] @ u)))
+    found = []
+    slots, basis, mats = np.arange(n), np.eye(n, dtype=np.complex128), t.matrices
+    while (tight := _first_tight(mats, tol)) is not None:
+        comp, v = tight
+        inside, outside = v[:, : comp.sum()], v[:, comp.sum() :]
+        found.append((slots[comp], basis @ inside))
+        slots, basis = slots[~comp], basis @ outside
+        mats = outside.conj().T @ mats[~comp] @ outside
+    if not found:
+        parts = [(tuple(range(n)), basis, t)]
+    else:
+        found.append((slots, basis))
+        parts = [
+            (tuple(idx.tolist()), u, MatrixTuple(u.conj().T @ t.matrices[idx] @ u))
+            for idx, u in sorted(found, key=lambda part: part[0][0])
+        ]
     d_prod = 1.0
     for _, _, sub in parts:
         d_prod *= eval_polarized(sub)

@@ -2,8 +2,9 @@
 
 A tuple keeps its mixed discriminant D (filled by ``eval_polarized`` alone),
 its slot eigenvalues, its Newton ``CapacityResult`` by (Tolerances, max_iter)
-and its indecomposability scan by Tolerances.  Every value read from the memo must be
-the bits a fresh tuple of the same slots gives.
+and its doubly stochastic ``ScalingResult`` by (Tolerances, max_iter).  Every
+value read from the memo must be the bits a fresh tuple of the same slots
+gives.
 """
 
 import sys
@@ -74,7 +75,7 @@ def _key(value):
         return (value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, MatrixTuple):
         return _key(value.matrices)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return tuple(_key(v) for v in value)
     if hasattr(value, "__dataclass_fields__"):
         return tuple((f, _key(getattr(value, f))) for f in value.__dataclass_fields__)
@@ -124,9 +125,11 @@ def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
     assert newton.value.hex() == fresh.value.hex()
     assert newton.minimizer_x.tobytes() == fresh.minimizer_x.tobytes()
     assert (newton.stop_reason, newton.iterations) == (fresh.stop_reason, fresh.iterations)
-    scan = t._memo[("indecomposable", DEFAULT_TOL)]
-    assert scan == is_indecomposable(MatrixTuple(t.matrices))
-    assert scan[0] == (kind != "decomposable")
+    key = ("scaling", DEFAULT_TOL, _CAP.SCALING_MAX_ITER)
+    assert (key in t._memo) == (kind != "decomposable")
+    if key in t._memo:
+        fresh = scale_to_doubly_stochastic(MatrixTuple(t.matrices))
+        assert _key(t._memo[key]) == _key(fresh)
 
 
 def _count(monkeypatch, name):
@@ -143,12 +146,15 @@ def _count(monkeypatch, name):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_one_newton_solve_per_distinct_tuple(n, monkeypatch):
-    # Scaling, capacity and theorem 5.2 on one tuple: the tuple itself (whose
-    # all-ones expansion is the tuple) and the two doubled-slot expansions.
+    # Capacity and theorem 5.2 on one tuple solve the tuple itself (whose
+    # all-ones expansion is the tuple) and the two doubled-slot expansions;
+    # the two scaling calls share one scan and one loop and solve nothing.
     newton = _count(monkeypatch, "_newton")
     scans = _count(monkeypatch, "is_indecomposable")
+    loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(n, 70 + n)
     scale_to_doubly_stochastic(t)
+    assert not newton
     capacity(t)
     report = check_theorem52(t, classical_af_combination(n))
     capacity_via_scaling(t)
@@ -156,7 +162,23 @@ def test_one_newton_solve_per_distinct_tuple(n, monkeypatch):
     solved = [mats.tobytes() for mats, _, _ in newton]
     assert len(solved) == 3 == len(set(solved))
     assert solved[0] == t.matrices.tobytes()
-    assert len(scans) == 1
+    assert len(scans) == 1 == len(loops)
+
+
+def test_scaling_and_the_oracle_share_one_loop_and_never_run_newton(monkeypatch):
+    # scale then capacity_via_scaling: one scan, one scaling loop, and Cap
+    # read off the scaling that scale returned.
+    def no_newton(*args):
+        raise AssertionError("the scaling route ran Newton")
+
+    monkeypatch.setattr(_CAP, "_newton", no_newton)
+    scans = _count(monkeypatch, "is_indecomposable")
+    loops = _count(monkeypatch, "_scale_vector")
+    for t in (_wishart_tuple(4, 31), _near_boundary_tuple(3, 7)):
+        res = scale_to_doubly_stochastic(t)
+        assert capacity_via_scaling(t) == _CAP._capacity_of_scaling(res)
+        assert scale_to_doubly_stochastic(t) is res
+    assert len(scans) == 2 == len(loops)
 
 
 def test_expand_tuple_of_all_ones_is_the_tuple():
@@ -168,6 +190,7 @@ def test_expand_tuple_of_all_ones_is_the_tuple():
 def test_other_tolerances_or_iteration_cap_recompute(monkeypatch):
     newton = _count(monkeypatch, "_newton")
     scans = _count(monkeypatch, "is_indecomposable")
+    loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(4, 9)
     base = capacity(t)
     assert capacity(t, Tolerances()) is base  # an equal Tolerances is the same key
@@ -175,10 +198,14 @@ def test_other_tolerances_or_iteration_cap_recompute(monkeypatch):
     tighter = replace(DEFAULT_TOL, opt_tol=1e-10)
     capacity(t, tighter)
     assert len(newton) == 3
-    scale_to_doubly_stochastic(t)  # reads the default-tolerance solve
-    assert len(newton) == 3
+    scaled = scale_to_doubly_stochastic(t)
+    assert scale_to_doubly_stochastic(t, Tolerances()) is scaled
+    assert capacity_via_scaling(t) == _CAP._capacity_of_scaling(scaled)
+    assert len(scans) == 1 == len(loops)
+    other = scale_to_doubly_stochastic(t, max_iter=50)
+    assert other is not scaled and _key(other) == _key(scaled)
     scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, rank_tol=1e-8))
-    assert len(newton) == 4 and len(scans) == 2
+    assert len(scans) == 3 == len(loops) and len(newton) == 3
 
 
 def test_memoized_minimizer_is_read_only():
@@ -205,27 +232,36 @@ def test_iteration_cap_raises_on_every_call_with_equal_results():
 
 def test_exceptions_are_not_memoized(monkeypatch):
     newton = _count(monkeypatch, "_newton")
+    loops = _count(monkeypatch, "_scale_vector")
     e1 = np.diag([1.0, 0.0, 0.0])
     t = MatrixTuple([e1, e1, np.eye(3)])  # rank(A_0 + A_1) = 1 < 2: Cap = 0
     for _ in range(2):
         with pytest.raises(SingularPencil):
             capacity(t)
+        with pytest.raises(NotIndecomposable):
+            scale_to_doubly_stochastic(t)
     # The slot eigenvalues of the PSD check, which raised nothing, are kept.
-    assert len(newton) == 2 and list(t._memo) == ["slot_eigs"]
+    assert len(newton) == 2 and not loops and list(t._memo) == ["slot_eigs"]
+    t = _wishart_tuple(4, 13)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            scale_to_doubly_stochastic(t, max_iter=1)
+    assert len(loops) == 2 and list(t._memo) == ["slot_eigs"]
 
 
 def test_entry_only_after_the_psd_check_at_its_tolerances():
-    # Within a loose psd_tol of PSD but not within the default: the scan made
-    # at the loose tolerances does not let the default check be skipped.
-    # Newton at the loose tolerances finds Cap = 0 (the slot is not PSD), and
-    # that verdict is never memoized.
+    # Within a loose psd_tol of PSD but not within the default: a check
+    # passed at the loose tolerances does not let the default check be
+    # skipped.  At the loose tolerances the scan finds a witness (the slot is
+    # rank-deficient) and Newton finds Cap = 0 (the slot is not PSD); neither
+    # verdict is memoized.
     t = MatrixTuple([np.diag([1.0, -1e-7]), np.eye(2)])
     loose = replace(DEFAULT_TOL, psd_tol=1e-6)
     with pytest.raises(NotIndecomposable):
         capacity_via_scaling(t, loose)
     with pytest.raises(SingularPencil):
         capacity(t, loose)
-    assert list(t._memo) == ["slot_eigs", ("indecomposable", loose)]
+    assert list(t._memo) == ["slot_eigs"]
     for route in (capacity, scale_to_doubly_stochastic, capacity_via_scaling):
         with pytest.raises(PreconditionViolated):
             route(t)
@@ -266,6 +302,22 @@ def test_gated_discriminant_is_not_memoized():
         with pytest.raises(DimensionTooLarge):
             eval_polarized(t)
     assert not t._memo
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [np.broadcast_to(np.eye(4) / 4, (4, 4, 4)), np.asfortranarray(random_ds_tuple(4, 3).matrices)],
+    ids=["broadcast", "fortran"],
+)
+def test_tuples_are_stored_in_c_order(stack):
+    # Whatever the input's strides, the stack is C-ordered, so its flattened
+    # rows are views, and every route gives the bits of a C-ordered copy.
+    t = MatrixTuple(stack)
+    copy = MatrixTuple(np.ascontiguousarray(stack))
+    assert t.matrices.flags.c_contiguous
+    assert t.matrices.tobytes() == copy.matrices.tobytes()
+    for fn in (capacity, scale_to_doubly_stochastic, decompose):
+        assert _outcome(fn, t) == _outcome(fn, copy), fn.__name__
 
 
 def test_indecomposable_tuple_is_its_own_part():

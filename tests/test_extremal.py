@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixdisc import extremal
-from mixdisc.capacity import _scale_cold
+from mixdisc.capacity import scale_to_doubly_stochastic
 from mixdisc.core import (
     DEFAULT_TOL,
     NonConvergence,
@@ -56,11 +56,11 @@ class TestSampler:
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 77), (4, 5), (5, 1234), (6, 9)])
     def test_matches_the_eagerly_spawned_retry_seeds(self, n, seed):
         # Reference: the retry children spawned up front, as one list of 100,
-        # each scaled by the cold engine the sampler uses.
+        # each scaled by the public scaling route the sampler uses.
         for child in spawn_seeds(seed, 100):
             t = MatrixTuple([random_psd(n, s) for s in spawn_seeds(child, n)])
             try:
-                expected = _scale_cold(t).scaled
+                expected = scale_to_doubly_stochastic(t).scaled
                 break
             except (NotIndecomposable, NonConvergence):
                 continue
@@ -244,7 +244,7 @@ class TestProjectedGradientDescent:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         mats = [np.outer(v, v.conj()) + 1e-6 * np.eye(n)]
         mats += [random_psd(n, s) for s in spawn_seeds(70 + n, n - 1)]
-        start = _scale_cold(MatrixTuple(mats)).scaled
+        start = scale_to_doubly_stochastic(MatrixTuple(mats)).scaled
         got, value, reason = extremal._descend(start.matrices, DEFAULT_TOL)
         assert reason in ("roundoff", "max_steps")
         assert value <= eval_polarized(start)

@@ -62,13 +62,14 @@ def _named(func) -> str | None:
 
 def _callers(name: str) -> set:
     """module.function of every call of ``name`` in the package, by the
-    innermost function around the call (the module itself at top level)."""
+    functions around the call, outermost first (module.outer.inner for a
+    nested function; the module itself at top level)."""
     found = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{where.split('.')[0]}.{child.name}")
+                visit(child, f"{where}.{child.name}")
                 continue
             if isinstance(child, ast.Call) and _named(child.func) == name:
                 found.add(where)
@@ -119,9 +120,11 @@ def test_one_route_per_decision():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert "_split" not in names
-    # One writer of the memoized Newton result: _newton runs only in the
-    # closure of _newton_solve, which capacity and scaling share.
-    assert _callers("_newton") == {"capacity.solve"}
-    assert _callers("_newton_solve") == {"capacity.capacity", "capacity.scale_to_doubly_stochastic"}
+    # One writer of each memoized capacity-layer result: Newton runs only in
+    # the memo closure of capacity, and the scaling loop only in that of
+    # scale_to_doubly_stochastic, which the oracle and the sampler call.
+    assert _callers("_newton") == {"capacity.capacity.solve"}
+    assert _callers("_scale_vector") == {"capacity.scale_to_doubly_stochastic.scale"}
+    assert not names & {"_scale_cold", "_require_scalable", "_newton_solve"}
     # qp_tensor sums its quadruple permutation sum itself.
     assert "_double_perm_raw" not in _imported("pascal")

@@ -87,9 +87,7 @@ def test_every_route_applies_the_same_rule(factor):
     routes = {
         "inv_sqrt_psd": inv_sqrt_psd,
         # One step of the tuple scaling loop from s = 1, on slots summing to M.
-        "_scale_vector": lambda m: _CAP._scale_vector(
-            MatrixTuple([m / 2.0, m / 2.0]), np.ones(2), DEFAULT_TOL, 1
-        ),
+        "_scale_vector": lambda m: _CAP._scale_vector(MatrixTuple([m / 2.0, m / 2.0]), DEFAULT_TOL, 1),
         "pencil reducer": lambda m: HyperbolicPencil([m], np.ones(1)),
     }
     verdicts = {name: _accepts(route, m) for name, route in routes.items()}

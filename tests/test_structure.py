@@ -350,18 +350,33 @@ def _near_decomposable_ds(n, k, delta, seed):
 @pytest.mark.parametrize("delta, parts", [(1e-10, 2), (1e-8, 1), (1e-6, 1), (1e-4, 1)])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_decompose_matches_the_recursive_split_near_decomposable(n, delta, parts):
-    # The largest cross entry of the trace Gram matrix is about delta / 2.
-    # The two routes may differ only where it lies within about a factor of
-    # two of rank_tol = 1e-9, where a subset sum's smallest eigenvalue
-    # relative to its largest is that close to rank_tol too: at delta = 2e-9
-    # (cross entries 7e-10 to 1.6e-9) 13 of 20 such tuples differ, the Gram
-    # route keeping a tuple whole that the scan splits, or splitting one whose
-    # part then fails the rank check (DecompositionInconsistent).  At
-    # delta = 1e-9 and 3e-9 all 20 agree.
     for seed in range(3):
         t = _near_decomposable_ds(n, n // 2, delta, 1000 * n + seed)
         _assert_matches_the_recursive_split(t)
         assert len(decompose(t).parts) == parts
+
+
+# The largest cross entry of the trace Gram matrix is about delta / 2, so at
+# these delta it lies within a factor of two of rank_tol = 1e-9, and so does
+# the leak eigenvalue of a block's sum.  The recursive split cuts a tuple
+# where the rank rule holds on one side of the cut: at delta = 2e-9 the
+# n = 3 blocks of seeds 0 and 1 pass it on one side only, and are cut.  The
+# part counts are the oracle's, for seeds 0, 1 and 2.
+@pytest.mark.parametrize(
+    "delta, parts",
+    [
+        (1e-9, {3: (2, 2, 2), 4: (2, 2, 2), 5: (2, 2, 2), 6: (2, 2, 2)}),
+        (2e-9, {3: (2, 2, 1), 4: (1, 1, 1), 5: (1, 1, 1), 6: (1, 1, 1)}),
+        (3e-9, {3: (1, 2, 1), 4: (1, 1, 1), 5: (1, 1, 1), 6: (1, 1, 1)}),
+    ],
+    ids=["1e-9", "2e-9", "3e-9"],
+)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decompose_matches_the_recursive_split_around_rank_tol(n, delta, parts):
+    for seed in range(3):
+        t = _near_decomposable_ds(n, n // 2, delta, 1000 * n + seed)
+        _assert_matches_the_recursive_split(t)
+        assert len(decompose(t).parts) == parts[n][seed]
 
 
 def test_witness_past_the_first_chunk_of_its_cardinality():
