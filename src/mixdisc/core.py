@@ -1,15 +1,20 @@
 """Dense complex Hermitian linear algebra shared by every other module.
 
-Matrices are plain ``numpy.ndarray`` objects of dtype complex128, and a
-tuple or pencil of them is one (k, n, n) stack.  Anything that claims to be
-Hermitian goes through :func:`as_hermitian`, which takes one matrix or a
-stack, rejects each matrix that is non-Hermitian beyond tolerance at its own
-scale and then symmetrizes exactly, so downstream code may rely on
-``A == A.conj().T`` holding bit-for-bit.
+Matrices are complex128 ``numpy.ndarray`` objects; a tuple or pencil of them
+is one (k, n, n) stack.  :func:`as_hermitian` validates one matrix or a stack,
+each matrix at its own scale, and symmetrizes exactly, so downstream code may
+rely on ``A == A.conj().T`` bit for bit.
 
-Every inverse square root M^(-1/2) (tuple and Pascal scaling, the pencil
-reducer) is ``_inv_sqrt`` of the ascending eigenpairs of one ``_eigh`` call,
-under the one positive-definiteness rule ``_definite``.
+Three spectral rules, each relative to the scale of the object checked, so
+that scaling the input by c > 0 changes no verdict: PSD (``_psd``: smallest
+eigenvalue >= -psd_tol max|entry| of the matrix, stack or tuple), positive
+definite (``_definite``: largest eigenvalue > 0, smallest > psd_tol times it)
+and rank (``rank_psd``: eigenvalues above rank_tol times the largest).  Only
+this module reads ``psd_tol``.  Every M^(-1/2) (tuple and Pascal scaling, the
+pencil reducer) is ``_inv_sqrt`` of one ``_eigh`` call's ascending eigenpairs,
+under ``_definite``.  Absolute terms remain in ``as_hermitian``'s floor, the
+``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
+``check_block_ds``, hyperbolic membership) and ``is_e_nonnegative``.
 """
 
 from __future__ import annotations
@@ -33,10 +38,6 @@ def _gate(n: int, limit: int, what: str) -> None:
     """The one dimension gate: DimensionTooLarge when ``n`` exceeds ``limit``."""
     if n > limit:
         raise DimensionTooLarge(f"{what} is gated at n <= {limit}, got n = {n}")
-
-
-class NotPositiveDefinite(MixdiscError):
-    pass
 
 
 class NotHermitian(MixdiscError):
@@ -64,6 +65,10 @@ class SamplerExhausted(MixdiscError):
 
 
 class PreconditionViolated(MixdiscError):
+    pass
+
+
+class NotPositiveDefinite(PreconditionViolated):
     pass
 
 
@@ -156,8 +161,8 @@ def _eigh(a, vectors: bool = True):
 
 
 def _definite(w, tol: Tolerances):
-    """The one rule for taking M^(-1/2), on ascending eigenvalues w (..., n): the
-    largest is positive and the smallest exceeds ``psd_tol`` times it.
+    """The one definiteness rule (and M^(-1/2)'s), on ascending eigenvalues w
+    (..., n): the largest is positive and the smallest exceeds psd_tol times it.
 
     One nonempty vector w gives a bool from two float comparisons, which cost
     far less than numpy's 0-d ones; a stack gives a bool array."""
@@ -165,6 +170,13 @@ def _definite(w, tol: Tolerances):
         lo, hi = float(w[0]), float(w[-1])
         return hi > 0.0 and lo > tol.psd_tol * hi
     return (w[..., -1] > 0.0) & (w[..., 0] > tol.psd_tol * w[..., -1])
+
+
+def _psd(w, scale, tol: Tolerances):
+    """The one PSD rule, on ascending eigenvalues w (..., n) of a Hermitian
+    matrix or stack whose largest |entry| is ``scale`` (broadcast against
+    w[..., 0]): the smallest is at least -psd_tol times ``scale``."""
+    return w[..., 0] >= -tol.psd_tol * scale
 
 
 def _inv_sqrt(w, v, tol: Tolerances) -> np.ndarray:
@@ -180,11 +192,6 @@ def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     eigenpairs of one ``_eigh`` call, symmetrized exactly."""
     l = _inv_sqrt(*_eigh(a), tol)
     return (l + l.conj().T) / 2.0
-
-
-def min_eigenvalue(a) -> float:
-    """The smallest eigenvalue of a Hermitian matrix (eigenvalues only)."""
-    return float(_eigh(a, vectors=False)[0])
 
 
 def rank_psd(a, tol: Tolerances = DEFAULT_TOL):

@@ -42,6 +42,7 @@ from .core import (
     Tolerances,
     _eigh,
     _gate,
+    _psd,
     as_hermitian,
     fsum_complex,
     max_abs,
@@ -149,9 +150,6 @@ class MatrixTuple:
         mats = list(self.matrices)
         mats[i] = m
         return MatrixTuple(mats)
-
-    def scale_of(self) -> float:
-        return max_abs(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -704,13 +702,11 @@ def _slot_eigenvalues(t: MatrixTuple) -> np.ndarray:
 
 
 def _require_psd(t: MatrixTuple, tol: Tolerances) -> np.ndarray:
-    """Raise unless the ``psd_violation`` of the slots is within
-    psd_tol (1 + max|entry|); return the slots' eigenvalues
-    (``_slot_eigenvalues``)."""
+    """Raise unless the slots pass ``core._psd`` at the tuple's largest
+    |entry|; return the slots' eigenvalues (``_slot_eigenvalues``)."""
     w = _slot_eigenvalues(t)
-    worst = max(0.0, -float(w.min()))
-    if worst > tol.psd_tol * (1.0 + t.scale_of()):
-        raise PreconditionViolated(f"tuple is not PSD (violation {worst:.3e})")
+    if not _psd(w, max_abs(t.matrices), tol).all():
+        raise PreconditionViolated(f"tuple is not PSD (smallest eigenvalue {w.min():.3e})")
     return w
 
 

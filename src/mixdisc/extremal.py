@@ -25,12 +25,13 @@ from .core import (
     PreconditionViolated,
     SamplerExhausted,
     Tolerances,
+    _definite,
+    _eigh,
     _gate,
     _gram,
+    _psd,
     iter_seeds,
     max_abs,
-    min_eigenvalue,
-    psd_violation,
     spawn_seeds,
 )
 from .discriminant import MatrixTuple, _gradient_raw, eval_polarized
@@ -118,14 +119,12 @@ def lemma36_family(n: int, a1, tol: Tolerances = DEFAULT_TOL):
         raise PreconditionViolated("the family needs n >= 2")
     a1 = np.asarray(a1, dtype=np.complex128)
     eye = np.eye(n)
-    a2 = 2.0 / n * eye - a1
-    slack = tol.psd_tol * (1.0 + float(np.max(np.abs(a1))))
-    if min_eigenvalue(a1) < -slack or min_eigenvalue(a2) < -slack:
+    pair = np.array([a1, 2.0 / n * eye - a1])
+    if not _psd(_eigh(pair, vectors=False), np.abs(pair).max(axis=(1, 2)), tol).all():
         raise PreconditionViolated("A1 must satisfy 0 <= A1 <= 2/n I")
-    if abs(float(a1.trace().real) - 1.0) > 1e-8:
+    if abs(float(a1.trace().real) - 1.0) > tol.ds_tol:
         raise PreconditionViolated("A1 must have unit trace")
-    mats = [a1, a2] + [eye / n] * (n - 2)
-    t = MatrixTuple(mats, tol)
+    t = MatrixTuple([*pair] + [eye / n] * (n - 2), tol)
     dev = a1 - eye / n
     predicted = bapat_bound(n) + (
         math.factorial(n - 2) / float(n ** (n - 2))
@@ -145,9 +144,9 @@ def dnp_family_value(p, tol: Tolerances = DEFAULT_TOL) -> float:
     """
     p = np.asarray(p, dtype=np.complex128)
     n = p.shape[0]
-    if min_eigenvalue(p) <= tol.psd_tol:
+    if not _definite(_eigh(p, vectors=False), tol):
         raise PreconditionViolated("P must be positive definite")
-    if abs(float(p.trace().real) - n) > 1e-8 * n:
+    if abs(float(p.trace().real) - n) > tol.ds_tol * n:
         raise PreconditionViolated("P must have trace n")
     t = MatrixTuple([p / n] * n, tol)
     value = eval_polarized(t)
@@ -178,7 +177,7 @@ def _descend(mats: np.ndarray, tol: Tolerances):
 
     From x with gradient Q (:func:`_gradient_raw`) the candidate is
     x + s d, d = :func:`_direction` (Q), exactly Hermitian as x and d are.
-    It is taken when it is PSD within ``psd_tol`` and meets the Armijo
+    It is taken when it passes ``core._psd`` and meets the Armijo
     condition D(x + s d) <= D(x) - _ARMIJO s ||d||^2, and the step s then
     doubles; otherwise s halves.  The descent stops with "roundoff" once the
     predicted decrease s ||d||^2 is within 8 n u times the kernel's sum of
@@ -198,7 +197,7 @@ def _descend(mats: np.ndarray, tol: Tolerances):
             reason = "roundoff"
             break
         cand = x + step * d
-        if psd_violation(cand) <= tol.psd_tol:
+        if _psd(_eigh(cand, vectors=False), max_abs(cand), tol).all():
             cand_q, cand_value, cand_magnitude = _gradient_raw(cand)
             if cand_value <= value - _ARMIJO * decrease:
                 x, q, value, magnitude = cand, cand_q, cand_value, cand_magnitude

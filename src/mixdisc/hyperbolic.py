@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    PreconditionViolated,
     SamplerExhausted,
     Tolerances,
     _eigh,
@@ -55,12 +54,9 @@ class HyperbolicPencil:
         e = np.asarray(e, dtype=float)
         if e.shape != (self.m,):
             raise ValueError("direction must have one entry per pencil matrix")
-        pencil_at_e = self.at(e)
-        w, v = _eigh(pencil_at_e)  # for both definiteness checks and L
-        if w[0] <= tol.psd_tol * (1.0 + float(np.max(np.abs(pencil_at_e)))):
-            raise PreconditionViolated("sum e_i B_i must be positive definite")
+        # NotPositiveDefinite (a PreconditionViolated) unless core._definite.
+        self._reducer = _inv_sqrt(*_eigh(self.at(e)), tol)
         self.e = e
-        self._reducer = _inv_sqrt(w, v, tol)
 
     def at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

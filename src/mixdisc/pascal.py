@@ -28,7 +28,9 @@ from .core import (
     DEFAULT_TOL,
     TermNotPsd,
     Tolerances,
+    _eigh,
     _gate,
+    _psd,
     as_hermitian,
     fsum_complex,
     inv_sqrt_psd,
@@ -59,6 +61,7 @@ class BlockMatrix:
         n = len(grid)
         if grid.shape != (n, n, n, n):
             raise ValueError(f"expected an n x n grid of n x n blocks, got shape {grid.shape}")
+        require_finite(grid, "block matrix")
         grid.flags.writeable = False
         self.n = n
         self.blocks = grid
@@ -132,7 +135,6 @@ def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsRe
     """Violations of the three block doubly stochastic conditions."""
     eye = np.eye(rho.n)
     a = rho.assembled()
-    require_finite(a)
     psd_v = psd_violation((a + a.conj().T) / 2.0)
     sum_v = max_abs(np.trace(rho.blocks) - eye)
     trace_v = max_abs(rho.trace_matrix() - eye)
@@ -148,8 +150,8 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     n = pq.shape[-1]
     if pq.shape[1:] != (2, n, n):
         raise ValueError("all factors must share one dimension")
-    lowest = np.linalg.eigvalsh(as_hermitian(pq, tol=1e-8))[..., 0]
-    not_psd = lowest < -tol.psd_tol * (1.0 + np.abs(pq).max(axis=(-2, -1)))
+    w = _eigh(as_hermitian(pq, tol.hermitian_tol), vectors=False)
+    not_psd = ~_psd(w, np.abs(pq).max(axis=(-2, -1)), tol)
     if not_psd.any():
         raise TermNotPsd(f"{'PQ'[np.argwhere(not_psd)[0][1]]} factor is not PSD")
     p, q = pq[:, 0], pq[:, 1]

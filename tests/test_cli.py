@@ -187,6 +187,14 @@ class TestCapacityAndScale:
         assert out == ""
         assert "weak rank" in err
 
+    def test_capacity_of_a_tiny_non_psd_tuple_exit1(self, capsys, tmp_path):
+        # Eigenvalue -1e-10 at entry scale 1e-10: not PSD, whatever the scale.
+        t = MatrixTuple([np.diag([1e-12, -1e-10]), np.diag([1e-12, 1e-12])])
+        code, out, err = run(capsys, "capacity", write_tuple(tmp_path, t))
+        assert code == 1
+        assert out == ""
+        assert "not PSD" in err
+
     @pytest.mark.parametrize("delta, psd_tol", [("1e-7", "1e-6"), ("1e-5", "1e-4")])
     def test_capacity_of_a_slot_psd_only_within_psd_tol_exit2(
         self, capsys, tmp_path, delta, psd_tol

@@ -15,7 +15,6 @@ from mixdisc.core import (
     iter_seeds,
     make_rng,
     max_abs,
-    min_eigenvalue,
     psd_violation,
     random_complex_gaussian,
     random_hermitian,
@@ -118,9 +117,6 @@ class TestEigAndRoots:
         assert psd_violation(np.diag([1.0, -0.25])) == pytest.approx(0.25)
         assert psd_violation(np.eye(2)) == 0.0
 
-    def test_min_eigenvalue(self):
-        assert min_eigenvalue(np.diag([3.0, -2.0, 5.0])) == pytest.approx(-2.0)
-
 
 class TestRandomness:
     def test_deterministic(self):
@@ -141,7 +137,7 @@ class TestRandomness:
 
     def test_random_psd_is_psd(self):
         for s in range(5):
-            assert min_eigenvalue(random_psd(5, s)) > -1e-12
+            assert np.linalg.eigvalsh(random_psd(5, s))[0] > -1e-12
 
 
 class TestCompensatedSums:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mixdisc.core import (
     NotIndecomposable,
     NumericalInconsistency,
     PreconditionViolated,
+    _psd,
     make_rng,
     psd_violation,
     random_hermitian,
@@ -117,6 +119,12 @@ class TestLemma36:
         with pytest.raises(PreconditionViolated):
             lemma36_family(3, np.eye(3))  # trace 3, not 1
 
+    def test_trace_check_reads_ds_tol(self):
+        a1 = np.diag([0.5 + 2e-8, 0.5])
+        with pytest.raises(PreconditionViolated, match="unit trace"):
+            lemma36_family(2, a1)
+        lemma36_family(2, a1, replace(DEFAULT_TOL, ds_tol=1e-6))
+
 
 class TestDnpFamily:
     def test_matches_det_formula(self):
@@ -139,6 +147,18 @@ class TestDnpFamily:
     def test_rejects_wrong_trace(self):
         with pytest.raises(PreconditionViolated):
             dnp_family_value(np.eye(3) * 2.0)
+
+    def test_trace_check_reads_ds_tol(self):
+        p = np.diag([1.0 + 5e-8, 1.0, 1.0])
+        with pytest.raises(PreconditionViolated, match="trace n"):
+            dnp_family_value(p)
+        assert dnp_family_value(p, replace(DEFAULT_TOL, ds_tol=1e-6)) > 0.0
+
+    def test_definiteness_is_relative_to_the_largest_eigenvalue(self):
+        # Smallest eigenvalue 1.5e-9 of a largest near 2: above psd_tol, but
+        # not above psd_tol times the largest, so core._definite rejects it.
+        with pytest.raises(PreconditionViolated, match="positive definite"):
+            dnp_family_value(np.diag([2.0 - 1.5e-9, 1.5e-9]))
 
 
 class TestSearch:
@@ -255,14 +275,14 @@ class TestProjectedGradientDescent:
     def test_non_psd_candidates_are_rejected(self, monkeypatch):
         # At n = 3, seed 15, one candidate leaves the PSD cone; the step
         # halves and the trial still ends on the bound.
-        violations = []
+        verdicts = []
 
-        def recording(a):
-            violations.append(psd_violation(a))
-            return violations[-1]
+        def recording(w, scale, tol):
+            verdicts.append(_psd(w, scale, tol))
+            return verdicts[-1]
 
-        monkeypatch.setattr(extremal, "psd_violation", recording)
+        monkeypatch.setattr(extremal, "_psd", recording)
         rec = minimize_search(3, 1, 15)
-        assert sum(v > DEFAULT_TOL.psd_tol for v in violations) == 1
+        assert sum(not v.all() for v in verdicts) == 1
         assert rec.stop_reasons == ["roundoff"]
         assert abs(rec.best_value - bapat_bound(3)) <= 1e-11 * bapat_bound(3)

@@ -128,3 +128,26 @@ def test_one_route_per_decision():
     assert not names & {"_scale_cold", "_require_scalable", "_newton_solve"}
     # qp_tensor sums its quadruple permutation sum itself.
     assert "_double_perm_raw" not in _imported("pascal")
+
+
+def test_psd_tol_is_read_only_in_core():
+    # One PSD rule (core._psd) and one definiteness rule (core._definite);
+    # elsewhere only is_e_nonnegative's float default reads psd_tol.
+    reads = {
+        path.stem: [
+            ast.unparse(node)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "psd_tol"
+        ]
+        for path in SRC.glob("*.py")
+        if path.stem != "core"
+    }
+    assert {k: v for k, v in reads.items() if v} == {"hyperbolic": ["DEFAULT_TOL.psd_tol"]}
+    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
+    (entry,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "is_e_nonnegative"
+    ]
+    assert [ast.unparse(d) for d in entry.args.defaults] == ["DEFAULT_TOL.psd_tol"]
+    for path in SRC.glob("*.py"):
+        assert "min_eigenvalue" not in path.read_text(encoding="utf-8"), path.name

@@ -64,7 +64,7 @@ def test_sampler_constructs_one_block_matrix(sampler, n, monkeypatch):
 def _at_the_threshold(factor):
     """A 2 x 2 Hermitian M with eigenvalues w_max = 1e3 and
     w_min = psd_tol w_max factor, rotated so that its entries stay near
-    w_max / 2 and the pencil's entry-scale check passes either way."""
+    w_max / 2 and only its eigenvalues show w_min."""
     w_max = 1e3
     w = np.array([w_max, DEFAULT_TOL.psd_tol * w_max * factor])
     u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)

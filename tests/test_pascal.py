@@ -4,7 +4,9 @@ import pytest
 from mixdisc import pascal
 from mixdisc.core import (
     DimensionTooLarge,
+    NotHermitian,
     TermNotPsd,
+    Tolerances,
     as_hermitian,
     fsum_complex,
     inv_sqrt_psd,
@@ -75,6 +77,12 @@ class TestBlockMatrix:
         with pytest.raises(ValueError):
             BlockMatrix([[np.eye(2)], [np.eye(2)]])
 
+    @pytest.mark.parametrize("qp", [qp_block, qp_tensor])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_blocks_are_rejected(self, qp, bad):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            qp(BlockMatrix(np.full((2, 2, 2, 2), bad)))
+
 
 class TestQpAgreement:
     @pytest.mark.parametrize("n", [2, 3])
@@ -135,6 +143,20 @@ class TestSeparable:
         bad = np.diag([1.0, -1.0])
         with pytest.raises(TermNotPsd):
             assemble_separable(SeparableSpec(terms=((bad, np.eye(2)),)))
+
+    def test_factors_are_validated_at_the_callers_tolerances(self):
+        # A Hermiticity defect of 1e-9 is within 1e-8 but not within the
+        # default hermitian_tol; Q = diag(1, -1e-3) is PSD only within a
+        # psd_tol of 1e-3 times its largest entry.
+        skew = np.array([[1.0, 1e-9], [0.0, 1.0]])
+        spec = SeparableSpec(terms=((skew, np.eye(2)),))
+        with pytest.raises(NotHermitian):
+            assemble_separable(spec)
+        assemble_separable(spec, Tolerances(hermitian_tol=1e-8))
+        spec = SeparableSpec(terms=((np.eye(2), np.diag([1.0, -1e-3])),))
+        with pytest.raises(TermNotPsd, match="Q factor"):
+            assemble_separable(spec)
+        assemble_separable(spec, Tolerances(psd_tol=1e-3))
 
     def test_sampler_outputs_block_ds(self):
         for seed in range(5):
