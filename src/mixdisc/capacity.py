@@ -35,7 +35,7 @@ alternating scaling converges only linearly, at a rate that tends to 1 near
 decomposable or boundary tuples, where it takes thousands of steps.
 
 There is one route, ``scale_to_doubly_stochastic``: the indecomposability
-scan, then the loop from s = 1.  The oracle, ``extremal.random_ds_tuple`` and
+test, then the loop from s = 1.  The oracle, ``extremal.random_ds_tuple`` and
 the ``scale`` command all take it, and none of them runs Newton.  On seeded
 draws the loop took 7 steps in the median and at most 10 on Wishart tuples
 (n = 2..6), at most 17 with one rank-one + 1e-6 I slot (n = 3), at most 24
@@ -51,12 +51,11 @@ Hermitian eigensolve for the step.  A scaling step costs one batched
 Hermitian eigensolve of the candidate slot sums, whose eigenvalues give both
 potentials and whose chosen eigenpairs give L, and the few products that
 ``_scale_vector`` lists.  The precondition of a scaling is one PSD check
-and one subset scan (``structure._first_subset``).  The check's eigenvalues of the slots also
-rank the single slots; each larger cardinality costs one batched eigensolve
-up to n = 10 (more chunks above), and the scan stops at the first
-cardinality with a witness or whose subset sums all have rank n.  A tuple of
-full-rank slots, such as a Wishart draw, costs the one eigensolve of its
-slots.
+and one indecomposability test (``structure.is_indecomposable``), with no
+gate on n.  The check's eigenvalues of the slots also rank them, so a tuple
+of full-rank slots, such as a Wishart draw, costs the one eigensolve of its
+slots.  Any other tuple adds one batched eigensolve of the slots, one n x n
+SVD and, on a decomposable verdict, one eigensolve of the witness's sum.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
@@ -96,8 +95,8 @@ layer, each with one writer.  ``capacity`` keeps the Newton
 after the PSD check at those tolerances (a read of the memoized slot
 eigenvalues); its ``minimizer_x`` is read-only.
 ``scale_to_doubly_stochastic`` keeps the ``ScalingResult`` by ("scaling",
-``Tolerances``, ``max_iter``), made only after the indecomposability scan at
-those tolerances, so the scan and the loop run once per tuple; its arrays are
+``Tolerances``, ``max_iter``), made only after the indecomposability test at
+those tolerances, so the test and the loop run once per tuple; its arrays are
 read-only.  ``capacity_via_scaling`` reads Cap off that same entry and takes
 nothing from Newton.  An exception is never memoized.  Both computations are
 deterministic, so a hit returns the bits a fresh tuple would give.
@@ -364,12 +363,13 @@ def scale_to_doubly_stochastic(
 ) -> ScalingResult:
     """Doubly stochastic scaling of t by ``_scale_vector`` from s = 1.
 
-    The subset scan runs first (it also checks that the slots are PSD).
+    The indecomposability test runs first (it also checks that the slots are
+    PSD).
     ``max_iter`` and ``iterations`` count scaling steps.  Raises
     ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
     (carrying a "max_iter" result) when ``max_iter`` steps leave the defect
     above ``ds_tol``.  The result is kept on t by ("scaling", tol, max_iter),
-    so the scan and the loop run once per tuple.
+    so the test and the loop run once per tuple.
     """
 
     def scale():

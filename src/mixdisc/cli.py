@@ -294,6 +294,13 @@ def _require_ranges(seed: int, **counts: int) -> None:
         raise CliInputError(f"seed must be >= 0, got {seed}")
 
 
+def _require_max_iter(max_iter: int) -> None:
+    """An iteration cap may be 0 (a cap that is hit at once, exit 2), but a
+    negative cap is an input error."""
+    if max_iter < 0:
+        raise CliInputError(f"max-iter must be >= 0, got {max_iter}")
+
+
 def _tol_from_args(args) -> Tolerances:
     values = {}
     for f in _TOL_FIELDS:
@@ -342,12 +349,14 @@ def _cmd_eval(args, tol: Tolerances) -> _Report:
 
 
 def _cmd_capacity(args, tol: Tolerances) -> _Report:
+    _require_max_iter(args.max_iter)
     doc, payload = read_json(args.file)
     res = _capacity(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
     return _Report(_encode(res), digest_of(payload))
 
 
 def _cmd_scale(args, tol: Tolerances) -> _Report:
+    _require_max_iter(args.max_iter)
     doc, payload = read_json(args.file)
     res = scale_to_doubly_stochastic(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
     results = {**_encode(res), "capacity_via_scaling": _capacity_of_scaling(res)}

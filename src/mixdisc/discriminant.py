@@ -91,7 +91,7 @@ class MatrixTuple:
     docstring.  The slots' eigenvalues, which depend on
     no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the
     PSD checks of ``_require_psd`` and ``check_doubly_stochastic`` and the
-    single-slot ranks of the subset scan read them, each at its own
+    slot ranks of ``structure._generic_ranks`` read them, each at its own
     tolerance.
 
     Library code that already holds an exactly Hermitian stack (a scaled

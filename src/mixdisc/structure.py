@@ -1,15 +1,12 @@
 """Indecomposability tests, block decomposition, and the M(A, W) bridge.
 
-The rank tests scan subsets, gated at n <= 16 by ``core._gate``, and count
-ranks by ``core._rank_of_eigenvalues``.  :func:`decompose` peels the tight
-components of its trace Gram graph off a doubly stochastic tuple; its product
-check's ``eval_polarized`` gates it at n <= 20."""
+The two rank tests read n generic vectors from the slot ranges
+(``_generic_ranks``), in polynomial time at every n.  :func:`decompose`
+peels the tight components of its trace Gram graph off a doubly stochastic
+tuple; its product check's ``eval_polarized`` gates it at n <= 20."""
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +16,13 @@ from .core import (
     DecompositionInconsistent,
     NotDoublyStochastic,
     NotUnitary,
+    NumericalInconsistency,
     Tolerances,
     _eigh,
-    _gate,
     _rank_of_eigenvalues,
+    make_rng,
     max_abs,
+    random_complex_gaussian,
     rank_psd,
 )
 from .discriminant import (
@@ -34,9 +33,8 @@ from .discriminant import (
     eval_polarized,
 )
 
-_GATE_SUBSETS = 16
-# Matrix entries gathered per chunk of the subset scan (2 MB of complex128).
-_SCAN_CHUNK = 1 << 17
+# Seed of the generic vectors that decide the two rank tests.
+_DRAW_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -52,60 +50,62 @@ class DecompositionResult:
     product_check: float
 
 
-def _first_subset(t: MatrixTuple, rank_test, tol: Tolerances):
-    """First proper subset S with rank_test(rank(sum_{i in S} A_i), |S|), or None.
+def _generic_ranks(t: MatrixTuple, tol: Tolerances):
+    """(weak rank condition holds, witness subset or None), from n generic vectors.
 
-    The slots must pass the PSD check at ``tol`` (``_require_psd``, else
-    ``PreconditionViolated``), whose eigenvalues rank the single slots.
-    Subsets are scanned in ascending cardinality and canonical order, so the
-    subset found is minimal.  Each larger cardinality's subset sums are formed
-    as ``t.matrices[idx].sum(1)`` (the same additions, in the same order, as one
-    subset at a time) and ranked from one batched ``eigvalsh`` call per chunk;
-    a chunk gathers at most ``_SCAN_CHUNK`` matrix entries, so the scan's
-    memory stays near 2 MB at any n.  The scan stops after the first chunk
-    that holds a witness, or after the first cardinality whose subset sums
-    all have rank n: a PSD sum only gains rank as slots are added, so no
-    larger proper subset can meet ``le`` or ``lt``.
+    After the PSD check (``_require_psd``), whose eigenvalues rank the slots,
+    slots all of rank n answer at once.  Otherwise u_i = F_i g_i and
+    v_j = F_j h_j, with F_i slot i's top rank_i eigenvectors (one batched
+    ``_eigh``) and g, h from ``make_rng(_DRAW_SEED)``.  For generic draws
+    U = [u_1 .. u_n] is nonsingular exactly when every rank(sum_S A_i) >= |S|
+    (Edmonds 1967; Gurvits 2004), and then the support of column j of
+    X = U^-1 V is the smallest S containing j with rank(sum_S A_i) = |S|.
+    By one SVD of U, with f = 1e3 n u (u the unit round-off): U is singular
+    when s_min <= f s_max, and an entry of a column of X, or of U's null
+    vector, is in its support above f cond times the column's largest, cond
+    being s_max over the smallest singular value above f s_max.  The witness
+    is the smallest proper support of X (ties to its smallest slot), else the
+    null vector's support, or all slots but the last if that is every slot.
     """
     n = t.n
-    _gate(n, _GATE_SUBSETS, "subset scan")
-    slot_eigs = _require_psd(t, tol)
-    for k in range(1, n):
-        rows = _SCAN_CHUNK // (k * n * n)
-        combos = itertools.combinations(range(n), k)
-        full_rank = True
-        for _ in range(0, math.comb(n, k), rows):
-            idx = np.fromiter(itertools.islice(combos, rows), dtype=(np.intp, k))
-            if k == 1:
-                w = slot_eigs[idx[:, 0]]
-            else:
-                w = _eigh(t.matrices[idx].sum(1), vectors=False)
-            ranks = _rank_of_eigenvalues(w, tol)
-            hits = np.flatnonzero(rank_test(ranks, k))
-            if hits.size:
-                return tuple(int(i) for i in idx[hits[0]])
-            full_rank = full_rank and bool((ranks == n).all())
-        if full_rank:
-            return None
-    return None
+    ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)
+    if (ranks == n).all():
+        return True, None
+    rng = make_rng(_DRAW_SEED)
+    coef = np.array([random_complex_gaussian(n, rng) for _ in range(2)])
+    coef *= np.arange(n) >= n - ranks[:, None]  # eigenvalues are ascending
+    u, v = np.einsum("iab,kib->kai", _eigh(t.matrices)[1], coef)
+    w, s, vh = np.linalg.svd(u)
+    f = 1e3 * n * np.finfo(np.float64).eps / 2
+    live = s > f * s[0]
+    x = vh.conj().T @ (w.conj().T @ v / s[:, None]) if live.all() else vh[-1:].conj().T
+    cut = f * s[0] / s[live][-1] if live.any() else f
+    mag = np.abs(x)
+    supports = [tuple(np.flatnonzero(c).tolist()) for c in (mag > cut * mag.max(0)).T]
+    if not live.all():  # at n = 1 the only support is every slot: no witness
+        return False, (supports[0] if len(supports[0]) < n else tuple(range(n - 1))) or None
+    proper = [sup for sup in supports if len(sup) < n]
+    return True, min(proper, key=lambda sup: (len(sup), sup), default=None)
 
 
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
     """Strict rank test over all proper subsets: rank(sum_{i in S} A_i) > |S|.
 
-    Returns (True, None) or (False, witness_subset); the witness is minimal.
+    Returns (True, None) or (False, witness) with the proper subset of
+    ``_generic_ranks``, not necessarily the smallest, certified by one
+    ``rank_psd`` of its sum (rank <= |S|, else ``NumericalInconsistency``).
     """
-    witness = _first_subset(t, operator.le, tol)
+    _, witness = _generic_ranks(t, tol)
+    if witness is not None and rank_psd(t.matrices[list(witness)].sum(0), tol) > len(witness):
+        raise NumericalInconsistency(f"witness subset {witness} is not tight")
     return witness is None, witness
 
 
 def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Weak rank condition rank(sum_{i in S} A_i) >= |S| over all subsets S: the
-    proper ones by the scan, then S = all slots; equivalent to D(t) > 0 for PSD
+    """Weak rank condition rank(sum_{i in S} A_i) >= |S| over all subsets S,
+    all n slots included (``_generic_ranks``); equivalent to D(t) > 0 for PSD
     tuples."""
-    if _first_subset(t, operator.lt, tol) is not None:
-        return False
-    return rank_psd(t.matrices.sum(0), tol) >= t.n
+    return _generic_ranks(t, tol)[0]
 
 
 def _reachable(support: np.ndarray, rows: np.ndarray):
@@ -120,10 +120,10 @@ def _reachable(support: np.ndarray, rows: np.ndarray):
 
 
 def _first_tight(mats: np.ndarray, tol: Tolerances):
-    """The first component C of {G_ij > 2 (m - 1) rank_tol}, in the subset
-    scan's order (by size, then smallest slot), whose sum has rank |C| by the
-    rank rule, with that sum's eigenvectors in descending order; None when
-    there is no such proper component.
+    """The first component C of {G_ij > 2 (m - 1) rank_tol}, by size and then
+    smallest slot, whose sum has rank |C| by the rank rule, with that sum's
+    eigenvectors in descending order; None when there is no such proper
+    component.
 
     ``mats`` is a doubly stochastic (m, m, m) stack, so G_ij = tr(A_i A_j)
     >= 0, and for P = sum_{i in C} A_i (0 <= P <= I, tr P = |C|) the cut of C
@@ -159,11 +159,11 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     The first tight component C of the trace Gram graph (``_first_tight``)
     is a part on the top |C| eigenvectors of its sum, and the other slots are
     restricted to the remaining eigenvectors and decomposed the same way, as
-    the recursive split by subset scan peels off its first tight subset.  A
-    cut is thus kept when the rank rule holds on one side of it.  Raises
-    DecompositionInconsistent when D(t) = prod of block discriminants fails.
-    An indecomposable t is its own single part, so D is computed once for the
-    check (``eval_polarized`` keeps it on the tuple) and read twice.
+    a recursive split that ranks every subset would peel off its smallest
+    tight one.  A cut is thus kept when the rank rule holds on one side of
+    it.  Raises DecompositionInconsistent when D(t) = prod of block
+    discriminants fails.  An indecomposable t is its own single part, so D is
+    computed once for the check (``eval_polarized`` keeps it) and read twice.
     """
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:

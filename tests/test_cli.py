@@ -179,6 +179,14 @@ class TestCapacityAndScale:
         assert code == 2
         assert "max_iter" in err
 
+    @pytest.mark.parametrize("command, max_iter", [("capacity", "-1"), ("scale", "-3")])
+    def test_negative_max_iter_exit1(self, capsys, tmp_path, command, max_iter):
+        path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
+        code, out, err = run(capsys, command, path, "--max-iter", max_iter)
+        assert code == 1
+        assert out == ""
+        assert f"max-iter must be >= 0, got {max_iter}" in err
+
     def test_capacity_zero_exit2(self, capsys, tmp_path):
         e1 = np.diag([1.0, 0.0, 0.0])
         path = write_tuple(tmp_path, MatrixTuple([e1, e1, np.eye(3)]))

@@ -39,8 +39,6 @@ GATED = {
     "qp_block": (pascal.qp_block, _blocks, 6, 7),
     "qp_tensor": (pascal.qp_tensor, _blocks, 4, 5),
     "minimize_search": (lambda n: extremal.minimize_search(n, 1, 0), int, 6, 7),
-    "is_indecomposable": (structure.is_indecomposable, _jn, 16, 17),
-    "positivity_rank_test": (structure.positivity_rank_test, _jn, 16, 17),
     # decompose has no gate of its own: its product check calls eval_polarized.
     "decompose": (structure.decompose, _jn, 20, 21),
     # N must be even, so the first N past the permanent's gate is 22.
@@ -108,9 +106,9 @@ def _imported(module: str) -> set:
 
 
 def test_one_route_per_decision():
-    # The subset scan serves the two rank tests on raw PSD tuples; decompose
+    # The generic vectors serve the two rank tests on raw PSD tuples; decompose
     # reads the trace Gram matrix instead, and the recursive split is gone.
-    assert _callers("_first_subset") == {
+    assert _callers("_generic_ranks") == {
         "structure.is_indecomposable",
         "structure.positivity_rank_test",
     }
@@ -119,7 +117,12 @@ def test_one_route_per_decision():
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert "_split" not in names
+    assert not names & {"_split", "combinations"}
+    # The subset scan, its chunk size and its gate are gone, in code and docs.
+    for path in SRC.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for word in ("_first_subset", "_SCAN_CHUNK", "_GATE_SUBSETS"):
+            assert word not in text, (path.name, word)
     # One writer of each memoized capacity-layer result: Newton runs only in
     # the memo closure of capacity, and the scaling loop only in that of
     # scale_to_doubly_stochastic, which the oracle and the sampler call.

@@ -1,6 +1,6 @@
-"""One PSD rule and one definiteness rule, both in ``core``, each relative to
-the scale of the object checked: scaling the input by a power of two changes
-no verdict."""
+"""One PSD rule and one definiteness rule, both in ``core``, and the rank
+tests of ``structure``, each relative to the scale of the object checked:
+scaling the input by a power of two changes no verdict."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,14 @@ from mixdisc.core import (
     NotPositiveDefinite,
     PreconditionViolated,
     _gram,
+    make_rng,
+    random_complex_gaussian,
     spawn_seeds,
 )
-from mixdisc.discriminant import MatrixTuple, _require_psd
+from mixdisc.discriminant import MatrixTuple, _require_psd, eval_polarized
+from mixdisc.extremal import random_ds_tuple
 from mixdisc.hyperbolic import HyperbolicPencil, pencil_from_tuple, roots
-from mixdisc.structure import is_indecomposable
+from mixdisc.structure import is_indecomposable, positivity_rank_test
 
 POWERS = [2.0**j for j in range(-100, 101)]
 
@@ -64,3 +67,50 @@ def _verdict(mats):
 )
 def test_the_psd_verdict_does_not_depend_on_scale(mats, psd):
     assert [_verdict([c * a for a in mats]) for c in POWERS] == [psd] * len(POWERS)
+
+
+def _rotated_blocks():
+    """Doubly stochastic blocks of 2 and 3 slots on complementary
+    coordinates, the slots permuted and conjugated by a unitary."""
+    mats = np.zeros((5, 5, 5), dtype=np.complex128)
+    mats[:2, :2, :2] = random_ds_tuple(2, 3).matrices
+    mats[2:, 2:, 2:] = random_ds_tuple(3, 4).matrices
+    rng = make_rng(5)
+    u = np.linalg.qr(random_complex_gaussian(5, rng))[0]
+    return list(u @ mats[rng.permutation(5)] @ u.conj().T)
+
+
+def _planted_violation():
+    """Rank-two slots, four of which share one plane: their sum has rank 2."""
+    rng = make_rng(6)
+    g = [random_complex_gaussian(6, rng)[:, :2] for _ in range(6)]
+    plane = g[0]
+    for i in (1, 2, 3):
+        g[i] = plane @ random_complex_gaussian(2, rng)
+    return [a @ a.conj().T for a in g]
+
+
+@pytest.mark.parametrize(
+    "mats, indecomposable, weak",
+    [
+        ([_gram(4, s) for s in spawn_seeds(5, 4)], True, True),
+        (_rotated_blocks(), False, True),
+        (_planted_violation(), False, False),
+    ],
+    ids=["wishart", "rotated-blocks", "planted-violation"],
+)
+def test_the_rank_verdicts_do_not_depend_on_scale(mats, indecomposable, weak):
+    verdict = is_indecomposable(MatrixTuple(mats))
+    assert verdict[0] is indecomposable
+    for c in POWERS:
+        t = MatrixTuple([c * a for a in mats])
+        assert is_indecomposable(t) == verdict
+        assert positivity_rank_test(t) is weak
+
+
+def test_each_slot_is_ranked_at_its_own_scale():
+    # D = 1e-10 > 0, so the weak rank condition holds, however small the
+    # second slot is next to the first.
+    t = MatrixTuple([np.diag([1.0, 0.0]), np.diag([0.0, 1e-10])])
+    assert eval_polarized(t) > 0
+    assert positivity_rank_test(t)

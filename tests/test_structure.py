@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdisc import structure
-from mixdisc.capacity import scale_to_doubly_stochastic
+from mixdisc.capacity import capacity, capacity_via_scaling, scale_to_doubly_stochastic
 from mixdisc.core import (
     DEFAULT_TOL,
     NotDoublyStochastic,
     NotUnitary,
+    NumericalInconsistency,
     PreconditionViolated,
     make_rng,
     random_complex_gaussian,
@@ -30,7 +31,7 @@ from mixdisc.discriminant import (
 )
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.structure import (
-    _first_subset,
+    _generic_ranks,
     decompose,
     is_fully_indecomposable_support,
     is_indecomposable,
@@ -218,20 +219,41 @@ class TestSupportConnectivity:
 
 
 # ---------------------------------------------------------------------------
-# the stacked subset scan against one subset at a time
-
-_RANK_TESTS = (operator.le, operator.lt)
+# the generic-vector rank tests against one subset at a time
 
 
 def _reference_first_subset(mats, rank_test, tol=DEFAULT_TOL):
     """One ``rank_psd`` call per subset, in ascending cardinality and canonical
-    order; the single slots too."""
+    order; the single slots too.  The first subset found is minimal."""
     n = len(mats)
     for k in range(1, n):
         for subset in itertools.combinations(range(n), k):
             if rank_test(rank_psd(mats[list(subset)].sum(0), tol), k):
                 return subset
     return None
+
+
+def _assert_matches_the_oracle(t):
+    """Both verdicts are the oracle's (``operator.le`` for indecomposability;
+    ``operator.lt`` and the full sum's rank for the weak test), and every
+    witness is a proper, nonempty subset certified by ``rank_psd``: rank <= |S|
+    for a decomposable verdict, < |S| for a violation unless the witness is
+    all slots but the last (a null vector supported on every slot).  Returns
+    (indecomposable, weak rank condition)."""
+    n, mats = t.n, t.matrices
+    ok, witness = is_indecomposable(t)
+    weak = _reference_first_subset(mats, operator.lt) is None and rank_psd(mats.sum(0)) >= n
+    assert ok is (_reference_first_subset(mats, operator.le) is None)
+    assert positivity_rank_test(t) is weak
+    if not ok:
+        assert 0 < len(witness) < n
+        assert rank_psd(mats[list(witness)].sum(0)) <= len(witness)
+    if not weak:
+        _, found = _generic_ranks(t, DEFAULT_TOL)
+        assert 0 < len(found) < n
+        rank = rank_psd(mats[list(found)].sum(0))
+        assert rank <= len(found) if found == tuple(range(n - 1)) else rank < len(found)
+    return ok, weak
 
 
 def _gram(n, r, rng):
@@ -259,11 +281,8 @@ def rank_deficient_stacks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rank_deficient_stacks())
-def test_stacked_scan_matches_one_subset_at_a_time(t):
-    for rank_test in _RANK_TESTS:
-        assert _first_subset(t, rank_test, DEFAULT_TOL) == _reference_first_subset(
-            t.matrices, rank_test
-        )
+def test_generic_vectors_match_one_subset_at_a_time(t):
+    _assert_matches_the_oracle(t)
 
 
 @st.composite
@@ -382,7 +401,7 @@ def test_decompose_matches_the_recursive_split_around_rank_tol(n, delta, parts):
 def test_witness_past_the_first_chunk_of_its_cardinality():
     # n = 14: slots 10..13 live in one 4-dimensional subspace, the others have
     # full rank.  The only witness of size <= 4 is (10, 11, 12, 13), the last
-    # 4-subset in canonical order, which the scan reaches in a later chunk.
+    # 4-subset in canonical order, and the support of the columns 10..13.
     n, k = 14, 4
     rng = make_rng(14)
     q = np.linalg.qr(random_complex_gaussian(n, rng))[0][:, :k]
@@ -390,29 +409,63 @@ def test_witness_past_the_first_chunk_of_its_cardinality():
     mats += [q @ _gram(k, k, rng) @ q.conj().T for _ in range(k)]
     t = MatrixTuple(mats)
     witness = tuple(range(n - k, n))
-    rows = structure._SCAN_CHUNK // (k * n * n)
-    assert list(itertools.combinations(range(n), k)).index(witness) >= rows
     assert is_indecomposable(t) == (False, witness)
     assert _reference_first_subset(t.matrices, operator.le) == witness
 
 
+def test_a_deficient_full_sum_gives_all_slots_but_the_last():
+    # Every proper subset passes the weak test, so the null vector of U is
+    # supported on every slot, and the witness is all slots but the last.
+    for diagonals in ([[1.0, 0.0]] * 2, [[1.0, 1.0, 0.0]] * 3):
+        t = MatrixTuple([np.diag(d) for d in diagonals])
+        assert is_indecomposable(t) == (False, tuple(range(t.n - 1)))
+
+
+def test_one_slot_is_indecomposable():
+    for slot, weak in ((np.ones((1, 1)), True), (np.zeros((1, 1)), False)):
+        t = MatrixTuple([slot])
+        assert is_indecomposable(t) == (True, None)
+        assert positivity_rank_test(t) is weak
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_slots_violate_the_weak_test(n):
+    # U is the zero matrix: no singular value is above the floor.
+    t = MatrixTuple(np.zeros((n, n, n)))
+    ok, witness = is_indecomposable(t)
+    assert not ok and len(witness) == 1
+    assert not positivity_rank_test(t)
+
+
+def test_a_planted_violation_past_sixteen_slots():
+    # n = 40 rank-2 slots; slots 5..14 share a 9-dimensional subspace, so
+    # their sum has rank 9 < 10.  The verdicts need no 2^n work and do not
+    # change between calls or on a fresh copy of the tuple.
+    n = 40
+    rng = make_rng(40)
+    q = np.linalg.qr(random_complex_gaussian(n, rng))[0][:, :9]
+    mats = [_gram(n, 2, rng) for _ in range(n)]
+    for i in range(5, 15):
+        mats[i] = q @ _gram(9, 2, rng) @ q.conj().T
+    t = MatrixTuple(mats)
+    ok, witness = is_indecomposable(t)
+    assert not ok and 0 < len(witness) < n
+    assert rank_psd(t.matrices[list(witness)].sum(0)) < len(witness)
+    assert not positivity_rank_test(t)
+    assert is_indecomposable(t) == (ok, witness)
+    assert is_indecomposable(MatrixTuple(t.matrices.copy())) == (ok, witness)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_past_sixteen_slots(seed):
+    n = 24
+    assert check_doubly_stochastic(random_ds_tuple(n, seed)).is_doubly_stochastic
+    t = MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    assert capacity_via_scaling(t) == pytest.approx(capacity(t).value, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
-# the scan's full-rank stop against the scan of every cardinality
-
-
-def _full_scan(mats, rank_test, tol=DEFAULT_TOL):
-    """The chunked subset scan without its full-rank stop: every cardinality
-    1..n-1 is ranked unless a witness turns up first."""
-    n = len(mats)
-    for k in range(1, n):
-        rows = structure._SCAN_CHUNK // (k * n * n)
-        combos = itertools.combinations(range(n), k)
-        for _ in range(0, math.comb(n, k), rows):
-            idx = np.fromiter(itertools.islice(combos, rows), dtype=(np.intp, k))
-            hits = np.flatnonzero(rank_test(rank_psd(mats[idx].sum(1), tol), k))
-            if hits.size:
-                return tuple(int(i) for i in idx[hits[0]])
-    return None
+# the full-rank early return against the oracle
 
 
 def _scan_families(n, seed):
@@ -439,18 +492,14 @@ def _scan_families(n, seed):
 class TestFullRankStop:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_witness_matches_the_full_scan(self, n):
-        witnesses = set()
+        # The verdicts are those of the scan of every subset, and the
+        # witnesses are certified; they need not be its minimal subsets.
+        outcomes = set()
         for seed in range(3):
             for t in _scan_families(n, 100 * n + seed):
-                for rank_test in _RANK_TESTS:
-                    want = _full_scan(t.matrices, rank_test)
-                    assert _first_subset(t, rank_test, DEFAULT_TOL) == want
-                    witnesses.add(want is None)
-                assert is_indecomposable(t) == (
-                    _full_scan(t.matrices, operator.le) is None,
-                    _full_scan(t.matrices, operator.le),
-                )
-        assert witnesses == {True, False}
+                outcomes.add(_assert_matches_the_oracle(t))
+        assert {ok for ok, _ in outcomes} == {True, False}
+        assert {weak for _, weak in outcomes} == {True, False}
 
     def test_full_rank_slots_need_no_subset_sum(self, monkeypatch):
         # Full-rank slots stop the scan at cardinality 1, whose ranks come
@@ -464,15 +513,20 @@ class TestFullRankStop:
 
     def test_non_psd_tuple_raises_before_the_scan(self):
         # One slot with a negative eigenvalue: beside full-rank slots (the
-        # scan would stop at once) and beside a rank-one slot (a witness at
-        # cardinality 1).
+        # early return) and beside a rank-one slot (a witness of one slot).
         bad = np.diag([1.0, 1.0, -1e-3])
         for other in (np.eye(3), np.diag([1.0, 0.0, 0.0])):
             t = MatrixTuple([bad, other, np.eye(3)])
-            for rank_test in _RANK_TESTS:
-                with pytest.raises(PreconditionViolated):
-                    _first_subset(t, rank_test, DEFAULT_TOL)
+            with pytest.raises(PreconditionViolated):
+                _generic_ranks(t, DEFAULT_TOL)
             with pytest.raises(PreconditionViolated):
                 is_indecomposable(t)
             with pytest.raises(PreconditionViolated):
                 positivity_rank_test(t)
+
+    def test_an_uncertified_witness_is_never_returned(self, monkeypatch):
+        # A support that is not tight, as a draw that is not generic would
+        # give, raises instead of being reported as a decomposition.
+        monkeypatch.setattr(structure, "_generic_ranks", lambda t, tol: (True, (0,)))
+        with pytest.raises(NumericalInconsistency, match="not tight"):
+            is_indecomposable(MatrixTuple([np.eye(2)] * 2))
