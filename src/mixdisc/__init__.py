@@ -65,6 +65,7 @@ from .extremal import (
     lemma36_family,
     minimize_search,
     random_ds_tuple,
+    random_ds_tuples,
 )
 from .genaf import (
     AfExperimentResult,

@@ -21,7 +21,8 @@ It is computed two independent ways, which the tests hold to agreement:
   Cap = |det X|^(-2) / prod s' at the end of the scaling loop below.
 
 Every doubly stochastic scaling runs one loop, ``_scale_vector``, whose
-state is the scaling vector s, from s = 1.  One alternating step from s gives
+state is the scaling vector s of each tuple of a (B, n, n, n) stack, from
+s = 1.  One alternating step from s gives
 L = M^(-1/2) (``core._inv_sqrt``), M = sum s_i A_i, and
 s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
 s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The result carries
@@ -34,9 +35,16 @@ Phi (AM-GM on both terms), so neither does the guarded one.  Plain
 alternating scaling converges only linearly, at a rate that tends to 1 near
 decomposable or boundary tuples, where it takes thousands of steps.
 
-There is one route, ``scale_to_doubly_stochastic``: the indecomposability
-test, then the loop from s = 1.  The oracle, ``extremal.random_ds_tuple`` and
-the ``scale`` command all take it, and none of them runs Newton.  On seeded
+There is one route, ``_scalings``: the indecomposability test of each tuple,
+then one loop from s = 1 over the stack of those that pass, in which each
+tuple keeps its own Anderson history, potential guard, stop test, step count
+and exception, and leaves the stack when it is done.  Every batched
+operation computes a tuple's values from that tuple alone, by the per-slice
+BLAS and LAPACK calls of a one-tuple stack, so a tuple's result has the bits
+of its own scaling whatever its batch.  ``scale_to_doubly_stochastic`` is
+the one-tuple call, which the oracle and the ``scale`` command take;
+``extremal.random_ds_tuples`` scales each round of its draws as one stack.
+None of them runs Newton.  On seeded
 draws the loop took 7 steps in the median and at most 10 on Wishart tuples
 (n = 2..6), at most 17 with one rank-one + 1e-6 I slot (n = 3), at most 24
 with two equal such slots, and at most 14 on near-decomposable and on
@@ -48,9 +56,13 @@ adds one LU solve of M against the n slots side by side, an (n, n^2)
 right-hand side, so M is factored once rather than once per slot; one
 (n, n^2) by (n^2, n) product for the Gram matrix tr(q_i q_j); and one n x n
 Hermitian eigensolve for the step.  A scaling step costs one batched
-Hermitian eigensolve of the candidate slot sums, whose eigenvalues give both
-potentials and whose chosen eigenpairs give L, and the few products that
-``_scale_vector`` lists.  The precondition of a scaling is one PSD check
+Hermitian eigensolve of the candidate slot sums of every tuple in the loop,
+whose eigenvalues give both potentials and whose chosen eigenpairs give L,
+and the few products that ``_scale_vector`` lists, each one call for the
+whole stack.  At one tuple a scaling costs 10-13% more than a loop
+written for one tuple, in numpy's per-call overhead; at 400 tuples of
+n = 3 or 4 a draw of ``random_ds_tuples`` costs about a third of
+``random_ds_tuple``'s.  The precondition of a scaling is one PSD check
 and one indecomposability test (``structure.is_indecomposable``), with no
 gate on n.  The check's eigenvalues of the slots also rank them, so a tuple
 of full-rank slots, such as a Wishart draw, costs the one eigensolve of its
@@ -94,11 +106,12 @@ layer, each with one writer.  ``capacity`` keeps the Newton
 ``CapacityResult`` by ("newton", ``Tolerances``, ``max_iter``), made only
 after the PSD check at those tolerances (a read of the memoized slot
 eigenvalues); its ``minimizer_x`` is read-only.
-``scale_to_doubly_stochastic`` keeps the ``ScalingResult`` by ("scaling",
-``Tolerances``, ``max_iter``), made only after the indecomposability test at
-those tolerances, so the test and the loop run once per tuple; its arrays are
-read-only.  ``capacity_via_scaling`` reads Cap off that same entry and takes
-nothing from Newton.  An exception is never memoized.  Both computations are
+``_scalings`` (so ``scale_to_doubly_stochastic`` and ``random_ds_tuples``)
+keeps the ``ScalingResult`` by ("scaling", ``Tolerances``, ``max_iter``),
+made only after the indecomposability test at those tolerances, so the test
+and the loop run once per tuple; its arrays are read-only.
+``capacity_via_scaling`` reads Cap off that same entry and takes nothing
+from Newton.  An exception is never memoized.  Both computations are
 deterministic, so a hit returns the bits a fresh tuple would give.
 ``genaf.expand_tuple`` returns the tuple itself for the all-ones weight, so
 ``check_theorem52`` reuses the tuple's own solve there.
@@ -106,6 +119,7 @@ deterministic, so a hit returns the bits a fresh tuple would give.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -114,8 +128,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    MixdiscError,
     NonConvergence,
     NotIndecomposable,
+    NotPositiveDefinite,
     PreconditionViolated,
     SingularPencil,
     Tolerances,
@@ -361,7 +377,8 @@ def capacity(
 def scale_to_doubly_stochastic(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> ScalingResult:
-    """Doubly stochastic scaling of t by ``_scale_vector`` from s = 1.
+    """Doubly stochastic scaling of t by ``_scale_vector`` from s = 1: the
+    one-tuple call of ``_scalings``.
 
     The indecomposability test runs first (it also checks that the slots are
     PSD).
@@ -371,14 +388,44 @@ def scale_to_doubly_stochastic(
     above ``ds_tol``.  The result is kept on t by ("scaling", tol, max_iter),
     so the test and the loop run once per tuple.
     """
+    (result,) = _scalings([t], tol, max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    def scale():
-        indec, witness = is_indecomposable(t, tol)
-        if not indec:
-            raise NotIndecomposable(f"tuple decomposes; witness subset {witness}")
-        return _scale_vector(t, tol, max_iter)
 
-    return t._memoized(("scaling", tol, max_iter), scale)
+def _scalings(tuples, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER) -> list:
+    """``scale_to_doubly_stochastic`` of each tuple of a list of n-tuples: its
+    ``ScalingResult``, or the exception it raises, in list order.
+
+    A tuple that keeps a result by ("scaling", tol, max_iter) gives it.  Each
+    other tuple runs the indecomposability test, and those that pass are
+    scaled by one ``_scale_vector`` loop over their stack; a result is kept on
+    its tuple, an exception is not.  A tuple's result does not depend on the
+    list it came in.
+    """
+    key = ("scaling", tol, max_iter)
+    out = [t._memo.get(key) for t in tuples]
+    todo = []
+    for j, t in enumerate(tuples):
+        if out[j] is not None:
+            continue
+        try:
+            indec, witness = is_indecomposable(t, tol)
+        except MixdiscError as exc:
+            out[j] = exc
+            continue
+        if indec:
+            todo.append(j)
+        else:
+            out[j] = NotIndecomposable(f"tuple decomposes; witness subset {witness}")
+    if todo:
+        stack = np.array([tuples[j].matrices for j in todo])
+        for j, res in zip(todo, _scale_vector(stack, tol, max_iter)):
+            if not isinstance(res, Exception):
+                res = tuples[j]._memoized(key, lambda res=res: res)
+            out[j] = res
+    return out
 
 
 def _potential(w, s, tol: Tolerances) -> np.ndarray:
@@ -389,60 +436,52 @@ def _potential(w, s, tol: Tolerances) -> np.ndarray:
     ``core._definite``, so no step is taken to a point whose M^(-1/2) the
     next alternating step could not take.
     """
-    ok = _definite(w, tol)
     # w / s overflows where an Anderson candidate has a tiny s_i; the
-    # potential is then +inf, which only rejects that candidate.
-    with np.errstate(over="ignore"):
-        phi = np.log(np.where(ok[:, None], w, 1.0) / s).sum(1)
-    return np.where(ok, phi, np.inf)
+    # potential is then +inf, which only rejects that candidate.  Where a
+    # sum is not definite its log may be NaN, which the +inf replaces.
+    with np.errstate(all="ignore"):
+        phi = np.log(w / s).sum(1)
+    return np.where(_definite(w, tol), phi, np.inf)
 
 
-def _extrapolate(logs, resid):
-    """Anderson (type II) extrapolation of log s, or None.
+def _candidates(du, df, log_s, res, plain):
+    """The two candidate starts of the next step of each of k tuples, as a
+    (k, 2, n) array: the Anderson (type II) extrapolation of log s, or the
+    plain step where there is none, and the plain step ``plain``.
 
     From the iterates u_j = log s_j and residuals f_j = log s_j' - log s_j
-    (s_j' the plain step from s_j), gamma minimizes |f_k - dF gamma| over the
-    differences dF of the residuals, solved through its m x m Gram matrix,
-    and the next iterate is u_k + f_k - (dU + dF) gamma (Walker and Ni,
-    SIAM J. Numer. Anal. 49 (2011)).  It is shifted so that its largest entry
-    is 0: a common factor of s changes neither the potential nor the
-    alternating step.  Returns the candidate s, or None when the history is
-    one step, the Gram matrix is singular or the candidate is not finite and
-    positive.
+    (s_j' the plain step from s_j): the newest, ``log_s`` and ``res``, and
+    the lists ``du`` and ``df`` of the m newest differences u_{j+1} - u_j
+    and f_{j+1} - f_j, oldest first, all (k, n) arrays.  gamma minimizes
+    |f - dF gamma| over the differences dF, solved through its m x m Gram
+    matrix, and the candidate is u + f - (dU + dF) gamma (Walker and Ni, SIAM
+    J. Numer. Anal. 49 (2011)).  It is shifted so that its largest entry is
+    0: a common factor of s changes neither the potential nor the
+    alternating step.  A tuple has no candidate where its Gram matrix is
+    singular or its candidate is not finite and positive.
     """
-    if len(logs) < 2:
-        return None
-    u, f = np.array(logs), np.array(resid)
-    du, df = u[1:] - u[:-1], f[1:] - f[:-1]
+    # (k, m, n) views of the differences; the products below see each
+    # tuple's rows alone, by BLAS calls that take its row stride.
+    du, df = np.array(du).swapaxes(0, 1), np.array(df).swapaxes(0, 1)
+    gram, rhs = df @ df.swapaxes(1, 2), df @ res[..., None]
+    try:
+        gamma = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:  # a singular Gram matrix: no candidate there
+        gamma = np.full(rhs.shape, np.nan)
+        for j in range(len(gram)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                gamma[j] = np.linalg.solve(gram[j], rhs[j])
+    pairs = np.empty((len(plain), 2, plain.shape[1]))
+    pairs[:, 1] = plain
+    s = pairs[:, 0]
     with np.errstate(all="ignore"):
-        try:
-            gamma = np.linalg.solve(df @ df.T, df @ f[-1])
-        except np.linalg.LinAlgError:
-            return None
-        v = u[-1] + f[-1] - gamma @ (du + df)
-        s = np.exp(v - v.max())
+        v = log_s + res - (gamma.swapaxes(1, 2) @ (du + df))[:, 0]
+        np.exp(v - v.max(1, keepdims=True), out=s)
     # s lies in [0, 1] or carries a NaN, which fails this test too.
-    return s if s.min() > 0.0 else None
-
-
-def _next_scaling(flat, cands, tol: Tolerances):
-    """The start of the next step among the rows of ``cands``, with
-    L = M^(-1/2) of its slot sum M (``core._inv_sqrt``).
-
-    ``cands`` is the plain step alone, or the Anderson extrapolation of log s
-    and the plain step; ``flat`` is the slots flattened to rows, so the slot
-    sums are one product and their eigenpairs one batched eigensolve.  The
-    extrapolation is taken where the capacity potential is no larger there
-    than at the plain step.  A plain step never raises the potential, so
-    neither does this choice.
-    """
-    n = len(flat)
-    w, v = _eigh((cands @ flat).reshape(-1, n, n))
-    k = 0
-    if len(cands) == 2:
-        phi = _potential(w, cands, tol)
-        k = 0 if phi[0] <= phi[1] else 1
-    return cands[k], _inv_sqrt(w[k], v[k], tol)
+    if not s.min() > 0.0:
+        bad = ~(s.min(1) > 0.0)
+        s[bad] = plain[bad]
+    return pairs
 
 
 def _congruence(a, s, x):
@@ -458,55 +497,23 @@ def _congruence(a, s, x):
     return mats, s / traces
 
 
-def _scale_vector(t: MatrixTuple, tol: Tolerances, max_iter: int) -> ScalingResult:
-    """Gurvits scaling on the scaling vector s from s = 1, Anderson-accelerated.
-
-    Each iteration is one alternating step from s: ``_inv_sqrt`` of the
-    eigenpairs of M = sum s_i A_i gives L = M^(-1/2), and M^-1 = L^2 gives
-    s'_i = 1 / tr(M^-1 A_i) by one matrix-vector product.  The step's tuple
-    s'_i L A_i L has unit traces by construction and slot sum L M(s') L, so
-    the loop tests max|L M(s') L - I| <= ``ds_tol`` without forming it; only
-    when that passes (or at ``max_iter``) is the (n, n, n) tuple formed and
-    its full defect checked, and the loop goes on if rounding leaves that
-    above ``ds_tol``.  The start s = 1 is checked the same way, with L = I.
-    The result carries X = L and trace_scalars = s' of the last step (X = I
-    when t is already doubly stochastic), all three arrays read-only, since
-    the result is memoized.  Hitting ``max_iter`` raises ``NonConvergence``
-    carrying a result with stop_reason "max_iter".
-    """
-    n = t.n
-    eye = np.eye(n)
-    a = t.matrices
-    flat = a.reshape(n, n * n)
-    # Row i holds (A_i)_ba at position (a, b), so rows @ vec(B) = tr(B A_i).
-    rows = a.transpose(0, 2, 1).reshape(n, n * n)
-    s = scalars = np.ones(n)
-    x = np.eye(n, dtype=np.complex128)
-    logs, resid = [], []
-    it = 0
-    while True:
-        total = (scalars @ flat).reshape(n, n)
-        if it >= max_iter or abs(x @ total @ x - eye).max() <= tol.ds_tol:
-            x = (x + x.conj().T) / 2.0
-            mats, trace_scalars = _congruence(a, s, x)
-            defect = sum(_trace_and_sum_violations(mats, mats.sum(0), eye))
-            if defect <= tol.ds_tol or it >= max_iter:
-                break
-        cand = None
-        if it:
-            logs.append(np.log(s))
-            resid.append(np.log(scalars) - logs[-1])
-            del logs[: -_ANDERSON_DEPTH - 1], resid[: -_ANDERSON_DEPTH - 1]
-            cand = _extrapolate(logs, resid)
-        cands = scalars[None] if cand is None else np.array((cand, scalars))
-        s, x = _next_scaling(flat, cands, tol)
-        # s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), with M^-1 = L^2.
-        inv_traces = (rows @ (x @ x).ravel()).real
-        if (inv_traces <= 0.0).any():
-            raise SingularPencil("a slot lost its trace during scaling")
-        scalars = 1.0 / inv_traces
-        it += 1
+def _finish(a, s, x, eye, it, max_iter, tol: Tolerances):
+    """One tuple's outcome once the loop's stop test passes for it, from its
+    slots ``a``, the start s of its last step, that step's L and the n x n
+    identity: its ``ScalingResult``, the ``NonConvergence`` that carries it
+    at ``max_iter``, a ``SingularPencil`` where a slot lost its trace, or
+    None when rounding leaves the formed tuple's full defect above
+    ``ds_tol`` before ``max_iter`` and the loop goes on.  The three arrays
+    of a result are read-only, since results are memoized."""
+    x = (x + x.conj().T) / 2.0
+    try:
+        mats, trace_scalars = _congruence(a, s, x)
+    except SingularPencil as exc:
+        return exc
+    defect = sum(_trace_and_sum_violations(mats, mats.sum(0), eye))
     converged = defect <= tol.ds_tol
+    if not converged and it < max_iter:
+        return None
     log_s = np.log(trace_scalars)
     alpha = np.exp(log_s - log_s.mean())
     for array in (alpha, x, trace_scalars):
@@ -521,12 +528,129 @@ def _scale_vector(t: MatrixTuple, tol: Tolerances, max_iter: int) -> ScalingResu
         converged=converged,
         stop_reason="ds_tol" if converged else "max_iter",
     )
-    if not converged:
-        raise NonConvergence(
-            f"scaling stalled at ds_defect = {defect:.3e} after {it} iterations",
-            result=result,
-        )
-    return result
+    if converged:
+        return result
+    return NonConvergence(
+        f"scaling stalled at ds_defect = {defect:.3e} after {it} iterations", result=result
+    )
+
+
+def _rows(keep, *arrays) -> list:
+    """The rows ``keep`` of each array, None staying None: the state of the
+    tuples that stay in the scaling loop."""
+    return [arr if arr is None else arr[keep] for arr in arrays]
+
+
+def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
+    """Gurvits scaling of each tuple of a (B, n, n, n) stack on its scaling
+    vector s from s = 1, Anderson-accelerated: per tuple its ``ScalingResult``
+    or the exception that ended its loop.
+
+    Each iteration is one alternating step from s for every tuple still in
+    the loop: ``_inv_sqrt`` of the eigenpairs of M = sum s_i A_i gives
+    L = M^(-1/2), and M^-1 = L^2 gives s'_i = 1 / tr(M^-1 A_i) by one
+    matrix-vector product.  The step's tuple s'_i L A_i L has unit traces by
+    construction and slot sum L M(s') L, so the loop tests
+    max|L M(s') L - I| <= ``ds_tol`` without forming it; only when that
+    passes (or at ``max_iter``) is the (n, n, n) tuple formed and its full
+    defect checked (``_finish``), and the loop goes on if rounding leaves
+    that above ``ds_tol``.  The start s = 1 is checked the same way, with
+    L = I.  A result carries X = L and trace_scalars = s' of the last step
+    (X = I when the tuple is already doubly stochastic).  A tuple leaves the
+    loop with its result, a ``NonConvergence`` carrying a "max_iter" result
+    at ``max_iter``, a ``NotPositiveDefinite`` where its M^(-1/2) fails or a
+    ``SingularPencil`` where a slot loses its trace; the others go on.
+
+    Every tuple keeps its own Anderson history, potential guard, stop test
+    and step count, and each batched operation computes a tuple's values
+    from that tuple alone, by the per-slice BLAS and LAPACK calls of its own
+    B = 1 loop; so a tuple's result does not depend on its batch.
+    """
+    b, n = mats.shape[:2]
+    eye = np.eye(n)
+    out = [None] * b
+    pos, a = np.arange(b), mats
+    # Row i of flat[k] is vec(A_i) and row i of rows[k] holds (A_i)_ba at
+    # position (a, b), so rows[k] @ vec(B) = tr(B A_i).
+    flat = a.reshape(b, n, n * n)
+    rows = a.swapaxes(-1, -2).reshape(b, n, n * n)
+    s = scalars = np.ones((b, n))
+    x = np.eye(n, dtype=np.complex128)[None].repeat(b, 0)
+    odds = np.arange(1, 2 * b, 2)
+    # The Anderson history: the newest log s and residual log s' - log s,
+    # and lists of their last _ANDERSON_DEPTH differences, (B, n) arrays.
+    log_s = res = None
+    du, df = [], []
+    it = 0
+    while True:
+        total = (scalars[:, None] @ flat).reshape(-1, n, n)
+        near = (abs(x @ total @ x - eye).max((1, 2)) <= tol.ds_tol).nonzero()[0]
+        if it >= max_iter or len(near):
+            if it >= max_iter:
+                near = range(len(pos))
+            done = []
+            for j in near:
+                result = _finish(a[j], s[j], x[j], eye, it, max_iter, tol)
+                if result is not None:
+                    out[pos[j]] = result
+                    done.append(j)
+            if len(done) == len(pos):
+                return out
+            if done:
+                keep = np.ones(len(pos), dtype=bool)
+                keep[done] = False
+                pos, a, flat, rows, s, scalars, x, total, log_s, res = _rows(
+                    keep, pos, a, flat, rows, s, scalars, x, total, log_s, res
+                )
+                du, df = _rows(keep, *du), _rows(keep, *df)
+        if it:
+            new_log_s = np.log(s)
+            new_res = np.log(scalars) - new_log_s
+            if it > 1:
+                du.append(new_log_s - log_s)
+                df.append(new_res - res)
+                del du[:-_ANDERSON_DEPTH], df[:-_ANDERSON_DEPTH]
+            log_s, res = new_log_s, new_res
+        s = scalars
+        if it < 2:
+            w, v = _eigh(total)
+        else:
+            # Each tuple sums its extrapolation and its plain step as one
+            # two-row product and takes the extrapolation where its potential
+            # is no larger than the plain step's.
+            pairs = _candidates(du, df, log_s, res, scalars)
+            w, v = _eigh((pairs @ flat).reshape(-1, n, n))
+            pairs = pairs.reshape(-1, n)
+            phi = _potential(w, pairs, tol)
+            # Row 2k of tuple k is its extrapolation, row 2k + 1 its plain step.
+            pick = odds[: len(pos)] - (phi[0::2] <= phi[1::2])
+            w, v, s = w.take(pick, 0), v.take(pick, 0), pairs.take(pick, 0)
+        dead = None
+        try:
+            x = _inv_sqrt(w, v, tol)
+        except NotPositiveDefinite:
+            x, dead = np.empty_like(v), np.zeros(len(pos), dtype=bool)
+            for j in range(len(pos)):
+                try:
+                    x[j] = _inv_sqrt(w[j], v[j], tol)
+                except NotPositiveDefinite as exc:
+                    out[pos[j]], dead[j], x[j] = exc, True, eye
+        # s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), with M^-1 = L^2.
+        inv_traces = (rows @ (x @ x).reshape(-1, n * n, 1))[..., 0].real
+        if dead is not None or (inv_traces <= 0.0).any():
+            dead = np.zeros(len(pos), dtype=bool) if dead is None else dead
+            lost = (inv_traces <= 0.0).any(1) & ~dead
+            for j in np.flatnonzero(lost):
+                out[pos[j]] = SingularPencil("a slot lost its trace during scaling")
+            keep = ~(lost | dead)
+            if not keep.any():
+                return out
+            pos, a, flat, rows, s, x, inv_traces, log_s, res = _rows(
+                keep, pos, a, flat, rows, s, x, inv_traces, log_s, res
+            )
+            du, df = _rows(keep, *du), _rows(keep, *df)
+        scalars = 1.0 / inv_traces
+        it += 1
 
 
 def capacity_via_scaling(

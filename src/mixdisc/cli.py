@@ -491,11 +491,11 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
         if bm is None:
             raise NonConvergence("block-DS sampler did not converge for this seed")
         doc = block_to_doc(bm)
-    else:  # separable
-        sample = pascal.sample_separable_ds(args.n, args.seed, tol)
-        if sample is None:
+    else:  # separable: the draw alone, without the witness the document omits
+        draw = pascal._separable_draw(args.n, args.seed, tol)
+        if draw is None:
             raise NonConvergence("separable sampler did not converge for this seed")
-        doc = block_to_doc(sample[0])
+        doc = block_to_doc(draw[0])
     text = json.dumps(doc, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -164,12 +164,14 @@ def _definite(w, tol: Tolerances):
     """The one definiteness rule (and M^(-1/2)'s), on ascending eigenvalues w
     (..., n): the largest is positive and the smallest exceeds psd_tol times it.
 
-    One nonempty vector w gives a bool from two float comparisons, which cost
-    far less than numpy's 0-d ones; a stack gives a bool array."""
+    One comparison decides both, since psd_tol < 1 and the smallest is at
+    most the largest: where the largest is not positive, the smallest is at
+    most psd_tol times it.  A NaN fails it.  One nonempty vector w gives a
+    bool from a float comparison, which costs far less than numpy's 0-d one;
+    a stack gives a bool array."""
     if w.ndim == 1:
-        lo, hi = float(w[0]), float(w[-1])
-        return hi > 0.0 and lo > tol.psd_tol * hi
-    return (w[..., -1] > 0.0) & (w[..., 0] > tol.psd_tol * w[..., -1])
+        return float(w[0]) > tol.psd_tol * float(w[-1])
+    return w[..., 0] > tol.psd_tol * w[..., -1]
 
 
 def _psd(w, scale, tol: Tolerances):
@@ -181,10 +183,12 @@ def _psd(w, scale, tol: Tolerances):
 
 def _inv_sqrt(w, v, tol: Tolerances) -> np.ndarray:
     """M^(-1/2) = V diag(w^(-1/2)) V* from the ascending eigenpairs (w, V) of a
-    Hermitian M, not symmetrized; ``NotPositiveDefinite`` unless ``_definite``."""
-    if not (w.size and _definite(w, tol)):
+    Hermitian M, or of each M of a stack (w (..., n), V (..., n, n)), not
+    symmetrized; ``NotPositiveDefinite`` unless every M is ``_definite``."""
+    ok = _definite(w, tol) if w.size else False
+    if not (ok if w.ndim == 1 else ok.all()):
         raise NotPositiveDefinite(f"matrix is not positive definite (eigenvalues {w})")
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def inv_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -86,7 +86,8 @@ class MatrixTuple:
     but never passes the gate.  The capacity layer keeps the damped-Newton
     ``CapacityResult`` by ("newton", Tolerances, max_iter), written only by
     ``capacity.capacity``, and the doubly stochastic ``ScalingResult`` by
-    ("scaling", Tolerances, max_iter), written only by
+    ("scaling", Tolerances, max_iter), written only by ``capacity._scalings``,
+    the batched route whose one-tuple call is
     ``capacity.scale_to_doubly_stochastic``; see the ``capacity`` module
     docstring.  The slots' eigenvalues, which depend on
     no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the

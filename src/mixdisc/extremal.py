@@ -35,11 +35,14 @@ from .core import (
     spawn_seeds,
 )
 from .discriminant import MatrixTuple, _gradient_raw, eval_polarized
-from .capacity import scale_to_doubly_stochastic
+from .capacity import _scalings
 
 _BOUND_SLACK = 1e-7
 _GATE_SEARCH = 6
-_DS_RETRIES = 100  # draws random_ds_tuple tries before SamplerExhausted
+_DS_RETRIES = 100  # draws random_ds_tuples tries per seed before SamplerExhausted
+# Trial starts minimize_search draws per random_ds_tuples call; bounds the
+# starts it holds at once.
+_START_BLOCK = 1000
 _DESCENT_MAX_STEPS = 2000
 # Sufficient-decrease fraction of the Armijo condition in _descend.
 _ARMIJO = 1e-4
@@ -76,22 +79,45 @@ def bapat_bound(n: int) -> float:
 def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixTuple:
     """Random doubly stochastic tuple: PSD Wishart draws, operator-scaled.
 
-    Deterministic in (n, seed).  Draws are scaled by
-    ``scale_to_doubly_stochastic``, from s = 1 with no Newton solve, so a
-    sample does not move when the Newton solver changes; the sample is
-    s'_i L A_i L with L Hermitian.  Decomposable or non-converging draws are
-    retried with derived seeds; SamplerExhausted after ``_DS_RETRIES``
-    failures.
+    Deterministic in (n, seed): the one-seed call of :func:`random_ds_tuples`.
     """
-    for child in itertools.islice(iter_seeds(seed), _DS_RETRIES):
-        # The Gram products are validated and symmetrized once, as one stack
-        # and at the default Hermiticity tolerance: the slots of
-        # ``random_psd`` bit for bit, whatever ``tol`` asks of inputs.
-        t = MatrixTuple([_gram(n, s) for s in spawn_seeds(child, n)])
-        try:
-            return scale_to_doubly_stochastic(t, tol).scaled
-        except (NotIndecomposable, NonConvergence):
-            continue
+    return random_ds_tuples(n, [seed], tol)[0]
+
+
+def random_ds_tuples(n: int, seeds, tol: Tolerances = DEFAULT_TOL) -> list[MatrixTuple]:
+    """One random doubly stochastic n-tuple per seed, as a list.
+
+    A seed's k-th draw is the tuple of the Wishart slots ``random_psd`` draws
+    from the children of the k-th seed of ``iter_seeds(seed)``.  Draws are
+    scaled by ``scale_to_doubly_stochastic`` (the ``capacity._scalings`` of
+    each round's draws, one loop over their stack), from s = 1 with no
+    Newton solve, so a sample does not move when the Newton solver changes;
+    the sample is s'_i L A_i L with L Hermitian.  A seed whose draw is
+    decomposable or does not converge draws again in the next round, from
+    its next child; SamplerExhausted after ``_DS_RETRIES`` failures of one
+    seed.  Entry j is ``random_ds_tuple(n, seeds[j])`` bit for bit.
+    """
+    children = [iter_seeds(seed) for seed in seeds]
+    out = [None] * len(children)
+    todo = list(range(len(children)))
+    for _ in range(_DS_RETRIES):
+        # The Gram products are validated and symmetrized once per tuple, at
+        # the default Hermiticity tolerance: the slots of ``random_psd`` bit
+        # for bit, whatever ``tol`` asks of inputs.
+        draws = [
+            MatrixTuple([_gram(n, s) for s in spawn_seeds(next(children[j]), n)]) for j in todo
+        ]
+        retry = []
+        for j, res in zip(todo, _scalings(draws, tol)):
+            if isinstance(res, (NotIndecomposable, NonConvergence)):
+                retry.append(j)
+            elif isinstance(res, Exception):
+                raise res
+            else:
+                out[j] = res.scaled
+        todo = retry
+        if not todo:
+            return out
     raise SamplerExhausted(f"no doubly stochastic tuple after {_DS_RETRIES} draws")
 
 
@@ -213,9 +239,11 @@ def minimize_search(
     """Sample doubly stochastic tuples and descend; record the global best.
 
     Trial k starts from ``random_ds_tuple(n, child_k)``, child_k the k-th
-    seed of ``iter_seeds(seed)``, and descends alone by projected gradient
-    (:func:`_descend`); no target is taken from n!/n^n, so a trial stops on
-    rounding noise or at the step cap wherever its minimum lies.
+    seed of ``iter_seeds(seed)``; the starts are drawn by one
+    ``random_ds_tuples`` call per ``_START_BLOCK`` trials.  Each trial
+    descends alone by projected gradient (:func:`_descend`); no target is
+    taken from n!/n^n, so a trial stops on rounding noise or at the step cap
+    wherever its minimum lies.
     ``below_bound`` turning true would falsify the n!/n^n theorem (or reveal
     a bug) and is treated as a release-blocking event by the CLI.  n = 1 is a
     precondition error: the only doubly stochastic 1-tuple is (1), so there is
@@ -228,12 +256,15 @@ def minimize_search(
     best_value = math.inf
     best_mats = None
     trial_bests, stop_reasons = [], []
-    for child in itertools.islice(iter_seeds(seed), trials):
-        mats, value, reason = _descend(random_ds_tuple(n, child, tol).matrices, tol)
-        trial_bests.append(value)
-        stop_reasons.append(reason)
-        if value < best_value:
-            best_value, best_mats = value, mats
+    children = iter_seeds(seed)
+    for first in range(0, trials, _START_BLOCK):
+        block = list(itertools.islice(children, min(_START_BLOCK, trials - first)))
+        for start in random_ds_tuples(n, block, tol):
+            mats, value, reason = _descend(start.matrices, tol)
+            trial_bests.append(value)
+            stop_reasons.append(reason)
+            if value < best_value:
+                best_value, best_mats = value, mats
     best_tuple = None if best_mats is None else MatrixTuple(best_mats, tol)
     record = SearchRecord(
         best_value=best_value,

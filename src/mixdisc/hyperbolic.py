@@ -5,9 +5,12 @@ definite direction pencil are supported; for those, root extraction reduces
 to a single Hermitian eigenproblem via congruence, so realness is structural.
 
 Membership checks take a whole stack of vector tuples through one batched
-eigensolve; :func:`conjecture_experiment` checks the mixtures of one pencil
-together and evaluates the accepted ones with one call of the centered
-kernel, with the same report, bit for bit, as one mixture at a time.
+eigensolve.  :func:`conjecture_experiment` runs its pencils in blocks: one
+block draws its doubly stochastic tuples with one ``random_ds_tuples`` call
+and its mixtures with one Sinkhorn stack, checks every mixture against its
+own pencil in one membership pass and evaluates the accepted ones with one
+call of the centered kernel, with the report, bit for bit, that those
+mixtures give one at a time.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from .core import (
     make_rng,
 )
 from .discriminant import _discriminants
-from .extremal import bapat_bound, random_ds_tuple
+from .extremal import bapat_bound, random_ds_tuples
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
+# Mixtures per block of pencils in conjecture_experiment; bounds the block's
+# membership points, (K, n, n, n) complex, and its kernel chunks.
+_BLOCK_MIXTURES = 1000
 _SINKHORN_MAX_SWEEPS = 200  # cap on the row and column normalizations of a mixing stack
 _MAX_BARREN_PENCILS = 100  # consecutive pencils with no accepted mixture before giving up
 
@@ -62,7 +68,7 @@ class HyperbolicPencil:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.m,):
             raise ValueError(f"point must be a real {self.m}-vector")
-        return _pencil_points(self, x)
+        return _pencil_points(self.matrices, x)
 
     def value(self, x) -> float:
         """p(x) = det(sum x_i B_i); real for real x and a Hermitian pencil."""
@@ -91,7 +97,7 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
     They are the eigenvalues of L B(x) L with L = (sum e_i B_i)^(-1/2), hence
     real.  The residual compares their product against p(x) relatively.
     """
-    w = _roots_ascending(pencil, pencil.at(x))[::-1].copy()
+    w = _roots_ascending(pencil._reducer, pencil.at(x))[::-1].copy()
     # p(x - lam e) = det(B(x) - lam E) = det(E) * prod(eig - lam)
     p_x = pencil.value(x)
     scaled = float(np.prod(w)) * pencil.value(pencil.e)
@@ -101,24 +107,33 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
 
 def trace_e(pencil: HyperbolicPencil, x) -> float:
     """Sum of the roots of p(x - lambda e); linear in x."""
-    return math.fsum(_roots_ascending(pencil, pencil.at(x)).tolist())
+    return math.fsum(_roots_ascending(pencil._reducer, pencil.at(x)).tolist())
 
 
 def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: float = DEFAULT_TOL.psd_tol) -> bool:
     """Whether the smallest root of p(x - lambda e) is >= -tol."""
-    return float(_roots_ascending(pencil, pencil.at(x))[0]) >= -tol
+    return float(_roots_ascending(pencil._reducer, pencil.at(x))[0]) >= -tol
 
 
-def _roots_ascending(pencil: HyperbolicPencil, points: np.ndarray) -> np.ndarray:
+def _roots_ascending(l: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The roots of p(x - lambda e), ascending, for the points B(x) of a stack
-    (..., n, n): the eigenvalues of L B(x) L from one batched ``eigvalsh``."""
-    l = pencil._reducer
+    (..., n, n): the eigenvalues of L B(x) L from one batched ``eigvalsh``,
+    L = (sum e_i B_i)^(-1/2) the pencil's reducer (n, n), or a stack of
+    reducers broadcast against the points."""
     return _eigh(l @ points @ l, vectors=False)
 
 
-def _pencil_points(pencil: HyperbolicPencil, xs: np.ndarray) -> np.ndarray:
-    """B(x) = sum_j x_j B_j for every real m-vector of ``xs`` (..., m)."""
-    return (xs[..., :, None, None] * pencil.matrices).sum(-3)
+def _pencil_points(matrices: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """B(x) = sum_j x_j B_j for every real m-vector of ``xs`` (..., m), with
+    the pencil's (m, n, n) matrices, or a stack of pencils (..., m, n, n)
+    broadcast against the vectors.
+
+    The terms are added in order of j, one (..., n, n) term at a time: the
+    bits of numpy's sum over the j axis, without holding all m terms."""
+    points = xs[..., 0, None, None] * matrices[..., 0, :, :]
+    for j in range(1, xs.shape[-1]):
+        points += xs[..., j, None, None] * matrices[..., j, :, :]
+    return points
 
 
 def mixed_value(pencil: HyperbolicPencil, xs) -> float:
@@ -131,27 +146,30 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     n = pencil.degree
     if xs.shape != (n, pencil.m):
         raise ValueError(f"need exactly {n} real {pencil.m}-vectors (the degree of p)")
-    return float(_discriminants(_pencil_points(pencil, xs)[None])[0])
+    return float(_discriminants(_pencil_points(pencil.matrices, xs)[None])[0])
 
 
-def _membership(pencil: HyperbolicPencil, xs: np.ndarray, tol: Tolerances):
+def _membership(matrices, reducer, e, xs: np.ndarray, tol: Tolerances):
     """Membership of a stack (K, k, m) of K vector tuples: the (K,) arrays of
     the nonnegativity, e-trace and sum violations and of ``passes``, and the
     points B(x) as a (K, k, n, n) stack.
 
-    The roots of every vector come from one :func:`_roots_ascending` call;
-    each root vector is summed with ``math.fsum`` and the vectors of a tuple
-    are added in order.
+    Every tuple is checked against one pencil's matrices (m, n, n) and
+    reducer (n, n), or tuple j against its own, given as the stacks
+    (K, 1, m, n, n) and (K, 1, n, n); ``e`` is the direction (m,) they
+    share.  The roots of every vector come from one :func:`_roots_ascending`
+    call; each root vector is summed with ``math.fsum`` and the vectors of a
+    tuple are added in order.
     """
-    points = _pencil_points(pencil, xs)
-    lam = _roots_ascending(pencil, points)
+    points = _pencil_points(matrices, xs)
+    lam = _roots_ascending(reducer, points)
     nonneg = np.maximum(0.0, -lam[..., 0]).max(axis=-1, initial=0.0)
     traces = np.array([math.fsum(r) for r in lam.reshape(-1, lam.shape[-1]).tolist()])
     trace = np.abs(traces.reshape(xs.shape[:2]) - 1.0).max(axis=-1, initial=0.0)
-    total = np.zeros((len(xs), pencil.m))
+    total = np.zeros((len(xs), xs.shape[-1]))
     for i in range(xs.shape[1]):
         total += xs[:, i]
-    sums = np.abs(total - pencil.e).max(axis=-1)
+    sums = np.abs(total - e).max(axis=-1)
     passes = (nonneg <= tol.ds_tol) & (trace <= tol.ds_tol) & (sums <= tol.ds_tol)
     return nonneg, trace, sums, passes, points
 
@@ -161,7 +179,9 @@ def check_hd_membership(
 ) -> HdMembershipReport:
     """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces, sum e."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
-    nonneg, trace, sums, passes, _ = _membership(pencil, xs[None], tol)
+    nonneg, trace, sums, passes, _ = _membership(
+        pencil.matrices, pencil._reducer, pencil.e, xs[None], tol
+    )
     return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), bool(passes[0]))
 
 
@@ -178,11 +198,14 @@ def _random_ds_matrices(k: int, n: int, rng, tol: Tolerances) -> tuple[np.ndarra
     """k positive random matrices, Sinkhorn-normalized as one (k, n, n) stack,
     and the number of sweeps taken.
 
-    A sweep divides every row by its sum, then every column by its sum, so
-    the columns sum to 1 after each one.  The sweeps stop once every row sum
-    of the stack is within 1e-4 ``ds_tol`` of 1, or after
-    ``_SINKHORN_MAX_SWEEPS``.  The stack stops as a whole, so a slice is not
-    what the same draw normalized on its own would give.
+    The k draws come from one ``standard_normal`` call, which reads the
+    stream that calls for consecutive parts of them would.  A sweep divides
+    every row by its sum, then every column by its sum, so the columns sum
+    to 1 after each one.  The sweeps stop once every row sum of the stack is
+    within 1e-4 ``ds_tol`` of 1, or after ``_SINKHORN_MAX_SWEEPS``.  The
+    stack stops as a whole, so a slice is not what the same draw normalized
+    on its own, or in another stack, would give: the slower slices of a
+    larger stack take a few more sweeps and move by up to about 1e-12.
     """
     m = np.exp(rng.standard_normal((k, n, n)))
     stop = 1e-4 * tol.ds_tol
@@ -218,12 +241,22 @@ def conjecture_experiment(
     axis-vector tuple mixed by random doubly stochastic matrices; mixing
     preserves membership, which is rechecked and rejected on failure.
     A ratio below n!/n^n - 1e-6 is recorded as a violation, not raised.
-    The up to ``_MIXTURES_PER_PENCIL`` mixtures of a pencil are checked as
-    one stack, and p(e) is computed once per pencil.  ``max_sinkhorn_sweeps``
-    is the most Sinkhorn sweeps any mixing stack took; at
-    ``_SINKHORN_MAX_SWEEPS`` a stack stopped at the cap, not at its row-sum
-    test, and its mixtures may fail the membership recheck.  SamplerExhausted
-    after ``_MAX_BARREN_PENCILS`` pencils in a row accept no mixture.
+
+    Pencil k is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``
+    and takes up to ``_MIXTURES_PER_PENCIL`` mixtures.  The pencils run in
+    blocks: a block is the pencils that the samples still needed take, at
+    most ``_BLOCK_MIXTURES`` mixtures, so that each pencil but the last takes
+    ``_MIXTURES_PER_PENCIL``.  Its tuples come from one ``random_ds_tuples``
+    call, its mixtures from one ``_random_ds_matrices`` stack, their
+    membership from one ``_membership`` pass, each mixture against its own
+    pencil, and the accepted ones from one ``_discriminants`` call; p(e) is
+    one determinant per pencil.  Ratios, violations and the barren-pencil
+    rule then run in pencil order, and a block whose mixtures were rejected
+    leaves the rest to the next block.  ``max_sinkhorn_sweeps`` is the most
+    Sinkhorn sweeps any block's stack took; at ``_SINKHORN_MAX_SWEEPS`` a
+    stack stopped at the cap, not at its row-sum test, and its mixtures may
+    fail the membership recheck.  SamplerExhausted after
+    ``_MAX_BARREN_PENCILS`` pencils in a row accept no mixture.
     """
     bound = bapat_bound(n)
     rng = make_rng(seed)
@@ -235,27 +268,48 @@ def conjecture_experiment(
     max_sweeps = 0
     last_hit = -1  # the last pencil that accepted a mixture
     while done < samples:
-        t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
-        pencil = pencil_from_tuple(t, tol)
-        p_e = pencil.value(pencil.e)
-        mixes, sweeps = _random_ds_matrices(min(_MIXTURES_PER_PENCIL, samples - done), n, rng, tol)
+        need = min(samples - done, _BLOCK_MIXTURES)
+        counts = [_MIXTURES_PER_PENCIL] * (need // _MIXTURES_PER_PENCIL)
+        if need % _MIXTURES_PER_PENCIL:
+            counts.append(need % _MIXTURES_PER_PENCIL)
+        block = range(pencil_index, pencil_index + len(counts))
+        tuples = random_ds_tuples(n, [seed + 7919 * k for k in block], tol)
+        # pencil_from_tuple of each: the slots are exactly Hermitian already,
+        # and every direction is the all-ones vector.
+        mats = np.array([t.matrices for t in tuples])
+        at_e = mats.sum(1)
+        reducers = _inv_sqrt(*_eigh(at_e), tol)
+        p_e = np.linalg.det(at_e).real
+        mixes, sweeps = _random_ds_matrices(need, n, rng, tol)
         max_sweeps = max(max_sweeps, sweeps)
+        owner = np.repeat(np.arange(len(counts)), counts)
         # The vectors of a mixture are its columns.
-        *_, passes, points = _membership(pencil, mixes.swapaxes(-1, -2), tol)
-        rejected += int(np.count_nonzero(~passes))
+        *_, passes, points = _membership(
+            mats[owner, None], reducers[owner, None], np.ones(n), mixes.swapaxes(-1, -2), tol
+        )
+        ratios = np.zeros(need)
         if passes.any():
-            last_hit = pencil_index
-            for ratio in (_discriminants(points[passes]) / p_e).tolist():
-                done += 1
-                if ratio < min_ratio:
-                    min_ratio = ratio
-                if ratio < bound - 1e-6:
-                    violations.append(
-                        {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
-                    )
-        elif pencil_index - last_hit == _MAX_BARREN_PENCILS:
-            raise SamplerExhausted(f"{_MAX_BARREN_PENCILS} pencils in a row accepted no mixture")
-        pencil_index += 1
+            ratios[passes] = _discriminants(points[passes]) / p_e[owner[passes]]
+        first = 0
+        for count in counts:
+            hits = passes[first : first + count]
+            rejected += count - int(np.count_nonzero(hits))
+            if hits.any():
+                last_hit = pencil_index
+                for ratio in ratios[first : first + count][hits].tolist():
+                    done += 1
+                    if ratio < min_ratio:
+                        min_ratio = ratio
+                    if ratio < bound - 1e-6:
+                        violations.append(
+                            {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
+                        )
+            elif pencil_index - last_hit == _MAX_BARREN_PENCILS:
+                raise SamplerExhausted(
+                    f"{_MAX_BARREN_PENCILS} pencils in a row accepted no mixture"
+                )
+            first += count
+            pencil_index += 1
     return ConjectureExperimentReport(
         n=n,
         samples=done,

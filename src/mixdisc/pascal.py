@@ -193,10 +193,25 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances):
 def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     """One random separable block-DS matrix and its witness, or None if scaling fails.
 
-    rho = sum_t P_t (x) Q_t with Wishart factors P_t = G_t G_t*, Q_t = H_t H_t*.
-    Its Kraus operators g h^T, over the columns g of G_t and h of H_t, stay
-    rank one, so the witness is the pairs (L G_t)(L G_t)*, (R H_t)(R H_t)*.
+    rho = sum_t P_t (x) Q_t with Wishart factors P_t = G_t G_t*, Q_t = H_t H_t*
+    (the draw of :func:`_separable_draw`).  Its Kraus operators g h^T, over
+    the columns g of G_t and h of H_t, stay rank one, so the witness is the
+    pairs (L G_t)(L G_t)*, (R H_t)(R H_t)*.
     """
+    draw = _separable_draw(n, seed, tol)
+    if draw is None:
+        return None
+    rho, left, right, g = draw
+    w = np.array((left, right)) @ g  # w[t] = (L G_t, R H_t)
+    pq = w @ w.conj().swapaxes(-1, -2)
+    return rho, SeparableSpec(terms=tuple(zip(pq[:, 0], pq[:, 1])))
+
+
+def _separable_draw(n: int, seed: int, tol: Tolerances):
+    """The scaled separable draw of ``sample_separable_ds``, with the factors
+    its witness is built from: (rho, L, R, g), g[t] = (G_t, H_t), or None if
+    scaling fails.  The command line takes rho alone from here and builds no
+    witness."""
     rng = make_rng(seed)
     k = int(rng.integers(1, n * n + 1))
     # One draw: z[t, f] holds the real then the imaginary part of factor f of
@@ -204,11 +219,7 @@ def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     z = rng.standard_normal((k, 2, 2, n, n))
     g = (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0)
     res = _scale_kraus(np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, -1, n), tol)
-    if res is None:
-        return None
-    w = np.array(res[1:]) @ g  # w[t] = (L G_t, R H_t)
-    pq = w @ w.conj().swapaxes(-1, -2)
-    return res[0], SeparableSpec(terms=tuple(zip(pq[:, 0], pq[:, 1])))
+    return None if res is None else (*res, g)
 
 
 def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):

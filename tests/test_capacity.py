@@ -567,7 +567,7 @@ def test_scaling_step_is_one_eigensolve_and_forms_only_the_returned_tuple(monkey
         monkeypatch.setattr(np.linalg, "eigh", _recorder(np.linalg.eigh, eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", _recorder(np.linalg.eigvalsh, eigvalsh))
         monkeypatch.setattr(mod, "_congruence", _recorder(mod._congruence, formed))
-        res = mod._scale_vector(t, DEFAULT_TOL, 50)
+        (res,) = mod._scale_vector(t.matrices[None], DEFAULT_TOL, 50)
         monkeypatch.undo()
         assert res.iterations >= 1
         assert len(eigh) == res.iterations and not eigvalsh

@@ -124,10 +124,15 @@ def test_one_route_per_decision():
         for word in ("_first_subset", "_SCAN_CHUNK", "_GATE_SUBSETS"):
             assert word not in text, (path.name, word)
     # One writer of each memoized capacity-layer result: Newton runs only in
-    # the memo closure of capacity, and the scaling loop only in that of
-    # scale_to_doubly_stochastic, which the oracle and the sampler call.
+    # the memo closure of capacity, and the scaling loop only in _scalings,
+    # whose one-tuple call is scale_to_doubly_stochastic and which the oracle
+    # and the samplers call.
     assert _callers("_newton") == {"capacity.capacity.solve"}
-    assert _callers("_scale_vector") == {"capacity.scale_to_doubly_stochastic.scale"}
+    assert _callers("_scale_vector") == {"capacity._scalings"}
+    assert _callers("_scalings") == {
+        "capacity.scale_to_doubly_stochastic",
+        "extremal.random_ds_tuples",
+    }
     assert not names & {"_scale_cold", "_require_scalable", "_newton_solve"}
     # qp_tensor sums its quadruple permutation sum itself.
     assert "_double_perm_raw" not in _imported("pascal")

@@ -8,12 +8,13 @@ from mixdisc.core import (
     DEFAULT_TOL,
     PreconditionViolated,
     SamplerExhausted,
+    Tolerances,
     make_rng,
     random_psd,
     spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple, eval_polarized
-from mixdisc.extremal import bapat_bound, random_ds_tuple
+from mixdisc.extremal import bapat_bound, random_ds_tuple, random_ds_tuples
 from mixdisc.hyperbolic import (
     HyperbolicPencil,
     _random_ds_matrices,
@@ -158,11 +159,11 @@ class TestConjectureExperiment:
         monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 3)
         pencils = []
 
-        def counting(n, seed, tol):
-            pencils.append(seed)
-            return random_ds_tuple(n, seed, tol)
+        def counting(n, seeds, tol):
+            pencils.extend(seeds)
+            return random_ds_tuples(n, seeds, tol)
 
-        monkeypatch.setattr(hyperbolic, "random_ds_tuple", counting)
+        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
         with pytest.raises(SamplerExhausted, match="100 pencils in a row"):
             conjecture_experiment(4, 20, 0)
         assert len(pencils) == hyperbolic._MAX_BARREN_PENCILS == 100
@@ -210,23 +211,29 @@ def _sequential_membership(pencil, xs, tol=DEFAULT_TOL):
 
 
 def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
-    """The conjecture experiment one mixture at a time."""
+    """The conjecture experiment one pencil and one mixture at a time, on the
+    mixtures of its blocks: each block draws the mixtures the samples still
+    need (at most _BLOCK_MIXTURES) as one Sinkhorn stack, 50 per pencil."""
     bound = hyperbolic.bapat_bound(n)
     rng = make_rng(seed)
     min_ratio, violations, rejected, done, pencil_index = math.inf, [], 0, 0, 0
     while done < samples:
-        pencil = pencil_from_tuple(random_ds_tuple(n, seed + 7919 * pencil_index, tol), tol)
-        for mix in hyperbolic._random_ds_matrices(min(50, samples - done), n, rng, tol)[0]:
-            xs = list(mix.T)
-            if not _sequential_membership(pencil, xs, tol)[3]:
-                rejected += 1
-                continue
-            ratio = mixed_value(pencil, xs) / pencil.value(pencil.e)
-            done += 1
-            min_ratio = min(min_ratio, ratio)
-            if ratio < bound - 1e-6:
-                violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
-        pencil_index += 1
+        need = min(samples - done, hyperbolic._BLOCK_MIXTURES)
+        mixes = hyperbolic._random_ds_matrices(need, n, rng, tol)[0]
+        for first in range(0, need, 50):
+            t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
+            pencil = pencil_from_tuple(t, tol)
+            for mix in mixes[first : first + 50]:
+                xs = list(mix.T)
+                if not _sequential_membership(pencil, xs, tol)[3]:
+                    rejected += 1
+                    continue
+                ratio = mixed_value(pencil, xs) / pencil.value(pencil.e)
+                done += 1
+                min_ratio = min(min_ratio, ratio)
+                if ratio < bound - 1e-6:
+                    violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
+            pencil_index += 1
     return done, min_ratio, violations, rejected / max(1, done + rejected)
 
 
@@ -280,6 +287,82 @@ class TestStackedConjecture:
         assert rep.rejection_rate == rate > 0.3
         assert len(rep.violations) == 70
         assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
+
+
+    def test_a_block_whose_mixtures_are_rejected_refills_from_the_next_pencils(self, monkeypatch):
+        # At ds_tol = 3e-16 rounding alone fails about four mixtures in ten:
+        # the first block (pencils 0 and 1, 50 + 10 mixtures) falls short and
+        # each later block draws what is still needed, from the next pencils.
+        tol = Tolerances(ds_tol=3e-16)
+        blocks = []
+
+        def counting(n, seeds, tol):
+            blocks.append(list(seeds))
+            return random_ds_tuples(n, seeds, tol)
+
+        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
+        rep = conjecture_experiment(2, 60, 1, tol)
+        done, min_ratio, violations, rate = _sequential_conjecture(2, 60, 1, tol)
+        assert (rep.samples, rep.min_ratio.hex(), rep.violations, rep.rejection_rate) == (
+            done, min_ratio.hex(), violations, rate
+        )
+        assert rep.samples == 60 and rep.rejection_rate > 0.3
+        assert blocks[0] == [1, 1 + 7919] and len(blocks) > 1
+        drawn = [seed for block in blocks for seed in block]
+        assert drawn == [1 + 7919 * k for k in range(len(drawn))]
+
+    def test_a_run_longer_than_a_block_takes_several(self, monkeypatch):
+        # 250 samples in blocks of at most 100 mixtures: two pencils, two,
+        # then one, each block one stack, as one mixture at a time would see.
+        monkeypatch.setattr(hyperbolic, "_BLOCK_MIXTURES", 100)
+        blocks = []
+
+        def counting(n, seeds, tol):
+            blocks.append(len(seeds))
+            return random_ds_tuples(n, seeds, tol)
+
+        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
+        rep = conjecture_experiment(3, 250, 2)
+        done, min_ratio, violations, rate = _sequential_conjecture(3, 250, 2)
+        assert (rep.samples, rep.min_ratio.hex(), rep.violations, rep.rejection_rate) == (
+            done, min_ratio.hex(), violations, rate
+        )
+        assert blocks == [2, 2, 1]
+
+    def test_one_draw_reads_the_stream_of_one_draw_per_pencil(self):
+        for n in (2, 3, 4):
+            whole = make_rng(n).standard_normal((120, n, n))
+            rng = make_rng(n)
+            parts = [rng.standard_normal((k, n, n)) for k in (50, 50, 20)]
+            assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+# On seeds 0-9 at n = 2..5 (120 samples: pencils of 50, 50 and 20 mixtures)
+# the blocks accept every mixture, as one pencil at a time did before them,
+# and min_ratio stays within 1e-12 of what that gave, although a block's
+# Sinkhorn stack stops as a whole.
+_PER_PENCIL_MIN_RATIOS = {
+    2: [0.5000116012816989, 0.5000003461967069, 0.50000286706181, 0.5000014247518917,
+        0.5000001384888935, 0.5001262711049166, 0.5000008318348771, 0.5000001073577529,
+        0.5000003130876086, 0.5000192076302238],
+    3: [0.22393877678568452, 0.22365295100417257, 0.2232470984741831, 0.22364397202327077,
+        0.223001684327254, 0.22466891128345648, 0.2234358695630682, 0.2230723751425794,
+        0.22286003720415054, 0.2240673064415368],
+    4: [0.09482443996772043, 0.09539448428325877, 0.09516775682507361, 0.09459991115475352,
+        0.09614190415290813, 0.09512399170975402, 0.09480613851104629, 0.09506751904618377,
+        0.09529906135862476, 0.09574300990735869],
+    5: [0.038915315447084306, 0.03901569817558658, 0.039307534705109504, 0.03909637374730513,
+        0.039304681823502885, 0.03893962612856087, 0.038978636365170995, 0.03930349318876592,
+        0.03906106248837936, 0.03911075574510959],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_blocks_keep_the_per_pencil_reports(n):
+    for seed, expected in enumerate(_PER_PENCIL_MIN_RATIOS[n]):
+        rep = conjecture_experiment(n, 120, seed)
+        assert (rep.samples, rep.violations, rep.rejection_rate) == (120, [], 0.0)
+        assert rep.min_ratio == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,15 @@ def _at_the_threshold(factor):
     return (u * w) @ u.conj().T
 
 
+def _one_scaling_step(m):
+    """One step of the tuple scaling loop from s = 1, on slots summing to M;
+    the loop's outcome for the tuple is raised when it is an exception."""
+    (res,) = _CAP._scale_vector(MatrixTuple([m / 2.0, m / 2.0]).matrices[None], DEFAULT_TOL, 1)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
 def _accepts(route, m):
     try:
         route(m)
@@ -86,8 +95,7 @@ def test_every_route_applies_the_same_rule(factor):
     m = _at_the_threshold(factor)
     routes = {
         "inv_sqrt_psd": inv_sqrt_psd,
-        # One step of the tuple scaling loop from s = 1, on slots summing to M.
-        "_scale_vector": lambda m: _CAP._scale_vector(MatrixTuple([m / 2.0, m / 2.0]), DEFAULT_TOL, 1),
+        "_scale_vector": _one_scaling_step,
         "pencil reducer": lambda m: HyperbolicPencil([m], np.ones(1)),
     }
     verdicts = {name: _accepts(route, m) for name, route in routes.items()}
