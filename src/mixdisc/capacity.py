@@ -38,7 +38,9 @@ decomposable or boundary tuples, where it takes thousands of steps.
 There is one route, ``_scalings``: the indecomposability test of each tuple,
 then one loop from s = 1 over the stack of those that pass, in which each
 tuple keeps its own Anderson history, potential guard, stop test, step count
-and exception, and leaves the stack when it is done.  Every batched
+and exception.  A tuple leaves the stack at one point per iteration, its
+top, once it has an outcome: a result or ``NonConvergence`` from the stop
+test there, or the failure the last step marked.  Every batched
 operation computes a tuple's values from that tuple alone, by the per-slice
 BLAS and LAPACK calls of a one-tuple stack, so a tuple's result has the bits
 of its own scaling whatever its batch.  ``scale_to_doubly_stochastic`` is
@@ -59,15 +61,18 @@ Hermitian eigensolve for the step.  A scaling step costs one batched
 Hermitian eigensolve of the candidate slot sums of every tuple in the loop,
 whose eigenvalues give both potentials and whose chosen eigenpairs give L,
 and the few products that ``_scale_vector`` lists, each one call for the
-whole stack.  At one tuple a scaling costs 10-13% more than a loop
-written for one tuple, in numpy's per-call overhead; at 400 tuples of
-n = 3 or 4 a draw of ``random_ds_tuples`` costs about a third of
-``random_ds_tuple``'s.  The precondition of a scaling is one PSD check
-and one indecomposability test (``structure.is_indecomposable``), with no
-gate on n.  The check's eigenvalues of the slots also rank them, so a tuple
-of full-rank slots, such as a Wishart draw, costs the one eigensolve of its
-slots.  Any other tuple adds one batched eigensolve of the slots, one n x n
-SVD and, on a decomposable verdict, one eigensolve of the witness's sum.
+whole stack.  At one tuple a scaling costs about 13% more than a loop
+written for one tuple, in numpy's per-call overhead (300 seeded Wishart
+tuples, n = 2..6, timed call by call in one process on a shared 2-core
+x86-64 host); at 400 tuples of n = 3 or 4 a draw of ``random_ds_tuples``
+costs about a third of ``random_ds_tuple``'s.  The precondition of a
+scaling is one PSD check and one indecomposability test
+(``structure.is_indecomposable``), with no gate on n.  The check's
+eigenvalues of the slots also rank them, so a tuple of full-rank slots,
+such as a Wishart draw, costs the one eigensolve of its slots.  Any other
+tuple adds one batched eigensolve of the slots, one n x n SVD and, on a
+decomposable verdict, one batched eigensolve of the witness's slots and one
+eigensolve of the sum of their range projectors.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
@@ -535,12 +540,6 @@ def _finish(a, s, x, eye, it, max_iter, tol: Tolerances):
     )
 
 
-def _rows(keep, *arrays) -> list:
-    """The rows ``keep`` of each array, None staying None: the state of the
-    tuples that stay in the scaling loop."""
-    return [arr if arr is None else arr[keep] for arr in arrays]
-
-
 def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     """Gurvits scaling of each tuple of a (B, n, n, n) stack on its scaling
     vector s from s = 1, Anderson-accelerated: per tuple its ``ScalingResult``
@@ -556,10 +555,19 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     defect checked (``_finish``), and the loop goes on if rounding leaves
     that above ``ds_tol``.  The start s = 1 is checked the same way, with
     L = I.  A result carries X = L and trace_scalars = s' of the last step
-    (X = I when the tuple is already doubly stochastic).  A tuple leaves the
-    loop with its result, a ``NonConvergence`` carrying a "max_iter" result
-    at ``max_iter``, a ``NotPositiveDefinite`` where its M^(-1/2) fails or a
-    ``SingularPencil`` where a slot loses its trace; the others go on.
+    (X = I when the tuple is already doubly stochastic).
+
+    A tuple's outcome is its result, a ``NonConvergence`` carrying a
+    "max_iter" result at ``max_iter``, a ``NotPositiveDefinite`` naming its
+    own eigenvalues where its M fails ``core._definite``, or a
+    ``SingularPencil`` where a slot loses its trace (tr(M^-1 A_i) <= 0).
+    The step marks both failures in one mask, the trace test, since L = 0
+    stands in for M^(-1/2) where M is not definite; the definiteness mask
+    is read only when ``_inv_sqrt`` refuses the stack, so a step whose
+    every M is definite pays for the one check inside ``_inv_sqrt``.  Each
+    iteration has one retirement point, at its top: the stop test skips the
+    tuples the last step marked, and they leave the stack in one compaction
+    with the tuples that ``_finish`` gave an outcome there.
 
     Every tuple keeps its own Anderson history, potential guard, stop test
     and step count, and each batched operation computes a tuple's values
@@ -579,30 +587,28 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     odds = np.arange(1, 2 * b, 2)
     # The Anderson history: the newest log s and residual log s' - log s,
     # and lists of their last _ANDERSON_DEPTH differences, (B, n) arrays.
-    log_s = res = None
+    log_s = res = np.zeros((b, n))
     du, df = [], []
+    failed = np.zeros(b, dtype=bool)
     it = 0
     while True:
         total = (scalars[:, None] @ flat).reshape(-1, n, n)
-        near = (abs(x @ total @ x - eye).max((1, 2)) <= tol.ds_tol).nonzero()[0]
-        if it >= max_iter or len(near):
-            if it >= max_iter:
-                near = range(len(pos))
-            done = []
-            for j in near:
-                result = _finish(a[j], s[j], x[j], eye, it, max_iter, tol)
-                if result is not None:
-                    out[pos[j]] = result
-                    done.append(j)
-            if len(done) == len(pos):
+        near = (abs(x @ total @ x - eye).max((1, 2)) <= tol.ds_tol).nonzero()[0].tolist()
+        # The one retirement point: a tuple that failed in the last step is
+        # skipped by the stop test and leaves with those _finish ends here.
+        gone = failed.tolist()
+        for j in range(len(pos)) if it >= max_iter else near:
+            result = None if gone[j] else _finish(a[j], s[j], x[j], eye, it, max_iter, tol)
+            if result is not None:
+                out[pos[j]], gone[j] = result, True
+        if any(gone):
+            if all(gone):
                 return out
-            if done:
-                keep = np.ones(len(pos), dtype=bool)
-                keep[done] = False
-                pos, a, flat, rows, s, scalars, x, total, log_s, res = _rows(
-                    keep, pos, a, flat, rows, s, scalars, x, total, log_s, res
-                )
-                du, df = _rows(keep, *du), _rows(keep, *df)
+            keep = np.logical_not(gone)
+            pos, a, flat, rows, s, scalars, x, total, log_s, res = (
+                arr[keep] for arr in (pos, a, flat, rows, s, scalars, x, total, log_s, res)
+            )
+            du, df = [d[keep] for d in du], [d[keep] for d in df]
         if it:
             new_log_s = np.log(s)
             new_res = np.log(scalars) - new_log_s
@@ -625,30 +631,25 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
             # Row 2k of tuple k is its extrapolation, row 2k + 1 its plain step.
             pick = odds[: len(pos)] - (phi[0::2] <= phi[1::2])
             w, v, s = w.take(pick, 0), v.take(pick, 0), pairs.take(pick, 0)
-        dead = None
         try:
             x = _inv_sqrt(w, v, tol)
         except NotPositiveDefinite:
-            x, dead = np.empty_like(v), np.zeros(len(pos), dtype=bool)
-            for j in range(len(pos)):
-                try:
-                    x[j] = _inv_sqrt(w[j], v[j], tol)
-                except NotPositiveDefinite as exc:
-                    out[pos[j]], dead[j], x[j] = exc, True, eye
+            # L = 0 stands in where M is not definite, so that every trace
+            # below vanishes and the tuple fails with the trace losses.
+            definite = _definite(w, tol)
+            x = _inv_sqrt(np.where(definite[:, None], w, 1.0), v, tol)
+            x[~definite] = 0.0
         # s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), with M^-1 = L^2.
         inv_traces = (rows @ (x @ x).reshape(-1, n * n, 1))[..., 0].real
-        if dead is not None or (inv_traces <= 0.0).any():
-            dead = np.zeros(len(pos), dtype=bool) if dead is None else dead
-            lost = (inv_traces <= 0.0).any(1) & ~dead
-            for j in np.flatnonzero(lost):
-                out[pos[j]] = SingularPencil("a slot lost its trace during scaling")
-            keep = ~(lost | dead)
-            if not keep.any():
-                return out
-            pos, a, flat, rows, s, x, inv_traces, log_s, res = _rows(
-                keep, pos, a, flat, rows, s, x, inv_traces, log_s, res
-            )
-            du, df = _rows(keep, *du), _rows(keep, *df)
+        failed = (inv_traces <= 0.0).any(1)
+        if failed.any():
+            for j in failed.nonzero()[0]:
+                out[pos[j]] = (
+                    SingularPencil("a slot lost its trace during scaling")
+                    if _definite(w[j], tol)
+                    else NotPositiveDefinite(f"matrix is not positive definite (eigenvalues {w[j]})")
+                )
+            inv_traces[failed] = 1.0
         scalars = 1.0 / inv_traces
         it += 1
 

@@ -91,13 +91,20 @@ def _generic_ranks(t: MatrixTuple, tol: Tolerances):
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
     """Strict rank test over all proper subsets: rank(sum_{i in S} A_i) > |S|.
 
-    Returns (True, None) or (False, witness) with the proper subset of
-    ``_generic_ranks``, not necessarily the smallest, certified by one
-    ``rank_psd`` of its sum (rank <= |S|, else ``NumericalInconsistency``).
+    Returns (True, None) or (False, witness) with the proper subset S of
+    ``_generic_ranks``, not necessarily the smallest, certified on the slot
+    ranges the supports read: with F_i slot i's top rank_i eigenvectors,
+    ``rank_psd`` of sum_{i in S} F_i F_i^* is at most |S|, else
+    ``NumericalInconsistency``.  The raw sum of S would count together
+    eigenvalues that each slot drops below rank_tol.
     """
     _, witness = _generic_ranks(t, tol)
-    if witness is not None and rank_psd(t.matrices[list(witness)].sum(0), tol) > len(witness):
-        raise NumericalInconsistency(f"witness subset {witness} is not tight")
+    if witness is not None:
+        slots = list(witness)
+        ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)[slots]
+        f = _eigh(t.matrices[slots])[1] * (np.arange(t.n) >= t.n - ranks[:, None])[:, None]
+        if rank_psd((f @ f.conj().swapaxes(1, 2)).sum(0), tol) > len(slots):
+            raise NumericalInconsistency(f"witness subset {witness} is not tight")
     return witness is None, witness
 
 

@@ -113,6 +113,52 @@ def test_a_failing_tuple_leaves_its_batch_mates_unchanged():
         assert _bits(res) == _bits(_alone(t.matrices))
 
 
+def test_a_failure_and_a_result_leave_at_the_same_retirement_point(monkeypatch):
+    # (e1 e1*, e1 e1*) fails in step 0 (its M is not definite) and
+    # (I/2, 3 I/2) is doubly stochastic after that step: both leave at the
+    # top of iteration 1, so step 1 solves for the two Wishart tuples alone.
+    e1 = np.diag([1.0, 0.0])
+    wisharts = [_wishart_tuple(2, 51), _wishart_tuple(2, 52)]
+    stack = [wisharts[0].matrices, [e1, e1], [np.eye(2) / 2, 1.5 * np.eye(2)]]
+    stack = np.array(stack + [wisharts[1].matrices], dtype=np.complex128)
+    sizes, finished = [], []
+    eigh, finish = _CAP._eigh, _CAP._finish
+
+    def counted_eigh(m):
+        sizes.append(len(m))
+        return eigh(m)
+
+    def recorded_finish(a, s, x, eye, it, *rest):
+        result = finish(a, s, x, eye, it, *rest)
+        finished.append((a.tobytes(), it, result is not None))
+        return result
+
+    monkeypatch.setattr(_CAP, "_eigh", counted_eigh)
+    monkeypatch.setattr(_CAP, "_finish", recorded_finish)
+    out = _CAP._scale_vector(stack, DEFAULT_TOL, 10000)
+    monkeypatch.undo()
+    assert isinstance(out[1], NotPositiveDefinite)
+    assert out[2].iterations == 1 and out[2].converged
+    assert (stack[2].tobytes(), 1, True) in finished
+    assert sizes[:2] == [4, 2]
+    for t, res in zip(wisharts, out[0::3]):
+        assert _bits(res) == _bits(_alone(t.matrices))
+
+
+def test_each_batched_not_positive_definite_names_its_own_eigenvalues():
+    # Two tuples whose slot sums are diag(0, 3) and diag(7, 0), about a
+    # Wishart tuple: each failure reports the eigenvalues of its own sum, as
+    # its own B = 1 run does.
+    bad = [[np.diag([0.0, 1.0]), np.diag([0.0, 2.0])], [np.diag([5.0, 0.0]), np.diag([2.0, 0.0])]]
+    stack = np.array([bad[0], _wishart_tuple(2, 61).matrices, bad[1]], dtype=np.complex128)
+    out = _CAP._scale_vector(stack, DEFAULT_TOL, 10000)
+    for k, top in ((0, 3.0), (2, 7.0)):
+        assert isinstance(out[k], NotPositiveDefinite)
+        assert f"(eigenvalues {np.array([0.0, top])})" in str(out[k])
+        assert str(out[k]) == str(_alone(stack[k]))
+    assert not isinstance(out[1], Exception)
+
+
 def test_a_tuple_at_the_cap_leaves_its_batch_mates_unchanged(monkeypatch):
     # With a cap of 10 steps the near-boundary tuple stops unconverged; the
     # Wishart tuples, done in fewer, keep the bits of an uncapped scaling.

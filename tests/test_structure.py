@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import operator
 from dataclasses import replace
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from mixdisc import structure
 from mixdisc.capacity import capacity, capacity_via_scaling, scale_to_doubly_stochastic
+from mixdisc.cli import main, tuple_to_doc
 from mixdisc.core import (
     DEFAULT_TOL,
     NotDoublyStochastic,
+    NotIndecomposable,
     NotUnitary,
     NumericalInconsistency,
     PreconditionViolated,
@@ -530,3 +533,19 @@ class TestFullRankStop:
         monkeypatch.setattr(structure, "_generic_ranks", lambda t, tol: (True, (0,)))
         with pytest.raises(NumericalInconsistency, match="not tight"):
             is_indecomposable(MatrixTuple([np.eye(2)] * 2))
+
+    def test_the_witness_is_certified_on_the_slot_ranges(self, tmp_path, capsys):
+        # Each slot's 9e-10 eigenvalue is below rank_tol times its largest,
+        # so slots 0 and 1 both have range span(e1, e2) and (0, 1) is tight;
+        # their raw sum adds those eigenvalues to 1.8e-9 and has rank 3.
+        small = [0.0, 9e-10]
+        slots = [np.diag([1.0, 1e-3] + small), np.diag([1e-3, 1.0] + small)]
+        t = MatrixTuple(slots + [np.eye(4)] * 2)
+        assert rank_psd(t.matrices[:2].sum(0)) == 3
+        assert is_indecomposable(t) == (False, (0, 1))
+        with pytest.raises(NotIndecomposable, match=r"\(0, 1\)"):
+            scale_to_doubly_stochastic(t)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tuple_to_doc(t)))
+        assert main(["scale", str(path)]) == 2
+        assert capsys.readouterr().err == "error: tuple decomposes; witness subset (0, 1)\n"
