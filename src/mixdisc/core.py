@@ -12,9 +12,10 @@ definite (``_definite``: largest eigenvalue > 0, smallest > psd_tol times it)
 and rank (``rank_psd``: eigenvalues above rank_tol times the largest).  Only
 this module reads ``psd_tol``.  Every M^(-1/2) (tuple and Pascal scaling, the
 pencil reducer) is ``_inv_sqrt`` of one ``_eigh`` call's ascending eigenpairs,
-under ``_definite``.  Absolute terms remain in ``as_hermitian``'s floor, the
-``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
-``check_block_ds``, hyperbolic membership) and ``is_e_nonnegative``.
+under ``_definite``.  Absolute terms remain in ``as_hermitian``'s floor and
+the ``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
+``check_block_ds``, hyperbolic membership); ``is_e_nonnegative`` applies
+``_psd`` to the roots, with the largest |root| as the scale.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ def test_one_route_per_decision():
 
 def test_psd_tol_is_read_only_in_core():
     # One PSD rule (core._psd) and one definiteness rule (core._definite);
-    # elsewhere only is_e_nonnegative's float default reads psd_tol.
+    # no other module reads psd_tol, and is_e_nonnegative takes Tolerances.
     reads = {
         path.stem: [
             ast.unparse(node)
@@ -150,12 +150,12 @@ def test_psd_tol_is_read_only_in_core():
         for path in SRC.glob("*.py")
         if path.stem != "core"
     }
-    assert {k: v for k, v in reads.items() if v} == {"hyperbolic": ["DEFAULT_TOL.psd_tol"]}
+    assert {k: v for k, v in reads.items() if v} == {}
     tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
     (entry,) = [
         node for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "is_e_nonnegative"
     ]
-    assert [ast.unparse(d) for d in entry.args.defaults] == ["DEFAULT_TOL.psd_tol"]
+    assert [ast.unparse(d) for d in entry.args.defaults] == ["DEFAULT_TOL"]
     for path in SRC.glob("*.py"):
         assert "min_eigenvalue" not in path.read_text(encoding="utf-8"), path.name

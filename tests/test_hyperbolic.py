@@ -81,6 +81,34 @@ class TestRoots:
         assert is_e_nonnegative(p, p.e)
         assert not is_e_nonnegative(p, -p.e)
 
+    def test_nonnegativity_is_scale_free(self):
+        # The PSD rule reads the smallest root against psd_tol times the
+        # largest |root|, so x and 2^(+-40) x get one verdict; the absolute
+        # test it replaced, smallest root >= -psd_tol, said False at 2^40 x
+        # for x = (1, -5e-10).
+        diagonal = HyperbolicPencil([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.ones(2))
+        points = [
+            (diagonal, np.array([1.0, -5e-10]), True),
+            (diagonal, np.array([1.0, -2e-9]), False),
+            (diagonal, np.array([-1.0, 1e-12]), False),
+            (diagonal, np.zeros(2), True),
+        ]
+        p = random_pencil(3, 24)
+        points += [(p, p.e, True), (p, -p.e, False), (p, np.array([1.0, -1.0, 0.0]), False)]
+        for pencil, x, expected in points:
+            for c in (2.0**-40, 1.0, 2.0**40):
+                assert is_e_nonnegative(pencil, c * x) is expected, (x, c)
+
+    def test_nonnegativity_boundary(self):
+        # Roots of x on the diagonal pencil are x itself: a smallest root of
+        # exactly -psd_tol times the largest passes, and one just below fails.
+        pencil = HyperbolicPencil([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.ones(2))
+        tol = DEFAULT_TOL.psd_tol
+        assert is_e_nonnegative(pencil, np.array([1.0, -tol]))
+        assert not is_e_nonnegative(pencil, np.array([1.0, -1.001 * tol]))
+        assert is_e_nonnegative(pencil, np.array([1.0, -0.5]), Tolerances(psd_tol=0.5))
+        assert not is_e_nonnegative(pencil, np.array([1.0, -0.6]), Tolerances(psd_tol=0.5))
+
 
 class TestMixedValue:
     def test_axis_vectors_give_discriminant(self):
@@ -141,22 +169,24 @@ class TestConjectureExperiment:
             assert (again.tobytes(), sweeps_again) == (m.tobytes(), sweeps)
 
     def test_a_stack_at_the_cap_is_flagged(self, monkeypatch):
-        # 25 sweeps leave some row sums of seed 0's stacks off by more than
-        # ds_tol: the report says the cap was hit, and those mixtures are
-        # rejected by the membership recheck.
-        monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 25)
+        # 3 steps leave some row sums of seed 0's stacks off by more than
+        # ds_tol (3.2e-5 on the 50-matrix stack): the report says the cap was
+        # hit, and those mixtures are rejected by the membership recheck.
+        monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 3)
         m, sweeps = _random_ds_matrices(50, 4, make_rng(0), DEFAULT_TOL)
-        assert sweeps == 25
+        assert sweeps == 3
         assert np.abs(m.sum(axis=-1) - 1.0).max() > DEFAULT_TOL.ds_tol
         rep = conjecture_experiment(4, 20, 0)
-        assert (rep.samples, rep.max_sinkhorn_sweeps) == (20, 25)
+        assert (rep.samples, rep.max_sinkhorn_sweeps) == (20, 3)
         assert rep.rejection_rate > 0.0
 
     def test_a_run_that_accepts_nothing_gives_up(self, monkeypatch):
-        # At 3 sweeps no mixing stack of seed 0 is e-doubly stochastic, so no
+        # After 1 step no mixing stack of seed 0 is e-doubly stochastic, so no
         # mixture passes the recheck: the loop stops after the consecutive
-        # barren pencils it allows instead of drawing pencils forever.
-        monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 3)
+        # barren pencils it allows instead of drawing pencils forever.  (After
+        # 2 steps a few mixtures of later pencils pass, and the run gives up
+        # only at pencil 117.)
+        monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", 1)
         pencils = []
 
         def counting(n, seeds, tol):
@@ -190,6 +220,84 @@ class TestConjectureExperiment:
         assert rep.min_ratio == pytest.approx(min_ratio, rel=1e-12, abs=0)
         assert rep.rejection_rate == 0.0
         assert rep.violations == []
+
+
+def _sinkhorn_fixed_point(kern, sweeps=3000):
+    """Plain Sinkhorn sweeps (rows, then columns) from K until an iterate
+    repeats bit for bit, or ``sweeps`` of them."""
+    m = kern / kern.sum(axis=-2, keepdims=True)
+    for _ in range(sweeps):
+        last = m
+        m = m / m.sum(axis=-1, keepdims=True)
+        m /= m.sum(axis=-2, keepdims=True)
+        if np.array_equal(m, last):
+            break
+    return m
+
+
+def _potential(m, kern):
+    """psi(x) = sum_j log c_j - sum_i x_i of each iterate M = diag(e^x) K
+    diag(1/c): log(M_ij / K_ij) = x_i - log c_j, so psi is minus the mean
+    over i of the row sums of log(M / K)."""
+    return -np.log(m / kern).sum(axis=(-1, -2)) / m.shape[-1]
+
+
+class TestGuardedNewtonScaling:
+    def test_every_stack_stops_at_the_row_sum_test_within_six_steps(self):
+        # 200 mixtures, n = 3 and 4, seeds 0-59: plain sweeps took 40 to 121
+        # (n = 3, seed 57); the guarded Newton loop takes 5, and every column
+        # sums to 1 within a few ulps.
+        stop = 1e-4 * DEFAULT_TOL.ds_tol
+        for n in (3, 4):
+            for seed in range(60):
+                m, steps = _random_ds_matrices(200, n, make_rng(seed), DEFAULT_TOL)
+                assert steps <= 6, (n, seed)
+                assert np.abs(m.sum(axis=-1) - 1.0).max() <= stop
+                assert np.abs(m.sum(axis=-2) - 1.0).max() <= 2 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 0), (3, 57), (4, 1), (5, 3), (8, 2)])
+    def test_it_agrees_with_sinkhorn_at_its_fixed_point(self, n, seed):
+        m, steps = _random_ds_matrices(200, n, make_rng(seed), DEFAULT_TOL)
+        assert steps < hyperbolic._SINKHORN_MAX_SWEEPS
+        kern = np.exp(make_rng(seed).standard_normal((200, n, n)))
+        assert np.abs(m - _sinkhorn_fixed_point(kern)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, seed", [(3, 57), (4, 1), (6, 0)])
+    def test_the_potential_does_not_rise(self, monkeypatch, n, seed):
+        # The loop at cap t returns its t-th iterate; psi falls along them,
+        # up to its rounding, and the first step lowers it for every matrix.
+        kern = np.exp(make_rng(seed).standard_normal((200, n, n)))
+        psi = []
+        for cap in range(7):
+            monkeypatch.setattr(hyperbolic, "_SINKHORN_MAX_SWEEPS", cap)
+            m, steps = _random_ds_matrices(200, n, make_rng(seed), DEFAULT_TOL)
+            psi.append(_potential(m, kern))
+            if steps < cap:
+                break
+        psi = np.array(psi)
+        assert len(psi) > 3
+        assert (np.diff(psi, axis=0) <= 1e-13 * (1.0 + np.abs(psi[1:]))).all()
+        assert (psi[1] < psi[0]).all()
+
+    def test_an_overflowing_newton_point_is_rejected_silently(self, monkeypatch):
+        # Newton steps stretched a millionfold overflow e^x on the first steps
+        # and raise psi on the later ones: the guard takes the plain sweep
+        # every time, with no warning (warnings are errors here), and the
+        # stack still stops at its row-sum test, at the same matrices.
+        solve = np.linalg.solve
+        overflowed = []
+
+        def stretched(a, b):
+            step = 1e6 * solve(a, b)
+            overflowed.append(np.abs(step).max() > 800.0)
+            return step
+
+        expected, _ = _random_ds_matrices(50, 4, make_rng(0), DEFAULT_TOL)
+        monkeypatch.setattr(np.linalg, "solve", stretched)
+        m, steps = _random_ds_matrices(50, 4, make_rng(0), DEFAULT_TOL)
+        assert overflowed[0] and 6 < steps < hyperbolic._SINKHORN_MAX_SWEEPS
+        assert np.abs(m.sum(axis=-1) - 1.0).max() <= 1e-4 * DEFAULT_TOL.ds_tol
+        assert np.abs(m - expected).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +514,9 @@ class TestRootPath:
                 assert np.abs(lam - reference).max() <= 1e-13
                 assert roots(pencil, x).lam.tobytes() == lam.tobytes()
                 assert trace_e(pencil, x).hex() == math.fsum(lam).hex()
-                for tol in (DEFAULT_TOL.psd_tol, 0.0, 0.5):
-                    expected = float(reference[-1]) >= -tol
-                    assert is_e_nonnegative(pencil, x, tol) is expected
+                for psd_tol in (DEFAULT_TOL.psd_tol, 0.0, 0.5):
+                    scale = np.abs(reference).max()
+                    expected = bool(reference[-1] >= -psd_tol * scale)
+                    assert is_e_nonnegative(pencil, x, Tolerances(psd_tol=psd_tol)) is expected
                     outcomes.add(expected)
         assert outcomes == {True, False}
