@@ -11,7 +11,7 @@ eigenvalue >= -psd_tol max|entry| of the matrix, stack or tuple), positive
 definite (``_definite``: largest eigenvalue > 0, smallest > psd_tol times it)
 and rank (``rank_psd``: eigenvalues above rank_tol times the largest).  Only
 this module reads ``psd_tol``.  Every M^(-1/2) (tuple and Pascal scaling, the
-pencil reducer) is ``_inv_sqrt`` of one ``_eigh`` call's ascending eigenpairs,
+pencil reduction) is ``_inv_sqrt`` of one ``_eigh`` call's ascending eigenpairs,
 under ``_definite``.  Absolute terms remain in ``as_hermitian``'s floor and
 the ``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
 ``check_block_ds``, hyperbolic membership); ``is_e_nonnegative`` applies

@@ -1,16 +1,20 @@
 """Determinantal hyperbolic polynomials: roots, e-traces, and p-mixed values.
 
 Only determinantal representations p(x) = det(sum x_i B_i) with a positive
-definite direction pencil are supported; for those, root extraction reduces
-to a single Hermitian eigenproblem via congruence, so realness is structural.
+definite direction pencil are supported.  A pencil is reduced once, by
+congruence with L = (sum e_i B_i)^(-1/2), to the slots A_i = L B_i L; the
+roots of p(x - lambda e) are then the eigenvalues of sum x_i A_i, so realness
+is structural, and the e-trace is the linear form sum x_i tr A_i.
 
 Membership checks take a whole stack of vector tuples through one batched
 eigensolve.  :func:`conjecture_experiment` runs its pencils in blocks: one
-block draws its doubly stochastic tuples with one ``random_ds_tuples`` call
-and its mixing matrices as one stack, scaled doubly stochastic by guarded
-Newton steps, checks every mixture against its own pencil in one membership
-pass and evaluates the accepted ones with one call of the centered kernel,
-with the report, bit for bit, that those mixtures give one at a time.
+block draws its doubly stochastic tuples with one ``random_ds_tuples`` call,
+reduces their pencils with one batched congruence and draws its mixing
+matrices as one stack, scaled doubly stochastic by guarded Newton steps;
+it checks every mixture against its own pencil in one membership pass on
+the reduced points and takes the ratios M_p / p(e) as the mixed
+discriminants of those points, from one call of the centered kernel, with
+the report, bit for bit, that those mixtures give one at a time.
 """
 
 from __future__ import annotations
@@ -48,10 +52,12 @@ class HyperbolicPencil:
     """p(x) = det(sum x_i B_i) with direction e such that sum e_i B_i > 0.
 
     ``matrices`` is one read-only complex (m, n, n) array whose slice
-    ``matrices[i]`` is B_i; ``degree`` is n.
+    ``matrices[i]`` is B_i; ``degree`` is n.  The constructor reduces the
+    pencil once: ``_reduced[i]`` is A_i = L B_i L, L = (sum e_i B_i)^(-1/2),
+    from which every root and e-trace is read.
     """
 
-    __slots__ = ("m", "degree", "matrices", "e", "_reducer")
+    __slots__ = ("m", "degree", "matrices", "e", "_reduced")
 
     def __init__(self, matrices, e, tol: Tolerances = DEFAULT_TOL):
         mats = as_hermitian(matrices, tol.hermitian_tol)
@@ -65,18 +71,34 @@ class HyperbolicPencil:
         if e.shape != (self.m,):
             raise ValueError("direction must have one entry per pencil matrix")
         # NotPositiveDefinite (a PreconditionViolated) unless core._definite.
-        self._reducer = _inv_sqrt(*_eigh(self.at(e)), tol)
+        self._reduced = _reduce(mats, self.at(e), tol)
         self.e = e
 
     def at(self, x) -> np.ndarray:
+        return _pencil_points(self.matrices, self._vector(x))
+
+    def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.m,):
             raise ValueError(f"point must be a real {self.m}-vector")
-        return _pencil_points(self.matrices, x)
+        return x
 
     def value(self, x) -> float:
         """p(x) = det(sum x_i B_i); real for real x and a Hermitian pencil."""
         return float(np.linalg.det(self.at(x)).real)
+
+
+def _reduce(matrices: np.ndarray, at_e: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The reduced slots L B_i L, symmetrized exactly, of a pencil's matrices
+    (m, n, n), or of a stack of pencils (..., m, n, n), with L = B(e)^(-1/2)
+    from the eigenpairs of ``at_e``, B(e) (..., n, n); NotPositiveDefinite
+    unless every B(e) is ``core._definite``.
+
+    Since L B(e) L = I, the roots of p(x - lambda e) are the eigenvalues of
+    sum x_i L B_i L, and det(L)^2 = 1/p(e)."""
+    l = _inv_sqrt(*_eigh(at_e), tol)[..., None, :, :]
+    a = l @ matrices @ l
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -98,10 +120,11 @@ class HdMembershipReport:
 def roots(pencil: HyperbolicPencil, x) -> RootVector:
     """All n roots of p(x - lambda e), descending.
 
-    They are the eigenvalues of L B(x) L with L = (sum e_i B_i)^(-1/2), hence
-    real.  The residual compares their product against p(x) relatively.
+    They are the eigenvalues of sum x_i A_i, A_i = L B_i L the pencil's
+    reduced slots, hence real.  The residual compares their product, times
+    p(e), against p(x) relatively.
     """
-    w = _roots_ascending(pencil._reducer, pencil.at(x))[::-1].copy()
+    w = _roots_ascending(pencil, x)[::-1].copy()
     # p(x - lam e) = det(B(x) - lam E) = det(E) * prod(eig - lam)
     p_x = pencil.value(x)
     scaled = float(np.prod(w)) * pencil.value(pencil.e)
@@ -110,24 +133,22 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
 
 
 def trace_e(pencil: HyperbolicPencil, x) -> float:
-    """Sum of the roots of p(x - lambda e); linear in x."""
-    return math.fsum(_roots_ascending(pencil._reducer, pencil.at(x)).tolist())
+    """Sum of the roots of p(x - lambda e); linear in x: sum x_i tr A_i."""
+    return float(_e_traces(pencil._reduced, pencil._vector(x)))
 
 
 def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the roots of p(x - lambda e) pass the one PSD rule,
     ``core._psd``, with the largest |root| as the scale: the smallest root is
     at least -psd_tol times it, so scaling x by c > 0 changes no verdict."""
-    lam = _roots_ascending(pencil._reducer, pencil.at(x))
+    lam = _roots_ascending(pencil, x)
     return bool(_psd(lam, max(-lam[0], lam[-1]), tol))
 
 
-def _roots_ascending(l: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The roots of p(x - lambda e), ascending, for the points B(x) of a stack
-    (..., n, n): the eigenvalues of L B(x) L from one batched ``eigvalsh``,
-    L = (sum e_i B_i)^(-1/2) the pencil's reducer (n, n), or a stack of
-    reducers broadcast against the points."""
-    return _eigh(l @ points @ l, vectors=False)
+def _roots_ascending(pencil: HyperbolicPencil, x) -> np.ndarray:
+    """The roots of p(x - lambda e), ascending: the eigenvalues of
+    sum x_i A_i, from ``eigvalsh``."""
+    return _eigh(_pencil_points(pencil._reduced, pencil._vector(x)), vectors=False)
 
 
 def _pencil_points(matrices: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -143,11 +164,23 @@ def _pencil_points(matrices: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return points
 
 
+def _e_traces(reduced: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The e-traces sum_j x_j tr A_j of the vectors ``xs`` (..., m), from
+    reduced slots (m, n, n) or a stack of them (..., m, n, n) broadcast
+    against the vectors.  Each tr A_j adds its diagonal in order, and the
+    form is ``_pencil_points`` of the traces as 1 x 1 slots, so a vector's
+    e-trace has the same bits in any stack."""
+    diagonal = reduced.real.diagonal(0, -2, -1)
+    traces = sum((diagonal[..., k] for k in range(1, diagonal.shape[-1])), diagonal[..., 0])
+    return _pencil_points(traces[..., None, None], xs)[..., 0, 0]
+
+
 def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     """p-mixed value of n vectors: the mixed discriminant of their pencil matrices.
 
     p(sum t_i x_i) = det(sum t_i B(x_i)), so M_p(x_1,..,x_n) is
-    D(B(x_1),..,B(x_n)), evaluated by the centered polarization kernel.
+    D(B(x_1),..,B(x_n)), evaluated by the centered polarization kernel on
+    the unreduced slots.
     """
     xs = np.asarray(xs, dtype=float)
     n = pencil.degree
@@ -156,23 +189,21 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     return float(_discriminants(_pencil_points(pencil.matrices, xs)[None])[0])
 
 
-def _membership(matrices, reducer, e, xs: np.ndarray, tol: Tolerances):
+def _membership(reduced, e, xs: np.ndarray, tol: Tolerances):
     """Membership of a stack (K, k, m) of K vector tuples: the (K,) arrays of
     the nonnegativity, e-trace and sum violations and of ``passes``, and the
-    points B(x) as a (K, k, n, n) stack.
+    reduced points sum_j x_j A_j as a (K, k, n, n) stack.
 
-    Every tuple is checked against one pencil's matrices (m, n, n) and
-    reducer (n, n), or tuple j against its own, given as the stacks
-    (K, 1, m, n, n) and (K, 1, n, n); ``e`` is the direction (m,) they
-    share.  The roots of every vector come from one :func:`_roots_ascending`
-    call; each root vector is summed with ``math.fsum`` and the vectors of a
-    tuple are added in order.
+    Every tuple is checked against one pencil's reduced slots (m, n, n), or
+    tuple j against its own, given as the stack (K, 1, m, n, n); ``e`` is
+    the direction (m,) they share.  The roots of every vector are the
+    eigenvalues of its reduced point, from one batched ``eigvalsh``; its
+    e-trace is ``_e_traces``, and the vectors of a tuple are added in order.
     """
-    points = _pencil_points(matrices, xs)
-    lam = _roots_ascending(reducer, points)
+    points = _pencil_points(reduced, xs)
+    lam = _eigh(points, vectors=False)
     nonneg = np.maximum(0.0, -lam[..., 0]).max(axis=-1, initial=0.0)
-    traces = np.array([math.fsum(r) for r in lam.reshape(-1, lam.shape[-1]).tolist()])
-    trace = np.abs(traces.reshape(xs.shape[:2]) - 1.0).max(axis=-1, initial=0.0)
+    trace = np.abs(_e_traces(reduced, xs) - 1.0).max(axis=-1, initial=0.0)
     total = np.zeros((len(xs), xs.shape[-1]))
     for i in range(xs.shape[1]):
         total += xs[:, i]
@@ -186,9 +217,7 @@ def check_hd_membership(
 ) -> HdMembershipReport:
     """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces, sum e."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
-    nonneg, trace, sums, passes, _ = _membership(
-        pencil.matrices, pencil._reducer, pencil.e, xs[None], tol
-    )
+    nonneg, trace, sums, passes, _ = _membership(pencil._reduced, pencil.e, xs[None], tol)
     return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), bool(passes[0]))
 
 
@@ -220,19 +249,22 @@ def _random_ds_matrices(k: int, n: int, rng, tol: Tolerances) -> tuple[np.ndarra
     a plain sweep never raises psi, so psi falls, to rounding, along the
     steps.  The candidates of the whole stack come from one batched solve.
     The steps stop once every row sum of the stack is within 1e-4
-    ``ds_tol`` of 1, or after ``_SINKHORN_MAX_SWEEPS``: about 5 steps where
-    plain sweeps took 40 to 121 (200 matrices, n = 3 and 4, seeds 0-59).
+    ``ds_tol`` of 1, but never less than 4 n eps, the rounding of a row sum,
+    or after ``_SINKHORN_MAX_SWEEPS``: about 5 steps where plain sweeps
+    took 40 to 121 (200 matrices, n = 3 and 4, seeds 0-59).
     The stack stops as a whole, so a slice is not, bit for bit, what the
     same draw scaled on its own would give.
     """
     kern = np.exp(rng.standard_normal((k, n, n)))
-    stop = 1e-4 * tol.ds_tol
+    rounding = 4 * n * np.finfo(float).eps
+    # The stop is never below the rounding of a row sum, which a stack may
+    # not get under: a tinier ds_tol would run every stack to the cap.
+    stop = max(1e-4 * tol.ds_tol, rounding)
     # Sums over the length-n axes are matrix-vector products on reshapes,
     # which cost far less than numpy's reductions over a short axis.
     ones = np.ones(n)
     # Row 2j of the steps is matrix j's Newton step, row 2j + 1 its sweep.
     odds = np.arange(1, 2 * k, 2)
-    rounding = 4 * n * np.finfo(float).eps
     x = np.zeros((k, n))
     steps = 0
     while True:
@@ -286,17 +318,20 @@ def conjecture_experiment(
     blocks: a block is the pencils that the samples still needed take, at
     most ``_BLOCK_MIXTURES`` mixtures, so that each pencil but the last takes
     ``_MIXTURES_PER_PENCIL``.  Its tuples come from one ``random_ds_tuples``
-    call, its mixtures from one ``_random_ds_matrices`` stack, their
-    membership from one ``_membership`` pass, each mixture against its own
-    pencil, and the accepted ones from one ``_discriminants`` call; p(e) is
-    one determinant per pencil.  Ratios, violations and the barren-pencil
-    rule then run in pencil order, and a block whose mixtures were rejected
-    leaves the rest to the next block.  ``max_sinkhorn_sweeps`` is the most
-    guarded Newton steps any block's stack took (about 5; the name dates from
-    plain Sinkhorn sweeps); at ``_SINKHORN_MAX_SWEEPS`` a stack stopped at
-    the cap, not at its row-sum test, and its mixtures may fail the
-    membership recheck.  SamplerExhausted after
-    ``_MAX_BARREN_PENCILS`` pencils in a row accept no mixture.
+    call, their reduced slots A_i = L B_i L from one batched congruence,
+    its mixtures from one ``_random_ds_matrices`` stack, their membership
+    from one ``_membership`` pass on the reduced points, each mixture
+    against its own pencil, and the ratios of the accepted ones from one
+    ``_discriminants`` call on those points: D(L X_1 L, .., L X_n L) is
+    det(L)^2 D(X_1, .., X_n) = M_p / p(e), so p(e) is never computed.
+    Ratios, violations and the barren-pencil rule then run in pencil order,
+    and a block whose mixtures were rejected leaves the rest to the next
+    block.  ``max_sinkhorn_sweeps`` is the most guarded Newton steps any
+    block's stack took (about 5; the name dates from plain Sinkhorn sweeps);
+    at ``_SINKHORN_MAX_SWEEPS`` a stack stopped at the cap, not at its
+    row-sum test, and its mixtures may fail the membership recheck.
+    SamplerExhausted after ``_MAX_BARREN_PENCILS`` pencils in a row accept
+    no mixture.
     """
     bound = bapat_bound(n)
     rng = make_rng(seed)
@@ -317,19 +352,18 @@ def conjecture_experiment(
         # pencil_from_tuple of each: the slots are exactly Hermitian already,
         # and every direction is the all-ones vector.
         mats = np.array([t.matrices for t in tuples])
-        at_e = mats.sum(1)
-        reducers = _inv_sqrt(*_eigh(at_e), tol)
-        p_e = np.linalg.det(at_e).real
+        reduced = _reduce(mats, mats.sum(1), tol)
         mixes, sweeps = _random_ds_matrices(need, n, rng, tol)
         max_sweeps = max(max_sweeps, sweeps)
         owner = np.repeat(np.arange(len(counts)), counts)
         # The vectors of a mixture are its columns.
         *_, passes, points = _membership(
-            mats[owner, None], reducers[owner, None], np.ones(n), mixes.swapaxes(-1, -2), tol
+            reduced[owner, None], np.ones(n), mixes.swapaxes(-1, -2), tol
         )
+        # D(L X_1 L, .., L X_n L) = det(L)^2 D(X_1, .., X_n) = M_p / p(e).
         ratios = np.zeros(need)
         if passes.any():
-            ratios[passes] = _discriminants(points[passes]) / p_e[owner[passes]]
+            ratios[passes] = _discriminants(points[passes])
         first = 0
         for count in counts:
             hits = passes[first : first + count]

@@ -198,6 +198,17 @@ class TestConjectureExperiment:
             conjecture_experiment(4, 20, 0)
         assert len(pencils) == hyperbolic._MAX_BARREN_PENCILS == 100
 
+    def test_a_tiny_ds_tol_stops_at_the_rounding_of_a_row_sum(self):
+        # 1e-4 ds_tol = 1e-16 lies below the rounding of a row sum; the stop
+        # is then 4 n eps, and the stacks stop in a few steps, not at the cap.
+        rep = conjecture_experiment(2, 60, 1, Tolerances(ds_tol=1e-12))
+        assert rep.samples == 60
+        assert 0 < rep.max_sinkhorn_sweeps < hyperbolic._SINKHORN_MAX_SWEEPS
+        for n in (2, 4, 8):
+            m, steps = _random_ds_matrices(50, n, make_rng(n), Tolerances(ds_tol=0.0))
+            assert steps < hyperbolic._SINKHORN_MAX_SWEEPS
+            assert np.abs(m.sum(axis=-1) - 1.0).max() <= 4 * n * np.finfo(float).eps
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_conjecture_mixtures_stop_short_of_the_cap(self, n, seed):
@@ -305,17 +316,24 @@ class TestGuardedNewtonScaling:
 
 
 def _sequential_membership(pencil, xs, tol=DEFAULT_TOL):
-    """Membership one vector at a time through ``roots``, as fields."""
+    """Membership one vector at a time through ``roots`` and ``trace_e``, as
+    fields."""
     nonneg_v = trace_v = 0.0
     total = np.zeros(pencil.m)
     for x in xs:
-        r = roots(pencil, x)
-        nonneg_v = max(nonneg_v, max(0.0, -float(r.lam[-1])))
-        trace_v = max(trace_v, abs(math.fsum(r.lam) - 1.0))
+        nonneg_v = max(nonneg_v, max(0.0, -float(roots(pencil, x).lam[-1])))
+        trace_v = max(trace_v, abs(trace_e(pencil, x) - 1.0))
         total += x
     sum_v = float(np.max(np.abs(total - pencil.e)))
     passes = nonneg_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
     return nonneg_v, trace_v, sum_v, passes
+
+
+def _reduced_ratio(pencil, xs):
+    """M_p(x_1, .., x_n) / p(e) of one mixture as the mixed discriminant of
+    its reduced points sum_j x_j A_j."""
+    points = hyperbolic._pencil_points(pencil._reduced, np.array(xs))
+    return float(hyperbolic._discriminants(points[None])[0])
 
 
 def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
@@ -336,7 +354,7 @@ def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
                 if not _sequential_membership(pencil, xs, tol)[3]:
                     rejected += 1
                     continue
-                ratio = mixed_value(pencil, xs) / pencil.value(pencil.e)
+                ratio = _reduced_ratio(pencil, xs)
                 done += 1
                 min_ratio = min(min_ratio, ratio)
                 if ratio < bound - 1e-6:
@@ -350,6 +368,21 @@ def _bits(*values):
 
 
 class TestStackedMembership:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_a_scaled_pencil_gives_the_same_bits(self, n):
+        # B -> 4^k B scales L by 2^-k exactly, so the reduced slots, and with
+        # them every membership field, keep their bits.
+        t = random_ds_tuple(n, 80 + n)
+        pencil = pencil_from_tuple(t)
+        mixes = _random_ds_matrices(4, n, make_rng(n), DEFAULT_TOL)[0]
+        for k in (-20, 20):
+            scaled = HyperbolicPencil(4.0**k * t.matrices, np.ones(n))
+            assert scaled._reduced.tobytes() == pencil._reduced.tobytes()
+            for scale in (1.0, 1.0 + 1e-7, -1.0):
+                for mix in mixes:
+                    xs = list(scale * mix.T)
+                    assert check_hd_membership(scaled, xs) == check_hd_membership(pencil, xs)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_report_matches_the_root_loop(self, n):
         pencil = pencil_from_tuple(random_ds_tuple(n, 40 + n))
@@ -368,6 +401,17 @@ class TestStackedMembership:
 
 
 class TestStackedConjecture:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_the_reduced_ratio_is_the_mixed_value_over_p_e(self, n):
+        # D(L X_1 L, .., L X_n L) = det(L)^2 D(X_1, .., X_n) = M_p / p(e),
+        # on pencils whose p(e) is not 1 as well as on DS-tuple pencils.
+        mixes = _random_ds_matrices(20, n, make_rng(n), DEFAULT_TOL)[0]
+        for pencil in (pencil_from_tuple(random_ds_tuple(n, 60 + n)), random_pencil(n, 70 + n)):
+            for mix in mixes:
+                xs = list(mix.T)
+                expected = mixed_value(pencil, xs) / pencil.value(pencil.e)
+                assert abs(_reduced_ratio(pencil, xs) - expected) <= 1e-13 * abs(expected)
+
     @pytest.mark.parametrize("n, samples, seed", [(1, 10, 3), (2, 60, 0), (3, 120, 1), (4, 80, 7), (5, 60, 3)])
     def test_matches_one_mixture_at_a_time(self, n, samples, seed):
         rep = conjecture_experiment(n, samples, seed)
@@ -398,7 +442,7 @@ class TestStackedConjecture:
 
 
     def test_a_block_whose_mixtures_are_rejected_refills_from_the_next_pencils(self, monkeypatch):
-        # At ds_tol = 3e-16 rounding alone fails about four mixtures in ten:
+        # At ds_tol = 3e-16 rounding alone fails about one mixture in three:
         # the first block (pencils 0 and 1, 50 + 10 mixtures) falls short and
         # each later block draws what is still needed, from the next pencils.
         tol = Tolerances(ds_tol=3e-16)
@@ -474,13 +518,15 @@ def test_blocks_keep_the_per_pencil_reports(n):
 
 
 # ---------------------------------------------------------------------------
-# roots, trace_e and is_e_nonnegative against the eigh root path
+# roots, trace_e and is_e_nonnegative against the unreduced root path
 
 
-def _eigh_roots(pencil, x):
-    """The roots as ``roots`` first computed them: the eigenvalues of
-    ``np.linalg.eigh`` of L B(x) L, descending."""
-    l = pencil._reducer
+def _unreduced_roots(pencil, x):
+    """The roots as ``roots`` first computed them, from the unreduced slots:
+    the eigenvalues of ``np.linalg.eigh`` of L B(x) L, descending, with
+    L = B(e)^(-1/2) from ``np.linalg.eigh`` of B(e)."""
+    w, v = np.linalg.eigh(pencil.at(pencil.e))
+    l = (v / np.sqrt(w)) @ v.conj().T
     return np.linalg.eigh(l @ pencil.at(x) @ l)[0][::-1]
 
 
@@ -499,24 +545,35 @@ def _seeded_pencils():
 
 class TestRootPath:
     def test_roots_trace_and_nonnegativity_come_from_eigvalsh(self):
-        # The roots are the eigenvalues alone of L B(x) L; they stay within
-        # 1e-13 of the first eigendecomposition route and decide every
-        # nonnegativity test as it did.
+        # The roots are the eigenvalues alone of sum x_i A_i; they stay within
+        # 1e-13 max|root| of the eigenvalues of L B(x) L and decide every
+        # nonnegativity test as those do.  The e-trace, the linear form
+        # sum x_i tr A_i, stays within 1e-14 (1 + |t|) of the roots' sum.
         rng = make_rng(78)
         outcomes = set()
         for pencil in _seeded_pencils():
             points = [pencil.e, -pencil.e, np.zeros(pencil.m)]
             points += [rng.standard_normal(pencil.m) for _ in range(6)]
             for x in points:
-                l = pencil._reducer
-                lam = np.linalg.eigvalsh(l @ pencil.at(x) @ l)[::-1]
-                reference = _eigh_roots(pencil, x)
-                assert np.abs(lam - reference).max() <= 1e-13
+                reduced = sum(xi * a for xi, a in zip(x, pencil._reduced))
+                lam = np.linalg.eigvalsh(reduced)[::-1]
+                reference = _unreduced_roots(pencil, x)
+                scale = np.abs(reference).max()
+                assert np.abs(lam - reference).max() <= 1e-13 * scale
                 assert roots(pencil, x).lam.tobytes() == lam.tobytes()
-                assert trace_e(pencil, x).hex() == math.fsum(lam).hex()
+                t = trace_e(pencil, x)
+                assert abs(t - math.fsum(lam)) <= 1e-14 * (1.0 + abs(t))
                 for psd_tol in (DEFAULT_TOL.psd_tol, 0.0, 0.5):
-                    scale = np.abs(reference).max()
                     expected = bool(reference[-1] >= -psd_tol * scale)
                     assert is_e_nonnegative(pencil, x, Tolerances(psd_tol=psd_tol)) is expected
                     outcomes.add(expected)
         assert outcomes == {True, False}
+
+    def test_reduced_slots_are_hermitian_and_sum_to_the_identity(self):
+        # A_i = L B_i L is symmetrized exactly, and sum e_i A_i = L B(e) L = I.
+        for pencil in _seeded_pencils():
+            a = pencil._reduced
+            assert a.shape == pencil.matrices.shape
+            assert np.array_equal(a, a.conj().swapaxes(-1, -2))
+            at_e = sum(ei * ai for ei, ai in zip(pencil.e, a))
+            assert np.abs(at_e - np.eye(pencil.degree)).max() <= 1e-13
