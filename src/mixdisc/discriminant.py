@@ -11,10 +11,13 @@ hyperbolic mixed values.  From n = 8 on the kernel groups bitwise-equal
 slots (rows): a tuple whose groups have free_g free signs costs
 prod_g (free_g + 1) determinants instead of 2^(n-1), so J_n and
 D(P/n, .., P/n) take n, and a tuple of distinct slots still takes 2^(n-1).
-The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  Every
-module reads D of Hermitian tuples through :func:`_discriminants`, one
-residue gate at 8 n u S (:func:`_as_real_d`).  The permutation-sum formulas
-are independent oracles behind hard dimension gates (``core._gate``):
+The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  Its
+chunks hold at most ``_CHUNK_BYTES`` of each tuple's combinations, and its
+sums are exact chunk by chunk, so its working memory does not grow with the
+number of classes.  Every module reads D of Hermitian tuples through
+:func:`_discriminants`, one residue gate at 8 n u S (:func:`_as_real_d`).
+The permutation-sum formulas are independent oracles behind hard dimension
+gates (``core._gate``):
 
 * :func:`eval_sigma_det`     -- sum over sigma of det(A_sigma), n <= 10
 * :func:`eval_double_perm`   -- signed double permutation sum, n <= 6
@@ -55,7 +58,10 @@ _GATE_TENSOR = 6
 _GATE_POLARIZED = 20
 _GATE_PERMANENT = 20
 
-_DET_CHUNK = 8192
+# Bytes of one tuple's combinations in a chunk of the centered kernel, from
+# which the classes per chunk follow (_chunk_classes); at most 2 MiB of
+# combinations are live per tuple, whatever n.
+_CHUNK_BYTES = 1 << 21
 # Slot count from which the centered kernel groups repeated slots (see
 # _eps_combinations for why not below).
 _GROUP_MIN_N = 8
@@ -241,54 +247,90 @@ def _perms_and_signs(n: int):
     return perms, signs
 
 
+def _chunk_classes(row_bytes: int) -> int:
+    """Classes (or permutations) per chunk whose combinations (or gathered
+    matrices) of ``row_bytes`` bytes each fill ``_CHUNK_BYTES``.  A class
+    counts as at least 256 bytes, about its share of the class tables, its
+    term and the chunk's Python work at n <= 20, so no chunk holds more than
+    8192 classes."""
+    return _CHUNK_BYTES // max(row_bytes, 256)
+
+
 def _iter_perm_chunks(n: int):
-    """S_n as (k, n) arrays of at most ``_DET_CHUNK`` permutations: slices of
-    the cached table up to n = 8, generated chunk by chunk above."""
+    """S_n as (k, n) arrays of permutations, as many per chunk as
+    :func:`_chunk_classes` gives for their gathered n x n complex matrices:
+    slices of the cached table up to n = 8, generated chunk by chunk above."""
+    size = _chunk_classes(16 * n * n)
     if n <= 8:
         perms = _perms_and_signs(n)[0]
-        for lo in range(0, len(perms), _DET_CHUNK):
-            yield perms[lo : lo + _DET_CHUNK]
+        for lo in range(0, len(perms), size):
+            yield perms[lo : lo + size]
         return
     it = itertools.permutations(range(n))
-    while block := list(itertools.islice(it, _DET_CHUNK)):
+    while block := list(itertools.islice(it, size)):
         yield np.array(block, dtype=np.int8)
 
 
-def _count_vectors(sizes: tuple, free: tuple, c: np.ndarray):
-    """Coefficients, weights and per-group mean signs of the count vectors
-    ``c`` (one per row) of groups of ``sizes`` equal slots, ``free`` of whose
-    signs are free (all of them, or all but slot n-1's).
+@lru_cache(maxsize=64)
+def _digits(k: int, f: int):
+    """The values that each count c = 0..f of -1 signs among the ``f`` free
+    signs of a group of ``k`` equal slots gives its classes: the coefficient
+    k - 2c of the group's row, the signed weight (-1)^c C(f, c), which is
+    prod(eps) over the group summed over its sign vectors with that count,
+    and the mean sign (f - 2c) / f of a free slot (the sign itself for a
+    group of one slot).  Three read-only (f + 1,) float arrays."""
+    c = np.arange(f + 1.0)
+    coef = k - 2.0 * c
+    weight = np.array([(-1.0) ** j * math.comb(f, j) for j in range(f + 1)])
+    mean = coef if k == 1 else (f - 2.0 * c) / f
+    for a in (coef, weight, mean):
+        a.flags.writeable = False
+    return coef, weight, mean
 
-    c_g in 0..free[g] counts the -1 signs among the free slots of group g.
-    The class of eps with counts c has the combination sum_g (k_g - 2 c_g) B_g
-    (k_g = sizes[g]), the weight (-1)^(sum c) prod_g C(free[g], c_g), which is
-    prod(eps) summed over the class, and on a free slot of group g the mean
-    sign (free[g] - 2 c_g) / free[g].
+
+def _class_table(sizes: tuple, free: tuple, with_mean: bool):
+    """Coefficients (N, G), signs (N,) and, if ``with_mean``, mean signs
+    (N, G) of every class of G groups of ``sizes`` equal slots, ``free`` of
+    whose signs are free (all of them, or all but slot n-1's); None for the
+    mean signs otherwise.
+
+    Class k has the count vector c whose mixed-radix digits, group 0 least
+    significant, are those of k; its combination is sum_g (k_g - 2 c_g) B_g
+    and its sign and mean signs are those of :func:`_digits`.  Each group's
+    column is one broadcast write of its f + 1 values, and the signs one
+    broadcast product per group, so no digit or index table is formed; the
+    signs are products of small integers, exact in any order.
     """
-    coef = np.asarray(sizes, dtype=float) - 2.0 * c
-    mean = coef.copy()  # a group of one slot: its sign
-    weight = np.ones(len(c))
+    total = math.prod(f + 1 for f in free)
+    coef = np.empty((total, len(free)))
+    mean = np.empty_like(coef) if with_mean else None
+    sign = np.ones(total)
+    stride = 1
     for g, (k, f) in enumerate(zip(sizes, free)):
-        if k > 1:
-            mean[:, g] = (f - 2.0 * c[:, g]) / f
-        if f > 1:
-            weight *= np.array([math.comb(f, j) for j in range(f + 1)], dtype=float)[c[:, g]]
-    return coef, np.where(c.sum(axis=1) % 2 == 0, weight, -weight), mean
+        # Rows (q, c, r) of this view have digit c in group g.
+        shape = (total // (stride * (f + 1)), f + 1, stride)
+        c_vals, w_vals, m_vals = _digits(k, f)
+        coef.reshape(*shape, -1)[..., g] = c_vals[:, None]
+        signs = sign.reshape(shape)
+        signs *= w_vals[:, None]
+        if with_mean:
+            mean.reshape(*shape, -1)[..., g] = m_vals[:, None]
+        stride *= f + 1
+    return coef, sign, mean
 
 
 @lru_cache(maxsize=16)
-def _count_table(sizes: tuple, free: tuple):
-    """How many leading groups (``low``) have at most ``_DET_CHUNK`` count
-    vectors together, and :func:`_count_vectors` of all of those, in mixed
-    radix with group 0 least significant.  With every group one slot, row k
-    is the sign vector with eps_i = -1 where bit i of k is set."""
-    radix = np.array(free) + 1
-    low = int(np.searchsorted(np.cumprod(radix), _DET_CHUNK, side="right"))
-    radix = radix[:low]
-    c = np.arange(int(np.prod(radix)))[:, None] // (np.cumprod(radix) // radix) % radix
-    table = _count_vectors(sizes[:low], free[:low], c)
+def _count_table(sizes: tuple, free: tuple, classes: int):
+    """How many leading groups (``low``) have at most ``classes`` classes
+    together, and :func:`_class_table` of those, with mean signs only when
+    some group has more than one slot.  With every group one slot, row k is
+    the sign vector with eps_i = -1 where bit i of k is set.  Rows of every
+    width up to 256 bytes share one table, that of 8192 classes."""
+    low = int(np.searchsorted(np.cumprod(np.array(free) + 1), classes, side="right"))
+    table = _class_table(sizes[:low], free[:low], max(sizes) > 1)
     for a in table:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return low, table
 
 
@@ -323,7 +365,7 @@ def _eps_combinations(rows: np.ndarray):
     ``rows`` is a (B, n, m) stack of B tuples of n rows; ``combinations`` is
     (B, c, m), the c combinations of each tuple.  Sign vectors that put the
     same number of -1 signs on each group of bitwise-equal rows give the same
-    combination sum_g (k_g - 2 c_g) B_g (see :func:`_count_vectors`), so one
+    combination sum_g (k_g - 2 c_g) B_g (see :func:`_class_table`), so one
     class stands for all of them.  A group of k_g rows has k_g free signs, the
     group of slot n-1 one fewer, so there are prod_g (free_g + 1) classes
     instead of 2^(n-1): 18 for J_18 rather than 131,072.  ``sign`` is
@@ -340,22 +382,31 @@ def _eps_combinations(rows: np.ndarray):
     vectors, in the order of the bits of their index (bit i set means
     eps_i = -1).
 
-    Chunks hold at most ``_DET_CHUNK`` classes: the cached table of the
-    leading groups whose classes fit in one chunk, beside one count vector of
-    the remaining groups per chunk.  The combinations are real when the
-    imaginary part of the whole stack is exactly zero, complex otherwise;
-    either way one real matmul forms a chunk, one BLAS product of the same
-    shape per tuple.  Every chunk is written into the same buffers: the
-    yielded ``eps``, like the combinations, may be overwritten by the next
-    chunk, so a consumer must be done with both before it asks for the next.
+    A chunk holds the classes of the cached table of the leading groups
+    whose classes together fit ``_chunk_classes`` of one combination's bytes,
+    beside one count vector of the remaining groups.  So each tuple's
+    combinations take at most ``_CHUNK_BYTES`` per chunk: 512 classes of a
+    complex n = 16 tuple, 8192 (the cap) for a real permanent up to n = 20.
+    Below ``_GROUP_MIN_N`` (64 classes of at most 784 bytes) every stack is
+    one chunk.  The combinations are real when the imaginary part of the
+    whole stack is exactly zero, complex otherwise; either way one real
+    matmul forms a chunk, one BLAS product of the same shape per tuple.
+    BLAS may round a row of a product differently with the number of rows
+    in it (OpenBLAS does, in the tail rows and columns of its blocks), so a
+    combination keeps its bits across chunk sizes only where it is exact,
+    and D may move in its last bits with the chunk size.  Every chunk is
+    written into the same buffers: the yielded ``eps``, like the
+    combinations, may be overwritten by the next chunk, so a consumer must
+    be done with both before it asks for the next.
     """
     rows = np.ascontiguousarray(rows)
     if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
         rows = np.ascontiguousarray(rows.real)
     flat = rows.view(np.float64)  # complex entries as (re, im) pairs
     reps, sizes, free, labels = _slot_groups(flat)
-    low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free)
-    buf = np.empty((len(flat), len(lo_coef), flat.shape[2]))
+    width = flat.shape[2]
+    low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free, _chunk_classes(8 * width))
+    buf = np.empty((len(flat), len(lo_coef), width))
     coef, sign, mean = lo_coef, lo_sign, lo_mean
     # One count vector of the other groups per chunk: the high digits of the
     # class index, the last group's slowest, written into the tail columns of
@@ -363,20 +414,22 @@ def _eps_combinations(rows: np.ndarray):
     highs = [()]
     if low < len(free):
         highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
+        digits = [_digits(k, f) for k, f in zip(sizes[low:], free[low:])]
         coef = np.empty((len(lo_coef), len(free)))
         coef[:, :low] = lo_coef
-        if labels is not None:
+        if mean is not None:
             mean = np.empty_like(coef)
             mean[:, :low] = lo_mean
     for high in highs:
         if high:
-            hi_coef, hi_sign, hi_mean = _count_vectors(
-                sizes[low:], free[low:], np.array([high[::-1]])
-            )
-            coef[:, low:], sign = hi_coef, lo_sign * hi_sign
-            if labels is not None:
-                mean[:, low:] = hi_mean
-        if labels is None:
+            hi_sign = 1.0
+            for g, c, (c_vals, w_vals, m_vals) in zip(range(low, len(free)), high[::-1], digits):
+                coef[:, g] = c_vals[c]
+                hi_sign *= w_vals[c]
+                if mean is not None:
+                    mean[:, g] = m_vals[c]
+            sign = lo_sign * hi_sign
+        if mean is None:
             eps = coef
         else:
             eps = mean[:, labels]
@@ -394,14 +447,15 @@ def _centered_sum(rows: np.ndarray, term):
     eps[n-1] = +1 appear, which halves the work for terms homogeneous of
     degree n, and from n = ``_GROUP_MIN_N`` on equal rows are grouped, so
     ``term`` sees prod_g (free_g + 1) combinations (see
-    :func:`_eps_combinations`).  The signed terms are summed with
-    compensation (:func:`_fsum_rows`); the second result, sum |terms| over
-    all 2^(n-1) ungrouped terms (a class weight times |term|), is the scale
-    of the rounding error of the first (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 4): that error is a small multiple of the unit
-    round-off times it.  As a scale it needs no compensation: it is numpy's
-    pairwise sum of the nonnegative |terms|, within about log2(N) u of the
-    exact sum of its N terms.
+    :func:`_eps_combinations`).  The signed terms are summed correctly
+    rounded, chunk by chunk as they are computed (:func:`_exact_sums`), so
+    no more than one chunk of terms is held; the second result, sum |terms|
+    over all 2^(n-1) ungrouped terms (a class weight times |term|), is the
+    scale of the rounding error of the first (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 4): that error is a small multiple of the
+    unit round-off times it.  As a scale it needs no compensation: it is
+    numpy's pairwise sum of each chunk's nonnegative |terms|, the chunks'
+    sums added in order, within about (log2(N) + chunks) u of the exact sum.
 
     Each tuple's pair is bit for bit what the stack of that tuple alone
     (B = 1) gives.  A stack runs as one enumeration below ``_GROUP_MIN_N``
@@ -426,15 +480,77 @@ def _centered_sum(rows: np.ndarray, term):
         for idx, (v, mag) in results:
             values[idx], magnitudes[idx] = v, mag
         return values, magnitudes
-    chunks = [sign * term(s.reshape(-1, m)).reshape(b, -1) for _, sign, s in _eps_combinations(rows)]
-    terms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    sums, magnitudes = _exact_sums(
+        sign * term(s.reshape(-1, m)).reshape(b, -1) for _, sign, s in _eps_combinations(rows)
+    )
     scale = 2.0 ** (1 - n)
-    if np.iscomplexobj(terms):
-        parts = zip(_fsum_rows(terms.real), _fsum_rows(terms.imag))
-        values = [scale * complex(re, im) for re, im in parts]
+    if len(sums) > b:
+        values = [scale * complex(re, im) for re, im in zip(sums[:b], sums[b:])]
     else:
-        values = [scale * total for total in _fsum_rows(terms)]
-    return np.array(values), scale * np.abs(terms).sum(axis=1)
+        values = [scale * total for total in sums]
+    return np.array(values), scale * magnitudes
+
+
+def _exact_sums(chunks):
+    """The row sums of the (B, c) chunks of terms that ``chunks`` yields,
+    each consumed before the next is asked for: the correctly rounded sums
+    as a list of floats, the B real parts then, if the terms are complex,
+    the B imaginary parts, and the sums of |terms| as a (B,) array.
+
+    Each row's sum is one ``math.fsum`` (:func:`_fsum_rows`) of the last
+    chunk's terms beside the exact parts (:func:`_exact_parts`) of every
+    earlier chunk, a few floats per row and chunk that sum exactly to the
+    chunk's row.  fsum rounds the exact sum correctly, so the sum has the
+    bits of one fsum over all the terms, whatever the chunks, and no more
+    than one chunk of terms is held; a single chunk is summed as it is.
+    The sums of |terms| are numpy's pairwise sums per chunk, added in order.
+    """
+    parts = []
+    last = next(chunks)
+    magnitudes = np.abs(last).sum(axis=1)
+    for terms in chunks:
+        magnitudes += np.abs(terms).sum(axis=1)
+        parts.append(_exact_parts(_real_rows(last)))
+        last = terms
+    if parts:
+        return _fsum_rows(np.concatenate(parts + [_real_rows(last)], axis=1)), magnitudes
+    if last.dtype.kind == "c":
+        return _fsum_rows(last.real) + _fsum_rows(last.imag), magnitudes
+    return _fsum_rows(last), magnitudes
+
+
+def _real_rows(terms: np.ndarray) -> np.ndarray:
+    """A (B, c) array of terms as real rows: itself, or its real then its
+    imaginary parts when complex."""
+    return np.concatenate((terms.real, terms.imag)) if terms.dtype.kind == "c" else terms
+
+
+def _exact_parts(x: np.ndarray) -> np.ndarray:
+    """A few columns of floats whose rows sum exactly to the rows of the real
+    (R, c) array ``x``, by error-free extraction (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31 (2008), ExtractVector).
+
+    With 2^k >= c + 2 and, per row, sigma a power of two at least 2^k times
+    its largest |entry|, q = (sigma + x) - sigma and x - q are exact, q is a
+    multiple of 2^-53 sigma and the row sum of q is below sigma, so any
+    float sum of q is exact too.  Each pass keeps that sum as one column
+    and goes on with x - q, whose entries are below 2^(k-53) sigma: 53 - k
+    bits fewer, so terms within 2^60 of each other take about three
+    passes.  A chunk that is not finite, or within 2^k of overflow, comes
+    back whole, and fsum treats it as it would the terms in one list.
+    """
+    k = (x.shape[1] + 1).bit_length()
+    top = np.abs(x).max(axis=1)
+    if not (top < 2.0 ** (1023 - k)).all():
+        return x
+    parts = []
+    while top.any():
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + k)[:, None]
+        q = (sigma + x) - sigma
+        x = x - q
+        parts.append(q.sum(axis=1))
+        top = np.abs(x).max(axis=1)
+    return np.array(parts).T.reshape(len(x), -1)
 
 
 def _fsum_rows(a: np.ndarray) -> list:
@@ -473,10 +589,9 @@ def eval_polarized(t: MatrixTuple) -> float:
 def eval_sigma_det(t: MatrixTuple) -> float:
     """Mixed discriminant as sum over sigma of det(A_sigma).
 
-    Column i of A_sigma is column i of A_{sigma(i)}.  The real parts of the
-    n! determinants go through one ``math.fsum`` as each chunk is computed,
-    so no chunk outlives its own sum; the imaginary parts only feed the
-    residue check, summed per chunk.
+    Column i of A_sigma is column i of A_{sigma(i)}.  The n! determinants
+    go through :func:`_exact_sums` chunk by chunk as they are computed
+    (:func:`_iter_perm_chunks`), so no chunk outlives its own sum.
     """
     n = t.n
     _gate(n, _GATE_SIGMA_DET, "eval_sigma_det")
@@ -484,18 +599,12 @@ def eval_sigma_det(t: MatrixTuple) -> float:
     # Entry (r, i) of A_sigma is entry (r, i) of A_sigma(i), at offset
     # sigma(i) n^2 + r n + i of ``flat``: one gather per chunk.
     offsets = np.arange(n * n).reshape(n, n)
-    imag = []
-
-    def real_parts():
-        for perms in _iter_perm_chunks(n):
-            index = perms.astype(np.intp)[:, None, :] * (n * n) + offsets
-            dets = np.linalg.det(flat.take(index))
-            imag.append(math.fsum(dets.imag.tolist()))
-            yield dets.real.tolist()
-
-    real = math.fsum(itertools.chain.from_iterable(real_parts()))
-    z = np.array([complex(real, math.fsum(imag))])
-    return float(_as_real_d(z, t.matrices[None])[0])
+    dets = (
+        np.linalg.det(flat.take(perms.astype(np.intp)[:, None, :] * (n * n) + offsets))[None]
+        for perms in _iter_perm_chunks(n)
+    )
+    real, imag = _exact_sums(dets)[0]
+    return float(_as_real_d(np.array([complex(real, imag)]), t.matrices[None])[0])
 
 
 def _double_perm_raw(mats) -> complex:
@@ -555,10 +664,10 @@ def eval_signed_permanent(t: MatrixTuple) -> float:
     _gate(n, _GATE_SIGNED_PERM, "eval_signed_permanent")
     perms, signs = _perms_and_signs(n)
     # b[s, k, l] = A_l(k, sigma_s(k)).  Each kernel call takes the per(B_sigma)
-    # of a block of sigma with at most _DET_CHUNK sign vectors in all, each
-    # with the bits of its own :func:`permanent` call.
+    # of a block of sigma whose sign vectors in all fill one chunk of complex
+    # rows of n entries, each with the bits of its own :func:`permanent` call.
     b = t.matrices[:, np.arange(n), perms.astype(np.intp)].transpose(1, 2, 0)
-    block = _DET_CHUNK >> (n - 1)
+    block = _chunk_classes(16 * n) >> (n - 1)
     pers = np.concatenate([
         _centered_sum(b[lo : lo + block], _glynn_terms)[0]
         for lo in range(0, len(b), block)
@@ -659,20 +768,26 @@ def _gradient_raw(mats: np.ndarray):
     :func:`gradient`: 2^(n-1) LU determinants and inverses, eigensolves only
     for the classes :func:`_adjugates` sends there.  D and sum |terms| are
     the kernel's values for the tuple (:func:`_centered_sum`), bit for bit;
-    the second is the rounding scale of D."""
+    the second is the rounding scale of D.  Q is summed chunk by chunk, so
+    its last bits depend on the chunk size; the determinants of a chunk go
+    into :func:`_exact_sums` as soon as its adjugates are added to Q."""
     n = len(mats)
     _gate(n, _GATE_POLARIZED, "gradient")
     rows = mats.reshape(1, n, n * n)
-    q, terms = 0, []
-    for eps, sign, s in _eps_combinations(rows):
-        adj, det = _adjugates(s.reshape(-1, n, n))
-        # The next chunk overwrites eps and s: both are consumed here.
-        q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
-        terms.append(sign * det)
+    q = 0
+
+    def signed_dets():
+        nonlocal q
+        for eps, sign, s in _eps_combinations(rows):
+            adj, det = _adjugates(s.reshape(-1, n, n))
+            # The next chunk overwrites eps and s: both are consumed here.
+            q = q + (eps * sign[:, None]).T @ adj.reshape(-1, n * n)
+            yield (sign * det)[None]
+
+    sums, magnitudes = _exact_sums(signed_dets())
     scale = 2.0 ** (1 - n)
-    terms = np.concatenate(terms)
     qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
-    return qs, scale * math.fsum(terms.real.tolist()), float(scale * np.abs(terms).sum())
+    return qs, scale * sums[0], float(scale * magnitudes[0])
 
 
 def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:

@@ -39,7 +39,9 @@ from .extremal import bapat_bound, random_ds_tuples
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
 # Mixtures per block of pencils in conjecture_experiment; bounds the block's
-# membership points, (K, n, n, n) complex, and its kernel chunks.
+# membership points, (K, n, n, n) complex, and the one kernel call on its
+# accepted mixtures: the kernel's byte budget bounds each tuple's chunk, and
+# a stack of K tuples (n < 8) is one chunk of 2^(n-1) combinations per tuple.
 _BLOCK_MIXTURES = 1000
 # Cap on the guarded Newton steps of a mixing stack, which stops in about 5.
 # The name, like the report's max_sinkhorn_sweeps field, which is part of the

@@ -20,6 +20,7 @@ from mixdisc.capacity import (
 from mixdisc.core import (
     DEFAULT_TOL,
     NonConvergence,
+    Tolerances,
     NotIndecomposable,
     NotPositiveDefinite,
     PreconditionViolated,
@@ -36,7 +37,7 @@ from mixdisc.discriminant import (
     check_doubly_stochastic,
     eval_polarized,
 )
-from mixdisc.extremal import random_ds_tuple
+from mixdisc.extremal import random_ds_tuple, random_ds_tuples
 from mixdisc.structure import is_indecomposable
 
 
@@ -606,6 +607,29 @@ def test_full_defect_above_ds_tol_keeps_the_loop_going(monkeypatch):
     assert len(calls) == 2
     assert res.converged and res.iterations == plain.iterations + 1
     assert res.ds_defect <= DEFAULT_TOL.ds_tol
+
+
+@pytest.mark.parametrize("ds_tol", [0.0, 3e-16])
+def test_a_ds_tol_below_rounding_stops_at_the_rounding_floor(ds_tol):
+    # The full defect bottoms out near n eps; below the 4 n eps floor the
+    # loop returns what rounding allows, flagged "roundoff", in a few steps.
+    tol = Tolerances(ds_tol=ds_tol)
+    for n in (2, 3, 4):
+        floor = 4 * n * sys.float_info.epsilon
+        for seed in range(4):
+            res = scale_to_doubly_stochastic(random_tuple(n, 700 + 10 * n + seed), tol)
+            assert res.converged and res.iterations <= 30
+            assert res.stop_reason == ("ds_tol" if res.ds_defect <= ds_tol else "roundoff")
+            assert res.ds_defect <= floor
+    floor = Tolerances(ds_tol=4 * 3 * sys.float_info.epsilon)
+    for t in random_ds_tuples(3, [1, 7920], tol):
+        assert check_doubly_stochastic(t, floor).is_doubly_stochastic
+
+
+def test_the_rounding_floor_leaves_default_tolerance_results_alone():
+    for n in (2, 3, 4):
+        res = scale_to_doubly_stochastic(random_tuple(n, 800 + n))
+        assert res.stop_reason == "ds_tol" and res.ds_defect <= DEFAULT_TOL.ds_tol
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -11,8 +11,9 @@ stack of tuples is held to the single call of each of its tuples, bit for bit,
 and so are the permutation oracles to their one-call-per-sigma forms.  The
 gradient's D is the kernel's D bit for bit and is held to the permutation sum.
 Above one chunk, D, Q and real permanents from the reused class buffers and
-the column-by-column Glynn product keep the bits of fresh per-chunk tables
-and ``np.prod``; the pairwise sum |terms| and the fsum reads are held to
+the column-by-column Glynn product keep the bits of fresh per-chunk tables,
+built from the digits of each class as the kernel first built them, and
+``np.prod``; the pairwise sum |terms| and the fsum reads are held to
 compensated sums of the same floats.
 """
 
@@ -32,14 +33,13 @@ from mixdisc.core import (
     random_hermitian,
 )
 from mixdisc.discriminant import (
-    _DET_CHUNK,
     _GROUP_MIN_N,
     MatrixTuple,
     _adjugates,
     _as_real,
     _centered_sum,
+    _chunk_classes,
     _count_table,
-    _count_vectors,
     _eps_combinations,
     _fsum_rows,
     _gradient_raw,
@@ -249,11 +249,12 @@ def _plain_sign_table(k, n):
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_single_slot_profile_is_the_plain_sign_table(n):
-    low, (coef, sign, _) = _count_table((1,) * n, (1,) * (n - 1) + (0,))
-    assert low == n  # one chunk up to n = 14
+    low, (coef, sign, mean) = _count_table((1,) * n, (1,) * (n - 1) + (0,), 8192)
+    assert low == n  # one chunk of 8192 classes up to n = 14
     eps, plain_sign = _plain_sign_table(np.arange(1 << (n - 1)), n)
     assert coef.dtype == eps.dtype
     assert np.array_equal(coef, eps) and np.array_equal(sign, plain_sign)
+    assert mean is None  # single slots: their mean signs are the coefficients
 
 
 def test_distinct_rows_stream_the_plain_sign_table_at_n16():
@@ -261,11 +262,12 @@ def test_distinct_rows_stream_the_plain_sign_table_at_n16():
     # of distinct rows, and that its combinations are eps @ rows bit for bit.
     n = 16
     rows = make_rng(16).standard_normal((n, 5))
+    size = _chunk_classes(8 * 5)
     chunks = _eps_combinations(rows[None])
     for _ in range(2):
         next(chunks)
     eps, sign, comb = next(chunks)
-    plain_eps, plain_sign = _plain_sign_table(np.arange(2 * _DET_CHUNK, 3 * _DET_CHUNK), n)
+    plain_eps, plain_sign = _plain_sign_table(np.arange(2 * size, 3 * size), n)
     assert np.array_equal(eps, plain_eps) and np.array_equal(sign, plain_sign)
     assert np.array_equal(comb[0], plain_eps @ rows)
 
@@ -521,10 +523,10 @@ def test_sigma_det_keeps_the_whole_table_bits(n):
 
 @pytest.mark.parametrize("n", [3, 7, 8, 9])
 def test_perm_chunks_are_s_n_in_order(n):
-    # Chunks of at most _DET_CHUNK rows: slices of the cached table up to
-    # n = 8, generated above.  Together they are S_n in lexicographic order.
+    # Chunks of at most the budget's permutations: slices of the cached table
+    # up to n = 8, generated above.  Together they are S_n in lexicographic order.
     chunks = list(_iter_perm_chunks(n))
-    assert all(0 < len(c) <= _DET_CHUNK for c in chunks)
+    assert all(0 < len(c) <= _chunk_classes(16 * n * n) for c in chunks)
     expected = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     assert np.array_equal(np.concatenate(chunks), expected)
 
@@ -585,16 +587,36 @@ def _beside(lo, hi):
     return np.concatenate((lo, np.broadcast_to(hi, (len(lo), hi.shape[1]))), axis=1)
 
 
+def _count_vectors(sizes, free, c):
+    """Coefficients, signs and mean signs of the count vectors ``c`` (one per
+    row, int64) of groups of ``sizes`` equal slots, ``free`` of whose signs
+    are free, from the digits themselves: the table as the kernel first
+    built it, before it wrote each group's column by broadcasting."""
+    coef = np.asarray(sizes, dtype=float) - 2.0 * c
+    mean = coef.copy()
+    weight = np.ones(len(c))
+    for g, (k, f) in enumerate(zip(sizes, free)):
+        if k > 1:
+            mean[:, g] = (f - 2.0 * c[:, g]) / f
+        if f > 1:
+            weight *= np.array([math.comb(f, j) for j in range(f + 1)], dtype=float)[c[:, g]]
+    return coef, np.where(c.sum(axis=1) % 2 == 0, weight, -weight), mean
+
+
 def _concatenated_classes(rows):
     """The classes of :func:`_eps_combinations` with a fresh coefficient and
-    mean table concatenated per chunk and fresh combinations, as the kernel
-    built them before it kept one buffer of each."""
+    mean table from :func:`_count_vectors` concatenated per chunk and fresh
+    combinations, as the kernel built them before it kept one buffer of
+    each; the chunks split the groups where the kernel's do."""
     rows = np.ascontiguousarray(rows)
     if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
         rows = np.ascontiguousarray(rows.real)
     flat = rows.view(np.float64)
     reps, sizes, free, labels = _slot_groups(flat)
-    low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free)
+    low = _count_table(sizes, free, _chunk_classes(8 * flat.shape[2]))[0]
+    radix = np.array(free[:low]) + 1
+    digits = np.arange(int(np.prod(radix)))[:, None] // (np.cumprod(radix) // radix) % radix
+    lo_coef, lo_sign, lo_mean = _count_vectors(sizes[:low], free[:low], digits)
     highs = [()]
     if low < len(free):
         highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
@@ -652,7 +674,7 @@ def test_multi_chunk_values_keep_the_concatenated_table_bits(t, classes):
     # Above one chunk the kernel writes each chunk's classes into reused
     # buffers; D and every Q_i keep the bits of fresh tables per chunk.
     _, _, free, _ = _slot_groups(t.matrices.reshape(1, t.n, -1).view(np.float64))
-    assert math.prod(f + 1 for f in free) == classes > _DET_CHUNK
+    assert math.prod(f + 1 for f in free) == classes > _chunk_classes(16 * t.n * t.n)
     d, q = _reference_d_and_q(t)
     g = gradient(t)
     assert eval_polarized(t).hex() == g.value.hex() == d.hex()

@@ -231,6 +231,20 @@ class TestSeparable:
             assert qp_block(res[0]) >= 0.5 - 1e-6
 
 
+@pytest.mark.parametrize("sampler", [sample_separable_ds, sample_block_ds])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_ds_tol_below_rounding_stops_at_the_rounding_floor(sampler, n):
+    # The two Gram-sum defects bottom out near n eps; at ds_tol = 0 the
+    # scaling stops at 4 n eps instead of running every draw to the cap.
+    floor = 4 * n * np.finfo(float).eps
+    for seed in range(4):
+        res = sampler(n, seed, Tolerances(ds_tol=0.0))
+        assert res is not None
+        bm = res[0] if isinstance(res, tuple) else res
+        rep = check_block_ds(bm, Tolerances(ds_tol=floor))
+        assert rep.sum_violation + rep.trace_violation <= 2 * floor
+
+
 class TestBlockDsSampler:
     def test_sampler_outputs_pass(self):
         for seed in range(5):
