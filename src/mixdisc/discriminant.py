@@ -288,11 +288,12 @@ def _digits(k: int, f: int):
     return coef, weight, mean
 
 
+@lru_cache(maxsize=16)
 def _class_table(sizes: tuple, free: tuple, with_mean: bool):
     """Coefficients (N, G), signs (N,) and, if ``with_mean``, mean signs
     (N, G) of every class of G groups of ``sizes`` equal slots, ``free`` of
     whose signs are free (all of them, or all but slot n-1's); None for the
-    mean signs otherwise.
+    mean signs otherwise.  The arrays are cached and read-only.
 
     Class k has the count vector c whose mixed-radix digits, group 0 least
     significant, are those of k; its combination is sum_g (k_g - 2 c_g) B_g
@@ -316,22 +317,21 @@ def _class_table(sizes: tuple, free: tuple, with_mean: bool):
         if with_mean:
             mean.reshape(*shape, -1)[..., g] = m_vals[:, None]
         stride *= f + 1
+    for a in (coef, sign, mean):
+        if a is not None:
+            a.flags.writeable = False
     return coef, sign, mean
 
 
-@lru_cache(maxsize=16)
 def _count_table(sizes: tuple, free: tuple, classes: int):
     """How many leading groups (``low``) have at most ``classes`` classes
     together, and :func:`_class_table` of those, with mean signs only when
     some group has more than one slot.  With every group one slot, row k is
-    the sign vector with eps_i = -1 where bit i of k is set.  Rows of every
-    width up to 256 bytes share one table, that of 8192 classes."""
+    the sign vector with eps_i = -1 where bit i of k is set.  The table is
+    cached by the groups it covers, so real and complex rows of one profile
+    share it wherever their chunks split the groups alike."""
     low = int(np.searchsorted(np.cumprod(np.array(free) + 1), classes, side="right"))
-    table = _class_table(sizes[:low], free[:low], max(sizes) > 1)
-    for a in table:
-        if a is not None:
-            a.flags.writeable = False
-    return low, table
+    return low, _class_table(sizes[:low], free[:low], max(sizes) > 1)
 
 
 def _slot_groups(flat: np.ndarray):
@@ -502,7 +502,7 @@ def _exact_sums(chunks):
     earlier chunk, a few floats per row and chunk that sum exactly to the
     chunk's row.  fsum rounds the exact sum correctly, so the sum has the
     bits of one fsum over all the terms, whatever the chunks, and no more
-    than one chunk of terms is held; a single chunk is summed as it is.
+    than one chunk of terms is held.
     The sums of |terms| are numpy's pairwise sums per chunk, added in order.
     """
     parts = []
@@ -512,11 +512,7 @@ def _exact_sums(chunks):
         magnitudes += np.abs(terms).sum(axis=1)
         parts.append(_exact_parts(_real_rows(last)))
         last = terms
-    if parts:
-        return _fsum_rows(np.concatenate(parts + [_real_rows(last)], axis=1)), magnitudes
-    if last.dtype.kind == "c":
-        return _fsum_rows(last.real) + _fsum_rows(last.imag), magnitudes
-    return _fsum_rows(last), magnitudes
+    return _fsum_rows(np.concatenate(parts + [_real_rows(last)], axis=1)), magnitudes
 
 
 def _real_rows(terms: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from mixdisc.discriminant import (
     MatrixTuple,
     _centered_sum,
     _chunk_classes,
-    _count_table,
     _eps_combinations,
     _exact_parts,
     _exact_sums,
@@ -63,16 +62,13 @@ def _wishart_tuple(n, seed):
 
 @pytest.fixture
 def budget(monkeypatch):
-    """Sets ``_CHUNK_BYTES`` for one test; the class tables, cached per row
-    width, are rebuilt under it and again after it."""
+    """Sets ``_CHUNK_BYTES`` for one test.  The class tables are cached by
+    the groups they cover, not by the budget, so none goes stale."""
 
     def set_bytes(value):
         monkeypatch.setattr(disc, "_CHUNK_BYTES", value)
-        _count_table.cache_clear()
 
-    yield set_bytes
-    monkeypatch.undo()
-    _count_table.cache_clear()
+    return set_bytes
 
 
 # ---------------------------------------------------------------------------
