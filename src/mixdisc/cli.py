@@ -486,16 +486,19 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
         doc = tuple_to_doc(MatrixTuple(mats))
     elif args.kind == "ds":
         doc = tuple_to_doc(extremal.random_ds_tuple(args.n, args.seed, tol))
-    elif args.kind == "block-ds":
-        bm = pascal.sample_block_ds(args.n, args.seed, tol)
-        if bm is None:
-            raise NonConvergence("block-DS sampler did not converge for this seed")
-        doc = block_to_doc(bm)
-    else:  # separable: the draw alone, without the witness the document omits
-        draw = pascal._separable_draw(args.n, args.seed, tol)
-        if draw is None:
-            raise NonConvergence("separable sampler did not converge for this seed")
-        doc = block_to_doc(draw[0])
+    else:  # block-ds, or separable: the draw alone, without the witness the document omits
+        scaling = (
+            pascal._block_draw(args.n, args.seed, tol)
+            if args.kind == "block-ds"
+            else pascal._separable_draw(args.n, args.seed, tol)[0]
+        )
+        if scaling.rho is None:
+            raise NonConvergence(
+                f"{args.kind} sampler did not converge for this seed: stopped at"
+                f" {scaling.stop_reason} after {scaling.steps} steps"
+                f" with defect {scaling.defect:.3e}"
+            )
+        doc = block_to_doc(scaling.rho)
     text = json.dumps(doc, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,8 +14,11 @@ half-step is one 2-D GEMM for its Gram sum, one ``inv_sqrt_psd``, one 2-D
 GEMM for the update and one n x n product for the accumulated factor.  The
 trace Gram of the stop test is formed only once the diagonal block sum is
 within ``ds_tol``, or within 4 n eps where ``ds_tol`` is below that
-rounding floor.  ``sample_separable_ds`` draws all its Gaussian factors
-in one ``standard_normal`` call, the stream its per-matrix draws read.
+rounding floor.  The loop reports why it stopped ("ds_tol", "roundoff" or
+"max_iter"), its steps and its final defect; the samplers return None at the
+step cap, and the command line names the steps and the defect.
+``sample_separable_ds`` draws all its Gaussian factors in one
+``standard_normal`` call, the stream its per-matrix draws read.
 """
 
 from __future__ import annotations
@@ -159,7 +162,23 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     return BlockMatrix((p[:, :, :, None, None] * q[:, None, None]).sum(0))
 
 
-def _scale_kraus(kt: np.ndarray, tol: Tolerances):
+@dataclass(frozen=True)
+class _KrausScaling:
+    """How ``_scale_kraus`` stopped: ``stop_reason`` "ds_tol" when the sum of
+    the two Gram-sum defects is within ``ds_tol``, "roundoff" when it is
+    within the 4 n eps floor only, "max_iter" at the step cap; the steps
+    taken, that sum after them (``defect``), and rho, L and R, with rho None
+    at the cap."""
+
+    stop_reason: str
+    steps: int
+    defect: float
+    rho: BlockMatrix | None
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _scale_kraus(kt: np.ndarray, tol: Tolerances) -> _KrausScaling:
     """Operator scaling (Gurvits 2004) of rho = sum_r vec(K_r) vec(K_r)* to block DS.
 
     ``kt`` is one C-contiguous (n, m, n) stack with kt[a, r, i] = (K_r)_{ai}:
@@ -175,25 +194,31 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances):
     defects, under which a draw may never get (their sum came down to at
     most 1.1 n eps on 20 seeded draws each at n = 2..4): a smaller
     ``ds_tol`` would run every draw to the cap.
-    Returns (rho, L, R) with rho = (L (x) R) rho_0 (L (x) R)*, rho assembled
-    only here, or None after ``_SAMPLER_MAX_ITER`` steps.
+    Returns the ``_KrausScaling`` with rho = (L (x) R) rho_0 (L (x) R)*, rho
+    assembled only on a stop within ``stop``, or with rho None after
+    ``_SAMPLER_MAX_ITER`` steps.
     """
     n, m = kt.shape[:2]
     stop = max(tol.ds_tol, 4 * n * np.finfo(float).eps)
     eye = left = right = np.eye(n)
-    for _ in range(_SAMPLER_MAX_ITER):
+    for steps in range(_SAMPLER_MAX_ITER):
         tall = kt.reshape(n * m, n)
         diag_sum = tall.T @ tall.conj()
         defect = max_abs(diag_sum - eye)
         if defect <= stop:
             wide = kt.reshape(n, m * n)
-            if defect + max_abs(wide @ wide.conj().T - eye) <= stop:
-                return BlockMatrix(np.einsum("ari,brj->abij", kt, kt.conj())), left, right
+            defect += max_abs(wide @ wide.conj().T - eye)
+            if defect <= stop:
+                rho = BlockMatrix(np.einsum("ari,brj->abij", kt, kt.conj()))
+                reason = "ds_tol" if defect <= tol.ds_tol else "roundoff"
+                return _KrausScaling(reason, steps, defect, rho, left, right)
         s = inv_sqrt_psd(diag_sum, tol)
         wide, right = (tall @ s.T).reshape(n, m * n), s @ right
         s = inv_sqrt_psd(wide @ wide.conj().T, tol)
         kt, left = (s @ wide).reshape(n, m, n), s @ left
-    return None
+    tall, wide = kt.reshape(n * m, n), kt.reshape(n, m * n)
+    defect = max_abs(tall.T @ tall.conj() - eye) + max_abs(wide @ wide.conj().T - eye)
+    return _KrausScaling("max_iter", _SAMPLER_MAX_ITER, defect, None, left, right)
 
 
 def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
@@ -204,36 +229,39 @@ def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     the columns g of G_t and h of H_t, stay rank one, so the witness is the
     pairs (L G_t)(L G_t)*, (R H_t)(R H_t)*.
     """
-    draw = _separable_draw(n, seed, tol)
-    if draw is None:
+    scaling, g = _separable_draw(n, seed, tol)
+    if scaling.rho is None:
         return None
-    rho, left, right, g = draw
-    w = np.array((left, right)) @ g  # w[t] = (L G_t, R H_t)
+    w = np.array((scaling.left, scaling.right)) @ g  # w[t] = (L G_t, R H_t)
     pq = w @ w.conj().swapaxes(-1, -2)
-    return rho, SeparableSpec(terms=tuple(zip(pq[:, 0], pq[:, 1])))
+    return scaling.rho, SeparableSpec(terms=tuple(zip(pq[:, 0], pq[:, 1])))
 
 
 def _separable_draw(n: int, seed: int, tol: Tolerances):
-    """The scaled separable draw of ``sample_separable_ds``, with the factors
-    its witness is built from: (rho, L, R, g), g[t] = (G_t, H_t), or None if
-    scaling fails.  The command line takes rho alone from here and builds no
-    witness."""
+    """The scaled separable draw of ``sample_separable_ds`` with the factors
+    its witness is built from: (its ``_KrausScaling``, g), g[t] = (G_t, H_t).
+    The command line takes rho, or the stop of a failed scaling, from here
+    and builds no witness."""
     rng = make_rng(seed)
     k = int(rng.integers(1, n * n + 1))
     # One draw: z[t, f] holds the real then the imaginary part of factor f of
     # term t, the stream 2k random_complex_gaussian calls read in turn.
     z = rng.standard_normal((k, 2, 2, n, n))
     g = (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0)
-    res = _scale_kraus(np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, -1, n), tol)
-    return None if res is None else (*res, g)
+    return _scale_kraus(np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, -1, n), tol), g
 
 
 def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
     """One random (not necessarily separable) block-DS matrix, or None.
 
     rho = G G* for an n^2 x n^2 complex Gaussian G; its Kraus operators are
-    the columns of G.
+    the columns of G (``_block_draw``).
     """
+    return _block_draw(n, seed, tol).rho
+
+
+def _block_draw(n: int, seed: int, tol: Tolerances) -> _KrausScaling:
+    """The scaling of ``sample_block_ds``'s draw; the command line reads rho,
+    or the stop of a failed scaling, from here."""
     g = random_complex_gaussian(n * n, make_rng(seed)).reshape(n, n, n * n)
-    res = _scale_kraus(np.ascontiguousarray(g.transpose(0, 2, 1)), tol)
-    return None if res is None else res[0]
+    return _scale_kraus(np.ascontiguousarray(g.transpose(0, 2, 1)), tol)

@@ -1,9 +1,10 @@
 """Indecomposability tests, block decomposition, and the M(A, W) bridge.
 
 The two rank tests read n generic vectors from the slot ranges
-(``_generic_ranks``), in polynomial time at every n.  :func:`decompose`
-peels the tight components of its trace Gram graph off a doubly stochastic
-tuple; its product check's ``eval_polarized`` gates it at n <= 20."""
+(``_generic_ranks``), in polynomial time at every n, and that is the one
+reading of a tight set: :func:`decompose` peels the certified witnesses of
+:func:`is_indecomposable` off a doubly stochastic tuple; its product
+check's ``eval_polarized`` gates it at n <= 20."""
 
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ class DecompositionResult:
 
 
 def _generic_ranks(t: MatrixTuple, tol: Tolerances):
-    """(weak rank condition holds, witness subset or None), from n generic vectors.
+    """(weak rank condition holds, witness subset or None, the slots'
+    eigenvectors or None), from n generic vectors.
 
     After the PSD check (``_require_psd``), whose eigenvalues rank the slots,
     slots all of rank n answer at once.  Otherwise u_i = F_i g_i and
@@ -66,15 +68,18 @@ def _generic_ranks(t: MatrixTuple, tol: Tolerances):
     being s_max over the smallest singular value above f s_max.  The witness
     is the smallest proper support of X (ties to its smallest slot), else the
     null vector's support, or all slots but the last if that is every slot.
+    The eigenvectors, None where the ranks answer alone, let
+    ``is_indecomposable`` certify the witness without a second solve.
     """
     n = t.n
     ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)
     if (ranks == n).all():
-        return True, None
+        return True, None, None
     rng = make_rng(_DRAW_SEED)
     coef = np.array([random_complex_gaussian(n, rng) for _ in range(2)])
     coef *= np.arange(n) >= n - ranks[:, None]  # eigenvalues are ascending
-    u, v = np.einsum("iab,kib->kai", _eigh(t.matrices)[1], coef)
+    vecs = _eigh(t.matrices)[1]
+    u, v = np.einsum("iab,kib->kai", vecs, coef)
     w, s, vh = np.linalg.svd(u)
     f = 1e3 * n * np.finfo(np.float64).eps / 2
     live = s > f * s[0]
@@ -83,9 +88,10 @@ def _generic_ranks(t: MatrixTuple, tol: Tolerances):
     mag = np.abs(x)
     supports = [tuple(np.flatnonzero(c).tolist()) for c in (mag > cut * mag.max(0)).T]
     if not live.all():  # at n = 1 the only support is every slot: no witness
-        return False, (supports[0] if len(supports[0]) < n else tuple(range(n - 1))) or None
+        witness = (supports[0] if len(supports[0]) < n else tuple(range(n - 1))) or None
+        return False, witness, vecs
     proper = [sup for sup in supports if len(sup) < n]
-    return True, min(proper, key=lambda sup: (len(sup), sup), default=None)
+    return True, min(proper, key=lambda sup: (len(sup), sup), default=None), vecs
 
 
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
@@ -93,16 +99,17 @@ def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
 
     Returns (True, None) or (False, witness) with the proper subset S of
     ``_generic_ranks``, not necessarily the smallest, certified on the slot
-    ranges the supports read: with F_i slot i's top rank_i eigenvectors,
-    ``rank_psd`` of sum_{i in S} F_i F_i^* is at most |S|, else
-    ``NumericalInconsistency``.  The raw sum of S would count together
-    eigenvalues that each slot drops below rank_tol.
+    ranges the supports read, from the eigenvectors of the same solve: with
+    F_i slot i's top rank_i eigenvectors, ``rank_psd`` of
+    sum_{i in S} F_i F_i^* is at most |S|, else ``NumericalInconsistency``.
+    The raw sum of S would count together eigenvalues that each slot drops
+    below rank_tol.
     """
-    _, witness = _generic_ranks(t, tol)
+    _, witness, vecs = _generic_ranks(t, tol)
     if witness is not None:
         slots = list(witness)
         ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)[slots]
-        f = _eigh(t.matrices[slots])[1] * (np.arange(t.n) >= t.n - ranks[:, None])[:, None]
+        f = vecs[slots] * (np.arange(t.n) >= t.n - ranks[:, None])[:, None]
         if rank_psd((f @ f.conj().swapaxes(1, 2)).sum(0), tol) > len(slots):
             raise NumericalInconsistency(f"witness subset {witness} is not tight")
     return witness is None, witness
@@ -126,51 +133,22 @@ def _reachable(support: np.ndarray, rows: np.ndarray):
         rows = reached
 
 
-def _first_tight(mats: np.ndarray, tol: Tolerances):
-    """The first component C of {G_ij > 2 (m - 1) rank_tol}, by size and then
-    smallest slot, whose sum has rank |C| by the rank rule, with that sum's
-    eigenvectors in descending order; None when there is no such proper
-    component.
-
-    ``mats`` is a doubly stochastic (m, m, m) stack, so G_ij = tr(A_i A_j)
-    >= 0, and for P = sum_{i in C} A_i (0 <= P <= I, tr P = |C|) the cut of C
-    in G is tr(P (I - P)) = sum_{i in C, j not in C} G_ij.  If P has rank |C|
-    by the rank rule, its eigenvalues beyond the top |C| are at most
-    rank_tol times the largest, so at most rank_tol each, and the top |C|
-    fall short of 1 by as much in total: the cut is at most
-    2 (m - |C|) rank_tol.  So no edge above 2 (m - 1) rank_tol crosses a
-    tight set, and the components are never coarser than the parts.
-    """
-    m = len(mats)
-    # Real view of the slots flattened to rows: tr(A_i A_j) = flat_i . flat_j.
-    flat = mats.reshape(m, m * m).view(np.float64)
-    support = flat @ flat.T > 2.0 * (m - 1) * tol.rank_tol
-    comps = []
-    free = np.ones(m, dtype=bool)
-    while free.any():
-        comp, _ = _reachable(support, np.arange(m) == np.argmax(free))
-        free &= ~comp
-        comps.append(comp)
-    if len(comps) == 1:
-        return None
-    for comp in sorted(comps, key=lambda c: (c.sum(), np.argmax(c))):
-        w, v = _eigh(mats[comp].sum(0))
-        if _rank_of_eigenvalues(w, tol) == comp.sum():
-            return comp, v[:, ::-1]
-    return None
-
-
 def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
     """Indecomposable block decomposition of a doubly stochastic tuple.
 
-    The first tight component C of the trace Gram graph (``_first_tight``)
-    is a part on the top |C| eigenvectors of its sum, and the other slots are
-    restricted to the remaining eigenvectors and decomposed the same way, as
-    a recursive split that ranks every subset would peel off its smallest
-    tight one.  A cut is thus kept when the rank rule holds on one side of
-    it.  Raises DecompositionInconsistent when D(t) = prod of block
-    discriminants fails.  An indecomposable t is its own single part, so D is
-    computed once for the check (``eval_polarized`` keeps it) and read twice.
+    Each round peels the certified witness S of :func:`is_indecomposable` off
+    the remaining slots: the smallest proper support of X = U^-1 V, so a
+    minimal tight set.  S is a part on the top |S| eigenvectors of its sum,
+    the other slots are compressed to the remaining eigenvectors, and the
+    round repeats until the remainder is indecomposable.  Tightness is thus
+    read as the scaling precondition reads it.  The bases come from the raw
+    compressed slots; only the witness test wraps them in a ``MatrixTuple``.
+    Raises ``NumericalInconsistency`` when a witness fails its certification,
+    ``PreconditionViolated`` where a slot is within ``ds_tol`` of PSD but
+    fails the PSD rule the rank tests hold it to, and
+    ``DecompositionInconsistent`` when D(t) = prod of block discriminants
+    fails.  An indecomposable t is its own single part, so D is computed
+    once for the check (``eval_polarized`` keeps it) and read twice.
     """
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:
@@ -178,13 +156,14 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     n = t.n
     d_total = eval_polarized(t)
     found = []
-    slots, basis, mats = np.arange(n), np.eye(n, dtype=np.complex128), t.matrices
-    while (tight := _first_tight(mats, tol)) is not None:
-        comp, v = tight
-        inside, outside = v[:, : comp.sum()], v[:, comp.sum() :]
-        found.append((slots[comp], basis @ inside))
-        slots, basis = slots[~comp], basis @ outside
-        mats = outside.conj().T @ mats[~comp] @ outside
+    slots, basis, mats, sub = np.arange(n), np.eye(n, dtype=np.complex128), t.matrices, t
+    while (witness := is_indecomposable(sub, tol)[1]) is not None:
+        k, inside = len(witness), np.isin(np.arange(len(slots)), witness)
+        v = _eigh(mats[inside].sum(0))[1][:, ::-1]
+        found.append((slots[inside], basis @ v[:, :k]))
+        slots, basis = slots[~inside], basis @ v[:, k:]
+        mats = v[:, k:].conj().T @ mats[~inside] @ v[:, k:]
+        sub = MatrixTuple(mats, tol)
     if not found:
         parts = [(tuple(range(n)), basis, t)]
     else:

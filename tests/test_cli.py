@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixdisc import cli, extremal, hyperbolic
+from mixdisc import cli, extremal, hyperbolic, pascal
 from mixdisc.capacity import CapacityResult, ScalingResult, capacity_via_scaling
 from mixdisc.cli import (
     CliInputError,
@@ -338,6 +339,21 @@ class TestGenRandomPipe:
         assert rep["block_ds"]["passes"]
         # A separable block doubly stochastic rho has QP(rho) >= n!/n^n.
         assert rep["qp_block"] >= bapat_bound(3)
+
+    @pytest.mark.parametrize("kind", ["block-ds", "separable"])
+    def test_a_sampler_at_its_step_cap_names_its_defect(self, kind, capsys, monkeypatch):
+        # One scaling step leaves the draw far from block doubly stochastic:
+        # the library returns None, and the command exits 2 with the stop.
+        monkeypatch.setattr(pascal, "_SAMPLER_MAX_ITER", 1)
+        sampler = {"block-ds": pascal.sample_block_ds, "separable": pascal.sample_separable_ds}[kind]
+        assert sampler(2, 5) is None
+        code, out, err = run(capsys, "gen-random", "2", "--seed", "5", "--kind", kind)
+        assert code == 2 and out == ""
+        assert re.fullmatch(
+            rf"error: {kind} sampler did not converge for this seed: stopped at max_iter "
+            r"after 1 steps with defect \d\.\d{3}e[-+]\d\d\n",
+            err,
+        )
 
     def test_bare_document(self, capsys):
         code, out, _ = run(capsys, "gen-random", "2", "--seed", "1", "--kind", "psd")

@@ -106,22 +106,25 @@ def _imported(module: str) -> set:
 
 
 def test_one_route_per_decision():
-    # The generic vectors serve the two rank tests on raw PSD tuples; decompose
-    # reads the trace Gram matrix instead, and the recursive split is gone.
+    # The generic vectors serve the two rank tests, and decompose reads its
+    # tight sets off the indecomposability test, as the scaling does; the
+    # recursive split and the trace Gram graph are gone.
     assert _callers("_generic_ranks") == {
         "structure.is_indecomposable",
         "structure.positivity_rank_test",
     }
+    assert _callers("is_indecomposable") == {"capacity._scalings", "structure.decompose"}
     names = {
         getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert not names & {"_split", "combinations"}
-    # The subset scan, its chunk size and its gate are gone, in code and docs.
+    # The subset scan, its chunk size, its gate and the trace Gram components
+    # are gone, in code and docs.
     for path in SRC.glob("*.py"):
         text = path.read_text(encoding="utf-8")
-        for word in ("_first_subset", "_SCAN_CHUNK", "_GATE_SUBSETS"):
+        for word in ("_first_subset", "_SCAN_CHUNK", "_GATE_SUBSETS", "_first_tight"):
             assert word not in text, (path.name, word)
     # One writer of each memoized capacity-layer result: Newton runs only in
     # the memo closure of capacity, and the scaling loop only in _scalings,

@@ -245,6 +245,18 @@ def test_a_ds_tol_below_rounding_stops_at_the_rounding_floor(sampler, n):
         assert rep.sum_violation + rep.trace_violation <= 2 * floor
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_kraus_loop_reports_why_it_stopped(n):
+    # "ds_tol" within ds_tol, "roundoff" within the 4 n eps floor alone.
+    floor = 4 * n * np.finfo(float).eps
+    for seed in range(3):
+        for tol, reason in ((Tolerances(), "ds_tol"), (Tolerances(ds_tol=0.0), "roundoff")):
+            scaling = pascal._block_draw(n, seed, tol)
+            assert scaling.stop_reason == reason and 0 < scaling.steps < pascal._SAMPLER_MAX_ITER
+            assert scaling.defect <= max(tol.ds_tol, floor)
+            assert scaling.rho.blocks.tobytes() == sample_block_ds(n, seed, tol).blocks.tobytes()
+
+
 class TestBlockDsSampler:
     def test_sampler_outputs_pass(self):
         for seed in range(5):

@@ -53,6 +53,16 @@ def block_diag_ds(seed):
     return MatrixTuple(mats), a, b
 
 
+def _count_eigh(monkeypatch):
+    """The shapes of the stacks ``structure._eigh`` is called on, in order."""
+    shapes = []
+    real = structure._eigh
+    monkeypatch.setattr(
+        structure, "_eigh", lambda a, **kw: shapes.append(np.shape(a)) or real(a, **kw)
+    )
+    return shapes
+
+
 class TestIndecomposability:
     def test_jn_indecomposable(self):
         t = MatrixTuple([np.eye(3) / 3] * 3)
@@ -156,6 +166,23 @@ class TestDecompose:
             prod *= eval_polarized(sub)
         assert eval_polarized(t) == pytest.approx(prod, rel=1e-8)
 
+    def test_each_peel_round_takes_two_eigensolves(self, monkeypatch):
+        # One round: the slots of the remainder, then the witness's sum.  The
+        # last remainder's two slots have full rank and need no solve.
+        shapes = _count_eigh(monkeypatch)
+        t, _, _ = block_diag_ds(11)
+        assert [labels for labels, _, _ in decompose(t).parts] == [(0, 1), (2, 3)]
+        assert shapes == [(4, 4, 4), (4, 4)]
+
+    def test_a_slot_outside_the_psd_rule_raises_as_in_the_rank_tests(self):
+        # Within ds_tol of PSD, but below -psd_tol times the largest entry.
+        e = -5e-9
+        t = MatrixTuple([np.diag(np.roll([1.0 - e, e, 0.0], i)) for i in range(3)])
+        assert check_doubly_stochastic(t).is_doubly_stochastic
+        for route in (decompose, is_indecomposable, scale_to_doubly_stochastic):
+            with pytest.raises(PreconditionViolated):
+                route(t)
+
     def test_requires_ds(self):
         t = MatrixTuple([np.eye(3)] * 3)
         with pytest.raises(NotDoublyStochastic):
@@ -252,7 +279,7 @@ def _assert_matches_the_oracle(t):
         assert 0 < len(witness) < n
         assert rank_psd(mats[list(witness)].sum(0)) <= len(witness)
     if not weak:
-        _, found = _generic_ranks(t, DEFAULT_TOL)
+        found = _generic_ranks(t, DEFAULT_TOL)[1]
         assert 0 < len(found) < n
         rank = rank_psd(mats[list(found)].sum(0))
         assert rank <= len(found) if found == tuple(range(n - 1)) else rank < len(found)
@@ -369,25 +396,48 @@ def _near_decomposable_ds(n, k, delta, seed):
     return MatrixTuple(u @ scaled @ u.conj().T)
 
 
-@pytest.mark.parametrize("delta, parts", [(1e-10, 2), (1e-8, 1), (1e-6, 1), (1e-4, 1)])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def _raw_sums_split_more(n, delta):
+    """Where the oracle's raw sums read a tight set that the slot ranges do
+    not.  At delta <= 1e-9 the leak eigenvalues of a block's raw sum fall
+    below rank_tol, so the oracle cuts the blocks apart.  The slot ranges
+    read each slot's eigenvectors, which the coupling tilts by about delta,
+    far above the support floor of X, so for n >= 4 no proper support is
+    tight: the tuple, whose coupling is nonzero, is one part and scales.  At
+    n = 3 slot 0 has rank one, and the range of a rank-one slot is exact."""
+    return n >= 4 and delta <= 1e-9
+
+
+def _assert_decomposes_into(t, parts, n, delta):
+    """decompose gives ``parts`` parts; they are the oracle's where the two
+    readings of a tight set agree, and fewer than the oracle's elsewhere."""
+    assert len(decompose(t).parts) == parts
+    if _raw_sums_split_more(n, delta):
+        assert len(_reference_split(t.matrices)) > parts
+    else:
+        _assert_matches_the_recursive_split(t)
+
+
+@pytest.mark.parametrize(
+    "n, delta, parts",
+    [(n, 1e-10, 2 if n == 3 else 1) for n in range(3, 7)]
+    + [(n, delta, 1) for n in range(3, 7) for delta in (1e-8, 1e-6, 1e-4)],
+)
 def test_decompose_matches_the_recursive_split_near_decomposable(n, delta, parts):
     for seed in range(3):
         t = _near_decomposable_ds(n, n // 2, delta, 1000 * n + seed)
-        _assert_matches_the_recursive_split(t)
-        assert len(decompose(t).parts) == parts
+        _assert_decomposes_into(t, parts, n, delta)
 
 
 # The largest cross entry of the trace Gram matrix is about delta / 2, so at
 # these delta it lies within a factor of two of rank_tol = 1e-9, and so does
-# the leak eigenvalue of a block's sum.  The recursive split cuts a tuple
-# where the rank rule holds on one side of the cut: at delta = 2e-9 the
-# n = 3 blocks of seeds 0 and 1 pass it on one side only, and are cut.  The
-# part counts are the oracle's, for seeds 0, 1 and 2.
+# the leak eigenvalue of a block's sum.  At n = 3 the tuple is cut exactly
+# where slot 0 has rank one at rank_tol, since {0} is then tight: at
+# delta = 2e-9 for seeds 0 and 1, and at 3e-9 for seed 1.  The part counts
+# are for seeds 0, 1 and 2.
 @pytest.mark.parametrize(
     "delta, parts",
     [
-        (1e-9, {3: (2, 2, 2), 4: (2, 2, 2), 5: (2, 2, 2), 6: (2, 2, 2)}),
+        (1e-9, {3: (2, 2, 2), 4: (1, 1, 1), 5: (1, 1, 1), 6: (1, 1, 1)}),
         (2e-9, {3: (2, 2, 1), 4: (1, 1, 1), 5: (1, 1, 1), 6: (1, 1, 1)}),
         (3e-9, {3: (1, 2, 1), 4: (1, 1, 1), 5: (1, 1, 1), 6: (1, 1, 1)}),
     ],
@@ -397,8 +447,33 @@ def test_decompose_matches_the_recursive_split_near_decomposable(n, delta, parts
 def test_decompose_matches_the_recursive_split_around_rank_tol(n, delta, parts):
     for seed in range(3):
         t = _near_decomposable_ds(n, n // 2, delta, 1000 * n + seed)
-        _assert_matches_the_recursive_split(t)
-        assert len(decompose(t).parts) == parts[n][seed]
+        _assert_decomposes_into(t, parts[n][seed], n, delta)
+
+
+def _assert_one_reading_of_a_tight_set(t):
+    """One part from decompose, an indecomposable verdict and a scaling that
+    does not raise NotIndecomposable go together."""
+    one_part = len(decompose(t).parts) == 1
+    try:
+        scale_to_doubly_stochastic(t)
+        scales = True
+    except NotIndecomposable:
+        scales = False
+    assert one_part is is_indecomposable(t)[0] is scales
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-9, 2e-9, 3e-9, 1e-8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_structure_routes_agree_near_decomposable(n, delta):
+    for seed in range(3):
+        _assert_one_reading_of_a_tight_set(_near_decomposable_ds(n, n // 2, delta, 1000 * n + seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_ds_tuples())
+def test_structure_routes_agree_on_block_tuples(t):
+    if check_doubly_stochastic(t).is_doubly_stochastic:
+        _assert_one_reading_of_a_tight_set(t)
 
 
 def test_witness_past_the_first_chunk_of_its_cardinality():
@@ -514,6 +589,14 @@ class TestFullRankStop:
         assert positivity_rank_test(t)
         assert calls == []
 
+    def test_a_decomposable_verdict_takes_one_eigensolve(self, monkeypatch):
+        # The generic vectors and the witness certification read one batched
+        # eigh of the slots.
+        shapes = _count_eigh(monkeypatch)
+        t = MatrixTuple([np.diag(d) for d in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0])])
+        assert is_indecomposable(t) == (False, (0,))
+        assert shapes == [(3, 3, 3)]
+
     def test_non_psd_tuple_raises_before_the_scan(self):
         # One slot with a negative eigenvalue: beside full-rank slots (the
         # early return) and beside a rank-one slot (a witness of one slot).
@@ -530,7 +613,8 @@ class TestFullRankStop:
     def test_an_uncertified_witness_is_never_returned(self, monkeypatch):
         # A support that is not tight, as a draw that is not generic would
         # give, raises instead of being reported as a decomposition.
-        monkeypatch.setattr(structure, "_generic_ranks", lambda t, tol: (True, (0,)))
+        eye = np.broadcast_to(np.eye(2), (2, 2, 2))
+        monkeypatch.setattr(structure, "_generic_ranks", lambda t, tol: (True, (0,), eye))
         with pytest.raises(NumericalInconsistency, match="not tight"):
             is_indecomposable(MatrixTuple([np.eye(2)] * 2))
 
