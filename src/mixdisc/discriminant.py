@@ -12,9 +12,10 @@ slots (rows): a tuple whose groups have free_g free signs costs
 prod_g (free_g + 1) determinants instead of 2^(n-1), so J_n and
 D(P/n, .., P/n) take n, and a tuple of distinct slots still takes 2^(n-1).
 The kernel's sum of |terms| keeps its meaning, the ungrouped sum.  Its
-chunks hold at most ``_CHUNK_BYTES`` of each tuple's combinations, and its
-sums are exact chunk by chunk, so its working memory does not grow with the
-number of classes.  Every module reads D of Hermitian tuples through
+chunks hold at most ``_CHUNK_BYTES`` of each tuple's combinations and at
+most 2048 classes, so that a permanent's chunk stays in a core's cache, and
+its sums are exact chunk by chunk, so its working memory does not grow with
+the number of classes.  Every module reads D of Hermitian tuples through
 :func:`_discriminants`, one residue gate at 8 n u S (:func:`_as_real_d`).
 The permutation-sum formulas are independent oracles behind hard dimension
 gates (``core._gate``):
@@ -250,10 +251,13 @@ def _perms_and_signs(n: int):
 def _chunk_classes(row_bytes: int) -> int:
     """Classes (or permutations) per chunk whose combinations (or gathered
     matrices) of ``row_bytes`` bytes each fill ``_CHUNK_BYTES``.  A class
-    counts as at least 256 bytes, about its share of the class tables, its
-    term and the chunk's Python work at n <= 20, so no chunk holds more than
-    8192 classes."""
-    return _CHUNK_BYTES // max(row_bytes, 256)
+    counts as at least 1 KiB, so no chunk holds more than 2048 classes: a
+    permanent's chunk (its combinations, coefficients and terms, about
+    0.7 MB at real n = 16) stays in a core's cache through the
+    column-by-column product and the exact sums, which sweep it again.  Rows
+    of 1 KiB or more, the complex slots from n = 8 on, fill the budget as
+    they are."""
+    return _CHUNK_BYTES // max(row_bytes, 1024)
 
 
 def _iter_perm_chunks(n: int):
@@ -346,11 +350,12 @@ def _slot_groups(flat: np.ndarray):
     """
     b, n = flat.shape[:2]
     if b == 1 and n >= _GROUP_MIN_N:
-        bits = flat[0].view(np.uint64)
-        # Equal rows have equal first entries: compare whole rows only if some do.
-        if len(set(bits[:, 0].tolist())) < n:
-            first = (bits[:, None] == bits[None]).all(-1).argmax(1)
-            if (first != np.arange(n)).any():
+        # Equal rows have equal first entries: compare whole rows only if some
+        # do, by their bytes, each row keyed to the first slot that has them.
+        if len(set(flat[0, :, 0].view(np.uint64).tolist())) < n:
+            seen = {}
+            first = np.array([seen.setdefault(row.tobytes(), i) for i, row in enumerate(flat[0])])
+            if len(seen) < n:
                 reps, labels, sizes = np.unique(first, return_inverse=True, return_counts=True)
                 free = sizes.copy()
                 free[labels[-1]] -= 1
@@ -375,18 +380,19 @@ def _eps_combinations(rows: np.ndarray):
     representative rows, so every combination entry is rounded once.
 
     Repeats are looked for only in a single tuple (B = 1) with
-    n >= ``_GROUP_MIN_N``: the check (the set of first entries, then one
-    broadcast compare of the rows if two of those agree) costs a few
-    microseconds, about what the at most 64 determinants it could save below
-    that size cost.  With all rows distinct the classes are the single sign
+    n >= ``_GROUP_MIN_N``: the check (the set of first entries, then a dict
+    of the rows' bytes if two of those agree) costs a few microseconds,
+    about what the at most 64 determinants it could save below that size
+    cost.  With all rows distinct the classes are the single sign
     vectors, in the order of the bits of their index (bit i set means
     eps_i = -1).
 
     A chunk holds the classes of the cached table of the leading groups
     whose classes together fit ``_chunk_classes`` of one combination's bytes,
-    beside one count vector of the remaining groups.  So each tuple's
-    combinations take at most ``_CHUNK_BYTES`` per chunk: 512 classes of a
-    complex n = 16 tuple, 8192 (the cap) for a real permanent up to n = 20.
+    beside one class of the remaining groups, a row of their own cached
+    table, in the order of the high digits of the class index.  So each
+    tuple's combinations take at most ``_CHUNK_BYTES`` per chunk: 512 classes of a
+    complex n = 16 tuple, 2048 (the cap) for a permanent from n = 12 on.
     Below ``_GROUP_MIN_N`` (64 classes of at most 784 bytes) every stack is
     one chunk.  The combinations are real when the imaginary part of the
     whole stack is exactly zero, complex otherwise; either way one real
@@ -408,27 +414,23 @@ def _eps_combinations(rows: np.ndarray):
     low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free, _chunk_classes(8 * width))
     buf = np.empty((len(flat), len(lo_coef), width))
     coef, sign, mean = lo_coef, lo_sign, lo_mean
-    # One count vector of the other groups per chunk: the high digits of the
-    # class index, the last group's slowest, written into the tail columns of
-    # tables whose low columns hold the cached table from the start.
-    highs = [()]
+    # Each chunk writes one row of the other groups' table into the tail
+    # columns of tables whose low columns hold the low table from the start.
+    highs = [None]
     if low < len(free):
-        highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
-        digits = [_digits(k, f) for k, f in zip(sizes[low:], free[low:])]
+        hi_coef, hi_sign, hi_mean = _class_table(sizes[low:], free[low:], mean is not None)
+        highs = range(len(hi_sign))
         coef = np.empty((len(lo_coef), len(free)))
         coef[:, :low] = lo_coef
         if mean is not None:
             mean = np.empty_like(coef)
             mean[:, :low] = lo_mean
     for high in highs:
-        if high:
-            hi_sign = 1.0
-            for g, c, (c_vals, w_vals, m_vals) in zip(range(low, len(free)), high[::-1], digits):
-                coef[:, g] = c_vals[c]
-                hi_sign *= w_vals[c]
-                if mean is not None:
-                    mean[:, g] = m_vals[c]
-            sign = lo_sign * hi_sign
+        if high is not None:
+            coef[:, low:] = hi_coef[high]
+            sign = lo_sign * hi_sign[high]
+            if mean is not None:
+                mean[:, low:] = hi_mean[high]
         if mean is None:
             eps = coef
         else:
@@ -833,10 +835,21 @@ def _trace_and_sum_violations(
 
 
 def check_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DsTupleReport:
-    """Violations of the three doubly stochastic tuple conditions."""
-    psd_v = max(0.0, -float(_slot_eigenvalues(t).min()))
+    """Violations of the three doubly stochastic tuple conditions.
+
+    ``psd_violation`` is the largest negative slot eigenvalue in absolute
+    value.  The verdict holds each violation to ``ds_tol`` and every slot,
+    besides, to the PSD rule ``core._psd`` at the tuple's largest |entry|,
+    the rule the scaling and rank tests hold the tuple to."""
+    w = _slot_eigenvalues(t)
+    psd_v = max(0.0, -float(w.min()))
     trace_v, sum_v = _trace_and_sum_violations(t.matrices, t.matrices.sum(0), np.eye(t.n))
-    ok = psd_v <= tol.ds_tol and trace_v <= tol.ds_tol and sum_v <= tol.ds_tol
+    ok = (
+        psd_v <= tol.ds_tol
+        and trace_v <= tol.ds_tol
+        and sum_v <= tol.ds_tol
+        and bool(_psd(w, max_abs(t.matrices), tol).all())
+    )
     return DsTupleReport(psd_v, trace_v, sum_v, ok)
 
 

@@ -143,12 +143,12 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     round repeats until the remainder is indecomposable.  Tightness is thus
     read as the scaling precondition reads it.  The bases come from the raw
     compressed slots; only the witness test wraps them in a ``MatrixTuple``.
-    Raises ``NumericalInconsistency`` when a witness fails its certification,
-    ``PreconditionViolated`` where a slot is within ``ds_tol`` of PSD but
-    fails the PSD rule the rank tests hold it to, and
-    ``DecompositionInconsistent`` when D(t) = prod of block discriminants
-    fails.  An indecomposable t is its own single part, so D is computed
-    once for the check (``eval_polarized`` keeps it) and read twice.
+    Raises ``NotDoublyStochastic`` unless ``check_doubly_stochastic`` holds
+    (its PSD rule is the one the rank tests read), ``NumericalInconsistency``
+    when a witness fails its certification, and ``DecompositionInconsistent``
+    when D(t) = prod of block discriminants fails.  An indecomposable t is
+    its own single part, so D is computed once for the check
+    (``eval_polarized`` keeps it) and read twice.
     """
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:

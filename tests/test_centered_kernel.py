@@ -328,6 +328,44 @@ def test_grouped_polarized_matches_sigma_det(t):
     assert _close(eval_polarized(t), eval_sigma_det(t), _term_bounds(t.matrices), t.n)
 
 
+def _broadcast_slot_groups(flat):
+    """:func:`_slot_groups` by one broadcast compare of every pair of rows,
+    with no first-entry prefilter: the reference for its keyed lookup."""
+    n = flat.shape[1]
+    bits = flat[0].view(np.uint64)
+    first = (bits[:, None] == bits[None]).all(-1).argmax(1)
+    if n < _GROUP_MIN_N or (first == np.arange(n)).all():
+        return flat, (1,) * n, (1,) * (n - 1) + (0,), None
+    reps, labels, sizes = np.unique(first, return_inverse=True, return_counts=True)
+    free = sizes.copy()
+    free[labels[-1]] -= 1
+    return flat[:, reps], tuple(sizes.tolist()), tuple(free.tolist()), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=6, max_size=18),
+    st.integers(2, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_slot_groups_match_the_broadcast_compare(labels, width, seed):
+    # Rows of a label are bitwise copies; a label above 2 is the row of
+    # label - 3 with its last entry -0.0 for 0.0, equal to it under == but
+    # not bitwise, so a group of its own.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, (3, width)) / 2.0
+    base[:, 0] = 1.0  # equal first entries: the prefilter passes them all on
+    base[:, -1] = 0.0
+    twins = base.copy()
+    twins[:, -1] = -0.0
+    flat = np.concatenate((base, twins))[labels][None]
+    got, want = _slot_groups(flat), _broadcast_slot_groups(flat)
+    assert got[0].tobytes() == want[0].tobytes() and got[1:3] == want[1:3]
+    assert (got[3] is None) == (want[3] is None)
+    if got[3] is not None:
+        assert got[3].tolist() == want[3].tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 134])
 def test_cancelling_terms_pass_the_residue_gate(seed):
     # Seven complex rank-one slots, slot 3 repeated: D = 0 and every term

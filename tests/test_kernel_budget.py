@@ -1,9 +1,11 @@
 """Working memory of the centered kernel: byte-sized chunks, exact sums.
 
 The kernel sizes its chunks so that one tuple's combinations take at most
-``_CHUNK_BYTES`` (8192 classes at most), and sums the terms chunk by chunk,
-correctly rounded.  The traced peaks of D, Q and permanents where the
-classes span many chunks stay within a few chunk buffers; D and permanents
+``_CHUNK_BYTES`` (2048 classes at most, so that a permanent's chunk stays in
+a core's cache), and sums the terms chunk by chunk, correctly rounded.  The
+traced peaks of D and Q where the classes span many chunks stay within a
+few chunk buffers, and those of permanents and the Alexandrov-Fenchel
+experiment within 1.5 MiB; D and permanents
 do not depend on the chunk size wherever the combinations themselves do not
 (BLAS may round a row of a product differently with the number of rows in
 it, so the inputs here are dyadic, which makes every combination exact); Q
@@ -33,10 +35,10 @@ from mixdisc.discriminant import (
     gradient,
     permanent,
 )
+from mixdisc.genaf import af_lower_bound_experiment
 
-# Before chunks were sized by bytes these peaks were 27-36 MB (D), 62-115 MB
-# (Q) and 26 MB (the n = 20 permanent); they are now 1.7-2.3, 5.6-7.3 and
-# 3.8 MB.  A chunk of D holds its combinations and determinants, one of Q its
+# Before chunks were sized by bytes these peaks were 27-36 MB (D) and
+# 62-115 MB (Q); they are now 1.7-2.3 and 5.6-7.3 MB.  A chunk of D holds its combinations and determinants, one of Q its
 # combinations, adjugates and the inverses' workspace.
 _D_BUDGET = 3 * _CHUNK_BYTES
 _Q_BUDGET = 6 * _CHUNK_BYTES
@@ -83,20 +85,43 @@ def test_d_and_q_peaks_stay_within_a_few_chunks(n):
     assert _traced_peak(lambda: gradient(t)) <= _Q_BUDGET
 
 
-def test_n20_permanent_peak_stays_within_a_few_chunks():
-    c = make_rng(920).standard_normal((20, 20))
-    assert _traced_peak(lambda: permanent(c)) <= _D_BUDGET
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_permanent_peaks_stay_within_one_and_a_half_mib(kind, n):
+    # Before a class counted 1 KiB these read 2.5-4.0 MB; the class tables
+    # are cached by a first call, so the peak is the chunks' working set.
+    rng = make_rng(920 + n)
+    c = rng.standard_normal((n, n))
+    if kind == "complex":
+        c = c + 1j * rng.standard_normal((n, n))
+    assert _chunk_classes(c.itemsize * n) < 2 ** (n - 1)  # many chunks
+    permanent(c)
+    assert _traced_peak(lambda: permanent(c)) <= 1.5 * 2**20
 
 
-def test_chunks_fill_the_byte_budget_up_to_8192_classes():
-    # Complex n = 16 slots: 512 classes of 4 KiB; a real permanent's rows
-    # are narrower than the 256 bytes a class counts at least.
+def test_af16_peak_stays_within_one_and_a_quarter_mib():
+    # Three real n = 16 permanents, with their class tables built in the
+    # traced call: 3.4 MB when a chunk held 8192 classes.
+    disc._class_table.cache_clear()
+    assert _traced_peak(lambda: af_lower_bound_experiment(16)) <= 1.25 * 2**20
+
+
+def test_chunks_fill_the_byte_budget_up_to_2048_classes():
+    # Complex n = 16 slots: 512 classes of 4 KiB; a permanent's rows are
+    # narrower than the 1 KiB a class counts at least.
     assert _chunk_classes(16 * 16 * 16) == 512
-    assert _chunk_classes(8 * 20) == _chunk_classes(8) == 8192
+    assert _chunk_classes(16 * 20) == _chunk_classes(8 * 20) == _chunk_classes(8) == 2048
     n = 16
     rows = _wishart_tuple(n, 916).matrices.reshape(1, n, n * n)
     sizes = [len(sign) for _, sign, _ in _eps_combinations(rows)]
     assert sizes == [512] * 64
+
+
+@pytest.mark.parametrize("n", range(8, 21))
+def test_determinant_chunks_are_the_byte_budget_over_the_slot_bytes(n):
+    # Complex slots of n >= 8 take 1 KiB or more, so the floor leaves their
+    # chunks, and the bits of D and Q, as the byte budget sets them.
+    assert _chunk_classes(16 * n * n) == _CHUNK_BYTES // (16 * n * n)
 
 
 # ---------------------------------------------------------------------------

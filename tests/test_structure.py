@@ -174,14 +174,24 @@ class TestDecompose:
         assert [labels for labels, _, _ in decompose(t).parts] == [(0, 1), (2, 3)]
         assert shapes == [(4, 4, 4), (4, 4)]
 
-    def test_a_slot_outside_the_psd_rule_raises_as_in_the_rank_tests(self):
-        # Within ds_tol of PSD, but below -psd_tol times the largest entry.
+    def test_a_slot_outside_the_psd_rule_raises_as_in_the_rank_tests(self, tmp_path, capsys):
+        # Within ds_tol of PSD, but below -psd_tol times the largest entry:
+        # the doubly stochastic verdict reads the PSD rule the rank tests do.
         e = -5e-9
         t = MatrixTuple([np.diag(np.roll([1.0 - e, e, 0.0], i)) for i in range(3)])
-        assert check_doubly_stochastic(t).is_doubly_stochastic
-        for route in (decompose, is_indecomposable, scale_to_doubly_stochastic):
+        report = check_doubly_stochastic(t)
+        assert not report.is_doubly_stochastic
+        assert report.psd_violation == 5e-9
+        with pytest.raises(NotDoublyStochastic):
+            decompose(t)
+        for route in (is_indecomposable, scale_to_doubly_stochastic):
             with pytest.raises(PreconditionViolated):
                 route(t)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tuple_to_doc(t)))
+        assert main(["check-ds", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["is_doubly_stochastic"] is False
+        assert main(["decompose", str(path)]) == 2
 
     def test_requires_ds(self):
         t = MatrixTuple([np.eye(3)] * 3)
