@@ -78,7 +78,7 @@ eigensolve of the sum of their range projectors.
 
 * ``"gradient"``: the projected gradient norm fell below ``opt_tol``;
 * ``"roundoff"``: lambda^2 <= 256 eps (1 + |f|), eps = 2^-52 the machine
-  epsilon (``sys.float_info.epsilon``, twice the unit round-off u = 2^-53).
+  epsilon (``core._EPS``, twice the unit round-off u = 2^-53).
   Since lambda^2 / 2 estimates f - min f, Cap is then accurate to about
   128 eps (1 + |f|) relative, i.e. to working precision; this is how Newton
   stops when round-off keeps the gradient above ``opt_tol``.  It is also the
@@ -128,12 +128,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    _EPS,
     DEFAULT_TOL,
     MixdiscError,
     NonConvergence,
@@ -143,6 +143,7 @@ from .core import (
     SingularPencil,
     Tolerances,
     _definite,
+    _ds_floor,
     _eigh,
     _inv_sqrt,
 )
@@ -170,7 +171,6 @@ _ARMIJO = 1e-4
 # Below this lambda^2 the predicted decrease lambda^2 / 2 is within ~128 ulps
 # of f, about the rounding error of log det itself, so no line search can
 # resolve further progress and Cap is already that accurate.
-_EPS = sys.float_info.epsilon
 _ROUNDOFF = 256.0 * _EPS
 
 
@@ -594,7 +594,7 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     """
     b, n = mats.shape[:2]
     eye = np.eye(n)
-    stop = max(tol.ds_tol, 4 * n * _EPS)
+    stop = max(tol.ds_tol, _ds_floor(n))
     out = [None] * b
     pos, a = np.arange(b), mats
     # Row i of flat[k] is vec(A_i) and row i of rows[k] holds (A_i)_ba at
@@ -711,4 +711,5 @@ def capacity_bound_report(
 
 
 def n_pow_n_over_factorial(n: int) -> float:
-    return float(n**n) / float(math.factorial(n))
+    """n^n / n!, correctly rounded (Python's integer true division)."""
+    return n**n / math.factorial(n)

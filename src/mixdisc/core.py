@@ -21,6 +21,7 @@ the ``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
@@ -118,6 +119,15 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# The machine epsilon, 2^-52: twice the unit round-off u = 2^-53.
+_EPS = sys.float_info.epsilon
+
+
+def _ds_floor(n: int) -> float:
+    """4 n eps, the rounding of a doubly stochastic defect (sums of n terms):
+    the least stop a scaling loop is held to, as it may never get under it."""
+    return 4 * n * _EPS
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> None:

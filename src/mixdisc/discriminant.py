@@ -40,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _EPS,
     DEFAULT_TOL,
     NumericalInconsistency,
     PreconditionViolated,
@@ -212,7 +213,7 @@ def _as_real_d(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
     n = mats.shape[-1]
     imag = np.abs(z.imag)
     if imag.any():
-        gate = 8 * n * 2.0**-53
+        gate = _rounding_scale(n)
         unsure = np.flatnonzero(imag > gate * np.abs(mats).max(axis=(1, 2, 3)) ** n)
         if unsure.size:
             norms = np.abs(_eigh(mats[unsure], vectors=False)).max(-1)
@@ -225,6 +226,12 @@ def _as_real_d(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
                     f"residue above 8 n u S = {bounds[k]:.3g}"
                 )
     return z.real
+
+
+def _rounding_scale(n: int) -> float:
+    """8 n u (u = eps / 2 the unit round-off): the rounding of the kernel's
+    sums of n-fold products relative to their sum of |terms|, or a bound on it."""
+    return 8 * n * (_EPS / 2)
 
 
 def _perm_signs(perms: np.ndarray) -> np.ndarray:
@@ -275,67 +282,39 @@ def _iter_perm_chunks(n: int):
         yield np.array(block, dtype=np.int8)
 
 
-@lru_cache(maxsize=64)
-def _digits(k: int, f: int):
-    """The values that each count c = 0..f of -1 signs among the ``f`` free
-    signs of a group of ``k`` equal slots gives its classes: the coefficient
-    k - 2c of the group's row, the signed weight (-1)^c C(f, c), which is
-    prod(eps) over the group summed over its sign vectors with that count,
-    and the mean sign (f - 2c) / f of a free slot (the sign itself for a
-    group of one slot).  Three read-only (f + 1,) float arrays."""
-    c = np.arange(f + 1.0)
-    coef = k - 2.0 * c
-    weight = np.array([(-1.0) ** j * math.comb(f, j) for j in range(f + 1)])
-    mean = coef if k == 1 else (f - 2.0 * c) / f
-    for a in (coef, weight, mean):
-        a.flags.writeable = False
-    return coef, weight, mean
-
-
 @lru_cache(maxsize=16)
-def _class_table(sizes: tuple, free: tuple, with_mean: bool):
-    """Coefficients (N, G), signs (N,) and, if ``with_mean``, mean signs
-    (N, G) of every class of G groups of ``sizes`` equal slots, ``free`` of
-    whose signs are free (all of them, or all but slot n-1's); None for the
-    mean signs otherwise.  The arrays are cached and read-only.
+def _class_table(sizes: tuple, free: tuple):
+    """Coefficients (N, G) and signs (N,) of every class of G groups of
+    ``sizes`` equal slots, ``free`` of whose signs are free (all of them, or
+    all but slot n-1's).  The arrays are cached and read-only, by the groups
+    they cover, so real and complex rows of one profile share a table
+    wherever their chunks split the groups alike.
 
     Class k has the count vector c whose mixed-radix digits, group 0 least
-    significant, are those of k; its combination is sum_g (k_g - 2 c_g) B_g
-    and its sign and mean signs are those of :func:`_digits`.  Each group's
-    column is one broadcast write of its f + 1 values, and the signs one
-    broadcast product per group, so no digit or index table is formed; the
-    signs are products of small integers, exact in any order.
+    significant, are those of k: c_g of group g's free signs are -1.  Its
+    combination is sum_g (k_g - 2 c_g) B_g, so its coefficient in group g is
+    k_g - 2 c_g, the sum of the group's signs (over k_g, each slot's weight
+    in the gradient, :func:`_eps_combinations`), and its sign is
+    prod_g (-1)^c_g C(f_g, c_g), prod(eps) summed over the class's sign
+    vectors.  With every group one slot, row k is the sign vector with
+    eps_i = -1 where bit i of k is set.  Each group's column is one broadcast
+    write of its f + 1 values, and the signs one broadcast product per group,
+    so no digit or index table is formed; the signs are products of small
+    integers, exact in any order.
     """
     total = math.prod(f + 1 for f in free)
     coef = np.empty((total, len(free)))
-    mean = np.empty_like(coef) if with_mean else None
     sign = np.ones(total)
     stride = 1
     for g, (k, f) in enumerate(zip(sizes, free)):
         # Rows (q, c, r) of this view have digit c in group g.
         shape = (total // (stride * (f + 1)), f + 1, stride)
-        c_vals, w_vals, m_vals = _digits(k, f)
-        coef.reshape(*shape, -1)[..., g] = c_vals[:, None]
+        coef.reshape(*shape, -1)[..., g] = k - 2.0 * np.arange(f + 1.0)[:, None]
         signs = sign.reshape(shape)
-        signs *= w_vals[:, None]
-        if with_mean:
-            mean.reshape(*shape, -1)[..., g] = m_vals[:, None]
+        signs *= np.array([(-1.0) ** c * math.comb(f, c) for c in range(f + 1)])[:, None]
         stride *= f + 1
-    for a in (coef, sign, mean):
-        if a is not None:
-            a.flags.writeable = False
-    return coef, sign, mean
-
-
-def _count_table(sizes: tuple, free: tuple, classes: int):
-    """How many leading groups (``low``) have at most ``classes`` classes
-    together, and :func:`_class_table` of those, with mean signs only when
-    some group has more than one slot.  With every group one slot, row k is
-    the sign vector with eps_i = -1 where bit i of k is set.  The table is
-    cached by the groups it covers, so real and complex rows of one profile
-    share it wherever their chunks split the groups alike."""
-    low = int(np.searchsorted(np.cumprod(np.array(free) + 1), classes, side="right"))
-    return low, _class_table(sizes[:low], free[:low], max(sizes) > 1)
+    coef.flags.writeable = sign.flags.writeable = False
+    return coef, sign
 
 
 def _slot_groups(flat: np.ndarray):
@@ -374,10 +353,18 @@ def _eps_combinations(rows: np.ndarray):
     class stands for all of them.  A group of k_g rows has k_g free signs, the
     group of slot n-1 one fewer, so there are prod_g (free_g + 1) classes
     instead of 2^(n-1): 18 for J_18 rather than 131,072.  ``sign`` is
-    prod(eps) summed over the class and ``eps`` the mean eps of each slot
-    over it (+1 for slot n-1), so sum sign * eps_i * f(combination) is the
-    ungrouped sum for any f.  The coefficients are integers applied to the
-    representative rows, so every combination entry is rounded once.
+    prod(eps) summed over the class, so sum sign * f(combination) is the
+    ungrouped sum for any f.  ``eps`` weighs slot i of a group of k_g slots,
+    slot n-1 included, by coef_g / k_g, the class's coefficient of its group
+    over the group's size; distinct slots get their signs.  So
+    sum sign * eps_i * f(combination) is the ungrouped sum for any f
+    homogeneous of degree n - 1, such as the adjugate of the gradient: there
+    the terms prod(eps) eps_i f(eps @ rows) of eps and -eps are equal, so the
+    half cube sums to half the whole cube, which is symmetric among a group's
+    slots and so gives each the same share of the group's sum, and
+    sum_(i in g) eps_i = coef_g on every sign vector of a class.  The
+    coefficients are integers applied to the representative rows, so every
+    combination entry is rounded once.
 
     Repeats are looked for only in a single tuple (B = 1) with
     n >= ``_GROUP_MIN_N``: the check (the set of first entries, then a dict
@@ -411,31 +398,23 @@ def _eps_combinations(rows: np.ndarray):
     flat = rows.view(np.float64)  # complex entries as (re, im) pairs
     reps, sizes, free, labels = _slot_groups(flat)
     width = flat.shape[2]
-    low, (lo_coef, lo_sign, lo_mean) = _count_table(sizes, free, _chunk_classes(8 * width))
+    # The leading groups whose classes together fit one chunk.
+    low = int(np.searchsorted(np.cumprod(np.array(free) + 1), _chunk_classes(8 * width), side="right"))
+    coef, sign = lo_coef, lo_sign = _class_table(sizes[:low], free[:low])
     buf = np.empty((len(flat), len(lo_coef), width))
-    coef, sign, mean = lo_coef, lo_sign, lo_mean
     # Each chunk writes one row of the other groups' table into the tail
-    # columns of tables whose low columns hold the low table from the start.
+    # columns of a table whose low columns hold the low table from the start.
     highs = [None]
     if low < len(free):
-        hi_coef, hi_sign, hi_mean = _class_table(sizes[low:], free[low:], mean is not None)
+        hi_coef, hi_sign = _class_table(sizes[low:], free[low:])
         highs = range(len(hi_sign))
         coef = np.empty((len(lo_coef), len(free)))
         coef[:, :low] = lo_coef
-        if mean is not None:
-            mean = np.empty_like(coef)
-            mean[:, :low] = lo_mean
     for high in highs:
         if high is not None:
             coef[:, low:] = hi_coef[high]
             sign = lo_sign * hi_sign[high]
-            if mean is not None:
-                mean[:, low:] = hi_mean[high]
-        if mean is None:
-            eps = coef
-        else:
-            eps = mean[:, labels]
-            eps[:, -1] = 1.0
+        eps = coef if labels is None else coef[:, labels] / np.array(sizes)[labels]
         out = np.matmul(coef, reps, out=buf)
         yield eps, sign, out.view(rows.dtype)
 
@@ -648,12 +627,11 @@ def permanent(c):
         raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
     _gate(n, _GATE_PERMANENT, "permanent")
-    is_complex = np.iscomplexobj(a)
-    a = a.astype(np.complex128 if is_complex else np.float64)
+    kind = complex if np.iscomplexobj(a) else float
     if n == 0:
-        return 1.0
-    value = _centered_sum(a[None], _glynn_terms)[0][0]
-    return complex(value) if is_complex else float(value)
+        return kind(1)
+    value = _centered_sum(a.astype(np.dtype(kind))[None], _glynn_terms)[0][0]
+    return kind(value)
 
 
 def eval_signed_permanent(t: MatrixTuple) -> float:
@@ -750,10 +728,13 @@ def gradient(t: MatrixTuple) -> DiscriminantGradient:
 
     Differentiating the centered polarization in slot i gives
     Q_i = 2^(1-n) sum over eps (eps_n = +1) of prod(eps) eps_i adj(M_eps)
-    with M_eps = sum eps_j A_j; 2^(n-1) LU determinants and inverses, one
-    per class of equal M_eps when n >= 8 and slots repeat, with Hermitian
-    eigensolves only for the singular or ill-conditioned M_eps
-    (:func:`_adjugates`).  The same determinants as :func:`eval_polarized`
+    with M_eps = sum eps_j A_j; 2^(n-1) LU determinants and inverses, with
+    Hermitian eigensolves only for the singular or ill-conditioned M_eps
+    (:func:`_adjugates`).  When n >= 8 and slots repeat there is one per
+    class c of equal M_c, and slot i of a group g of k_g equal slots gets
+    Q_i = 2^(1-n) sum over c of sign_c (coef_(g,c) / k_g) adj(M_c)
+    (:func:`_eps_combinations`): D is symmetric in its slots, so equal slots
+    get bitwise-equal Q_i.  The same determinants as :func:`eval_polarized`
     give D = 2^(1-n) sum prod(eps) det(M_eps), summed with ``math.fsum``, so
     ``value`` is bit for bit ``eval_polarized(t)``.
     """

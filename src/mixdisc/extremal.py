@@ -34,7 +34,7 @@ from .core import (
     max_abs,
     spawn_seeds,
 )
-from .discriminant import MatrixTuple, _gradient_raw, eval_polarized
+from .discriminant import MatrixTuple, _gradient_raw, _rounding_scale, eval_polarized
 from .capacity import _scalings
 
 _BOUND_SLACK = 1e-7
@@ -70,10 +70,11 @@ class SearchRecord:
 
 
 def bapat_bound(n: int) -> float:
-    """n! / n^n, the proven minimum of D over doubly stochastic n-tuples."""
+    """n! / n^n, the proven minimum of D over doubly stochastic n-tuples,
+    correctly rounded (Python's integer true division)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(math.factorial(n)) / float(n**n)
+    return math.factorial(n) / n**n
 
 
 def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixTuple:
@@ -213,7 +214,7 @@ def _descend(mats: np.ndarray, tol: Tolerances):
     the stop reason.
     """
     n = len(mats)
-    floor = 8 * n * 2.0**-53
+    floor = _rounding_scale(n)
     q, value, magnitude = _gradient_raw(mats)
     x, step, reason = mats, 1.0, "max_steps"
     for _ in range(_DESCENT_MAX_STEPS):

@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_TOL,
     SamplerExhausted,
     Tolerances,
+    _ds_floor,
     _eigh,
     _inv_sqrt,
     _psd,
@@ -258,7 +259,7 @@ def _random_ds_matrices(k: int, n: int, rng, tol: Tolerances) -> tuple[np.ndarra
     same draw scaled on its own would give.
     """
     kern = np.exp(rng.standard_normal((k, n, n)))
-    rounding = 4 * n * np.finfo(float).eps
+    rounding = _ds_floor(n)
     # The stop is never below the rounding of a row sum, which a stack may
     # not get under: a tinier ds_tol would run every stack to the cap.
     stop = max(1e-4 * tol.ds_tol, rounding)

@@ -32,6 +32,7 @@ from .core import (
     DEFAULT_TOL,
     TermNotPsd,
     Tolerances,
+    _ds_floor,
     _eigh,
     _gate,
     _psd,
@@ -199,7 +200,7 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances) -> _KrausScaling:
     ``_SAMPLER_MAX_ITER`` steps.
     """
     n, m = kt.shape[:2]
-    stop = max(tol.ds_tol, 4 * n * np.finfo(float).eps)
+    stop = max(tol.ds_tol, _ds_floor(n))
     eye = left = right = np.eye(n)
     for steps in range(_SAMPLER_MAX_ITER):
         tall = kt.reshape(n * m, n)

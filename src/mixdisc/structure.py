@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _EPS,
     DEFAULT_TOL,
     DecompositionInconsistent,
     NotDoublyStochastic,
@@ -81,7 +82,7 @@ def _generic_ranks(t: MatrixTuple, tol: Tolerances):
     vecs = _eigh(t.matrices)[1]
     u, v = np.einsum("iab,kib->kai", vecs, coef)
     w, s, vh = np.linalg.svd(u)
-    f = 1e3 * n * np.finfo(np.float64).eps / 2
+    f = 1e3 * n * _EPS / 2
     live = s > f * s[0]
     x = vh.conj().T @ (w.conj().T @ v / s[:, None]) if live.all() else vh[-1:].conj().T
     cut = f * s[0] / s[live][-1] if live.any() else f

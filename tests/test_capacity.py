@@ -193,6 +193,11 @@ class TestScaling:
 
 
 class TestSandwich:
+    def test_upper_bound_is_correctly_rounded(self):
+        # float(n^n) / float(n!) rounds twice and is first off at n = 17.
+        for n in range(1, 41):
+            assert n_pow_n_over_factorial(n) == n**n / math.factorial(n), n
+
     def test_ratio_extremes(self):
         n = 3
         jn = MatrixTuple([np.eye(n) / n] * n)

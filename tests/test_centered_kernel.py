@@ -6,7 +6,8 @@ to an independent route: closed forms at the gate sizes, the permutation-sum
 oracle, brute-force permanents and a per-mask polarization of p.  From n = 8
 on the kernel groups repeated slots; the grouped path is held to the
 permutation-sum oracle, to multilinearity (copies rescaled so that they are
-no longer equal take the ungrouped path) and to the plain sign table.  A
+no longer equal take the ungrouped path) and to the plain sign table, and
+its gradient gives bitwise-equal slots bitwise-equal Q_i.  A
 stack of tuples is held to the single call of each of its tuples, bit for bit,
 and so are the permutation oracles to their one-call-per-sigma forms.  The
 gradient's D is the kernel's D bit for bit and is held to the permutation sum.
@@ -39,7 +40,7 @@ from mixdisc.discriminant import (
     _as_real,
     _centered_sum,
     _chunk_classes,
-    _count_table,
+    _class_table,
     _eps_combinations,
     _fsum_rows,
     _gradient_raw,
@@ -249,12 +250,10 @@ def _plain_sign_table(k, n):
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_single_slot_profile_is_the_plain_sign_table(n):
-    low, (coef, sign, mean) = _count_table((1,) * n, (1,) * (n - 1) + (0,), 8192)
-    assert low == n  # one chunk of 8192 classes up to n = 14
+    coef, sign = _class_table((1,) * n, (1,) * (n - 1) + (0,))
     eps, plain_sign = _plain_sign_table(np.arange(1 << (n - 1)), n)
     assert coef.dtype == eps.dtype
     assert np.array_equal(coef, eps) and np.array_equal(sign, plain_sign)
-    assert mean is None  # single slots: their mean signs are the coefficients
 
 
 def test_distinct_rows_stream_the_plain_sign_table_at_n16():
@@ -277,25 +276,31 @@ def test_distinct_rows_stream_the_plain_sign_table_at_n16():
     [[0] * 8, [0, 1, 0, 1, 2, 2, 3, 0], [0] * 7 + [1], [1] + [0] * 7, [0, 1, 2, 3, 4, 5, 6, 2]],
 )
 def test_class_sums_are_the_ungrouped_sums(labels):
-    # For any function f of the combination, sum sign * f and, slot by slot,
-    # sum sign * eps_i * f over the classes equal the sums over all 2^(n-1)
-    # sign vectors; the gradient needs the second.
+    # For any function f of the combination, sum sign * f over the classes
+    # equals the sum over all 2^(n-1) sign vectors; slot by slot,
+    # sum sign * eps_i * h does for h homogeneous of degree n - 1, as the
+    # gradient's adjugates are.
     n = len(labels)
     rows = make_rng(8).standard_normal((max(labels) + 1, 3))[labels]
 
     def f(comb):  # neither even nor odd, so no class sum cancels by symmetry
         return np.exp(comb @ np.array([0.1, 0.2, 0.3]))
 
+    forms = make_rng(9).standard_normal((3, n - 1))
+
+    def h(comb):  # a product of n - 1 linear forms: homogeneous of degree n - 1
+        return np.prod(comb @ forms, axis=1)
+
     total, per_slot = 0.0, np.zeros(n)
     for eps, sign, comb in _eps_combinations(rows[None]):
         assert len(sign) <= 1 << (n - 1)
-        terms = sign * f(comb[0])
-        total += terms.sum()
-        per_slot += eps.T @ terms
+        total += (sign * f(comb[0])).sum()
+        per_slot += eps.T @ (sign * h(comb[0]))
     plain_eps, plain_sign = _plain_sign_table(np.arange(1 << (n - 1)), n)
-    terms = plain_sign * f(plain_eps @ rows)
-    assert total == pytest.approx(terms.sum(), abs=1e-9)
-    assert per_slot == pytest.approx(plain_eps.T @ terms, abs=1e-9)
+    combs = plain_eps @ rows
+    assert total == pytest.approx((plain_sign * f(combs)).sum(), abs=1e-9)
+    terms = plain_sign * h(combs)
+    assert np.abs(per_slot - plain_eps.T @ terms).max() <= 1e-12 * np.abs(terms).sum()
 
 
 # Slot patterns of an n = 8 tuple: which slots share one matrix.
@@ -390,6 +395,28 @@ def test_grouped_gradient_is_the_slot_functional(t, seed):
         t_x = t.replaced(i, x)
         via_q = float(np.trace(x @ g.Q[i]).real)
         assert _close(via_q, eval_polarized(t_x), _term_bounds(t_x.matrices), t.n)
+
+
+def _two_wishart_slots_repeated():
+    """Two complex Wishart slots at n = 9, repeated 5 and 4 times."""
+    rng = make_rng(9)
+    a, b = _wishart(9, rng, real=False), _wishart(9, rng, real=False)
+    return MatrixTuple([a, b, a, b, a, b, a, b, a])
+
+
+@pytest.mark.parametrize(
+    "t",
+    [MatrixTuple([np.eye(n) / n] * n) for n in range(8, 13)] + [_two_wishart_slots_repeated()],
+    ids=[f"J{n}" for n in range(8, 13)] + ["wishart5+4"],
+)
+def test_equal_slots_get_bitwise_equal_gradients(t):
+    # D is symmetric in its slots, so bitwise-equal slots, slot n-1 included,
+    # have the same Q_i, to the last bit.
+    q = gradient(t).Q
+    rows = t.matrices.reshape(t.n, -1)
+    for i in range(t.n):
+        first = next(j for j in range(t.n) if rows[j].tobytes() == rows[i].tobytes())
+        assert q[i].tobytes() == q[first].tobytes(), (i, first)
 
 
 # Slot labels at n = 12 and 16: groups of two to four, slot n-1 in a group.
@@ -626,46 +653,44 @@ def _beside(lo, hi):
 
 
 def _count_vectors(sizes, free, c):
-    """Coefficients, signs and mean signs of the count vectors ``c`` (one per
-    row, int64) of groups of ``sizes`` equal slots, ``free`` of whose signs
-    are free, from the digits themselves: the table as the kernel first
-    built it, before it wrote each group's column by broadcasting."""
+    """Coefficients and signs of the count vectors ``c`` (one per row, int64)
+    of groups of ``sizes`` equal slots, ``free`` of whose signs are free,
+    from the digits themselves: the table as the kernel first built it,
+    before it wrote each group's column by broadcasting."""
     coef = np.asarray(sizes, dtype=float) - 2.0 * c
-    mean = coef.copy()
     weight = np.ones(len(c))
-    for g, (k, f) in enumerate(zip(sizes, free)):
-        if k > 1:
-            mean[:, g] = (f - 2.0 * c[:, g]) / f
+    for g, f in enumerate(free):
         if f > 1:
             weight *= np.array([math.comb(f, j) for j in range(f + 1)], dtype=float)[c[:, g]]
-    return coef, np.where(c.sum(axis=1) % 2 == 0, weight, -weight), mean
+    return coef, np.where(c.sum(axis=1) % 2 == 0, weight, -weight)
 
 
 def _concatenated_classes(rows):
-    """The classes of :func:`_eps_combinations` with a fresh coefficient and
-    mean table from :func:`_count_vectors` concatenated per chunk and fresh
-    combinations, as the kernel built them before it kept one buffer of
-    each; the chunks split the groups where the kernel's do."""
+    """The classes of :func:`_eps_combinations` with a fresh coefficient table
+    from :func:`_count_vectors` concatenated per chunk, slot weights
+    coef / size taken from it, and fresh combinations, as the kernel built
+    them before it kept one buffer of each; the chunks split the groups
+    where the kernel's do: after the leading groups whose classes fill
+    :func:`_chunk_classes`."""
     rows = np.ascontiguousarray(rows)
     if np.iscomplexobj(rows) and not np.count_nonzero(rows.imag):
         rows = np.ascontiguousarray(rows.real)
     flat = rows.view(np.float64)
     reps, sizes, free, labels = _slot_groups(flat)
-    low = _count_table(sizes, free, _chunk_classes(8 * flat.shape[2]))[0]
+    counts = np.cumprod(np.array(free) + 1)
+    low = int((counts <= _chunk_classes(8 * flat.shape[2])).sum())
     radix = np.array(free[:low]) + 1
     digits = np.arange(int(np.prod(radix)))[:, None] // (np.cumprod(radix) // radix) % radix
-    lo_coef, lo_sign, lo_mean = _count_vectors(sizes[:low], free[:low], digits)
+    lo_coef, lo_sign = _count_vectors(sizes[:low], free[:low], digits)
     highs = [()]
     if low < len(free):
         highs = itertools.product(*(range(f + 1) for f in reversed(free[low:])))
     for high in highs:
-        coef, sign, mean = lo_coef, lo_sign, lo_mean
+        coef, sign = lo_coef, lo_sign
         if high:
-            hi_coef, hi_sign, hi_mean = _count_vectors(sizes[low:], free[low:], np.array([high[::-1]]))
-            coef, sign, mean = _beside(lo_coef, hi_coef), lo_sign * hi_sign, _beside(lo_mean, hi_mean)
-        eps = coef if labels is None else mean[:, labels]
-        if labels is not None:
-            eps[:, -1] = 1.0
+            hi_coef, hi_sign = _count_vectors(sizes[low:], free[low:], np.array([high[::-1]]))
+            coef, sign = _beside(lo_coef, hi_coef), lo_sign * hi_sign
+        eps = coef if labels is None else coef[:, labels] / np.array(sizes, dtype=float)[labels]
         yield eps, sign, np.matmul(coef, reps).view(rows.dtype)
 
 

@@ -156,6 +156,13 @@ class TestPermanent:
         a = np.array([[1.0 + 1j, 2.0], [3.0, 4.0 - 1j]])
         assert permanent(a) == pytest.approx((1 + 1j) * (4 - 1j) + 6.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_result_type_follows_the_input(self, n):
+        # The empty matrix included: its permanent is 1 of the input's kind.
+        assert type(permanent(np.ones((n, n)))) is float
+        value = permanent(np.ones((n, n), dtype=complex))
+        assert type(value) is complex and value == math.factorial(n)
+
     def test_diagonal_bridge(self):
         rng = make_rng(4)
         for _ in range(5):

@@ -37,6 +37,11 @@ class TestBound:
         assert bapat_bound(3) == pytest.approx(2.0 / 9.0)
         assert bapat_bound(4) == pytest.approx(24.0 / 256.0)
 
+    def test_correctly_rounded(self):
+        # float(n!) / float(n^n) rounds twice and is first off at n = 17.
+        for n in range(1, 41):
+            assert bapat_bound(n) == math.factorial(n) / n**n, n
+
     def test_attained_at_jn(self):
         for n in range(1, 7):
             t = MatrixTuple([np.eye(n) / n] * n)
