@@ -26,6 +26,7 @@ hierarchy of the exception:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -276,6 +277,17 @@ def read_json(path: str):
         raise CliInputError(f"{path}: malformed JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _open_for_writing(path: str, newline: str | None = None):
+    """``path`` open for writing text; an OSError, on opening or writing, is
+    a ``CliInputError``, as in ``read_json``."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def digest_of(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
@@ -391,7 +403,7 @@ def _cmd_bapat_search(args, tol: Tolerances) -> _Report:
     record = extremal.minimize_search(args.n, args.trials, args.seed, tol)
     digest = params_digest(n=args.n, trials=args.trials, seed=args.seed)
     csv_path = f"bapat-search-{digest[:16]}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with _open_for_writing(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "best_value"])
         for i, v in enumerate(record.trial_bests):
@@ -501,7 +513,7 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
         doc = block_to_doc(scaling.rho)
     text = json.dumps(doc, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_for_writing(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)

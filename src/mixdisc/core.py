@@ -135,6 +135,11 @@ def require_finite(a: np.ndarray, what: str = "matrix") -> None:
         raise ValueError(f"{what} contains NaN or infinity")
 
 
+def _require_square(a: np.ndarray) -> None:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+
+
 def as_hermitian(a, tol: float = DEFAULT_TOL.hermitian_tol) -> np.ndarray:
     """Validate Hermiticity within ``tol`` and symmetrize exactly.
 
@@ -145,8 +150,7 @@ def as_hermitian(a, tol: float = DEFAULT_TOL.hermitian_tol) -> np.ndarray:
     IEEE arithmetic.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    _require_square(a)
     require_finite(a)
     ah = a.conj().swapaxes(-1, -2)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
@@ -163,12 +167,15 @@ def max_abs(a) -> float:
 
 def _eigh(a, vectors: bool = True):
     """``np.linalg.eigh`` (ascending) of a Hermitian matrix or (..., n, n) stack;
-    with ``vectors`` False, the eigenvalues alone by ``np.linalg.eigvalsh``."""
+    with ``vectors`` False, the eigenvalues alone by ``np.linalg.eigvalsh``.
+    ValueError for a non-square stack; NonConvergence where LAPACK fails."""
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    a = np.asarray(a, dtype=np.complex128)
     try:
-        return solve(np.asarray(a, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        _require_square(a)
+        raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc  # pragma: no cover
 
 
 def _definite(w, tol: Tolerances):

@@ -10,11 +10,12 @@ Membership checks take a whole stack of vector tuples through one batched
 eigensolve.  :func:`conjecture_experiment` runs its pencils in blocks: one
 block draws its doubly stochastic tuples with one ``random_ds_tuples`` call,
 reduces their pencils with one batched congruence and draws its mixing
-matrices as one stack, scaled doubly stochastic by guarded Newton steps;
-it checks every mixture against its own pencil in one membership pass on
-the reduced points and takes the ratios M_p / p(e) as the mixed
-discriminants of those points, from one call of the centered kernel, with
-the report, bit for bit, that those mixtures give one at a time.
+matrices as one stack of convex combinations of permutation matrices,
+doubly stochastic with no iteration; it checks every mixture against its
+own pencil in one membership pass on the reduced points and takes the
+ratios M_p / p(e) as the mixed discriminants of those points, from one call
+of the centered kernel, with the report, bit for bit, that those mixtures
+give one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     DEFAULT_TOL,
     SamplerExhausted,
     Tolerances,
-    _ds_floor,
     _eigh,
     _inv_sqrt,
     _psd,
@@ -44,10 +44,6 @@ _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pe
 # accepted mixtures: the kernel's byte budget bounds each tuple's chunk, and
 # a stack of K tuples (n < 8) is one chunk of 2^(n-1) combinations per tuple.
 _BLOCK_MIXTURES = 1000
-# Cap on the guarded Newton steps of a mixing stack, which stops in about 5.
-# The name, like the report's max_sinkhorn_sweeps field, which is part of the
-# CLI's report, is kept from the plain sweeps those steps replaced.
-_SINKHORN_MAX_SWEEPS = 200
 _MAX_BARREN_PENCILS = 100  # consecutive pencils with no accepted mixture before giving up
 
 
@@ -233,64 +229,32 @@ def axis_vectors(n: int) -> list[np.ndarray]:
     return [np.eye(n)[i] for i in range(n)]
 
 
-def _random_ds_matrices(k: int, n: int, rng, tol: Tolerances) -> tuple[np.ndarray, int]:
-    """k positive random matrices K, scaled doubly stochastic as one (k, n, n)
-    stack by guarded Newton steps, and the number of steps taken.
+def _random_ds_matrices(k: int, n: int, rng) -> np.ndarray:
+    """k random doubly stochastic matrices as one (k, n, n) stack, each the
+    convex combination sum_c lam_c P_c of K = (n - 1)^2 + 1 permutation
+    matrices, with no iteration.
 
-    The k draws come from one ``standard_normal`` call, which reads the
-    stream that calls for consecutive parts of them would.  Each matrix
-    keeps row log-scalings x, and its iterate is M = diag(e^x) K diag(1/c),
-    c the column sums of diag(e^x) K, so the columns sum to 1 after every
-    step.  With r the row sums of M, a step has two candidates: the plain
-    Sinkhorn sweep x - log r, and the Newton point
-    x - (diag r - M M^T + 11^T/n)^(-1) (r - 1) on the potential
-    psi(x) = sum_j log c_j - sum_i x_i, whose gradient is r - 1 and which
-    is constant along x + t1 (Brauer, Clason, Lorenz and Wirth,
-    arXiv:1710.06635).  As in ``capacity._scale_vector``, a potential
-    guard picks: a matrix takes its Newton point where psi there is no
-    larger than after its plain sweep, up to the rounding of psi's change;
-    a plain sweep never raises psi, so psi falls, to rounding, along the
-    steps.  The candidates of the whole stack come from one batched solve.
-    The steps stop once every row sum of the stack is within 1e-4
-    ``ds_tol`` of 1, but never less than 4 n eps, the rounding of a row sum,
-    or after ``_SINKHORN_MAX_SWEEPS``: about 5 steps where plain sweeps
-    took 40 to 121 (200 matrices, n = 3 and 4, seeds 0-59).
-    The stack stops as a whole, so a slice is not, bit for bit, what the
-    same draw scaled on its own would give.
+    K is Caratheodory's number for the Birkhoff polytope (dimension
+    (n - 1)^2), whose vertices are the permutation matrices, so every doubly
+    stochastic matrix is such a combination.  The permutations are uniform,
+    the argsorts of uniform keys, and the weights lam are Dirichlet(1), the
+    normalized exponentials -log(1 - u) of uniform u.  All of them come from
+    one ``random`` call of shape (k, K, n + 1), whose leading axis is the
+    matrices, and each matrix is summed from its own draws alone, so a stack
+    holds, bit for bit, the matrices that draws of consecutive parts of it
+    would give.  Each row and column sums its K weights, so it is 1 up to
+    the rounding of K terms.
     """
-    kern = np.exp(rng.standard_normal((k, n, n)))
-    rounding = _ds_floor(n)
-    # The stop is never below the rounding of a row sum, which a stack may
-    # not get under: a tinier ds_tol would run every stack to the cap.
-    stop = max(1e-4 * tol.ds_tol, rounding)
-    # Sums over the length-n axes are matrix-vector products on reshapes,
-    # which cost far less than numpy's reductions over a short axis.
-    ones = np.ones(n)
-    # Row 2j of the steps is matrix j's Newton step, row 2j + 1 its sweep.
-    odds = np.arange(1, 2 * k, 2)
-    x = np.zeros((k, n))
-    steps = 0
-    while True:
-        ex = np.exp(x)[:, None]
-        m = ex.swapaxes(1, 2) * kern / (ex @ kern)
-        rows = (m.reshape(-1, n) @ ones).reshape(k, n)
-        if steps == _SINKHORN_MAX_SWEEPS or np.abs(rows - 1.0).max() <= stop:
-            return m, steps
-        hess = rows[..., None] * np.eye(n) - m @ m.swapaxes(1, 2) + 1.0 / n
-        newton = np.linalg.solve(hess, (rows - 1.0)[..., None])[..., 0]
-        d = np.stack([newton, np.log(rows)], axis=1)
-        # psi(x - d) - psi(x) = sum_j log1p(u_j) + sum_i d_i, u = (e^-d - 1) M,
-        # to the rounding of the change rather than of psi: at the minimum,
-        # where psi is flat, psi's own rounding would admit steps that move
-        # the row sums by its square root.  A Newton step far enough out
-        # overflows e^-d; its change is then inf or NaN, which only rejects it.
-        with np.errstate(all="ignore"):
-            log_u = np.log1p(np.expm1(-d) @ m)
-            change = ((log_u + d).reshape(-1, n) @ ones).reshape(k, 2)
-        size = (abs(log_u[:, 1]) + abs(d[:, 1])) @ ones
-        pick = odds - (change[:, 0] <= change[:, 1] + rounding * size)
-        x = x - d.reshape(-1, n).take(pick, 0)
-        steps += 1
+    terms = (n - 1) ** 2 + 1
+    u = rng.random((k, terms, n + 1))
+    weights = -np.log1p(-u[..., n])
+    lam = weights / weights.sum(axis=-1, keepdims=True)
+    # Entry (j, i, perm_jc(i)) of the stack adds lam[j, c], in order of c:
+    # the flat index of that entry is the permutation plus (j n + i) n.
+    cells = np.argsort(u[..., :n], axis=-1)
+    cells += (np.arange(k)[:, None, None] * n + np.arange(n)) * n
+    sums = np.bincount(cells.ravel(), np.repeat(lam.ravel(), n), k * n * n)
+    return sums.reshape(k, n, n)
 
 
 @dataclass(frozen=True)
@@ -303,7 +267,6 @@ class ConjectureExperimentReport:
     bound: float
     violations: list
     rejection_rate: float
-    max_sinkhorn_sweeps: int  # steps, over the mixing stacks; _SINKHORN_MAX_SWEEPS means the cap was hit
 
 
 def conjecture_experiment(
@@ -312,8 +275,9 @@ def conjecture_experiment(
     """Sample e-doubly stochastic tuples and record min M_p / p(e).
 
     Members come from doubly stochastic matrix tuples (p(e) = 1) with the
-    axis-vector tuple mixed by random doubly stochastic matrices; mixing
-    preserves membership, which is rechecked and rejected on failure.
+    axis-vector tuple mixed by random doubly stochastic matrices, convex
+    combinations of permutation matrices; mixing preserves membership, which
+    is rechecked and rejected on failure.
     A ratio below n!/n^n - 1e-6 is recorded as a violation, not raised.
 
     Pencil k is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``
@@ -329,10 +293,11 @@ def conjecture_experiment(
     det(L)^2 D(X_1, .., X_n) = M_p / p(e), so p(e) is never computed.
     Ratios, violations and the barren-pencil rule then run in pencil order,
     and a block whose mixtures were rejected leaves the rest to the next
-    block.  ``max_sinkhorn_sweeps`` is the most guarded Newton steps any
-    block's stack took (about 5; the name dates from plain Sinkhorn sweeps);
-    at ``_SINKHORN_MAX_SWEEPS`` a stack stopped at the cap, not at its
-    row-sum test, and its mixtures may fail the membership recheck.
+    block.  The mixing matrices are doubly stochastic by construction, to
+    the rounding of their sums, so the recheck rejects a mixture only where
+    its pencil falls short: a tuple scaled to within ``ds_tol`` can give
+    reduced slots whose traces miss 1 by a little more than ``ds_tol``,
+    which a mixture near a permutation matrix inherits.
     SamplerExhausted after ``_MAX_BARREN_PENCILS`` pencils in a row accept
     no mixture.
     """
@@ -343,7 +308,6 @@ def conjecture_experiment(
     rejected = 0
     done = 0
     pencil_index = 0
-    max_sweeps = 0
     last_hit = -1  # the last pencil that accepted a mixture
     while done < samples:
         need = min(samples - done, _BLOCK_MIXTURES)
@@ -356,8 +320,7 @@ def conjecture_experiment(
         # and every direction is the all-ones vector.
         mats = np.array([t.matrices for t in tuples])
         reduced = _reduce(mats, mats.sum(1), tol)
-        mixes, sweeps = _random_ds_matrices(need, n, rng, tol)
-        max_sweeps = max(max_sweeps, sweeps)
+        mixes = _random_ds_matrices(need, n, rng)
         owner = np.repeat(np.arange(len(counts)), counts)
         # The vectors of a mixture are its columns.
         *_, passes, points = _membership(
@@ -394,5 +357,4 @@ def conjecture_experiment(
         bound=bound,
         violations=violations,
         rejection_rate=rejected / max(1, done + rejected),
-        max_sinkhorn_sweeps=max_sweeps,
     )

@@ -277,6 +277,23 @@ class TestSearchAndExperiments:
         assert len(lines) == 4
         assert rep["results"]["stop_reasons"] == ["roundoff"] * 3
 
+    def test_bapat_search_csv_it_cannot_write_exits_1(self, capsys, tmp_path, monkeypatch):
+        # A directory at the CSV's path: the open fails whatever the user's
+        # permissions, and the run ends in one error line, not a traceback.
+        monkeypatch.chdir(tmp_path)
+        digest = cli.params_digest(n=2, trials=1, seed=0)
+        (tmp_path / f"bapat-search-{digest[:16]}.csv").mkdir()
+        code, out, err = run(capsys, "bapat-search", "2", "--trials", "1", "--seed", "0")
+        _exits_1_with_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write bapat-search-{digest[:16]}.csv: ")
+
+    def test_gen_random_out_it_cannot_write_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "gen-random", "2", "--out", str(path))
+        _exits_1_with_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.parent.exists()
+
     def test_bapat_search_n1_exits_1_without_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         _exits_1_with_one_error_line(*run(capsys, "bapat-search", "1", "--trials", "1"))

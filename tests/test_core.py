@@ -23,6 +23,7 @@ from mixdisc.core import (
     spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple
+from mixdisc.extremal import dnp_family_value
 
 
 class TestTolerances:
@@ -116,6 +117,14 @@ class TestEigAndRoots:
     def test_psd_violation(self):
         assert psd_violation(np.diag([1.0, -0.25])) == pytest.approx(0.25)
         assert psd_violation(np.eye(2)) == 0.0
+
+    @pytest.mark.parametrize("entry", [rank_psd, psd_violation, inv_sqrt_psd, dnp_family_value])
+    def test_a_non_square_input_is_a_value_error(self, entry):
+        # Bad input, not an eigensolver failure: NonConvergence, which is no
+        # ValueError, is left for LAPACK's non-convergence.
+        for a in (np.ones((2, 3)), np.ones((4, 2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match=r"expected square matrices, got shape"):
+                entry(a)
 
 
 class TestRandomness:
