@@ -30,6 +30,7 @@ from .core import (
     _gate,
     _gram,
     _psd,
+    as_hermitian,
     iter_seeds,
     max_abs,
     spawn_seeds,
@@ -102,12 +103,13 @@ def random_ds_tuples(n: int, seeds, tol: Tolerances = DEFAULT_TOL) -> list[Matri
     out = [None] * len(children)
     todo = list(range(len(children)))
     for _ in range(_DS_RETRIES):
-        # The Gram products are validated and symmetrized once per tuple, at
-        # the default Hermiticity tolerance: the slots of ``random_psd`` bit
-        # for bit, whatever ``tol`` asks of inputs.
-        draws = [
-            MatrixTuple([_gram(n, s) for s in spawn_seeds(next(children[j]), n)]) for j in todo
-        ]
+        # The round's Gram products are validated and symmetrized by one
+        # ``as_hermitian`` call over their (B, n, n, n) stack, each slot at its
+        # own scale and at the default Hermiticity tolerance: the slots of
+        # ``random_psd`` bit for bit, whatever ``tol`` asks of inputs.
+        grams = [_gram(n, s) for j in todo for s in spawn_seeds(next(children[j]), n)]
+        stack = as_hermitian(np.reshape(grams, (len(todo), n, n, n)))
+        draws = [MatrixTuple._of_hermitian(m) for m in np.ascontiguousarray(stack)]
         retry = []
         for j, res in zip(todo, _scalings(draws, tol)):
             if isinstance(res, (NotIndecomposable, NonConvergence)):

@@ -6,16 +6,21 @@ congruence with L = (sum e_i B_i)^(-1/2), to the slots A_i = L B_i L; the
 roots of p(x - lambda e) are then the eigenvalues of sum x_i A_i, so realness
 is structural, and the e-trace is the linear form sum x_i tr A_i.
 
-Membership checks take a whole stack of vector tuples through one batched
-eigensolve.  :func:`conjecture_experiment` runs its pencils in blocks: one
-block draws its doubly stochastic tuples with one ``random_ds_tuples`` call,
-reduces their pencils with one batched congruence and draws its mixing
-matrices as one stack of convex combinations of permutation matrices,
-doubly stochastic with no iteration; it checks every mixture against its
-own pencil in one membership pass on the reduced points and takes the
-ratios M_p / p(e) as the mixed discriminants of those points, from one call
-of the centered kernel, with the report, bit for bit, that those mixtures
-give one at a time.
+Membership checks take a whole stack of vector tuples, each against its own
+pencil, in one pass.  Its e-nonnegativity test reads each pencil's slot
+eigenvalues once, from one batched eigensolve of the slots: a vector x >= 0
+whose Weyl bound sum_j x_j lambda_min(A_j) clears its rounding margin is
+e-nonnegative, with a violation of exactly 0.0, and only the other points
+go through one batched ``eigvalsh``, so a report has the bits of an
+eigensolve per point.  :func:`conjecture_experiment` runs its pencils in
+blocks: one block draws its doubly stochastic tuples with one
+``random_ds_tuples`` call, reduces their pencils with one batched congruence
+and draws its mixing matrices as one stack of convex combinations of
+permutation matrices, doubly stochastic with no iteration; it checks every
+mixture against its own pencil in one membership pass and takes the ratios
+M_p / p(e) as the mixed discriminants of the mixtures' reduced points, from
+one call of the centered kernel, with the report, bit for bit, that those
+mixtures give one at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _EPS,
     DEFAULT_TOL,
     SamplerExhausted,
     Tolerances,
@@ -45,6 +51,9 @@ _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pe
 # a stack of K tuples (n < 8) is one chunk of 2^(n-1) combinations per tuple.
 _BLOCK_MIXTURES = 1000
 _MAX_BARREN_PENCILS = 100  # consecutive pencils with no accepted mixture before giving up
+# The Weyl bound's rounding margin, in units of n m (eps S + tiny): see _membership.
+_WEYL_MARGIN = 8.0
+_TINY = np.finfo(float).tiny
 
 
 class HyperbolicPencil:
@@ -133,7 +142,7 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
 
 def trace_e(pencil: HyperbolicPencil, x) -> float:
     """Sum of the roots of p(x - lambda e); linear in x: sum x_i tr A_i."""
-    return float(_e_traces(pencil._reduced, pencil._vector(x)))
+    return float(_e_traces(_slot_traces(pencil._reduced), pencil._vector(x)))
 
 
 def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -163,14 +172,17 @@ def _pencil_points(matrices: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return points
 
 
-def _e_traces(reduced: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The e-traces sum_j x_j tr A_j of the vectors ``xs`` (..., m), from
-    reduced slots (m, n, n) or a stack of them (..., m, n, n) broadcast
-    against the vectors.  Each tr A_j adds its diagonal in order, and the
-    form is ``_pencil_points`` of the traces as 1 x 1 slots, so a vector's
-    e-trace has the same bits in any stack."""
+def _slot_traces(reduced: np.ndarray) -> np.ndarray:
+    """The traces tr A_j (..., m) of reduced slots (..., m, n, n), each adding
+    its diagonal in order, so a slot's trace has the same bits in any stack."""
     diagonal = reduced.real.diagonal(0, -2, -1)
-    traces = sum((diagonal[..., k] for k in range(1, diagonal.shape[-1])), diagonal[..., 0])
+    return sum((diagonal[..., k] for k in range(1, diagonal.shape[-1])), diagonal[..., 0])
+
+
+def _e_traces(traces: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The e-traces sum_j x_j tr A_j of the vectors ``xs`` (..., m), from the
+    ``_slot_traces`` (m,) of a pencil or a stack of them (..., m) broadcast
+    against the vectors: ``_pencil_points`` of the traces as 1 x 1 slots."""
     return _pencil_points(traces[..., None, None], xs)[..., 0, 0]
 
 
@@ -188,21 +200,63 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     return float(_discriminants(_pencil_points(pencil.matrices, xs)[None])[0])
 
 
-def _membership(reduced, e, xs: np.ndarray, tol: Tolerances):
+def _membership(reduced, owner, e, xs: np.ndarray, tol: Tolerances):
     """Membership of a stack (K, k, m) of K vector tuples: the (K,) arrays of
     the nonnegativity, e-trace and sum violations and of ``passes``, and the
     reduced points sum_j x_j A_j as a (K, k, n, n) stack.
 
-    Every tuple is checked against one pencil's reduced slots (m, n, n), or
-    tuple j against its own, given as the stack (K, 1, m, n, n); ``e`` is
-    the direction (m,) they share.  The roots of every vector are the
-    eigenvalues of its reduced point, from one batched ``eigvalsh``; its
-    e-trace is ``_e_traces``, and the vectors of a tuple are added in order.
+    ``reduced`` holds the reduced slots (P, m, n, n) of P pencils, once each,
+    and tuple i is checked against pencil ``owner[i]``; ``e`` is the
+    direction (m,) they share.  A vector's e-trace is ``_e_traces`` of its
+    pencil's ``_slot_traces``, and the vectors of a tuple are added in order.
+
+    The roots of a vector x are the eigenvalues of its point sum_j x_j A_j,
+    and its nonnegativity violation is max(0, -lambda_min) of the point's
+    ``eigvalsh``.  Most points need no eigensolve: one batched ``eigvalsh``
+    of the P m slots gives each its eigenvalues, and for x >= 0 Weyl's
+    inequality gives lambda_min(sum_j x_j A_j) >= b = sum_j x_j lambda_min(A_j).
+    Where b exceeds the margin c n m (eps S + tiny), with
+    S = sum_j x_j ||A_j||_2, ||A_j||_2 the largest |eigenvalue| of the same
+    solve, eps the machine epsilon, tiny the least normal float and
+    c = ``_WEYL_MARGIN`` = 8, the point's computed lambda_min is positive, so
+    its violation is 0.0, what its ``eigvalsh`` would give.  The margin
+    covers, taking LAPACK's backward error for a Hermitian n x n eigensolve
+    of M as n eps ||M||_2:
+
+    - the slot eigenvalues: lambda_min(A_j) is within n eps ||A_j||_2 of the
+      computed one, n eps S in all;
+    - the point, formed term by term (``_pencil_points``): each real and
+      imaginary part is off by at most gamma_m <= 1.01 m eps / 2 times
+      sum_j x_j |A_j|, so the point is off by a Hermitian F with
+      ||F||_2 <= ||F||_F <= sqrt(2 n) gamma_m S <= n m eps S;
+    - the computed point's ``eigvalsh``: n eps times its norm, at most
+      n eps (1 + n m eps) S;
+    - b itself, a sum of m terms of size at most x_j ||A_j||_2: m eps S.
+
+    For n, m >= 1 these add up to at most 4 n m eps S (1 + n m eps); c = 8
+    doubles that, for the rounding of S and of the margin and for norms read
+    off computed eigenvalues.  A result below the normal range is off by at
+    most eps tiny absolutely, which the n m tiny term covers.  Every other
+    point (a vector with a negative entry, an indefinite or singular slot,
+    a point at the boundary) goes through one batched ``eigvalsh``.
     """
-    points = _pencil_points(reduced, xs)
-    lam = _eigh(points, vectors=False)
-    nonneg = np.maximum(0.0, -lam[..., 0]).max(axis=-1, initial=0.0)
-    trace = np.abs(_e_traces(reduced, xs) - 1.0).max(axis=-1, initial=0.0)
+    n = reduced.shape[-1]
+    m = xs.shape[-1]
+    points = _pencil_points(reduced[owner, None], xs)
+    slot_eigs = _eigh(reduced, vectors=False)[owner, None]
+    lowest = slot_eigs[..., 0]
+    norms = np.maximum(-lowest, slot_eigs[..., -1])
+    weyl = (xs * lowest).sum(axis=-1)
+    margin = _WEYL_MARGIN * n * m * (_EPS * (xs * norms).sum(axis=-1) + _TINY)
+    unsettled = ~((xs >= 0.0).all(axis=-1) & (weyl > margin))
+    violations = np.zeros(xs.shape[:-1])
+    if unsettled.any():
+        lam = _eigh(points[unsettled], vectors=False)
+        # + 0.0 turns the -0.0 np.maximum gives for a zero root into 0.0.
+        violations[unsettled] = np.maximum(0.0, -lam[:, 0]) + 0.0
+    nonneg = violations.max(axis=-1, initial=0.0)
+    traces = _slot_traces(reduced)[owner, None]
+    trace = np.abs(_e_traces(traces, xs) - 1.0).max(axis=-1, initial=0.0)
     total = np.zeros((len(xs), xs.shape[-1]))
     for i in range(xs.shape[1]):
         total += xs[:, i]
@@ -216,7 +270,9 @@ def check_hd_membership(
 ) -> HdMembershipReport:
     """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces, sum e."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
-    nonneg, trace, sums, passes, _ = _membership(pencil._reduced, pencil.e, xs[None], tol)
+    nonneg, trace, sums, passes, _ = _membership(
+        pencil._reduced[None], np.zeros(1, dtype=int), pencil.e, xs[None], tol
+    )
     return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), bool(passes[0]))
 
 
@@ -278,7 +334,9 @@ def conjecture_experiment(
     axis-vector tuple mixed by random doubly stochastic matrices, convex
     combinations of permutation matrices; mixing preserves membership, which
     is rechecked and rejected on failure.
-    A ratio below n!/n^n - 1e-6 is recorded as a violation, not raised.
+    A ratio below n!/n^n (1 - 1e-6) is recorded as a violation, not raised:
+    the slack is relative, so it holds at every n (an absolute 1e-6 is 88%
+    of n!/n^n = 1.13e-6 at n = 16, and above it from n = 17 on).
 
     Pencil k is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``
     and takes up to ``_MIXTURES_PER_PENCIL`` mixtures.  The pencils run in
@@ -287,9 +345,11 @@ def conjecture_experiment(
     ``_MIXTURES_PER_PENCIL``.  Its tuples come from one ``random_ds_tuples``
     call, their reduced slots A_i = L B_i L from one batched congruence,
     its mixtures from one ``_random_ds_matrices`` stack, their membership
-    from one ``_membership`` pass on the reduced points, each mixture
-    against its own pencil, and the ratios of the accepted ones from one
-    ``_discriminants`` call on those points: D(L X_1 L, .., L X_n L) is
+    from one ``_membership`` pass, each mixture against its own pencil's
+    slots (whose eigenvalues, one batched solve for the block, settle the
+    nonnegativity of almost every point with no eigensolve of the point),
+    and the ratios of the accepted ones from one ``_discriminants`` call on
+    their reduced points: D(L X_1 L, .., L X_n L) is
     det(L)^2 D(X_1, .., X_n) = M_p / p(e), so p(e) is never computed.
     Ratios, violations and the barren-pencil rule then run in pencil order,
     and a block whose mixtures were rejected leaves the rest to the next
@@ -302,6 +362,7 @@ def conjecture_experiment(
     no mixture.
     """
     bound = bapat_bound(n)
+    floor = bound * (1.0 - 1e-6)  # a violation is a ratio below it
     rng = make_rng(seed)
     min_ratio = math.inf
     violations = []
@@ -323,9 +384,7 @@ def conjecture_experiment(
         mixes = _random_ds_matrices(need, n, rng)
         owner = np.repeat(np.arange(len(counts)), counts)
         # The vectors of a mixture are its columns.
-        *_, passes, points = _membership(
-            reduced[owner, None], np.ones(n), mixes.swapaxes(-1, -2), tol
-        )
+        *_, passes, points = _membership(reduced, owner, np.ones(n), mixes.swapaxes(-1, -2), tol)
         # D(L X_1 L, .., L X_n L) = det(L)^2 D(X_1, .., X_n) = M_p / p(e).
         ratios = np.zeros(need)
         if passes.any():
@@ -340,7 +399,7 @@ def conjecture_experiment(
                     done += 1
                     if ratio < min_ratio:
                         min_ratio = ratio
-                    if ratio < bound - 1e-6:
+                    if ratio < floor:
                         violations.append(
                             {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
                         )

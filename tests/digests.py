@@ -1,0 +1,103 @@
+"""Bit digests of seeded outputs: one sha256 per family, for before/after checks.
+
+    python tests/digests.py
+
+prints one ``<family> <sha256>`` line per family:
+
+- ``conjecture``: the ``conjecture_experiment(n, 200, seed)`` reports for
+  n = 2..6 and seeds 0-59, each as the line
+  ``json.dumps(asdict(report), sort_keys=True)``;
+- ``random_ds_tuples``: the bytes of every slot stack of
+  ``random_ds_tuples(n, range(60))`` for n = 2..6;
+- ``check_hd_membership``: the fields (floats as hex) of ``check_hd_membership``
+  on seeded pencils (doubly stochastic, complex Wishart and indefinite ones)
+  against mixtures scaled by 1, 1 + 1e-7, 2 and -1 and the axis vectors.
+
+A change that should keep the bits leaves every line as it was.  The bits
+depend on the numpy build and the CPU, so compare two runs on one host only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from mixdisc.core import make_rng, random_psd, spawn_seeds  # noqa: E402
+from mixdisc.extremal import random_ds_tuple, random_ds_tuples  # noqa: E402
+from mixdisc.hyperbolic import (  # noqa: E402
+    HyperbolicPencil,
+    _random_ds_matrices,
+    axis_vectors,
+    check_hd_membership,
+    conjecture_experiment,
+    pencil_from_tuple,
+)
+
+DIMENSIONS = range(2, 7)
+SEEDS = range(60)
+
+
+def _conjecture_lines():
+    for n in DIMENSIONS:
+        for seed in SEEDS:
+            yield json.dumps(asdict(conjecture_experiment(n, 200, seed)), sort_keys=True)
+
+
+def _tuple_lines():
+    for n in DIMENSIONS:
+        for t in random_ds_tuples(n, SEEDS):
+            yield t.matrices.tobytes().hex()
+
+
+def _pencils(n: int):
+    """A doubly stochastic pencil, a complex Wishart one and an indefinite
+    real one with a mixed direction, each of n slots of degree n."""
+    yield pencil_from_tuple(random_ds_tuple(n, 40 + n))
+    yield HyperbolicPencil([random_psd(n, s) for s in spawn_seeds(70 + n, n)], np.ones(n))
+    sym = [(g + g.T) / 2 for g in make_rng(77 + n).standard_normal((n, n, n))]
+    sym[0] = sym[0] + 3 * n * np.eye(n)
+    e = np.zeros(n)
+    e[0] = 1.0
+    yield HyperbolicPencil(sym, e)
+
+
+def _membership_lines():
+    for n in range(1, 6):
+        mixes = _random_ds_matrices(6, n, make_rng(n))
+        for pencil in _pencils(n):
+            tuples = [list(scale * mix.T) for scale in (1.0, 1.0 + 1e-7, 2.0, -1.0) for mix in mixes]
+            for xs in tuples + [axis_vectors(n)]:
+                rep = check_hd_membership(pencil, xs)
+                fields = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation)
+                yield " ".join(v.hex() for v in fields) + f" {rep.passes}"
+
+
+FAMILIES = {
+    "conjecture": _conjecture_lines,
+    "random_ds_tuples": _tuple_lines,
+    "check_hd_membership": _membership_lines,
+}
+
+
+def digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main() -> None:
+    for name, lines in FAMILIES.items():
+        print(name, digest(lines()))
+
+
+if __name__ == "__main__":
+    main()

@@ -715,6 +715,17 @@ class TestExitCodeTable:
         assert json.loads(out)["results"]["violations"] == [violation]
         assert err == "INVARIANT BREACH: 1 conjecture counterexample candidates\n"
 
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_a_ratio_at_half_the_bound_exits_3_at_every_n(self, n, capsys, monkeypatch):
+        # At n = 16 the bound n!/n^n is 1.13e-6, below an absolute 1e-6
+        # slack; the relative slack still flags half the bound.
+        half = 0.5 * extremal.bapat_bound(n)
+        monkeypatch.setattr(hyperbolic, "_discriminants", lambda points: np.full(len(points), half))
+        code, out, err = run(capsys, "hyp", "--op", "conjecture", "--n", str(n), "--samples", "2")
+        assert code == 3
+        assert [v["ratio"] for v in json.loads(out)["results"]["violations"]] == [half, half]
+        assert err == "INVARIANT BREACH: 2 conjecture counterexample candidates\n"
+
     def test_unlisted_exception_propagates(self, capsys, ds3, monkeypatch):
         def fail(*args, **kwargs):
             raise ZeroDivisionError("boom")

@@ -180,6 +180,16 @@ class TestConjectureExperiment:
             assert (rep.samples, rep.violations) == (200, [])
             assert rep.min_ratio >= bapat_bound(n) - 1e-6
 
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_a_ratio_far_below_the_bound_is_a_violation_at_every_n(self, n, monkeypatch):
+        # The slack is relative: at n = 16 the bound is 1.13e-6, so an
+        # absolute 1e-6 would let a ratio at half the bound pass.
+        half = 0.5 * bapat_bound(n)
+        monkeypatch.setattr(hyperbolic, "_discriminants", lambda points: np.full(len(points), half))
+        rep = conjecture_experiment(n, 2, 0)
+        assert rep.samples == 2 and rep.min_ratio == half
+        assert rep.violations == [{"seed": 0, "pencil_index": 0, "ratio": half}] * 2
+
     @pytest.mark.parametrize(
         "n, samples, seed, min_ratio",
         [
@@ -264,7 +274,7 @@ def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
                 ratio = _reduced_ratio(pencil, xs)
                 done += 1
                 min_ratio = min(min_ratio, ratio)
-                if ratio < bound - 1e-6:
+                if ratio < bound * (1.0 - 1e-6):
                     violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
             pencil_index += 1
     return done, min_ratio, violations, rejected / max(1, done + rejected)
@@ -288,6 +298,51 @@ def _bits(*values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+def _rank_one_pencils(n):
+    """A doubly stochastic pencil whose slot 0 is the rank-one v v* (the
+    others are (I - v v*) / (n - 1), so every slot is singular), and a
+    Wishart pencil whose slot 0 is rank one; on both the axis vector e_0
+    has a Weyl bound of 0 up to rounding."""
+    v = make_rng(90 + n).standard_normal(n) + 1j * make_rng(91 + n).standard_normal(n)
+    v /= np.linalg.norm(v)
+    one = np.outer(v, v.conj())
+    rest = (np.eye(n) - one) / max(1, n - 1)
+    mats = [random_psd(n, s) for s in spawn_seeds(92 + n, n)]
+    return [
+        HyperbolicPencil([one] + [rest] * (n - 1), np.ones(n)),
+        HyperbolicPencil([one * n] + mats[1:], np.ones(n)),
+    ]
+
+
+def _membership_pencils(n):
+    """Doubly stochastic, complex Wishart, indefinite and rank-one pencils of
+    n slots of degree n."""
+    sym = [(g + g.T) / 2 for g in make_rng(95 + n).standard_normal((n, n, n))]
+    e = np.zeros(n)
+    e[0] = 1.0
+    return [
+        pencil_from_tuple(random_ds_tuple(n, 40 + n)),
+        random_pencil(n, 50 + n),
+        HyperbolicPencil([sym[0] + 3 * n * np.eye(n)] + sym[1:], e),
+        *_rank_one_pencils(n),
+    ]
+
+
+def _counting_eigh(monkeypatch):
+    """Wrap ``hyperbolic._eigh``; the returned list gets the shape of every
+    eigenvalues-only call."""
+    shapes = []
+    eigh = hyperbolic._eigh
+
+    def counting(a, vectors=True):
+        if not vectors:
+            shapes.append(np.shape(a))
+        return eigh(a, vectors)
+
+    monkeypatch.setattr(hyperbolic, "_eigh", counting)
+    return shapes
+
+
 class TestStackedMembership:
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_a_scaled_pencil_gives_the_same_bits(self, n):
@@ -306,19 +361,53 @@ class TestStackedMembership:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_report_matches_the_root_loop(self, n):
-        pencil = pencil_from_tuple(random_ds_tuple(n, 40 + n))
-        rng = make_rng(n)
-        for scale in (1.0, 1.0 + 1e-7, 2.0, -1.0):
-            for mix in _random_ds_matrices(4, n, rng):
-                xs = list(scale * mix.T)
+        # On Wishart pencils, indefinite slots and rank-one slots as well:
+        # the points the slots' Weyl bound settles read 0.0, as their
+        # eigvalsh does, the rest go through eigvalsh, and a root of exactly
+        # 0.0 (n = 2, the rank-one Wishart pencil) reads 0.0, not -0.0.
+        for pencil in _membership_pencils(n):
+            rng = make_rng(n)
+            for scale in (1.0, 1.0 + 1e-7, 2.0, -1.0):
+                for mix in _random_ds_matrices(4, n, rng):
+                    xs = list(scale * mix.T)
+                    rep = check_hd_membership(pencil, xs)
+                    got = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation, rep.passes)
+                    assert _bits(*got) == _bits(*_sequential_membership(pencil, xs))
+                    assert type(rep.passes) is bool
+            for xs in (axis_vectors(n), axis_vectors(n)[:-1], []):
                 rep = check_hd_membership(pencil, xs)
                 got = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation, rep.passes)
                 assert _bits(*got) == _bits(*_sequential_membership(pencil, xs))
-                assert type(rep.passes) is bool
-        for xs in (axis_vectors(n), axis_vectors(n)[:-1], []):
-            rep = check_hd_membership(pencil, xs)
-            got = (rep.nonneg_violation, rep.trace_violation, rep.sum_violation, rep.passes)
-            assert _bits(*got) == _bits(*_sequential_membership(pencil, xs))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_fallback_runs_where_the_bound_is_open(self, n, monkeypatch):
+        # One eigensolve of the m slots; then negative entries, and the axis
+        # vector e_0 on a rank-one slot 0, leave the verdict open, so their
+        # points go through eigvalsh, while a mixture of positive definite
+        # slots is settled by the bound alone.
+        shapes = _counting_eigh(monkeypatch)
+        mix = list(_random_ds_matrices(1, n, make_rng(n))[0].T)
+        check_hd_membership(random_pencil(n, 50 + n), mix)
+        assert shapes == [(1, n, n, n)]
+        shapes.clear()
+        check_hd_membership(random_pencil(n, 50 + n), [-x for x in mix])
+        assert shapes == [(1, n, n, n), (n, n, n)]
+        for pencil in _rank_one_pencils(n):
+            shapes.clear()
+            rep = check_hd_membership(pencil, [axis_vectors(n)[0]])
+            assert shapes == [(1, n, n, n), (1, n, n)]
+            assert rep.nonneg_violation <= 1e-15
+
+    def test_a_conjecture_call_solves_its_slots_not_its_points(self, monkeypatch):
+        # 200 mixtures of 4 vectors at n = 4 are 800 reduced points; the
+        # block's four pencils have 16 slots, and their one eigensolve
+        # settles every point.
+        shapes = _counting_eigh(monkeypatch)
+        for seed in range(4):
+            shapes.clear()
+            rep = conjecture_experiment(4, 200, seed)
+            assert rep.samples == 200
+            assert shapes == [(4, 4, 4, 4)]
 
 
 class TestStackedConjecture:
