@@ -59,8 +59,7 @@ from .core import (
     SamplerExhausted,
     SingularPencil,
     Tolerances,
-    _gram,
-    spawn_seeds,
+    _wishart,
 )
 from .discriminant import (
     MatrixTuple,
@@ -431,10 +430,11 @@ def _cmd_genaf(args, tol: Tolerances) -> _Report:
         raise CliInputError("combination document must be a JSON object")
     weights = _numbers(cdoc.get("weights"), (None,), "weights")
     _numbers(cdoc.get("vectors"), (len(weights), t.n), "vectors")
-    target = _numbers(cdoc.get("target"), (t.n,), "target").astype(np.int64)
+    _numbers(cdoc.get("target"), (t.n,), "target")
     try:
-        # The weight vectors pass on as parsed: they must be JSON integers.
-        comb = genaf.ConvexCombination.build(weights, cdoc["vectors"], target, t.n)
+        # The weight vectors and the target pass on as parsed: they must be
+        # JSON integers.
+        comb = genaf.ConvexCombination.build(weights, cdoc["vectors"], cdoc["target"], t.n)
     except MixdiscError as exc:
         raise CliInputError(f"invalid combination: {exc}") from exc
     rep = genaf.check_theorem52(t, comb, tol)
@@ -493,9 +493,8 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
     # the other commands.
     _require_ranges(args.seed, n=args.n)
     if args.kind == "psd":
-        # One stacked validation, at the default tolerance as in random_ds_tuple.
-        mats = [_gram(args.n, s) for s in spawn_seeds(args.seed, args.n)]
-        doc = tuple_to_doc(MatrixTuple(mats))
+        # One Wishart tuple from one generator, validated at the default tolerance.
+        doc = tuple_to_doc(MatrixTuple(_wishart((args.n,) * 3, args.seed)))
     elif args.kind == "ds":
         doc = tuple_to_doc(extremal.random_ds_tuple(args.n, args.seed, tol))
     else:  # block-ds, or separable: the draw alone, without the witness the document omits

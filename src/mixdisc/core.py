@@ -16,6 +16,12 @@ under ``_definite``.  Absolute terms remain in ``as_hermitian``'s floor and
 the ``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
 ``check_block_ds``, hyperbolic membership); ``is_e_nonnegative`` applies
 ``_psd`` to the roots, with the largest |root| as the scale.
+
+Randomness is one generator per sample: ``make_rng(seed)`` (Philox), with no
+global state.  Every complex Gaussian of the package comes from
+``random_complex_gaussian``, which draws a whole stack in one
+``standard_normal`` call; a seeded Wishart matrix or n-tuple is ``_wishart``
+of one generator.
 """
 
 from __future__ import annotations
@@ -267,25 +273,39 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def random_complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n x n matrix of independent standard complex Gaussians."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+def random_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """Independent standard complex Gaussians: one n x n matrix for an int n,
+    else an array of ``shape`` (..., n, n).
+
+    The one place a generator becomes complex Gaussians.  One
+    ``standard_normal`` call fills (..., 2, n, n), the real then the
+    imaginary part of each matrix in turn, so a stack reads, bit for bit, the
+    stream of that many consecutive n x n draws.
+    """
+    shape = (shape, shape) if np.ndim(shape) == 0 else tuple(shape)
+    z = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
 
-def _gram(n: int, seed: int) -> np.ndarray:
-    """G @ G* for a seeded complex Gaussian G, as BLAS returns it: Hermitian
-    only up to rounding.  A caller that stacks several into one
-    ``MatrixTuple`` lets that one ``as_hermitian`` call symmetrize them."""
-    if n < 1:
+def _wishart(shape, seed: int) -> np.ndarray:
+    """G @ G* for each matrix of ``random_complex_gaussian(shape,
+    make_rng(seed))``, as BLAS returns it: Hermitian only up to rounding.
+
+    One generator per sample: an int n is ``random_psd``'s matrix, and
+    (n, n, n) is one Wishart n-tuple, the draw ``random_ds_tuples`` scales and
+    ``gen-random --kind psd`` prints; the caller's ``as_hermitian``
+    symmetrizes it.
+    """
+    if np.min(shape) < 1:
         raise ValueError("dimension must be >= 1")
-    g = random_complex_gaussian(n, make_rng(seed))
-    return g @ g.conj().T
+    g = random_complex_gaussian(shape, make_rng(seed))
+    return g @ g.conj().swapaxes(-1, -2)
 
 
 def random_psd(n: int, seed: int) -> np.ndarray:
     """G @ G* for a seeded complex Gaussian G, symmetrized exactly; almost
     surely positive definite."""
-    return as_hermitian(_gram(n, seed))
+    return as_hermitian(_wishart(n, seed))
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,12 +28,11 @@ from .core import (
     _definite,
     _eigh,
     _gate,
-    _gram,
     _psd,
+    _wishart,
     as_hermitian,
     iter_seeds,
     max_abs,
-    spawn_seeds,
 )
 from .discriminant import MatrixTuple, _gradient_raw, _rounding_scale, eval_polarized
 from .capacity import _scalings
@@ -89,8 +88,9 @@ def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixT
 def random_ds_tuples(n: int, seeds, tol: Tolerances = DEFAULT_TOL) -> list[MatrixTuple]:
     """One random doubly stochastic n-tuple per seed, as a list.
 
-    A seed's k-th draw is the tuple of the Wishart slots ``random_psd`` draws
-    from the children of the k-th seed of ``iter_seeds(seed)``.  Draws are
+    One generator per sample: a seed's k-th draw is the Wishart n-tuple
+    ``_wishart((n, n, n), child)`` of the k-th seed of ``iter_seeds(seed)``,
+    its n slots G_i G_i* from one ``make_rng(child)`` stream.  Draws are
     scaled by ``scale_to_doubly_stochastic`` (the ``capacity._scalings`` of
     each round's draws, one loop over their stack), from s = 1 with no
     Newton solve, so a sample does not move when the Newton solver changes;
@@ -103,11 +103,11 @@ def random_ds_tuples(n: int, seeds, tol: Tolerances = DEFAULT_TOL) -> list[Matri
     out = [None] * len(children)
     todo = list(range(len(children)))
     for _ in range(_DS_RETRIES):
-        # The round's Gram products are validated and symmetrized by one
+        # The round's draws are validated and symmetrized by one
         # ``as_hermitian`` call over their (B, n, n, n) stack, each slot at its
-        # own scale and at the default Hermiticity tolerance: the slots of
-        # ``random_psd`` bit for bit, whatever ``tol`` asks of inputs.
-        grams = [_gram(n, s) for j in todo for s in spawn_seeds(next(children[j]), n)]
+        # own scale and at the default Hermiticity tolerance, whatever ``tol``
+        # asks of inputs.
+        grams = [_wishart((n, n, n), next(children[j])) for j in todo]
         stack = as_hermitian(np.reshape(grams, (len(todo), n, n, n)))
         draws = [MatrixTuple._of_hermitian(m) for m in np.ascontiguousarray(stack)]
         retry = []

@@ -26,7 +26,7 @@ mixtures give one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -339,14 +339,17 @@ def conjecture_experiment(
     of n!/n^n = 1.13e-6 at n = 16, and above it from n = 17 on).
 
     Pencil k is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``
-    and takes up to ``_MIXTURES_PER_PENCIL`` mixtures.  The pencils run in
-    blocks: a block is the pencils that the samples still needed take, at
-    most ``_BLOCK_MIXTURES`` mixtures, so that each pencil but the last takes
-    ``_MIXTURES_PER_PENCIL``.  Its tuples come from one ``random_ds_tuples``
-    call, their reduced slots A_i = L B_i L from one batched congruence,
-    its mixtures from one ``_random_ds_matrices`` stack, their membership
-    from one ``_membership`` pass, each mixture against its own pencil's
-    slots (whose eigenvalues, one batched solve for the block, settle the
+    and takes up to ``_MIXTURES_PER_PENCIL`` mixtures.  The tuple is drawn at
+    ``ds_tol = 0``, so its scaling stops at the 4 n eps rounding floor; ``tol``
+    holds for the membership recheck.  (At n = 2 about one draw in 700
+    stalls just above that floor, runs to the scaling cap and is drawn
+    again.)  The pencils run in blocks: a block is the pencils that the
+    samples still needed take, at most ``_BLOCK_MIXTURES`` mixtures, so that
+    each pencil but the last takes ``_MIXTURES_PER_PENCIL``.  Its tuples
+    come from one ``random_ds_tuples`` call, their reduced slots
+    A_i = L B_i L from one batched congruence, its mixtures from one
+    ``_random_ds_matrices`` stack, their membership from one
+    ``_membership`` pass, each mixture against its own pencil's slots (whose eigenvalues, one batched solve for the block, settle the
     nonnegativity of almost every point with no eigensolve of the point),
     and the ratios of the accepted ones from one ``_discriminants`` call on
     their reduced points: D(L X_1 L, .., L X_n L) is
@@ -354,10 +357,11 @@ def conjecture_experiment(
     Ratios, violations and the barren-pencil rule then run in pencil order,
     and a block whose mixtures were rejected leaves the rest to the next
     block.  The mixing matrices are doubly stochastic by construction, to
-    the rounding of their sums, so the recheck rejects a mixture only where
-    its pencil falls short: a tuple scaled to within ``ds_tol`` can give
-    reduced slots whose traces miss 1 by a little more than ``ds_tol``,
-    which a mixture near a permutation matrix inherits.
+    the rounding of their sums, and the pencils' reduced slots have unit
+    traces to rounding, so every mixture of a working run passes the
+    recheck.  A tuple scaled only to within ``ds_tol`` would give reduced
+    traces that miss 1 by up to about 1.17 ``ds_tol``, which a mixture near
+    a permutation matrix inherits and the recheck rejects.
     SamplerExhausted after ``_MAX_BARREN_PENCILS`` pencils in a row accept
     no mixture.
     """
@@ -376,7 +380,7 @@ def conjecture_experiment(
         if need % _MIXTURES_PER_PENCIL:
             counts.append(need % _MIXTURES_PER_PENCIL)
         block = range(pencil_index, pencil_index + len(counts))
-        tuples = random_ds_tuples(n, [seed + 7919 * k for k in block], tol)
+        tuples = random_ds_tuples(n, [seed + 7919 * k for k in block], replace(tol, ds_tol=0.0))
         # pencil_from_tuple of each: the slots are exactly Hermitian already,
         # and every direction is the all-ones vector.
         mats = np.array([t.matrices for t in tuples])

@@ -17,13 +17,14 @@ within ``ds_tol``, or within 4 n eps where ``ds_tol`` is below that
 rounding floor.  The loop reports why it stopped ("ds_tol", "roundoff" or
 "max_iter"), its steps and its final defect; the samplers return None at the
 step cap, and the command line names the steps and the defect.
-``sample_separable_ds`` draws all its Gaussian factors in one
-``standard_normal`` call, the stream its per-matrix draws read.
+Each sampler draws its Gaussian factors from one ``make_rng(seed)``, by one
+``random_complex_gaussian`` call: the n^2 x n^2 factor of
+``sample_block_ds``, and the (k, 2, n, n) stack of ``sample_separable_ds``
+after its term count k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,10 +246,7 @@ def _separable_draw(n: int, seed: int, tol: Tolerances):
     and builds no witness."""
     rng = make_rng(seed)
     k = int(rng.integers(1, n * n + 1))
-    # One draw: z[t, f] holds the real then the imaginary part of factor f of
-    # term t, the stream 2k random_complex_gaussian calls read in turn.
-    z = rng.standard_normal((k, 2, 2, n, n))
-    g = (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0)
+    g = random_complex_gaussian((k, 2, n, n), rng)
     return _scale_kraus(np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, -1, n), tol), g
 
 

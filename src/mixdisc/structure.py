@@ -76,8 +76,7 @@ def _generic_ranks(t: MatrixTuple, tol: Tolerances):
     ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)
     if (ranks == n).all():
         return True, None, None
-    rng = make_rng(_DRAW_SEED)
-    coef = np.array([random_complex_gaussian(n, rng) for _ in range(2)])
+    coef = random_complex_gaussian((2, n, n), make_rng(_DRAW_SEED))
     coef *= np.arange(n) >= n - ranks[:, None]  # eigenvalues are ascending
     vecs = _eigh(t.matrices)[1]
     u, v = np.einsum("iab,kib->kai", vecs, coef)

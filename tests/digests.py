@@ -11,7 +11,16 @@ prints one ``<family> <sha256>`` line per family:
   ``random_ds_tuples(n, range(60))`` for n = 2..6;
 - ``check_hd_membership``: the fields (floats as hex) of ``check_hd_membership``
   on seeded pencils (doubly stochastic, complex Wishart and indefinite ones)
-  against mixtures scaled by 1, 1 + 1e-7, 2 and -1 and the axis vectors.
+  against mixtures scaled by 1, 1 + 1e-7, 2 and -1 and the axis vectors;
+- ``gen_random_psd``: the ``mixdisc gen-random n --kind psd --seed s``
+  documents for n = 2..6 and seeds 0-9;
+- ``random_psd``: the bytes of ``random_psd(n, s)`` for n = 1..6 and seeds 0-19;
+- ``pascal_samplers``: the bytes of rho from ``sample_block_ds`` and
+  ``sample_separable_ds`` for n = 2, 3 and seeds 0-9 (``None`` at the cap);
+- ``decompose``: the parts (slots, basis and tuple bytes) and product check of
+  ``decompose`` on fixed decomposable doubly stochastic tuples: scaled
+  ``random_psd`` blocks, set on complementary coordinates, conjugated by a
+  seeded unitary and permuted, so the rank tests draw their generic vectors.
 
 A change that should keep the bits leaves every line as it was.  The bits
 depend on the numpy build and the CPU, so compare two runs on one host only.
@@ -19,7 +28,9 @@ depend on the numpy build and the CPU, so compare two runs on one host only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -29,7 +40,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from mixdisc.core import make_rng, random_psd, spawn_seeds  # noqa: E402
+from mixdisc.capacity import scale_to_doubly_stochastic  # noqa: E402
+from mixdisc.cli import main as cli_main  # noqa: E402
+from mixdisc.core import make_rng, random_complex_gaussian, random_psd, spawn_seeds  # noqa: E402
+from mixdisc.discriminant import MatrixTuple  # noqa: E402
 from mixdisc.extremal import random_ds_tuple, random_ds_tuples  # noqa: E402
 from mixdisc.hyperbolic import (  # noqa: E402
     HyperbolicPencil,
@@ -39,6 +53,8 @@ from mixdisc.hyperbolic import (  # noqa: E402
     conjecture_experiment,
     pencil_from_tuple,
 )
+from mixdisc.pascal import sample_block_ds, sample_separable_ds  # noqa: E402
+from mixdisc.structure import decompose  # noqa: E402
 
 DIMENSIONS = range(2, 7)
 SEEDS = range(60)
@@ -79,10 +95,61 @@ def _membership_lines():
                 yield " ".join(v.hex() for v in fields) + f" {rep.passes}"
 
 
+def _psd_document_lines():
+    for n in DIMENSIONS:
+        for seed in range(10):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["gen-random", str(n), "--kind", "psd", "--seed", str(seed)])
+            yield f"{code} {out.getvalue()}"
+
+
+def _random_psd_lines():
+    for n in range(1, 7):
+        for seed in range(20):
+            yield random_psd(n, seed).tobytes().hex()
+
+
+def _sampler_lines():
+    for n in (2, 3):
+        for seed in range(10):
+            for rho in (sample_block_ds(n, seed), (sample_separable_ds(n, seed) or [None])[0]):
+                yield "None" if rho is None else rho.blocks.tobytes().hex()
+
+
+def _decomposable(sizes, seed):
+    """A doubly stochastic tuple of blocks of ``sizes`` slots on complementary
+    coordinates: each block the scaling of ``random_psd`` slots, the whole
+    conjugated by a seeded unitary and its slots permuted."""
+    n = sum(sizes)
+    mats = np.zeros((n, n, n), dtype=np.complex128)
+    first = 0
+    for k, size in enumerate(sizes):
+        block = MatrixTuple([random_psd(size, 10 * seed + k * size + i) for i in range(size)])
+        part = slice(first, first + size)
+        mats[part, part, part] = scale_to_doubly_stochastic(block).scaled.matrices
+        first += size
+    rng = make_rng(seed)
+    u = np.linalg.qr(random_complex_gaussian(n, rng))[0]
+    return MatrixTuple(u @ mats[rng.permutation(n)] @ u.conj().T)
+
+
+def _decompose_lines():
+    for seed, sizes in enumerate([(1, 1), (2, 1), (2, 3), (1, 2, 3), (3, 3), (2, 2, 2)]):
+        res = decompose(_decomposable(sizes, seed))
+        for slots, basis, sub in res.parts:
+            yield f"{list(slots)} {basis.tobytes().hex()} {sub.matrices.tobytes().hex()}"
+        yield res.product_check.hex()
+
+
 FAMILIES = {
     "conjecture": _conjecture_lines,
     "random_ds_tuples": _tuple_lines,
     "check_hd_membership": _membership_lines,
+    "gen_random_psd": _psd_document_lines,
+    "random_psd": _random_psd_lines,
+    "pascal_samplers": _sampler_lines,
+    "decompose": _decompose_lines,
 }
 
 

@@ -17,11 +17,10 @@ from mixdisc.core import (
     NotPositiveDefinite,
     SamplerExhausted,
     SingularPencil,
-    _gram,
+    _wishart,
     iter_seeds,
     make_rng,
     random_complex_gaussian,
-    spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple
 from mixdisc.extremal import random_ds_tuple, random_ds_tuples
@@ -30,7 +29,9 @@ _CAP = sys.modules["mixdisc.capacity"]
 
 
 def _wishart_tuple(n, seed):
-    return MatrixTuple([_gram(n, s) for s in spawn_seeds(seed, n)])
+    """The n Wishart slots of one generator: a random_ds_tuple draw."""
+    g = random_complex_gaussian((n, n, n), make_rng(seed))
+    return MatrixTuple(g @ g.conj().swapaxes(-1, -2))
 
 
 def _near_boundary_tuple(seed, n=3):
@@ -101,7 +102,7 @@ def test_a_failing_tuple_leaves_its_batch_mates_unchanged():
     e1 = np.diag([1.0, 0.0])
     zero = np.zeros((2, 2))
     good = [_wishart_tuple(2, 31 + k) for k in range(4)]
-    bad = [[e1, e1], [np.eye(2), zero], [_gram(2, 5), zero]]
+    bad = [[e1, e1], [np.eye(2), zero], [_wishart(2, 5), zero]]
     stack = [good[0].matrices]  # good, bad, good, bad, good, bad, good
     for b, g in zip(bad, good[1:]):
         stack += [b, g.matrices]

@@ -541,6 +541,20 @@ class TestMalformedNumbers:
         _exits_1_with_one_error_line(*run(capsys, *argv))
 
 
+def test_genaf_rejects_a_target_that_is_not_integers(capsys, tmp_path):
+    # 2.9 and -0.9 are not weight-vector entries; truncated, they would read
+    # as the valid target (2, 0), and the command would report that it holds.
+    t = write_tuple(tmp_path, MatrixTuple([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]))
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"weights": [1.0], "vectors": [[2, 0]], "target": [2.9, -0.9]}))
+    code, out, err = run(capsys, "genaf", t, str(comb))
+    _exits_1_with_one_error_line(code, out, err)
+    assert "invalid combination" in err
+    comb.write_text(json.dumps({"weights": [1.0], "vectors": [[2, 0]], "target": [2, 0]}))
+    code, out, _ = run(capsys, "genaf", t, str(comb))
+    assert code == 0 and json.loads(out)["results"]["holds"] is True
+
+
 _SHAPE = (2, 2, 2, 2, 2)
 _MAX_INT = int(sys.float_info.max)
 _LEAVES = st.one_of(

@@ -144,6 +144,22 @@ class TestRandomness:
         assert spawn_seeds(77, 100) == batch
         assert list(itertools.islice(iter_seeds(77), 5)) == batch[:5]
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a_stack_reads_the_stream_of_consecutive_matrix_draws(self, n):
+        # One standard_normal call over (..., 2, n, n) gives, bit for bit,
+        # the matrices of that many n x n draws from the same generator, and
+        # one n x n draw is its real part then its imaginary part.
+        for shape in ((4, n, n), (3, 2, n, n)):
+            rng = make_rng(10 + n)
+            one_by_one = [random_complex_gaussian(n, rng) for _ in range(math.prod(shape[:-2]))]
+            stack = random_complex_gaussian(shape, make_rng(10 + n))
+            assert stack.shape == shape
+            assert stack.tobytes() == np.array(one_by_one).reshape(shape).tobytes()
+        rng = make_rng(n)
+        re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        expected = (re + 1j * im) / math.sqrt(2.0)
+        assert random_complex_gaussian(n, make_rng(n)).tobytes() == expected.tobytes()
+
     def test_random_psd_is_psd(self):
         for s in range(5):
             assert np.linalg.eigvalsh(random_psd(5, s))[0] > -1e-12

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,13 +191,31 @@ class TestConjectureExperiment:
         assert rep.samples == 2 and rep.min_ratio == half
         assert rep.violations == [{"seed": 0, "pencil_index": 0, "ratio": half}] * 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_the_pencils_reduced_slots_have_unit_traces_to_rounding(self, n, monkeypatch):
+        # The pencils' tuples are scaled to the 4 n eps floor, not to ds_tol:
+        # drawn at ds_tol = 1e-8, their reduced traces missed 1 by up to
+        # 1.17e-8, and some mixtures near a permutation matrix were rejected.
+        blocks = []
+        membership = hyperbolic._membership
+
+        def capturing(reduced, *args):
+            blocks.append(reduced)
+            return membership(reduced, *args)
+
+        monkeypatch.setattr(hyperbolic, "_membership", capturing)
+        for seed in range(20):
+            assert conjecture_experiment(n, 200, seed).rejection_rate == 0.0
+        traces = np.trace(np.concatenate(blocks), axis1=-2, axis2=-1)
+        assert np.abs(traces - 1.0).max() <= 16 * n * np.finfo(float).eps
+
     @pytest.mark.parametrize(
         "n, samples, seed, min_ratio",
         [
-            (2, 60, 0, 0.5009736651627431),
-            (3, 120, 1, 0.22594541048482522),
-            (4, 80, 7, 0.0965315133579269),
-            (5, 60, 3, 0.03918930440036251),
+            (2, 60, 0, 0.5016505135535644),
+            (3, 120, 1, 0.22449926579861312),
+            (4, 80, 7, 0.09675783332322516),
+            (5, 60, 3, 0.03921053029006321),
         ],
     )
     def test_pinned_outputs(self, n, samples, seed, min_ratio):
@@ -256,15 +275,17 @@ def _reduced_ratio(pencil, xs):
 def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
     """The conjecture experiment one pencil and one mixture at a time, on the
     mixtures of its blocks: each block draws the mixtures the samples still
-    need (at most _BLOCK_MIXTURES) as one stack, 50 per pencil."""
+    need (at most _BLOCK_MIXTURES) as one stack, 50 per pencil.  The
+    pencils' tuples are drawn at ds_tol = 0; ``tol`` holds for the recheck."""
     bound = hyperbolic.bapat_bound(n)
+    exact = replace(tol, ds_tol=0.0)
     rng = make_rng(seed)
     min_ratio, violations, rejected, done, pencil_index = math.inf, [], 0, 0, 0
     while done < samples:
         need = min(samples - done, hyperbolic._BLOCK_MIXTURES)
         mixes = hyperbolic._random_ds_matrices(need, n, rng)
         for first in range(0, need, 50):
-            t = random_ds_tuple(n, seed + 7919 * pencil_index, tol)
+            t = random_ds_tuple(n, seed + 7919 * pencil_index, exact)
             pencil = pencil_from_tuple(t, tol)
             for mix in mixes[first : first + 50]:
                 xs = list(mix.T)
@@ -495,18 +516,18 @@ class TestStackedConjecture:
 # one pencil per block (_BLOCK_MIXTURES = 50), whose draws are the slices of
 # the block's.
 _PER_PENCIL_MIN_RATIOS = {
-    2: [0.5000558127886194, 0.5000003910439413, 0.5000599199477741, 0.5000000967482727,
-        0.5000331925191746, 0.5004108932250124, 0.500033867222283, 0.500193075719049,
-        0.5000401534788893, 0.5000043489466335],
-    3: [0.22428095962883068, 0.22594541048482522, 0.22405238640064867, 0.22496938684509912,
-        0.2248905249501542, 0.2249439618676124, 0.22312309809943925, 0.22414992858414726,
-        0.22503337583769079, 0.2228828815528101],
-    4: [0.09567284390527386, 0.09660665472555358, 0.09531679626748624, 0.09615551942551631,
-        0.09516704132832896, 0.09607158171369011, 0.09564130065228246, 0.09552650302675597,
-        0.09499627267426619, 0.09603953331304219],
-    5: [0.03919055665430139, 0.039271215916732674, 0.039192605323290775, 0.03918930440036251,
-        0.03920481580927678, 0.0389712862518543, 0.03899065713726093, 0.03889531766069463,
-        0.03906010057773597, 0.03899720746794332],
+    2: [0.5000702819221872, 0.5000001331740174, 0.500081653912837, 0.5000000747517479,
+        0.5000182908372175, 0.5002642759191607, 0.5000336540768355, 0.5007992421625872,
+        0.5000586747116824, 0.5000036388652043],
+    3: [0.22353009927404557, 0.22449926579861312, 0.2245248553379054, 0.22566939481200907,
+        0.22378269900220546, 0.2254634716614434, 0.2240597916608884, 0.22478437101931964,
+        0.22518352848831322, 0.2232705163085479],
+    4: [0.09662558256808661, 0.09614597367270457, 0.0955709081242585, 0.09599782056579073,
+        0.09534930747070437, 0.09583419186696228, 0.09584709610409808, 0.09580852080612817,
+        0.09536747187442325, 0.09589234879000215],
+    5: [0.03934967969276092, 0.03910316418606699, 0.039094495931945306, 0.03921053029006321,
+        0.03903137689678671, 0.03912508453887195, 0.039069869231670426, 0.03891756068897843,
+        0.03888389934406683, 0.039012606824090364],
 }
 
 

@@ -246,6 +246,26 @@ def test_a_ds_tol_below_rounding_stops_at_the_rounding_floor(sampler, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_the_samplers_factors_are_the_one_helpers_draws(n, monkeypatch):
+    # Both samplers turn their generator into complex Gaussians by one
+    # random_complex_gaussian call: the (k, 2, n, n) factors after the term
+    # count k, and the n^2 x n^2 factor whose columns are the Kraus operators.
+    stacks = []
+    real = pascal._scale_kraus
+    monkeypatch.setattr(pascal, "_scale_kraus", lambda kt, tol: stacks.append(kt) or real(kt, tol))
+    for seed in range(5):
+        rng = make_rng(seed)
+        k = int(rng.integers(1, n * n + 1))
+        g = pascal._separable_draw(n, seed, Tolerances())[1]
+        assert g.tobytes() == random_complex_gaussian((k, 2, n, n), rng).tobytes()
+        stacks.clear()
+        pascal._block_draw(n, seed, Tolerances())
+        g = random_complex_gaussian(n * n, make_rng(seed)).reshape(n, n, n * n)
+        (kt,) = stacks
+        assert kt.tobytes() == np.ascontiguousarray(g.transpose(0, 2, 1)).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_the_kraus_loop_reports_why_it_stopped(n):
     # "ds_tol" within ds_tol, "roundoff" within the 4 n eps floor alone.
     floor = 4 * n * np.finfo(float).eps

@@ -10,7 +10,7 @@ from mixdisc.core import (
     DEFAULT_TOL,
     NotPositiveDefinite,
     PreconditionViolated,
-    _gram,
+    _wishart,
     make_rng,
     random_complex_gaussian,
     spawn_seeds,
@@ -59,7 +59,7 @@ def _verdict(mats):
 @pytest.mark.parametrize(
     "mats, psd",
     [
-        ([_gram(4, s) for s in spawn_seeds(5, 4)], True),
+        ([_wishart(4, s) for s in spawn_seeds(5, 4)], True),
         ([np.diag([1.0, -1e-8]), np.eye(2)], False),
         (TINY_NOT_PSD, False),
     ],
@@ -93,7 +93,7 @@ def _planted_violation():
 @pytest.mark.parametrize(
     "mats, indecomposable, weak",
     [
-        ([_gram(4, s) for s in spawn_seeds(5, 4)], True, True),
+        ([_wishart(4, s) for s in spawn_seeds(5, 4)], True, True),
         (_rotated_blocks(), False, True),
         (_planted_violation(), False, False),
     ],
