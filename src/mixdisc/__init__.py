@@ -22,7 +22,6 @@ from .core import (
     Tolerances,
     make_rng,
     random_psd,
-    spawn_seeds,
 )
 from .discriminant import (
     DiscriminantGradient,

@@ -33,7 +33,9 @@ only where the capacity potential Phi(s) = log det(sum s_i A_i) - sum log s_i
 is no larger than at s'; otherwise s' is taken.  A plain step never raises
 Phi (AM-GM on both terms), so neither does the guarded one.  Plain
 alternating scaling converges only linearly, at a rate that tends to 1 near
-decomposable or boundary tuples, where it takes thousands of steps.
+decomposable or boundary tuples, where it takes thousands of steps.  A
+tuple whose slot-sum defect has made no new low for ``_STALL_WINDOW`` steps
+stops there, short of its stop test: rounding holds it above the floor.
 
 There is one route, ``_scalings``: the indecomposability test of each tuple,
 then one loop from s = 1 over the stack of those that pass, in which each
@@ -100,8 +102,9 @@ and when a slot is not PSD: some g_i < 0 beyond rounding (``_require_psd_gradien
 ``ScalingResult.stop_reason`` is ``"ds_tol"`` on a returned result whose
 defect is within ``ds_tol``, and ``"roundoff"`` on one whose defect is
 within only 4 n eps, the rounding of the defect, when ``ds_tol`` is below
-that floor; the result that ``NonConvergence`` carries when scaling hits
-``max_iter`` has ``"max_iter"``.
+that floor; the result that ``NonConvergence`` carries has ``"max_iter"``
+when scaling hits ``max_iter`` and ``"stalled"`` when its defect stopped
+falling first.
 
 A ``MatrixTuple`` never changes, so results are memoized on it
 (``MatrixTuple._memoized``) and each is computed once per tuple.  Its mixed
@@ -167,6 +170,10 @@ SCALING_MAX_ITER = 10000
 # Anderson depth m of the capacity oracle: its extrapolation combines the
 # last m + 1 iterates (m differences).
 _ANDERSON_DEPTH = 3
+# Scaling steps without a new low of a tuple's slot-sum defect after which
+# the tuple stops "stalled".  On seeded draws a converging tuple went at
+# most 8 steps without one.
+_STALL_WINDOW = 50
 _ARMIJO = 1e-4
 # Below this lambda^2 the predicted decrease lambda^2 / 2 is within ~128 ulps
 # of f, about the rounding error of log det itself, so no line search can
@@ -191,8 +198,8 @@ class ScalingResult:
     violation) and the steps taken.  ``stop_reason`` is "ds_tol" when the
     defect is within ``ds_tol``; "roundoff" when ``ds_tol`` is below 4 n eps,
     the rounding of the defect, and the defect is within that floor only
-    (``converged`` is True for both); "max_iter" on the result that
-    ``NonConvergence`` carries."""
+    (``converged`` is True for both); "max_iter" or "stalled" on the result
+    that ``NonConvergence`` carries."""
 
     scaled: MatrixTuple
     alpha: np.ndarray
@@ -399,9 +406,10 @@ def scale_to_doubly_stochastic(
     PSD).
     ``max_iter`` and ``iterations`` count scaling steps.  Raises
     ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
-    (carrying a "max_iter" result) when ``max_iter`` steps leave the defect
-    above ``ds_tol``.  The result is kept on t by ("scaling", tol, max_iter),
-    so the test and the loop run once per tuple.
+    when ``max_iter`` steps leave the defect above ``ds_tol`` (carrying a
+    "max_iter" result) or the defect stops falling first ("stalled").  The
+    result is kept on t by ("scaling", tol, max_iter), so the test and the
+    loop run once per tuple.
     """
     (result,) = _scalings([t], tol, max_iter)
     if isinstance(result, Exception):
@@ -512,16 +520,17 @@ def _congruence(a, s, x):
     return mats, s / traces
 
 
-def _finish(a, s, x, eye, it, max_iter, tol: Tolerances, stop: float):
-    """One tuple's outcome once the loop's stop test passes for it, from its
-    slots ``a``, the start s of its last step, that step's L and the n x n
-    identity: its ``ScalingResult``, the ``NonConvergence`` that carries it
-    at ``max_iter``, a ``SingularPencil`` where a slot lost its trace, or
-    None when rounding leaves the formed tuple's full defect above ``stop``
-    (``ds_tol``, floored at the defect's rounding) before ``max_iter`` and
-    the loop goes on.  The stop reason is "ds_tol" for a defect within
-    ``ds_tol`` and "roundoff" for one within the floor alone.  The three
-    arrays of a result are read-only, since results are memoized."""
+def _finish(a, s, x, eye, it, cap, tol: Tolerances, stop: float):
+    """One tuple's outcome once the loop's stop test passes for it, or at
+    its cap, from its slots ``a``, the start s of its last step, that step's
+    L and the n x n identity: its ``ScalingResult``, the ``NonConvergence``
+    that carries it where the loop ends it short of ``stop`` (``ds_tol``,
+    floored at the defect's rounding) for the reason ``cap`` ("max_iter" or
+    "stalled"), a ``SingularPencil`` where a slot lost its trace, or None
+    when rounding leaves the formed tuple's full defect above ``stop``, the
+    ``cap`` is None and the loop goes on.  The stop reason is "ds_tol" for a
+    defect within ``ds_tol`` and "roundoff" for one within the floor alone.
+    The three arrays of a result are read-only, since results are memoized."""
     x = (x + x.conj().T) / 2.0
     try:
         mats, trace_scalars = _congruence(a, s, x)
@@ -529,7 +538,7 @@ def _finish(a, s, x, eye, it, max_iter, tol: Tolerances, stop: float):
         return exc
     defect = sum(_trace_and_sum_violations(mats, mats.sum(0), eye))
     converged = defect <= stop
-    if not converged and it < max_iter:
+    if not converged and cap is None:
         return None
     log_s = np.log(trace_scalars)
     alpha = np.exp(log_s - log_s.mean())
@@ -543,14 +552,12 @@ def _finish(a, s, x, eye, it, max_iter, tol: Tolerances, stop: float):
         ds_defect=defect,
         iterations=it,
         converged=converged,
-        stop_reason=(
-            "max_iter" if not converged else "ds_tol" if defect <= tol.ds_tol else "roundoff"
-        ),
+        stop_reason=cap if not converged else "ds_tol" if defect <= tol.ds_tol else "roundoff",
     )
     if converged:
         return result
     return NonConvergence(
-        f"scaling stalled at ds_defect = {defect:.3e} after {it} iterations", result=result
+        f"scaling {cap} at ds_defect = {defect:.3e} after {it} iterations", result=result
     )
 
 
@@ -572,11 +579,15 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     would run every tuple to ``max_iter``.  At ``ds_tol`` = 0, 360 seeded
     Wishart tuples (n = 2..7) all stopped at that floor within 15 steps;
     at 2 n eps one of them ran to the cap.  The start s = 1 is checked the
-    same way, with L = I.  A result carries X = L and trace_scalars = s' of
-    the last step (X = I when the tuple is already doubly stochastic).
+    same way, with L = I.  A tuple also ends, "stalled", once that slot-sum
+    defect has made no new low for ``_STALL_WINDOW`` steps: some tuples sit
+    just above the floor in rounding noise (about one n = 2 Wishart draw in
+    700 at ``ds_tol`` = 0), and would run to ``max_iter``.  A result
+    carries X = L and trace_scalars = s' of the last step (X = I when the
+    tuple is already doubly stochastic).
 
     A tuple's outcome is its result, a ``NonConvergence`` carrying a
-    "max_iter" result at ``max_iter``, a ``NotPositiveDefinite`` naming its
+    "max_iter" or "stalled" result, a ``NotPositiveDefinite`` naming its
     own eigenvalues where its M fails ``core._definite``, or a
     ``SingularPencil`` where a slot loses its trace (tr(M^-1 A_i) <= 0).
     The step marks both failures in one mask, the trace test, since L = 0
@@ -587,10 +598,11 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     tuples the last step marked, and they leave the stack in one compaction
     with the tuples that ``_finish`` gave an outcome there.
 
-    Every tuple keeps its own Anderson history, potential guard, stop test
-    and step count, and each batched operation computes a tuple's values
-    from that tuple alone, by the per-slice BLAS and LAPACK calls of its own
-    B = 1 loop; so a tuple's result does not depend on its batch.
+    Every tuple keeps its own Anderson history, potential guard, stop test,
+    lowest defect and step count, and each batched operation computes a
+    tuple's values from that tuple alone, by the per-slice BLAS and LAPACK
+    calls of its own B = 1 loop; so a tuple's result does not depend on its
+    batch.
     """
     b, n = mats.shape[:2]
     eye = np.eye(n)
@@ -601,6 +613,8 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     # position (a, b), so rows[k] @ vec(B) = tr(B A_i).
     flat = a.reshape(b, n, n * n)
     rows = a.swapaxes(-1, -2).reshape(b, n, n * n)
+    # Each tuple's lowest slot-sum defect so far and the step that reached it.
+    best, best_it = np.full(b, np.inf), np.zeros(b, dtype=int)
     s = scalars = np.ones((b, n))
     x = np.eye(n, dtype=np.complex128)[None].repeat(b, 0)
     odds = np.arange(1, 2 * b, 2)
@@ -612,20 +626,26 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     it = 0
     while True:
         total = (scalars[:, None] @ flat).reshape(-1, n, n)
-        near = (abs(x @ total @ x - eye).max((1, 2)) <= stop).nonzero()[0].tolist()
+        defect = abs(x @ total @ x - eye).max((1, 2))
+        best_it[defect < best] = it
+        best = np.fmin(best, defect)
+        stalled = best_it <= it - _STALL_WINDOW
         # The one retirement point: a tuple that failed in the last step is
         # skipped by the stop test and leaves with those _finish ends here.
         gone = failed.tolist()
-        for j in range(len(pos)) if it >= max_iter else near:
-            result = None if gone[j] else _finish(a[j], s[j], x[j], eye, it, max_iter, tol, stop)
+        capped = it >= max_iter
+        for j in range(len(pos)) if capped else ((defect <= stop) | stalled).nonzero()[0]:
+            cap = "max_iter" if capped else "stalled" if stalled[j] else None
+            result = None if gone[j] else _finish(a[j], s[j], x[j], eye, it, cap, tol, stop)
             if result is not None:
                 out[pos[j]], gone[j] = result, True
         if any(gone):
             if all(gone):
                 return out
             keep = np.logical_not(gone)
-            pos, a, flat, rows, s, scalars, x, total, log_s, res = (
-                arr[keep] for arr in (pos, a, flat, rows, s, scalars, x, total, log_s, res)
+            pos, a, flat, rows, s, scalars, x, total, log_s, res, best, best_it = (
+                arr[keep]
+                for arr in (pos, a, flat, rows, s, scalars, x, total, log_s, res, best, best_it)
             )
             du, df = [d[keep] for d in du], [d[keep] for d in df]
         if it:
@@ -676,18 +696,13 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
 def capacity_via_scaling(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> float:
-    """Cap(t) read off ``scale_to_doubly_stochastic(t, tol, max_iter)`` by
-    ``_capacity_of_scaling``, with that function's exceptions.
-    """
-    return _capacity_of_scaling(scale_to_doubly_stochastic(t, tol, max_iter))
-
-
-def _capacity_of_scaling(res: ScalingResult) -> float:
-    """Cap of the scaled tuple's source: |det X|^(-2) / prod(trace_scalars).
+    """Cap(t) read off ``scale_to_doubly_stochastic(t, tol, max_iter)``, with
+    that function's exceptions: |det X|^(-2) / prod(trace_scalars).
 
     Exact at the fixed point because Cap(scaled) = |det X|^2 prod(s) Cap(t)
     for any number of iterations, and Cap of a doubly stochastic tuple is 1.
     """
+    res = scale_to_doubly_stochastic(t, tol, max_iter)
     sign, logdet = np.linalg.slogdet(res.transform_X)
     log_cap = -2.0 * float(logdet) - float(np.sum(np.log(res.trace_scalars)))
     return math.exp(log_cap)

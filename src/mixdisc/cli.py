@@ -44,7 +44,7 @@ from . import extremal, genaf, hyperbolic, pascal, structure
 from .capacity import (
     CAPACITY_MAX_ITER,
     SCALING_MAX_ITER,
-    _capacity_of_scaling,
+    capacity_via_scaling,
     scale_to_doubly_stochastic,
 )
 from .capacity import capacity as _capacity
@@ -369,9 +369,10 @@ def _cmd_capacity(args, tol: Tolerances) -> _Report:
 def _cmd_scale(args, tol: Tolerances) -> _Report:
     _require_max_iter(args.max_iter)
     doc, payload = read_json(args.file)
-    res = scale_to_doubly_stochastic(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
-    results = {**_encode(res), "capacity_via_scaling": _capacity_of_scaling(res)}
-    return _Report(results, digest_of(payload))
+    t = doc_to_tuple(doc, tol)
+    res = scale_to_doubly_stochastic(t, tol, max_iter=args.max_iter)
+    cap = capacity_via_scaling(t, tol, args.max_iter)  # reads the scaling just kept on t
+    return _Report({**_encode(res), "capacity_via_scaling": cap}, digest_of(payload))
 
 
 def _cmd_decompose(args, tol: Tolerances) -> _Report:
@@ -497,19 +498,10 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
         doc = tuple_to_doc(MatrixTuple(_wishart((args.n,) * 3, args.seed)))
     elif args.kind == "ds":
         doc = tuple_to_doc(extremal.random_ds_tuple(args.n, args.seed, tol))
-    else:  # block-ds, or separable: the draw alone, without the witness the document omits
-        scaling = (
-            pascal._block_draw(args.n, args.seed, tol)
-            if args.kind == "block-ds"
-            else pascal._separable_draw(args.n, args.seed, tol)[0]
-        )
-        if scaling.rho is None:
-            raise NonConvergence(
-                f"{args.kind} sampler did not converge for this seed: stopped at"
-                f" {scaling.stop_reason} after {scaling.steps} steps"
-                f" with defect {scaling.defect:.3e}"
-            )
-        doc = block_to_doc(scaling.rho)
+    elif args.kind == "block-ds":
+        doc = block_to_doc(pascal.sample_block_ds(args.n, args.seed, tol))
+    else:  # separable: the draw alone, without the witness the document omits
+        doc = block_to_doc(pascal._separable_draw(args.n, args.seed, tol)[0].rho)
     text = json.dumps(doc, sort_keys=True)
     if args.out:
         with _open_for_writing(args.out) as fh:

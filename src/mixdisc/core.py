@@ -266,13 +266,6 @@ def iter_seeds(seed: int) -> Iterator[int]:
         yield int(parent.spawn(1)[0].generate_state(1)[0])
 
 
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """The first ``count`` seeds of ``iter_seeds(seed)``, from one
-    ``SeedSequence.spawn(count)``."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [int(c.generate_state(1)[0]) for c in children]
-
-
 def random_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     """Independent standard complex Gaussians: one n x n matrix for an int n,
     else an array of ``shape`` (..., n, n).

@@ -341,11 +341,10 @@ def conjecture_experiment(
     Pencil k is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``
     and takes up to ``_MIXTURES_PER_PENCIL`` mixtures.  The tuple is drawn at
     ``ds_tol = 0``, so its scaling stops at the 4 n eps rounding floor; ``tol``
-    holds for the membership recheck.  (At n = 2 about one draw in 700
-    stalls just above that floor, runs to the scaling cap and is drawn
-    again.)  The pencils run in blocks: a block is the pencils that the
-    samples still needed take, at most ``_BLOCK_MIXTURES`` mixtures, so that
-    each pencil but the last takes ``_MIXTURES_PER_PENCIL``.  Its tuples
+    holds for the membership recheck.  The pencils run in blocks: a block is
+    the pencils that the samples still needed take, at most
+    ``_BLOCK_MIXTURES`` mixtures, so that each pencil but the last takes
+    ``_MIXTURES_PER_PENCIL``.  Its tuples
     come from one ``random_ds_tuples`` call, their reduced slots
     A_i = L B_i L from one batched congruence, its mixtures from one
     ``_random_ds_matrices`` stack, their membership from one

@@ -14,9 +14,10 @@ half-step is one 2-D GEMM for its Gram sum, one ``inv_sqrt_psd``, one 2-D
 GEMM for the update and one n x n product for the accumulated factor.  The
 trace Gram of the stop test is formed only once the diagonal block sum is
 within ``ds_tol``, or within 4 n eps where ``ds_tol`` is below that
-rounding floor.  The loop reports why it stopped ("ds_tol", "roundoff" or
-"max_iter"), its steps and its final defect; the samplers return None at the
-step cap, and the command line names the steps and the defect.
+rounding floor.  The loop reports why it stopped ("ds_tol" or "roundoff"),
+its steps and its final defect; at the step cap it raises
+``NonConvergence`` carrying that report ("max_iter"), as the tuple scaling
+of ``capacity`` does, and its message names the steps and the defect.
 Each sampler draws its Gaussian factors from one ``make_rng(seed)``, by one
 ``random_complex_gaussian`` call: the n^2 x n^2 factor of
 ``sample_block_ds``, and the (k, 2, n, n) stack of ``sample_separable_ds``
@@ -31,6 +32,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    NonConvergence,
     TermNotPsd,
     Tolerances,
     _ds_floor,
@@ -168,9 +170,9 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
 class _KrausScaling:
     """How ``_scale_kraus`` stopped: ``stop_reason`` "ds_tol" when the sum of
     the two Gram-sum defects is within ``ds_tol``, "roundoff" when it is
-    within the 4 n eps floor only, "max_iter" at the step cap; the steps
-    taken, that sum after them (``defect``), and rho, L and R, with rho None
-    at the cap."""
+    within the 4 n eps floor only, "max_iter" at the step cap (carried by
+    ``NonConvergence``); the steps taken, that sum after them (``defect``),
+    and rho, L and R, with rho None at the cap."""
 
     stop_reason: str
     steps: int
@@ -197,8 +199,8 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances) -> _KrausScaling:
     most 1.1 n eps on 20 seeded draws each at n = 2..4): a smaller
     ``ds_tol`` would run every draw to the cap.
     Returns the ``_KrausScaling`` with rho = (L (x) R) rho_0 (L (x) R)*, rho
-    assembled only on a stop within ``stop``, or with rho None after
-    ``_SAMPLER_MAX_ITER`` steps.
+    assembled only on a stop within ``stop``; raises ``NonConvergence``
+    carrying one with rho None after ``_SAMPLER_MAX_ITER`` steps.
     """
     n, m = kt.shape[:2]
     stop = max(tol.ds_tol, _ds_floor(n))
@@ -220,20 +222,23 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances) -> _KrausScaling:
         kt, left = (s @ wide).reshape(n, m, n), s @ left
     tall, wide = kt.reshape(n * m, n), kt.reshape(n, m * n)
     defect = max_abs(tall.T @ tall.conj() - eye) + max_abs(wide @ wide.conj().T - eye)
-    return _KrausScaling("max_iter", _SAMPLER_MAX_ITER, defect, None, left, right)
+    raise NonConvergence(
+        f"block doubly stochastic scaling hit max_iter after {_SAMPLER_MAX_ITER} steps"
+        f" with defect {defect:.3e}",
+        result=_KrausScaling("max_iter", _SAMPLER_MAX_ITER, defect, None, left, right),
+    )
 
 
 def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
-    """One random separable block-DS matrix and its witness, or None if scaling fails.
+    """One random separable block-DS matrix and its witness.
 
     rho = sum_t P_t (x) Q_t with Wishart factors P_t = G_t G_t*, Q_t = H_t H_t*
     (the draw of :func:`_separable_draw`).  Its Kraus operators g h^T, over
     the columns g of G_t and h of H_t, stay rank one, so the witness is the
-    pairs (L G_t)(L G_t)*, (R H_t)(R H_t)*.
+    pairs (L G_t)(L G_t)*, (R H_t)(R H_t)*.  Raises ``NonConvergence`` where
+    the scaling hits its step cap.
     """
     scaling, g = _separable_draw(n, seed, tol)
-    if scaling.rho is None:
-        return None
     w = np.array((scaling.left, scaling.right)) @ g  # w[t] = (L G_t, R H_t)
     pq = w @ w.conj().swapaxes(-1, -2)
     return scaling.rho, SeparableSpec(terms=tuple(zip(pq[:, 0], pq[:, 1])))
@@ -242,25 +247,19 @@ def sample_separable_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
 def _separable_draw(n: int, seed: int, tol: Tolerances):
     """The scaled separable draw of ``sample_separable_ds`` with the factors
     its witness is built from: (its ``_KrausScaling``, g), g[t] = (G_t, H_t).
-    The command line takes rho, or the stop of a failed scaling, from here
-    and builds no witness."""
+    The command line takes rho from here and builds no witness."""
     rng = make_rng(seed)
     k = int(rng.integers(1, n * n + 1))
     g = random_complex_gaussian((k, 2, n, n), rng)
     return _scale_kraus(np.einsum("tac,tid->atcdi", g[:, 0], g[:, 1]).reshape(n, -1, n), tol), g
 
 
-def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL):
-    """One random (not necessarily separable) block-DS matrix, or None.
+def sample_block_ds(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> BlockMatrix:
+    """One random (not necessarily separable) block-DS matrix.
 
     rho = G G* for an n^2 x n^2 complex Gaussian G; its Kraus operators are
-    the columns of G (``_block_draw``).
+    the columns of G.  Raises ``NonConvergence`` where the scaling hits its
+    step cap.
     """
-    return _block_draw(n, seed, tol).rho
-
-
-def _block_draw(n: int, seed: int, tol: Tolerances) -> _KrausScaling:
-    """The scaling of ``sample_block_ds``'s draw; the command line reads rho,
-    or the stop of a failed scaling, from here."""
     g = random_complex_gaussian(n * n, make_rng(seed)).reshape(n, n, n * n)
-    return _scale_kraus(np.ascontiguousarray(g.transpose(0, 2, 1)), tol)
+    return _scale_kraus(np.ascontiguousarray(g.transpose(0, 2, 1)), tol).rho

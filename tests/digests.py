@@ -16,11 +16,18 @@ prints one ``<family> <sha256>`` line per family:
   documents for n = 2..6 and seeds 0-9;
 - ``random_psd``: the bytes of ``random_psd(n, s)`` for n = 1..6 and seeds 0-19;
 - ``pascal_samplers``: the bytes of rho from ``sample_block_ds`` and
-  ``sample_separable_ds`` for n = 2, 3 and seeds 0-9 (``None`` at the cap);
+  ``sample_separable_ds`` for n = 2, 3 and seeds 0-9 (``None`` where the
+  sampler raises ``NonConvergence`` at its step cap);
 - ``decompose``: the parts (slots, basis and tuple bytes) and product check of
   ``decompose`` on fixed decomposable doubly stochastic tuples: scaled
   ``random_psd`` blocks, set on complementary coordinates, conjugated by a
-  seeded unitary and permuted, so the rank tests draw their generic vectors.
+  seeded unitary and permuted, so the rank tests draw their generic vectors;
+- ``capacity``: ``capacity(t).value`` as hex, its stop reason and
+  iterations, and ``capacity_via_scaling(t)`` as hex, on the seeded Wishart
+  tuples ``_wishart((n, n, n), s)`` for n = 2..6 and seeds 0-19, and on the
+  near-boundary tuples (two Wishart slots and a rank-one + 1e-6 I slot) and
+  repeated near-boundary tuples (that slot twice and a Wishart slot) of
+  seeds 0-29, drawn as tests/test_capacity.py draws them.
 
 A change that should keep the bits leaves every line as it was.  The bits
 depend on the numpy build and the CPU, so compare two runs on one host only.
@@ -34,15 +41,27 @@ import io
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from mixdisc.capacity import scale_to_doubly_stochastic  # noqa: E402
+from mixdisc.capacity import (  # noqa: E402
+    capacity,
+    capacity_via_scaling,
+    scale_to_doubly_stochastic,
+)
 from mixdisc.cli import main as cli_main  # noqa: E402
-from mixdisc.core import make_rng, random_complex_gaussian, random_psd, spawn_seeds  # noqa: E402
+from mixdisc.core import (  # noqa: E402
+    NonConvergence,
+    _wishart,
+    iter_seeds,
+    make_rng,
+    random_complex_gaussian,
+    random_psd,
+)
 from mixdisc.discriminant import MatrixTuple  # noqa: E402
 from mixdisc.extremal import random_ds_tuple, random_ds_tuples  # noqa: E402
 from mixdisc.hyperbolic import (  # noqa: E402
@@ -76,7 +95,7 @@ def _pencils(n: int):
     """A doubly stochastic pencil, a complex Wishart one and an indefinite
     real one with a mixed direction, each of n slots of degree n."""
     yield pencil_from_tuple(random_ds_tuple(n, 40 + n))
-    yield HyperbolicPencil([random_psd(n, s) for s in spawn_seeds(70 + n, n)], np.ones(n))
+    yield HyperbolicPencil([random_psd(n, s) for s in islice(iter_seeds(70 + n), n)], np.ones(n))
     sym = [(g + g.T) / 2 for g in make_rng(77 + n).standard_normal((n, n, n))]
     sym[0] = sym[0] + 3 * n * np.eye(n)
     e = np.zeros(n)
@@ -113,8 +132,11 @@ def _random_psd_lines():
 def _sampler_lines():
     for n in (2, 3):
         for seed in range(10):
-            for rho in (sample_block_ds(n, seed), (sample_separable_ds(n, seed) or [None])[0]):
-                yield "None" if rho is None else rho.blocks.tobytes().hex()
+            for draw in (sample_block_ds, lambda n, seed: sample_separable_ds(n, seed)[0]):
+                try:
+                    yield draw(n, seed).blocks.tobytes().hex()
+                except NonConvergence:
+                    yield "None"
 
 
 def _decomposable(sizes, seed):
@@ -142,6 +164,30 @@ def _decompose_lines():
         yield res.product_check.hex()
 
 
+def _gram(rng):
+    g = random_complex_gaussian(3, rng)
+    return g @ g.conj().T
+
+
+def _capacity_tuples():
+    for n in DIMENSIONS:
+        for seed in range(20):
+            yield MatrixTuple(_wishart((n, n, n), seed))
+    for repeated in (False, True):
+        for seed in range(30):
+            rng = make_rng(seed)
+            w = [_gram(rng) for _ in range(1 if repeated else 2)]
+            v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            r = np.outer(v, v.conj()) + 1e-6 * np.eye(3)
+            yield MatrixTuple([r, r, *w] if repeated else [*w, r])
+
+
+def _capacity_lines():
+    for t in _capacity_tuples():
+        res, via = capacity(t), capacity_via_scaling(t)
+        yield f"{res.value.hex()} {res.stop_reason} {res.iterations} {via.hex()}"
+
+
 FAMILIES = {
     "conjecture": _conjecture_lines,
     "random_ds_tuples": _tuple_lines,
@@ -150,6 +196,7 @@ FAMILIES = {
     "random_psd": _random_psd_lines,
     "pascal_samplers": _sampler_lines,
     "decompose": _decompose_lines,
+    "capacity": _capacity_lines,
 }
 
 

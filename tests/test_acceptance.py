@@ -8,6 +8,7 @@ sample counts and tolerances here are the release gate; do not reduce them.
 import math
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mixdisc.capacity import (
     n_pow_n_over_factorial,
     scale_to_doubly_stochastic,
 )
-from mixdisc.core import make_rng, random_psd, spawn_seeds
+from mixdisc.core import NonConvergence, iter_seeds, make_rng, random_psd
 from mixdisc.discriminant import (
     MatrixTuple,
     _discriminants,
@@ -64,7 +65,7 @@ def _report(num, ok, detail):
 
 
 def random_tuple(n, seed):
-    return MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    return MatrixTuple([random_psd(n, s) for s in islice(iter_seeds(seed), n)])
 
 
 def test_criterion_01_bapat_value_at_minimizer():
@@ -149,7 +150,7 @@ def test_criterion_05_bound_falsification():
     for n in (2, 3, 4, 5):
         # One batched draw and one stacked read of D per n: the tuples of
         # random_ds_tuple and the values of eval_polarized, bit for bit.
-        samples = random_ds_tuples(n, spawn_seeds(5000 + n, 1000))
+        samples = random_ds_tuples(n, islice(iter_seeds(5000 + n), 1000))
         d = _discriminants(np.array([t.matrices for t in samples]))
         min_margin = min(min_margin, float(d.min()) - (bapat_bound(n) - 1e-7))
         sampled += len(samples)
@@ -200,7 +201,7 @@ def test_criterion_07_capacity_sandwich():
     worst_ok = True
     checked = 0
     for n in (2, 3, 4, 5):
-        for seed in spawn_seeds(7000 + n, 25):
+        for seed in islice(iter_seeds(7000 + n), 25):
             ratio, within = capacity_bound_report(random_ds_tuple(n, seed))
             worst_ok = worst_ok and within
             checked += 1
@@ -234,7 +235,7 @@ def test_criterion_08_scaling():
     worst_rel = 0.0
     count = 0
     for n in (2, 3, 4, 5):
-        for seed in spawn_seeds(8000 + n, 25):
+        for seed in islice(iter_seeds(8000 + n), 25):
             t = random_tuple(n, seed)
             r = scale_to_doubly_stochastic(t, max_iter=10000)
             worst_defect = max(worst_defect, r.ds_defect)
@@ -335,11 +336,12 @@ def test_criterion_11_pascal():
     reduction_ok = abs(qp_block(bm) - d) <= 1e-9 * (1.0 + abs(d))
     min_qp = math.inf
     drawn = 0
-    for seed in spawn_seeds(1111, 10000):
-        res = sample_separable_ds(2, seed)
-        if res is None:
+    for seed in islice(iter_seeds(1111), 10000):
+        try:
+            bm, _ = sample_separable_ds(2, seed)
+        except NonConvergence:
             continue
-        min_qp = min(min_qp, qp_block(res[0]))
+        min_qp = min(min_qp, qp_block(bm))
         drawn += 1
     sampling_ok = min_qp >= 0.5 - 1e-6 and drawn >= 9000
     _report(

@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixdisc.capacity import (
-    _capacity_of_scaling,
     capacity,
     capacity_bound_report,
     capacity_via_scaling,
@@ -26,10 +26,10 @@ from mixdisc.core import (
     PreconditionViolated,
     SingularPencil,
     inv_sqrt_psd,
+    iter_seeds,
     make_rng,
     random_complex_gaussian,
     random_psd,
-    spawn_seeds,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
@@ -42,7 +42,7 @@ from mixdisc.structure import is_indecomposable
 
 
 def random_tuple(n, seed):
-    return MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    return MatrixTuple([random_psd(n, s) for s in islice(iter_seeds(seed), n)])
 
 
 def _per_matrix_scaling(mats, ds_tol=1e-8):
@@ -349,6 +349,13 @@ def test_one_newton_step_raises_with_the_result(n, seed, k, sign):
     assert res.iterations == 1
 
 
+def _cap_of(res):
+    """Cap of a scaling's source, |det X|^(-2) / prod(trace_scalars), by the
+    oracle's own arithmetic."""
+    logdet = float(np.linalg.slogdet(res.transform_X)[1])
+    return math.exp(-2.0 * logdet - float(np.sum(np.log(res.trace_scalars))))
+
+
 def _near_boundary_tuple(seed, n=3):
     """n - 1 Wishart slots and a rank-one + 1e-6 I slot."""
     rng = make_rng(seed)
@@ -379,8 +386,8 @@ def test_oracle_converges_in_tens_of_steps_near_boundary(seed):
     t = _near_boundary_tuple(seed)
     res = scale_to_doubly_stochastic(t, max_iter=50)
     assert res.converged and res.ds_defect <= DEFAULT_TOL.ds_tol
-    assert _capacity_of_scaling(res) == pytest.approx(capacity(t).value, rel=1e-10)
-    assert capacity_via_scaling(t) == _capacity_of_scaling(res)
+    assert _cap_of(res) == pytest.approx(capacity(t).value, rel=1e-10)
+    assert capacity_via_scaling(t) == _cap_of(res)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -411,6 +418,21 @@ def test_oracle_max_iter_raises_with_the_first_alternating_step():
     assert res.converged is False
     assert res.stop_reason == "max_iter"
     assert res.iterations == 1
+
+
+def test_a_scaling_whose_defect_stops_falling_stops_stalled():
+    # At ds_tol = 0 this tuple's slot-sum defect falls to rounding noise near
+    # 2e-13 by step 17, above its 4 n eps floor (2.7e-15), and sets its last
+    # new low (a noise record) at step 57; without the stall rule it ran all
+    # 10000 steps (1.2 to 2.1 s).  It stops "stalled" one window after that
+    # low, carrying the tuple it left.
+    window = sys.modules["mixdisc.capacity"]._STALL_WINDOW
+    with pytest.raises(NonConvergence, match="scaling stalled") as info:
+        scale_to_doubly_stochastic(_near_boundary_tuple(0), Tolerances(ds_tol=0.0))
+    res = info.value.result
+    assert res.stop_reason == "stalled" and not res.converged
+    assert window < res.iterations <= 3 * window
+    assert res.ds_defect < 1e-12
 
 
 def test_warm_scaling_reaches_ds_tol_near_boundary():
@@ -471,7 +493,7 @@ def test_scaling_past_an_overflowing_candidate_matches_capacity(seed):
     t = _repeated_near_boundary_tuple(seed)
     res = scale_to_doubly_stochastic(t)
     assert res.converged and res.ds_defect <= DEFAULT_TOL.ds_tol
-    assert _capacity_of_scaling(res) == pytest.approx(capacity(t).value, rel=1e-9)
+    assert _cap_of(res) == pytest.approx(capacity(t).value, rel=1e-9)
 
 
 @pytest.mark.parametrize("eps, stop", [(1e-5, "roundoff"), (1e-3, "stalled")])
@@ -539,7 +561,11 @@ def _mp_capacity(mats, y0, dps=40, steps=8):
         return float(mpmath.re(mpmath.det(pencil(y)))), float(gnorm)
 
 
-@pytest.mark.parametrize("seed", [40, 87, 88])
+# Seeds 2, 6, 7, 9 and 22 read 1.3e-9 to 6.3e-9 off the reference under a
+# stop at roundoff on the first point whose lambda^2 is inside the noise band
+# [256 eps (1 + |f|), n eps cond(M) (1 + |f|)]; the shipped rule reads at
+# most 3.1e-10 (seed 7).
+@pytest.mark.parametrize("seed", [2, 6, 7, 9, 22, 40, 87, 88])
 def test_repeated_near_boundary_capacity_matches_mpmath(seed):
     # cond(M) reaches 1e6 to 1e7 at these minimizers, the hardest case for
     # the float solver; its stop rule promises Cap to about f's noise.

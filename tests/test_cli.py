@@ -360,15 +360,14 @@ class TestGenRandomPipe:
     @pytest.mark.parametrize("kind", ["block-ds", "separable"])
     def test_a_sampler_at_its_step_cap_names_its_defect(self, kind, capsys, monkeypatch):
         # One scaling step leaves the draw far from block doubly stochastic:
-        # the library returns None, and the command exits 2 with the stop.
+        # the sampler raises NonConvergence, and the command exits 2 with its
+        # one-line message, which names the steps and the defect.
         monkeypatch.setattr(pascal, "_SAMPLER_MAX_ITER", 1)
-        sampler = {"block-ds": pascal.sample_block_ds, "separable": pascal.sample_separable_ds}[kind]
-        assert sampler(2, 5) is None
         code, out, err = run(capsys, "gen-random", "2", "--seed", "5", "--kind", kind)
         assert code == 2 and out == ""
         assert re.fullmatch(
-            rf"error: {kind} sampler did not converge for this seed: stopped at max_iter "
-            r"after 1 steps with defect \d\.\d{3}e[-+]\d\d\n",
+            r"error: block doubly stochastic scaling hit max_iter after 1 steps "
+            r"with defect \d\.\d{3}e[-+]\d\d\n",
             err,
         )
 

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from mixdisc.core import (
     DimensionTooLarge,
     NotHermitian,
     NumericalInconsistency,
+    iter_seeds,
     make_rng,
     random_complex_gaussian,
     random_psd,
-    spawn_seeds,
 )
 from mixdisc import discriminant
 from mixdisc.discriminant import (
@@ -41,7 +42,7 @@ ALL_EVALS = [
 
 
 def random_tuple(n, seed):
-    return MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    return MatrixTuple([random_psd(n, s) for s in islice(iter_seeds(seed), n)])
 
 
 class TestMatrixTuple:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from mixdisc.core import (
     NumericalInconsistency,
     PreconditionViolated,
     _psd,
+    iter_seeds,
     make_rng,
     psd_violation,
     random_complex_gaussian,
     random_hermitian,
     random_psd,
-    spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import (
@@ -67,7 +68,7 @@ class TestSampler:
         # Reference: the retry children spawned up front, as one list of 100.
         # Each child seeds one generator, whose n Wishart slots are scaled by
         # the public scaling route the sampler uses.
-        for child in spawn_seeds(seed, 100):
+        for child in (int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(100)):
             g = random_complex_gaussian((n, n, n), make_rng(child))
             t = MatrixTuple(g @ g.conj().swapaxes(-1, -2))
             try:
@@ -273,7 +274,7 @@ class TestProjectedGradientDescent:
         rng = make_rng(70 + n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         mats = [np.outer(v, v.conj()) + 1e-6 * np.eye(n)]
-        mats += [random_psd(n, s) for s in spawn_seeds(70 + n, n - 1)]
+        mats += [random_psd(n, s) for s in islice(iter_seeds(70 + n), n - 1)]
         start = scale_to_doubly_stochastic(MatrixTuple(mats)).scaled
         got, value, reason = extremal._descend(start.matrices, DEFAULT_TOL)
         assert reason in ("roundoff", "max_steps")

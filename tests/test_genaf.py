@@ -1,11 +1,12 @@
 import math
 import sys
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from mixdisc.core import InvalidWeight, random_psd, spawn_seeds
+from mixdisc.core import InvalidWeight, iter_seeds, random_psd
 from mixdisc.discriminant import MatrixTuple, eval_polarized, exchange_value, gradient
 from mixdisc import genaf
 from mixdisc.genaf import (
@@ -21,7 +22,7 @@ from mixdisc.genaf import (
 
 
 def random_tuple(n, seed):
-    return MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    return MatrixTuple([random_psd(n, s) for s in islice(iter_seeds(seed), n)])
 
 
 class TestWeights:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from mixdisc.core import (
     PreconditionViolated,
     SamplerExhausted,
     Tolerances,
+    iter_seeds,
     make_rng,
     random_psd,
-    spawn_seeds,
 )
 from mixdisc.discriminant import MatrixTuple, eval_polarized
 from mixdisc.extremal import bapat_bound, random_ds_tuple, random_ds_tuples
@@ -31,7 +32,7 @@ from mixdisc.hyperbolic import (
 
 
 def random_pencil(n, seed):
-    mats = [random_psd(n, s) for s in spawn_seeds(seed, n)]
+    mats = [random_psd(n, s) for s in islice(iter_seeds(seed), n)]
     return HyperbolicPencil(mats, np.ones(n))
 
 
@@ -114,7 +115,7 @@ class TestRoots:
 class TestMixedValue:
     def test_axis_vectors_give_discriminant(self):
         for seed in range(5):
-            t = MatrixTuple([random_psd(3, s) for s in spawn_seeds(40 + seed, 3)])
+            t = MatrixTuple([random_psd(3, s) for s in islice(iter_seeds(40 + seed), 3)])
             p = pencil_from_tuple(t)
             assert mixed_value(p, axis_vectors(3)) == pytest.approx(
                 eval_polarized(t), rel=1e-8
@@ -328,7 +329,7 @@ def _rank_one_pencils(n):
     v /= np.linalg.norm(v)
     one = np.outer(v, v.conj())
     rest = (np.eye(n) - one) / max(1, n - 1)
-    mats = [random_psd(n, s) for s in spawn_seeds(92 + n, n)]
+    mats = [random_psd(n, s) for s in islice(iter_seeds(92 + n), n)]
     return [
         HyperbolicPencil([one] + [rest] * (n - 1), np.ones(n)),
         HyperbolicPencil([one * n] + mats[1:], np.ones(n)),

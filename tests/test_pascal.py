@@ -4,6 +4,7 @@ import pytest
 from mixdisc import pascal
 from mixdisc.core import (
     DimensionTooLarge,
+    NonConvergence,
     NotHermitian,
     TermNotPsd,
     Tolerances,
@@ -13,7 +14,6 @@ from mixdisc.core import (
     make_rng,
     random_complex_gaussian,
     random_psd,
-    spawn_seeds,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
@@ -160,9 +160,7 @@ class TestSeparable:
 
     def test_sampler_outputs_block_ds(self):
         for seed in range(5):
-            res = sample_separable_ds(2, seed)
-            assert res is not None
-            bm, spec = res
+            bm, spec = sample_separable_ds(2, seed)
             assert check_block_ds(bm).passes
             # separability witness: reassembling the spec reproduces the matrix
             np.testing.assert_allclose(
@@ -225,10 +223,8 @@ class TestSeparable:
 
     def test_separable_qp_above_half(self):
         for seed in range(20):
-            res = sample_separable_ds(2, 1000 + seed)
-            if res is None:
-                continue
-            assert qp_block(res[0]) >= 0.5 - 1e-6
+            bm, _ = sample_separable_ds(2, 1000 + seed)
+            assert qp_block(bm) >= 0.5 - 1e-6
 
 
 @pytest.mark.parametrize("sampler", [sample_separable_ds, sample_block_ds])
@@ -239,7 +235,6 @@ def test_a_ds_tol_below_rounding_stops_at_the_rounding_floor(sampler, n):
     floor = 4 * n * np.finfo(float).eps
     for seed in range(4):
         res = sampler(n, seed, Tolerances(ds_tol=0.0))
-        assert res is not None
         bm = res[0] if isinstance(res, tuple) else res
         rep = check_block_ds(bm, Tolerances(ds_tol=floor))
         assert rep.sum_violation + rep.trace_violation <= 2 * floor
@@ -259,29 +254,50 @@ def test_the_samplers_factors_are_the_one_helpers_draws(n, monkeypatch):
         g = pascal._separable_draw(n, seed, Tolerances())[1]
         assert g.tobytes() == random_complex_gaussian((k, 2, n, n), rng).tobytes()
         stacks.clear()
-        pascal._block_draw(n, seed, Tolerances())
+        sample_block_ds(n, seed)
         g = random_complex_gaussian(n * n, make_rng(seed)).reshape(n, n, n * n)
         (kt,) = stacks
         assert kt.tobytes() == np.ascontiguousarray(g.transpose(0, 2, 1)).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_the_kraus_loop_reports_why_it_stopped(n):
+def test_the_kraus_loop_reports_why_it_stopped(n, monkeypatch):
     # "ds_tol" within ds_tol, "roundoff" within the 4 n eps floor alone.
     floor = 4 * n * np.finfo(float).eps
+    scalings = []
+    real = pascal._scale_kraus
+
+    def recorded(kt, tol):
+        scalings.append(real(kt, tol))
+        return scalings[-1]
+
+    monkeypatch.setattr(pascal, "_scale_kraus", recorded)
     for seed in range(3):
         for tol, reason in ((Tolerances(), "ds_tol"), (Tolerances(ds_tol=0.0), "roundoff")):
-            scaling = pascal._block_draw(n, seed, tol)
+            rho = sample_block_ds(n, seed, tol)
+            scaling = scalings[-1]
             assert scaling.stop_reason == reason and 0 < scaling.steps < pascal._SAMPLER_MAX_ITER
             assert scaling.defect <= max(tol.ds_tol, floor)
-            assert scaling.rho.blocks.tobytes() == sample_block_ds(n, seed, tol).blocks.tobytes()
+            assert scaling.rho is rho
+
+
+@pytest.mark.parametrize("sampler", [sample_separable_ds, sample_block_ds])
+def test_a_sampler_at_its_step_cap_raises_with_the_stop(sampler, monkeypatch):
+    # One scaling step leaves the draw far from block doubly stochastic: the
+    # loop raises NonConvergence carrying its stop, as the tuple scaling does.
+    monkeypatch.setattr(pascal, "_SAMPLER_MAX_ITER", 1)
+    pattern = r"after 1 steps with defect \d\.\d{3}e[-+]\d\d$"
+    with pytest.raises(NonConvergence, match=pattern) as info:
+        sampler(2, 5)
+    res = info.value.result
+    assert (res.stop_reason, res.steps, res.rho) == ("max_iter", 1, None)
+    assert res.defect > Tolerances().ds_tol
 
 
 class TestBlockDsSampler:
     def test_sampler_outputs_pass(self):
         for seed in range(5):
             bm = sample_block_ds(2, seed)
-            assert bm is not None
             rep = check_block_ds(bm)
             assert rep.passes
 

@@ -19,11 +19,11 @@ from mixdisc.core import (
     NotUnitary,
     NumericalInconsistency,
     PreconditionViolated,
+    iter_seeds,
     make_rng,
     random_complex_gaussian,
     random_psd,
     rank_psd,
-    spawn_seeds,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
@@ -548,7 +548,7 @@ def test_a_planted_violation_past_sixteen_slots():
 def test_scaling_past_sixteen_slots(seed):
     n = 24
     assert check_doubly_stochastic(random_ds_tuple(n, seed)).is_doubly_stochastic
-    t = MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    t = MatrixTuple([random_psd(n, s) for s in itertools.islice(iter_seeds(seed), n)])
     assert capacity_via_scaling(t) == pytest.approx(capacity(t).value, rel=1e-10)
 
 
@@ -561,7 +561,7 @@ def _scan_families(n, seed):
     a block-diagonal decomposable DS tuple with its slots permuted and
     conjugated by a unitary, and two 0/1 diagonal tuples."""
     rng = make_rng(seed)
-    yield MatrixTuple([random_psd(n, s) for s in spawn_seeds(seed, n)])
+    yield MatrixTuple([random_psd(n, s) for s in itertools.islice(iter_seeds(seed), n)])
     for eps in (1e-6, 1e-12):
         yield MatrixTuple([_gram(n, 1, rng) + eps * np.eye(n) for _ in range(n)])
     k = n // 2
@@ -594,7 +594,7 @@ class TestFullRankStop:
         # from the eigenvalues of the PSD check: the scan solves nothing.
         calls = []
         monkeypatch.setattr(structure, "_eigh", lambda *a, **k: calls.append(a))
-        t = MatrixTuple([random_psd(6, s) for s in spawn_seeds(5, 6)])
+        t = MatrixTuple([random_psd(6, s) for s in itertools.islice(iter_seeds(5), 6)])
         assert is_indecomposable(t) == (True, None)
         assert positivity_rank_test(t)
         assert calls == []
