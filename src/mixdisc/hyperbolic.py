@@ -33,7 +33,7 @@ import numpy as np
 from .core import (
     _EPS,
     DEFAULT_TOL,
-    SamplerExhausted,
+    NumericalInconsistency,
     Tolerances,
     _eigh,
     _inv_sqrt,
@@ -47,10 +47,9 @@ from .extremal import bapat_bound, random_ds_tuples
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
 # Mixtures per block of pencils in conjecture_experiment; bounds the block's
 # membership points, (K, n, n, n) complex, and the one kernel call on its
-# accepted mixtures: the kernel's byte budget bounds each tuple's chunk, and
+# mixtures: the kernel's byte budget bounds each tuple's chunk, and
 # a stack of K tuples (n < 8) is one chunk of 2^(n-1) combinations per tuple.
 _BLOCK_MIXTURES = 1000
-_MAX_BARREN_PENCILS = 100  # consecutive pencils with no accepted mixture before giving up
 # The Weyl bound's rounding margin, in units of n m (eps S + tiny): see _membership.
 _WEYL_MARGIN = 8.0
 _TINY = np.finfo(float).tiny
@@ -322,7 +321,6 @@ class ConjectureExperimentReport:
     min_ratio: float
     bound: float
     violations: list
-    rejection_rate: float
 
 
 def conjecture_experiment(
@@ -333,90 +331,60 @@ def conjecture_experiment(
     Members come from doubly stochastic matrix tuples (p(e) = 1) with the
     axis-vector tuple mixed by random doubly stochastic matrices, convex
     combinations of permutation matrices; mixing preserves membership, which
-    is rechecked and rejected on failure.
+    is rechecked: a mixture that fails the recheck raises
+    NumericalInconsistency, naming the mixture, its pencil and its three
+    violations, since every mixture is e-doubly stochastic by construction.
     A ratio below n!/n^n (1 - 1e-6) is recorded as a violation, not raised:
     the slack is relative, so it holds at every n (an absolute 1e-6 is 88%
     of n!/n^n = 1.13e-6 at n = 16, and above it from n = 17 on).
 
-    Pencil k is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``
-    and takes up to ``_MIXTURES_PER_PENCIL`` mixtures.  The tuple is drawn at
-    ``ds_tol = 0``, so its scaling stops at the 4 n eps rounding floor; ``tol``
-    holds for the membership recheck.  The pencils run in blocks: a block is
-    the pencils that the samples still needed take, at most
-    ``_BLOCK_MIXTURES`` mixtures, so that each pencil but the last takes
-    ``_MIXTURES_PER_PENCIL``.  Its tuples
+    Mixture i belongs to pencil i // ``_MIXTURES_PER_PENCIL``, and pencil k
+    is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``.  The
+    tuple is drawn at ``ds_tol = 0``, so its scaling stops at the 4 n eps
+    rounding floor and the reduced slots have unit traces to rounding;
+    ``tol`` holds for the membership recheck.  The mixtures run in blocks of
+    at most ``_BLOCK_MIXTURES``, a whole number of pencils.  A block's tuples
     come from one ``random_ds_tuples`` call, their reduced slots
     A_i = L B_i L from one batched congruence, its mixtures from one
-    ``_random_ds_matrices`` stack, their membership from one
-    ``_membership`` pass, each mixture against its own pencil's slots (whose eigenvalues, one batched solve for the block, settle the
-    nonnegativity of almost every point with no eigensolve of the point),
-    and the ratios of the accepted ones from one ``_discriminants`` call on
-    their reduced points: D(L X_1 L, .., L X_n L) is
-    det(L)^2 D(X_1, .., X_n) = M_p / p(e), so p(e) is never computed.
-    Ratios, violations and the barren-pencil rule then run in pencil order,
-    and a block whose mixtures were rejected leaves the rest to the next
-    block.  The mixing matrices are doubly stochastic by construction, to
-    the rounding of their sums, and the pencils' reduced slots have unit
-    traces to rounding, so every mixture of a working run passes the
-    recheck.  A tuple scaled only to within ``ds_tol`` would give reduced
-    traces that miss 1 by up to about 1.17 ``ds_tol``, which a mixture near
-    a permutation matrix inherits and the recheck rejects.
-    SamplerExhausted after ``_MAX_BARREN_PENCILS`` pencils in a row accept
-    no mixture.
+    ``_random_ds_matrices`` stack, their membership from one ``_membership``
+    pass, each mixture against its own pencil's slots (whose eigenvalues,
+    one batched solve for the block, settle the nonnegativity of almost
+    every point with no eigensolve of the point), and their ratios from one
+    ``_discriminants`` call on their reduced points: D(L X_1 L, .., L X_n L)
+    is det(L)^2 D(X_1, .., X_n) = M_p / p(e), so p(e) is never computed.
     """
     bound = bapat_bound(n)
-    floor = bound * (1.0 - 1e-6)  # a violation is a ratio below it
     rng = make_rng(seed)
-    min_ratio = math.inf
-    violations = []
-    rejected = 0
-    done = 0
-    pencil_index = 0
-    last_hit = -1  # the last pencil that accepted a mixture
-    while done < samples:
-        need = min(samples - done, _BLOCK_MIXTURES)
-        counts = [_MIXTURES_PER_PENCIL] * (need // _MIXTURES_PER_PENCIL)
-        if need % _MIXTURES_PER_PENCIL:
-            counts.append(need % _MIXTURES_PER_PENCIL)
-        block = range(pencil_index, pencil_index + len(counts))
-        tuples = random_ds_tuples(n, [seed + 7919 * k for k in block], replace(tol, ds_tol=0.0))
+    ratios = np.empty(samples)
+    for first in range(0, samples, _BLOCK_MIXTURES):
+        count = min(samples - first, _BLOCK_MIXTURES)
+        owner = np.arange(count) // _MIXTURES_PER_PENCIL
+        pencils = range(first // _MIXTURES_PER_PENCIL, (first + count - 1) // _MIXTURES_PER_PENCIL + 1)
+        tuples = random_ds_tuples(n, [seed + 7919 * k for k in pencils], replace(tol, ds_tol=0.0))
         # pencil_from_tuple of each: the slots are exactly Hermitian already,
         # and every direction is the all-ones vector.
         mats = np.array([t.matrices for t in tuples])
         reduced = _reduce(mats, mats.sum(1), tol)
-        mixes = _random_ds_matrices(need, n, rng)
-        owner = np.repeat(np.arange(len(counts)), counts)
         # The vectors of a mixture are its columns.
-        *_, passes, points = _membership(reduced, owner, np.ones(n), mixes.swapaxes(-1, -2), tol)
-        # D(L X_1 L, .., L X_n L) = det(L)^2 D(X_1, .., X_n) = M_p / p(e).
-        ratios = np.zeros(need)
-        if passes.any():
-            ratios[passes] = _discriminants(points[passes])
-        first = 0
-        for count in counts:
-            hits = passes[first : first + count]
-            rejected += count - int(np.count_nonzero(hits))
-            if hits.any():
-                last_hit = pencil_index
-                for ratio in ratios[first : first + count][hits].tolist():
-                    done += 1
-                    if ratio < min_ratio:
-                        min_ratio = ratio
-                    if ratio < floor:
-                        violations.append(
-                            {"seed": seed, "pencil_index": pencil_index, "ratio": ratio}
-                        )
-            elif pencil_index - last_hit == _MAX_BARREN_PENCILS:
-                raise SamplerExhausted(
-                    f"{_MAX_BARREN_PENCILS} pencils in a row accepted no mixture"
-                )
-            first += count
-            pencil_index += 1
+        xs = _random_ds_matrices(count, n, rng).swapaxes(-1, -2)
+        *fields, passes, points = _membership(reduced, owner, np.ones(n), xs, tol)
+        if not passes.all():
+            i = int(np.argmin(passes))
+            nonneg, trace, sums = (float(f[i]) for f in fields)
+            raise NumericalInconsistency(
+                f"mixture {first + i} of pencil {pencils[owner[i]]} failed its membership "
+                f"recheck: nonnegativity {nonneg:.3g}, e-trace {trace:.3g}, sum {sums:.3g} "
+                f"against ds_tol {tol.ds_tol:.3g}"
+            )
+        ratios[first : first + count] = _discriminants(points)
+    hits = np.flatnonzero(ratios < bound * (1.0 - 1e-6))
     return ConjectureExperimentReport(
         n=n,
-        samples=done,
-        min_ratio=min_ratio,
+        samples=samples,
+        min_ratio=float(ratios.min(initial=math.inf)),
         bound=bound,
-        violations=violations,
-        rejection_rate=rejected / max(1, done + rejected),
+        violations=[
+            {"seed": seed, "pencil_index": int(i) // _MIXTURES_PER_PENCIL, "ratio": float(ratios[i])}
+            for i in hits
+        ],
     )

@@ -326,6 +326,18 @@ class TestSearchAndExperiments:
         assert code == 0
         assert json.loads(out)["results"]["violations"] == []
 
+    def test_a_failed_conjecture_recheck_exits_2(self, capsys):
+        # A ds_tol below the rounding of a mixture's e-traces fails the
+        # membership recheck of a mixture that is e-doubly stochastic by
+        # construction: a failed cross-check, with no report.
+        code, out, err = run(
+            capsys, "--ds-tol", "1e-15", "hyp", "--op", "conjecture", "--n", "3",
+            "--samples", "200", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: mixture ") and err.count("\n") == 1
+        assert "membership recheck" in err and "ds_tol 1e-15" in err
+
 
 class TestGenRandomPipe:
     def test_ds_pipes_into_check(self, capsys, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from mixdisc import hyperbolic
 from mixdisc.core import (
     DEFAULT_TOL,
+    NumericalInconsistency,
     PreconditionViolated,
-    SamplerExhausted,
     Tolerances,
     iter_seeds,
     make_rng,
@@ -156,24 +156,23 @@ class TestConjectureExperiment:
         assert rep.min_ratio >= bapat_bound(3) - 1e-6
         assert rep.bound == pytest.approx(bapat_bound(3))
 
-    def test_a_run_that_accepts_nothing_gives_up(self, monkeypatch):
-        # Every mixture scaled off the e-trace fails the recheck: the loop
-        # stops after the consecutive barren pencils it allows instead of
-        # drawing pencils forever.
+    def test_a_mixture_out_of_membership_raises(self, monkeypatch):
+        # Mixture 137 scaled off the e-trace fails the recheck: every
+        # mixture is e-doubly stochastic by construction, so the run raises,
+        # naming the mixture, its pencil, its violations and ds_tol.
         draw = hyperbolic._random_ds_matrices
-        monkeypatch.setattr(
-            hyperbolic, "_random_ds_matrices", lambda k, n, rng: draw(k, n, rng) * (1.0 + 1e-7)
-        )
-        pencils = []
 
-        def counting(n, seeds, tol):
-            pencils.extend(seeds)
-            return random_ds_tuples(n, seeds, tol)
+        def one_off(k, n, rng):
+            m = draw(k, n, rng)
+            m[137] *= 1.0 + 1e-7
+            return m
 
-        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
-        with pytest.raises(SamplerExhausted, match="100 pencils in a row"):
-            conjecture_experiment(4, 20, 0)
-        assert len(pencils) == hyperbolic._MAX_BARREN_PENCILS == 100
+        monkeypatch.setattr(hyperbolic, "_random_ds_matrices", one_off)
+        with pytest.raises(NumericalInconsistency) as failure:
+            conjecture_experiment(4, 200, 0)
+        message = str(failure.value)
+        assert message.startswith("mixture 137 of pencil 2 failed its membership recheck: ")
+        assert message.endswith("nonnegativity 0, e-trace 1e-07, sum 1e-07 against ds_tol 1e-08")
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_200_samples_stay_above_the_bound(self, n):
@@ -206,7 +205,7 @@ class TestConjectureExperiment:
 
         monkeypatch.setattr(hyperbolic, "_membership", capturing)
         for seed in range(20):
-            assert conjecture_experiment(n, 200, seed).rejection_rate == 0.0
+            assert conjecture_experiment(n, 200, seed).samples == 200
         traces = np.trace(np.concatenate(blocks), axis1=-2, axis2=-1)
         assert np.abs(traces - 1.0).max() <= 16 * n * np.finfo(float).eps
 
@@ -223,7 +222,6 @@ class TestConjectureExperiment:
         rep = conjecture_experiment(n, samples, seed)
         assert rep.samples == samples
         assert rep.min_ratio == pytest.approx(min_ratio, rel=1e-12, abs=0)
-        assert rep.rejection_rate == 0.0
         assert rep.violations == []
 
 
@@ -275,37 +273,35 @@ def _reduced_ratio(pencil, xs):
 
 def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
     """The conjecture experiment one pencil and one mixture at a time, on the
-    mixtures of its blocks: each block draws the mixtures the samples still
-    need (at most _BLOCK_MIXTURES) as one stack, 50 per pencil.  The
-    pencils' tuples are drawn at ds_tol = 0; ``tol`` holds for the recheck."""
+    mixtures of its blocks: each block draws its mixtures (at most
+    _BLOCK_MIXTURES) as one stack, 50 per pencil.  The pencils' tuples are
+    drawn at ds_tol = 0; ``tol`` holds for the recheck, and the first
+    mixture that fails it raises NumericalInconsistency naming the mixture
+    and its pencil."""
     bound = hyperbolic.bapat_bound(n)
     exact = replace(tol, ds_tol=0.0)
     rng = make_rng(seed)
-    min_ratio, violations, rejected, done, pencil_index = math.inf, [], 0, 0, 0
-    while done < samples:
-        need = min(samples - done, hyperbolic._BLOCK_MIXTURES)
-        mixes = hyperbolic._random_ds_matrices(need, n, rng)
-        for first in range(0, need, 50):
-            t = random_ds_tuple(n, seed + 7919 * pencil_index, exact)
-            pencil = pencil_from_tuple(t, tol)
-            for mix in mixes[first : first + 50]:
-                xs = list(mix.T)
-                if not _sequential_membership(pencil, xs, tol)[3]:
-                    rejected += 1
-                    continue
-                ratio = _reduced_ratio(pencil, xs)
-                done += 1
-                min_ratio = min(min_ratio, ratio)
-                if ratio < bound * (1.0 - 1e-6):
-                    violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
-            pencil_index += 1
-    return done, min_ratio, violations, rejected / max(1, done + rejected)
+    min_ratio, violations = math.inf, []
+    for block in range(0, samples, hyperbolic._BLOCK_MIXTURES):
+        mixes = hyperbolic._random_ds_matrices(min(samples - block, hyperbolic._BLOCK_MIXTURES), n, rng)
+        for i, mix in enumerate(mixes, block):
+            pencil_index = i // 50
+            if i % 50 == 0:
+                t = random_ds_tuple(n, seed + 7919 * pencil_index, exact)
+                pencil = pencil_from_tuple(t, tol)
+            xs = list(mix.T)
+            if not _sequential_membership(pencil, xs, tol)[3]:
+                raise NumericalInconsistency(f"mixture {i} of pencil {pencil_index} ")
+            ratio = _reduced_ratio(pencil, xs)
+            min_ratio = min(min_ratio, ratio)
+            if ratio < bound * (1.0 - 1e-6):
+                violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
+    return samples, min_ratio, violations
 
 
 def _reject_every_third(monkeypatch):
     """Scale every third mixture of each draw, from the second on, off the
-    e-trace, so the recheck rejects it; the first never is, so every draw
-    makes progress."""
+    e-trace, so the recheck rejects it."""
     draw = hyperbolic._random_ds_matrices
 
     def some_rejected(k, n, rng):
@@ -447,44 +443,22 @@ class TestStackedConjecture:
     @pytest.mark.parametrize("n, samples, seed", [(1, 10, 3), (2, 60, 0), (3, 120, 1), (4, 80, 7), (5, 60, 3)])
     def test_matches_one_mixture_at_a_time(self, n, samples, seed):
         rep = conjecture_experiment(n, samples, seed)
-        done, min_ratio, violations, rate = _sequential_conjecture(n, samples, seed)
-        assert (rep.samples, rep.min_ratio.hex(), rep.violations, rep.rejection_rate) == (
-            done, min_ratio.hex(), violations, rate
-        )
+        done, min_ratio, violations = _sequential_conjecture(n, samples, seed)
+        assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rejections_and_violations_match(self, n, monkeypatch):
-        # A third of the mixtures are rejected; a bound of 1 makes every
-        # accepted ratio a violation.
-        _reject_every_third(monkeypatch)
+        # A bound of 1 makes every ratio a violation; then, with a third of
+        # the mixtures off the e-trace, both raise at the first of them.
         monkeypatch.setattr(hyperbolic, "bapat_bound", lambda n: 1.0)
         rep = conjecture_experiment(n, 70, 5)
-        done, min_ratio, violations, rate = _sequential_conjecture(n, 70, 5)
-        assert rep.rejection_rate == rate > 0.3
+        done, min_ratio, violations = _sequential_conjecture(n, 70, 5)
         assert len(rep.violations) == 70
         assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
-
-    def test_a_block_whose_mixtures_are_rejected_refills_from_the_next_pencils(self, monkeypatch):
-        # With a third of the mixtures rejected, the first block (pencils 0
-        # and 1, 50 + 10 mixtures) falls short and each later block draws
-        # what is still needed, from the next pencils.
         _reject_every_third(monkeypatch)
-        blocks = []
-
-        def counting(n, seeds, tol):
-            blocks.append(list(seeds))
-            return random_ds_tuples(n, seeds, tol)
-
-        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
-        rep = conjecture_experiment(2, 60, 1)
-        done, min_ratio, violations, rate = _sequential_conjecture(2, 60, 1)
-        assert (rep.samples, rep.min_ratio.hex(), rep.violations, rep.rejection_rate) == (
-            done, min_ratio.hex(), violations, rate
-        )
-        assert rep.samples == 60 and rep.rejection_rate > 0.3
-        assert blocks[0] == [1, 1 + 7919] and len(blocks) > 1
-        drawn = [seed for block in blocks for seed in block]
-        assert drawn == [1 + 7919 * k for k in range(len(drawn))]
+        for run in (conjecture_experiment, _sequential_conjecture):
+            with pytest.raises(NumericalInconsistency, match="^mixture 1 of pencil 0 "):
+                run(n, 70, 5)
 
     def test_a_run_longer_than_a_block_takes_several(self, monkeypatch):
         # 250 samples in blocks of at most 100 mixtures: two pencils, two,
@@ -498,10 +472,8 @@ class TestStackedConjecture:
 
         monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
         rep = conjecture_experiment(3, 250, 2)
-        done, min_ratio, violations, rate = _sequential_conjecture(3, 250, 2)
-        assert (rep.samples, rep.min_ratio.hex(), rep.violations, rep.rejection_rate) == (
-            done, min_ratio.hex(), violations, rate
-        )
+        done, min_ratio, violations = _sequential_conjecture(3, 250, 2)
+        assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
         assert blocks == [2, 2, 1]
 
     def test_one_draw_reads_the_stream_of_one_draw_per_pencil(self):
@@ -536,7 +508,7 @@ _PER_PENCIL_MIN_RATIOS = {
 def test_blocks_keep_the_per_pencil_reports(n):
     for seed, expected in enumerate(_PER_PENCIL_MIN_RATIOS[n]):
         rep = conjecture_experiment(n, 120, seed)
-        assert (rep.samples, rep.violations, rep.rejection_rate) == (120, [], 0.0)
+        assert (rep.samples, rep.violations) == (120, [])
         assert rep.min_ratio == expected
 
 
