@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .core import (
     _inv_sqrt,
     _psd,
     as_hermitian,
+    iter_seeds,
     make_rng,
 )
 from .discriminant import _discriminants
@@ -339,7 +341,9 @@ def conjecture_experiment(
     of n!/n^n = 1.13e-6 at n = 16, and above it from n = 17 on).
 
     Mixture i belongs to pencil i // ``_MIXTURES_PER_PENCIL``, and pencil k
-    is ``pencil_from_tuple`` of ``random_ds_tuple(n, seed + 7919 k)``.  The
+    is ``pencil_from_tuple`` of ``random_ds_tuple(n, s_k)``, s_k the k-th
+    seed of ``iter_seeds(seed)``; the mixing matrices come from
+    ``make_rng(seed)``.  The
     tuple is drawn at ``ds_tol = 0``, so its scaling stops at the 4 n eps
     rounding floor and the reduced slots have unit traces to rounding;
     ``tol`` holds for the membership recheck.  The mixtures run in blocks of
@@ -355,12 +359,13 @@ def conjecture_experiment(
     """
     bound = bapat_bound(n)
     rng = make_rng(seed)
+    children = iter_seeds(seed)
     ratios = np.empty(samples)
     for first in range(0, samples, _BLOCK_MIXTURES):
         count = min(samples - first, _BLOCK_MIXTURES)
         owner = np.arange(count) // _MIXTURES_PER_PENCIL
         pencils = range(first // _MIXTURES_PER_PENCIL, (first + count - 1) // _MIXTURES_PER_PENCIL + 1)
-        tuples = random_ds_tuples(n, [seed + 7919 * k for k in pencils], replace(tol, ds_tol=0.0))
+        tuples = random_ds_tuples(n, list(islice(children, len(pencils))), replace(tol, ds_tol=0.0))
         # pencil_from_tuple of each: the slots are exactly Hermitian already,
         # and every direction is the all-ones vector.
         mats = np.array([t.matrices for t in tuples])

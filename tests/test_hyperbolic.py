@@ -212,10 +212,10 @@ class TestConjectureExperiment:
     @pytest.mark.parametrize(
         "n, samples, seed, min_ratio",
         [
-            (2, 60, 0, 0.5016505135535644),
-            (3, 120, 1, 0.22449926579861312),
-            (4, 80, 7, 0.09675783332322516),
-            (5, 60, 3, 0.03921053029006321),
+            (2, 60, 0, 0.5012945738456253),
+            (3, 120, 1, 0.22550252211107424),
+            (4, 80, 7, 0.09631505608215994),
+            (5, 60, 3, 0.03910795748643289),
         ],
     )
     def test_pinned_outputs(self, n, samples, seed, min_ratio):
@@ -274,20 +274,22 @@ def _reduced_ratio(pencil, xs):
 def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
     """The conjecture experiment one pencil and one mixture at a time, on the
     mixtures of its blocks: each block draws its mixtures (at most
-    _BLOCK_MIXTURES) as one stack, 50 per pencil.  The pencils' tuples are
-    drawn at ds_tol = 0; ``tol`` holds for the recheck, and the first
+    _BLOCK_MIXTURES) as one stack, 50 per pencil.  Pencil k's tuple is drawn
+    from the k-th seed of ``iter_seeds(seed)``, at ds_tol = 0; ``tol``
+    holds for the recheck, and the first
     mixture that fails it raises NumericalInconsistency naming the mixture
     and its pencil."""
     bound = hyperbolic.bapat_bound(n)
     exact = replace(tol, ds_tol=0.0)
     rng = make_rng(seed)
+    seeds = list(islice(iter_seeds(seed), -(-samples // 50)))
     min_ratio, violations = math.inf, []
     for block in range(0, samples, hyperbolic._BLOCK_MIXTURES):
         mixes = hyperbolic._random_ds_matrices(min(samples - block, hyperbolic._BLOCK_MIXTURES), n, rng)
         for i, mix in enumerate(mixes, block):
             pencil_index = i // 50
             if i % 50 == 0:
-                t = random_ds_tuple(n, seed + 7919 * pencil_index, exact)
+                t = random_ds_tuple(n, seeds[pencil_index], exact)
                 pencil = pencil_from_tuple(t, tol)
             xs = list(mix.T)
             if not _sequential_membership(pencil, xs, tol)[3]:
@@ -476,6 +478,23 @@ class TestStackedConjecture:
         assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
         assert blocks == [2, 2, 1]
 
+    def test_seeds_apart_by_any_step_share_no_pencil(self, monkeypatch):
+        # Pencil seeds are iter_seeds children, not seed + 7919 k: runs at
+        # seeds s and s + 7919 draw no common tuple (they shared three of
+        # four when the seeds were that arithmetic).
+        stacks = {}
+
+        def recording(n, seeds, tol):
+            tuples = random_ds_tuples(n, seeds, tol)
+            stacks.setdefault(run, []).extend(t.matrices.tobytes() for t in tuples)
+            return tuples
+
+        monkeypatch.setattr(hyperbolic, "random_ds_tuples", recording)
+        for run in (0, 7919):
+            assert conjecture_experiment(3, 200, run).samples == 200
+        assert [len(set(stacks[run])) for run in (0, 7919)] == [4, 4]
+        assert len(set(stacks[0]) & set(stacks[7919])) == 0
+
     def test_one_draw_reads_the_stream_of_one_draw_per_pencil(self):
         for n in (2, 3, 4, 8):
             whole = _random_ds_matrices(120, n, make_rng(n))
@@ -489,18 +508,18 @@ class TestStackedConjecture:
 # one pencil per block (_BLOCK_MIXTURES = 50), whose draws are the slices of
 # the block's.
 _PER_PENCIL_MIN_RATIOS = {
-    2: [0.5000702819221872, 0.5000001331740174, 0.500081653912837, 0.5000000747517479,
-        0.5000182908372175, 0.5002642759191607, 0.5000336540768355, 0.5007992421625872,
-        0.5000586747116824, 0.5000036388652043],
-    3: [0.22353009927404557, 0.22449926579861312, 0.2245248553379054, 0.22566939481200907,
-        0.22378269900220546, 0.2254634716614434, 0.2240597916608884, 0.22478437101931964,
-        0.22518352848831322, 0.2232705163085479],
-    4: [0.09662558256808661, 0.09614597367270457, 0.0955709081242585, 0.09599782056579073,
-        0.09534930747070437, 0.09583419186696228, 0.09584709610409808, 0.09580852080612817,
-        0.09536747187442325, 0.09589234879000215],
-    5: [0.03934967969276092, 0.03910316418606699, 0.039094495931945306, 0.03921053029006321,
-        0.03903137689678671, 0.03912508453887195, 0.039069869231670426, 0.03891756068897843,
-        0.03888389934406683, 0.039012606824090364],
+    2: [0.500078146595292, 0.5000001045896436, 0.5000924268020381, 0.5000006602414324,
+        0.5000195869585371, 0.5000479692833358, 0.5000400027958577, 0.5004629259287537,
+        0.5000346288249181, 0.5000049221333114],
+    3: [0.2241632491578602, 0.22550252211107424, 0.22336637307064416, 0.22478036488084305,
+        0.22436861426332547, 0.22514897861068364, 0.22364324296846938, 0.224730240670642,
+        0.22622236794016043, 0.22297340731846588],
+    4: [0.09619807926699264, 0.09596182740095131, 0.09566347304987083, 0.09546750300326456,
+        0.09478778610178794, 0.09582866410328232, 0.09626148464541029, 0.09561589920170041,
+        0.09458013947776471, 0.09576820581206623],
+    5: [0.0392634714336967, 0.039269255986350275, 0.03906457550321825, 0.03910795748643289,
+        0.03910824932966434, 0.03913215535408456, 0.03898755303944198, 0.03904189810726942,
+        0.038936714942717214, 0.03910836146354347],
 }
 
 
