@@ -37,7 +37,7 @@ from .core import (
 from .discriminant import MatrixTuple, _gradient_raw, _rounding_scale, eval_polarized
 from .capacity import _scalings
 
-_BOUND_SLACK = 1e-7
+_BOUND_SLACK = 1e-7  # relative to n!/n^n: see minimize_search
 _GATE_SEARCH = 6
 _DS_RETRIES = 100  # draws random_ds_tuples tries per seed before SamplerExhausted
 # Trial starts minimize_search draws per random_ds_tuples call; bounds the
@@ -247,10 +247,12 @@ def minimize_search(
     descends alone by projected gradient (:func:`_descend`); no target is
     taken from n!/n^n, so a trial stops on rounding noise or at the step cap
     wherever its minimum lies.
-    ``below_bound`` turning true would falsify the n!/n^n theorem (or reveal
-    a bug) and is treated as a release-blocking event by the CLI.  n = 1 is a
-    precondition error: the only doubly stochastic 1-tuple is (1), so there is
-    no direction to descend along.
+    ``below_bound``, a best D below n!/n^n (1 - ``_BOUND_SLACK``), would
+    falsify the n!/n^n theorem (or reveal a bug) and is treated as a
+    release-blocking event by the CLI; the slack is relative, so it is
+    tighter than an absolute one of the same size at every n, the bound
+    being below 1.  n = 1 is a precondition error: the only doubly
+    stochastic 1-tuple is (1), so there is no direction to descend along.
     """
     if n < 2:
         raise PreconditionViolated("the search needs n >= 2; the only DS 1-tuple is (1)")
@@ -274,7 +276,7 @@ def minimize_search(
         best_tuple=best_tuple,
         trials=trials,
         seed=seed,
-        below_bound=best_value < bound - _BOUND_SLACK,
+        below_bound=best_value < bound * (1.0 - _BOUND_SLACK),
         trial_bests=trial_bests,
         stop_reasons=stop_reasons,
     )

@@ -13,14 +13,15 @@ whose Weyl bound sum_j x_j lambda_min(A_j) clears its rounding margin is
 e-nonnegative, with a violation of exactly 0.0, and only the other points
 go through one batched ``eigvalsh``, so a report has the bits of an
 eigensolve per point.  :func:`conjecture_experiment` runs its pencils in
-blocks: one block draws its doubly stochastic tuples with one
-``random_ds_tuples`` call, reduces their pencils with one batched congruence
-and draws its mixing matrices as one stack of convex combinations of
-permutation matrices, doubly stochastic with no iteration; it checks every
-mixture against its own pencil in one membership pass and takes the ratios
-M_p / p(e) as the mixed discriminants of the mixtures' reduced points, from
-one call of the centered kernel, with the report, bit for bit, that those
-mixtures give one at a time.
+one pass over fixed blocks: one block draws its doubly stochastic tuples
+with one ``random_ds_tuples`` call, reduces their pencils with one batched
+congruence and draws its mixing matrices as one stack of convex
+combinations of permutation matrices, doubly stochastic with no iteration;
+it checks every mixture against its own pencil in one membership pass,
+where a failure raises, and takes the ratios M_p / p(e) as the mixed
+discriminants of the mixtures' reduced points, from one call of the
+centered kernel, with the report, bit for bit, that those mixtures give one
+at a time.
 """
 
 from __future__ import annotations
@@ -37,17 +38,19 @@ from .core import (
     NumericalInconsistency,
     Tolerances,
     _eigh,
+    _gate,
     _inv_sqrt,
     _psd,
     as_hermitian,
     iter_seeds,
     make_rng,
 )
-from .discriminant import _discriminants
+from .discriminant import _GATE_POLARIZED, _discriminants
 from .extremal import bapat_bound, random_ds_tuples
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
-# Mixtures per block of pencils in conjecture_experiment; bounds the block's
+# Mixtures per block of pencils in conjecture_experiment, a multiple of
+# _MIXTURES_PER_PENCIL, so a block starts at a pencil; bounds the block's
 # membership points, (K, n, n, n) complex, and the one kernel call on its
 # mixtures: the kernel's byte budget bounds each tuple's chunk, and
 # a stack of K tuples (n < 8) is one chunk of 2^(n-1) combinations per tuple.
@@ -343,20 +346,23 @@ def conjecture_experiment(
     Mixture i belongs to pencil i // ``_MIXTURES_PER_PENCIL``, and pencil k
     is ``pencil_from_tuple`` of ``random_ds_tuple(n, s_k)``, s_k the k-th
     seed of ``iter_seeds(seed)``; the mixing matrices come from
-    ``make_rng(seed)``.  The
-    tuple is drawn at ``ds_tol = 0``, so its scaling stops at the 4 n eps
-    rounding floor and the reduced slots have unit traces to rounding;
-    ``tol`` holds for the membership recheck.  The mixtures run in blocks of
-    at most ``_BLOCK_MIXTURES``, a whole number of pencils.  A block's tuples
-    come from one ``random_ds_tuples`` call, their reduced slots
-    A_i = L B_i L from one batched congruence, its mixtures from one
-    ``_random_ds_matrices`` stack, their membership from one ``_membership``
-    pass, each mixture against its own pencil's slots (whose eigenvalues,
-    one batched solve for the block, settle the nonnegativity of almost
-    every point with no eigensolve of the point), and their ratios from one
-    ``_discriminants`` call on their reduced points: D(L X_1 L, .., L X_n L)
-    is det(L)^2 D(X_1, .., X_n) = M_p / p(e), so p(e) is never computed.
+    ``make_rng(seed)``.  The tuple is drawn at ``ds_tol = 0``, so its
+    scaling stops at the 4 n eps rounding floor and the reduced slots have
+    unit traces to rounding; ``tol`` holds for the membership recheck.  The
+    mixtures run in blocks of at most ``_BLOCK_MIXTURES``, a whole number of
+    pencils.  A block's tuples come from one ``random_ds_tuples`` call,
+    their reduced slots A_i = L B_i L from one batched congruence, its
+    mixtures from one ``_random_ds_matrices`` stack, their membership from
+    one ``_membership`` pass, each mixture against its own pencil's slots
+    (whose eigenvalues, one batched solve for the block, settle the
+    nonnegativity of almost every point with no eigensolve of the point),
+    and their ratios from one ``_discriminants`` call on their reduced
+    points: D(L X_1 L, .., L X_n L) is det(L)^2 D(X_1, .., X_n) = M_p / p(e),
+    so p(e) is never computed.
+    The kernel's gate, n <= ``discriminant._GATE_POLARIZED``, is checked
+    before any pencil is drawn.
     """
+    _gate(n, _GATE_POLARIZED, "conjecture_experiment")
     bound = bapat_bound(n)
     rng = make_rng(seed)
     children = iter_seeds(seed)
@@ -364,8 +370,7 @@ def conjecture_experiment(
     for first in range(0, samples, _BLOCK_MIXTURES):
         count = min(samples - first, _BLOCK_MIXTURES)
         owner = np.arange(count) // _MIXTURES_PER_PENCIL
-        pencils = range(first // _MIXTURES_PER_PENCIL, (first + count - 1) // _MIXTURES_PER_PENCIL + 1)
-        tuples = random_ds_tuples(n, list(islice(children, len(pencils))), replace(tol, ds_tol=0.0))
+        tuples = random_ds_tuples(n, list(islice(children, owner[-1] + 1)), replace(tol, ds_tol=0.0))
         # pencil_from_tuple of each: the slots are exactly Hermitian already,
         # and every direction is the all-ones vector.
         mats = np.array([t.matrices for t in tuples])
@@ -377,7 +382,7 @@ def conjecture_experiment(
             i = int(np.argmin(passes))
             nonneg, trace, sums = (float(f[i]) for f in fields)
             raise NumericalInconsistency(
-                f"mixture {first + i} of pencil {pencils[owner[i]]} failed its membership "
+                f"mixture {first + i} of pencil {(first + i) // _MIXTURES_PER_PENCIL} failed its membership "
                 f"recheck: nonnegativity {nonneg:.3g}, e-trace {trace:.3g}, sum {sums:.3g} "
                 f"against ds_tol {tol.ds_tol:.3g}"
             )

@@ -5,7 +5,9 @@
 prints one ``<family> <sha256>`` line per family:
 
 - ``conjecture``: the ``conjecture_experiment(n, 200, seed)`` reports for
-  n = 2..6 and seeds 0-59, each as the line
+  n = 2..6 and seeds 0-59 (n, samples, min_ratio, bound and violations;
+  each run's four pencils drawn from the first four children of
+  ``iter_seeds(seed)``), each as the line
   ``json.dumps(asdict(report), sort_keys=True)``;
 - ``random_ds_tuples``: the bytes of every slot stack of
   ``random_ds_tuples(n, range(60))`` for n = 2..6;

@@ -301,8 +301,12 @@ class TestSearchAndExperiments:
 
     @pytest.mark.parametrize(
         "argv, limit",
-        [(["af-experiment", "22"], 20), (["bapat-search", "7", "--trials", "1"], 6)],
-        ids=["af-experiment", "bapat-search"],
+        [
+            (["af-experiment", "22"], 20),
+            (["bapat-search", "7", "--trials", "1"], 6),
+            (["hyp", "--op", "conjecture", "--n", "21", "--samples", "1000"], 20),
+        ],
+        ids=["af-experiment", "bapat-search", "conjecture"],
     )
     def test_dimension_gate_exits_2(self, capsys, tmp_path, monkeypatch, argv, limit):
         monkeypatch.chdir(tmp_path)
@@ -310,6 +314,16 @@ class TestSearchAndExperiments:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and f"gated at n <= {limit}" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_search_relatively_below_the_bound_exits_3(self, capsys, tmp_path, monkeypatch):
+        # 2e-7 of the bound below it, inside the old absolute 1e-7 slack.
+        monkeypatch.chdir(tmp_path)
+        value = extremal.bapat_bound(6) * (1.0 - 2e-7)
+        monkeypatch.setattr(extremal, "_descend", lambda mats, tol: (mats, value, "roundoff"))
+        code, out, err = run(capsys, "bapat-search", "6", "--trials", "1")
+        assert code == 3
+        assert json.loads(out)["results"]["below_bound"] is True
+        assert err.startswith("INVARIANT BREACH: search value ")
 
     def test_af_experiment(self, capsys):
         code, out, _ = run(capsys, "af-experiment", "6")

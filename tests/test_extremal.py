@@ -173,6 +173,16 @@ class TestDnpFamily:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("shortfall, flagged", [(2e-7, True), (5e-8, False)])
+    def test_the_bound_slack_is_relative(self, shortfall, flagged, monkeypatch):
+        # At n = 6 an absolute 1e-7 is 6.5e-6 of the bound, so a best D
+        # 2e-7 below it relatively passed unflagged; the relative slack is
+        # tighter at every n, since the bound is below 1.
+        value = bapat_bound(6) * (1.0 - shortfall)
+        monkeypatch.setattr(extremal, "_descend", lambda mats, tol: (mats, value, "roundoff"))
+        rec = minimize_search(6, trials=1, seed=0)
+        assert (rec.best_value, rec.below_bound) == (value, flagged)
+
     def test_never_below_bound_n2(self):
         rec = minimize_search(2, trials=10, seed=0)
         assert not rec.below_bound

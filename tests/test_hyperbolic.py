@@ -8,6 +8,7 @@ import pytest
 from mixdisc import hyperbolic
 from mixdisc.core import (
     DEFAULT_TOL,
+    DimensionTooLarge,
     NumericalInconsistency,
     PreconditionViolated,
     Tolerances,
@@ -156,6 +157,25 @@ class TestConjectureExperiment:
         assert rep.min_ratio >= bapat_bound(3) - 1e-6
         assert rep.bound == pytest.approx(bapat_bound(3))
 
+    def test_a_run_that_accepts_nothing_gives_up(self, monkeypatch):
+        # Every mixture scaled off the e-trace fails the recheck: the run
+        # raises at the first one, having drawn the first block's pencils
+        # and no more.
+        draw = hyperbolic._random_ds_matrices
+        monkeypatch.setattr(
+            hyperbolic, "_random_ds_matrices", lambda k, n, rng: draw(k, n, rng) * (1.0 + 1e-7)
+        )
+        pencils = []
+
+        def counting(n, seeds, tol):
+            pencils.extend(seeds)
+            return random_ds_tuples(n, seeds, tol)
+
+        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
+        with pytest.raises(NumericalInconsistency, match="^mixture 0 of pencil 0 "):
+            conjecture_experiment(4, 120, 0)
+        assert pencils == list(islice(iter_seeds(0), 3))
+
     def test_a_mixture_out_of_membership_raises(self, monkeypatch):
         # Mixture 137 scaled off the e-trace fails the recheck: every
         # mixture is e-doubly stochastic by construction, so the run raises,
@@ -173,6 +193,14 @@ class TestConjectureExperiment:
         message = str(failure.value)
         assert message.startswith("mixture 137 of pencil 2 failed its membership recheck: ")
         assert message.endswith("nonnegativity 0, e-trace 1e-07, sum 1e-07 against ds_tol 1e-08")
+
+    def test_the_gate_fires_before_any_pencil_is_drawn(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a pencil was drawn past the gate")
+
+        monkeypatch.setattr(hyperbolic, "random_ds_tuples", no_draw)
+        with pytest.raises(DimensionTooLarge, match="^conjecture_experiment is gated at n <= 20"):
+            conjecture_experiment(21, 1000, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_200_samples_stay_above_the_bound(self, n):
@@ -276,9 +304,8 @@ def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
     mixtures of its blocks: each block draws its mixtures (at most
     _BLOCK_MIXTURES) as one stack, 50 per pencil.  Pencil k's tuple is drawn
     from the k-th seed of ``iter_seeds(seed)``, at ds_tol = 0; ``tol``
-    holds for the recheck, and the first
-    mixture that fails it raises NumericalInconsistency naming the mixture
-    and its pencil."""
+    holds for the recheck, and the first mixture that fails it raises
+    NumericalInconsistency naming the mixture and its pencil."""
     bound = hyperbolic.bapat_bound(n)
     exact = replace(tol, ds_tol=0.0)
     rng = make_rng(seed)
