@@ -37,18 +37,21 @@ decomposable or boundary tuples, where it takes thousands of steps.  A
 tuple whose slot-sum defect has made no new low for ``_STALL_WINDOW`` steps
 stops there, short of its stop test: rounding holds it above the floor.
 
-There is one route, ``_scalings``: the indecomposability test of each tuple,
-then one loop from s = 1 over the stack of those that pass, in which each
-tuple keeps its own Anderson history, potential guard, stop test, step count
-and exception.  A tuple leaves the stack at one point per iteration, its
-top, once it has an outcome: a result or ``NonConvergence`` from the stop
-test there, or the failure the last step marked.  Every batched
-operation computes a tuple's values from that tuple alone, by the per-slice
-BLAS and LAPACK calls of a one-tuple stack, so a tuple's result has the bits
-of its own scaling whatever its batch.  ``scale_to_doubly_stochastic`` is
-the one-tuple call, which the oracle and the ``scale`` command take;
-``extremal.random_ds_tuples`` scales each round of its draws as one stack.
-None of them runs Newton.  On seeded
+There is one route, ``_scale_stack``, on a (B, n, n, n) stack and its slots'
+eigenvalues: the stacked indecomposability test
+(``structure._rank_tests``), then one loop from s = 1 over the stack of the
+tuples that pass, in which each tuple keeps its own Anderson history,
+potential guard, stop test, step count and exception.  A tuple leaves the
+stack at one point per iteration, its top, once it has an outcome: a result
+or ``NonConvergence`` from the stop test there, or the failure the last step
+marked.  Every batched operation computes a tuple's values from that tuple
+alone, by the per-slice BLAS and LAPACK calls of a one-tuple stack, so a
+tuple's result has the bits of its own scaling whatever its batch.  The
+route touches no memo.  ``scale_to_doubly_stochastic`` is its
+one-tuple call, on the tuple's memoized slot eigenvalues, which the oracle
+and the ``scale`` command take; ``extremal._random_ds_stack`` scales each
+round of its draws as one stack, on the eigenvalues of one batched
+``eigvalsh``.  None of them runs Newton.  On seeded
 draws the loop took 7 steps in the median and at most 10 on Wishart tuples
 (n = 2..6), at most 17 with one rank-one + 1e-6 I slot (n = 3), at most 24
 with two equal such slots, and at most 14 on near-decomposable and on
@@ -66,15 +69,15 @@ and the few products that ``_scale_vector`` lists, each one call for the
 whole stack.  At one tuple a scaling costs about 13% more than a loop
 written for one tuple, in numpy's per-call overhead (300 seeded Wishart
 tuples, n = 2..6, timed call by call in one process on a shared 2-core
-x86-64 host); at 400 tuples of n = 3 or 4 a draw of ``random_ds_tuples``
-costs about a third of ``random_ds_tuple``'s.  The precondition of a
-scaling is one PSD check and one indecomposability test
-(``structure.is_indecomposable``), with no gate on n.  The check's
-eigenvalues of the slots also rank them, so a tuple of full-rank slots,
-such as a Wishart draw, costs the one eigensolve of its slots.  Any other
-tuple adds one batched eigensolve of the slots, one n x n SVD and, on a
-decomposable verdict, one batched eigensolve of the witness's slots and one
-eigensolve of the sum of their range projectors.
+x86-64 host); at 200 tuples of n = 2..6 a draw of ``random_ds_tuples``
+costs 0.15 to 0.21 of ``random_ds_tuple``'s (seeds 1000-1199, one BLAS
+thread, a shared 2-core x86-64 host).  The precondition of a scaling is one
+PSD check and one indecomposability test per tuple, with no gate on n, read
+off the slots' eigenvalues, which also rank them: a tuple of full-rank
+slots, such as a Wishart draw, costs no more than those eigenvalues.  Any
+other tuple adds one batched eigensolve of its slots, one n x n SVD and, on
+a decomposable verdict, one eigensolve of the sum of the witness's range
+projectors.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
@@ -116,10 +119,11 @@ layer, each with one writer.  ``capacity`` keeps the Newton
 ``CapacityResult`` by ("newton", ``Tolerances``, ``max_iter``), made only
 after the PSD check at those tolerances (a read of the memoized slot
 eigenvalues); its ``minimizer_x`` is read-only.
-``_scalings`` (so ``scale_to_doubly_stochastic`` and ``random_ds_tuples``)
-keeps the ``ScalingResult`` by ("scaling", ``Tolerances``, ``max_iter``),
-made only after the indecomposability test at those tolerances, so the test
-and the loop run once per tuple; its arrays are read-only.
+``scale_to_doubly_stochastic`` keeps the ``ScalingResult`` by ("scaling",
+``Tolerances``, ``max_iter``), made by its one-tuple call of
+``_scale_stack``, so the indecomposability test at those tolerances and the
+loop run once per tuple; its arrays are read-only.  ``_scale_stack`` and
+the sampler touch no memo.
 ``capacity_via_scaling`` reads Cap off that same entry and takes nothing
 from Newton.  An exception is never memoized.  Both computations are
 deterministic, so a hit returns the bits a fresh tuple would give.
@@ -138,7 +142,6 @@ import numpy as np
 from .core import (
     _EPS,
     DEFAULT_TOL,
-    MixdiscError,
     NonConvergence,
     NotIndecomposable,
     NotPositiveDefinite,
@@ -149,14 +152,16 @@ from .core import (
     _ds_floor,
     _eigh,
     _inv_sqrt,
+    _one,
 )
 from .discriminant import (
     MatrixTuple,
     _require_psd,
+    _slot_eigenvalues,
     _trace_and_sum_violations,
     eval_polarized,
 )
-from .structure import is_indecomposable
+from .structure import _rank_tests
 
 _LOG_FLOOR = math.log(1e-300)
 # Newton converges in 3 steps in the median on Wishart tuples, and took at
@@ -400,7 +405,7 @@ def scale_to_doubly_stochastic(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
 ) -> ScalingResult:
     """Doubly stochastic scaling of t by ``_scale_vector`` from s = 1: the
-    one-tuple call of ``_scalings``.
+    one-tuple call of ``_scale_stack``, on t's memoized slot eigenvalues.
 
     The indecomposability test runs first (it also checks that the slots are
     PSD).
@@ -411,44 +416,33 @@ def scale_to_doubly_stochastic(
     result is kept on t by ("scaling", tol, max_iter), so the test and the
     loop run once per tuple.
     """
-    (result,) = _scalings([t], tol, max_iter)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return t._memoized(
+        ("scaling", tol, max_iter),
+        lambda: _one(_scale_stack(t.matrices[None], _slot_eigenvalues(t)[None], tol, max_iter)),
+    )
 
 
-def _scalings(tuples, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER) -> list:
-    """``scale_to_doubly_stochastic`` of each tuple of a list of n-tuples: its
-    ``ScalingResult``, or the exception it raises, in list order.
+def _scale_stack(
+    mats: np.ndarray, w: np.ndarray, tol: Tolerances, max_iter: int = SCALING_MAX_ITER
+) -> list:
+    """``scale_to_doubly_stochastic`` of each tuple of a (B, n, n, n) stack
+    whose slots have the ascending eigenvalues w (B, n, n): its
+    ``ScalingResult``, or the exception it raises, in stack order.
 
-    A tuple that keeps a result by ("scaling", tol, max_iter) gives it.  Each
-    other tuple runs the indecomposability test, and those that pass are
-    scaled by one ``_scale_vector`` loop over their stack; a result is kept on
-    its tuple, an exception is not.  A tuple's result does not depend on the
-    list it came in.
+    The indecomposability test of every tuple (``structure._rank_tests``)
+    comes first, and the tuples that pass are scaled by one
+    ``_scale_vector`` loop over their stack.  A tuple's outcome does not
+    depend on the stack it came in.
     """
-    key = ("scaling", tol, max_iter)
-    out = [t._memo.get(key) for t in tuples]
-    todo = []
-    for j, t in enumerate(tuples):
-        if out[j] is not None:
-            continue
-        try:
-            indec, witness = is_indecomposable(t, tol)
-        except MixdiscError as exc:
-            out[j] = exc
-            continue
-        if indec:
-            todo.append(j)
-        else:
-            out[j] = NotIndecomposable(f"tuple decomposes; witness subset {witness}")
+    out = _rank_tests(mats, w, tol)
+    todo = [j for j, verdict in enumerate(out) if verdict == (True, None)]
     if todo:
-        stack = np.array([tuples[j].matrices for j in todo])
-        for j, res in zip(todo, _scale_vector(stack, tol, max_iter)):
-            if not isinstance(res, Exception):
-                res = tuples[j]._memoized(key, lambda res=res: res)
+        for j, res in zip(todo, _scale_vector(mats[todo], tol, max_iter)):
             out[j] = res
-    return out
+    return [
+        NotIndecomposable(f"tuple decomposes; witness subset {res[1]}") if isinstance(res, tuple) else res
+        for res in out
+    ]
 
 
 def _potential(w, s, tol: Tolerances) -> np.ndarray:

@@ -184,6 +184,15 @@ def _eigh(a, vectors: bool = True):
         raise NonConvergence(f"Hermitian eigensolver failed: {exc}") from exc  # pragma: no cover
 
 
+def _one(outcomes):
+    """The one outcome of a stack route called on a one-tuple stack: its
+    result, or its exception raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _definite(w, tol: Tolerances):
     """The one definiteness rule (and M^(-1/2)'s), on ascending eigenvalues w
     (..., n): the largest is positive and the smallest exceeds psd_tol times it.

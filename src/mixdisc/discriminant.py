@@ -94,14 +94,16 @@ class MatrixTuple:
     but never passes the gate.  The capacity layer keeps the damped-Newton
     ``CapacityResult`` by ("newton", Tolerances, max_iter), written only by
     ``capacity.capacity``, and the doubly stochastic ``ScalingResult`` by
-    ("scaling", Tolerances, max_iter), written only by ``capacity._scalings``,
-    the batched route whose one-tuple call is
-    ``capacity.scale_to_doubly_stochastic``; see the ``capacity`` module
-    docstring.  The slots' eigenvalues, which depend on
+    ("scaling", Tolerances, max_iter), written only by
+    ``capacity.scale_to_doubly_stochastic`` around its one-tuple call of the
+    stack route ``capacity._scale_stack``, which touches no memo; see the
+    ``capacity`` module docstring.  The slots' eigenvalues, which depend on
     no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the
-    PSD checks of ``_require_psd`` and ``check_doubly_stochastic`` and the
-    slot ranks of ``structure._generic_ranks`` read them, each at its own
-    tolerance.
+    PSD checks of ``_require_psd`` and ``check_doubly_stochastic``, and the
+    PSD rule and slot ranks of the one-tuple calls of
+    ``structure._rank_tests`` (``is_indecomposable``,
+    ``positivity_rank_test`` and ``scale_to_doubly_stochastic``), read them,
+    each at its own tolerance.
 
     Library code that already holds an exactly Hermitian stack (a scaled
     tuple, the repeated rows of a validated tuple) wraps it with

@@ -35,12 +35,12 @@ from .core import (
     max_abs,
 )
 from .discriminant import MatrixTuple, _gradient_raw, _rounding_scale, eval_polarized
-from .capacity import _scalings
+from .capacity import _scale_stack
 
 _BOUND_SLACK = 1e-7  # relative to n!/n^n: see minimize_search
 _GATE_SEARCH = 6
-_DS_RETRIES = 100  # draws random_ds_tuples tries per seed before SamplerExhausted
-# Trial starts minimize_search draws per random_ds_tuples call; bounds the
+_DS_RETRIES = 100  # draws _random_ds_stack tries per seed before SamplerExhausted
+# Trial starts minimize_search draws per _random_ds_stack call; bounds the
 # starts it holds at once.
 _START_BLOCK = 1000
 _DESCENT_MAX_STEPS = 2000
@@ -53,7 +53,9 @@ class SearchRecord:
     """Outcome of a falsification search against the n!/n^n bound.
 
     ``trial_bests`` holds each trial's final D in trial order and
-    ``stop_reasons`` why its descent stopped.
+    ``stop_reasons`` why its descent stopped.  ``distance_to_jn`` is the
+    largest |entry| of the best tuple minus J_n = (I/n, .., I/n), None only
+    when no trial ran.
     """
 
     best_value: float
@@ -86,39 +88,43 @@ def random_ds_tuple(n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixT
 
 
 def random_ds_tuples(n: int, seeds, tol: Tolerances = DEFAULT_TOL) -> list[MatrixTuple]:
-    """One random doubly stochastic n-tuple per seed, as a list.
+    """One random doubly stochastic n-tuple per seed, as a list: the tuples
+    of ``_random_ds_stack``.  Entry j is ``random_ds_tuple(n, seeds[j])``
+    bit for bit."""
+    return [MatrixTuple._of_hermitian(m) for m in _random_ds_stack(n, seeds, tol)]
+
+
+def _random_ds_stack(n: int, seeds, tol: Tolerances) -> np.ndarray:
+    """One random doubly stochastic n-tuple per seed, as a (B, n, n, n) stack.
 
     One generator per sample: a seed's k-th draw is the Wishart n-tuple
     ``_wishart((n, n, n), child)`` of the k-th seed of ``iter_seeds(seed)``,
-    its n slots G_i G_i* from one ``make_rng(child)`` stream.  Draws are
-    scaled by ``scale_to_doubly_stochastic`` (the ``capacity._scalings`` of
-    each round's draws, one loop over their stack), from s = 1 with no
-    Newton solve, so a sample does not move when the Newton solver changes;
-    the sample is s'_i L A_i L with L Hermitian.  A seed whose draw is
-    decomposable or does not converge draws again in the next round, from
-    its next child; SamplerExhausted after ``_DS_RETRIES`` failures of one
-    seed.  Entry j is ``random_ds_tuple(n, seeds[j])`` bit for bit.
+    its n slots G_i G_i* from one ``make_rng(child)`` stream.  Each round's
+    draws are validated and symmetrized by one ``as_hermitian`` call over
+    their stack, each slot at its own scale and at the default Hermiticity
+    tolerance, whatever ``tol`` asks of inputs, and scaled by one
+    ``capacity._scale_stack`` call on the eigenvalues of one batched
+    ``eigvalsh``, from s = 1 with no Newton solve, so a sample does not move
+    when the Newton solver changes; the sample is s'_i L A_i L with L
+    Hermitian, the tuple ``scale_to_doubly_stochastic`` gives the draw.  A
+    seed whose draw is decomposable or does not converge draws again in the
+    next round, from its next child; SamplerExhausted after ``_DS_RETRIES``
+    failures of one seed.  No draw is wrapped in a ``MatrixTuple`` and no
+    memo is written.
     """
     children = [iter_seeds(seed) for seed in seeds]
-    out = [None] * len(children)
+    out = np.empty((len(children), n, n, n), dtype=np.complex128)
     todo = list(range(len(children)))
     for _ in range(_DS_RETRIES):
-        # The round's draws are validated and symmetrized by one
-        # ``as_hermitian`` call over their (B, n, n, n) stack, each slot at its
-        # own scale and at the default Hermiticity tolerance, whatever ``tol``
-        # asks of inputs.
         grams = [_wishart((n, n, n), next(children[j])) for j in todo]
         stack = as_hermitian(np.reshape(grams, (len(todo), n, n, n)))
-        draws = [MatrixTuple._of_hermitian(m) for m in np.ascontiguousarray(stack)]
-        retry = []
-        for j, res in zip(todo, _scalings(draws, tol)):
-            if isinstance(res, (NotIndecomposable, NonConvergence)):
-                retry.append(j)
-            elif isinstance(res, Exception):
+        results = _scale_stack(stack, _eigh(stack, vectors=False), tol)
+        for j, res in zip(todo, results):
+            if not isinstance(res, Exception):
+                out[j] = res.scaled.matrices
+            elif not isinstance(res, (NotIndecomposable, NonConvergence)):
                 raise res
-            else:
-                out[j] = res.scaled
-        todo = retry
+        todo = [j for j, res in zip(todo, results) if isinstance(res, Exception)]
         if not todo:
             return out
     raise SamplerExhausted(f"no doubly stochastic tuple after {_DS_RETRIES} draws")
@@ -242,8 +248,8 @@ def minimize_search(
     """Sample doubly stochastic tuples and descend; record the global best.
 
     Trial k starts from ``random_ds_tuple(n, child_k)``, child_k the k-th
-    seed of ``iter_seeds(seed)``; the starts are drawn by one
-    ``random_ds_tuples`` call per ``_START_BLOCK`` trials.  Each trial
+    seed of ``iter_seeds(seed)``; the starts are drawn as one
+    ``_random_ds_stack`` per ``_START_BLOCK`` trials.  Each trial
     descends alone by projected gradient (:func:`_descend`); no target is
     taken from n!/n^n, so a trial stops on rounding noise or at the step cap
     wherever its minimum lies.
@@ -257,30 +263,26 @@ def minimize_search(
     if n < 2:
         raise PreconditionViolated("the search needs n >= 2; the only DS 1-tuple is (1)")
     _gate(n, _GATE_SEARCH, "minimize_search")
-    bound = bapat_bound(n)
     best_value = math.inf
     best_mats = None
     trial_bests, stop_reasons = [], []
     children = iter_seeds(seed)
     for first in range(0, trials, _START_BLOCK):
         block = list(itertools.islice(children, min(_START_BLOCK, trials - first)))
-        for start in random_ds_tuples(n, block, tol):
-            mats, value, reason = _descend(start.matrices, tol)
+        for start in _random_ds_stack(n, block, tol):
+            mats, value, reason = _descend(start, tol)
             trial_bests.append(value)
             stop_reasons.append(reason)
             if value < best_value:
                 best_value, best_mats = value, mats
     best_tuple = None if best_mats is None else MatrixTuple(best_mats, tol)
-    record = SearchRecord(
+    return SearchRecord(
         best_value=best_value,
         best_tuple=best_tuple,
         trials=trials,
         seed=seed,
-        below_bound=best_value < bound * (1.0 - _BOUND_SLACK),
+        below_bound=best_value < bapat_bound(n) * (1.0 - _BOUND_SLACK),
         trial_bests=trial_bests,
         stop_reasons=stop_reasons,
+        distance_to_jn=None if best_tuple is None else max_abs(best_tuple.matrices - np.eye(n) / n),
     )
-    if best_value < bound + 1e-5 and best_tuple is not None:
-        jn = np.eye(n) / n
-        record.distance_to_jn = max_abs(best_tuple.matrices - jn)
-    return record

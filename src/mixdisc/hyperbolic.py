@@ -14,7 +14,7 @@ e-nonnegative, with a violation of exactly 0.0, and only the other points
 go through one batched ``eigvalsh``, so a report has the bits of an
 eigensolve per point.  :func:`conjecture_experiment` runs its pencils in
 one pass over fixed blocks: one block draws its doubly stochastic tuples
-with one ``random_ds_tuples`` call, reduces their pencils with one batched
+as one ``extremal._random_ds_stack``, reduces their pencils with one batched
 congruence and draws its mixing matrices as one stack of convex
 combinations of permutation matrices, doubly stochastic with no iteration;
 it checks every mixture against its own pencil in one membership pass,
@@ -46,7 +46,7 @@ from .core import (
     make_rng,
 )
 from .discriminant import _GATE_POLARIZED, _discriminants
-from .extremal import bapat_bound, random_ds_tuples
+from .extremal import _random_ds_stack, bapat_bound
 
 _MIXTURES_PER_PENCIL = 50  # conjecture_experiment mixtures drawn per sampled pencil
 # Mixtures per block of pencils in conjecture_experiment, a multiple of
@@ -350,7 +350,7 @@ def conjecture_experiment(
     scaling stops at the 4 n eps rounding floor and the reduced slots have
     unit traces to rounding; ``tol`` holds for the membership recheck.  The
     mixtures run in blocks of at most ``_BLOCK_MIXTURES``, a whole number of
-    pencils.  A block's tuples come from one ``random_ds_tuples`` call,
+    pencils.  A block's tuples come as one ``extremal._random_ds_stack``,
     their reduced slots A_i = L B_i L from one batched congruence, its
     mixtures from one ``_random_ds_matrices`` stack, their membership from
     one ``_membership`` pass, each mixture against its own pencil's slots
@@ -370,10 +370,9 @@ def conjecture_experiment(
     for first in range(0, samples, _BLOCK_MIXTURES):
         count = min(samples - first, _BLOCK_MIXTURES)
         owner = np.arange(count) // _MIXTURES_PER_PENCIL
-        tuples = random_ds_tuples(n, list(islice(children, owner[-1] + 1)), replace(tol, ds_tol=0.0))
         # pencil_from_tuple of each: the slots are exactly Hermitian already,
         # and every direction is the all-ones vector.
-        mats = np.array([t.matrices for t in tuples])
+        mats = _random_ds_stack(n, list(islice(children, owner[-1] + 1)), replace(tol, ds_tol=0.0))
         reduced = _reduce(mats, mats.sum(1), tol)
         # The vectors of a mixture are its columns.
         xs = _random_ds_matrices(count, n, rng).swapaxes(-1, -2)

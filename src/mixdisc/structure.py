@@ -2,9 +2,13 @@
 
 The two rank tests read n generic vectors from the slot ranges
 (``_generic_ranks``), in polynomial time at every n, and that is the one
-reading of a tight set: :func:`decompose` peels the certified witnesses of
-:func:`is_indecomposable` off a doubly stochastic tuple; its product
-check's ``eval_polarized`` gates it at n <= 20."""
+reading of a tight set.  They run on a (B, n, n, n) stack and its slots'
+eigenvalues (``_rank_tests``): :func:`is_indecomposable` and
+:func:`positivity_rank_test` are its one-tuple calls, and the scaling
+precondition (``capacity._scale_stack``) its stack call.
+:func:`decompose` peels the certified witnesses of :func:`is_indecomposable`
+off a doubly stochastic tuple; its product check's ``eval_polarized`` gates
+it at n <= 20."""
 
 from __future__ import annotations
 
@@ -19,8 +23,11 @@ from .core import (
     NotDoublyStochastic,
     NotUnitary,
     NumericalInconsistency,
+    PreconditionViolated,
     Tolerances,
     _eigh,
+    _one,
+    _psd,
     _rank_of_eigenvalues,
     make_rng,
     max_abs,
@@ -30,7 +37,7 @@ from .core import (
 from .discriminant import (
     MatrixTuple,
     _as_real,
-    _require_psd,
+    _slot_eigenvalues,
     check_doubly_stochastic,
     eval_polarized,
 )
@@ -52,74 +59,93 @@ class DecompositionResult:
     product_check: float
 
 
-def _generic_ranks(t: MatrixTuple, tol: Tolerances):
-    """(weak rank condition holds, witness subset or None, the slots'
-    eigenvectors or None), from n generic vectors.
+def _generic_ranks(mats: np.ndarray, ranks: np.ndarray, tol: Tolerances):
+    """(weak rank condition holds, certified witness subset or None) of one
+    PSD (n, n, n) tuple whose slot ranks ``ranks`` are not all n, from n
+    generic vectors, or the ``NumericalInconsistency`` of a witness that
+    fails its certification.
 
-    After the PSD check (``_require_psd``), whose eigenvalues rank the slots,
-    slots all of rank n answer at once.  Otherwise u_i = F_i g_i and
-    v_j = F_j h_j, with F_i slot i's top rank_i eigenvectors (one batched
-    ``_eigh``) and g, h from ``make_rng(_DRAW_SEED)``.  For generic draws
-    U = [u_1 .. u_n] is nonsingular exactly when every rank(sum_S A_i) >= |S|
-    (Edmonds 1967; Gurvits 2004), and then the support of column j of
-    X = U^-1 V is the smallest S containing j with rank(sum_S A_i) = |S|.
-    By one SVD of U, with f = 1e3 n u (u the unit round-off): U is singular
-    when s_min <= f s_max, and an entry of a column of X, or of U's null
-    vector, is in its support above f cond times the column's largest, cond
-    being s_max over the smallest singular value above f s_max.  The witness
-    is the smallest proper support of X (ties to its smallest slot), else the
-    null vector's support, or all slots but the last if that is every slot.
-    The eigenvectors, None where the ranks answer alone, let
-    ``is_indecomposable`` certify the witness without a second solve.
+    u_i = F_i g_i and v_j = F_j h_j, with F_i slot i's top rank_i
+    eigenvectors (one batched ``_eigh``) and g, h from
+    ``make_rng(_DRAW_SEED)``.  For generic draws U = [u_1 .. u_n] is
+    nonsingular exactly when every rank(sum_S A_i) >= |S| (Edmonds 1967;
+    Gurvits 2004), and then the support of column j of X = U^-1 V is the
+    smallest S containing j with rank(sum_S A_i) = |S|.  By one SVD of U,
+    with f = 1e3 n u (u the unit round-off): U is singular when
+    s_min <= f s_max, and an entry of a column of X, or of U's null vector,
+    is in its support above f cond times the column's largest, cond being
+    s_max over the smallest singular value above f s_max.  The witness is the
+    smallest proper support of X (ties to its smallest slot), else the null
+    vector's support, or all slots but the last if that is every slot.  It
+    is certified on the slot ranges the supports read, from the
+    eigenvectors of the same solve: ``rank_psd`` of sum_{i in S} F_i F_i^*
+    is at most |S|.  The raw sum of S would count together eigenvalues that
+    each slot drops below rank_tol.
     """
-    n = t.n
-    ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)
-    if (ranks == n).all():
-        return True, None, None
-    coef = random_complex_gaussian((2, n, n), make_rng(_DRAW_SEED))
-    coef *= np.arange(n) >= n - ranks[:, None]  # eigenvalues are ascending
-    vecs = _eigh(t.matrices)[1]
+    n = len(mats)
+    top = np.arange(n) >= n - ranks[:, None]  # eigenvalues are ascending
+    coef = random_complex_gaussian((2, n, n), make_rng(_DRAW_SEED)) * top
+    vecs = _eigh(mats)[1]
     u, v = np.einsum("iab,kib->kai", vecs, coef)
     w, s, vh = np.linalg.svd(u)
     f = 1e3 * n * _EPS / 2
     live = s > f * s[0]
-    x = vh.conj().T @ (w.conj().T @ v / s[:, None]) if live.all() else vh[-1:].conj().T
+    weak = bool(live.all())
+    x = vh.conj().T @ (w.conj().T @ v / s[:, None]) if weak else vh[-1:].conj().T
     cut = f * s[0] / s[live][-1] if live.any() else f
     mag = np.abs(x)
     supports = [tuple(np.flatnonzero(c).tolist()) for c in (mag > cut * mag.max(0)).T]
-    if not live.all():  # at n = 1 the only support is every slot: no witness
+    if weak:
+        proper = [sup for sup in supports if len(sup) < n]
+        witness = min(proper, key=lambda sup: (len(sup), sup), default=None)
+    else:  # at n = 1 the only support is every slot: no witness
         witness = (supports[0] if len(supports[0]) < n else tuple(range(n - 1))) or None
-        return False, witness, vecs
-    proper = [sup for sup in supports if len(sup) < n]
-    return True, min(proper, key=lambda sup: (len(sup), sup), default=None), vecs
+    if witness is not None:
+        f = vecs[list(witness)] * top[list(witness), None]
+        if rank_psd((f @ f.conj().swapaxes(1, 2)).sum(0), tol) > len(witness):
+            return NumericalInconsistency(f"witness subset {witness} is not tight")
+    return weak, witness
+
+
+def _rank_tests(mats: np.ndarray, w: np.ndarray, tol: Tolerances) -> list:
+    """The two rank tests of each tuple of a (B, n, n, n) stack whose slots
+    have the ascending eigenvalues w (B, n, n): per tuple (weak rank
+    condition holds, certified witness or None), or its
+    ``PreconditionViolated`` or ``NumericalInconsistency``.
+
+    The eigenvalues decide the PSD rule (``core._psd`` at the tuple's largest
+    |entry|) and rank the slots, so every tuple of slots all of rank n, such
+    as a Wishart draw, answers at once.  Each other tuple is read by
+    ``_generic_ranks`` alone, on its own draw of the fixed seed, so a tuple's
+    verdict does not depend on its stack.
+    """
+    ranks = _rank_of_eigenvalues(w, tol)
+    psd = _psd(w, np.abs(mats).max((1, 2, 3))[:, None], tol).all(1)
+    out = [(True, None)] * len(mats)
+    for j in (~psd | (ranks < mats.shape[1]).any(1)).nonzero()[0]:
+        out[j] = (
+            _generic_ranks(mats[j], ranks[j], tol) if psd[j]
+            else PreconditionViolated(f"tuple is not PSD (smallest eigenvalue {w[j].min():.3e})")
+        )
+    return out
 
 
 def is_indecomposable(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL):
     """Strict rank test over all proper subsets: rank(sum_{i in S} A_i) > |S|.
 
-    Returns (True, None) or (False, witness) with the proper subset S of
-    ``_generic_ranks``, not necessarily the smallest, certified on the slot
-    ranges the supports read, from the eigenvectors of the same solve: with
-    F_i slot i's top rank_i eigenvectors, ``rank_psd`` of
-    sum_{i in S} F_i F_i^* is at most |S|, else ``NumericalInconsistency``.
-    The raw sum of S would count together eigenvalues that each slot drops
-    below rank_tol.
+    Returns (True, None) or (False, witness) with the certified proper
+    subset S of ``_rank_tests``, not necessarily the smallest: its one-tuple
+    call, on the memoized slot eigenvalues (``_slot_eigenvalues``).
     """
-    _, witness, vecs = _generic_ranks(t, tol)
-    if witness is not None:
-        slots = list(witness)
-        ranks = _rank_of_eigenvalues(_require_psd(t, tol), tol)[slots]
-        f = vecs[slots] * (np.arange(t.n) >= t.n - ranks[:, None])[:, None]
-        if rank_psd((f @ f.conj().swapaxes(1, 2)).sum(0), tol) > len(slots):
-            raise NumericalInconsistency(f"witness subset {witness} is not tight")
+    witness = _one(_rank_tests(t.matrices[None], _slot_eigenvalues(t)[None], tol))[1]
     return witness is None, witness
 
 
 def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Weak rank condition rank(sum_{i in S} A_i) >= |S| over all subsets S,
-    all n slots included (``_generic_ranks``); equivalent to D(t) > 0 for PSD
-    tuples."""
-    return _generic_ranks(t, tol)[0]
+    all n slots included: the one-tuple call of ``_rank_tests``, on the
+    memoized slot eigenvalues; equivalent to D(t) > 0 for PSD tuples."""
+    return _one(_rank_tests(t.matrices[None], _slot_eigenvalues(t)[None], tol))[0]
 
 
 def _reachable(support: np.ndarray, rows: np.ndarray):

@@ -29,7 +29,10 @@ prints one ``<family> <sha256>`` line per family:
   tuples ``_wishart((n, n, n), s)`` for n = 2..6 and seeds 0-19, and on the
   near-boundary tuples (two Wishart slots and a rank-one + 1e-6 I slot) and
   repeated near-boundary tuples (that slot twice and a Wishart slot) of
-  seeds 0-29, drawn as tests/test_capacity.py draws them.
+  seeds 0-29, drawn as tests/test_capacity.py draws them;
+- ``minimize_search``: the trial bests and stop reasons of
+  ``minimize_search(n, 1, seed)`` for n = 2..6 and seeds 0-19, each as the
+  line ``json.dumps([trial_bests, stop_reasons])``.
 
 A change that should keep the bits leaves every line as it was.  The bits
 depend on the numpy build and the CPU, so compare two runs on one host only.
@@ -65,7 +68,7 @@ from mixdisc.core import (  # noqa: E402
     random_psd,
 )
 from mixdisc.discriminant import MatrixTuple  # noqa: E402
-from mixdisc.extremal import random_ds_tuple, random_ds_tuples  # noqa: E402
+from mixdisc.extremal import minimize_search, random_ds_tuple, random_ds_tuples  # noqa: E402
 from mixdisc.hyperbolic import (  # noqa: E402
     HyperbolicPencil,
     _random_ds_matrices,
@@ -190,6 +193,13 @@ def _capacity_lines():
         yield f"{res.value.hex()} {res.stop_reason} {res.iterations} {via.hex()}"
 
 
+def _search_lines():
+    for n in DIMENSIONS:
+        for seed in range(20):
+            rec = minimize_search(n, 1, seed)
+            yield json.dumps([rec.trial_bests, rec.stop_reasons])
+
+
 FAMILIES = {
     "conjecture": _conjecture_lines,
     "random_ds_tuples": _tuple_lines,
@@ -199,6 +209,7 @@ FAMILIES = {
     "pascal_samplers": _sampler_lines,
     "decompose": _decompose_lines,
     "capacity": _capacity_lines,
+    "minimize_search": _search_lines,
 }
 
 

@@ -20,7 +20,7 @@ from mixdisc.capacity import (
     n_pow_n_over_factorial,
     scale_to_doubly_stochastic,
 )
-from mixdisc.core import NonConvergence, iter_seeds, make_rng, random_psd
+from mixdisc.core import DEFAULT_TOL, NonConvergence, iter_seeds, make_rng, random_psd
 from mixdisc.discriminant import (
     MatrixTuple,
     _discriminants,
@@ -36,11 +36,11 @@ from mixdisc.discriminant import (
     permanent,
 )
 from mixdisc.extremal import (
+    _random_ds_stack,
     bapat_bound,
     lemma36_family,
     minimize_search,
     random_ds_tuple,
-    random_ds_tuples,
 )
 from mixdisc.genaf import ConvexCombination, af_lower_bound_experiment, check_theorem52
 from mixdisc.hyperbolic import (
@@ -148,10 +148,10 @@ def test_criterion_05_bound_falsification():
     min_margin = math.inf
     sampled = 0
     for n in (2, 3, 4, 5):
-        # One batched draw and one stacked read of D per n: the tuples of
+        # One stack drawn and one stacked read of D per n: the tuples of
         # random_ds_tuple and the values of eval_polarized, bit for bit.
-        samples = random_ds_tuples(n, islice(iter_seeds(5000 + n), 1000))
-        d = _discriminants(np.array([t.matrices for t in samples]))
+        samples = _random_ds_stack(n, islice(iter_seeds(5000 + n), 1000), DEFAULT_TOL)
+        d = _discriminants(samples)
         min_margin = min(min_margin, float(d.min()) - (bapat_bound(n) - 1e-7))
         sampled += len(samples)
     ok_samples = min_margin >= 0.0

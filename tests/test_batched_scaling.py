@@ -1,8 +1,9 @@
 """The batched scaling loop and the batched sampler against their one-tuple calls.
 
 ``capacity._scale_vector`` scales a (B, n, n, n) stack with per-tuple stop
-tests, Anderson histories and exceptions; ``scale_to_doubly_stochastic`` is
-its one-tuple call and ``extremal.random_ds_tuples`` its sampler.  A tuple's
+tests, Anderson histories and exceptions; ``capacity._scale_stack`` runs the
+indecomposability test before it, ``scale_to_doubly_stochastic`` is their
+one-tuple call and ``extremal.random_ds_tuples`` their sampler.  A tuple's
 result must not depend on the batch it came in, bit for bit.
 """
 
@@ -64,6 +65,12 @@ def _bits(res):
     )
 
 
+def _stack(tuples):
+    """The slots of ``tuples`` as one stack, and their eigenvalues."""
+    mats = np.array([t.matrices for t in tuples])
+    return mats, np.linalg.eigvalsh(mats)
+
+
 def _alone(mats, max_iter=_CAP.SCALING_MAX_ITER):
     (res,) = _CAP._scale_vector(mats[None], DEFAULT_TOL, max_iter)
     return res
@@ -79,18 +86,21 @@ def test_a_tuple_scaled_in_a_batch_has_the_bits_of_its_own_scaling():
     assert steps[1] >= 14 and max(steps[0], steps[2], steps[3]) <= 10
     for t, res in zip(tuples, batch):
         assert _bits(res) == _bits(_alone(t.matrices))
-    # The same through the memoized route: one _scalings call over fresh
-    # tuples gives what scale_to_doubly_stochastic gives each on its own.
-    together = _CAP._scalings([_fresh(t) for t in tuples])
+    # The same through the precondition: one _scale_stack call gives what
+    # scale_to_doubly_stochastic gives each tuple on its own.
+    together = _CAP._scale_stack(*_stack(tuples), DEFAULT_TOL)
     for t, res in zip(tuples, together):
         assert _bits(res) == _bits(_CAP.scale_to_doubly_stochastic(_fresh(t)))
 
 
 def test_results_are_kept_on_their_tuples():
+    # The one-tuple call keeps its result on its tuple; the stack route it
+    # calls reads arrays and keeps nothing.
     tuples = [_wishart_tuple(4, 21), _wishart_tuple(4, 22)]
-    results = _CAP._scalings(tuples)
+    results = _CAP._scale_stack(*_stack(tuples), DEFAULT_TOL)
     for t, res in zip(tuples, results):
-        assert _CAP.scale_to_doubly_stochastic(t) is res
+        kept = _CAP.scale_to_doubly_stochastic(t)
+        assert _CAP.scale_to_doubly_stochastic(t) is kept and _bits(kept) == _bits(res)
 
 
 def test_a_failing_tuple_leaves_its_batch_mates_unchanged():
@@ -168,7 +178,7 @@ def test_a_tuple_at_the_cap_leaves_its_batch_mates_unchanged(monkeypatch):
     assert uncapped[1].iterations > 10 >= max(uncapped[0].iterations, uncapped[2].iterations)
     loop = _CAP._scale_vector
     monkeypatch.setattr(_CAP, "_scale_vector", lambda mats, tol, max_iter: loop(mats, tol, 10))
-    out = _CAP._scalings([_fresh(t) for t in tuples])
+    out = _CAP._scale_stack(*_stack(tuples), DEFAULT_TOL)
     assert isinstance(out[1], NonConvergence)
     assert (out[1].result.iterations, out[1].result.stop_reason) == (10, "max_iter")
     assert _bits(out[0]) == _bits(uncapped[0]) and _bits(out[2]) == _bits(uncapped[2])

@@ -168,7 +168,7 @@ class TestScaling:
         # An indecomposable PSD tuple never reaches these checks, so the
         # precondition is bypassed: sum A_i = diag(2, 0) has no inverse root.
         monkeypatch.setattr(
-            sys.modules["mixdisc.capacity"], "is_indecomposable", lambda t, tol: (True, None)
+            sys.modules["mixdisc.capacity"], "_rank_tests", lambda mats, w, tol: [(True, None)] * len(mats)
         )
         e1 = np.diag([1.0, 0.0])
         for route in (scale_to_doubly_stochastic, capacity_via_scaling):
@@ -178,7 +178,7 @@ class TestScaling:
     def test_slot_without_trace_raises_in_the_loop(self, monkeypatch):
         # (I, 0): the sum is I, so L = I, and the zero slot keeps trace 0.
         monkeypatch.setattr(
-            sys.modules["mixdisc.capacity"], "is_indecomposable", lambda t, tol: (True, None)
+            sys.modules["mixdisc.capacity"], "_rank_tests", lambda mats, w, tol: [(True, None)] * len(mats)
         )
         for route in (scale_to_doubly_stochastic, capacity_via_scaling):
             with pytest.raises(SingularPencil, match="lost its trace"):

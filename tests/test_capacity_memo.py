@@ -151,7 +151,7 @@ def test_one_newton_solve_per_distinct_tuple(n, monkeypatch):
     # all-ones expansion is the tuple) and the two doubled-slot expansions;
     # the two scaling calls share one scan and one loop and solve nothing.
     newton = _count(monkeypatch, "_newton")
-    scans = _count(monkeypatch, "is_indecomposable")
+    scans = _count(monkeypatch, "_rank_tests")
     loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(n, 70 + n)
     scale_to_doubly_stochastic(t)
@@ -173,7 +173,7 @@ def test_scaling_and_the_oracle_share_one_loop_and_never_run_newton(monkeypatch)
         raise AssertionError("the scaling route ran Newton")
 
     monkeypatch.setattr(_CAP, "_newton", no_newton)
-    scans = _count(monkeypatch, "is_indecomposable")
+    scans = _count(monkeypatch, "_rank_tests")
     loops = _count(monkeypatch, "_scale_vector")
     for t in (_wishart_tuple(4, 31), _near_boundary_tuple(3, 7)):
         res = scale_to_doubly_stochastic(t)
@@ -184,6 +184,30 @@ def test_scaling_and_the_oracle_share_one_loop_and_never_run_newton(monkeypatch)
     assert len(scans) == 2 == len(loops)
 
 
+def test_each_row_of_a_mixed_stack_gives_what_it_gives_alone():
+    # A Wishart tuple (its full ranks answer the precondition at once), a
+    # decomposable one, an indecomposable one of rank-2 slots (read by the
+    # generic vectors) and a non-PSD one: the stack route gives each row
+    # the result bytes, or the exception class and message, of
+    # scale_to_doubly_stochastic on that tuple alone.
+    rng = make_rng(5)
+    half = [g[:, :2] for g in random_complex_gaussian((3, 3, 3), rng)]
+    rank_two = MatrixTuple([g @ g.conj().T for g in half])
+    not_psd = MatrixTuple([np.diag([1.0, 1.0, -0.5]), np.eye(3), np.eye(3)])
+    tuples = [_wishart_tuple(3, 8), _decomposable_tuple(3), rank_two, not_psd]
+    assert (np.linalg.matrix_rank(rank_two.matrices) == 2).all() and is_indecomposable(rank_two)[0]
+    mats = np.array([t.matrices for t in tuples])
+    stack = _CAP._scale_stack(mats, np.linalg.eigvalsh(mats), DEFAULT_TOL)
+    kinds = [type(res).__name__ for res in stack]
+    assert kinds == ["ScalingResult", "NotIndecomposable", "ScalingResult", "PreconditionViolated"]
+    for t, res in zip(tuples, stack):
+        if isinstance(res, Exception):
+            row = type(res).__name__, str(res), _key(getattr(res, "result", None))
+        else:
+            row = _key(res)
+        assert row == _outcome(scale_to_doubly_stochastic, MatrixTuple(t.matrices))
+
+
 def test_expand_tuple_of_all_ones_is_the_tuple():
     t = _wishart_tuple(4, 5)
     assert expand_tuple(t, [1, 1, 1, 1]) is t
@@ -192,7 +216,7 @@ def test_expand_tuple_of_all_ones_is_the_tuple():
 
 def test_other_tolerances_or_iteration_cap_recompute(monkeypatch):
     newton = _count(monkeypatch, "_newton")
-    scans = _count(monkeypatch, "is_indecomposable")
+    scans = _count(monkeypatch, "_rank_tests")
     loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(4, 9)
     base = capacity(t)

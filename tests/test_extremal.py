@@ -16,6 +16,7 @@ from mixdisc.core import (
     _psd,
     iter_seeds,
     make_rng,
+    max_abs,
     psd_violation,
     random_complex_gaussian,
     random_hermitian,
@@ -198,6 +199,20 @@ class TestSearch:
         rec = minimize_search(2, trials=20, seed=1)
         assert rec.best_value == pytest.approx(0.5, abs=1e-4)
         assert rec.distance_to_jn is not None
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_distance_to_jn_is_reported_far_above_the_bound(self, n, monkeypatch):
+        # A descent that takes no step leaves each trial at its start, far
+        # above n!/n^n; the distance from J_n is reported all the same.
+        monkeypatch.setattr(
+            extremal, "_descend", lambda mats, tol: (mats, eval_polarized(MatrixTuple(mats)), "roundoff")
+        )
+        rec = minimize_search(n, trials=3, seed=4)
+        assert rec.best_value > bapat_bound(n) + 1e-3
+        best = rec.best_tuple.matrices
+        assert rec.distance_to_jn == max_abs(best - np.eye(n) / n) > 1e-2
+        assert rec.best_value in rec.trial_bests
+        assert minimize_search(n, trials=0, seed=4).distance_to_jn is None
 
 
 # ---------------------------------------------------------------------------

@@ -106,14 +106,17 @@ def _imported(module: str) -> set:
 
 
 def test_one_route_per_decision():
-    # The generic vectors serve the two rank tests, and decompose reads its
-    # tight sets off the indecomposability test, as the scaling does; the
-    # recursive split and the trace Gram graph are gone.
-    assert _callers("_generic_ranks") == {
+    # The generic vectors serve the stacked rank tests, whose one-tuple call
+    # answers both public tests and whose stack call is the scaling
+    # precondition; decompose reads its tight sets off the indecomposability
+    # test.  The recursive split and the trace Gram graph are gone.
+    assert _callers("_generic_ranks") == {"structure._rank_tests"}
+    assert _callers("_rank_tests") == {
         "structure.is_indecomposable",
         "structure.positivity_rank_test",
+        "capacity._scale_stack",
     }
-    assert _callers("is_indecomposable") == {"capacity._scalings", "structure.decompose"}
+    assert _callers("is_indecomposable") == {"structure.decompose"}
     names = {
         getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
         for path in SRC.glob("*.py")
@@ -127,14 +130,20 @@ def test_one_route_per_decision():
         for word in ("_first_subset", "_SCAN_CHUNK", "_GATE_SUBSETS", "_first_tight"):
             assert word not in text, (path.name, word)
     # One writer of each memoized capacity-layer result: Newton runs only in
-    # the memo closure of capacity, and the scaling loop only in _scalings,
-    # whose one-tuple call is scale_to_doubly_stochastic and which the oracle
-    # and the samplers call.
+    # the memo closure of capacity, and the scaling loop only in the stack
+    # route _scale_stack, which scale_to_doubly_stochastic (the oracle's
+    # route) and the sampler's stack call.  The sampler's stack is what its
+    # consumers read.
     assert _callers("_newton") == {"capacity.capacity.solve"}
-    assert _callers("_scale_vector") == {"capacity._scalings"}
-    assert _callers("_scalings") == {
+    assert _callers("_scale_vector") == {"capacity._scale_stack"}
+    assert _callers("_scale_stack") == {
         "capacity.scale_to_doubly_stochastic",
+        "extremal._random_ds_stack",
+    }
+    assert _callers("_random_ds_stack") == {
         "extremal.random_ds_tuples",
+        "extremal.minimize_search",
+        "hyperbolic.conjecture_experiment",
     }
     assert not names & {"_scale_cold", "_require_scalable", "_newton_solve"}
     # qp_tensor sums its quadruple permutation sum itself.

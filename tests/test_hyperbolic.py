@@ -17,7 +17,7 @@ from mixdisc.core import (
     random_psd,
 )
 from mixdisc.discriminant import MatrixTuple, eval_polarized
-from mixdisc.extremal import bapat_bound, random_ds_tuple, random_ds_tuples
+from mixdisc.extremal import _random_ds_stack, bapat_bound, random_ds_tuple
 from mixdisc.hyperbolic import (
     HyperbolicPencil,
     _random_ds_matrices,
@@ -169,9 +169,9 @@ class TestConjectureExperiment:
 
         def counting(n, seeds, tol):
             pencils.extend(seeds)
-            return random_ds_tuples(n, seeds, tol)
+            return _random_ds_stack(n, seeds, tol)
 
-        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
+        monkeypatch.setattr(hyperbolic, "_random_ds_stack", counting)
         with pytest.raises(NumericalInconsistency, match="^mixture 0 of pencil 0 "):
             conjecture_experiment(4, 120, 0)
         assert pencils == list(islice(iter_seeds(0), 3))
@@ -198,7 +198,7 @@ class TestConjectureExperiment:
         def no_draw(*args):
             raise AssertionError("a pencil was drawn past the gate")
 
-        monkeypatch.setattr(hyperbolic, "random_ds_tuples", no_draw)
+        monkeypatch.setattr(hyperbolic, "_random_ds_stack", no_draw)
         with pytest.raises(DimensionTooLarge, match="^conjecture_experiment is gated at n <= 20"):
             conjecture_experiment(21, 1000, 0)
 
@@ -497,9 +497,9 @@ class TestStackedConjecture:
 
         def counting(n, seeds, tol):
             blocks.append(len(seeds))
-            return random_ds_tuples(n, seeds, tol)
+            return _random_ds_stack(n, seeds, tol)
 
-        monkeypatch.setattr(hyperbolic, "random_ds_tuples", counting)
+        monkeypatch.setattr(hyperbolic, "_random_ds_stack", counting)
         rep = conjecture_experiment(3, 250, 2)
         done, min_ratio, violations = _sequential_conjecture(3, 250, 2)
         assert (rep.samples, rep.min_ratio.hex(), rep.violations) == (done, min_ratio.hex(), violations)
@@ -512,11 +512,11 @@ class TestStackedConjecture:
         stacks = {}
 
         def recording(n, seeds, tol):
-            tuples = random_ds_tuples(n, seeds, tol)
-            stacks.setdefault(run, []).extend(t.matrices.tobytes() for t in tuples)
-            return tuples
+            mats = _random_ds_stack(n, seeds, tol)
+            stacks.setdefault(run, []).extend(m.tobytes() for m in mats)
+            return mats
 
-        monkeypatch.setattr(hyperbolic, "random_ds_tuples", recording)
+        monkeypatch.setattr(hyperbolic, "_random_ds_stack", recording)
         for run in (0, 7919):
             assert conjecture_experiment(3, 200, run).samples == 200
         assert [len(set(stacks[run])) for run in (0, 7919)] == [4, 4]

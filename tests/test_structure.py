@@ -35,6 +35,7 @@ from mixdisc.discriminant import (
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.structure import (
     _generic_ranks,
+    _rank_tests,
     decompose,
     is_fully_indecomposable_support,
     is_indecomposable,
@@ -289,7 +290,7 @@ def _assert_matches_the_oracle(t):
         assert 0 < len(witness) < n
         assert rank_psd(mats[list(witness)].sum(0)) <= len(witness)
     if not weak:
-        found = _generic_ranks(t, DEFAULT_TOL)[1]
+        found = _generic_ranks(mats, rank_psd(mats), DEFAULT_TOL)[1]
         assert 0 < len(found) < n
         rank = rank_psd(mats[list(found)].sum(0))
         assert rank <= len(found) if found == tuple(range(n - 1)) else rank < len(found)
@@ -613,8 +614,8 @@ class TestFullRankStop:
         bad = np.diag([1.0, 1.0, -1e-3])
         for other in (np.eye(3), np.diag([1.0, 0.0, 0.0])):
             t = MatrixTuple([bad, other, np.eye(3)])
-            with pytest.raises(PreconditionViolated):
-                _generic_ranks(t, DEFAULT_TOL)
+            (verdict,) = _rank_tests(t.matrices[None], np.linalg.eigvalsh(t.matrices)[None], DEFAULT_TOL)
+            assert isinstance(verdict, PreconditionViolated)
             with pytest.raises(PreconditionViolated):
                 is_indecomposable(t)
             with pytest.raises(PreconditionViolated):
@@ -623,10 +624,12 @@ class TestFullRankStop:
     def test_an_uncertified_witness_is_never_returned(self, monkeypatch):
         # A support that is not tight, as a draw that is not generic would
         # give, raises instead of being reported as a decomposition.
-        eye = np.broadcast_to(np.eye(2), (2, 2, 2))
-        monkeypatch.setattr(structure, "_generic_ranks", lambda t, tol: (True, (0,), eye))
+        # A zero draw is as far from generic as a draw gets: U = 0, whose
+        # null vector's support is not tight on this indecomposable tuple
+        # (slot 0 has rank 2, so the tuple is read by the generic vectors).
+        monkeypatch.setattr(structure, "random_complex_gaussian", lambda shape, rng: np.zeros(shape, complex))
         with pytest.raises(NumericalInconsistency, match="not tight"):
-            is_indecomposable(MatrixTuple([np.eye(2)] * 2))
+            is_indecomposable(MatrixTuple([np.diag([1.0, 1.0, 0.0]), np.eye(3), np.eye(3)]))
 
     def test_the_witness_is_certified_on_the_slot_ranges(self, tmp_path, capsys):
         # Each slot's 9e-10 eigenvalue is below rank_tol times its largest,
