@@ -25,7 +25,8 @@ state is the scaling vector s of each tuple of a (B, n, n, n) stack, from
 s = 1.  One alternating step from s gives
 L = M^(-1/2) (``core._inv_sqrt``), M = sum s_i A_i, and
 s'_i = s_i / tr(L s_i A_i L) = 1 / tr(M^-1 A_i), and the loop stops once
-s'_i L A_i L is within ``ds_tol`` of doubly stochastic.  The result carries
+s'_i L A_i L is doubly stochastic within the stop ``core._ds_limit`` gives,
+``ds_tol`` floored at 4 n eps.  The result carries
 X = L of that last step, which is Hermitian, and trace_scalars = s', so the
 scaled tuple is s'_i X A_i X^*.  The next s is the Anderson extrapolation of
 log s over the last ``_ANDERSON_DEPTH`` steps (Walker and Ni 2011), taken
@@ -104,10 +105,10 @@ and when a slot is not PSD: some g_i < 0 beyond rounding (``_require_psd_gradien
 
 ``ScalingResult.stop_reason`` is ``"ds_tol"`` on a returned result whose
 defect is within ``ds_tol``, and ``"roundoff"`` on one whose defect is
-within only 4 n eps, the rounding of the defect, when ``ds_tol`` is below
-that floor; the result that ``NonConvergence`` carries has ``"max_iter"``
-when scaling hits ``max_iter`` and ``"stalled"`` when its defect stopped
-falling first.
+within only the stop's rounding floor, 4 n eps, when ``ds_tol`` is below
+it (``core._ds_limit`` and ``core._ds_stop_reason``); the result that
+``NonConvergence`` carries has ``"max_iter"`` when scaling hits
+``max_iter`` and ``"stalled"`` when its defect stopped falling first.
 
 A ``MatrixTuple`` never changes, so results are memoized on it
 (``MatrixTuple._memoized``) and each is computed once per tuple.  Its mixed
@@ -149,7 +150,8 @@ from .core import (
     SingularPencil,
     Tolerances,
     _definite,
-    _ds_floor,
+    _ds_limit,
+    _ds_stop_reason,
     _eigh,
     _inv_sqrt,
     _one,
@@ -201,9 +203,9 @@ class ScalingResult:
     """A doubly stochastic scaling: the scaled tuple s'_i X A_i X^*, its
     normalized scalars ``alpha``, X and s', its full defect (trace plus sum
     violation) and the steps taken.  ``stop_reason`` is "ds_tol" when the
-    defect is within ``ds_tol``; "roundoff" when ``ds_tol`` is below 4 n eps,
-    the rounding of the defect, and the defect is within that floor only
-    (``converged`` is True for both); "max_iter" or "stalled" on the result
+    defect is within ``ds_tol``; "roundoff" when ``ds_tol`` is below the
+    stop's rounding floor (``core._ds_limit``) and the defect is within that
+    floor only (``converged`` is True for both); "max_iter" or "stalled" on the result
     that ``NonConvergence`` carries."""
 
     scaled: MatrixTuple
@@ -436,9 +438,8 @@ def _scale_stack(
     """
     out = _rank_tests(mats, w, tol)
     todo = [j for j, verdict in enumerate(out) if verdict == (True, None)]
-    if todo:
-        for j, res in zip(todo, _scale_vector(mats[todo], tol, max_iter)):
-            out[j] = res
+    for j, res in zip(todo, _scale_vector(mats[todo], tol, max_iter)):
+        out[j] = res
     return [
         NotIndecomposable(f"tuple decomposes; witness subset {res[1]}") if isinstance(res, tuple) else res
         for res in out
@@ -518,12 +519,12 @@ def _finish(a, s, x, eye, it, cap, tol: Tolerances, stop: float):
     """One tuple's outcome once the loop's stop test passes for it, or at
     its cap, from its slots ``a``, the start s of its last step, that step's
     L and the n x n identity: its ``ScalingResult``, the ``NonConvergence``
-    that carries it where the loop ends it short of ``stop`` (``ds_tol``,
-    floored at the defect's rounding) for the reason ``cap`` ("max_iter" or
+    that carries it where the loop ends it short of ``stop``
+    (``core._ds_limit``) for the reason ``cap`` ("max_iter" or
     "stalled"), a ``SingularPencil`` where a slot lost its trace, or None
     when rounding leaves the formed tuple's full defect above ``stop``, the
-    ``cap`` is None and the loop goes on.  The stop reason is "ds_tol" for a
-    defect within ``ds_tol`` and "roundoff" for one within the floor alone.
+    ``cap`` is None and the loop goes on.  The stop reason is
+    ``core._ds_stop_reason``'s.
     The three arrays of a result are read-only, since results are memoized."""
     x = (x + x.conj().T) / 2.0
     try:
@@ -546,7 +547,7 @@ def _finish(a, s, x, eye, it, cap, tol: Tolerances, stop: float):
         ds_defect=defect,
         iterations=it,
         converged=converged,
-        stop_reason=cap if not converged else "ds_tol" if defect <= tol.ds_tol else "roundoff",
+        stop_reason=_ds_stop_reason(defect, tol) if converged else cap,
     )
     if converged:
         return result
@@ -568,12 +569,12 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     max|L M(s') L - I| <= ``ds_tol`` without forming it; only when that
     passes (or at ``max_iter``) is the (n, n, n) tuple formed and its full
     defect checked (``_finish``), and the loop goes on if rounding leaves
-    that above ``ds_tol``.  Both tests are floored at 4 n eps, the rounding
-    of the defect, which a tuple may never get under: a smaller ``ds_tol``
-    would run every tuple to ``max_iter``.  At ``ds_tol`` = 0, 360 seeded
-    Wishart tuples (n = 2..7) all stopped at that floor within 15 steps;
-    at 2 n eps one of them ran to the cap.  The start s = 1 is checked the
-    same way, with L = I.  A tuple also ends, "stalled", once that slot-sum
+    that above ``ds_tol``.  Both tests read the stop
+    ``core._ds_limit(n, tol, stop=True)``, floored at 4 n eps, the rounding
+    of the defect, which a tuple may never get under.  At ``ds_tol`` = 0,
+    360 seeded Wishart tuples (n = 2..7) all stopped at that floor within
+    15 steps; at 2 n eps one of them ran to the cap.  The start s = 1 is
+    checked the same way, with L = I.  A tuple also ends, "stalled", once that slot-sum
     defect has made no new low for ``_STALL_WINDOW`` steps: some tuples sit
     just above the floor in rounding noise (about one n = 2 Wishart draw in
     700 at ``ds_tol`` = 0), and would run to ``max_iter``.  A result
@@ -590,7 +591,9 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     every M is definite pays for the one check inside ``_inv_sqrt``.  Each
     iteration has one retirement point, at its top: the stop test skips the
     tuples the last step marked, and they leave the stack in one compaction
-    with the tuples that ``_finish`` gave an outcome there.
+    with the tuples that ``_finish`` gave an outcome there.  The loop returns
+    there once no tuple is left, before any compaction, so an empty stack
+    returns [] at once.
 
     Every tuple keeps its own Anderson history, potential guard, stop test,
     lowest defect and step count, and each batched operation computes a
@@ -600,7 +603,7 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     """
     b, n = mats.shape[:2]
     eye = np.eye(n)
-    stop = max(tol.ds_tol, _ds_floor(n))
+    stop = _ds_limit(n, tol, stop=True)
     out = [None] * b
     pos, a = np.arange(b), mats
     # Row i of flat[k] is vec(A_i) and row i of rows[k] holds (A_i)_ba at
@@ -633,9 +636,9 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
             result = None if gone[j] else _finish(a[j], s[j], x[j], eye, it, cap, tol, stop)
             if result is not None:
                 out[pos[j]], gone[j] = result, True
+        if all(gone):
+            return out
         if any(gone):
-            if all(gone):
-                return out
             keep = np.logical_not(gone)
             pos, a, flat, rows, s, scalars, x, total, log_s, res, best, best_it = (
                 arr[keep]

@@ -12,10 +12,17 @@ definite (``_definite``: largest eigenvalue > 0, smallest > psd_tol times it)
 and rank (``rank_psd``: eigenvalues above rank_tol times the largest).  Only
 this module reads ``psd_tol``.  Every M^(-1/2) (tuple and Pascal scaling, the
 pencil reduction) is ``_inv_sqrt`` of one ``_eigh`` call's ascending eigenpairs,
-under ``_definite``.  Absolute terms remain in ``as_hermitian``'s floor and
-the ``ds_tol`` reports on unit-trace objects (``check_doubly_stochastic``,
-``check_block_ds``, hyperbolic membership); ``is_e_nonnegative`` applies
-``_psd`` to the roots, with the largest |root| as the scale.
+under ``_definite``.  ``is_e_nonnegative`` applies ``_psd`` to the roots,
+with the largest |root| as the scale.  An absolute term remains in
+``as_hermitian``'s floor.
+
+One doubly stochastic rule, ``_ds_limit``, on unit-trace objects of
+dimension n: a scaling loop stops at max(ds_tol, 4 n eps) (tuple scaling in
+``capacity._scale_vector``, Pascal scaling in ``pascal._scale_kraus``), and
+labels its stop by ``_ds_stop_reason``; every verdict accepts violations up
+to max(ds_tol, 8 n eps) (``check_doubly_stochastic``, ``check_block_ds``,
+hyperbolic membership and the trace preconditions of ``lemma36_family`` and
+``dnp_family_value``).  Only this module reads ``ds_tol``.
 
 Randomness is one generator per sample: ``make_rng(seed)`` (Philox), with no
 global state.  Every complex Gaussian of the package comes from
@@ -130,10 +137,37 @@ DEFAULT_TOL = Tolerances()
 _EPS = sys.float_info.epsilon
 
 
-def _ds_floor(n: int) -> float:
-    """4 n eps, the rounding of a doubly stochastic defect (sums of n terms):
-    the least stop a scaling loop is held to, as it may never get under it."""
-    return 4 * n * _EPS
+def _ds_limit(n: int, tol: Tolerances, stop: bool = False) -> float:
+    """The one doubly stochastic limit of an object of dimension n: with
+    ``stop``, a scaling loop's stop max(ds_tol, 4 n eps); else a verdict's
+    limit max(ds_tol, 8 n eps).
+
+    A doubly stochastic defect (a trace or slot sum minus 1 or I) is a sum
+    of n terms, whose rounding a loop may never get under: a stop below
+    4 n eps would run every draw to its step cap.  A verdict c n eps then
+    adds to the stop what the checked object's own sums round on top of
+    it.  A scaled tuple's trace and slot-sum violations are the loop's own
+    defect, bit for bit, so they stay within 4 n eps, and its eigenvalues
+    add about n eps to its PSD violation; ``check_block_ds`` reads rho
+    assembled from the Kraus operators, not the loop's Gram sums; a
+    hyperbolic mixture's e-trace adds the reduction L B_i L and the
+    rounding of its mixing weights to its tuple's traces.  The worst
+    violation measured at ds_tol = 0, in units of n eps, was 3.75 on
+    ``random_ds_tuples`` draws (n = 2..6, seeds 0-29; 3.83 up to n = 10),
+    3.22 on both Pascal samplers' draws (n = 2..4, seeds 0-19) and 5.0 on
+    the e-traces of conjecture mixtures (n = 2, seeds 0-19, 200 mixtures
+    each; at most 4.75 at n = 3..8).  So c = 8, twice the stop and 1.6
+    times that worst case.  Above the floor the limit is ds_tol itself, and
+    8 n eps is 3.6e-14 at the n = 20 gate, far below the default ds_tol:
+    no default verdict or stop moves."""
+    return max(tol.ds_tol, (4.0 if stop else 8.0) * n * _EPS)
+
+
+def _ds_stop_reason(defect: float, tol: Tolerances) -> str:
+    """Why a scaling loop stopped within ``_ds_limit(n, tol, stop=True)``:
+    "ds_tol" for a defect within ds_tol, "roundoff" for one within the
+    rounding floor alone."""
+    return "ds_tol" if defect <= tol.ds_tol else "roundoff"
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> None:
@@ -217,9 +251,9 @@ def _psd(w, scale, tol: Tolerances):
 def _inv_sqrt(w, v, tol: Tolerances) -> np.ndarray:
     """M^(-1/2) = V diag(w^(-1/2)) V* from the ascending eigenpairs (w, V) of a
     Hermitian M, or of each M of a stack (w (..., n), V (..., n, n)), not
-    symmetrized; ``NotPositiveDefinite`` unless every M is ``_definite``."""
-    ok = _definite(w, tol) if w.size else False
-    if not (ok if w.ndim == 1 else ok.all()):
+    symmetrized; ``NotPositiveDefinite`` unless every M is ``_definite``.  An
+    empty stack (0, n) gives an empty stack; a 0 x 0 M is refused."""
+    if not (w.shape[-1] and (_definite(w, tol) if w.ndim == 1 else _definite(w, tol).all())):
         raise NotPositiveDefinite(f"matrix is not positive definite (eigenvalues {w})")
     return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 

@@ -45,6 +45,7 @@ from .core import (
     NumericalInconsistency,
     PreconditionViolated,
     Tolerances,
+    _ds_limit,
     _eigh,
     _gate,
     _psd,
@@ -821,18 +822,15 @@ def check_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> Ds
     """Violations of the three doubly stochastic tuple conditions.
 
     ``psd_violation`` is the largest negative slot eigenvalue in absolute
-    value.  The verdict holds each violation to ``ds_tol`` and every slot,
-    besides, to the PSD rule ``core._psd`` at the tuple's largest |entry|,
-    the rule the scaling and rank tests hold the tuple to."""
+    value.  The verdict holds each violation to the one limit
+    ``core._ds_limit(n, tol)`` and every slot, besides, to the PSD rule
+    ``core._psd`` at the tuple's largest |entry|, the rule the scaling and
+    rank tests hold the tuple to."""
     w = _slot_eigenvalues(t)
     psd_v = max(0.0, -float(w.min()))
     trace_v, sum_v = _trace_and_sum_violations(t.matrices, t.matrices.sum(0), np.eye(t.n))
-    ok = (
-        psd_v <= tol.ds_tol
-        and trace_v <= tol.ds_tol
-        and sum_v <= tol.ds_tol
-        and bool(_psd(w, max_abs(t.matrices), tol).all())
-    )
+    ok = max(psd_v, trace_v, sum_v) <= _ds_limit(t.n, tol)
+    ok = ok and bool(_psd(w, max_abs(t.matrices), tol).all())
     return DsTupleReport(psd_v, trace_v, sum_v, ok)
 
 

@@ -26,6 +26,7 @@ from .core import (
     SamplerExhausted,
     Tolerances,
     _definite,
+    _ds_limit,
     _eigh,
     _gate,
     _psd,
@@ -147,7 +148,8 @@ def lemma36_family(n: int, a1, tol: Tolerances = DEFAULT_TOL):
     """The commuting family (A1, 2/n I - A1, I/n, .., I/n) and its closed form.
 
     predicted = n!/n^n + (n-2)!/n^(n-2) * tr((A1 - I/n)(A1 - I/n)*); the
-    direct evaluation must match within 1e-9 relative.
+    direct evaluation must match within 1e-9 relative.  tr A1 must be 1
+    within the verdict limit ``core._ds_limit(n, tol)``.
     Returns (tuple, predicted, actual).
     """
     if n < 2:
@@ -157,7 +159,7 @@ def lemma36_family(n: int, a1, tol: Tolerances = DEFAULT_TOL):
     pair = np.array([a1, 2.0 / n * eye - a1])
     if not _psd(_eigh(pair, vectors=False), np.abs(pair).max(axis=(1, 2)), tol).all():
         raise PreconditionViolated("A1 must satisfy 0 <= A1 <= 2/n I")
-    if abs(float(a1.trace().real) - 1.0) > tol.ds_tol:
+    if abs(float(a1.trace().real) - 1.0) > _ds_limit(n, tol):
         raise PreconditionViolated("A1 must have unit trace")
     t = MatrixTuple([*pair] + [eye / n] * (n - 2), tol)
     dev = a1 - eye / n
@@ -176,12 +178,13 @@ def dnp_family_value(p, tol: Tolerances = DEFAULT_TOL) -> float:
     """D(P/n, .., P/n) for positive definite P with tr P = n.
 
     Homogeneity makes this (n!/n^n) det(P); the identity is asserted.
+    tr P must be n within n times the verdict limit ``core._ds_limit(n, tol)``.
     """
     p = np.asarray(p, dtype=np.complex128)
     n = p.shape[0]
     if not _definite(_eigh(p, vectors=False), tol):
         raise PreconditionViolated("P must be positive definite")
-    if abs(float(p.trace().real) - n) > tol.ds_tol * n:
+    if abs(float(p.trace().real) - n) > _ds_limit(n, tol) * n:
         raise PreconditionViolated("P must have trace n")
     t = MatrixTuple([p / n] * n, tol)
     value = eval_polarized(t)

@@ -37,6 +37,7 @@ from .core import (
     DEFAULT_TOL,
     NumericalInconsistency,
     Tolerances,
+    _ds_limit,
     _eigh,
     _gate,
     _inv_sqrt,
@@ -243,6 +244,9 @@ def _membership(reduced, owner, e, xs: np.ndarray, tol: Tolerances):
     most eps tiny absolutely, which the n m tiny term covers.  Every other
     point (a vector with a negative entry, an indefinite or singular slot,
     a point at the boundary) goes through one batched ``eigvalsh``.
+
+    A tuple passes when its three violations are within the verdict limit
+    ``core._ds_limit`` at the larger of n and m, the terms an e-trace adds.
     """
     n = reduced.shape[-1]
     m = xs.shape[-1]
@@ -265,7 +269,7 @@ def _membership(reduced, owner, e, xs: np.ndarray, tol: Tolerances):
     for i in range(xs.shape[1]):
         total += xs[:, i]
     sums = np.abs(total - e).max(axis=-1)
-    passes = (nonneg <= tol.ds_tol) & (trace <= tol.ds_tol) & (sums <= tol.ds_tol)
+    passes = np.max((nonneg, trace, sums), axis=0) <= _ds_limit(max(n, m), tol)
     return nonneg, trace, sums, passes, points
 
 
@@ -347,13 +351,14 @@ def conjecture_experiment(
     is ``pencil_from_tuple`` of ``random_ds_tuple(n, s_k)``, s_k the k-th
     seed of ``iter_seeds(seed)``; the mixing matrices come from
     ``make_rng(seed)``.  The tuple is drawn at ``ds_tol = 0``, so its
-    scaling stops at the 4 n eps rounding floor and the reduced slots have
-    unit traces to rounding; ``tol`` holds for the membership recheck.  The
-    mixtures run in blocks of at most ``_BLOCK_MIXTURES``, a whole number of
-    pencils.  A block's tuples come as one ``extremal._random_ds_stack``,
-    their reduced slots A_i = L B_i L from one batched congruence, its
-    mixtures from one ``_random_ds_matrices`` stack, their membership from
-    one ``_membership`` pass, each mixture against its own pencil's slots
+    scaling stops at the 4 n eps rounding floor of ``core._ds_limit`` and
+    the reduced slots have unit traces to rounding; the membership recheck
+    holds each mixture to that rule's verdict limit at ``tol``, which its
+    error names.  The mixtures run in blocks of at most ``_BLOCK_MIXTURES``,
+    a whole number of pencils.  A block's tuples come as one
+    ``extremal._random_ds_stack``, their reduced slots A_i = L B_i L from one
+    batched congruence, its mixtures from one ``_random_ds_matrices`` stack,
+    their membership from one ``_membership`` pass, each mixture against its own pencil's slots
     (whose eigenvalues, one batched solve for the block, settle the
     nonnegativity of almost every point with no eigensolve of the point),
     and their ratios from one ``_discriminants`` call on their reduced
@@ -383,7 +388,7 @@ def conjecture_experiment(
             raise NumericalInconsistency(
                 f"mixture {first + i} of pencil {(first + i) // _MIXTURES_PER_PENCIL} failed its membership "
                 f"recheck: nonnegativity {nonneg:.3g}, e-trace {trace:.3g}, sum {sums:.3g} "
-                f"against ds_tol {tol.ds_tol:.3g}"
+                f"against the limit {_ds_limit(n, tol):.3g}"
             )
         ratios[first : first + count] = _discriminants(points)
     hits = np.flatnonzero(ratios < bound * (1.0 - 1e-6))

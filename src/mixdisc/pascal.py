@@ -13,11 +13,13 @@ whose tall (n m, n) and wide (n, m n) reshapes share its buffer, so each
 half-step is one 2-D GEMM for its Gram sum, one ``inv_sqrt_psd``, one 2-D
 GEMM for the update and one n x n product for the accumulated factor.  The
 trace Gram of the stop test is formed only once the diagonal block sum is
-within ``ds_tol``, or within 4 n eps where ``ds_tol`` is below that
-rounding floor.  The loop reports why it stopped ("ds_tol" or "roundoff"),
-its steps and its final defect; at the step cap it raises
-``NonConvergence`` carrying that report ("max_iter"), as the tuple scaling
-of ``capacity`` does, and its message names the steps and the defect.
+within the stop of ``core._ds_limit``, ``ds_tol`` floored at 4 n eps, the
+rounding of the defects.  The loop reports why it stopped ("ds_tol" or
+"roundoff", by ``core._ds_stop_reason``), its steps and its final defect;
+at the step cap it raises ``NonConvergence`` carrying that report
+("max_iter"), as the tuple scaling of ``capacity`` does, and its message
+names the steps and the defect.  ``check_block_ds`` holds its violations
+to the verdict limit of the same rule.
 Each sampler draws its Gaussian factors from one ``make_rng(seed)``, by one
 ``random_complex_gaussian`` call: the n^2 x n^2 factor of
 ``sample_block_ds``, and the (k, 2, n, n) stack of ``sample_separable_ds``
@@ -35,7 +37,8 @@ from .core import (
     NonConvergence,
     TermNotPsd,
     Tolerances,
-    _ds_floor,
+    _ds_limit,
+    _ds_stop_reason,
     _eigh,
     _gate,
     _psd,
@@ -140,13 +143,14 @@ def qp_tensor(rho: BlockMatrix) -> float:
 
 
 def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsReport:
-    """Violations of the three block doubly stochastic conditions."""
+    """Violations of the three block doubly stochastic conditions; the
+    verdict holds each to the one limit ``core._ds_limit(n, tol)``."""
     eye = np.eye(rho.n)
     a = rho.assembled()
     psd_v = psd_violation((a + a.conj().T) / 2.0)
     sum_v = max_abs(np.trace(rho.blocks) - eye)
     trace_v = max_abs(rho.trace_matrix() - eye)
-    passes = psd_v <= tol.ds_tol and sum_v <= tol.ds_tol and trace_v <= tol.ds_tol
+    passes = max(psd_v, sum_v, trace_v) <= _ds_limit(rho.n, tol)
     return BlockDsReport(psd_v, sum_v, trace_v, passes)
 
 
@@ -170,9 +174,10 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
 class _KrausScaling:
     """How ``_scale_kraus`` stopped: ``stop_reason`` "ds_tol" when the sum of
     the two Gram-sum defects is within ``ds_tol``, "roundoff" when it is
-    within the 4 n eps floor only, "max_iter" at the step cap (carried by
-    ``NonConvergence``); the steps taken, that sum after them (``defect``),
-    and rho, L and R, with rho None at the cap."""
+    within the stop's 4 n eps floor only (``core._ds_stop_reason``),
+    "max_iter" at the step cap (carried by ``NonConvergence``); the steps
+    taken, that sum after them (``defect``), and rho, L and R, with rho None
+    at the cap."""
 
     stop_reason: str
     steps: int
@@ -192,18 +197,18 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances) -> _KrausScaling:
     view (n m, n) gives the diagonal block sum sum_r K_r^T conj(K_r) as
     tall^T conj(tall) and K_r S^T as tall S^T; the wide view (n, m n) gives
     the trace matrix sum_r K_r K_r* as wide wide* and S K_r as S wide.  The
-    stop test needs both Gram sums within ``ds_tol`` in sum, so the trace
+    stop test needs both Gram sums within the stop in sum, so the trace
     matrix is formed at the top of a step only once the diagonal block sum
-    alone passes.  The stop is never below 4 n eps, the rounding of the two
-    defects, under which a draw may never get (their sum came down to at
-    most 1.1 n eps on 20 seeded draws each at n = 2..4): a smaller
-    ``ds_tol`` would run every draw to the cap.
+    alone passes.  The stop, ``core._ds_limit(n, tol, stop=True)``, is never
+    below 4 n eps, the rounding of the two defects, under which a draw may
+    never get (their sum came down to at most 1.1 n eps on 20 seeded draws
+    each at n = 2..4): a smaller ``ds_tol`` would run every draw to the cap.
     Returns the ``_KrausScaling`` with rho = (L (x) R) rho_0 (L (x) R)*, rho
     assembled only on a stop within ``stop``; raises ``NonConvergence``
     carrying one with rho None after ``_SAMPLER_MAX_ITER`` steps.
     """
     n, m = kt.shape[:2]
-    stop = max(tol.ds_tol, _ds_floor(n))
+    stop = _ds_limit(n, tol, stop=True)
     eye = left = right = np.eye(n)
     for steps in range(_SAMPLER_MAX_ITER):
         tall = kt.reshape(n * m, n)
@@ -214,8 +219,7 @@ def _scale_kraus(kt: np.ndarray, tol: Tolerances) -> _KrausScaling:
             defect += max_abs(wide @ wide.conj().T - eye)
             if defect <= stop:
                 rho = BlockMatrix(np.einsum("ari,brj->abij", kt, kt.conj()))
-                reason = "ds_tol" if defect <= tol.ds_tol else "roundoff"
-                return _KrausScaling(reason, steps, defect, rho, left, right)
+                return _KrausScaling(_ds_stop_reason(defect, tol), steps, defect, rho, left, right)
         s = inv_sqrt_psd(diag_sum, tol)
         wide, right = (tall @ s.T).reshape(n, m * n), s @ right
         s = inv_sqrt_psd(wide @ wide.conj().T, tol)

@@ -15,6 +15,7 @@ import pytest
 from mixdisc.core import (
     DEFAULT_TOL,
     NonConvergence,
+    NotIndecomposable,
     NotPositiveDefinite,
     SamplerExhausted,
     SingularPencil,
@@ -154,6 +155,21 @@ def test_a_failure_and_a_result_leave_at_the_same_retirement_point(monkeypatch):
     assert sizes[:2] == [4, 2]
     for t, res in zip(wisharts, out[0::3]):
         assert _bits(res) == _bits(_alone(t.matrices))
+
+
+def test_an_empty_stack_ends_the_loop_at_once():
+    # The loop returns at its retirement point once no tuple is left, which
+    # an empty stack reaches before its first step.
+    assert _CAP._scale_vector(np.zeros((0, 3, 3, 3), complex), DEFAULT_TOL, 5) == []
+
+
+def test_a_stack_of_decomposable_tuples_scales_nothing():
+    # Every tuple fails the indecomposability test, so the loop runs on an
+    # empty stack: one NotIndecomposable per row, in stack order.
+    e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    tuples = [MatrixTuple([e1, e2]), MatrixTuple([e2, e1]), MatrixTuple([np.eye(2), np.diag([2.0, 0.0])])]
+    out = _CAP._scale_stack(*_stack(tuples), DEFAULT_TOL)
+    assert len(out) == 3 and all(isinstance(res, NotIndecomposable) for res in out)
 
 
 def test_each_batched_not_positive_definite_names_its_own_eigenvalues():

@@ -267,13 +267,15 @@ def test_exceptions_are_not_memoized(monkeypatch):
             capacity(t)
         with pytest.raises(NotIndecomposable):
             scale_to_doubly_stochastic(t)
-    # The slot eigenvalues of the PSD check, which raised nothing, are kept.
-    assert len(newton) == 2 and not loops and list(t._memo) == ["slot_eigs"]
+    # The slot eigenvalues of the PSD check, which raised nothing, are kept;
+    # the loop is handed an empty stack each time and scales no tuple.
+    assert len(newton) == 2 and list(t._memo) == ["slot_eigs"]
+    assert [len(args[0]) for args in loops] == [0, 0]
     t = _wishart_tuple(4, 13)
     for _ in range(2):
         with pytest.raises(NonConvergence):
             scale_to_doubly_stochastic(t, max_iter=1)
-    assert len(loops) == 2 and list(t._memo) == ["slot_eigs"]
+    assert [len(args[0]) for args in loops] == [0, 0, 1, 1] and list(t._memo) == ["slot_eigs"]
 
 
 def test_entry_only_after_the_psd_check_at_its_tolerances():

@@ -340,17 +340,39 @@ class TestSearchAndExperiments:
         assert code == 0
         assert json.loads(out)["results"]["violations"] == []
 
-    def test_a_failed_conjecture_recheck_exits_2(self, capsys):
-        # A ds_tol below the rounding of a mixture's e-traces fails the
-        # membership recheck of a mixture that is e-doubly stochastic by
-        # construction: a failed cross-check, with no report.
+    def test_a_failed_conjecture_recheck_exits_2(self, capsys, monkeypatch):
+        # A mixture moved off the e-doubly stochastic set fails the membership
+        # recheck of a mixture that is e-doubly stochastic by construction: a
+        # failed cross-check, with no report, naming the limit it used, here
+        # the rounding floor 8 n eps above ds_tol = 1e-15.
+        draw = hyperbolic._random_ds_matrices
+        monkeypatch.setattr(
+            hyperbolic, "_random_ds_matrices", lambda k, n, rng: draw(k, n, rng) * (1.0 + 1e-13)
+        )
         code, out, err = run(
             capsys, "--ds-tol", "1e-15", "hyp", "--op", "conjecture", "--n", "3",
             "--samples", "200", "--seed", "1",
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: mixture ") and err.count("\n") == 1
-        assert "membership recheck" in err and "ds_tol 1e-15" in err
+        assert err.startswith("error: mixture 0 of pencil 0 ") and err.count("\n") == 1
+        assert "membership recheck" in err and err.endswith(f"against the limit {24 * sys.float_info.epsilon:.3g}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ds-tol", "1e-15", "hyp", "--op", "conjecture", "--n", "3", "--samples", "200", "--seed", "1"],
+            ["--ds-tol", "1e-15", "hyp", "--op", "conjecture", "--n", "4", "--samples", "200", "--seed", "2"],
+            ["--ds-tol", "0", "hyp", "--op", "conjecture", "--n", "3", "--samples", "200", "--seed", "1"],
+        ],
+        ids=["n3-1e-15", "n4-1e-15", "n3-0"],
+    )
+    def test_conjecture_below_the_rounding_floor_exits_0(self, capsys, argv):
+        # Every mixture is e-doubly stochastic to rounding, and the recheck
+        # holds it to max(ds_tol, 8 n eps), so a ds_tol below that floor
+        # rejects none of them.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["violations"] == []
 
 
 class TestGenRandomPipe:

@@ -171,3 +171,32 @@ def test_psd_tol_is_read_only_in_core():
     assert [ast.unparse(d) for d in entry.args.defaults] == ["DEFAULT_TOL"]
     for path in SRC.glob("*.py"):
         assert "min_eigenvalue" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_ds_tol_is_read_only_in_core():
+    # One doubly stochastic rule (core._ds_limit, with core._ds_stop_reason
+    # for a loop's stop label): no other module reads ds_tol, though a
+    # keyword such as replace(tol, ds_tol=0.0) may set it, and none imports
+    # the retired core._ds_floor or reads core's rounding floors.
+    reads, imports = {}, {}
+    for path in SRC.glob("*.py"):
+        if path.stem == "core":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads[path.stem] = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "ds_tol"
+        ]
+        imports[path.stem] = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "core"
+            for alias in node.names
+            if alias.name.startswith("_ds")
+        }
+    assert {k: v for k, v in reads.items() if v} == {}
+    assert set().union(*imports.values()) <= {"_ds_limit", "_ds_stop_reason"}
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in core.body if isinstance(node, ast.FunctionDef)}
+    assert "_ds_floor" not in defined and {"_ds_limit", "_ds_stop_reason"} <= defined

@@ -179,7 +179,8 @@ class TestConjectureExperiment:
     def test_a_mixture_out_of_membership_raises(self, monkeypatch):
         # Mixture 137 scaled off the e-trace fails the recheck: every
         # mixture is e-doubly stochastic by construction, so the run raises,
-        # naming the mixture, its pencil, its violations and ds_tol.
+        # naming the mixture, its pencil, its violations and the limit it
+        # used, ds_tol at the default.
         draw = hyperbolic._random_ds_matrices
 
         def one_off(k, n, rng):
@@ -192,7 +193,7 @@ class TestConjectureExperiment:
             conjecture_experiment(4, 200, 0)
         message = str(failure.value)
         assert message.startswith("mixture 137 of pencil 2 failed its membership recheck: ")
-        assert message.endswith("nonnegativity 0, e-trace 1e-07, sum 1e-07 against ds_tol 1e-08")
+        assert message.endswith("nonnegativity 0, e-trace 1e-07, sum 1e-07 against the limit 1e-08")
 
     def test_the_gate_fires_before_any_pencil_is_drawn(self, monkeypatch):
         def no_draw(*args):

@@ -100,3 +100,10 @@ def test_every_route_applies_the_same_rule(factor):
     }
     verdicts = {name: _accepts(route, m) for name, route in routes.items()}
     assert verdicts == dict.fromkeys(routes, factor > 1.0)
+
+
+def test_an_empty_stack_has_an_empty_inverse_square_root():
+    w, v = np.zeros((0, 3)), np.zeros((0, 3, 3), complex)
+    assert _CAP._inv_sqrt(w, v, DEFAULT_TOL).shape == (0, 3, 3)
+    with pytest.raises(NotPositiveDefinite):
+        inv_sqrt_psd(np.zeros((0, 0)))
