@@ -35,8 +35,9 @@ is no larger than at s'; otherwise s' is taken.  A plain step never raises
 Phi (AM-GM on both terms), so neither does the guarded one.  Plain
 alternating scaling converges only linearly, at a rate that tends to 1 near
 decomposable or boundary tuples, where it takes thousands of steps.  A
-tuple whose slot-sum defect has made no new low for ``_STALL_WINDOW`` steps
-stops there, short of its stop test: rounding holds it above the floor.
+tuple whose slot-sum defect has not fallen below ``_STALL_GAIN`` times its
+last recorded low for ``_STALL_WINDOW`` steps stops there, short of its stop
+test: rounding holds it above the floor.
 
 There is one route, ``_scale_stack``, on a (B, n, n, n) stack and its slots'
 eigenvalues: the stacked indecomposability test
@@ -94,8 +95,8 @@ projectors.
   no line search can see a decrease that small, and Cap is as accurate as f;
 * ``"stalled"``: backtracking found no decrease while lambda^2 was still above
   that noise; the best iterate is returned with ``converged=False``;
-* ``"max_iter"``: the iteration cap was hit; ``NonConvergence`` is raised and
-  carries the result.
+* ``"max_iter"``: the iteration cap ``CAPACITY_MAX_ITER`` was hit;
+  ``NonConvergence`` is raised and carries the result.
 
 On mean-zero y, det(sum e^{y_i} A_i) >= Cap.  So ``SingularPencil`` is raised,
 as a verdict of Cap = 0 (the weak rank condition fails), when that det falls
@@ -108,7 +109,7 @@ defect is within ``ds_tol``, and ``"roundoff"`` on one whose defect is
 within only the stop's rounding floor, 4 n eps, when ``ds_tol`` is below
 it (``core._ds_limit`` and ``core._ds_stop_reason``); the result that
 ``NonConvergence`` carries has ``"max_iter"`` when scaling hits
-``max_iter`` and ``"stalled"`` when its defect stopped falling first.
+``SCALING_MAX_ITER`` and ``"stalled"`` when its defect stopped falling first.
 
 A ``MatrixTuple`` never changes, so results are memoized on it
 (``MatrixTuple._memoized``) and each is computed once per tuple.  Its mixed
@@ -117,11 +118,11 @@ that passed the residue gate; ``gradient`` leaves the entry alone, since its
 ``value`` never passed that gate), so ``capacity_bound_report`` reads the D
 the caller's ``eval_polarized`` already computed.  Two entries belong to this
 layer, each with one writer.  ``capacity`` keeps the Newton
-``CapacityResult`` by ("newton", ``Tolerances``, ``max_iter``), made only
+``CapacityResult`` by ("newton", ``Tolerances``), made only
 after the PSD check at those tolerances (a read of the memoized slot
 eigenvalues); its ``minimizer_x`` is read-only.
 ``scale_to_doubly_stochastic`` keeps the ``ScalingResult`` by ("scaling",
-``Tolerances``, ``max_iter``), made by its one-tuple call of
+``Tolerances``), made by its one-tuple call of
 ``_scale_stack``, so the indecomposability test at those tolerances and the
 loop run once per tuple; its arrays are read-only.  ``_scale_stack`` and
 the sampler touch no memo.
@@ -169,7 +170,8 @@ _LOG_FLOOR = math.log(1e-300)
 # Newton converges in 3 steps in the median on Wishart tuples, and took at
 # most 14 on 500 seeded draws each (n = 2..6) of Wishart tuples, one
 # rank-one + 1e-6 I slot, n - 1 repeated such slots and 1e+-6 slot-scaled
-# Wishart slots; the cap bounds the damped phase on worse input.
+# Wishart slots; the cap bounds the damped phase on worse input.  Both caps
+# are read at call time.
 CAPACITY_MAX_ITER = 100
 # Scaling steps: the accelerated loop takes tens near the boundary; the cap
 # bounds a tuple so close to a decomposable one that it runs long.
@@ -178,9 +180,13 @@ SCALING_MAX_ITER = 10000
 # last m + 1 iterates (m differences).
 _ANDERSON_DEPTH = 3
 # Scaling steps without a new low of a tuple's slot-sum defect after which
-# the tuple stops "stalled".  On seeded draws a converging tuple went at
-# most 8 steps without one.
+# the tuple stops "stalled"; a new low counts only below _STALL_GAIN times
+# the last one, so rounding noise just above the floor restarts no window.
+# A converging tuple went at most 11 steps without a new low (seeded Wishart
+# tuples of n = 2..6 and near-boundary tuples of n = 3, one or two
+# rank-one + 1e-6 I slots).
 _STALL_WINDOW = 50
+_STALL_GAIN = 0.1
 _ARMIJO = 1e-4
 # Below this lambda^2 the predicted decrease lambda^2 / 2 is within ~128 ulps
 # of f, about the rounding error of log det itself, so no line search can
@@ -312,7 +318,7 @@ def _backtrack(mats, y, f, d, lam2):
     return None
 
 
-def _newton(mats, tol, max_iter) -> CapacityResult:
+def _newton(mats, tol) -> CapacityResult:
     """The damped-Newton loop of ``capacity`` on a PSD stack, without its
     precondition check; a ``"max_iter"`` result is returned, not raised.
     Its ``minimizer_x`` is read-only, since the result is memoized.
@@ -344,7 +350,7 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
         if lam2 <= _ROUNDOFF * (1.0 + abs(f)):
             stop = "roundoff"
             break
-        if it >= max_iter:
+        if it >= CAPACITY_MAX_ITER:
             stop = "max_iter"
             break
         step = _backtrack(mats, y, f, d, lam2)
@@ -376,57 +382,51 @@ def _newton(mats, tol, max_iter) -> CapacityResult:
     )
 
 
-def capacity(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = CAPACITY_MAX_ITER
-) -> CapacityResult:
+def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> CapacityResult:
     """Cap(t) by damped Newton on log det(sum e^{y_i} A_i) over sum y_i = 0.
 
     See the module docstring for the step and the stop reasons.  Raises
-    ``NonConvergence`` (carrying the result) when ``max_iter`` Newton steps
-    leave the iterate short of every stopping test, and ``SingularPencil``
-    when Cap is zero to working precision.  The result is kept on t by
-    ("newton", tol, max_iter) and made only after the PSD check of t at
+    ``NonConvergence`` (carrying the result) when ``CAPACITY_MAX_ITER``
+    Newton steps leave the iterate short of every stopping test, and
+    ``SingularPencil`` when Cap is zero to working precision.  The result is
+    kept on t by ("newton", tol) and made only after the PSD check of t at
     ``tol``, so a hit needs no check.
     """
 
     def solve():
         _require_psd(t, tol)
-        return _newton(t.matrices, tol, max_iter)
+        return _newton(t.matrices, tol)
 
-    result = t._memoized(("newton", tol, max_iter), solve)
+    result = t._memoized(("newton", tol), solve)
     if result.stop_reason == "max_iter":
         raise NonConvergence(
-            f"capacity Newton hit max_iter = {max_iter} with gradient norm "
+            f"capacity Newton hit max_iter = {result.iterations} with gradient norm "
             f"{result.gradient_norm:.3e}",
             result=result,
         )
     return result
 
 
-def scale_to_doubly_stochastic(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
-) -> ScalingResult:
+def scale_to_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> ScalingResult:
     """Doubly stochastic scaling of t by ``_scale_vector`` from s = 1: the
     one-tuple call of ``_scale_stack``, on t's memoized slot eigenvalues.
 
     The indecomposability test runs first (it also checks that the slots are
     PSD).
-    ``max_iter`` and ``iterations`` count scaling steps.  Raises
+    ``SCALING_MAX_ITER`` and ``iterations`` count scaling steps.  Raises
     ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
-    when ``max_iter`` steps leave the defect above ``ds_tol`` (carrying a
-    "max_iter" result) or the defect stops falling first ("stalled").  The
-    result is kept on t by ("scaling", tol, max_iter), so the test and the
-    loop run once per tuple.
+    when ``SCALING_MAX_ITER`` steps leave the defect above ``ds_tol``
+    (carrying a "max_iter" result) or the defect stops falling first
+    ("stalled").  The result is kept on t by ("scaling", tol), so the test
+    and the loop run once per tuple.
     """
     return t._memoized(
-        ("scaling", tol, max_iter),
-        lambda: _one(_scale_stack(t.matrices[None], _slot_eigenvalues(t)[None], tol, max_iter)),
+        ("scaling", tol),
+        lambda: _one(_scale_stack(t.matrices[None], _slot_eigenvalues(t)[None], tol)),
     )
 
 
-def _scale_stack(
-    mats: np.ndarray, w: np.ndarray, tol: Tolerances, max_iter: int = SCALING_MAX_ITER
-) -> list:
+def _scale_stack(mats: np.ndarray, w: np.ndarray, tol: Tolerances) -> list:
     """``scale_to_doubly_stochastic`` of each tuple of a (B, n, n, n) stack
     whose slots have the ascending eigenvalues w (B, n, n): its
     ``ScalingResult``, or the exception it raises, in stack order.
@@ -438,7 +438,7 @@ def _scale_stack(
     """
     out = _rank_tests(mats, w, tol)
     todo = [j for j, verdict in enumerate(out) if verdict == (True, None)]
-    for j, res in zip(todo, _scale_vector(mats[todo], tol, max_iter)):
+    for j, res in zip(todo, _scale_vector(mats[todo], tol)):
         out[j] = res
     return [
         NotIndecomposable(f"tuple decomposes; witness subset {res[1]}") if isinstance(res, tuple) else res
@@ -556,7 +556,7 @@ def _finish(a, s, x, eye, it, cap, tol: Tolerances, stop: float):
     )
 
 
-def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
+def _scale_vector(mats: np.ndarray, tol: Tolerances) -> list:
     """Gurvits scaling of each tuple of a (B, n, n, n) stack on its scaling
     vector s from s = 1, Anderson-accelerated: per tuple its ``ScalingResult``
     or the exception that ended its loop.
@@ -567,17 +567,18 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     matrix-vector product.  The step's tuple s'_i L A_i L has unit traces by
     construction and slot sum L M(s') L, so the loop tests
     max|L M(s') L - I| <= ``ds_tol`` without forming it; only when that
-    passes (or at ``max_iter``) is the (n, n, n) tuple formed and its full
-    defect checked (``_finish``), and the loop goes on if rounding leaves
-    that above ``ds_tol``.  Both tests read the stop
+    passes (or at ``SCALING_MAX_ITER``) is the (n, n, n) tuple formed and
+    its full defect checked (``_finish``), and the loop goes on if rounding
+    leaves that above ``ds_tol``.  Both tests read the stop
     ``core._ds_limit(n, tol, stop=True)``, floored at 4 n eps, the rounding
     of the defect, which a tuple may never get under.  At ``ds_tol`` = 0,
     360 seeded Wishart tuples (n = 2..7) all stopped at that floor within
     15 steps; at 2 n eps one of them ran to the cap.  The start s = 1 is
-    checked the same way, with L = I.  A tuple also ends, "stalled", once that slot-sum
-    defect has made no new low for ``_STALL_WINDOW`` steps: some tuples sit
-    just above the floor in rounding noise (about one n = 2 Wishart draw in
-    700 at ``ds_tol`` = 0), and would run to ``max_iter``.  A result
+    checked the same way, with L = I.  A tuple also ends, "stalled", once that
+    slot-sum defect has not fallen below ``_STALL_GAIN`` times its last
+    recorded low for ``_STALL_WINDOW`` steps: some tuples sit just above the
+    floor in rounding noise (about one n = 2 Wishart draw in 700 at
+    ``ds_tol`` = 0), and would run to ``SCALING_MAX_ITER``.  A result
     carries X = L and trace_scalars = s' of the last step (X = I when the
     tuple is already doubly stochastic).
 
@@ -610,7 +611,7 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     # position (a, b), so rows[k] @ vec(B) = tr(B A_i).
     flat = a.reshape(b, n, n * n)
     rows = a.swapaxes(-1, -2).reshape(b, n, n * n)
-    # Each tuple's lowest slot-sum defect so far and the step that reached it.
+    # Each tuple's last recorded low of its slot-sum defect and its step.
     best, best_it = np.full(b, np.inf), np.zeros(b, dtype=int)
     s = scalars = np.ones((b, n))
     x = np.eye(n, dtype=np.complex128)[None].repeat(b, 0)
@@ -624,13 +625,13 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
     while True:
         total = (scalars[:, None] @ flat).reshape(-1, n, n)
         defect = abs(x @ total @ x - eye).max((1, 2))
-        best_it[defect < best] = it
-        best = np.fmin(best, defect)
+        low = defect < _STALL_GAIN * best
+        best_it[low], best[low] = it, defect[low]
         stalled = best_it <= it - _STALL_WINDOW
         # The one retirement point: a tuple that failed in the last step is
         # skipped by the stop test and leaves with those _finish ends here.
         gone = failed.tolist()
-        capped = it >= max_iter
+        capped = it >= SCALING_MAX_ITER
         for j in range(len(pos)) if capped else ((defect <= stop) | stalled).nonzero()[0]:
             cap = "max_iter" if capped else "stalled" if stalled[j] else None
             result = None if gone[j] else _finish(a[j], s[j], x[j], eye, it, cap, tol, stop)
@@ -690,16 +691,14 @@ def _scale_vector(mats: np.ndarray, tol: Tolerances, max_iter: int) -> list:
         it += 1
 
 
-def capacity_via_scaling(
-    t: MatrixTuple, tol: Tolerances = DEFAULT_TOL, max_iter: int = SCALING_MAX_ITER
-) -> float:
-    """Cap(t) read off ``scale_to_doubly_stochastic(t, tol, max_iter)``, with
+def capacity_via_scaling(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Cap(t) read off ``scale_to_doubly_stochastic(t, tol)``, with
     that function's exceptions: |det X|^(-2) / prod(trace_scalars).
 
     Exact at the fixed point because Cap(scaled) = |det X|^2 prod(s) Cap(t)
     for any number of iterations, and Cap of a doubly stochastic tuple is 1.
     """
-    res = scale_to_doubly_stochastic(t, tol, max_iter)
+    res = scale_to_doubly_stochastic(t, tol)
     sign, logdet = np.linalg.slogdet(res.transform_X)
     log_cap = -2.0 * float(logdet) - float(np.sum(np.log(res.trace_scalars)))
     return math.exp(log_cap)

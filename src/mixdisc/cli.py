@@ -32,7 +32,6 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -41,12 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import extremal, genaf, hyperbolic, pascal, structure
-from .capacity import (
-    CAPACITY_MAX_ITER,
-    SCALING_MAX_ITER,
-    capacity_via_scaling,
-    scale_to_doubly_stochastic,
-)
+from .capacity import capacity_via_scaling, scale_to_doubly_stochastic
 from .capacity import capacity as _capacity
 from .core import (
     DecompositionInconsistent,
@@ -305,26 +299,10 @@ def _require_ranges(seed: int, **counts: int) -> None:
         raise CliInputError(f"seed must be >= 0, got {seed}")
 
 
-def _require_max_iter(max_iter: int) -> None:
-    """An iteration cap may be 0 (a cap that is hit at once, exit 2), but a
-    negative cap is an input error."""
-    if max_iter < 0:
-        raise CliInputError(f"max-iter must be >= 0, got {max_iter}")
-
-
 def _tol_from_args(args) -> Tolerances:
-    values = {}
-    for f in _TOL_FIELDS:
-        flag = getattr(args, f, None)
-        if flag is not None:
-            values[f] = flag
-            continue
-        env = os.environ.get(f"MIXDISC_{f.upper()}")
-        if env is not None:
-            try:
-                values[f] = float(env)
-            except ValueError as exc:
-                raise CliInputError(f"bad MIXDISC_{f.upper()} value {env!r}") from exc
+    """The tolerances of the command-line flags given, the defaults for the
+    rest; nothing else sets them."""
+    values = {f: getattr(args, f) for f in _TOL_FIELDS if hasattr(args, f)}
     try:
         return Tolerances(**values)
     except ValueError as exc:
@@ -360,18 +338,16 @@ def _cmd_eval(args, tol: Tolerances) -> _Report:
 
 
 def _cmd_capacity(args, tol: Tolerances) -> _Report:
-    _require_max_iter(args.max_iter)
     doc, payload = read_json(args.file)
-    res = _capacity(doc_to_tuple(doc, tol), tol, max_iter=args.max_iter)
+    res = _capacity(doc_to_tuple(doc, tol), tol)
     return _Report(_encode(res), digest_of(payload))
 
 
 def _cmd_scale(args, tol: Tolerances) -> _Report:
-    _require_max_iter(args.max_iter)
     doc, payload = read_json(args.file)
     t = doc_to_tuple(doc, tol)
-    res = scale_to_doubly_stochastic(t, tol, max_iter=args.max_iter)
-    cap = capacity_via_scaling(t, tol, args.max_iter)  # reads the scaling just kept on t
+    res = scale_to_doubly_stochastic(t, tol)
+    cap = capacity_via_scaling(t, tol)  # reads the scaling just kept on t
     return _Report({**_encode(res), "capacity_via_scaling": cap}, digest_of(payload))
 
 
@@ -521,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in _TOL_FIELDS:
         tol_flags.add_argument(
             f"--{f.replace('_', '-')}", type=float, default=argparse.SUPPRESS, dest=f,
-            help=f"override {f} (env MIXDISC_{f.upper()})",
+            help=f"override {f}",
         )
     parser = argparse.ArgumentParser(
         prog="mixdisc", description="Mixed discriminant toolkit", parents=[tol_flags]
@@ -539,12 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="polarized")
     p.add_argument("--cross-check", action="store_true")
 
-    p = command("capacity", _cmd_capacity, "capacity by convex minimization", "file")
-    p.add_argument("--max-iter", type=int, default=CAPACITY_MAX_ITER)
-
-    p = command("scale", _cmd_scale, "operator scaling to doubly stochastic form", "file")
-    p.add_argument("--max-iter", type=int, default=SCALING_MAX_ITER)
-
+    command("capacity", _cmd_capacity, "capacity by convex minimization", "file")
+    command("scale", _cmd_scale, "operator scaling to doubly stochastic form", "file")
     command("decompose", _cmd_decompose, "indecomposable block decomposition", "file")
     command("check-ds", _cmd_check_ds, "doubly stochastic tuple report", "file")
 

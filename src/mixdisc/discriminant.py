@@ -42,6 +42,7 @@ import numpy as np
 from .core import (
     _EPS,
     DEFAULT_TOL,
+    NotHermitian,
     NumericalInconsistency,
     PreconditionViolated,
     Tolerances,
@@ -52,6 +53,7 @@ from .core import (
     as_hermitian,
     fsum_complex,
     max_abs,
+    require_finite,
 )
 
 _GATE_SIGMA_DET = 10
@@ -93,9 +95,9 @@ class MatrixTuple:
     ``decompose``, ``genaf.m_alpha``, repeat calls) shares one evaluation.
     :func:`gradient` leaves that entry alone: its ``value`` has the same bits
     but never passes the gate.  The capacity layer keeps the damped-Newton
-    ``CapacityResult`` by ("newton", Tolerances, max_iter), written only by
+    ``CapacityResult`` by ("newton", Tolerances), written only by
     ``capacity.capacity``, and the doubly stochastic ``ScalingResult`` by
-    ("scaling", Tolerances, max_iter), written only by
+    ("scaling", Tolerances), written only by
     ``capacity.scale_to_doubly_stochastic`` around its one-tuple call of the
     stack route ``capacity._scale_stack``, which touches no memo; see the
     ``capacity`` module docstring.  The slots' eigenvalues, which depend on
@@ -622,12 +624,13 @@ def permanent(c):
     prod(eps) prod_j (eps @ c)_j: 2^(n-1) products of row-combination sums
     (:func:`_glynn_terms`, one column at a time), fewer when n >= 8 and rows
     repeat, summed by :func:`_centered_sum`.
-    Accepts real or complex square matrices; the result dtype follows the
-    input.  Gated at n <= 20.
+    Accepts finite real or complex square matrices (NaN or infinity raises
+    ``ValueError``); the result dtype follows the input.  Gated at n <= 20.
     """
     a = np.asarray(c)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
+    require_finite(a)
     n = a.shape[0]
     _gate(n, _GATE_PERMANENT, "permanent")
     kind = complex if np.iscomplexobj(a) else float
@@ -752,7 +755,9 @@ def _gradient_raw(mats: np.ndarray):
     the kernel's values for the tuple (:func:`_centered_sum`), bit for bit;
     the second is the rounding scale of D.  Q is summed chunk by chunk, so
     its last bits depend on the chunk size; the determinants of a chunk go
-    into :func:`_exact_sums` as soon as its adjugates are added to Q."""
+    into :func:`_exact_sums` as soon as its adjugates are added to Q.  A Q
+    that rounding left non-Hermitian beyond 1e-6 of its scale is a failed
+    internal check, ``NumericalInconsistency``, not an input error."""
     n = len(mats)
     _gate(n, _GATE_POLARIZED, "gradient")
     rows = mats.reshape(1, n, n * n)
@@ -768,7 +773,10 @@ def _gradient_raw(mats: np.ndarray):
 
     sums, magnitudes = _exact_sums(signed_dets())
     scale = 2.0 ** (1 - n)
-    qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
+    try:
+        qs = as_hermitian(q.reshape(n, n, n) * scale, tol=1e-6)
+    except NotHermitian as exc:
+        raise NumericalInconsistency(f"gradient Q lost its Hermiticity to rounding: {exc}") from exc
     return qs, scale * sums[0], float(scale * magnitudes[0])
 
 

@@ -45,6 +45,7 @@ from .core import (
     as_hermitian,
     iter_seeds,
     make_rng,
+    require_finite,
 )
 from .discriminant import _GATE_POLARIZED, _discriminants
 from .extremal import _random_ds_stack, bapat_bound
@@ -67,7 +68,9 @@ class HyperbolicPencil:
     ``matrices`` is one read-only complex (m, n, n) array whose slice
     ``matrices[i]`` is B_i; ``degree`` is n.  The constructor reduces the
     pencil once: ``_reduced[i]`` is A_i = L B_i L, L = (sum e_i B_i)^(-1/2),
-    from which every root and e-trace is read.
+    from which every root and e-trace is read.  The direction, every point
+    and every vector of a tuple must be finite: NaN or infinity raises
+    ``ValueError`` before any eigensolve.
     """
 
     __slots__ = ("m", "degree", "matrices", "e", "_reduced")
@@ -83,6 +86,7 @@ class HyperbolicPencil:
         e = np.asarray(e, dtype=float)
         if e.shape != (self.m,):
             raise ValueError("direction must have one entry per pencil matrix")
+        require_finite(e, "direction")
         # NotPositiveDefinite (a PreconditionViolated) unless core._definite.
         self._reduced = _reduce(mats, self.at(e), tol)
         self.e = e
@@ -94,6 +98,7 @@ class HyperbolicPencil:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.m,):
             raise ValueError(f"point must be a real {self.m}-vector")
+        require_finite(x, "point")
         return x
 
     def value(self, x) -> float:
@@ -202,6 +207,7 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
     n = pencil.degree
     if xs.shape != (n, pencil.m):
         raise ValueError(f"need exactly {n} real {pencil.m}-vectors (the degree of p)")
+    require_finite(xs, "vectors")
     return float(_discriminants(_pencil_points(pencil.matrices, xs)[None])[0])
 
 
@@ -278,6 +284,7 @@ def check_hd_membership(
 ) -> HdMembershipReport:
     """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces, sum e."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
+    require_finite(xs, "vectors")
     nonneg, trace, sums, passes, _ = _membership(
         pencil._reduced[None], np.zeros(1, dtype=int), pencil.e, xs[None], tol
     )

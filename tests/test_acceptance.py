@@ -237,7 +237,7 @@ def test_criterion_08_scaling():
     for n in (2, 3, 4, 5):
         for seed in islice(iter_seeds(8000 + n), 25):
             t = random_tuple(n, seed)
-            r = scale_to_doubly_stochastic(t, max_iter=10000)
+            r = scale_to_doubly_stochastic(t)
             worst_defect = max(worst_defect, r.ds_defect)
             direct = capacity(t).value
             via = capacity_via_scaling(t)

@@ -72,8 +72,8 @@ def _stack(tuples):
     return mats, np.linalg.eigvalsh(mats)
 
 
-def _alone(mats, max_iter=_CAP.SCALING_MAX_ITER):
-    (res,) = _CAP._scale_vector(mats[None], DEFAULT_TOL, max_iter)
+def _alone(mats):
+    (res,) = _CAP._scale_vector(mats[None], DEFAULT_TOL)
     return res
 
 
@@ -82,7 +82,7 @@ def test_a_tuple_scaled_in_a_batch_has_the_bits_of_its_own_scaling():
     # Wishart tuples around it, so they leave the batch at different steps.
     tuples = [_wishart_tuple(3, 11), _near_boundary_tuple(7)]
     tuples += [_wishart_tuple(3, 12), _wishart_tuple(3, 13)]
-    batch = _CAP._scale_vector(np.array([t.matrices for t in tuples]), DEFAULT_TOL, 10000)
+    batch = _CAP._scale_vector(np.array([t.matrices for t in tuples]), DEFAULT_TOL)
     steps = [res.iterations for res in batch]
     assert steps[1] >= 14 and max(steps[0], steps[2], steps[3]) <= 10
     for t, res in zip(tuples, batch):
@@ -117,7 +117,7 @@ def test_a_failing_tuple_leaves_its_batch_mates_unchanged():
     stack = [good[0].matrices]  # good, bad, good, bad, good, bad, good
     for b, g in zip(bad, good[1:]):
         stack += [b, g.matrices]
-    out = _CAP._scale_vector(np.array(stack, dtype=np.complex128), DEFAULT_TOL, 10000)
+    out = _CAP._scale_vector(np.array(stack, dtype=np.complex128), DEFAULT_TOL)
     assert isinstance(out[1], NotPositiveDefinite)
     for k in (3, 5):
         assert isinstance(out[k], SingularPencil) and "lost its trace" in str(out[k])
@@ -147,7 +147,7 @@ def test_a_failure_and_a_result_leave_at_the_same_retirement_point(monkeypatch):
 
     monkeypatch.setattr(_CAP, "_eigh", counted_eigh)
     monkeypatch.setattr(_CAP, "_finish", recorded_finish)
-    out = _CAP._scale_vector(stack, DEFAULT_TOL, 10000)
+    out = _CAP._scale_vector(stack, DEFAULT_TOL)
     monkeypatch.undo()
     assert isinstance(out[1], NotPositiveDefinite)
     assert out[2].iterations == 1 and out[2].converged
@@ -160,7 +160,7 @@ def test_a_failure_and_a_result_leave_at_the_same_retirement_point(monkeypatch):
 def test_an_empty_stack_ends_the_loop_at_once():
     # The loop returns at its retirement point once no tuple is left, which
     # an empty stack reaches before its first step.
-    assert _CAP._scale_vector(np.zeros((0, 3, 3, 3), complex), DEFAULT_TOL, 5) == []
+    assert _CAP._scale_vector(np.zeros((0, 3, 3, 3), complex), DEFAULT_TOL) == []
 
 
 def test_a_stack_of_decomposable_tuples_scales_nothing():
@@ -178,7 +178,7 @@ def test_each_batched_not_positive_definite_names_its_own_eigenvalues():
     # its own B = 1 run does.
     bad = [[np.diag([0.0, 1.0]), np.diag([0.0, 2.0])], [np.diag([5.0, 0.0]), np.diag([2.0, 0.0])]]
     stack = np.array([bad[0], _wishart_tuple(2, 61).matrices, bad[1]], dtype=np.complex128)
-    out = _CAP._scale_vector(stack, DEFAULT_TOL, 10000)
+    out = _CAP._scale_vector(stack, DEFAULT_TOL)
     for k, top in ((0, 3.0), (2, 7.0)):
         assert isinstance(out[k], NotPositiveDefinite)
         assert f"(eigenvalues {np.array([0.0, top])})" in str(out[k])
@@ -192,8 +192,7 @@ def test_a_tuple_at_the_cap_leaves_its_batch_mates_unchanged(monkeypatch):
     tuples = [_wishart_tuple(3, 41), _near_boundary_tuple(3), _wishart_tuple(3, 42)]
     uncapped = [_CAP.scale_to_doubly_stochastic(_fresh(t)) for t in tuples]
     assert uncapped[1].iterations > 10 >= max(uncapped[0].iterations, uncapped[2].iterations)
-    loop = _CAP._scale_vector
-    monkeypatch.setattr(_CAP, "_scale_vector", lambda mats, tol, max_iter: loop(mats, tol, 10))
+    monkeypatch.setattr(_CAP, "SCALING_MAX_ITER", 10)
     out = _CAP._scale_stack(*_stack(tuples), DEFAULT_TOL)
     assert isinstance(out[1], NonConvergence)
     assert (out[1].result.iterations, out[1].result.stop_reason) == (10, "max_iter")
@@ -208,8 +207,7 @@ def test_random_ds_tuples_retries_a_seed_at_the_cap_from_its_next_child(monkeypa
     # keep their tuples.
     n, seeds = 4, list(range(20))
     plain = random_ds_tuples(n, seeds)
-    loop = _CAP._scale_vector
-    monkeypatch.setattr(_CAP, "_scale_vector", lambda mats, tol, max_iter: loop(mats, tol, 6))
+    monkeypatch.setattr(_CAP, "SCALING_MAX_ITER", 6)
     capped = random_ds_tuples(n, seeds)
     for seed, t in zip(seeds, capped):
         assert t.matrices.tobytes() == random_ds_tuple(n, seed).matrices.tobytes()
@@ -226,8 +224,7 @@ def test_random_ds_tuples_retries_a_seed_at_the_cap_from_its_next_child(monkeypa
 
 
 def test_a_seed_that_never_converges_exhausts_the_sampler(monkeypatch):
-    loop = _CAP._scale_vector
-    monkeypatch.setattr(_CAP, "_scale_vector", lambda mats, tol, max_iter: loop(mats, tol, 0))
+    monkeypatch.setattr(_CAP, "SCALING_MAX_ITER", 0)
     for draw in (lambda: random_ds_tuples(3, [5, 6]), lambda: random_ds_tuple(3, 5)):
         with pytest.raises(SamplerExhausted, match="100 draws"):
             draw()

@@ -269,8 +269,9 @@ _SCALING_BOUND = 50
 
 
 def _check_scaling(t):
-    res = scale_to_doubly_stochastic(t, max_iter=_SCALING_BOUND)
+    res = scale_to_doubly_stochastic(t)
     assert res.converged and res.stop_reason == "ds_tol"
+    assert res.iterations <= _SCALING_BOUND
     assert res.ds_defect <= DEFAULT_TOL.ds_tol
     assert check_doubly_stochastic(res.scaled).is_doubly_stochastic
 
@@ -278,12 +279,14 @@ def _check_scaling(t):
 def _check_against_scaling(t, res):
     """The Newton result agrees with the cold scaling oracle wherever it converges.
 
-    The oracle's loop takes tens of steps on these tuples; it gets 2000 here
-    rather than its default 10000, so that a tuple so close to a decomposable
-    one that it runs long is skipped rather than waited for.
+    The oracle's loop takes tens of steps on these tuples; its cap is 2000
+    here rather than its default 10000, so that a tuple so close to a
+    decomposable one that it runs long is skipped rather than waited for.
     """
     try:
-        via = capacity_via_scaling(t, max_iter=2000)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sys.modules["mixdisc.capacity"], "SCALING_MAX_ITER", 2000)
+            via = capacity_via_scaling(t)
     except (NonConvergence, NotIndecomposable, SingularPencil):
         return
     assert res.value == pytest.approx(via, rel=1e-6)
@@ -341,8 +344,9 @@ def test_one_newton_step_raises_with_the_result(n, seed, k, sign):
     mats = np.array([_wishart(n, rng) for _ in range(n)])
     mats[0] *= 10.0 ** (sign * k)
     t = MatrixTuple(mats)
-    with pytest.raises(NonConvergence) as info:
-        capacity(t, max_iter=1)
+    with pytest.raises(NonConvergence) as info, pytest.MonkeyPatch.context() as m:
+        m.setattr(sys.modules["mixdisc.capacity"], "CAPACITY_MAX_ITER", 1)
+        capacity(t)
     res = info.value.result
     assert res.converged is False
     assert res.stop_reason == "max_iter"
@@ -384,8 +388,9 @@ def test_near_boundary_tuple_stops_at_roundoff(seed):
 @pytest.mark.parametrize("seed", [*range(8), 24, 25, 26, 51, 55, 138, 200, 201, 277, 378, 399])
 def test_oracle_converges_in_tens_of_steps_near_boundary(seed):
     t = _near_boundary_tuple(seed)
-    res = scale_to_doubly_stochastic(t, max_iter=50)
+    res = scale_to_doubly_stochastic(t)
     assert res.converged and res.ds_defect <= DEFAULT_TOL.ds_tol
+    assert res.iterations <= 50
     assert _cap_of(res) == pytest.approx(capacity(t).value, rel=1e-10)
     assert capacity_via_scaling(t) == _cap_of(res)
 
@@ -410,10 +415,11 @@ def test_oracle_with_every_extrapolation_rejected_is_plain_scaling(n, monkeypatc
     assert calls
 
 
-def test_oracle_max_iter_raises_with_the_first_alternating_step():
+def test_oracle_max_iter_raises_with_the_first_alternating_step(monkeypatch):
     t = random_tuple(4, 17)
+    monkeypatch.setattr(sys.modules["mixdisc.capacity"], "SCALING_MAX_ITER", 1)
     with pytest.raises(NonConvergence) as info:
-        capacity_via_scaling(t, max_iter=1)
+        capacity_via_scaling(t)
     res = info.value.result
     assert res.converged is False
     assert res.stop_reason == "max_iter"
@@ -422,16 +428,17 @@ def test_oracle_max_iter_raises_with_the_first_alternating_step():
 
 def test_a_scaling_whose_defect_stops_falling_stops_stalled():
     # At ds_tol = 0 this tuple's slot-sum defect falls to rounding noise near
-    # 2e-13 by step 17, above its 4 n eps floor (2.7e-15), and sets its last
-    # new low (a noise record) at step 57; without the stall rule it ran all
-    # 10000 steps (1.2 to 2.1 s).  It stops "stalled" one window after that
-    # low, carrying the tuple it left.
+    # 2e-13 by step 16, above its 4 n eps floor (2.7e-15); without the stall
+    # rule it ran all 10000 steps (1.2 to 2.1 s).  The noise sets new lows at
+    # steps 17, 43, 44 and 57, none below a tenth of the low of step 16, so
+    # none restarts the window: the tuple stops "stalled" at step 66, one
+    # window after step 16, carrying the tuple it left.
     window = sys.modules["mixdisc.capacity"]._STALL_WINDOW
     with pytest.raises(NonConvergence, match="scaling stalled") as info:
         scale_to_doubly_stochastic(_near_boundary_tuple(0), Tolerances(ds_tol=0.0))
     res = info.value.result
     assert res.stop_reason == "stalled" and not res.converged
-    assert window < res.iterations <= 3 * window
+    assert window < res.iterations <= window + 20
     assert res.ds_defect < 1e-12
 
 
@@ -599,7 +606,7 @@ def test_scaling_step_is_one_eigensolve_and_forms_only_the_returned_tuple(monkey
         monkeypatch.setattr(np.linalg, "eigh", _recorder(np.linalg.eigh, eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", _recorder(np.linalg.eigvalsh, eigvalsh))
         monkeypatch.setattr(mod, "_congruence", _recorder(mod._congruence, formed))
-        (res,) = mod._scale_vector(t.matrices[None], DEFAULT_TOL, 50)
+        (res,) = mod._scale_vector(t.matrices[None], DEFAULT_TOL)
         monkeypatch.undo()
         assert res.iterations >= 1
         assert len(eigh) == res.iterations and not eigvalsh

@@ -1,10 +1,9 @@
 """Results memoized on the immutable MatrixTuple.
 
 A tuple keeps its mixed discriminant D (filled by ``eval_polarized`` alone),
-its slot eigenvalues, its Newton ``CapacityResult`` by (Tolerances, max_iter)
-and its doubly stochastic ``ScalingResult`` by (Tolerances, max_iter).  Every
-value read from the memo must be the bits a fresh tuple of the same slots
-gives.
+its slot eigenvalues, its Newton ``CapacityResult`` by Tolerances and its
+doubly stochastic ``ScalingResult`` by Tolerances.  Every value read from
+the memo must be the bits a fresh tuple of the same slots gives.
 """
 
 import math
@@ -121,12 +120,12 @@ def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
         assert memo == _outcome(fn, MatrixTuple(t.matrices), *args), fn.__name__
     # The memo entries themselves against fresh computations.
     assert t._memo["polarized"].hex() == eval_polarized(MatrixTuple(t.matrices)).hex()
-    newton = t._memo[("newton", DEFAULT_TOL, _CAP.CAPACITY_MAX_ITER)]
-    fresh = _CAP._newton(MatrixTuple(t.matrices).matrices, DEFAULT_TOL, _CAP.CAPACITY_MAX_ITER)
+    newton = t._memo[("newton", DEFAULT_TOL)]
+    fresh = _CAP._newton(MatrixTuple(t.matrices).matrices, DEFAULT_TOL)
     assert newton.value.hex() == fresh.value.hex()
     assert newton.minimizer_x.tobytes() == fresh.minimizer_x.tobytes()
     assert (newton.stop_reason, newton.iterations) == (fresh.stop_reason, fresh.iterations)
-    key = ("scaling", DEFAULT_TOL, _CAP.SCALING_MAX_ITER)
+    key = ("scaling", DEFAULT_TOL)
     assert (key in t._memo) == (kind != "decomposable")
     if key in t._memo:
         fresh = scale_to_doubly_stochastic(MatrixTuple(t.matrices))
@@ -160,7 +159,7 @@ def test_one_newton_solve_per_distinct_tuple(n, monkeypatch):
     report = check_theorem52(t, classical_af_combination(n))
     capacity_via_scaling(t)
     assert report.holds
-    solved = [mats.tobytes() for mats, _, _ in newton]
+    solved = [mats.tobytes() for mats, _ in newton]
     assert len(solved) == 3 == len(set(solved))
     assert solved[0] == t.matrices.tobytes()
     assert len(scans) == 1 == len(loops)
@@ -214,25 +213,23 @@ def test_expand_tuple_of_all_ones_is_the_tuple():
     assert expand_tuple(t, [2, 0, 1, 1]) is not t
 
 
-def test_other_tolerances_or_iteration_cap_recompute(monkeypatch):
+def test_other_tolerances_recompute(monkeypatch):
     newton = _count(monkeypatch, "_newton")
     scans = _count(monkeypatch, "_rank_tests")
     loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(4, 9)
     base = capacity(t)
     assert capacity(t, Tolerances()) is base  # an equal Tolerances is the same key
-    capacity(t, max_iter=50)
     tighter = replace(DEFAULT_TOL, opt_tol=1e-10)
     capacity(t, tighter)
-    assert len(newton) == 3
+    assert len(newton) == 2
     scaled = scale_to_doubly_stochastic(t)
     assert scale_to_doubly_stochastic(t, Tolerances()) is scaled
     assert capacity_via_scaling(t) == capacity_via_scaling(t, Tolerances())
     assert len(scans) == 1 == len(loops)
-    other = scale_to_doubly_stochastic(t, max_iter=50)
+    other = scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, rank_tol=1e-8))
     assert other is not scaled and _key(other) == _key(scaled)
-    scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, rank_tol=1e-8))
-    assert len(scans) == 3 == len(loops) and len(newton) == 3
+    assert len(scans) == 2 == len(loops) and len(newton) == 2
 
 
 def test_memoized_minimizer_is_read_only():
@@ -243,17 +240,18 @@ def test_memoized_minimizer_is_read_only():
     assert capacity(t).minimizer_x is x
 
 
-def test_iteration_cap_raises_on_every_call_with_equal_results():
+def test_iteration_cap_raises_on_every_call_with_equal_results(monkeypatch):
+    monkeypatch.setattr(_CAP, "CAPACITY_MAX_ITER", 0)
     t = _wishart_tuple(4, 13)
     results = []
     for _ in range(2):
         with pytest.raises(NonConvergence) as info:
-            capacity(t, max_iter=0)
+            capacity(t)
         results.append(info.value.result)
     assert results[0].stop_reason == "max_iter"
     assert _key(results[0]) == _key(results[1])
     with pytest.raises(NonConvergence) as info:
-        capacity(MatrixTuple(t.matrices), max_iter=0)
+        capacity(MatrixTuple(t.matrices))
     assert _key(info.value.result) == _key(results[0])
 
 
@@ -272,9 +270,10 @@ def test_exceptions_are_not_memoized(monkeypatch):
     assert len(newton) == 2 and list(t._memo) == ["slot_eigs"]
     assert [len(args[0]) for args in loops] == [0, 0]
     t = _wishart_tuple(4, 13)
+    monkeypatch.setattr(_CAP, "SCALING_MAX_ITER", 1)
     for _ in range(2):
         with pytest.raises(NonConvergence):
-            scale_to_doubly_stochastic(t, max_iter=1)
+            scale_to_doubly_stochastic(t)
     assert [len(args[0]) for args in loops] == [0, 0, 1, 1] and list(t._memo) == ["slot_eigs"]
 
 

@@ -26,6 +26,7 @@ from mixdisc.cli import (
     tuple_to_doc,
 )
 from mixdisc.core import (
+    DEFAULT_TOL,
     DecompositionInconsistent,
     DimensionTooLarge,
     MixdiscError,
@@ -47,6 +48,7 @@ from mixdisc.hyperbolic import (
 from mixdisc.pascal import BlockDsReport, BlockMatrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+_CAP = sys.modules["mixdisc.capacity"]
 
 
 def run(capsys, *argv):
@@ -167,26 +169,36 @@ class TestCapacityAndScale:
         assert res["converged"] is True
         assert res["stop_reason"] in ("gradient", "roundoff")
 
-    def test_capacity_max_iter_default_is_the_solver_default(self):
-        from mixdisc.capacity import CAPACITY_MAX_ITER
-        from mixdisc.cli import build_parser
-
-        args = build_parser().parse_args(["capacity", "t.json"])
-        assert args.max_iter == CAPACITY_MAX_ITER
-
-    def test_capacity_nonconvergence_exit2(self, capsys, tmp_path):
+    def test_capacity_max_iter_default_is_the_solver_default(self, capsys, tmp_path, monkeypatch):
+        # The command has no cap of its own: it runs at the solver's
+        # CAPACITY_MAX_ITER, read when it is called.
         path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
-        code, _, err = run(capsys, "capacity", path, "--max-iter", "0")
+        monkeypatch.setattr(_CAP, "CAPACITY_MAX_ITER", 1)
+        code, _, err = run(capsys, "capacity", path)
         assert code == 2
+        assert "max_iter = 1 " in err
+
+    def test_capacity_nonconvergence_exit2(self, capsys, tmp_path, monkeypatch):
+        path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
+        monkeypatch.setattr(_CAP, "CAPACITY_MAX_ITER", 0)
+        code, out, err = run(capsys, "capacity", path)
+        assert (code, out) == (2, "")
         assert "max_iter" in err
 
-    @pytest.mark.parametrize("command, max_iter", [("capacity", "-1"), ("scale", "-3")])
-    def test_negative_max_iter_exit1(self, capsys, tmp_path, command, max_iter):
+    def test_scale_nonconvergence_exit2(self, capsys, tmp_path, monkeypatch):
         path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
-        code, out, err = run(capsys, command, path, "--max-iter", max_iter)
-        assert code == 1
-        assert out == ""
-        assert f"max-iter must be >= 0, got {max_iter}" in err
+        monkeypatch.setattr(_CAP, "SCALING_MAX_ITER", 0)
+        code, out, err = run(capsys, "scale", path)
+        assert (code, out) == (2, "")
+        assert "scaling max_iter" in err
+
+    @pytest.mark.parametrize("command", ["capacity", "scale"])
+    def test_max_iter_is_refused(self, capsys, command):
+        # The iteration caps are module constants, not options.
+        with pytest.raises(SystemExit) as info:
+            main([command, "t.json", "--max-iter", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-iter 5" in capsys.readouterr().err
 
     def test_capacity_zero_exit2(self, capsys, tmp_path):
         e1 = np.diag([1.0, 0.0, 0.0])
@@ -248,20 +260,35 @@ class TestCapacityAndScale:
 
 
 class TestToleranceResolution:
+    """Tolerances come from the command-line flags, else the defaults."""
+
     def test_flag_overrides_env(self, capsys, ds3, monkeypatch):
         monkeypatch.setenv("MIXDISC_DS_TOL", "0.5")
         code, out, _ = run(capsys, "check-ds", ds3, "--ds-tol", "1e-3")
         assert json.loads(out)["tolerances"]["ds_tol"] == 1e-3
 
-    def test_env_used(self, capsys, ds3, monkeypatch):
-        monkeypatch.setenv("MIXDISC_DS_TOL", "1e-2")
+    @pytest.mark.parametrize("value", ["1e-2", "banana"])
+    def test_env_is_ignored(self, capsys, ds3, monkeypatch, value):
+        monkeypatch.setenv("MIXDISC_DS_TOL", value)
         code, out, _ = run(capsys, "check-ds", ds3)
-        assert json.loads(out)["tolerances"]["ds_tol"] == 1e-2
+        assert code == 0
+        assert json.loads(out)["tolerances"]["ds_tol"] == DEFAULT_TOL.ds_tol
 
-    def test_bad_env_rejected(self, capsys, ds3, monkeypatch):
-        monkeypatch.setenv("MIXDISC_DS_TOL", "banana")
-        code, _, err = run(capsys, "check-ds", ds3)
-        assert code == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [["3", "--kind", "ds", "--seed", "1"], ["2", "--kind", "separable", "--seed", "2"]],
+        ids=["ds", "separable"],
+    )
+    def test_seeded_document_ignores_the_environment(self, capsys, monkeypatch, argv):
+        # The bare document records no tolerance, so none may come from
+        # outside the command line.
+        plain = run(capsys, "gen-random", *argv)
+        monkeypatch.setenv("MIXDISC_DS_TOL", "1e-3")
+        assert run(capsys, "gen-random", *argv) == plain
+
+    def test_cli_reads_no_environment_variable(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert not re.search(r"\bos\b|environ|getenv", source)
 
 
 class TestSearchAndExperiments:
@@ -797,8 +824,7 @@ class TestExitCodeTable:
 
 
 class TestOneParserPerProcess:
-    def test_tolerance_flags_do_not_leak_between_calls(self, capsys, ds3, monkeypatch):
-        monkeypatch.delenv("MIXDISC_DS_TOL", raising=False)
+    def test_tolerance_flags_do_not_leak_between_calls(self, capsys, ds3):
         seen = []
         for argv in (
             ["check-ds", ds3, "--ds-tol", "1e-3"],
@@ -810,9 +836,11 @@ class TestOneParserPerProcess:
             seen.append(json.loads(out)["tolerances"]["ds_tol"])
         assert seen == [1e-3, 1e-4, 1e-8]
 
-    def test_max_iter_does_not_leak_between_calls(self, capsys, tmp_path):
+    def test_max_iter_does_not_leak_between_calls(self, capsys, tmp_path, monkeypatch):
         path = write_tuple(tmp_path, MatrixTuple([np.diag([4.0, 1.0]), np.diag([1.0, 2.0])]))
-        assert run(capsys, "capacity", path, "--max-iter", "0")[0] == 2
+        with monkeypatch.context() as m:
+            m.setattr(_CAP, "CAPACITY_MAX_ITER", 0)
+            assert run(capsys, "capacity", path)[0] == 2
         assert run(capsys, "capacity", path)[0] == 0
 
     def test_parser_is_built_once(self, capsys, ds3, monkeypatch):

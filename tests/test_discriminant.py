@@ -205,6 +205,17 @@ class TestGradient:
         d = eval_polarized(t)
         assert euler_identity_residual(t, omega=w) <= 1e-8 * (1.0 + abs(d))
 
+    def test_non_hermitian_q_is_an_internal_failure(self):
+        # Slot 1 at 1e4 times the others' scale: rounding leaves Q far from
+        # Hermitian.  The input is valid, so this is a failed internal
+        # check (exit 2), not a Hermiticity error of the input (exit 1).
+        rng = make_rng(0)
+        g = random_complex_gaussian((6, 6, 6), rng)
+        mats = g @ g.conj().swapaxes(-1, -2)
+        mats[1] *= 1e4
+        with pytest.raises(NumericalInconsistency, match=r"Hermiticity defect \d"):
+            gradient(MatrixTuple(mats))
+
 
 def _hermitian_with_spectrum(lam, seed):
     """U diag(lam) U^* for a seeded unitary U, and the eigen-cofactor

@@ -16,7 +16,7 @@ from mixdisc.core import (
     make_rng,
     random_psd,
 )
-from mixdisc.discriminant import MatrixTuple, eval_polarized
+from mixdisc.discriminant import MatrixTuple, eval_polarized, permanent
 from mixdisc.extremal import _random_ds_stack, bapat_bound, random_ds_tuple
 from mixdisc.hyperbolic import (
     HyperbolicPencil,
@@ -48,6 +48,27 @@ class TestPencil:
         assert p.value(x) == pytest.approx(
             float(np.linalg.det(p.at(x)).real), rel=1e-12
         )
+
+
+_NON_FINITE_CALLS = {
+    "roots": roots,
+    "is_e_nonnegative": is_e_nonnegative,
+    "trace_e": trace_e,
+    "check_hd_membership": lambda p, x: check_hd_membership(p, [x, *np.eye(3)[1:]]),
+    "mixed_value": lambda p, x: mixed_value(p, [x, *np.eye(3)[1:]]),
+    "direction": lambda p, x: HyperbolicPencil(p.matrices, x),
+    "permanent": lambda p, x: permanent(np.full((3, 3), x[0])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+def test_non_finite_vectors_raise_value_error(call, bad):
+    # Rejected before any eigensolve, determinant or kernel call: not a
+    # LAPACK failure, a NaN result or a RuntimeWarning.
+    p = pencil_from_tuple(random_ds_tuple(3, 0))
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        _NON_FINITE_CALLS[call](p, np.array([bad, 1.0, 1.0]))
 
 
 class TestRoots:
