@@ -150,6 +150,7 @@ from .core import (
     PreconditionViolated,
     SingularPencil,
     Tolerances,
+    _below,
     _definite,
     _ds_limit,
     _ds_stop_reason,
@@ -707,18 +708,18 @@ def capacity_via_scaling(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> float
 def capacity_bound_report(
     t: MatrixTuple, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[float, bool]:
-    """Cap(t) / D(t) and whether it sits inside [1, n^n / n!] with 1e-6 slack.
+    """Cap(t) / D(t) and ``within``: whether the paper's two inequalities,
+    Cap >= D and D >= (n!/n^n) Cap, both hold by ``core._below``'s relative
+    slack.
 
     ``within`` is False when the capacity solve did not converge.
     """
     d = eval_polarized(t)
-    if d <= 0.0:
+    if not d > 0.0:  # NaN too
         raise PreconditionViolated(f"D(t) = {d:.3e} is not positive")
     cap = capacity(t, tol)
-    ratio = cap.value / d
-    upper = float(n_pow_n_over_factorial(t.n))
-    within = cap.converged and (1.0 - 1e-6) <= ratio <= upper + 1e-6
-    return ratio, within
+    within = cap.converged and not (_below(cap.value, d) or _below(d, cap.value / n_pow_n_over_factorial(t.n)))
+    return cap.value / d, within
 
 
 def n_pow_n_over_factorial(n: int) -> float:

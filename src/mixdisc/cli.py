@@ -13,8 +13,8 @@ Exit codes come from one table, ``_EXIT_CODES``, looked up along the class
 hierarchy of the exception:
 
 - 0: success;
-- 1: input or validation error (``CliInputError`` and every other
-  ``MixdiscError``);
+- 1: input, usage or validation error (``CliInputError``, which every
+  argument parsing error becomes, and every other ``MixdiscError``);
 - 2: numerical failure or a gate (``DimensionTooLarge``,
   ``NonConvergence``, ``SingularPencil``, ``SamplerExhausted``,
   ``NotDoublyStochastic``, ``NotIndecomposable``, and the failed internal
@@ -113,48 +113,35 @@ def matrix_to_doc(m) -> list:
 
 
 def _numbers(value, shape: tuple, where: str) -> np.ndarray:
-    """``value`` as a float array, once it is checked to be nested lists of
-    exactly ``shape`` (a ``None`` length takes any length) whose entries are
-    finite JSON numbers.  The error names the first bad position."""
+    """``value`` as a float array, once it is checked, one nesting level at a
+    time, to be nested lists of exactly ``shape`` (a ``None`` first length
+    takes any length) whose entries are finite JSON numbers.  The error
+    names the first bad position of the shallowest level that has one."""
 
-    def check(v, dims, at):
-        if not dims:
-            # bool is an int subclass.  The range test also rejects NaN,
-            # infinities and ints that would overflow a float.
-            number = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (number and -_FLOAT_MAX <= v <= _FLOAT_MAX):
-                raise CliInputError(f"{at}: expected a finite number, got {v!r:.40}")
-            return
-        if not isinstance(v, list) or dims[0] not in (None, len(v)):
-            size = "" if dims[0] is None else f" of {dims[0]} entries"
-            raise CliInputError(f"{at}: expected a list{size}")
-        for i, item in enumerate(v):
-            check(item, dims[1:], f"{at}[{i}]")
+    def fail(bad, depth, what):
+        index = np.unravel_index(bad[0], [len(value) if s is None else s for s in shape[:depth]])
+        raise CliInputError(f"{where}{''.join(f'[{i}]' for i in index)}: expected {what}")
 
-    if not _plain_numbers(value, shape):
-        check(value, tuple(shape), where)
-    return np.array(value, dtype=float)
-
-
-def _plain_numbers(value, shape: tuple) -> bool:
-    """Whether ``value`` certainly passes ``_numbers``' check, by one pass per
-    nesting level: lists of exactly ``shape`` whose leaves are all exactly
-    int or float and convert to float64 with magnitude below the float
-    maximum.  False only means "not certain"; the recursive check then
-    decides and names the first bad position.  The bound is strict because
-    an int just beyond the float maximum rounds down to it."""
     level = [value]
-    for size in shape:
-        if any(type(v) is not list or size not in (None, len(v)) for v in level):
-            return False
+    for depth, size in enumerate(shape):
+        bad = [k for k, v in enumerate(level) if type(v) is not list or size not in (None, len(v))]
+        if bad:
+            fail(bad, depth, "a list" + ("" if size is None else f" of {size} entries"))
         level = list(itertools.chain.from_iterable(level))
-    if not {type(v) for v in level} <= {int, float}:
-        return False
-    try:
-        leaves = np.array(level, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return False
-    return bool((np.abs(leaves) < _FLOAT_MAX).all())
+    # Every leaf exactly int or float, and below the float maximum once converted.
+    with contextlib.suppress(OverflowError):  # an int beyond the float range
+        if {type(v) for v in level} <= {int, float}:
+            if (np.abs(array := np.array(value, dtype=float)) < _FLOAT_MAX).all():
+                return array
+    # bool is an int subclass.  The range test is exact for ints (one just
+    # beyond the float maximum rounds down to it) and rejects NaN and infinities.
+    bad = [
+        k for k, v in enumerate(level)
+        if type(v) is bool or not (isinstance(v, (int, float)) and abs(v) <= _FLOAT_MAX)
+    ]
+    if bad:
+        fail(bad, len(shape), f"a finite number, got {level[bad[0]]!r:.40}")
+    return np.array(value, dtype=float)
 
 
 def _complex_numbers(value, shape: tuple, where: str) -> np.ndarray:
@@ -415,7 +402,11 @@ def _cmd_genaf(args, tol: Tolerances) -> _Report:
     except MixdiscError as exc:
         raise CliInputError(f"invalid combination: {exc}") from exc
     rep = genaf.check_theorem52(t, comb, tol)
-    return _Report(_encode(rep), digest_of(payload + cpayload))
+    breach = None
+    # "stalled" is the one unconverged stop a returned capacity solve has.
+    if not rep.holds and "stalled" not in rep.cap_stop_reasons:
+        breach = f"AF slacks {rep.cap_slack!r} and {rep.m_slack!r} fell below the proven bound"
+    return _Report(_encode(rep), digest_of(payload + cpayload), None, breach)
 
 
 def _cmd_af_experiment(args, tol: Tolerances) -> _Report:
@@ -486,6 +477,14 @@ def _cmd_gen_random(args, tol: Tolerances) -> None:
         print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ``CliInputError`` (exit 1), not argparse's exit 2;
+    the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise CliInputError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -499,9 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
             f"--{f.replace('_', '-')}", type=float, default=argparse.SUPPRESS, dest=f,
             help=f"override {f}",
         )
-    parser = argparse.ArgumentParser(
-        prog="mixdisc", description="Mixed discriminant toolkit", parents=[tol_flags]
-    )
+    parser = _Parser(prog="mixdisc", description="Mixed discriminant toolkit", parents=[tol_flags])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help_text, *positionals):
@@ -550,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     t0 = time.monotonic()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tol = _tol_from_args(args)
         report = args.fn(args, tol)
         if report is not None:

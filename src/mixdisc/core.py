@@ -24,6 +24,11 @@ to max(ds_tol, 8 n eps) (``check_doubly_stochastic``, ``check_block_ds``,
 hyperbolic membership and the trace preconditions of ``lemma36_family`` and
 ``dnp_family_value``).  Only this module reads ``ds_tol``.
 
+One proven-bound rule, ``_below``: a value violates a bound the paper
+proves (n!/n^n <= D <= Cap on doubly stochastic tuples, and its
+corollaries) only when it falls below it by more than the relative slack
+``_BOUND_SLACK``.
+
 Randomness is one generator per sample: ``make_rng(seed)`` (Philox), with no
 global state.  Every complex Gaussian of the package comes from
 ``random_complex_gaussian``, which draws a whole stack in one
@@ -168,6 +173,30 @@ def _ds_stop_reason(defect: float, tol: Tolerances) -> str:
     "ds_tol" for a defect within ds_tol, "roundoff" for one within the
     rounding floor alone."""
     return "ds_tol" if defect <= tol.ds_tol else "roundoff"
+
+
+# Relative slack of every proven-bound verdict: see _below.
+_BOUND_SLACK = 1e-7
+
+
+def _below(value, bound):
+    """The one proven-bound rule: whether ``value`` falls below ``bound`` by
+    more than the relative slack, value < bound (1 - ``_BOUND_SLACK``),
+    elementwise on arrays.
+
+    Relative, so it means the same at every n and every scale: an absolute
+    1e-6 is 88% of n!/n^n at n = 16, and below the rounding of a ratio near
+    n^n/n! = 4.3e7 at n = 20.  Its readers: ``extremal.minimize_search``
+    (``below_bound``), ``hyperbolic.conjecture_experiment`` (a violation),
+    ``capacity.capacity_bound_report`` (``within``: Cap >= D and
+    D >= (n!/n^n) Cap) and ``genaf.check_theorem52`` (``holds``: each
+    slack's exponential, a ratio to its bound 1).  1e-7 is the tightest
+    slack these verdicts used before, and far above the rounding measured
+    at a bound: the sandwich ratios of 400 rotated J_19 and J_20 tuples,
+    which sit on its upper side, are within 5.2e-13 relative of it.  A NaN
+    value is below no bound, so the sandwich and the AF check refuse a NaN
+    D or Cap before they apply this rule."""
+    return value < bound * (1.0 - _BOUND_SLACK)
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> None:

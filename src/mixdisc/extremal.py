@@ -25,6 +25,7 @@ from .core import (
     PreconditionViolated,
     SamplerExhausted,
     Tolerances,
+    _below,
     _definite,
     _ds_limit,
     _eigh,
@@ -38,7 +39,6 @@ from .core import (
 from .discriminant import MatrixTuple, _gradient_raw, _rounding_scale, eval_polarized
 from .capacity import _scale_stack
 
-_BOUND_SLACK = 1e-7  # relative to n!/n^n: see minimize_search
 _GATE_SEARCH = 6
 _DS_RETRIES = 100  # draws _random_ds_stack tries per seed before SamplerExhausted
 # Trial starts minimize_search draws per _random_ds_stack call; bounds the
@@ -256,12 +256,11 @@ def minimize_search(
     descends alone by projected gradient (:func:`_descend`); no target is
     taken from n!/n^n, so a trial stops on rounding noise or at the step cap
     wherever its minimum lies.
-    ``below_bound``, a best D below n!/n^n (1 - ``_BOUND_SLACK``), would
-    falsify the n!/n^n theorem (or reveal a bug) and is treated as a
-    release-blocking event by the CLI; the slack is relative, so it is
-    tighter than an absolute one of the same size at every n, the bound
-    being below 1.  n = 1 is a precondition error: the only doubly
-    stochastic 1-tuple is (1), so there is no direction to descend along.
+    ``below_bound``, a best D below n!/n^n by ``core._below``'s relative
+    slack, would falsify the n!/n^n theorem (or reveal a bug) and is
+    treated as a release-blocking event by the CLI.  n = 1 is a
+    precondition error: the only doubly stochastic 1-tuple is (1), so there
+    is no direction to descend along.
     """
     if n < 2:
         raise PreconditionViolated("the search needs n >= 2; the only DS 1-tuple is (1)")
@@ -284,7 +283,7 @@ def minimize_search(
         best_tuple=best_tuple,
         trials=trials,
         seed=seed,
-        below_bound=best_value < bapat_bound(n) * (1.0 - _BOUND_SLACK),
+        below_bound=_below(best_value, bapat_bound(n)),
         trial_bests=trial_bests,
         stop_reasons=stop_reasons,
         distance_to_jn=None if best_tuple is None else max_abs(best_tuple.matrices - np.eye(n) / n),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, InvalidWeight, SingularPencil, Tolerances
+from .core import DEFAULT_TOL, InvalidWeight, SingularPencil, Tolerances, _below
 from .capacity import capacity, n_pow_n_over_factorial
 from .discriminant import MatrixTuple, _discriminants, eval_polarized, permanent
 
@@ -86,7 +86,7 @@ def m_alpha(t: MatrixTuple, alpha) -> float:
 
 
 def _log_positive(value: float, what: str) -> float:
-    if value < _VALUE_FLOOR:
+    if not value >= _VALUE_FLOOR:  # NaN too
         raise SingularPencil(f"{what} = {value:.3e} is numerically zero; combination skipped")
     return math.log(value)
 
@@ -98,8 +98,10 @@ def check_theorem52(
 
     cap_slack = log Cap(target) - sum gamma_i log Cap(alpha^i)        (>= 0)
     m_slack   = log D(target) - sum gamma_i log D(alpha^i) + log(n^n/n!)
-    Both must be >= -1e-6, and every capacity call must have converged, for
-    ``holds``.
+    Both must be at least log(1 - ``core._BOUND_SLACK``), and every capacity
+    call must have converged, for ``holds``: the exponential of a slack is
+    a ratio to its bound 1, decided by ``core._below`` (a positive slack,
+    whose exponential may overflow, holds as 0 does).
     """
     n = t.n
     expanded = [expand_tuple(t, vec) for vec in (*comb.vectors, comb.target)]
@@ -122,7 +124,7 @@ def check_theorem52(
     return Theorem52Report(
         cap_slack=cap_slack,
         m_slack=m_slack,
-        holds=cap_slack >= -1e-6 and m_slack >= -1e-6 and all(c.converged for c in caps),
+        holds=not _below(math.exp(min(cap_slack, m_slack, 0.0)), 1.0) and all(c.converged for c in caps),
         cap_stop_reasons=tuple(c.stop_reason for c in caps),
     )
 

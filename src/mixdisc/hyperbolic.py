@@ -37,6 +37,7 @@ from .core import (
     DEFAULT_TOL,
     NumericalInconsistency,
     Tolerances,
+    _below,
     _ds_limit,
     _eigh,
     _gate,
@@ -350,9 +351,8 @@ def conjecture_experiment(
     is rechecked: a mixture that fails the recheck raises
     NumericalInconsistency, naming the mixture, its pencil and its three
     violations, since every mixture is e-doubly stochastic by construction.
-    A ratio below n!/n^n (1 - 1e-6) is recorded as a violation, not raised:
-    the slack is relative, so it holds at every n (an absolute 1e-6 is 88%
-    of n!/n^n = 1.13e-6 at n = 16, and above it from n = 17 on).
+    A ratio below n!/n^n by ``core._below``'s relative slack is recorded as
+    a violation, not raised.
 
     Mixture i belongs to pencil i // ``_MIXTURES_PER_PENCIL``, and pencil k
     is ``pencil_from_tuple`` of ``random_ds_tuple(n, s_k)``, s_k the k-th
@@ -398,7 +398,7 @@ def conjecture_experiment(
                 f"against the limit {_ds_limit(n, tol):.3g}"
             )
         ratios[first : first + count] = _discriminants(points)
-    hits = np.flatnonzero(ratios < bound * (1.0 - 1e-6))
+    hits = np.flatnonzero(_below(ratios, bound))
     return ConjectureExperimentReport(
         n=n,
         samples=samples,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixdisc import cli, extremal, hyperbolic, pascal
+from mixdisc import cli, extremal, genaf, hyperbolic, pascal
 from mixdisc.capacity import CapacityResult, ScalingResult, capacity_via_scaling
 from mixdisc.cli import (
     CliInputError,
@@ -195,10 +195,9 @@ class TestCapacityAndScale:
     @pytest.mark.parametrize("command", ["capacity", "scale"])
     def test_max_iter_is_refused(self, capsys, command):
         # The iteration caps are module constants, not options.
-        with pytest.raises(SystemExit) as info:
-            main([command, "t.json", "--max-iter", "5"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --max-iter 5" in capsys.readouterr().err
+        code, out, err = run(capsys, command, "t.json", "--max-iter", "5")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --max-iter 5" in err
 
     def test_capacity_zero_exit2(self, capsys, tmp_path):
         e1 = np.diag([1.0, 0.0, 0.0])
@@ -662,22 +661,51 @@ def _numbers_outcome(value):
         return str(exc)
 
 
+def _recursive_check(v, dims, at):
+    """The reference: a depth-first walk that names the first bad position in
+    reading order, which for one bad leaf is the one ``_numbers`` names."""
+    if not dims:
+        # bool is an int subclass.  The range test also rejects NaN,
+        # infinities and ints that would overflow a float.
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (number and -sys.float_info.max <= v <= sys.float_info.max):
+            raise CliInputError(f"{at}: expected a finite number, got {v!r:.40}")
+        return
+    if not isinstance(v, list) or dims[0] not in (None, len(v)):
+        size = "" if dims[0] is None else f" of {dims[0]} entries"
+        raise CliInputError(f"{at}: expected a list{size}")
+    for i, item in enumerate(v):
+        _recursive_check(item, dims[1:], f"{at}[{i}]")
+
+
 @settings(max_examples=150, deadline=None)
 @given(nested_numbers())
 def test_one_pass_numbers_match_the_recursive_check(value):
     got = _numbers_outcome(value)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_plain_numbers", lambda value, shape: False)
-        want = _numbers_outcome(value)
-    if isinstance(want, str):
-        assert got == want
+    try:
+        _recursive_check(value, _SHAPE, "blocks")
+    except CliInputError as exc:
+        assert got == str(exc)
         return
     expected = np.array(value, dtype=float)
     assert got.shape == expected.shape == _SHAPE
     assert got.tobytes() == expected.tobytes()
-    # Below the float maximum the one-pass test alone accepts the document.
-    if (np.abs(expected) < sys.float_info.max).all():
-        assert cli._plain_numbers(value, _SHAPE)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # A short list at depth 1 is named before a bad leaf earlier in
+        # reading order, at depth 2.
+        ([["x", 1.0], [1.0]], "w[1]: expected a list of 2 entries"),
+        ([[1.0, "x"], [1.0, True]], "w[0][1]: expected a finite number, got 'x'"),
+        (5, "w: expected a list of 2 entries"),
+    ],
+)
+def test_the_shallowest_bad_position_is_named(value, message):
+    with pytest.raises(CliInputError) as info:
+        cli._numbers(value, (2, 2), "w")
+    assert str(info.value) == message
 
 
 class TestIntegerRanges:
@@ -814,6 +842,38 @@ class TestExitCodeTable:
         assert [v["ratio"] for v in json.loads(out)["results"]["violations"]] == [half, half]
         assert err == "INVARIANT BREACH: 2 conjecture counterexample candidates\n"
 
+    def test_a_ratio_past_the_one_slack_exits_3(self, capsys, monkeypatch):
+        # 5e-7 below the bound, relative: inside the old 1e-6 slack, past 1e-7.
+        low = (1.0 - 5e-7) * extremal.bapat_bound(3)
+        monkeypatch.setattr(hyperbolic, "_discriminants", lambda points: np.full(len(points), low))
+        code, out, _ = run(capsys, "hyp", "--op", "conjecture", "--n", "3", "--samples", "2")
+        assert code == 3
+        assert [v["ratio"] for v in json.loads(out)["results"]["violations"]] == [low, low]
+
+    def _genaf_with_m_slack_minus_one(self, capsys, tmp_path, monkeypatch, ds3):
+        # One vector equal to the target: cap_slack is exactly 0 and m_slack
+        # is log(n^n/n!), which the patched constant turns into -1.
+        comb = tmp_path / "comb.json"
+        comb.write_text(json.dumps({"weights": [1.0], "vectors": [[1, 1, 1]], "target": [1, 1, 1]}))
+        monkeypatch.setattr(genaf, "n_pow_n_over_factorial", lambda n: math.exp(-1.0))
+        return run(capsys, "genaf", ds3, str(comb))
+
+    def test_a_failed_af_slack_reports_then_exits_3(self, capsys, tmp_path, monkeypatch, ds3):
+        code, out, err = self._genaf_with_m_slack_minus_one(capsys, tmp_path, monkeypatch, ds3)
+        results = json.loads(out)["results"]
+        assert code == 3
+        assert (results["cap_slack"], results["holds"]) == (0.0, False)
+        assert results["m_slack"] == pytest.approx(-1.0, abs=1e-12)
+        assert err.startswith("INVARIANT BREACH: AF slacks 0.0 and ")
+
+    def test_a_failed_slack_with_a_stalled_capacity_exits_0(self, capsys, tmp_path, monkeypatch, ds3):
+        real = genaf.capacity
+        stalled = lambda *args: dataclasses.replace(real(*args), converged=False, stop_reason="stalled")  # noqa: E731
+        monkeypatch.setattr(genaf, "capacity", stalled)
+        code, out, err = self._genaf_with_m_slack_minus_one(capsys, tmp_path, monkeypatch, ds3)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["holds"] is False
+
     def test_unlisted_exception_propagates(self, capsys, ds3, monkeypatch):
         def fail(*args, **kwargs):
             raise ZeroDivisionError("boom")
@@ -821,6 +881,64 @@ class TestExitCodeTable:
         monkeypatch.setattr(cli, "_capacity", fail)
         with pytest.raises(ZeroDivisionError):
             main(["capacity", ds3])
+
+
+class TestUsageErrors:
+    """argparse's own errors are input errors: exit 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-random", "abc"],
+            [],
+            ["no-such-command"],
+            ["hyp", "--op", "no-such-op"],
+            ["eval"],
+            ["--ds-tol", "x", "check-ds", "t.json"],
+        ],
+    )
+    def test_exit_1(self, capsys, argv):
+        _exits_1_with_one_error_line(*run(capsys, *argv))
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gen-random", "--help"])
+        assert info.value.code == 0
+        assert "usage: mixdisc gen-random" in capsys.readouterr().out
+
+
+class TestInvalidDocuments:
+    """Each malformed document or flag exits 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(tuple_to_doc(MatrixTuple([np.eye(2) / 2] * 2)), matrices=[[[[0.5, 0]] * 2] * 2]),
+            [1, 2],
+            dict(tuple_to_doc(MatrixTuple([np.eye(2) / 2] * 2)), kind="block"),
+            dict(tuple_to_doc(MatrixTuple([np.eye(2) / 2] * 2)), matrices=[[[[1, 0], [1, 0]], [[0, 0], [1, 0]]]] * 2),
+        ],
+        ids=["list-of-wrong-length", "non-object-root", "wrong-kind", "non-hermitian-tuple"],
+    )
+    def test_tuple_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        _exits_1_with_one_error_line(*run(capsys, "check-ds", str(path)))
+
+    def test_indefinite_pencil(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_pencil_doc(e=[-1.0, -1.0, -1.0], x=[1, 1, 1])))
+        _exits_1_with_one_error_line(*run(capsys, "hyp", str(path), "--op", "roots"))
+
+    def test_ds_tol_out_of_range(self, capsys, ds3):
+        _exits_1_with_one_error_line(*run(capsys, "check-ds", ds3, "--ds-tol", "1.5"))
+
+    def test_non_object_combination(self, capsys, tmp_path, ds3):
+        comb = tmp_path / "comb.json"
+        comb.write_text("[0.5, 0.5]")
+        code, out, err = run(capsys, "genaf", ds3, str(comb))
+        _exits_1_with_one_error_line(code, out, err)
+        assert err == "error: combination document must be a JSON object\n"
 
 
 class TestOneParserPerProcess:

@@ -345,7 +345,7 @@ def _sequential_conjecture(n, samples, seed, tol=DEFAULT_TOL):
                 raise NumericalInconsistency(f"mixture {i} of pencil {pencil_index} ")
             ratio = _reduced_ratio(pencil, xs)
             min_ratio = min(min_ratio, ratio)
-            if ratio < bound * (1.0 - 1e-6):
+            if ratio < bound * (1.0 - 1e-7):
                 violations.append({"seed": seed, "pencil_index": pencil_index, "ratio": ratio})
     return samples, min_ratio, violations
 
