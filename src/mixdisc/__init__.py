@@ -13,7 +13,6 @@ from .core import (
     NotHermitian,
     NotIndecomposable,
     NotPositiveDefinite,
-    NotUnitary,
     NumericalInconsistency,
     PreconditionViolated,
     SamplerExhausted,
@@ -42,9 +41,7 @@ from .discriminant import (
 from .structure import (
     DecompositionResult,
     decompose,
-    is_fully_indecomposable_support,
     is_indecomposable,
-    m_matrix,
     positivity_rank_test,
 )
 from .capacity import (
@@ -58,7 +55,6 @@ from .capacity import (
 )
 from .extremal import (
     SearchRecord,
-    averaging_sweep,
     bapat_bound,
     dnp_family_value,
     lemma36_family,

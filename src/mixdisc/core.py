@@ -64,10 +64,6 @@ class NotHermitian(MixdiscError):
     pass
 
 
-class NotUnitary(MixdiscError):
-    pass
-
-
 class NotDoublyStochastic(MixdiscError):
     pass
 
@@ -371,11 +367,6 @@ def random_psd(n: int, seed: int) -> np.ndarray:
     """G @ G* for a seeded complex Gaussian G, symmetrized exactly; almost
     surely positive definite."""
     return as_hermitian(_wishart(n, seed))
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = random_complex_gaussian(n, rng)
-    return (g + g.conj().T) / 2.0
 
 
 # ---------------------------------------------------------------------------

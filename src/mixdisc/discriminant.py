@@ -252,8 +252,6 @@ def _perm_signs(perms: np.ndarray) -> np.ndarray:
 def _perms_and_signs(n: int):
     """All permutations of range(n) as an (n!, n) array with their signs."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    if n == 0:
-        perms = perms.reshape(1, 0)
     signs = _perm_signs(perms)
     perms.flags.writeable = False
     signs.flags.writeable = False

@@ -131,19 +131,6 @@ def _random_ds_stack(n: int, seeds, tol: Tolerances) -> np.ndarray:
     raise SamplerExhausted(f"no doubly stochastic tuple after {_DS_RETRIES} draws")
 
 
-def averaging_sweep(t: MatrixTuple, sweeps: int) -> MatrixTuple:
-    """Apply f_{1,2}, f_{2,3}, .., f_{n-1,n} cyclically for ``sweeps`` rounds.
-
-    Each f_{i,j} replaces slots i and j by their arithmetic average; the limit
-    is the constant tuple of the slot average.
-    """
-    mats = t.matrices.copy()
-    for _ in range(sweeps):
-        for i in range(t.n - 1):
-            mats[i] = mats[i + 1] = (mats[i] + mats[i + 1]) / 2.0
-    return MatrixTuple(mats)
-
-
 def lemma36_family(n: int, a1, tol: Tolerances = DEFAULT_TOL):
     """The commuting family (A1, 2/n I - A1, I/n, .., I/n) and its closed form.
 

@@ -158,10 +158,12 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     """Blocks A_{i,j} = sum_k P_k(i, j) Q_k; PSD by construction."""
     if not spec.terms:
         raise ValueError("need at least one separable term")
-    pq = np.array(spec.terms, dtype=np.complex128)  # pq[k] is (P_k, Q_k)
-    n = pq.shape[-1]
-    if pq.shape[1:] != (2, n, n):
+    # Each term's length and each factor's shape before numpy stacks them,
+    # which would refuse a ragged stack with a message of its own.
+    shapes = [(len(term), *np.shape(f)) for term in spec.terms for f in term]
+    if len(shapes) != 2 * len(spec.terms) or any(s != (2, shapes[0][-1], shapes[0][-1]) for s in shapes):
         raise ValueError("all factors must share one dimension")
+    pq = np.array(spec.terms, dtype=np.complex128)  # pq[k] is (P_k, Q_k)
     w = _eigh(as_hermitian(pq, tol.hermitian_tol), vectors=False)
     not_psd = ~_psd(w, np.abs(pq).max(axis=(-2, -1)), tol)
     if not_psd.any():

@@ -1,4 +1,4 @@
-"""Indecomposability tests, block decomposition, and the M(A, W) bridge.
+"""Indecomposability tests and block decomposition.
 
 The two rank tests read n generic vectors from the slot ranges
 (``_generic_ranks``), in polynomial time at every n, and that is the one
@@ -21,7 +21,6 @@ from .core import (
     DEFAULT_TOL,
     DecompositionInconsistent,
     NotDoublyStochastic,
-    NotUnitary,
     NumericalInconsistency,
     PreconditionViolated,
     Tolerances,
@@ -30,13 +29,11 @@ from .core import (
     _psd,
     _rank_of_eigenvalues,
     make_rng,
-    max_abs,
     random_complex_gaussian,
     rank_psd,
 )
 from .discriminant import (
     MatrixTuple,
-    _as_real,
     _slot_eigenvalues,
     check_doubly_stochastic,
     eval_polarized,
@@ -148,17 +145,6 @@ def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     return _one(_rank_tests(t.matrices[None], _slot_eigenvalues(t)[None], tol))[0]
 
 
-def _reachable(support: np.ndarray, rows: np.ndarray):
-    """Row and column masks reachable from the row mask ``rows`` in the
-    bipartite graph of the boolean matrix ``support``."""
-    while True:  # grow the rows until they stop growing
-        cols = rows @ support
-        reached = rows | (support @ cols)
-        if (reached == rows).all():
-            return rows, cols
-        rows = reached
-
-
 def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
     """Indecomposable block decomposition of a doubly stochastic tuple.
 
@@ -208,29 +194,3 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
             f"(D = {d_total:.12g}, prod = {d_prod:.12g})"
         )
     return DecompositionResult(parts=parts, product_check=product_check)
-
-
-def m_matrix(t: MatrixTuple, w) -> np.ndarray:
-    """M(i, j) = <A_j w_i, w_i> for the columns w_i of a unitary W.
-
-    Real by Hermiticity of the quadratic forms; the (tiny) imaginary residue
-    is checked against 1e-10 and truncated.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    n = t.n
-    if w.shape != (n, n):
-        raise ValueError(f"W must be {n} x {n}")
-    if max_abs(w.conj().T @ w - np.eye(n)) > 1e-9:
-        raise NotUnitary("W is not unitary within 1e-9")
-    return _as_real(np.einsum("ki,jkl,li->ij", w.conj(), t.matrices, w), 1e-10)
-
-
-def is_fully_indecomposable_support(m, threshold: float) -> bool:
-    """Full indecomposability of a nonnegative doubly stochastic matrix.
-
-    For doubly stochastic matrices this reduces to connectivity of the
-    bipartite support graph (no k x (n-k) zero submatrix after permutation).
-    """
-    support = np.asarray(m) > threshold
-    rows, cols = _reachable(support, np.arange(len(support)) == 0)
-    return bool(rows.all() and cols.all())

@@ -721,6 +721,30 @@ def _weak_rank_violating_tuple(n, seed):
     return MatrixTuple(mats + [_wishart(n, rng)])
 
 
+def test_singular_slot_sum_raises_at_the_first_point():
+    # sum A_i = diag(2, 0) is exactly singular at y = 0, before any step.
+    with pytest.raises(SingularPencil, match="^sum A_i is singular; the tuple violates the weak rank condition$"):
+        capacity(MatrixTuple([np.diag([1.0, 0.0])] * 2))
+
+
+def test_newton_hessian_without_its_unit_eigenvalue_raises():
+    # q_i = I and g = (-1, -1) give H = -3/2 (1 1^T) - I, with eigenvalues
+    # -4 and -1, where exact arithmetic keeps 1 on the ones vector.
+    q = np.broadcast_to(np.eye(2)[:, None, :], (2, 2, 2))
+    g = np.array([-1.0, -1.0])
+    with pytest.raises(SingularPencil, match="^Newton Hessian lost its eigenvalue 1: M is singular$"):
+        sys.modules["mixdisc.capacity"]._newton_direction(q, g, g - g.mean(), DEFAULT_TOL.opt_tol)
+
+
+def test_numerically_singular_pencil_at_a_rounding_stop_raises():
+    # Cap = 8e-17, and cond(sum e^{y_i} A_i) = 1e17 at every y.  At
+    # opt_tol = 0 no gradient stops the solver, so it stops on rounding,
+    # where M is singular to working precision.
+    t = MatrixTuple([np.diag([1.0, 1e-17]), np.diag([2.0, 2e-17])])
+    with pytest.raises(SingularPencil, match=r"^sum e\^\{y_i\} A_i is numerically singular at prod"):
+        capacity(t, replace(DEFAULT_TOL, opt_tol=0.0))
+
+
 def test_cap_zero_with_a_full_rank_sum_raises():
     # f falls linearly along the collapsing direction while its curvature
     # vanishes; the solver must not read that as convergence.

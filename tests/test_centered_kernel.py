@@ -31,7 +31,6 @@ from mixdisc.core import (
     fsum_complex,
     make_rng,
     random_complex_gaussian,
-    random_hermitian,
 )
 from mixdisc.discriminant import (
     _GROUP_MIN_N,
@@ -57,6 +56,8 @@ from mixdisc.discriminant import (
 from mixdisc.extremal import dnp_family_value, random_ds_tuple
 from mixdisc.genaf import af_lower_bound_experiment
 from mixdisc.hyperbolic import HyperbolicPencil, mixed_value
+
+from helpers import random_hermitian
 
 
 def _distinct_scaled_identities(n):

@@ -115,6 +115,15 @@ class TestEval:
         code, out, _ = run(capsys, "eval", ds3, "--algorithm", "sigma-det")
         assert json.loads(out)["results"]["algorithm"] == "sigma-det"
 
+    @pytest.mark.parametrize("algorithm", ["double-perm", "signed-perm", "tensor"])
+    def test_only_the_route_and_its_oracle_are_algorithms(self, capsys, ds3, algorithm):
+        # The other three evaluators are reached through --cross-check only.
+        code, out, err = run(capsys, "eval", ds3, "--algorithm", algorithm)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: mixdisc eval: argument --algorithm: invalid choice: ")
+        assert algorithm in line
+
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -206,6 +215,12 @@ class TestCapacityAndScale:
         assert code == 2
         assert out == ""
         assert "weak rank" in err
+
+    def test_capacity_of_a_singular_slot_sum_exit2(self, capsys, tmp_path):
+        path = write_tuple(tmp_path, MatrixTuple([np.diag([1.0, 0.0])] * 2))
+        code, out, err = run(capsys, "capacity", path)
+        assert (code, out) == (2, "")
+        assert err == "error: sum A_i is singular; the tuple violates the weak rank condition\n"
 
     def test_capacity_of_a_tiny_non_psd_tuple_exit1(self, capsys, tmp_path):
         # Eigenvalue -1e-10 at entry scale 1e-10: not PSD, whatever the scale.

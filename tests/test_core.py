@@ -17,12 +17,13 @@ from mixdisc.core import (
     max_abs,
     psd_violation,
     random_complex_gaussian,
-    random_hermitian,
     random_psd,
     rank_psd,
 )
 from mixdisc.discriminant import MatrixTuple
 from mixdisc.extremal import dnp_family_value
+
+from helpers import random_hermitian
 
 
 class TestTolerances:
@@ -161,6 +162,10 @@ class TestRandomness:
     def test_random_psd_is_psd(self):
         for s in range(5):
             assert np.linalg.eigvalsh(random_psd(5, s))[0] > -1e-12
+
+    def test_random_psd_refuses_dimension_zero(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            random_psd(0, 3)
 
 
 class TestCompensatedSums:

@@ -16,6 +16,7 @@ from mixdisc.core import (
 )
 from mixdisc import discriminant
 from mixdisc.discriminant import (
+    DiscriminantGradient,
     MatrixTuple,
     _as_real,
     _as_real_d,
@@ -54,6 +55,11 @@ class TestMatrixTuple:
         t = random_tuple(3, 0)
         with pytest.raises(ValueError):
             t.matrices[0][0, 0] = 5.0
+
+    def test_iterates_over_its_slots(self):
+        t = random_tuple(3, 1)
+        assert len(t) == t.n == 3
+        assert [slot.tobytes() for slot in t] == [m.tobytes() for m in t.matrices]
 
     def test_replaced(self):
         t = random_tuple(3, 1)
@@ -294,6 +300,14 @@ class TestExchange:
         t = random_tuple(4, 23)
         d_ij, d_ji = exchange_value(t, 0, 2)
         assert d_ij > 0 and d_ji > 0
+
+    def test_routes_that_disagree_raise(self):
+        # A gradient with every Q_i doubled doubles the trace route.
+        t = random_tuple(4, 23)
+        g = gradient(t)
+        doubled = DiscriminantGradient(Q=2.0 * g.Q, value=g.value)
+        with pytest.raises(NumericalInconsistency, match="^exchange values disagree: direct "):
+            exchange_value(t, 0, 2, doubled)
 
     def test_same_slot_rejected(self):
         t = random_tuple(3, 1)

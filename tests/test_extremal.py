@@ -19,12 +19,10 @@ from mixdisc.core import (
     max_abs,
     psd_violation,
     random_complex_gaussian,
-    random_hermitian,
     random_psd,
 )
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import (
-    averaging_sweep,
     bapat_bound,
     dnp_family_value,
     lemma36_family,
@@ -32,6 +30,8 @@ from mixdisc.extremal import (
     random_ds_tuple,
     random_ds_tuples,
 )
+
+from helpers import averaging_sweep, random_hermitian
 
 
 class TestBound:
@@ -79,6 +79,13 @@ class TestSampler:
                 continue
         assert random_ds_tuple(n, seed).matrices.tobytes() == expected
         assert random_ds_tuples(n, [seed + 1, seed])[1].matrices.tobytes() == expected
+
+    def test_other_draw_failures_are_raised(self, monkeypatch):
+        # Only a decomposable or unconverged draw is drawn again.
+        failure = NumericalInconsistency("witness subset (0,) is not tight")
+        monkeypatch.setattr(extremal, "_scale_stack", lambda mats, w, tol: [failure] * len(mats))
+        with pytest.raises(NumericalInconsistency, match=r"^witness subset \(0,\) is not tight$"):
+            random_ds_tuple(3, 9)
 
     def test_values_above_bound(self):
         for seed in range(10):
@@ -130,6 +137,12 @@ class TestLemma36:
     def test_rejects_bad_slot(self):
         with pytest.raises(PreconditionViolated):
             lemma36_family(3, np.eye(3))  # trace 3, not 1
+
+    def test_a_direct_value_off_the_closed_form_raises(self, monkeypatch):
+        exact = extremal.eval_polarized
+        monkeypatch.setattr(extremal, "eval_polarized", lambda t: exact(t) * (1.0 + 1e-7))
+        with pytest.raises(NumericalInconsistency, match="^closed form .* disagrees with direct value "):
+            lemma36_family(3, np.eye(3) / 3)
 
     def test_trace_check_reads_ds_tol(self):
         a1 = np.diag([0.5 + 2e-8, 0.5])

@@ -10,7 +10,8 @@ from mixdisc.extremal import bapat_bound, lemma36_family
 from mixdisc.genaf import ConvexCombination, classical_af_combination
 from mixdisc.hyperbolic import HyperbolicPencil
 from mixdisc.pascal import BlockMatrix, SeparableSpec, assemble_separable
-from mixdisc.structure import m_matrix
+
+from helpers import m_matrix
 
 J2 = MatrixTuple([np.eye(2) / 2] * 2)
 PENCIL = HyperbolicPencil([np.eye(2), np.diag([1.0, 2.0])], [1.0, 1.0])
@@ -28,11 +29,10 @@ PENCIL = HyperbolicPencil([np.eye(2), np.diag([1.0, 2.0])], [1.0, 1.0])
         (lambda: BlockMatrix.from_assembled(np.eye(3), 2), ValueError, "must be 4 x 4"),
         (lambda: assemble_separable(SeparableSpec(terms=())), ValueError, "at least one separable term"),
         (lambda: assemble_separable(SeparableSpec(terms=((np.ones((2, 3)),) * 2,))), ValueError, "share one dimension"),
-        # numpy refuses the ragged stack before the function's own check.
         (
             lambda: assemble_separable(SeparableSpec(terms=((np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))))),
             ValueError,
-            "with a sequence",
+            "all factors must share one dimension",
         ),
         (lambda: m_matrix(J2, np.eye(3)), ValueError, "W must be 2 x 2"),
         (lambda: permanent(np.ones((2, 3))), ValueError, "square matrix"),

@@ -14,9 +14,9 @@ from mixdisc.capacity import capacity, capacity_via_scaling, scale_to_doubly_sto
 from mixdisc.cli import main, tuple_to_doc
 from mixdisc.core import (
     DEFAULT_TOL,
+    DecompositionInconsistent,
     NotDoublyStochastic,
     NotIndecomposable,
-    NotUnitary,
     NumericalInconsistency,
     PreconditionViolated,
     iter_seeds,
@@ -37,11 +37,11 @@ from mixdisc.structure import (
     _generic_ranks,
     _rank_tests,
     decompose,
-    is_fully_indecomposable_support,
     is_indecomposable,
-    m_matrix,
     positivity_rank_test,
 )
+
+from helpers import NotUnitary, is_fully_indecomposable_support, m_matrix
 
 
 def block_diag_ds(seed):
@@ -166,6 +166,13 @@ class TestDecompose:
         for _, _, sub in res.parts:
             prod *= eval_polarized(sub)
         assert eval_polarized(t) == pytest.approx(prod, rel=1e-8)
+
+    def test_a_failed_product_identity_raises(self, monkeypatch):
+        # Every D 1% high: D(t) = 1.01 D, the product of two parts 1.0201 D.
+        exact = structure.eval_polarized
+        monkeypatch.setattr(structure, "eval_polarized", lambda t: exact(t) * 1.01)
+        with pytest.raises(DecompositionInconsistent, match="^product identity off by "):
+            decompose(block_diag_ds(11)[0])
 
     def test_each_peel_round_takes_two_eigensolves(self, monkeypatch):
         # One round: the slots of the remainder, then the witness's sum.  The
