@@ -4,7 +4,6 @@ polynomial mixed values."""
 
 from .core import (
     DEFAULT_TOL,
-    DecompositionInconsistent,
     DimensionTooLarge,
     InvalidWeight,
     MixdiscError,

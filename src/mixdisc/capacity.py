@@ -10,9 +10,10 @@ It is computed two independent ways, which the tests hold to agreement:
   the gradient is g_i = tr q_i and the Hessian H_ij = delta_ij g_i -
   tr(q_i q_j); H 1 = 0, so the step solves (H + 1 1^T / n) d = -(g - mean g)
   in the eigenbasis.  Eigendirections without curvature to working precision
-  are dropped where the gradient along them is below ``opt_tol`` (f is flat
-  there, as on decomposable tuples) and followed where it is not (f falls
-  linearly there, as on a pencil collapsing toward Cap = 0).  Armijo
+  are dropped where the gradient along them is below ``_GRADIENT_TOL``, a
+  fixed 1e-9 (f is flat there, as on decomposable tuples), and followed
+  where it is not (f falls linearly there, as on a pencil collapsing toward
+  Cap = 0).  Armijo
   backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
   trial point whose computed pencil is singular counts as a rejected step.
 * ``capacity_via_scaling`` reads Cap off Gurvits operator scaling started
@@ -83,13 +84,14 @@ projectors.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
-* ``"gradient"``: the projected gradient norm fell below ``opt_tol``;
+* ``"gradient"``: the projected gradient norm fell below ``_GRADIENT_TOL``,
+  a fixed 1e-9 that no ``Tolerances`` field sets;
 * ``"roundoff"``: lambda^2 <= 256 eps (1 + |f|), eps = 2^-52 the machine
   epsilon (``core._EPS``, twice the unit round-off u = 2^-53).
   Since lambda^2 / 2 estimates f - min f, Cap is then accurate to about
   128 eps (1 + |f|) relative, i.e. to working precision; this is how Newton
-  stops when round-off keeps the gradient above ``opt_tol``.  It is also the
-  stop when backtracking finds no decrease while lambda^2 is within the
+  stops when round-off keeps the gradient above ``_GRADIENT_TOL``.  It is
+  also the stop when backtracking finds no decrease while lambda^2 is within the
   rounding noise of f, estimated as n eps cond(M) (1 + |f|) (rounding M by
   eps |M| moves log det M by up to n eps cond(M)): on an ill-conditioned M
   no line search can see a decrease that small, and Cap is as accurate as f;
@@ -193,6 +195,11 @@ _ARMIJO = 1e-4
 # of f, about the rounding error of log det itself, so no line search can
 # resolve further progress and Cap is already that accurate.
 _ROUNDOFF = 256.0 * _EPS
+# The Newton loop stops "gradient" once the projected gradient norm is below
+# this, and a direction without curvature is followed only where the
+# gradient along it reaches it.  On tuples with tight sets (ROADMAP item 2)
+# the stop is what keeps Newton from a singular pencil or a wrong value.
+_GRADIENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,16 +214,15 @@ class CapacityResult:
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """A doubly stochastic scaling: the scaled tuple s'_i X A_i X^*, its
-    normalized scalars ``alpha``, X and s', its full defect (trace plus sum
-    violation) and the steps taken.  ``stop_reason`` is "ds_tol" when the
-    defect is within ``ds_tol``; "roundoff" when ``ds_tol`` is below the
-    stop's rounding floor (``core._ds_limit``) and the defect is within that
-    floor only (``converged`` is True for both); "max_iter" or "stalled" on the result
+    """A doubly stochastic scaling: the scaled tuple s'_i X A_i X^*, X and
+    s', its full defect (trace plus sum violation) and the steps taken.
+    ``stop_reason`` is "ds_tol" when the defect is within ``ds_tol``;
+    "roundoff" when ``ds_tol`` is below the stop's rounding floor
+    (``core._ds_limit``) and the defect is within that floor only
+    (``converged`` is True for both); "max_iter" or "stalled" on the result
     that ``NonConvergence`` carries."""
 
     scaled: MatrixTuple
-    alpha: np.ndarray
     transform_X: np.ndarray
     trace_scalars: np.ndarray
     ds_defect: float
@@ -251,7 +257,7 @@ def _objective(mats, y):
     return f, m, w
 
 
-def _newton_direction(q, g, r, opt_tol):
+def _newton_direction(q, g, r):
     """Newton direction d (mean zero) and decrement lambda^2 = -r . d.
 
     q holds q_i = w_i M^{-1} A_i side by side, q[a, i, b] = (q_i)_{ab}, as
@@ -260,10 +266,10 @@ def _newton_direction(q, g, r, opt_tol):
     tr(q_i q_j) = sum_ab (q_i)_ab (q_j)_ba is one (n, n^2) by (n^2, n)
     product.  d comes from one Hermitian eigendecomposition of
     H + 1 1^T / n.  An eigendirection whose curvature is below working
-    precision is left alone where the gradient along it is below ``opt_tol``
-    too (f is flat there, as on decomposable tuples), and followed with its
-    curvature raised to that precision where it is not (f falls linearly
-    there: the pencil is collapsing toward Cap = 0).  H stays in the complex
+    precision is left alone where the gradient along it is below
+    ``_GRADIENT_TOL`` too (f is flat there, as on decomposable tuples), and
+    followed with its curvature raised to that precision where it is not (f
+    falls linearly there: the pencil is collapsing toward Cap = 0).  H stays in the complex
     dtype of q (its imaginary part is rounding error), so this is the
     Hermitian eigensolver the package already loads; a real or least-squares
     LAPACK routine would add to peak memory.
@@ -278,7 +284,7 @@ def _newton_direction(q, g, r, opt_tol):
         raise SingularPencil("Newton Hessian lost its eigenvalue 1: M is singular")
     c = v.conj().T @ r
     cut = n * _EPS * lam[-1]
-    use = (lam > cut) | (np.abs(c) >= opt_tol)
+    use = (lam > cut) | (np.abs(c) >= _GRADIENT_TOL)
     d = -(v @ np.where(use, c / np.maximum(lam, cut), 0.0)).real
     d -= float(d.sum()) / n
     return d, -float(r @ d)
@@ -319,7 +325,7 @@ def _backtrack(mats, y, f, d, lam2):
     return None
 
 
-def _newton(mats, tol) -> CapacityResult:
+def _newton(mats) -> CapacityResult:
     """The damped-Newton loop of ``capacity`` on a PSD stack, without its
     precondition check; a ``"max_iter"`` result is returned, not raised.
     Its ``minimizer_x`` is read-only, since the result is memoized.
@@ -344,10 +350,10 @@ def _newton(mats, tol) -> CapacityResult:
             _require_psd_gradient(m, g)
         r = g - float(g.sum()) / n
         gnorm = math.sqrt(float(r @ r))
-        if gnorm < tol.opt_tol:
+        if gnorm < _GRADIENT_TOL:
             stop = "gradient"
             break
-        d, lam2 = _newton_direction(q, g, r, tol.opt_tol)
+        d, lam2 = _newton_direction(q, g, r)
         if lam2 <= _ROUNDOFF * (1.0 + abs(f)):
             stop = "roundoff"
             break
@@ -396,7 +402,7 @@ def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> CapacityResult:
 
     def solve():
         _require_psd(t, tol)
-        return _newton(t.matrices, tol)
+        return _newton(t.matrices)
 
     result = t._memoized(("newton", tol), solve)
     if result.stop_reason == "max_iter":
@@ -536,13 +542,10 @@ def _finish(a, s, x, eye, it, cap, tol: Tolerances, stop: float):
     converged = defect <= stop
     if not converged and cap is None:
         return None
-    log_s = np.log(trace_scalars)
-    alpha = np.exp(log_s - log_s.mean())
-    for array in (alpha, x, trace_scalars):
+    for array in (x, trace_scalars):
         array.flags.writeable = False
     result = ScalingResult(
         scaled=MatrixTuple._of_hermitian(mats),
-        alpha=alpha,
         transform_X=x,
         trace_scalars=trace_scalars,
         ds_defect=defect,

@@ -17,8 +17,8 @@ hierarchy of the exception:
   argument parsing error becomes, and every other ``MixdiscError``);
 - 2: numerical failure or a gate (``DimensionTooLarge``,
   ``NonConvergence``, ``SingularPencil``, ``SamplerExhausted``,
-  ``NotDoublyStochastic``, ``NotIndecomposable``, and the failed internal
-  cross-checks ``NumericalInconsistency`` and ``DecompositionInconsistent``);
+  ``NotDoublyStochastic``, ``NotIndecomposable``, and a failed internal
+  cross-check, ``NumericalInconsistency``);
 - 3: internal invariant breach (``InvariantBreach``, a would-be
   mathematical-news event).
 """
@@ -43,7 +43,6 @@ from . import extremal, genaf, hyperbolic, pascal, structure
 from .capacity import capacity_via_scaling, scale_to_doubly_stochastic
 from .capacity import capacity as _capacity
 from .core import (
-    DecompositionInconsistent,
     DimensionTooLarge,
     MixdiscError,
     NonConvergence,
@@ -100,7 +99,6 @@ _EXIT_CODES = {
     NotDoublyStochastic: 2,
     NotIndecomposable: 2,
     NumericalInconsistency: 2,
-    DecompositionInconsistent: 2,
     InvariantBreach: 3,
 }
 
@@ -228,9 +226,13 @@ def doc_to_tuple(doc: dict, tol: Tolerances) -> MatrixTuple:
         raise CliInputError(f"invalid tuple: {exc}") from exc
 
 
-def doc_to_block(doc: dict) -> pascal.BlockMatrix:
+def doc_to_block(doc: dict, tol: Tolerances) -> pascal.BlockMatrix:
     n = _check_header(doc, "block")
-    return pascal.BlockMatrix(_complex_numbers(doc.get("blocks"), (n, n, n, n), "blocks"))
+    blocks = _complex_numbers(doc.get("blocks"), (n, n, n, n), "blocks")
+    try:
+        return pascal.BlockMatrix(blocks, tol)
+    except MixdiscError as exc:  # NotHermitian: the shape and entries are checked
+        raise CliInputError(f"invalid block matrix: {exc}") from exc
 
 
 def doc_to_pencil(doc: dict, tol: Tolerances) -> hyperbolic.HyperbolicPencil:
@@ -419,7 +421,7 @@ def _cmd_af_experiment(args, tol: Tolerances) -> _Report:
 
 def _cmd_qp(args, tol: Tolerances) -> _Report:
     doc, payload = read_json(args.file)
-    bm = doc_to_block(doc)
+    bm = doc_to_block(doc, tol)
     results = {}
     if args.method in ("block", "both"):
         results["qp_block"] = pascal.qp_block(bm)

@@ -24,6 +24,11 @@ to max(ds_tol, 8 n eps) (``check_doubly_stochastic``, ``check_block_ds``,
 hyperbolic membership and the trace preconditions of ``lemma36_family`` and
 ``dnp_family_value``).  Only this module reads ``ds_tol``.
 
+``Tolerances`` holds the four settings of the package: ``hermitian_tol``,
+``psd_tol``, ``rank_tol`` and ``ds_tol``.  The gradient stop of the Newton
+solver is a constant of ``capacity``, ``_GRADIENT_TOL``, which no caller
+sets.  Every failed internal cross-check raises ``NumericalInconsistency``.
+
 One proven-bound rule, ``_below``: a value violates a bound the paper
 proves (n!/n^n <= D <= Cap on doubly stochastic tuples, and its
 corollaries) only when it falls below it by more than the relative slack
@@ -96,12 +101,9 @@ class TermNotPsd(MixdiscError):
     pass
 
 
-class DecompositionInconsistent(MixdiscError):
-    """Rank thresholding produced parts whose product does not match."""
-
-
 class NumericalInconsistency(MixdiscError):
-    """An internal cross-check (imaginary residue, dual-path agreement) failed."""
+    """An internal cross-check (imaginary residue, dual-path agreement, the
+    product of a decomposition's parts) failed."""
 
 
 class NonConvergence(MixdiscError):
@@ -123,7 +125,6 @@ class Tolerances:
     psd_tol: float = 1e-9
     rank_tol: float = 1e-9
     ds_tol: float = 1e-8
-    opt_tol: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):

@@ -778,19 +778,11 @@ def _gradient_raw(mats: np.ndarray):
     return qs, scale * sums[0], float(scale * magnitudes[0])
 
 
-def euler_identity_residual(t: MatrixTuple, omega=None, grad: DiscriminantGradient | None = None) -> float:
-    """Max-entry norm of sum_i A_i Q_i - D * I (the Eulerian matrix identity).
-
-    With ``omega`` given, also evaluates the quadratic-form variant
-    |sum_i <A_i Q_i w, w> - D <w, w>| and returns the larger residual.
-    """
+def euler_identity_residual(t: MatrixTuple, grad: DiscriminantGradient | None = None) -> float:
+    """Max-entry norm of sum_i A_i Q_i - D * I (the Eulerian matrix identity)."""
     g = grad if grad is not None else gradient(t)
     acc = (t.matrices @ g.Q).sum(0)
-    res = max_abs(acc - g.value * np.eye(t.n))
-    if omega is not None:
-        w = np.asarray(omega, dtype=np.complex128).reshape(t.n)
-        res = max(res, abs(np.vdot(w, acc @ w) - g.value * np.vdot(w, w)))
-    return float(res)
+    return float(max_abs(acc - g.value * np.eye(t.n)))
 
 
 def _slot_eigenvalues(t: MatrixTuple) -> np.ndarray:

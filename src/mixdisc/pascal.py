@@ -62,17 +62,22 @@ class BlockMatrix:
     """n^2 x n^2 matrix viewed as an n x n grid of n x n complex blocks.
 
     ``blocks`` is one read-only complex (n, n, n, n) array; ``blocks[i][j]``
-    (equivalently ``blocks[i, j]``) is the block A_{i,j}.
+    (equivalently ``blocks[i, j]``) is the block A_{i,j}.  The assembled
+    matrix is held to ``hermitian_tol`` and symmetrized (``as_hermitian``),
+    as a tuple's slots are, so ``assembled()`` is exactly Hermitian; a grid
+    the samplers or ``assemble_separable`` build is already, bit for bit.
     """
 
     __slots__ = ("n", "blocks")
 
-    def __init__(self, blocks):
-        grid = np.array(blocks, dtype=np.complex128)
+    def __init__(self, blocks, tol: Tolerances = DEFAULT_TOL):
+        grid = np.asarray(blocks, dtype=np.complex128)
         n = len(grid)
         if grid.shape != (n, n, n, n):
             raise ValueError(f"expected an n x n grid of n x n blocks, got shape {grid.shape}")
         require_finite(grid, "block matrix")
+        rho = as_hermitian(grid.transpose(0, 2, 1, 3).reshape(n * n, n * n), tol.hermitian_tol)
+        grid = np.ascontiguousarray(rho.reshape(n, n, n, n).transpose(0, 2, 1, 3))
         grid.flags.writeable = False
         self.n = n
         self.blocks = grid
@@ -146,8 +151,7 @@ def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsRe
     """Violations of the three block doubly stochastic conditions; the
     verdict holds each to the one limit ``core._ds_limit(n, tol)``."""
     eye = np.eye(rho.n)
-    a = rho.assembled()
-    psd_v = psd_violation((a + a.conj().T) / 2.0)
+    psd_v = psd_violation(rho.assembled())
     sum_v = max_abs(np.trace(rho.blocks) - eye)
     trace_v = max_abs(rho.trace_matrix() - eye)
     passes = max(psd_v, sum_v, trace_v) <= _ds_limit(rho.n, tol)
@@ -163,8 +167,9 @@ def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> Bl
     shapes = [(len(term), *np.shape(f)) for term in spec.terms for f in term]
     if len(shapes) != 2 * len(spec.terms) or any(s != (2, shapes[0][-1], shapes[0][-1]) for s in shapes):
         raise ValueError("all factors must share one dimension")
-    pq = np.array(spec.terms, dtype=np.complex128)  # pq[k] is (P_k, Q_k)
-    w = _eigh(as_hermitian(pq, tol.hermitian_tol), vectors=False)
+    # pq[k] is (P_k, Q_k), symmetrized, so that rho is exactly Hermitian.
+    pq = as_hermitian(np.array(spec.terms, dtype=np.complex128), tol.hermitian_tol)
+    w = _eigh(pq, vectors=False)
     not_psd = ~_psd(w, np.abs(pq).max(axis=(-2, -1)), tol)
     if not_psd.any():
         raise TermNotPsd(f"{'PQ'[np.argwhere(not_psd)[0][1]]} factor is not PSD")

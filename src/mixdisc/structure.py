@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     _EPS,
     DEFAULT_TOL,
-    DecompositionInconsistent,
     NotDoublyStochastic,
     NumericalInconsistency,
     PreconditionViolated,
@@ -156,9 +155,9 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     read as the scaling precondition reads it.  The bases come from the raw
     compressed slots; only the witness test wraps them in a ``MatrixTuple``.
     Raises ``NotDoublyStochastic`` unless ``check_doubly_stochastic`` holds
-    (its PSD rule is the one the rank tests read), ``NumericalInconsistency``
-    when a witness fails its certification, and ``DecompositionInconsistent``
-    when D(t) = prod of block discriminants fails.  An indecomposable t is
+    (its PSD rule is the one the rank tests read), and
+    ``NumericalInconsistency`` when a witness fails its certification or
+    D(t) = prod of block discriminants fails.  An indecomposable t is
     its own single part, so D is computed once for the check
     (``eval_polarized`` keeps it) and read twice.
     """
@@ -189,7 +188,7 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
         d_prod *= eval_polarized(sub)
     product_check = abs(d_total - d_prod)
     if product_check > 1e-8 * (1.0 + abs(d_total)):
-        raise DecompositionInconsistent(
+        raise NumericalInconsistency(
             f"product identity off by {product_check:.3e} "
             f"(D = {d_total:.12g}, prod = {d_prod:.12g})"
         )

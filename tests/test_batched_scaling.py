@@ -58,7 +58,6 @@ def _bits(res):
         res.scaled.matrices.tobytes(),
         res.transform_X.tobytes(),
         res.trace_scalars.tobytes(),
-        res.alpha.tobytes(),
         res.ds_defect,
         res.iterations,
         res.converged,

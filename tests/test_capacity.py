@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixdisc.capacity import (
+    _GRADIENT_TOL,
     capacity,
     capacity_bound_report,
     capacity_via_scaling,
@@ -296,7 +297,7 @@ def _check_result_flags(res):
     assert res.stop_reason in ("gradient", "roundoff", "stalled")
     assert res.converged == (res.stop_reason != "stalled")
     if res.stop_reason == "gradient":
-        assert res.gradient_norm < DEFAULT_TOL.opt_tol
+        assert res.gradient_norm < _GRADIENT_TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -371,12 +372,12 @@ def _near_boundary_tuple(seed, n=3):
 @pytest.mark.parametrize("seed", [2, 7, 20])
 def test_near_boundary_tuple_stops_at_roundoff(seed):
     # Round-off keeps the projected gradient of these tuples near 1e-8, above
-    # opt_tol; the Newton decrement shows that f is within round-off of its
+    # _GRADIENT_TOL; the Newton decrement shows that f is within round-off of its
     # minimum, so the result is converged without a gradient stop.
     t = _near_boundary_tuple(seed)
     res = capacity(t)
     assert res.stop_reason == "roundoff" and res.converged
-    assert res.gradient_norm >= DEFAULT_TOL.opt_tol
+    assert res.gradient_norm >= _GRADIENT_TOL
     assert res.iterations <= 20
     assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-10)
 
@@ -688,7 +689,7 @@ def test_failed_line_search_returns_a_flagged_result(monkeypatch):
     assert res.stop_reason == "stalled"
     assert res.converged is False
     assert res.iterations == 0
-    assert res.gradient_norm >= DEFAULT_TOL.opt_tol
+    assert res.gradient_norm >= _GRADIENT_TOL
 
 
 def test_line_search_halvings_stop_at_the_rounding_of_y(monkeypatch):
@@ -733,16 +734,17 @@ def test_newton_hessian_without_its_unit_eigenvalue_raises():
     q = np.broadcast_to(np.eye(2)[:, None, :], (2, 2, 2))
     g = np.array([-1.0, -1.0])
     with pytest.raises(SingularPencil, match="^Newton Hessian lost its eigenvalue 1: M is singular$"):
-        sys.modules["mixdisc.capacity"]._newton_direction(q, g, g - g.mean(), DEFAULT_TOL.opt_tol)
+        sys.modules["mixdisc.capacity"]._newton_direction(q, g, g - g.mean())
 
 
-def test_numerically_singular_pencil_at_a_rounding_stop_raises():
-    # Cap = 8e-17, and cond(sum e^{y_i} A_i) = 1e17 at every y.  At
-    # opt_tol = 0 no gradient stops the solver, so it stops on rounding,
-    # where M is singular to working precision.
+def test_numerically_singular_pencil_at_a_rounding_stop_raises(monkeypatch):
+    # Cap = 8e-17, and cond(sum e^{y_i} A_i) = 1e17 at every y.  With the
+    # gradient stop at 0 no gradient stops the solver, so it stops on
+    # rounding, where M is singular to working precision.
+    monkeypatch.setattr(sys.modules["mixdisc.capacity"], "_GRADIENT_TOL", 0.0)
     t = MatrixTuple([np.diag([1.0, 1e-17]), np.diag([2.0, 2e-17])])
     with pytest.raises(SingularPencil, match=r"^sum e\^\{y_i\} A_i is numerically singular at prod"):
-        capacity(t, replace(DEFAULT_TOL, opt_tol=0.0))
+        capacity(t)
 
 
 def test_cap_zero_with_a_full_rank_sum_raises():

@@ -121,7 +121,7 @@ def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
     # The memo entries themselves against fresh computations.
     assert t._memo["polarized"].hex() == eval_polarized(MatrixTuple(t.matrices)).hex()
     newton = t._memo[("newton", DEFAULT_TOL)]
-    fresh = _CAP._newton(MatrixTuple(t.matrices).matrices, DEFAULT_TOL)
+    fresh = _CAP._newton(MatrixTuple(t.matrices).matrices)
     assert newton.value.hex() == fresh.value.hex()
     assert newton.minimizer_x.tobytes() == fresh.minimizer_x.tobytes()
     assert (newton.stop_reason, newton.iterations) == (fresh.stop_reason, fresh.iterations)
@@ -159,7 +159,7 @@ def test_one_newton_solve_per_distinct_tuple(n, monkeypatch):
     report = check_theorem52(t, classical_af_combination(n))
     capacity_via_scaling(t)
     assert report.holds
-    solved = [mats.tobytes() for mats, _ in newton]
+    solved = [mats.tobytes() for (mats,) in newton]
     assert len(solved) == 3 == len(set(solved))
     assert solved[0] == t.matrices.tobytes()
     assert len(scans) == 1 == len(loops)
@@ -220,7 +220,7 @@ def test_other_tolerances_recompute(monkeypatch):
     t = _wishart_tuple(4, 9)
     base = capacity(t)
     assert capacity(t, Tolerances()) is base  # an equal Tolerances is the same key
-    tighter = replace(DEFAULT_TOL, opt_tol=1e-10)
+    tighter = replace(DEFAULT_TOL, psd_tol=1e-10)
     capacity(t, tighter)
     assert len(newton) == 2
     scaled = scale_to_doubly_stochastic(t)

@@ -27,7 +27,6 @@ from mixdisc.cli import (
 )
 from mixdisc.core import (
     DEFAULT_TOL,
-    DecompositionInconsistent,
     DimensionTooLarge,
     MixdiscError,
     NonConvergence,
@@ -77,7 +76,7 @@ class TestEval:
         assert rep["results"]["D"] > 0
         assert len(rep["inputs_digest"]) == 64
         assert set(rep["tolerances"]) == {
-            "hermitian_tol", "psd_tol", "rank_tol", "ds_tol", "opt_tol",
+            "hermitian_tol", "psd_tol", "rank_tol", "ds_tol",
         }
 
     def test_cross_check(self, capsys, ds3):
@@ -250,6 +249,12 @@ class TestCapacityAndScale:
         assert rep["results"]["stop_reason"] == "ds_tol"
         assert rep["results"]["capacity_via_scaling"] == capacity_via_scaling(t)
         assert rep["results"]["capacity_via_scaling"] == pytest.approx(9.0, rel=1e-8)
+
+    def test_scale_report_has_no_alpha(self, capsys, ds3):
+        # trace_scalars over their geometric mean is not a field of its own.
+        code, out, _ = run(capsys, "scale", ds3)
+        assert code == 0
+        assert "alpha" not in json.loads(out)["results"]
 
     def test_decomposable_input_exit2(self, capsys, tmp_path):
         t = MatrixTuple([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -798,7 +803,6 @@ class TestExitCodeTable:
             (CliInputError, 1),
             (MixdiscError, 1),
             (NumericalInconsistency, 2),
-            (DecompositionInconsistent, 2),
             (DimensionTooLarge, 2),
             (NonConvergence, 2),
             (SingularPencil, 2),
@@ -910,6 +914,8 @@ class TestUsageErrors:
             ["hyp", "--op", "no-such-op"],
             ["eval"],
             ["--ds-tol", "x", "check-ds", "t.json"],
+            ["capacity", "t.json", "--opt-tol", "1e-3"],
+            ["--opt-tol", "1e-3", "capacity", "t.json"],
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -940,6 +946,18 @@ class TestInvalidDocuments:
         path.write_text(json.dumps(doc))
         _exits_1_with_one_error_line(*run(capsys, "check-ds", str(path)))
 
+    def test_non_hermitian_block_document(self, capsys, tmp_path):
+        # A complex Gaussian grid: its assembled matrix is far from
+        # Hermitian, an input error rather than a failed residue gate (exit 2).
+        rng = np.random.default_rng(0)
+        blocks = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
+        doc = dict(_block_doc([0.5, 0.0]), blocks=matrix_to_doc(blocks))
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "qp", str(path))
+        _exits_1_with_one_error_line(code, out, err)
+        assert err.startswith("error: invalid block matrix: Hermiticity defect ")
+
     def test_indefinite_pencil(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(_pencil_doc(e=[-1.0, -1.0, -1.0], x=[1, 1, 1])))
@@ -954,6 +972,46 @@ class TestInvalidDocuments:
         code, out, err = run(capsys, "genaf", ds3, str(comb))
         _exits_1_with_one_error_line(code, out, err)
         assert err == "error: combination document must be a JSON object\n"
+
+
+class TestFourTolerances:
+    """Every report's ``tolerances`` holds the four fields of ``Tolerances``."""
+
+    KEYS = {"hermitian_tol", "psd_tol", "rank_tol", "ds_tol"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{tuple}"],
+            ["capacity", "{tuple}"],
+            ["scale", "{tuple}"],
+            ["decompose", "{tuple}"],
+            ["check-ds", "{tuple}"],
+            ["bapat-search", "2", "--trials", "2"],
+            ["genaf", "{tuple}", "{combination}"],
+            ["af-experiment", "8"],
+            ["qp", "{block}"],
+            ["hyp", "{pencil}", "--op", "roots"],
+            ["hyp", "{pencil}", "--op", "trace"],
+            ["hyp", "{pencil}", "--op", "mixed-value"],
+            ["hyp", "{pencil}", "--op", "check-hd"],
+            ["hyp", "--op", "conjecture", "--samples", "20"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith(("{", "-")) and not a.isdigit()),
+    )
+    def test_every_report_has_four(self, capsys, tmp_path, monkeypatch, ds3, argv):
+        monkeypatch.chdir(tmp_path)  # bapat-search writes its CSV here
+        paths = {"tuple": ds3}
+        for name, doc in [
+            ("combination", _AF_COMBINATION),
+            ("block", _block_doc([0.5, 0.0])),
+            ("pencil", _pencil_doc(x=[1.0, 1.0, 1.0], X=np.eye(3).tolist())),
+        ]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        code, out, _ = run(capsys, *[a.format(**paths) for a in argv])
+        assert code == 0
+        assert set(json.loads(out)["tolerances"]) == self.KEYS
 
 
 class TestOneParserPerProcess:

@@ -205,12 +205,6 @@ class TestGradient:
             d = eval_polarized(t)
             assert euler_identity_residual(t) <= 1e-8 * (1.0 + abs(d))
 
-    def test_euler_quadratic_form(self):
-        t = random_tuple(3, 2)
-        w = make_rng(0).standard_normal(3)
-        d = eval_polarized(t)
-        assert euler_identity_residual(t, omega=w) <= 1e-8 * (1.0 + abs(d))
-
     def test_non_hermitian_q_is_an_internal_failure(self):
         # Slot 1 at 1e4 times the others' scale: rounding leaves Q far from
         # Hermitian.  The input is valid, so this is a failed internal

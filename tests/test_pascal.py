@@ -77,6 +77,29 @@ class TestBlockMatrix:
         with pytest.raises(ValueError):
             BlockMatrix([[np.eye(2)], [np.eye(2)]])
 
+    def test_the_assembled_matrix_is_held_to_hermitian_tol(self):
+        # A defect of 1e-9 in one off-diagonal entry of rho = I: refused at
+        # the default hermitian_tol, symmetrized within 1e-8.
+        rho = np.eye(4, dtype=complex)
+        rho[0, 3] = 1e-9
+        grid = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        with pytest.raises(NotHermitian):
+            BlockMatrix(grid)
+        a = BlockMatrix(grid, Tolerances(hermitian_tol=1e-8)).assembled()
+        np.testing.assert_array_equal(a, a.conj().T)
+        assert a[0, 3] == a[3, 0] == 5e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sampled_and_assembled_matrices_keep_their_bits(self, n):
+        # Each is exactly Hermitian as built, so validation changes no bit.
+        for rho in (sample_block_ds(n, 0), sample_separable_ds(n, 0)[0]):
+            a = rho.assembled()
+            np.testing.assert_array_equal(a, a.conj().T)
+            np.testing.assert_array_equal(BlockMatrix(rho.blocks).blocks, rho.blocks)
+        spec = sample_separable_ds(n, 1)[1]
+        a = assemble_separable(spec).assembled()
+        np.testing.assert_array_equal(a, a.conj().T)
+
     @pytest.mark.parametrize("qp", [qp_block, qp_tensor])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_blocks_are_rejected(self, qp, bad):

@@ -14,7 +14,6 @@ from mixdisc.capacity import capacity, capacity_via_scaling, scale_to_doubly_sto
 from mixdisc.cli import main, tuple_to_doc
 from mixdisc.core import (
     DEFAULT_TOL,
-    DecompositionInconsistent,
     NotDoublyStochastic,
     NotIndecomposable,
     NumericalInconsistency,
@@ -171,7 +170,7 @@ class TestDecompose:
         # Every D 1% high: D(t) = 1.01 D, the product of two parts 1.0201 D.
         exact = structure.eval_polarized
         monkeypatch.setattr(structure, "eval_polarized", lambda t: exact(t) * 1.01)
-        with pytest.raises(DecompositionInconsistent, match="^product identity off by "):
+        with pytest.raises(NumericalInconsistency, match="^product identity off by "):
             decompose(block_diag_ds(11)[0])
 
     def test_each_peel_round_takes_two_eigensolves(self, monkeypatch):
