@@ -13,20 +13,19 @@ from .core import (
     NotIndecomposable,
     NotPositiveDefinite,
     NumericalInconsistency,
+    OutOfRange,
     PreconditionViolated,
     SamplerExhausted,
     SingularPencil,
     TermNotPsd,
     Tolerances,
     make_rng,
-    random_psd,
 )
 from .discriminant import (
     DiscriminantGradient,
     DsTupleReport,
     MatrixTuple,
     check_doubly_stochastic,
-    diagonal_tuple,
     euler_identity_residual,
     eval_double_perm,
     eval_polarized,
@@ -70,7 +69,6 @@ from .genaf import (
     classical_af_combination,
     column_repeated,
     expand_tuple,
-    m_alpha,
     validate_weight,
 )
 from .pascal import (
@@ -92,7 +90,6 @@ from .hyperbolic import (
     axis_vectors,
     check_hd_membership,
     conjecture_experiment,
-    is_e_nonnegative,
     mixed_value,
     pencil_from_tuple,
     roots,

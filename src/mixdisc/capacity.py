@@ -149,6 +149,7 @@ from .core import (
     NonConvergence,
     NotIndecomposable,
     NotPositiveDefinite,
+    OutOfRange,
     PreconditionViolated,
     SingularPencil,
     Tolerances,
@@ -229,6 +230,15 @@ class ScalingResult:
     iterations: int
     converged: bool
     stop_reason: str
+
+
+def _cap(log_cap: float) -> float:
+    """Cap = e^log_cap; ``OutOfRange``, naming Cap's base-2 exponent
+    log_cap / ln 2, where that is beyond the float range."""
+    try:
+        return math.exp(log_cap)
+    except OverflowError:
+        raise OutOfRange(f"Cap = 2^{log_cap / math.log(2.0):.2f} is beyond the float range") from None
 
 
 def _objective(mats, y):
@@ -380,7 +390,7 @@ def _newton(mats) -> CapacityResult:
     x = np.exp(y)
     x.flags.writeable = False
     return CapacityResult(
-        value=math.exp(f),
+        value=_cap(f),
         minimizer_x=x,
         gradient_norm=gnorm,
         iterations=it,
@@ -705,7 +715,7 @@ def capacity_via_scaling(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> float
     res = scale_to_doubly_stochastic(t, tol)
     sign, logdet = np.linalg.slogdet(res.transform_X)
     log_cap = -2.0 * float(logdet) - float(np.sum(np.log(res.trace_scalars)))
-    return math.exp(log_cap)
+    return _cap(log_cap)
 
 
 def capacity_bound_report(

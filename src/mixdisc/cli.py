@@ -17,8 +17,9 @@ hierarchy of the exception:
   argument parsing error becomes, and every other ``MixdiscError``);
 - 2: numerical failure or a gate (``DimensionTooLarge``,
   ``NonConvergence``, ``SingularPencil``, ``SamplerExhausted``,
-  ``NotDoublyStochastic``, ``NotIndecomposable``, and a failed internal
-  cross-check, ``NumericalInconsistency``);
+  ``NotDoublyStochastic``, ``NotIndecomposable``, a value or a term beyond
+  the float range, ``OutOfRange``, and a failed internal cross-check,
+  ``NumericalInconsistency``);
 - 3: internal invariant breach (``InvariantBreach``, a would-be
   mathematical-news event).
 """
@@ -49,6 +50,7 @@ from .core import (
     NotDoublyStochastic,
     NotIndecomposable,
     NumericalInconsistency,
+    OutOfRange,
     SamplerExhausted,
     SingularPencil,
     Tolerances,
@@ -99,6 +101,7 @@ _EXIT_CODES = {
     NotDoublyStochastic: 2,
     NotIndecomposable: 2,
     NumericalInconsistency: 2,
+    OutOfRange: 2,
     InvariantBreach: 3,
 }
 
@@ -164,17 +167,6 @@ def block_to_doc(bm: pascal.BlockMatrix) -> dict:
         "kind": "block",
         "n": bm.n,
         "blocks": matrix_to_doc(bm.blocks),
-    }
-
-
-def pencil_to_doc(p: hyperbolic.HyperbolicPencil) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pencil",
-        "n": p.degree,
-        "m": p.m,
-        "matrices": matrix_to_doc(p.matrices),
-        "e": p.e.tolist(),
     }
 
 
@@ -489,6 +481,30 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(f"{self.prog}: {message}")
 
 
+class _RootParser(_Parser):
+    """The root parser, with the tolerance flags of ``flags``.  An option
+    that ``flags`` does not know, given before the subcommand, is an
+    unrecognized argument, as it is after the subcommand; argparse would
+    otherwise read its value as the subcommand."""
+
+    def __init__(self, flags: argparse.ArgumentParser, **kwargs):
+        super().__init__(parents=[flags], **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if args and args[0].startswith("-"):
+            commands = next(a for a in self._actions if isinstance(a, argparse._SubParsersAction)).choices
+            head = list(itertools.takewhile(lambda a: a not in commands, args))
+            try:
+                unknown = [a for a in self._flags.parse_known_args(head)[1] if a not in ("-h", "--help")]
+            except CliInputError:  # a malformed known flag, which the parse below names
+                unknown = []
+            if unknown:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -496,14 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
     # One parent holds the tolerance flags for the root parser and every
     # subcommand, so they work before or after the subcommand; the SUPPRESS
     # default keeps a flag absent on one side from clobbering the other.
-    tol_flags = argparse.ArgumentParser(add_help=False)
+    tol_flags = _Parser(add_help=False)
     for f in _TOL_FIELDS:
         tol_flags.add_argument(
             f"--{f.replace('_', '-')}", type=float, default=argparse.SUPPRESS, dest=f,
             help=f"override {f}",
         )
-    parser = _Parser(prog="mixdisc", description="Mixed discriminant toolkit", parents=[tol_flags])
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _RootParser(tol_flags, prog="mixdisc", description="Mixed discriminant toolkit")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, fn, help_text, *positionals):
         p = sub.add_parser(name, parents=[tol_flags], help=help_text)

@@ -12,9 +12,7 @@ definite (``_definite``: largest eigenvalue > 0, smallest > psd_tol times it)
 and rank (``rank_psd``: eigenvalues above rank_tol times the largest).  Only
 this module reads ``psd_tol``.  Every M^(-1/2) (tuple and Pascal scaling, the
 pencil reduction) is ``_inv_sqrt`` of one ``_eigh`` call's ascending eigenpairs,
-under ``_definite``.  ``is_e_nonnegative`` applies ``_psd`` to the roots,
-with the largest |root| as the scale.  An absolute term remains in
-``as_hermitian``'s floor.
+under ``_definite``.  An absolute term remains in ``as_hermitian``'s floor.
 
 One doubly stochastic rule, ``_ds_limit``, on unit-trace objects of
 dimension n: a scaling loop stops at max(ds_tol, 4 n eps) (tuple scaling in
@@ -104,6 +102,11 @@ class TermNotPsd(MixdiscError):
 class NumericalInconsistency(MixdiscError):
     """An internal cross-check (imaginary residue, dual-path agreement, the
     product of a decomposition's parts) failed."""
+
+
+class OutOfRange(MixdiscError):
+    """A value, or a term of the sum that gives it, lies beyond the float
+    range."""
 
 
 class NonConvergence(MixdiscError):
@@ -353,8 +356,8 @@ def _wishart(shape, seed: int) -> np.ndarray:
     """G @ G* for each matrix of ``random_complex_gaussian(shape,
     make_rng(seed))``, as BLAS returns it: Hermitian only up to rounding.
 
-    One generator per sample: an int n is ``random_psd``'s matrix, and
-    (n, n, n) is one Wishart n-tuple, the draw ``random_ds_tuples`` scales and
+    One generator per sample: an int n is one n x n matrix, and (n, n, n)
+    is one Wishart n-tuple, the draw ``random_ds_tuples`` scales and
     ``gen-random --kind psd`` prints; the caller's ``as_hermitian``
     symmetrizes it.
     """
@@ -362,12 +365,6 @@ def _wishart(shape, seed: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     g = random_complex_gaussian(shape, make_rng(seed))
     return g @ g.conj().swapaxes(-1, -2)
-
-
-def random_psd(n: int, seed: int) -> np.ndarray:
-    """G @ G* for a seeded complex Gaussian G, symmetrized exactly; almost
-    surely positive definite."""
-    return as_hermitian(_wishart(n, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .core import (
     DEFAULT_TOL,
     NotHermitian,
     NumericalInconsistency,
+    OutOfRange,
     PreconditionViolated,
     Tolerances,
     _ds_limit,
@@ -92,7 +93,7 @@ class MatrixTuple:
     by key.  Four results are kept there.  :func:`eval_polarized` keeps D,
     the float that passed the residue gate of :func:`_as_real_d`, by
     "polarized", so every reader of D through it (``capacity_bound_report``,
-    ``decompose``, ``genaf.m_alpha``, repeat calls) shares one evaluation.
+    ``decompose``, repeat calls) shares one evaluation.
     :func:`gradient` leaves that entry alone: its ``value`` has the same bits
     but never passes the gate.  The capacity layer keeps the damped-Newton
     ``CapacityResult`` by ("newton", Tolerances), written only by
@@ -159,12 +160,6 @@ class MatrixTuple:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def replaced(self, i: int, m) -> "MatrixTuple":
-        """Copy with slot ``i`` replaced by ``m``."""
-        mats = list(self.matrices)
-        mats[i] = m
-        return MatrixTuple(mats)
-
 
 @dataclass(frozen=True)
 class DiscriminantGradient:
@@ -213,23 +208,25 @@ def _as_real_d(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
     terms cancel: with a rank-one slot repeated D = 0 and every term is
     itself rounding noise.  The lower bound S >= max |entry of the tuple|^n
     passes almost every nonzero residue, so S itself is computed, by one
-    batched ``eigvalsh``, only for the values it does not pass.
+    batched ``eigvalsh``, only for the values it does not pass.  A bound
+    beyond the float range reads inf, which every finite residue passes.
     """
     n = mats.shape[-1]
     imag = np.abs(z.imag)
     if imag.any():
         gate = _rounding_scale(n)
-        unsure = np.flatnonzero(imag > gate * np.abs(mats).max(axis=(1, 2, 3)) ** n)
-        if unsure.size:
-            norms = np.abs(_eigh(mats[unsure], vectors=False)).max(-1)
-            bounds = gate * norms.sum(-1) ** n
-            bad = imag[unsure] > bounds
-            if bad.any():
-                k = int(bad.argmax())
-                raise NumericalInconsistency(
-                    f"value {complex(z[unsure[k]])!r} has imaginary "
-                    f"residue above 8 n u S = {bounds[k]:.3g}"
-                )
+        with np.errstate(over="ignore"):
+            unsure = np.flatnonzero(imag > gate * np.abs(mats).max(axis=(1, 2, 3)) ** n)
+            if unsure.size:
+                norms = np.abs(_eigh(mats[unsure], vectors=False)).max(-1)
+                bounds = gate * norms.sum(-1) ** n
+                bad = imag[unsure] > bounds
+                if bad.any():
+                    k = int(bad.argmax())
+                    raise NumericalInconsistency(
+                        f"value {complex(z[unsure[k]])!r} has imaginary "
+                        f"residue above 8 n u S = {bounds[k]:.3g}"
+                    )
     return z.real
 
 
@@ -488,15 +485,24 @@ def _exact_sums(chunks):
     bits of one fsum over all the terms, whatever the chunks, and no more
     than one chunk of terms is held.
     The sums of |terms| are numpy's pairwise sums per chunk, added in order.
+
+    The terms are computed as the chunks are asked for, under
+    ``np.errstate(over="raise")``: a term, a sum of |terms| or a row sum
+    beyond the float range raises ``OutOfRange``, where the value the sums
+    give after scaling, such as D, may still lie within it.
     """
-    parts = []
-    last = next(chunks)
-    magnitudes = np.abs(last).sum(axis=1)
-    for terms in chunks:
-        magnitudes += np.abs(terms).sum(axis=1)
-        parts.append(_exact_parts(_real_rows(last)))
-        last = terms
-    return _fsum_rows(np.concatenate(parts + [_real_rows(last)], axis=1)), magnitudes
+    try:
+        with np.errstate(over="raise"):
+            parts = []
+            last = next(chunks)
+            magnitudes = np.abs(last).sum(axis=1)
+            for terms in chunks:
+                magnitudes += np.abs(terms).sum(axis=1)
+                parts.append(_exact_parts(_real_rows(last)))
+                last = terms
+            return _fsum_rows(np.concatenate(parts + [_real_rows(last)], axis=1)), magnitudes
+    except (FloatingPointError, OverflowError) as exc:
+        raise OutOfRange(f"terms beyond the float range ({exc}); the value may lie within it") from exc
 
 
 def _real_rows(terms: np.ndarray) -> np.ndarray:
@@ -712,9 +718,9 @@ def _adjugates(m: np.ndarray):
     lu = np.isfinite(det) & (det != 0)
     # Where M^-1 does not exist, I is inverted instead and the row replaced below.
     regular = m if lu.all() else np.where(lu[:, None, None], m, np.eye(n))
-    adj = np.linalg.inv(regular)
     # Overflow and 0 * inf occur only in rows the eigen route replaces.
     with np.errstate(over="ignore", invalid="ignore"):
+        adj = np.linalg.inv(regular)
         lu &= _norm1(regular) * _norm1(adj) <= _ADJ_LU_MAX_COND
         adj *= det[:, None, None]
     # A quarter of the chunk at a time, the eigen route peaks below its own
@@ -861,14 +867,3 @@ def exchange_value(
             f"trace form ({t_ij:.12g}, {t_ji:.12g})"
         )
     return d_ij, d_ji
-
-
-def diagonal_tuple(c) -> MatrixTuple:
-    """The tuple of diagonal matrices built from the columns of ``c``.
-
-    Bridges permanents and mixed discriminants: D of the result equals per(c).
-    """
-    a = np.asarray(c, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square matrix")
-    return MatrixTuple([np.diag(a[:, j]) for j in range(a.shape[0])])

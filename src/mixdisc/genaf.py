@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, InvalidWeight, SingularPencil, Tolerances, _below
 from .capacity import capacity, n_pow_n_over_factorial
-from .discriminant import MatrixTuple, _discriminants, eval_polarized, permanent
+from .discriminant import MatrixTuple, _discriminants, permanent
 
 _VALUE_FLOOR = 1e-300
 
@@ -78,11 +78,6 @@ def expand_tuple(t: MatrixTuple, alpha) -> MatrixTuple:
     if (a == 1).all():
         return t
     return MatrixTuple._of_hermitian(t.matrices[np.repeat(np.arange(t.n), a)])
-
-
-def m_alpha(t: MatrixTuple, alpha) -> float:
-    """Mixed discriminant of the repeated tuple."""
-    return eval_polarized(expand_tuple(t, alpha))
 
 
 def _log_positive(value: float, what: str) -> float:

@@ -42,7 +42,6 @@ from .core import (
     _eigh,
     _gate,
     _inv_sqrt,
-    _psd,
     as_hermitian,
     iter_seeds,
     make_rng,
@@ -143,7 +142,7 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
     reduced slots, hence real.  The residual compares their product, times
     p(e), against p(x) relatively.
     """
-    w = _roots_ascending(pencil, x)[::-1].copy()
+    w = _eigh(_pencil_points(pencil._reduced, pencil._vector(x)), vectors=False)[::-1].copy()
     # p(x - lam e) = det(B(x) - lam E) = det(E) * prod(eig - lam)
     p_x = pencil.value(x)
     scaled = float(np.prod(w)) * pencil.value(pencil.e)
@@ -154,20 +153,6 @@ def roots(pencil: HyperbolicPencil, x) -> RootVector:
 def trace_e(pencil: HyperbolicPencil, x) -> float:
     """Sum of the roots of p(x - lambda e); linear in x: sum x_i tr A_i."""
     return float(_e_traces(_slot_traces(pencil._reduced), pencil._vector(x)))
-
-
-def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the roots of p(x - lambda e) pass the one PSD rule,
-    ``core._psd``, with the largest |root| as the scale: the smallest root is
-    at least -psd_tol times it, so scaling x by c > 0 changes no verdict."""
-    lam = _roots_ascending(pencil, x)
-    return bool(_psd(lam, max(-lam[0], lam[-1]), tol))
-
-
-def _roots_ascending(pencil: HyperbolicPencil, x) -> np.ndarray:
-    """The roots of p(x - lambda e), ascending: the eigenvalues of
-    sum x_i A_i, from ``eigvalsh``."""
-    return _eigh(_pencil_points(pencil._reduced, pencil._vector(x)), vectors=False)
 
 
 def _pencil_points(matrices: np.ndarray, xs: np.ndarray) -> np.ndarray:

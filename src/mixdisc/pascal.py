@@ -82,13 +82,6 @@ class BlockMatrix:
         self.n = n
         self.blocks = grid
 
-    @classmethod
-    def from_assembled(cls, rho, n: int) -> "BlockMatrix":
-        rho = np.asarray(rho, dtype=np.complex128)
-        if rho.shape != (n * n, n * n):
-            raise ValueError(f"assembled matrix must be {n * n} x {n * n}")
-        return cls(rho.reshape(n, n, n, n).transpose(0, 2, 1, 3))
-
     def assembled(self) -> np.ndarray:
         n = self.n
         return self.blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n)

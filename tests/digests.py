@@ -16,7 +16,8 @@ prints one ``<family> <sha256>`` line per family:
   against mixtures scaled by 1, 1 + 1e-7, 2 and -1 and the axis vectors;
 - ``gen_random_psd``: the ``mixdisc gen-random n --kind psd --seed s``
   documents for n = 2..6 and seeds 0-9;
-- ``random_psd``: the bytes of ``random_psd(n, s)`` for n = 1..6 and seeds 0-19;
+- ``random_psd``: the bytes of ``random_psd(n, s)`` (``helpers.py``) for
+  n = 1..6 and seeds 0-19;
 - ``pascal_samplers``: the bytes of rho from ``sample_block_ds`` and
   ``sample_separable_ds`` for n = 2, 3 and seeds 0-9 (``None`` where the
   sampler raises ``NonConvergence`` at its step cap);
@@ -65,7 +66,6 @@ from mixdisc.core import (  # noqa: E402
     iter_seeds,
     make_rng,
     random_complex_gaussian,
-    random_psd,
 )
 from mixdisc.discriminant import MatrixTuple  # noqa: E402
 from mixdisc.extremal import minimize_search, random_ds_tuple, random_ds_tuples  # noqa: E402
@@ -79,6 +79,8 @@ from mixdisc.hyperbolic import (  # noqa: E402
 )
 from mixdisc.pascal import sample_block_ds, sample_separable_ds  # noqa: E402
 from mixdisc.structure import decompose  # noqa: E402
+
+from helpers import random_psd  # noqa: E402
 
 DIMENSIONS = range(2, 7)
 SEEDS = range(60)

@@ -1,16 +1,88 @@
-"""Functions that only the tests call: a random Hermitian matrix, the
-M(A, W) bridge, full indecomposability of a doubly stochastic matrix's
+"""Functions that only the tests call: seeded PSD matrices, a random
+Hermitian matrix, the diagonal tuple of a matrix's columns, a tuple with one
+slot replaced, the mixed discriminant of a repeated tuple, a block matrix
+from its assembled form, a pencil's document, the e-nonnegativity of a point,
+the M(A, W) bridge, full indecomposability of a doubly stochastic matrix's
 support and pairwise averaging of a tuple's slots.
 
 No library route, command or benchmark reads them, so they live beside the
-tests that check them (``test_core``, ``test_structure``, ``test_extremal``,
-``test_centered_kernel``, ``test_refusals``) rather than in ``mixdisc``.
+tests that check them (and ``digests.py``) rather than in ``mixdisc``.
 """
 
 import numpy as np
 
-from mixdisc.core import MixdiscError, max_abs, random_complex_gaussian
-from mixdisc.discriminant import MatrixTuple, _as_real
+from mixdisc.cli import SCHEMA_VERSION, matrix_to_doc
+from mixdisc.core import (
+    DEFAULT_TOL,
+    MixdiscError,
+    Tolerances,
+    _psd,
+    _wishart,
+    as_hermitian,
+    max_abs,
+    random_complex_gaussian,
+)
+from mixdisc.discriminant import MatrixTuple, _as_real, eval_polarized
+from mixdisc.genaf import expand_tuple
+from mixdisc.hyperbolic import HyperbolicPencil, roots
+from mixdisc.pascal import BlockMatrix
+
+
+def random_psd(n: int, seed: int) -> np.ndarray:
+    """G @ G* for a seeded complex Gaussian G, symmetrized exactly; almost
+    surely positive definite."""
+    return as_hermitian(_wishart(n, seed))
+
+
+def diagonal_tuple(c) -> MatrixTuple:
+    """The tuple of diagonal matrices built from the columns of ``c``.
+
+    Bridges permanents and mixed discriminants: D of the result equals per(c).
+    """
+    a = np.asarray(c, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square matrix")
+    return MatrixTuple([np.diag(a[:, j]) for j in range(a.shape[0])])
+
+
+def replaced(t: MatrixTuple, i: int, m) -> MatrixTuple:
+    """Copy of ``t`` with slot ``i`` replaced by ``m``."""
+    mats = list(t.matrices)
+    mats[i] = m
+    return MatrixTuple(mats)
+
+
+def m_alpha(t: MatrixTuple, alpha) -> float:
+    """Mixed discriminant of the repeated tuple."""
+    return eval_polarized(expand_tuple(t, alpha))
+
+
+def from_assembled(rho, n: int) -> BlockMatrix:
+    """The block matrix whose assembled (n^2, n^2) form is ``rho``."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (n * n, n * n):
+        raise ValueError(f"assembled matrix must be {n * n} x {n * n}")
+    return BlockMatrix(rho.reshape(n, n, n, n).transpose(0, 2, 1, 3))
+
+
+def pencil_to_doc(p: HyperbolicPencil) -> dict:
+    """The pencil document ``hyp`` reads."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "pencil",
+        "n": p.degree,
+        "m": p.m,
+        "matrices": matrix_to_doc(p.matrices),
+        "e": p.e.tolist(),
+    }
+
+
+def is_e_nonnegative(pencil: HyperbolicPencil, x, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether the roots of p(x - lambda e) pass the one PSD rule,
+    ``core._psd``, with the largest |root| as the scale: the smallest root is
+    at least -psd_tol times it, so scaling x by c > 0 changes no verdict."""
+    lam = roots(pencil, x).lam[::-1]
+    return bool(_psd(lam, max(-lam[0], lam[-1]), tol))
 
 
 class NotUnitary(MixdiscError):

@@ -20,11 +20,10 @@ from mixdisc.capacity import (
     n_pow_n_over_factorial,
     scale_to_doubly_stochastic,
 )
-from mixdisc.core import DEFAULT_TOL, NonConvergence, iter_seeds, make_rng, random_psd
+from mixdisc.core import DEFAULT_TOL, NonConvergence, iter_seeds, make_rng
 from mixdisc.discriminant import (
     MatrixTuple,
     _discriminants,
-    diagonal_tuple,
     euler_identity_residual,
     eval_double_perm,
     eval_polarized,
@@ -56,6 +55,8 @@ from mixdisc.pascal import (
     qp_tensor,
     sample_separable_ds,
 )
+
+from helpers import diagonal_tuple, from_assembled, random_psd
 
 
 def _report(num, ok, detail):
@@ -323,7 +324,7 @@ def test_criterion_11_pascal():
             g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal(
                 (n * n, n * n)
             )
-            bm = BlockMatrix.from_assembled((g + g.conj().T) / 2.0, n)
+            bm = from_assembled((g + g.conj().T) / 2.0, n)
             b, t = qp_block(bm), qp_tensor(bm)
             worst = max(worst, abs(b - t) / (1.0 + abs(b)))
             count += 1

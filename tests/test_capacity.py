@@ -30,7 +30,6 @@ from mixdisc.core import (
     iter_seeds,
     make_rng,
     random_complex_gaussian,
-    random_psd,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
@@ -40,6 +39,8 @@ from mixdisc.discriminant import (
 )
 from mixdisc.extremal import random_ds_tuple, random_ds_tuples
 from mixdisc.structure import is_indecomposable
+
+from helpers import random_psd
 
 
 def random_tuple(n, seed):

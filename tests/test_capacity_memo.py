@@ -34,13 +34,14 @@ from mixdisc.core import (
 from mixdisc.discriminant import (
     MatrixTuple,
     check_doubly_stochastic,
-    diagonal_tuple,
     eval_polarized,
     gradient,
 )
 from mixdisc.extremal import random_ds_tuple
-from mixdisc.genaf import check_theorem52, classical_af_combination, expand_tuple, m_alpha
+from mixdisc.genaf import check_theorem52, classical_af_combination, expand_tuple
 from mixdisc.structure import decompose, is_indecomposable
+
+from helpers import diagonal_tuple, m_alpha
 
 _CAP = sys.modules["mixdisc.capacity"]
 _DISC = sys.modules["mixdisc.discriminant"]

@@ -22,7 +22,6 @@ from mixdisc.cli import (
     block_to_doc,
     main,
     matrix_to_doc,
-    pencil_to_doc,
     tuple_to_doc,
 )
 from mixdisc.core import (
@@ -45,6 +44,8 @@ from mixdisc.hyperbolic import (
     pencil_from_tuple,
 )
 from mixdisc.pascal import BlockDsReport, BlockMatrix
+
+from helpers import pencil_to_doc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 _CAP = sys.modules["mixdisc.capacity"]
@@ -920,6 +921,29 @@ class TestUsageErrors:
     )
     def test_exit_1(self, capsys, argv):
         _exits_1_with_one_error_line(*run(capsys, *argv))
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--opt-tol", "1e-3", "capacity", "t.json"], "--opt-tol 1e-3"),
+            (["--opt-tol=1e-3", "capacity", "t.json"], "--opt-tol=1e-3"),
+            (["--ds-tol", "0", "--no-such-flag", "check-ds", "t.json"], "--no-such-flag"),
+        ],
+    )
+    def test_unknown_flag_before_the_subcommand_is_named(self, capsys, argv, named):
+        # Its value used to be read as the subcommand: "invalid choice: '1e-3'".
+        code, out, err = run(capsys, *argv)
+        _exits_1_with_one_error_line(code, out, err)
+        assert err == f"error: mixdisc: unrecognized arguments: {named}\n"
+
+    def test_known_flags_before_the_subcommand_still_parse(self, capsys, ds3):
+        code, out, _ = run(capsys, "--ds-tol", "1e-4", "--psd-tol=1e-8", "check-ds", ds3)
+        assert code == 0
+        tolerances = json.loads(out)["tolerances"]
+        assert (tolerances["ds_tol"], tolerances["psd_tol"]) == (1e-4, 1e-8)
+        code, out, err = run(capsys, "--ds-tol", "-1", "check-ds", ds3)
+        _exits_1_with_one_error_line(code, out, err)
+        assert "ds_tol must lie in [0, 1)" in err
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -17,13 +17,12 @@ from mixdisc.core import (
     max_abs,
     psd_violation,
     random_complex_gaussian,
-    random_psd,
     rank_psd,
 )
 from mixdisc.discriminant import MatrixTuple
 from mixdisc.extremal import dnp_family_value
 
-from helpers import random_hermitian
+from helpers import random_hermitian, random_psd
 
 
 class TestTolerances:

@@ -12,7 +12,6 @@ from mixdisc.core import (
     iter_seeds,
     make_rng,
     random_complex_gaussian,
-    random_psd,
 )
 from mixdisc import discriminant
 from mixdisc.discriminant import (
@@ -21,7 +20,6 @@ from mixdisc.discriminant import (
     _as_real,
     _as_real_d,
     check_doubly_stochastic,
-    diagonal_tuple,
     euler_identity_residual,
     eval_double_perm,
     eval_polarized,
@@ -32,6 +30,8 @@ from mixdisc.discriminant import (
     gradient,
     permanent,
 )
+
+from helpers import diagonal_tuple, random_psd, replaced
 
 ALL_EVALS = [
     eval_polarized,
@@ -63,7 +63,7 @@ class TestMatrixTuple:
 
     def test_replaced(self):
         t = random_tuple(3, 1)
-        t2 = t.replaced(1, np.eye(3))
+        t2 = replaced(t, 1, np.eye(3))
         np.testing.assert_array_equal(t2[1], np.eye(3))
         np.testing.assert_array_equal(t2[0], t[0])
 
@@ -73,7 +73,7 @@ class TestMatrixTuple:
         assert isinstance(t.matrices, np.ndarray)
         assert t.matrices.shape == (3, 3, 3) and t.matrices.dtype == np.complex128
         assert not t.matrices.flags.writeable
-        t.replaced(0, np.eye(3))
+        replaced(t, 0, np.eye(3))
         np.testing.assert_array_equal(t.matrices, before)
 
     def test_hermiticity_scale_is_per_slot(self):
@@ -109,8 +109,8 @@ class TestKnownValues:
     def test_multilinearity(self):
         t = random_tuple(3, 5)
         c = random_psd(3, 99)
-        lhs = eval_polarized(t.replaced(0, t[0] + 2.0 * c))
-        rhs = eval_polarized(t) + 2.0 * eval_polarized(t.replaced(0, c))
+        lhs = eval_polarized(replaced(t, 0, t[0] + 2.0 * c))
+        rhs = eval_polarized(t) + 2.0 * eval_polarized(replaced(t, 0, c))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_symmetry_under_slot_swap(self):
@@ -196,7 +196,7 @@ class TestGradient:
         t = random_tuple(3, 17)
         g = gradient(t)
         x = random_psd(3, 55)
-        direct = eval_polarized(t.replaced(1, x))
+        direct = eval_polarized(replaced(t, 1, x))
         assert float(np.trace(x @ g.Q[1]).real) == pytest.approx(direct, rel=1e-8)
 
     def test_euler_identity(self):
@@ -327,8 +327,8 @@ class TestExchange:
         for t in tuples:
             for i, j in [(0, 1), (1, 0), (0, n - 1), (n - 1, n - 2)]:
                 d_ij, d_ji = exchange_value(t, i, j)
-                assert d_ij.hex() == eval_polarized(t.replaced(j, t.matrices[i])).hex()
-                assert d_ji.hex() == eval_polarized(t.replaced(i, t.matrices[j])).hex()
+                assert d_ij.hex() == eval_polarized(replaced(t, j, t.matrices[i])).hex()
+                assert d_ji.hex() == eval_polarized(replaced(t, i, t.matrices[j])).hex()
 
 
 class TestAsReal:

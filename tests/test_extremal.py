@@ -19,7 +19,6 @@ from mixdisc.core import (
     max_abs,
     psd_violation,
     random_complex_gaussian,
-    random_psd,
 )
 from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic, eval_polarized
 from mixdisc.extremal import (
@@ -31,7 +30,7 @@ from mixdisc.extremal import (
     random_ds_tuples,
 )
 
-from helpers import averaging_sweep, random_hermitian
+from helpers import averaging_sweep, random_hermitian, random_psd
 
 
 class TestBound:

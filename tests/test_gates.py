@@ -152,7 +152,7 @@ def test_one_route_per_decision():
 
 def test_psd_tol_is_read_only_in_core():
     # One PSD rule (core._psd) and one definiteness rule (core._definite);
-    # no other module reads psd_tol, and is_e_nonnegative takes Tolerances.
+    # no other module reads psd_tol.
     reads = {
         path.stem: [
             ast.unparse(node)
@@ -163,12 +163,6 @@ def test_psd_tol_is_read_only_in_core():
         if path.stem != "core"
     }
     assert {k: v for k, v in reads.items() if v} == {}
-    tree = ast.parse((SRC / "hyperbolic.py").read_text(encoding="utf-8"))
-    (entry,) = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "is_e_nonnegative"
-    ]
-    assert [ast.unparse(d) for d in entry.args.defaults] == ["DEFAULT_TOL"]
     for path in SRC.glob("*.py"):
         assert "min_eigenvalue" not in path.read_text(encoding="utf-8"), path.name
 

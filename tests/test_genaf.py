@@ -6,7 +6,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from mixdisc.core import InvalidWeight, iter_seeds, random_psd
+from mixdisc.core import InvalidWeight, iter_seeds
 from mixdisc.discriminant import MatrixTuple, eval_polarized, exchange_value, gradient
 from mixdisc import genaf
 from mixdisc.genaf import (
@@ -16,9 +16,10 @@ from mixdisc.genaf import (
     classical_af_combination,
     column_repeated,
     expand_tuple,
-    m_alpha,
     validate_weight,
 )
+
+from helpers import m_alpha, random_psd
 
 
 def random_tuple(n, seed):

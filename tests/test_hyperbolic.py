@@ -14,7 +14,6 @@ from mixdisc.core import (
     Tolerances,
     iter_seeds,
     make_rng,
-    random_psd,
 )
 from mixdisc.discriminant import MatrixTuple, eval_polarized, permanent
 from mixdisc.extremal import _random_ds_stack, bapat_bound, random_ds_tuple
@@ -24,12 +23,13 @@ from mixdisc.hyperbolic import (
     axis_vectors,
     check_hd_membership,
     conjecture_experiment,
-    is_e_nonnegative,
     mixed_value,
     pencil_from_tuple,
     roots,
     trace_e,
 )
+
+from helpers import is_e_nonnegative, random_psd
 
 
 def random_pencil(n, seed):

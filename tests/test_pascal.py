@@ -13,7 +13,6 @@ from mixdisc.core import (
     inv_sqrt_psd,
     make_rng,
     random_complex_gaussian,
-    random_psd,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
@@ -33,11 +32,13 @@ from mixdisc.pascal import (
     sample_separable_ds,
 )
 
+from helpers import from_assembled, random_psd
+
 
 def random_hermitian_block(n, seed):
     rng = make_rng(seed)
     g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-    return BlockMatrix.from_assembled((g + g.conj().T) / 2.0, n)
+    return from_assembled((g + g.conj().T) / 2.0, n)
 
 
 def _count_inv_sqrt_calls(monkeypatch):
@@ -55,7 +56,7 @@ def _count_inv_sqrt_calls(monkeypatch):
 class TestBlockMatrix:
     def test_roundtrip(self):
         bm = random_hermitian_block(3, 0)
-        bm2 = BlockMatrix.from_assembled(bm.assembled(), 3)
+        bm2 = from_assembled(bm.assembled(), 3)
         for i in range(3):
             for j in range(3):
                 np.testing.assert_array_equal(bm.blocks[i][j], bm2.blocks[i][j])
@@ -336,13 +337,13 @@ class TestBlockDsSampler:
             eye = np.eye(n)
             steps = 0
             for _ in range(500):
-                bm = BlockMatrix.from_assembled(rho, n)
+                bm = from_assembled(rho, n)
                 rep = check_block_ds(bm)
                 if rep.sum_violation + rep.trace_violation <= 1e-8:
                     break
                 s = np.kron(eye, inv_sqrt_psd(np.trace(bm.blocks)))
                 rho = as_hermitian(s @ rho @ s, tol=1e-8)
-                bm = BlockMatrix.from_assembled(rho, n)
+                bm = from_assembled(rho, n)
                 s = np.kron(inv_sqrt_psd(as_hermitian(bm.trace_matrix(), tol=1e-8)), eye)
                 rho = as_hermitian(s @ rho @ s, tol=1e-8)
                 steps += 1
@@ -359,6 +360,6 @@ class TestBlockDsSampler:
             check_block_ds(BlockMatrix(blocks))
 
     def test_check_flags_identity(self):
-        bm = BlockMatrix.from_assembled(np.eye(4, dtype=complex), 2)
+        bm = from_assembled(np.eye(4, dtype=complex), 2)
         rep = check_block_ds(bm)
         assert not rep.passes  # diagonal block sum is 2I, trace matrix is I2*... not I

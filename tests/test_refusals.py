@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from mixdisc.core import InvalidWeight, PreconditionViolated
-from mixdisc.discriminant import MatrixTuple, diagonal_tuple, permanent
+from mixdisc.discriminant import MatrixTuple, permanent
 from mixdisc.extremal import bapat_bound, lemma36_family
 from mixdisc.genaf import ConvexCombination, classical_af_combination
 from mixdisc.hyperbolic import HyperbolicPencil
-from mixdisc.pascal import BlockMatrix, SeparableSpec, assemble_separable
+from mixdisc.pascal import SeparableSpec, assemble_separable
 
-from helpers import m_matrix
+from helpers import diagonal_tuple, from_assembled, m_matrix
 
 J2 = MatrixTuple([np.eye(2) / 2] * 2)
 PENCIL = HyperbolicPencil([np.eye(2), np.diag([1.0, 2.0])], [1.0, 1.0])
@@ -26,7 +26,7 @@ PENCIL = HyperbolicPencil([np.eye(2), np.diag([1.0, 2.0])], [1.0, 1.0])
         (lambda: classical_af_combination(1), InvalidWeight, "n >= 2"),
         (lambda: bapat_bound(0), ValueError, "n must be >= 1"),
         (lambda: lemma36_family(1, np.eye(1)), PreconditionViolated, "n >= 2"),
-        (lambda: BlockMatrix.from_assembled(np.eye(3), 2), ValueError, "must be 4 x 4"),
+        (lambda: from_assembled(np.eye(3), 2), ValueError, "must be 4 x 4"),
         (lambda: assemble_separable(SeparableSpec(terms=())), ValueError, "at least one separable term"),
         (lambda: assemble_separable(SeparableSpec(terms=((np.ones((2, 3)),) * 2,))), ValueError, "share one dimension"),
         (

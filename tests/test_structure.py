@@ -21,13 +21,11 @@ from mixdisc.core import (
     iter_seeds,
     make_rng,
     random_complex_gaussian,
-    random_psd,
     rank_psd,
 )
 from mixdisc.discriminant import (
     MatrixTuple,
     check_doubly_stochastic,
-    diagonal_tuple,
     eval_polarized,
     permanent,
 )
@@ -40,7 +38,7 @@ from mixdisc.structure import (
     positivity_rank_test,
 )
 
-from helpers import NotUnitary, is_fully_indecomposable_support, m_matrix
+from helpers import diagonal_tuple, is_fully_indecomposable_support, m_matrix, NotUnitary, random_psd
 
 
 def block_diag_ds(seed):
