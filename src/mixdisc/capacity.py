@@ -113,33 +113,18 @@ it (``core._ds_limit`` and ``core._ds_stop_reason``); the result that
 ``NonConvergence`` carries has ``"max_iter"`` when scaling hits
 ``SCALING_MAX_ITER`` and ``"stalled"`` when its defect stopped falling first.
 
-A ``MatrixTuple`` never changes, so results are memoized on it
-(``MatrixTuple._memoized``) and each is computed once per tuple.  Its mixed
-discriminant D is one entry, filled only by ``eval_polarized`` (the float
-that passed the residue gate; ``gradient`` leaves the entry alone, since its
-``value`` never passed that gate), so ``capacity_bound_report`` reads the D
-the caller's ``eval_polarized`` already computed.  Two entries belong to this
-layer, each with one writer.  ``capacity`` keeps the Newton
-``CapacityResult`` by ("newton", ``Tolerances``), made only
-after the PSD check at those tolerances (a read of the memoized slot
-eigenvalues); its ``minimizer_x`` is read-only.
-``scale_to_doubly_stochastic`` keeps the ``ScalingResult`` by ("scaling",
-``Tolerances``), made by its one-tuple call of
-``_scale_stack``, so the indecomposability test at those tolerances and the
-loop run once per tuple; its arrays are read-only.  ``_scale_stack`` and
-the sampler touch no memo.
-``capacity_via_scaling`` reads Cap off that same entry and takes nothing
-from Newton.  An exception is never memoized.  Both computations are
-deterministic, so a hit returns the bits a fresh tuple would give.
-``genaf.expand_tuple`` returns the tuple itself for the all-ones weight, so
-``check_theorem52`` reuses the tuple's own solve there.
+``capacity`` keeps its Newton ``CapacityResult`` and
+``scale_to_doubly_stochastic`` its ``ScalingResult`` on the tuple, each
+keyed as the ``MatrixTuple`` docstring's one memo rule says; ``_scale_stack``
+and the sampler touch no memo, and ``capacity_via_scaling`` reads Cap off
+the scaling entry and takes nothing from Newton.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -405,16 +390,12 @@ def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> CapacityResult:
     See the module docstring for the step and the stop reasons.  Raises
     ``NonConvergence`` (carrying the result) when ``CAPACITY_MAX_ITER``
     Newton steps leave the iterate short of every stopping test, and
-    ``SingularPencil`` when Cap is zero to working precision.  The result is
-    kept on t by ("newton", tol) and made only after the PSD check of t at
-    ``tol``, so a hit needs no check.
+    ``SingularPencil`` when Cap is zero to working precision.  The PSD check
+    of t at ``tol`` runs on every call; the Newton result is memoized on t
+    (see ``MatrixTuple``).
     """
-
-    def solve():
-        _require_psd(t, tol)
-        return _newton(t.matrices)
-
-    result = t._memoized(("newton", tol), solve)
+    _require_psd(t, tol)
+    result = t._memoized("newton", lambda: _newton(t.matrices))
     if result.stop_reason == "max_iter":
         raise NonConvergence(
             f"capacity Newton hit max_iter = {result.iterations} with gradient norm "
@@ -434,11 +415,10 @@ def scale_to_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) ->
     ``NotIndecomposable`` on a decomposable tuple and ``NonConvergence``
     when ``SCALING_MAX_ITER`` steps leave the defect above ``ds_tol``
     (carrying a "max_iter" result) or the defect stops falling first
-    ("stalled").  The result is kept on t by ("scaling", tol), so the test
-    and the loop run once per tuple.
+    ("stalled").  The result is memoized on t (see ``MatrixTuple``).
     """
     return t._memoized(
-        ("scaling", tol),
+        ("scaling", replace(tol, hermitian_tol=0.0)),
         lambda: _one(_scale_stack(t.matrices[None], _slot_eigenvalues(t)[None], tol)),
     )
 

@@ -89,25 +89,32 @@ class MatrixTuple:
     ``reshape(n, n * n)`` of the stack be a view.
 
     A tuple never changes, so a result derived from it deterministically can
-    be kept on it: the private ``_memo`` holds what ``_memoized`` computed,
-    by key.  Four results are kept there.  :func:`eval_polarized` keeps D,
-    the float that passed the residue gate of :func:`_as_real_d`, by
-    "polarized", so every reader of D through it (``capacity_bound_report``,
-    ``decompose``, repeat calls) shares one evaluation.
-    :func:`gradient` leaves that entry alone: its ``value`` has the same bits
-    but never passes the gate.  The capacity layer keeps the damped-Newton
-    ``CapacityResult`` by ("newton", Tolerances), written only by
-    ``capacity.capacity``, and the doubly stochastic ``ScalingResult`` by
-    ("scaling", Tolerances), written only by
-    ``capacity.scale_to_doubly_stochastic`` around its one-tuple call of the
-    stack route ``capacity._scale_stack``, which touches no memo; see the
-    ``capacity`` module docstring.  The slots' eigenvalues, which depend on
-    no tolerance, are kept by "slot_eigs" (:func:`_slot_eigenvalues`): the
-    PSD checks of ``_require_psd`` and ``check_doubly_stochastic``, and the
-    PSD rule and slot ranks of the one-tuple calls of
-    ``structure._rank_tests`` (``is_indecomposable``,
-    ``positivity_rank_test`` and ``scale_to_doubly_stochastic``), read them,
-    each at its own tolerance.
+    be kept on it: the private ``_memo`` holds what ``_memoized`` computed.
+    The one memo rule: an entry is keyed by its name plus exactly the
+    ``Tolerances`` fields its computation reads, and has one writer, so a
+    hit returns the bits a fresh tuple gives at any tolerances; a check that
+    reads other fields runs on every call, and an exception is never kept.
+    The four entries:
+
+    * "slot_eigs", the slots' eigenvalues (:func:`_slot_eigenvalues`),
+      which every PSD check and the slot ranks of the one-tuple rank tests
+      read, each at its own tolerances;
+    * "polarized", D as :func:`eval_polarized` returns it, the float that
+      passed the residue gate, which every reader of D through it shares
+      (:func:`gradient` leaves it alone: its ``value`` has the same bits but
+      never passes the gate);
+    * "newton", the damped-Newton ``CapacityResult`` of
+      ``capacity.capacity``, which reads no tolerance: its PSD check runs
+      on every call, and the solve once per tuple;
+    * ("scaling", the tolerances with ``hermitian_tol`` set to 0), the
+      ``ScalingResult`` of ``capacity.scale_to_doubly_stochastic``, keyed
+      so by the three fields (``psd_tol``, ``rank_tol``, ``ds_tol``) that
+      the rank tests and the loop of its one-tuple call of
+      ``capacity._scale_stack`` read; that stack route and the sampler
+      touch no memo.
+
+    ``genaf.expand_tuple`` returns the tuple itself for the all-ones
+    weight, so ``check_theorem52`` reuses the tuple's own entries there.
 
     Library code that already holds an exactly Hermitian stack (a scaled
     tuple, the repeated rows of a validated tuple) wraps it with
@@ -171,11 +178,13 @@ class DiscriminantGradient:
 
 @dataclass(frozen=True)
 class DsTupleReport:
-    """Deviation of a tuple from the doubly stochastic conditions."""
+    """Deviation of a tuple from the doubly stochastic conditions, and the
+    limit ``core._ds_limit`` that the verdict held each violation to."""
 
     psd_violation: float
     trace_violation: float
     sum_violation: float
+    limit: float
     is_doubly_stochastic: bool
 
 
@@ -827,15 +836,16 @@ def check_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> Ds
 
     ``psd_violation`` is the largest negative slot eigenvalue in absolute
     value.  The verdict holds each violation to the one limit
-    ``core._ds_limit(n, tol)`` and every slot, besides, to the PSD rule
+    ``core._ds_limit(n, tol)``, which the report carries as ``limit``, and every slot, besides, to the PSD rule
     ``core._psd`` at the tuple's largest |entry|, the rule the scaling and
     rank tests hold the tuple to."""
     w = _slot_eigenvalues(t)
     psd_v = max(0.0, -float(w.min()))
     trace_v, sum_v = _trace_and_sum_violations(t.matrices, t.matrices.sum(0), np.eye(t.n))
-    ok = max(psd_v, trace_v, sum_v) <= _ds_limit(t.n, tol)
+    limit = _ds_limit(t.n, tol)
+    ok = max(psd_v, trace_v, sum_v) <= limit
     ok = ok and bool(_psd(w, max_abs(t.matrices), tol).all())
-    return DsTupleReport(psd_v, trace_v, sum_v, ok)
+    return DsTupleReport(psd_v, trace_v, sum_v, limit, ok)
 
 
 def exchange_value(

@@ -132,6 +132,7 @@ class HdMembershipReport:
     nonneg_violation: float
     trace_violation: float
     sum_violation: float
+    limit: float
     passes: bool
 
 
@@ -268,13 +269,16 @@ def _membership(reduced, owner, e, xs: np.ndarray, tol: Tolerances):
 def check_hd_membership(
     pencil: HyperbolicPencil, xs, tol: Tolerances = DEFAULT_TOL
 ) -> HdMembershipReport:
-    """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces, sum e."""
+    """e-double stochasticity of a vector tuple: e-nonnegative, unit e-traces,
+    sum e, each within ``limit``, ``core._ds_limit`` at max(n, m) (see
+    ``_membership``)."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
     require_finite(xs, "vectors")
     nonneg, trace, sums, passes, _ = _membership(
         pencil._reduced[None], np.zeros(1, dtype=int), pencil.e, xs[None], tol
     )
-    return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), bool(passes[0]))
+    limit = _ds_limit(max(pencil.degree, pencil.m), tol)
+    return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), limit, bool(passes[0]))
 
 
 def pencil_from_tuple(t, tol: Tolerances = DEFAULT_TOL) -> HyperbolicPencil:

@@ -100,6 +100,7 @@ class BlockDsReport:
     psd_violation: float
     sum_violation: float
     trace_violation: float
+    limit: float
     passes: bool
 
 
@@ -142,13 +143,14 @@ def qp_tensor(rho: BlockMatrix) -> float:
 
 def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsReport:
     """Violations of the three block doubly stochastic conditions; the
-    verdict holds each to the one limit ``core._ds_limit(n, tol)``."""
+    verdict holds each to the one limit ``core._ds_limit(n, tol)``, which
+    the report carries as ``limit``."""
     eye = np.eye(rho.n)
     psd_v = psd_violation(rho.assembled())
     sum_v = max_abs(np.trace(rho.blocks) - eye)
     trace_v = max_abs(rho.trace_matrix() - eye)
-    passes = max(psd_v, sum_v, trace_v) <= _ds_limit(rho.n, tol)
-    return BlockDsReport(psd_v, sum_v, trace_v, passes)
+    limit = _ds_limit(rho.n, tol)
+    return BlockDsReport(psd_v, sum_v, trace_v, limit, max(psd_v, sum_v, trace_v) <= limit)
 
 
 def assemble_separable(spec: SeparableSpec, tol: Tolerances = DEFAULT_TOL) -> BlockMatrix:

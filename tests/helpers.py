@@ -3,7 +3,8 @@ Hermitian matrix, the diagonal tuple of a matrix's columns, a tuple with one
 slot replaced, the mixed discriminant of a repeated tuple, a block matrix
 from its assembled form, a pencil's document, the e-nonnegativity of a point,
 the M(A, W) bridge, full indecomposability of a doubly stochastic matrix's
-support and pairwise averaging of a tuple's slots.
+support, pairwise averaging of a tuple's slots and the block-diagonal Pascal
+matrix of a tuple.
 
 No library route, command or benchmark reads them, so they live beside the
 tests that check them (and ``digests.py``) rather than in ``mixdisc``.
@@ -25,7 +26,7 @@ from mixdisc.core import (
 from mixdisc.discriminant import MatrixTuple, _as_real, eval_polarized
 from mixdisc.genaf import expand_tuple
 from mixdisc.hyperbolic import HyperbolicPencil, roots
-from mixdisc.pascal import BlockMatrix
+from mixdisc.pascal import BlockMatrix, SeparableSpec, assemble_separable
 
 
 def random_psd(n: int, seed: int) -> np.ndarray:
@@ -63,6 +64,14 @@ def from_assembled(rho, n: int) -> BlockMatrix:
     if rho.shape != (n * n, n * n):
         raise ValueError(f"assembled matrix must be {n * n} x {n * n}")
     return BlockMatrix(rho.reshape(n, n, n, n).transpose(0, 2, 1, 3))
+
+
+def rho_a(t: MatrixTuple) -> BlockMatrix:
+    """The block-diagonal Pascal matrix rho_A = sum_i E_ii (x) A_i of a
+    tuple: ``assemble_separable`` of the pairs (E_ii, A_i), whose blocks are
+    delta_ij A_i."""
+    units = np.eye(t.n)[:, :, None] * np.eye(t.n)[:, None, :]  # units[i] = E_ii
+    return assemble_separable(SeparableSpec(terms=tuple(zip(units, t.matrices))))
 
 
 def pencil_to_doc(p: HyperbolicPencil) -> dict:

@@ -1,9 +1,10 @@
 """Results memoized on the immutable MatrixTuple.
 
 A tuple keeps its mixed discriminant D (filled by ``eval_polarized`` alone),
-its slot eigenvalues, its Newton ``CapacityResult`` by Tolerances and its
-doubly stochastic ``ScalingResult`` by Tolerances.  Every value read from
-the memo must be the bits a fresh tuple of the same slots gives.
+its slot eigenvalues, its Newton ``CapacityResult``, which reads no
+tolerance, and its doubly stochastic ``ScalingResult`` by the three
+tolerances its scaling reads.  Every value read from the memo must be the
+bits a fresh tuple of the same slots gives.
 """
 
 import math
@@ -28,6 +29,7 @@ from mixdisc.core import (
     PreconditionViolated,
     SingularPencil,
     Tolerances,
+    _wishart,
     make_rng,
     random_complex_gaussian,
 )
@@ -45,6 +47,9 @@ from helpers import diagonal_tuple, m_alpha
 
 _CAP = sys.modules["mixdisc.capacity"]
 _DISC = sys.modules["mixdisc.discriminant"]
+# The key of the scaling entry at the default tolerances: hermitian_tol,
+# which the scaling does not read, is set to 0.
+_SCALING = ("scaling", replace(DEFAULT_TOL, hermitian_tol=0.0))
 
 
 def _wishart_tuple(n, seed):
@@ -121,16 +126,15 @@ def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
         assert memo == _outcome(fn, MatrixTuple(t.matrices), *args), fn.__name__
     # The memo entries themselves against fresh computations.
     assert t._memo["polarized"].hex() == eval_polarized(MatrixTuple(t.matrices)).hex()
-    newton = t._memo[("newton", DEFAULT_TOL)]
+    newton = t._memo["newton"]
     fresh = _CAP._newton(MatrixTuple(t.matrices).matrices)
     assert newton.value.hex() == fresh.value.hex()
     assert newton.minimizer_x.tobytes() == fresh.minimizer_x.tobytes()
     assert (newton.stop_reason, newton.iterations) == (fresh.stop_reason, fresh.iterations)
-    key = ("scaling", DEFAULT_TOL)
-    assert (key in t._memo) == (kind != "decomposable")
-    if key in t._memo:
+    assert (_SCALING in t._memo) == (kind != "decomposable")
+    if _SCALING in t._memo:
         fresh = scale_to_doubly_stochastic(MatrixTuple(t.matrices))
-        assert _key(t._memo[key]) == _key(fresh)
+        assert _key(t._memo[_SCALING]) == _key(fresh)
 
 
 def _count(monkeypatch, name):
@@ -215,22 +219,64 @@ def test_expand_tuple_of_all_ones_is_the_tuple():
 
 
 def test_other_tolerances_recompute(monkeypatch):
+    # The scaling entry is keyed by psd_tol, rank_tol and ds_tol, the fields
+    # its rank tests and loop read: a change of any one runs both again,
+    # while an equal Tolerances, or one that differs in hermitian_tol alone,
+    # reads the entry.  Newton reads none of them and runs once.
     newton = _count(monkeypatch, "_newton")
     scans = _count(monkeypatch, "_rank_tests")
     loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(4, 9)
     base = capacity(t)
-    assert capacity(t, Tolerances()) is base  # an equal Tolerances is the same key
-    tighter = replace(DEFAULT_TOL, psd_tol=1e-10)
-    capacity(t, tighter)
-    assert len(newton) == 2
+    assert capacity(t, Tolerances()) is base
+    assert capacity(t, replace(DEFAULT_TOL, psd_tol=1e-10)) is base
     scaled = scale_to_doubly_stochastic(t)
     assert scale_to_doubly_stochastic(t, Tolerances()) is scaled
+    assert scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, hermitian_tol=1e-12)) is scaled
     assert capacity_via_scaling(t) == capacity_via_scaling(t, Tolerances())
     assert len(scans) == 1 == len(loops)
-    other = scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, rank_tol=1e-8))
-    assert other is not scaled and _key(other) == _key(scaled)
-    assert len(scans) == 2 == len(loops) and len(newton) == 2
+    for field, value in [("psd_tol", 1e-10), ("rank_tol", 1e-8), ("ds_tol", 1e-7)]:
+        other = scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, **{field: value}))
+        assert other is not scaled and other.converged, field
+        assert scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, **{field: value})) is other
+    assert len(scans) == 4 == len(loops) and len(newton) == 1
+
+
+def test_one_newton_solve_at_any_tolerances(monkeypatch):
+    # Newton reads no tolerance, so its one entry serves every setting: one
+    # solve, one entry and one set of bits across five tolerance settings.
+    newton = _count(monkeypatch, "_newton")
+    t = random_ds_tuple(3, 1)
+    settings = [DEFAULT_TOL] + [
+        replace(DEFAULT_TOL, **{field: value})
+        for field, value in [("rank_tol", 1e-8), ("ds_tol", 1e-7), ("hermitian_tol", 1e-12), ("psd_tol", 1e-10)]
+    ]
+    values = {_key(capacity(t, tol)) for tol in settings}
+    assert len(newton) == 1 and len(values) == 1
+    assert [k for k in t._memo if "newton" in str(k)] == ["newton"]
+    assert _key(t._memo["newton"]) == _key(_CAP._newton(MatrixTuple(t.matrices).matrices))
+
+
+def test_the_psd_check_runs_on_every_call(monkeypatch):
+    # Slot 0 of a Wishart tuple with its smallest eigenvalue set to -1e-8
+    # times the tuple's largest |entry|: within a loose psd_tol of PSD but
+    # not within the default.  A solve at the loose tolerances is kept, yet
+    # the default call still raises, before and after it.
+    newton = _count(monkeypatch, "_newton")
+    mats = _wishart((3, 3, 3), 0)
+    w, v = np.linalg.eigh(mats[0])
+    w[0] = -1e-8 * np.abs(mats).max()
+    mats[0] = (v * w) @ v.conj().T
+    t = MatrixTuple(mats)
+    loose = replace(DEFAULT_TOL, psd_tol=1e-6)
+    with pytest.raises(PreconditionViolated):
+        capacity(t)
+    solved = capacity(t, loose)
+    assert solved.converged and solved.value > 0.0
+    with pytest.raises(PreconditionViolated):
+        capacity(t)
+    assert capacity(t, loose) is solved
+    assert len(newton) == 1
 
 
 def test_memoized_minimizer_is_read_only():

@@ -19,6 +19,7 @@ from mixdisc.discriminant import MatrixTuple, check_doubly_stochastic
 from mixdisc.extremal import dnp_family_value, lemma36_family, random_ds_tuple, random_ds_tuples
 from mixdisc.hyperbolic import (
     _MIXTURES_PER_PENCIL,
+    HyperbolicPencil,
     _random_ds_matrices,
     check_hd_membership,
     pencil_from_tuple,
@@ -107,3 +108,21 @@ def test_trace_preconditions_read_the_limit():
     assert dnp_family_value(3.0 * a1, tol) > 0.0
     with pytest.raises(PreconditionViolated, match="trace n"):
         dnp_family_value(3.0 * a1 + 300 * EPS * np.eye(3), tol)
+
+
+def test_each_verdict_report_names_its_limit():
+    # At ds_tol = 0 the limit is the 8 n eps floor of the object checked (a
+    # membership check's n is the larger of its degree and its slot count),
+    # and at the default it is ds_tol itself.
+    n = 3
+    # Degree 2, four slots.
+    pencil = HyperbolicPencil(np.array([np.eye(2)] * 4) / 2, np.ones(4) / 2)
+    xs = [np.ones(4) / 4] * 2
+    for tol in (Tolerances(ds_tol=0.0), DEFAULT_TOL):
+        reports = [
+            (check_doubly_stochastic(random_ds_tuple(n, 1), tol), n),
+            (check_block_ds(sample_block_ds(n, 1), tol), n),
+            (check_hd_membership(pencil, xs, tol), 4),
+        ]
+        for report, dim in reports:
+            assert report.limit == (tol.ds_tol if tol.ds_tol else 8 * dim * EPS)

@@ -130,11 +130,11 @@ def test_one_route_per_decision():
         for word in ("_first_subset", "_SCAN_CHUNK", "_GATE_SUBSETS", "_first_tight"):
             assert word not in text, (path.name, word)
     # One writer of each memoized capacity-layer result: Newton runs only in
-    # the memo closure of capacity, and the scaling loop only in the stack
+    # capacity, and the scaling loop only in the stack
     # route _scale_stack, which scale_to_doubly_stochastic (the oracle's
     # route) and the sampler's stack call.  The sampler's stack is what its
     # consumers read.
-    assert _callers("_newton") == {"capacity.capacity.solve"}
+    assert _callers("_newton") == {"capacity.capacity"}
     assert _callers("_scale_vector") == {"capacity._scale_stack"}
     assert _callers("_scale_stack") == {
         "capacity.scale_to_doubly_stochastic",

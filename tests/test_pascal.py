@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from mixdisc import pascal
+from mixdisc.capacity import capacity
 from mixdisc.core import (
+    DEFAULT_TOL,
     DimensionTooLarge,
     NonConvergence,
     NotHermitian,
     TermNotPsd,
     Tolerances,
+    _wishart,
     as_hermitian,
     fsum_complex,
     inv_sqrt_psd,
@@ -18,12 +21,15 @@ from mixdisc.discriminant import (
     MatrixTuple,
     _double_perm_raw,
     _perms_and_signs,
+    check_doubly_stochastic,
     eval_polarized,
     permanent,
 )
+from mixdisc.extremal import random_ds_tuple
 from mixdisc.pascal import (
     BlockMatrix,
     SeparableSpec,
+    _scale_kraus,
     assemble_separable,
     check_block_ds,
     qp_block,
@@ -32,7 +38,7 @@ from mixdisc.pascal import (
     sample_separable_ds,
 )
 
-from helpers import from_assembled, random_psd
+from helpers import from_assembled, random_psd, rho_a
 
 
 def random_hermitian_block(n, seed):
@@ -363,3 +369,45 @@ class TestBlockDsSampler:
         bm = from_assembled(np.eye(4, dtype=complex), 2)
         rep = check_block_ds(bm)
         assert not rep.passes  # diagonal block sum is 2I, trace matrix is I2*... not I
+
+
+_WISHART = [(n, s) for n in range(2, 7) for s in range(3)]
+
+
+@pytest.mark.parametrize("n, seed", _WISHART)
+class TestBlockDiagonalPascal:
+    """rho_A = sum_i E_ii (x) A_i carries the tuple A: QP(rho_A) = D(A),
+    rho_A is block doubly stochastic exactly when A is doubly stochastic,
+    and its operator scaling is A's own, so its capacity is Cap(A)."""
+
+    def test_blocks_are_the_slots_on_the_diagonal(self, n, seed):
+        t = MatrixTuple(_wishart((n, n, n), seed))
+        blocks = rho_a(t).blocks
+        assert np.array_equal(blocks[np.arange(n), np.arange(n)], t.matrices)
+        assert np.count_nonzero(blocks) == np.count_nonzero(t.matrices)
+
+    def test_qp_is_d_bit_for_bit(self, n, seed):
+        # Only sigma = id survives qp_block's sum: every other tuple has a
+        # zero slot, whose paired terms cancel exactly.
+        t = MatrixTuple(_wishart((n, n, n), seed))
+        assert qp_block(rho_a(t)).hex() == eval_polarized(t).hex()
+
+    def test_verdict_is_the_tuple_verdict(self, n, seed):
+        # Sum_i A_ii is the slot sum and [tr A_ij] = diag(tr A_i).
+        t = random_ds_tuple(n, seed)
+        off = t.matrices.copy()
+        off[0] *= 1.0 + 1e-6  # trace 1 + 1e-6, slot sum off by as much
+        for u in (t, MatrixTuple(off)):
+            verdict = check_doubly_stochastic(u).is_doubly_stochastic
+            assert check_block_ds(rho_a(u)).passes == verdict == (u is t)
+
+    def test_kraus_capacity_is_the_tuple_capacity(self, n, seed):
+        # Kraus operators e_i (x) (column r of the Cholesky factor of A_i):
+        # kt[a, (i, r), b] = delta_ai (L_i)_br.  The scaling's normalizers
+        # give Cap = |det L|^-2 |det R|^-2 (6.7e-15 off at worst).
+        t = MatrixTuple(_wishart((n, n, n), seed))
+        kt = np.zeros((n, n, n, n), dtype=np.complex128)
+        kt[np.arange(n), np.arange(n)] = np.linalg.cholesky(t.matrices).transpose(0, 2, 1)
+        scaling = _scale_kraus(kt.reshape(n, n * n, n), DEFAULT_TOL)
+        dets = abs(np.linalg.det(scaling.left) * np.linalg.det(scaling.right))
+        assert dets**-2 == pytest.approx(capacity(t).value, rel=1e-13)
