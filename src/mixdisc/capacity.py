@@ -124,7 +124,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -418,7 +418,7 @@ def scale_to_doubly_stochastic(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) ->
     ("stalled").  The result is memoized on t (see ``MatrixTuple``).
     """
     return t._memoized(
-        ("scaling", replace(tol, hermitian_tol=0.0)),
+        ("scaling", tol),
         lambda: _one(_scale_stack(t.matrices[None], _slot_eigenvalues(t)[None], tol)),
     )
 

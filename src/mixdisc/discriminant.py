@@ -90,11 +90,11 @@ class MatrixTuple:
 
     A tuple never changes, so a result derived from it deterministically can
     be kept on it: the private ``_memo`` holds what ``_memoized`` computed.
-    The one memo rule: an entry is keyed by its name plus exactly the
-    ``Tolerances`` fields its computation reads, and has one writer, so a
-    hit returns the bits a fresh tuple gives at any tolerances; a check that
-    reads other fields runs on every call, and an exception is never kept.
-    The four entries:
+    The one memo rule: an entry is keyed by its name alone when its
+    computation reads no tolerance, else by its name and the
+    ``Tolerances``; it has one writer, so a hit returns the bits a fresh
+    tuple gives.  A check that the computation does not read runs on every
+    call, and an exception is never kept.  The four entries:
 
     * "slot_eigs", the slots' eigenvalues (:func:`_slot_eigenvalues`),
       which every PSD check and the slot ranks of the one-tuple rank tests
@@ -106,12 +106,10 @@ class MatrixTuple:
     * "newton", the damped-Newton ``CapacityResult`` of
       ``capacity.capacity``, which reads no tolerance: its PSD check runs
       on every call, and the solve once per tuple;
-    * ("scaling", the tolerances with ``hermitian_tol`` set to 0), the
-      ``ScalingResult`` of ``capacity.scale_to_doubly_stochastic``, keyed
-      so by the three fields (``psd_tol``, ``rank_tol``, ``ds_tol``) that
-      the rank tests and the loop of its one-tuple call of
-      ``capacity._scale_stack`` read; that stack route and the sampler
-      touch no memo.
+    * ("scaling", Tolerances), the ``ScalingResult`` of
+      ``capacity.scale_to_doubly_stochastic``, whose one-tuple call of
+      ``capacity._scale_stack`` reads the tolerances in its rank tests and
+      its loop; that stack route and the sampler touch no memo.
 
     ``genaf.expand_tuple`` returns the tuple itself for the all-ones
     weight, so ``check_theorem52`` reuses the tuple's own entries there.

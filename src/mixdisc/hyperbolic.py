@@ -200,8 +200,9 @@ def mixed_value(pencil: HyperbolicPencil, xs) -> float:
 
 def _membership(reduced, owner, e, xs: np.ndarray, tol: Tolerances):
     """Membership of a stack (K, k, m) of K vector tuples: the (K,) arrays of
-    the nonnegativity, e-trace and sum violations and of ``passes``, and the
-    reduced points sum_j x_j A_j as a (K, k, n, n) stack.
+    the nonnegativity, e-trace and sum violations, the limit they are held
+    to, the (K,) array ``passes``, and the reduced points sum_j x_j A_j as
+    a (K, k, n, n) stack.
 
     ``reduced`` holds the reduced slots (P, m, n, n) of P pencils, once each,
     and tuple i is checked against pencil ``owner[i]``; ``e`` is the
@@ -262,8 +263,9 @@ def _membership(reduced, owner, e, xs: np.ndarray, tol: Tolerances):
     for i in range(xs.shape[1]):
         total += xs[:, i]
     sums = np.abs(total - e).max(axis=-1)
-    passes = np.max((nonneg, trace, sums), axis=0) <= _ds_limit(max(n, m), tol)
-    return nonneg, trace, sums, passes, points
+    limit = _ds_limit(max(n, m), tol)
+    passes = np.max((nonneg, trace, sums), axis=0) <= limit
+    return nonneg, trace, sums, limit, passes, points
 
 
 def check_hd_membership(
@@ -274,10 +276,9 @@ def check_hd_membership(
     ``_membership``)."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), pencil.m)
     require_finite(xs, "vectors")
-    nonneg, trace, sums, passes, _ = _membership(
+    nonneg, trace, sums, limit, passes, _ = _membership(
         pencil._reduced[None], np.zeros(1, dtype=int), pencil.e, xs[None], tol
     )
-    limit = _ds_limit(max(pencil.degree, pencil.m), tol)
     return HdMembershipReport(float(nonneg[0]), float(trace[0]), float(sums[0]), limit, bool(passes[0]))
 
 
@@ -377,14 +378,14 @@ def conjecture_experiment(
         reduced = _reduce(mats, mats.sum(1), tol)
         # The vectors of a mixture are its columns.
         xs = _random_ds_matrices(count, n, rng).swapaxes(-1, -2)
-        *fields, passes, points = _membership(reduced, owner, np.ones(n), xs, tol)
+        *fields, limit, passes, points = _membership(reduced, owner, np.ones(n), xs, tol)
         if not passes.all():
             i = int(np.argmin(passes))
             nonneg, trace, sums = (float(f[i]) for f in fields)
             raise NumericalInconsistency(
                 f"mixture {first + i} of pencil {(first + i) // _MIXTURES_PER_PENCIL} failed its membership "
                 f"recheck: nonnegativity {nonneg:.3g}, e-trace {trace:.3g}, sum {sums:.3g} "
-                f"against the limit {_ds_limit(n, tol):.3g}"
+                f"against the limit {limit:.3g}"
             )
         ratios[first : first + count] = _discriminants(points)
     hits = np.flatnonzero(_below(ratios, bound))

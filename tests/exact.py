@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -188,10 +189,19 @@ TABLE = [
 ROUTES = {"eval_polarized": eval_polarized, "eval_sigma_det": eval_sigma_det, "permanent": permanent}
 
 
+@cache
+def cases(family):
+    """(name, x, exact value) for each case of ``family``, computed once: D
+    of a tuple, the permanent of a matrix."""
+    return [
+        (name, x, exact_d(x.matrices) if isinstance(x, MatrixTuple) else exact_permanent(x))
+        for name, x in family()
+    ]
+
+
 def worst(route, family):
     """The largest relative error of ``route`` on ``family`` and its case."""
-    exact = exact_permanent if route == "permanent" else lambda t: exact_d(t.matrices)
-    return max((relative_error(ROUTES[route](x), exact(x)), name) for name, x in family())
+    return max((relative_error(ROUTES[route](x), value), name) for name, x, value in cases(family))
 
 
 if __name__ == "__main__":

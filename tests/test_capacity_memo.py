@@ -2,9 +2,9 @@
 
 A tuple keeps its mixed discriminant D (filled by ``eval_polarized`` alone),
 its slot eigenvalues, its Newton ``CapacityResult``, which reads no
-tolerance, and its doubly stochastic ``ScalingResult`` by the three
-tolerances its scaling reads.  Every value read from the memo must be the
-bits a fresh tuple of the same slots gives.
+tolerance, and its doubly stochastic ``ScalingResult`` by Tolerances.
+Every value read from the memo must be the bits a fresh tuple of the same
+slots gives.
 """
 
 import math
@@ -47,9 +47,6 @@ from helpers import diagonal_tuple, m_alpha
 
 _CAP = sys.modules["mixdisc.capacity"]
 _DISC = sys.modules["mixdisc.discriminant"]
-# The key of the scaling entry at the default tolerances: hermitian_tol,
-# which the scaling does not read, is set to 0.
-_SCALING = ("scaling", replace(DEFAULT_TOL, hermitian_tol=0.0))
 
 
 def _wishart_tuple(n, seed):
@@ -131,10 +128,11 @@ def test_memoized_results_are_the_bits_of_a_fresh_tuple(kind, n, make):
     assert newton.value.hex() == fresh.value.hex()
     assert newton.minimizer_x.tobytes() == fresh.minimizer_x.tobytes()
     assert (newton.stop_reason, newton.iterations) == (fresh.stop_reason, fresh.iterations)
-    assert (_SCALING in t._memo) == (kind != "decomposable")
-    if _SCALING in t._memo:
+    key = ("scaling", DEFAULT_TOL)
+    assert (key in t._memo) == (kind != "decomposable")
+    if key in t._memo:
         fresh = scale_to_doubly_stochastic(MatrixTuple(t.matrices))
-        assert _key(t._memo[_SCALING]) == _key(fresh)
+        assert _key(t._memo[key]) == _key(fresh)
 
 
 def _count(monkeypatch, name):
@@ -219,26 +217,27 @@ def test_expand_tuple_of_all_ones_is_the_tuple():
 
 
 def test_other_tolerances_recompute(monkeypatch):
-    # The scaling entry is keyed by psd_tol, rank_tol and ds_tol, the fields
-    # its rank tests and loop read: a change of any one runs both again,
-    # while an equal Tolerances, or one that differs in hermitian_tol alone,
-    # reads the entry.  Newton reads none of them and runs once.
     newton = _count(monkeypatch, "_newton")
     scans = _count(monkeypatch, "_rank_tests")
     loops = _count(monkeypatch, "_scale_vector")
     t = _wishart_tuple(4, 9)
     base = capacity(t)
-    assert capacity(t, Tolerances()) is base
-    assert capacity(t, replace(DEFAULT_TOL, psd_tol=1e-10)) is base
+    assert capacity(t, Tolerances()) is base  # an equal Tolerances is the same key
+    tighter = replace(DEFAULT_TOL, psd_tol=1e-10)
+    assert capacity(t, tighter) is base  # Newton reads no tolerance
+    assert len(newton) == 1
     scaled = scale_to_doubly_stochastic(t)
     assert scale_to_doubly_stochastic(t, Tolerances()) is scaled
-    assert scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, hermitian_tol=1e-12)) is scaled
     assert capacity_via_scaling(t) == capacity_via_scaling(t, Tolerances())
     assert len(scans) == 1 == len(loops)
-    for field, value in [("psd_tol", 1e-10), ("rank_tol", 1e-8), ("ds_tol", 1e-7)]:
-        other = scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, **{field: value}))
-        assert other is not scaled and other.converged, field
-        assert scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, **{field: value})) is other
+    other = scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, rank_tol=1e-8))
+    assert other is not scaled and _key(other) == _key(scaled)
+    assert len(scans) == 2 == len(loops) and len(newton) == 1
+    other = scale_to_doubly_stochastic(t, tighter)
+    assert other is not scaled and _key(other) == _key(scaled)
+    # A new ds_tol moves the stop, so only the rerun is asserted.
+    other = scale_to_doubly_stochastic(t, replace(DEFAULT_TOL, ds_tol=1e-7))
+    assert other is not scaled and other.converged
     assert len(scans) == 4 == len(loops) and len(newton) == 1
 
 

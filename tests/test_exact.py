@@ -10,7 +10,6 @@ but not asserted here.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import factorial
 
 import numpy as np
@@ -32,23 +31,13 @@ BOUNDS = {
 ASSERTED = [(route, label, family) for route, label, family, asserted in exact.TABLE if asserted]
 
 
-@cache
-def _cases(family):
-    """The cases of a family with their exact values, computed once for
-    every route that reads them."""
-    if family in (exact.af_matrices, exact.ds_matrices):
-        return [(name, x, exact.exact_permanent(x)) for name, x in family()]
-    return [(name, t, exact.exact_d(t.matrices)) for name, t in family()]
-
-
 def test_every_asserted_row_has_a_bound():
     assert set(BOUNDS) == {(route, label) for route, label, _ in ASSERTED}
 
 
 @pytest.mark.parametrize("route, label, family", ASSERTED, ids=[f"{r}-{lab}" for r, lab, _ in ASSERTED])
 def test_route_within_its_bound_of_the_exact_value(route, label, family):
-    fn = exact.ROUTES[route]
-    err, case = max((exact.relative_error(fn(x), value), name) for name, x, value in _cases(family))
+    err, case = exact.worst(route, family)
     assert err <= BOUNDS[route, label], case
 
 
