@@ -3,17 +3,20 @@
 Capacity is the infimum of det(sum x_i A_i) over positive x with product 1.
 It is computed two independent ways, which the tests hold to agreement:
 
-* ``capacity`` runs damped Newton on the convex objective
+* ``capacity`` first peels the tuple's tight sets (``structure._peel``,
+  the one reading of them, which also checks the PSD rule and the weak rank
+  condition): each peeled set S with range V, W spanning its complement,
+  gives Cap(A) = Cap(A_S on V) Cap(W^* A_j W : j not in S) (Gurvits,
+  J. Comput. Syst. Sci. 69 (2004)), so Cap is the product of the parts'
+  capacities, and every part is indecomposable with a finite minimizer.  On
+  each part it runs damped Newton on the convex objective
   f(y) = log det(sum e^{y_i} A_i) restricted to mean-zero y (the second-order
   operator scaling of Allen-Zhu, Garg, Li, Oliveira and Wigderson,
   arXiv:1804.01076).  With M = sum w_i A_i, w = e^y and q_i = w_i M^{-1} A_i
   the gradient is g_i = tr q_i and the Hessian H_ij = delta_ij g_i -
   tr(q_i q_j); H 1 = 0, so the step solves (H + 1 1^T / n) d = -(g - mean g)
-  in the eigenbasis.  Eigendirections without curvature to working precision
-  are dropped where the gradient along them is below ``_GRADIENT_TOL``, a
-  fixed 1e-9 (f is flat there, as on decomposable tuples), and followed
-  where it is not (f falls linearly there, as on a pencil collapsing toward
-  Cap = 0).  Armijo
+  in the eigenbasis, each curvature raised to at least working precision.
+  Armijo
   backtracking runs on the Newton decrement lambda^2 = -grad f . d, and a
   trial point whose computed pencil is singular counts as a rejected step.
 * ``capacity_via_scaling`` reads Cap off Gurvits operator scaling started
@@ -84,13 +87,10 @@ projectors.
 
 ``CapacityResult.stop_reason`` says why the Newton loop stopped:
 
-* ``"gradient"``: the projected gradient norm fell below ``_GRADIENT_TOL``,
-  a fixed 1e-9 that no ``Tolerances`` field sets;
-* ``"roundoff"``: lambda^2 <= 256 eps (1 + |f|), eps = 2^-52 the machine
-  epsilon (``core._EPS``, twice the unit round-off u = 2^-53).
-  Since lambda^2 / 2 estimates f - min f, Cap is then accurate to about
-  128 eps (1 + |f|) relative, i.e. to working precision; this is how Newton
-  stops when round-off keeps the gradient above ``_GRADIENT_TOL``.  It is
+* ``"roundoff"``, its one convergent stop: lambda^2 <= 256 eps (1 + |f|),
+  eps = 2^-52 the machine epsilon (``core._EPS``, twice the unit round-off
+  u = 2^-53).  Since lambda^2 / 2 estimates f - min f, Cap is then accurate
+  to about 128 eps (1 + |f|) relative, i.e. to working precision.  It is
   also the stop when backtracking finds no decrease while lambda^2 is within the
   rounding noise of f, estimated as n eps cond(M) (1 + |f|) (rounding M by
   eps |M| moves log det M by up to n eps cond(M)): on an ill-conditioned M
@@ -100,11 +100,15 @@ projectors.
 * ``"max_iter"``: the iteration cap ``CAPACITY_MAX_ITER`` was hit;
   ``NonConvergence`` is raised and carries the result.
 
-On mean-zero y, det(sum e^{y_i} A_i) >= Cap.  So ``SingularPencil`` is raised,
-as a verdict of Cap = 0 (the weak rank condition fails), when that det falls
-below 1e-300 at any point the solver evaluates, when a ``"roundoff"`` or
-``"stalled"`` stop lands on a pencil that is singular to working precision,
-and when a slot is not PSD: some g_i < 0 beyond rounding (``_require_psd_gradient``).
+A decomposable tuple's result combines its parts' (see ``capacity``): the
+first of "max_iter", "stalled" and "roundoff" that some part stopped on.
+
+``SingularPencil`` is a verdict of Cap = 0, raised by the peel where the
+weak rank condition fails or a peeled slot is not PSD off its range, and
+by Newton where a slot is not PSD: some g_i < 0 beyond rounding
+(``_require_psd_gradient``).  On mean-zero y, det(sum e^{y_i} A_i) >= Cap,
+so Newton also raises it where that det falls below 1e-300 at a point it
+evaluates: Cap < 1e-300 there.
 
 ``ScalingResult.stop_reason`` is ``"ds_tol"`` on a returned result whose
 defect is within ``ds_tol``, and ``"roundoff"`` on one whose defect is
@@ -148,12 +152,11 @@ from .core import (
 )
 from .discriminant import (
     MatrixTuple,
-    _require_psd,
     _slot_eigenvalues,
     _trace_and_sum_violations,
     eval_polarized,
 )
-from .structure import _rank_tests
+from .structure import _peel, _rank_tests
 
 _LOG_FLOOR = math.log(1e-300)
 # Newton converges in 3 steps in the median on Wishart tuples, and took at
@@ -181,11 +184,6 @@ _ARMIJO = 1e-4
 # of f, about the rounding error of log det itself, so no line search can
 # resolve further progress and Cap is already that accurate.
 _ROUNDOFF = 256.0 * _EPS
-# The Newton loop stops "gradient" once the projected gradient norm is below
-# this, and a direction without curvature is followed only where the
-# gradient along it reaches it.  On tuples with tight sets (ROADMAP item 2)
-# the stop is what keeps Newton from a singular pencil or a wrong value.
-_GRADIENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -245,10 +243,7 @@ def _objective(mats, y):
         return None
     f = n * top + float(logdet)
     if f < _LOG_FLOOR:
-        raise SingularPencil(
-            "det(sum e^{y_i} A_i) < 1e-300 at prod e^{y_i} = 1; "
-            "the tuple violates the weak rank condition"
-        )
+        raise SingularPencil("det(sum e^{y_i} A_i) < 1e-300 at prod e^{y_i} = 1, so Cap < 1e-300")
     return f, m, w
 
 
@@ -260,12 +255,10 @@ def _newton_direction(q, g, r):
     stays finite however far M is from the identity.  The Gram matrix
     tr(q_i q_j) = sum_ab (q_i)_ab (q_j)_ba is one (n, n^2) by (n^2, n)
     product.  d comes from one Hermitian eigendecomposition of
-    H + 1 1^T / n.  An eigendirection whose curvature is below working
-    precision is left alone where the gradient along it is below
-    ``_GRADIENT_TOL`` too (f is flat there, as on decomposable tuples), and
-    followed with its curvature raised to that precision where it is not (f
-    falls linearly there: the pencil is collapsing toward Cap = 0).  H stays in the complex
-    dtype of q (its imaginary part is rounding error), so this is the
+    H + 1 1^T / n, each curvature raised to at least working precision,
+    n eps times the largest.  ``capacity`` hands this loop indecomposable
+    parts alone, whose minimizers are finite, so no direction is flat.  H
+    stays in the complex dtype of q (its imaginary part is rounding error), so this is the
     Hermitian eigensolver the package already loads; a real or least-squares
     LAPACK routine would add to peak memory.
     """
@@ -279,8 +272,7 @@ def _newton_direction(q, g, r):
         raise SingularPencil("Newton Hessian lost its eigenvalue 1: M is singular")
     c = v.conj().T @ r
     cut = n * _EPS * lam[-1]
-    use = (lam > cut) | (np.abs(c) >= _GRADIENT_TOL)
-    d = -(v @ np.where(use, c / np.maximum(lam, cut), 0.0)).real
+    d = -(v @ (c / np.maximum(lam, cut))).real
     d -= float(d.sum()) / n
     return d, -float(r @ d)
 
@@ -296,7 +288,7 @@ def _require_psd_gradient(m, g) -> None:
     if ev[0] <= n * _EPS * ev[-1] or float(g.min()) * ev[0] < -n * n * _EPS * ev[-1]:
         raise SingularPencil(
             f"w_i tr(M^-1 A_i) = {g.min():.3e} < 0 beyond rounding or at a singular "
-            "M: a slot is not PSD or the weak rank condition fails, so Cap = 0"
+            "M: a slot is not PSD, so Cap = 0"
         )
 
 
@@ -332,9 +324,7 @@ def _newton(mats) -> CapacityResult:
     y = np.zeros(n)
     start = _objective(mats, y)
     if start is None:
-        raise SingularPencil(
-            "sum A_i is singular; the tuple violates the weak rank condition"
-        )
+        raise SingularPencil("sum A_i is singular; the tuple violates the weak rank condition")
     f, m, w = start
     it = 0
     while True:
@@ -345,9 +335,6 @@ def _newton(mats) -> CapacityResult:
             _require_psd_gradient(m, g)
         r = g - float(g.sum()) / n
         gnorm = math.sqrt(float(r @ r))
-        if gnorm < _GRADIENT_TOL:
-            stop = "gradient"
-            break
         d, lam2 = _newton_direction(q, g, r)
         if lam2 <= _ROUNDOFF * (1.0 + abs(f)):
             stop = "roundoff"
@@ -361,16 +348,10 @@ def _newton(mats) -> CapacityResult:
             break
         y, f, m, w = step
         it += 1
-    if stop in ("roundoff", "stalled"):
+    if stop == "stalled":
         # M is scaled by e^{-max y}, which leaves its condition number alone.
         ev = np.linalg.eigvalsh(m)
-        if ev[0] <= n * _EPS * ev[-1]:
-            raise SingularPencil(
-                "sum e^{y_i} A_i is numerically singular at prod e^{y_i} = 1, "
-                "where its det bounds Cap; the tuple violates the weak rank "
-                "condition to working precision"
-            )
-        if stop == "stalled" and lam2 <= n * _EPS * (ev[-1] / ev[0]) * (1.0 + abs(f)):
+        if ev[0] > 0.0 and lam2 <= n * _EPS * (ev[-1] / ev[0]) * (1.0 + abs(f)):
             stop = "roundoff"
     x = np.exp(y)
     x.flags.writeable = False
@@ -379,23 +360,54 @@ def _newton(mats) -> CapacityResult:
         minimizer_x=x,
         gradient_norm=gnorm,
         iterations=it,
-        converged=stop in ("gradient", "roundoff"),
+        converged=stop == "roundoff",
         stop_reason=stop,
     )
 
 
 def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> CapacityResult:
-    """Cap(t) by damped Newton on log det(sum e^{y_i} A_i) over sum y_i = 0.
+    """Cap(t): the product of the capacities of the parts of
+    ``structure._peel`` at ``tol``, each by damped Newton on
+    log det(sum e^{y_i} A_i) over sum y_i = 0.
+
+    Each peeled tight set S with range V, W spanning its complement, gives
+    Cap(A) = Cap(A_S on V) Cap(W^* A_j W : j not in S) (Gurvits, J. Comput.
+    Syst. Sci. 69 (2004)), so every part Newton sees is indecomposable and
+    has a finite minimizer.  The peel runs on every call, from the memoized
+    slot eigenvalues, and is the PSD check of t at ``tol``.  A tuple with
+    no tight set is its own single part, whose Newton result, which reads
+    no tolerance, is memoized on t (see ``MatrixTuple``).  A decomposable
+    tuple's parts are solved on each call and combined: the log-capacities
+    are summed through ``_cap``, the iterations are summed, ``converged``
+    holds when every part converged, ``stop_reason`` is the first of
+    "max_iter", "stalled" and "roundoff" that some part stopped on,
+    ``gradient_norm`` is the norm of the parts' projected gradients
+    together, and ``minimizer_x`` holds each part's minimizer on its slots.
+    No finite x reaches the infimum there (it is approached as the peeled
+    slots' x grow without bound), so that x, with product 1 on each part,
+    names the minimizer of each factor.
 
     See the module docstring for the step and the stop reasons.  Raises
     ``NonConvergence`` (carrying the result) when ``CAPACITY_MAX_ITER``
-    Newton steps leave the iterate short of every stopping test, and
-    ``SingularPencil`` when Cap is zero to working precision.  The PSD check
-    of t at ``tol`` runs on every call; the Newton result is memoized on t
-    (see ``MatrixTuple``).
+    Newton steps leave a part short of every stopping test, and the
+    exceptions of ``_peel`` and ``_newton``.
     """
-    _require_psd(t, tol)
-    result = t._memoized("newton", lambda: _newton(t.matrices))
+    parts = _peel(t.matrices, _slot_eigenvalues(t), tol)
+    if len(parts) == 1:
+        result = t._memoized("newton", lambda: _newton(t.matrices))
+    else:
+        solved = [_newton(u.conj().T @ t.matrices[idx] @ u) for idx, u in parts]
+        x = np.empty(t.n)
+        x[np.concatenate([idx for idx, _ in parts])] = np.concatenate([res.minimizer_x for res in solved])
+        x.flags.writeable = False
+        result = CapacityResult(
+            value=_cap(math.fsum(math.log(res.value) for res in solved)),
+            minimizer_x=x,
+            gradient_norm=math.hypot(*(res.gradient_norm for res in solved)),
+            iterations=sum(res.iterations for res in solved),
+            converged=all(res.converged for res in solved),
+            stop_reason=min((res.stop_reason for res in solved), key=["max_iter", "stalled", "roundoff"].index),
+        )
     if result.stop_reason == "max_iter":
         raise NonConvergence(
             f"capacity Newton hit max_iter = {result.iterations} with gradient norm "

@@ -23,9 +23,9 @@ hyperbolic membership and the trace preconditions of ``lemma36_family`` and
 ``dnp_family_value``).  Only this module reads ``ds_tol``.
 
 ``Tolerances`` holds the four settings of the package: ``hermitian_tol``,
-``psd_tol``, ``rank_tol`` and ``ds_tol``.  The gradient stop of the Newton
-solver is a constant of ``capacity``, ``_GRADIENT_TOL``, which no caller
-sets.  Every failed internal cross-check raises ``NumericalInconsistency``.
+``psd_tol``, ``rank_tol`` and ``ds_tol``.  The Newton solver of
+``capacity`` has no setting: it stops on the rounding of its objective.
+Every failed internal cross-check raises ``NumericalInconsistency``.
 
 One proven-bound rule, ``_below``: a value violates a bound the paper
 proves (n!/n^n <= D <= Cap on doubly stochastic tuples, and its

@@ -45,7 +45,6 @@ from .core import (
     NotHermitian,
     NumericalInconsistency,
     OutOfRange,
-    PreconditionViolated,
     Tolerances,
     _ds_limit,
     _eigh,
@@ -104,8 +103,10 @@ class MatrixTuple:
       (:func:`gradient` leaves it alone: its ``value`` has the same bits but
       never passes the gate);
     * "newton", the damped-Newton ``CapacityResult`` of
-      ``capacity.capacity``, which reads no tolerance: its PSD check runs
-      on every call, and the solve once per tuple;
+      ``capacity.capacity`` on a tuple with no tight set, which reads no
+      tolerance: the tight-set peel, which is its PSD check, runs on every
+      call, and the solve once per tuple (a decomposable tuple's parts are
+      solved on each call and keep no entry);
     * ("scaling", Tolerances), the ``ScalingResult`` of
       ``capacity.scale_to_doubly_stochastic``, whose one-tuple call of
       ``capacity._scale_stack`` reads the tolerances in its rank tests and
@@ -808,15 +809,6 @@ def _slot_eigenvalues(t: MatrixTuple) -> np.ndarray:
         return w
 
     return t._memoized("slot_eigs", compute)
-
-
-def _require_psd(t: MatrixTuple, tol: Tolerances) -> np.ndarray:
-    """Raise unless the slots pass ``core._psd`` at the tuple's largest
-    |entry|; return the slots' eigenvalues (``_slot_eigenvalues``)."""
-    w = _slot_eigenvalues(t)
-    if not _psd(w, max_abs(t.matrices), tol).all():
-        raise PreconditionViolated(f"tuple is not PSD (smallest eigenvalue {w.min():.3e})")
-    return w
 
 
 def _trace_and_sum_violations(

@@ -5,13 +5,17 @@ The two rank tests read n generic vectors from the slot ranges
 reading of a tight set.  They run on a (B, n, n, n) stack and its slots'
 eigenvalues (``_rank_tests``): :func:`is_indecomposable` and
 :func:`positivity_rank_test` are its one-tuple calls, and the scaling
-precondition (``capacity._scale_stack``) its stack call.
-:func:`decompose` peels the certified witnesses of :func:`is_indecomposable`
-off a doubly stochastic tuple; its product check's ``eval_polarized`` gates
-it at n <= 20."""
+precondition (``capacity._scale_stack``) its stack call.  ``_peel``
+peels their certified witnesses, minimal tight sets, off any PSD tuple
+until the remainder is indecomposable, and raises ``SingularPencil`` where
+the weak rank condition fails; it has two readers, :func:`decompose`, on a
+doubly stochastic tuple (its product check's ``eval_polarized`` gates it at
+n <= 20), and ``capacity.capacity``, which multiplies the parts'
+capacities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,7 @@ from .core import (
     NotDoublyStochastic,
     NumericalInconsistency,
     PreconditionViolated,
+    SingularPencil,
     Tolerances,
     _eigh,
     _one,
@@ -110,17 +115,18 @@ def _rank_tests(mats: np.ndarray, w: np.ndarray, tol: Tolerances) -> list:
     ``PreconditionViolated`` or ``NumericalInconsistency``.
 
     The eigenvalues decide the PSD rule (``core._psd`` at the tuple's largest
-    |entry|) and rank the slots, so every tuple of slots all of rank n, such
-    as a Wishart draw, answers at once.  Each other tuple is read by
-    ``_generic_ranks`` alone, on its own draw of the fixed seed, so a tuple's
-    verdict does not depend on its stack.
+    |entry|) and the slot ranks, so every PSD tuple of slots all of rank n,
+    such as a Wishart draw, answers at once: a slot has rank n exactly when
+    its smallest eigenvalue is above rank_tol times its largest, which is
+    ``core._rank_of_eigenvalues`` on ascending eigenvalues.  Each other
+    tuple is ranked and read by ``_generic_ranks`` alone, on its own draw of
+    the fixed seed, so a tuple's verdict does not depend on its stack.
     """
-    ranks = _rank_of_eigenvalues(w, tol)
-    psd = _psd(w, np.abs(mats).max((1, 2, 3))[:, None], tol).all(1)
+    psd = _psd(w, np.abs(mats).max((1, 2, 3))[:, None], tol)
     out = [(True, None)] * len(mats)
-    for j in (~psd | (ranks < mats.shape[1]).any(1)).nonzero()[0]:
+    for j in (~(psd & (w[..., 0] > tol.rank_tol * w[..., -1])).all(1)).nonzero()[0]:
         out[j] = (
-            _generic_ranks(mats[j], ranks[j], tol) if psd[j]
+            _generic_ranks(mats[j], _rank_of_eigenvalues(w[j], tol), tol) if psd[j].all()
             else PreconditionViolated(f"tuple is not PSD (smallest eigenvalue {w[j].min():.3e})")
         )
     return out
@@ -144,16 +150,53 @@ def positivity_rank_test(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     return _one(_rank_tests(t.matrices[None], _slot_eigenvalues(t)[None], tol))[0]
 
 
-def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
-    """Indecomposable block decomposition of a doubly stochastic tuple.
+def _peel(mats: np.ndarray, w: np.ndarray, tol: Tolerances) -> list:
+    """The parts of a PSD (n, n, n) stack whose slots have the ascending
+    eigenvalues w: a list of (slot indices, orthonormal basis (n, k)), the
+    peeled parts in peeling order and the remainder last.
 
-    Each round peels the certified witness S of :func:`is_indecomposable` off
-    the remaining slots: the smallest proper support of X = U^-1 V, so a
-    minimal tight set.  S is a part on the top |S| eigenvectors of its sum,
-    the other slots are compressed to the remaining eigenvectors, and the
+    Each round reads the remaining slots by ``_rank_tests`` and peels its
+    certified witness S, the smallest proper support of X = U^-1 V, so a
+    minimal tight set: S is a part on the top |S| eigenvectors of its sum V,
+    the other slots are compressed to the remaining eigenvectors W, and the
     round repeats until the remainder is indecomposable.  Tightness is thus
     read as the scaling precondition reads it.  The bases come from the raw
-    compressed slots; only the witness test wraps them in a ``MatrixTuple``.
+    compressed slots; the rank tests read them symmetrized.  A tuple with no
+    tight set is its own single part, with the identity basis, and full-rank
+    slots answer on w alone.  Raises ``PreconditionViolated`` where the
+    slots fail the PSD rule, ``SingularPencil`` where the weak rank
+    condition fails (Cap = D = 0) or where a peeled slot's dropped complement
+    W^* A_i W has an eigenvalue below -m^2 eps times the slot's largest (m
+    the remaining dimension): the slot is then not PSD, which a loose
+    ``psd_tol`` let pass, and Cap = 0.  ``NumericalInconsistency`` where a
+    witness fails its certification.
+    """
+    found, slots, basis, sym = [], np.arange(len(mats)), np.eye(len(mats), dtype=np.complex128), mats
+    while True:
+        weak, witness = _one(_rank_tests(sym[None], w[None], tol))
+        if not weak:
+            singular = rank_psd(mats.sum(0), tol) < len(mats)
+            what = "sum A_i is singular" if singular else "rank(sum_S A_i) < |S| for some S"
+            raise SingularPencil(f"{what}; the tuple violates the weak rank condition")
+        if witness is None:
+            return [*found, (slots, basis)]
+        m, k, inside = len(mats), len(witness), np.isin(np.arange(len(slots)), witness)
+        v = _eigh(mats[inside].sum(0))[1][:, ::-1]
+        dropped = _eigh(v[:, k:].conj().T @ mats[inside] @ v[:, k:], vectors=False)[:, 0]
+        if (dropped < -m * m * _EPS * w[inside, -1]).any():
+            raise SingularPencil(f"a slot of tight set {witness} is not PSD off its range ({dropped.min():.3e})")
+        found.append((slots[inside], basis @ v[:, :k]))
+        slots, basis = slots[~inside], basis @ v[:, k:]
+        mats = v[:, k:].conj().T @ mats[~inside] @ v[:, k:]
+        sym = (mats + mats.conj().swapaxes(1, 2)) / 2.0
+        w = _eigh(sym, vectors=False)
+
+
+def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionResult:
+    """Indecomposable block decomposition of a doubly stochastic tuple: the
+    parts of ``_peel``, in order of smallest slot, each with its compressed
+    tuple.
+
     Raises ``NotDoublyStochastic`` unless ``check_doubly_stochastic`` holds
     (its PSD rule is the one the rank tests read), and
     ``NumericalInconsistency`` when a witness fails its certification or
@@ -164,28 +207,16 @@ def decompose(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> DecompositionRes
     report = check_doubly_stochastic(t, tol)
     if not report.is_doubly_stochastic:
         raise NotDoublyStochastic(f"input is not doubly stochastic: {report}")
-    n = t.n
     d_total = eval_polarized(t)
-    found = []
-    slots, basis, mats, sub = np.arange(n), np.eye(n, dtype=np.complex128), t.matrices, t
-    while (witness := is_indecomposable(sub, tol)[1]) is not None:
-        k, inside = len(witness), np.isin(np.arange(len(slots)), witness)
-        v = _eigh(mats[inside].sum(0))[1][:, ::-1]
-        found.append((slots[inside], basis @ v[:, :k]))
-        slots, basis = slots[~inside], basis @ v[:, k:]
-        mats = v[:, k:].conj().T @ mats[~inside] @ v[:, k:]
-        sub = MatrixTuple(mats, tol)
-    if not found:
-        parts = [(tuple(range(n)), basis, t)]
+    found = _peel(t.matrices, _slot_eigenvalues(t), tol)
+    if len(found) == 1:
+        parts = [(tuple(range(t.n)), found[0][1], t)]
     else:
-        found.append((slots, basis))
         parts = [
             (tuple(idx.tolist()), u, MatrixTuple(u.conj().T @ t.matrices[idx] @ u))
             for idx, u in sorted(found, key=lambda part: part[0][0])
         ]
-    d_prod = 1.0
-    for _, _, sub in parts:
-        d_prod *= eval_polarized(sub)
+    d_prod = math.prod(eval_polarized(sub) for _, _, sub in parts)
     product_check = abs(d_total - d_prod)
     if product_check > 1e-8 * (1.0 + abs(d_total)):
         raise NumericalInconsistency(

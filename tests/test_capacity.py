@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixdisc.capacity import (
-    _GRADIENT_TOL,
     capacity,
     capacity_bound_report,
     capacity_via_scaling,
@@ -295,10 +294,8 @@ def _check_against_scaling(t, res):
 
 
 def _check_result_flags(res):
-    assert res.stop_reason in ("gradient", "roundoff", "stalled")
-    assert res.converged == (res.stop_reason != "stalled")
-    if res.stop_reason == "gradient":
-        assert res.gradient_norm < _GRADIENT_TOL
+    assert res.stop_reason in ("roundoff", "stalled")
+    assert res.converged == (res.stop_reason == "roundoff")
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,13 +369,12 @@ def _near_boundary_tuple(seed, n=3):
 
 @pytest.mark.parametrize("seed", [2, 7, 20])
 def test_near_boundary_tuple_stops_at_roundoff(seed):
-    # Round-off keeps the projected gradient of these tuples near 1e-8, above
-    # _GRADIENT_TOL; the Newton decrement shows that f is within round-off of its
-    # minimum, so the result is converged without a gradient stop.
+    # Round-off keeps the projected gradient of these tuples near 1e-8; the
+    # Newton decrement shows that f is within round-off of its minimum, so
+    # the result is converged.
     t = _near_boundary_tuple(seed)
     res = capacity(t)
     assert res.stop_reason == "roundoff" and res.converged
-    assert res.gradient_norm >= _GRADIENT_TOL
     assert res.iterations <= 20
     assert res.value == pytest.approx(capacity_via_scaling(t), rel=1e-10)
 
@@ -690,7 +686,6 @@ def test_failed_line_search_returns_a_flagged_result(monkeypatch):
     assert res.stop_reason == "stalled"
     assert res.converged is False
     assert res.iterations == 0
-    assert res.gradient_norm >= _GRADIENT_TOL
 
 
 def test_line_search_halvings_stop_at_the_rounding_of_y(monkeypatch):
@@ -724,9 +719,30 @@ def _weak_rank_violating_tuple(n, seed):
 
 
 def test_singular_slot_sum_raises_at_the_first_point():
-    # sum A_i = diag(2, 0) is exactly singular at y = 0, before any step.
-    with pytest.raises(SingularPencil, match="^sum A_i is singular; the tuple violates the weak rank condition$"):
-        capacity(MatrixTuple([np.diag([1.0, 0.0])] * 2))
+    # sum A_i = diag(2, 0) is exactly singular at y = 0, before any step: the
+    # weak rank test reads it, and Newton's first point refuses it too.
+    t = MatrixTuple([np.diag([1.0, 0.0])] * 2)
+    for solve in (capacity, lambda t: sys.modules["mixdisc.capacity"]._newton(t.matrices)):
+        with pytest.raises(SingularPencil, match="^sum A_i is singular; the tuple violates the weak rank condition$"):
+            solve(t)
+
+
+def test_a_capacity_below_the_log_floor_raises():
+    # J_3 2^-400 has Cap = 2^-1200: the weak rank condition holds, but the
+    # first point's det is below 1e-300.
+    with pytest.raises(SingularPencil, match=r"^det\(sum e\^\{y_i\} A_i\) < 1e-300 .*, so Cap < 1e-300$"):
+        capacity(MatrixTuple([np.eye(3) / 3 * 2.0**-400] * 3))
+
+
+def test_an_indecomposable_tuple_with_a_slot_psd_only_within_psd_tol_raises():
+    # No tight set: A_0 = diag(1, 1, -1e-7) has rank 2 and the other slots
+    # full rank, so Newton runs on the whole tuple.  det(sum x_i A_i) =
+    # (x_0 + x_1 + x_2)^2 (5.1e-8 (x_1 + x_2) - 1e-7 x_0) turns negative as
+    # x_0 grows: Cap = 0.  At y = 0, g_0 = 2/3 - 50 < 0 beyond rounding.
+    e = np.diag([1.0, 1.0, 5.1e-8])
+    t = MatrixTuple([np.diag([1.0, 1.0, -1e-7]), e, e])
+    with pytest.raises(SingularPencil, match=r"^w_i tr\(M\^-1 A_i\) = .* a slot is not PSD, so Cap = 0$"):
+        capacity(t, replace(DEFAULT_TOL, psd_tol=1e-6))
 
 
 def test_newton_hessian_without_its_unit_eigenvalue_raises():
@@ -738,13 +754,12 @@ def test_newton_hessian_without_its_unit_eigenvalue_raises():
         sys.modules["mixdisc.capacity"]._newton_direction(q, g, g - g.mean())
 
 
-def test_numerically_singular_pencil_at_a_rounding_stop_raises(monkeypatch):
-    # Cap = 8e-17, and cond(sum e^{y_i} A_i) = 1e17 at every y.  With the
-    # gradient stop at 0 no gradient stops the solver, so it stops on
-    # rounding, where M is singular to working precision.
-    monkeypatch.setattr(sys.modules["mixdisc.capacity"], "_GRADIENT_TOL", 0.0)
+def test_numerically_singular_pencil_at_a_rounding_stop_raises():
+    # Cap = 8e-17, and cond(sum e^{y_i} A_i) = 1e17 at every y.  Both slots
+    # and their sum have rank 1 at rank_tol, so the weak rank test reads
+    # Cap = 0 to working precision before any Newton step.
     t = MatrixTuple([np.diag([1.0, 1e-17]), np.diag([2.0, 2e-17])])
-    with pytest.raises(SingularPencil, match=r"^sum e\^\{y_i\} A_i is numerically singular at prod"):
+    with pytest.raises(SingularPencil, match="^sum A_i is singular; the tuple violates the weak rank condition$"):
         capacity(t)
 
 
@@ -777,8 +792,10 @@ def test_weak_rank_violation_raises(n, seed):
 
 def test_decomposable_tuple_with_a_flat_direction():
     # (e_1 e_1^T, 0 + B, 0 + C): on sum y = 0, f depends on y_2 - y_3 alone,
-    # so H is singular on the mean-zero subspace.  Cap is the minimum over u
-    # of det(e^u B + e^-u C), found here by ternary search on the convex f(u).
+    # so H of the whole tuple is singular on the mean-zero subspace.  Slot 0
+    # is a tight set, so capacity solves the parts ({0} on e_1) and (B, C),
+    # neither with a flat direction.  Cap is the minimum over u of
+    # det(e^u B + e^-u C), found here by ternary search on the convex f(u).
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
     c = np.array([[1.0, -0.3], [-0.3, 3.0]])
     mats = np.zeros((3, 3, 3))
@@ -795,7 +812,8 @@ def test_decomposable_tuple_with_a_flat_direction():
         lo, hi = (m1, hi) if f(m1) > f(m2) else (lo, m2)
     res = capacity(MatrixTuple(mats))
     assert res.converged
-    assert res.value == pytest.approx(math.exp(f((lo + hi) / 2.0)), rel=1e-12)
-    # The minimum-norm Newton step leaves the flat direction at its start.
-    np.testing.assert_allclose(np.log(res.minimizer_x).sum(), 0.0, atol=1e-12)
-    assert np.max(np.abs(np.log(res.minimizer_x))) < 1.0
+    u = (lo + hi) / 2.0
+    assert res.value == pytest.approx(math.exp(f(u)), rel=1e-12)
+    # Each part's minimizer, with product 1 on each part.
+    assert res.minimizer_x[0] == 1.0
+    np.testing.assert_allclose(res.minimizer_x[1:], [math.exp(u), math.exp(-u)], rtol=1e-6)

@@ -107,16 +107,17 @@ def _imported(module: str) -> set:
 
 def test_one_route_per_decision():
     # The generic vectors serve the stacked rank tests, whose one-tuple call
-    # answers both public tests and whose stack call is the scaling
-    # precondition; decompose reads its tight sets off the indecomposability
-    # test.  The recursive split and the trace Gram graph are gone.
+    # answers both public tests and the peel, and whose stack call is the
+    # scaling precondition; decompose and capacity read their tight sets off
+    # the one peel.  The recursive split and the trace Gram graph are gone.
     assert _callers("_generic_ranks") == {"structure._rank_tests"}
     assert _callers("_rank_tests") == {
         "structure.is_indecomposable",
         "structure.positivity_rank_test",
+        "structure._peel",
         "capacity._scale_stack",
     }
-    assert _callers("is_indecomposable") == {"structure.decompose"}
+    assert _callers("_peel") == {"structure.decompose", "capacity.capacity"}
     names = {
         getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
         for path in SRC.glob("*.py")

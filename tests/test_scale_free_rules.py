@@ -17,7 +17,7 @@ from mixdisc.core import (
     make_rng,
     random_complex_gaussian,
 )
-from mixdisc.discriminant import MatrixTuple, _require_psd, eval_polarized
+from mixdisc.discriminant import MatrixTuple, eval_polarized
 from mixdisc.extremal import random_ds_tuple
 from mixdisc.hyperbolic import HyperbolicPencil, pencil_from_tuple, roots
 from mixdisc.structure import is_indecomposable, positivity_rank_test
@@ -52,7 +52,7 @@ def test_a_tiny_non_psd_tuple_is_a_precondition_violation(route):
 
 def _verdict(mats):
     try:
-        _require_psd(MatrixTuple(mats), DEFAULT_TOL)
+        positivity_rank_test(MatrixTuple(mats), DEFAULT_TOL)
     except PreconditionViolated:
         return False
     return True

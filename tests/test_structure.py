@@ -172,12 +172,15 @@ class TestDecompose:
             decompose(block_diag_ds(11)[0])
 
     def test_each_peel_round_takes_two_eigensolves(self, monkeypatch):
-        # One round: the slots of the remainder, then the witness's sum.  The
-        # last remainder's two slots have full rank and need no solve.
+        # One round: the slots of the remainder, then the witness's sum, the
+        # eigenvalues of its slots off the sum's range (the PSD check of the
+        # dropped complements) and the compressed remainder's slot
+        # eigenvalues.  The last remainder's two slots have full rank and
+        # need no further solve.
         shapes = _count_eigh(monkeypatch)
         t, _, _ = block_diag_ds(11)
         assert [labels for labels, _, _ in decompose(t).parts] == [(0, 1), (2, 3)]
-        assert shapes == [(4, 4, 4), (4, 4)]
+        assert shapes == [(4, 4, 4), (4, 4), (2, 2, 2), (2, 2, 2)]
 
     def test_a_slot_outside_the_psd_rule_raises_as_in_the_rank_tests(self, tmp_path, capsys):
         # Within ds_tol of PSD, but below -psd_tol times the largest entry:
