@@ -138,7 +138,6 @@ from .core import (
     NonConvergence,
     NotIndecomposable,
     NotPositiveDefinite,
-    OutOfRange,
     PreconditionViolated,
     SingularPencil,
     Tolerances,
@@ -147,6 +146,7 @@ from .core import (
     _ds_limit,
     _ds_stop_reason,
     _eigh,
+    _exp_in_range,
     _inv_sqrt,
     _one,
 )
@@ -213,15 +213,6 @@ class ScalingResult:
     iterations: int
     converged: bool
     stop_reason: str
-
-
-def _cap(log_cap: float) -> float:
-    """Cap = e^log_cap; ``OutOfRange``, naming Cap's base-2 exponent
-    log_cap / ln 2, where that is beyond the float range."""
-    try:
-        return math.exp(log_cap)
-    except OverflowError:
-        raise OutOfRange(f"Cap = 2^{log_cap / math.log(2.0):.2f} is beyond the float range") from None
 
 
 def _objective(mats, y):
@@ -356,7 +347,7 @@ def _newton(mats) -> CapacityResult:
     x = np.exp(y)
     x.flags.writeable = False
     return CapacityResult(
-        value=_cap(f),
+        value=_exp_in_range(f, "Cap"),
         minimizer_x=x,
         gradient_norm=gnorm,
         iterations=it,
@@ -378,8 +369,8 @@ def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> CapacityResult:
     no tight set is its own single part, whose Newton result, which reads
     no tolerance, is memoized on t (see ``MatrixTuple``).  A decomposable
     tuple's parts are solved on each call and combined: the log-capacities
-    are summed through ``_cap``, the iterations are summed, ``converged``
-    holds when every part converged, ``stop_reason`` is the first of
+    are summed through ``core._exp_in_range``, the iterations are summed,
+    ``converged`` holds when every part converged, ``stop_reason`` is the first of
     "max_iter", "stalled" and "roundoff" that some part stopped on,
     ``gradient_norm`` is the norm of the parts' projected gradients
     together, and ``minimizer_x`` holds each part's minimizer on its slots.
@@ -401,7 +392,7 @@ def capacity(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> CapacityResult:
         x[np.concatenate([idx for idx, _ in parts])] = np.concatenate([res.minimizer_x for res in solved])
         x.flags.writeable = False
         result = CapacityResult(
-            value=_cap(math.fsum(math.log(res.value) for res in solved)),
+            value=_exp_in_range(math.fsum(math.log(res.value) for res in solved), "Cap"),
             minimizer_x=x,
             gradient_norm=math.hypot(*(res.gradient_norm for res in solved)),
             iterations=sum(res.iterations for res in solved),
@@ -707,7 +698,7 @@ def capacity_via_scaling(t: MatrixTuple, tol: Tolerances = DEFAULT_TOL) -> float
     res = scale_to_doubly_stochastic(t, tol)
     sign, logdet = np.linalg.slogdet(res.transform_X)
     log_cap = -2.0 * float(logdet) - float(np.sum(np.log(res.trace_scalars)))
-    return _cap(log_cap)
+    return _exp_in_range(log_cap, "Cap")
 
 
 def capacity_bound_report(

@@ -32,6 +32,13 @@ proves (n!/n^n <= D <= Cap on doubly stochastic tuples, and its
 corollaries) only when it falls below it by more than the relative slack
 ``_BOUND_SLACK``.
 
+One range rule for a value read from its logarithm, ``_exp_in_range``: e^x,
+or ``OutOfRange`` naming the value's base-2 exponent where e^x is beyond the
+float range (Cap in ``capacity``, a pencil value p(x) in ``hyperbolic``).
+Signed totals are not summed here: every one of them (D, Q, a permanent,
+the oracles, QP) is the correctly rounded sum of ``discriminant._exact_sums``,
+whose overflow rule raises ``OutOfRange`` for a term beyond the float range.
+
 Randomness is one generator per sample: ``make_rng(seed)`` (Philox), with no
 global state.  Every complex Gaussian of the package comes from
 ``random_complex_gaussian``, which draws a whole stack in one
@@ -107,6 +114,15 @@ class NumericalInconsistency(MixdiscError):
 class OutOfRange(MixdiscError):
     """A value, or a term of the sum that gives it, lies beyond the float
     range."""
+
+
+def _exp_in_range(log_value: float, what: str) -> float:
+    """e^log_value; ``OutOfRange``, naming the base-2 exponent log_value / ln 2
+    of ``what``, where that is beyond the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OutOfRange(f"{what} = 2^{log_value / math.log(2.0):.2f} is beyond the float range") from None
 
 
 class NonConvergence(MixdiscError):
@@ -365,13 +381,3 @@ def _wishart(shape, seed: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     g = random_complex_gaussian(shape, make_rng(seed))
     return g @ g.conj().swapaxes(-1, -2)
-
-
-# ---------------------------------------------------------------------------
-# compensated accumulation
-
-def fsum_complex(terms) -> complex:
-    """Compensated sum of complex terms, real and imaginary parts separately,
-    each read as Python floats (the bits of ``math.fsum`` over the array)."""
-    a = np.asarray(terms, dtype=np.complex128).ravel()
-    return complex(math.fsum(a.real.tolist()), math.fsum(a.imag.tolist()))

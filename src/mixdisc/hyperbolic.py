@@ -40,6 +40,7 @@ from .core import (
     _below,
     _ds_limit,
     _eigh,
+    _exp_in_range,
     _gate,
     _inv_sqrt,
     as_hermitian,
@@ -102,8 +103,13 @@ class HyperbolicPencil:
         return x
 
     def value(self, x) -> float:
-        """p(x) = det(sum x_i B_i); real for real x and a Hermitian pencil."""
-        return float(np.linalg.det(self.at(x)).real)
+        """p(x) = det(sum x_i B_i); real for real x and a Hermitian pencil.
+
+        It is sign e^logdet of ``slogdet``, which is how ``det`` forms it,
+        bit for bit; ``OutOfRange`` names log2|p(x)| where that is beyond
+        the float range."""
+        sign, logdet = np.linalg.slogdet(self.at(x))
+        return float(sign.real) * _exp_in_range(float(logdet), "|p(x)|")
 
 
 def _reduce(matrices: np.ndarray, at_e: np.ndarray, tol: Tolerances) -> np.ndarray:

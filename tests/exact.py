@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from mixdisc.core import _wishart, make_rng  # noqa: E402
-from mixdisc.discriminant import MatrixTuple, eval_polarized, eval_sigma_det, permanent  # noqa: E402
+from mixdisc.discriminant import MatrixTuple, eval_double_perm, eval_polarized, eval_sigma_det, permanent  # noqa: E402
 from mixdisc.extremal import random_ds_tuple  # noqa: E402
 from mixdisc.genaf import column_repeated  # noqa: E402
 from mixdisc.hyperbolic import _random_ds_matrices  # noqa: E402
@@ -183,10 +183,16 @@ TABLE = [
     ("eval_sigma_det", "J_n 2^j", jn_tuples, True),
     ("eval_sigma_det", "random_ds_tuple", ds_tuples, True),
     ("eval_sigma_det", "slot 1 x 2^13", scaled_slot_tuples, False),
+    ("eval_double_perm", "random_ds_tuple", ds_tuples, True),
     ("permanent", "af matrices", af_matrices, True),
     ("permanent", "ds matrices", ds_matrices, True),
 ]
-ROUTES = {"eval_polarized": eval_polarized, "eval_sigma_det": eval_sigma_det, "permanent": permanent}
+ROUTES = {
+    "eval_polarized": eval_polarized,
+    "eval_sigma_det": eval_sigma_det,
+    "eval_double_perm": eval_double_perm,
+    "permanent": permanent,
+}
 
 
 @cache
@@ -205,7 +211,7 @@ def worst(route, family):
 
 
 if __name__ == "__main__":
-    print(f"{'route':<16}{'family':<22}{'worst':>10}  case")
+    print(f"{'route':<18}{'family':<22}{'worst':>10}  case")
     for route, label, family, asserted in TABLE:
         err, case = worst(route, family)
-        print(f"{route:<16}{label:<22}{err:>10.2e}  {case}{'' if asserted else '  (not asserted)'}")
+        print(f"{route:<18}{label:<22}{err:>10.2e}  {case}{'' if asserted else '  (not asserted)'}")

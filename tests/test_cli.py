@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixdisc import cli, extremal, genaf, hyperbolic, pascal
@@ -662,6 +662,13 @@ _BAD_LEAVES = st.sampled_from(
 )
 
 
+def _nested(leaves):
+    """32 leaves as nested lists of shape (2, 2, 2, 2, 2)."""
+    for _ in _SHAPE[1:]:
+        leaves = [leaves[i : i + 2] for i in range(0, len(leaves), 2)]
+    return leaves
+
+
 @st.composite
 def nested_numbers(draw):
     """Nested lists of shape (2, 2, 2, 2, 2), with one bad leaf or none."""
@@ -669,10 +676,7 @@ def nested_numbers(draw):
     bad = draw(st.none() | st.tuples(st.integers(0, 31), _BAD_LEAVES))
     if bad is not None:
         leaves[bad[0]] = bad[1]
-    value = leaves
-    for _ in _SHAPE[1:]:
-        value = [value[i : i + 2] for i in range(0, len(value), 2)]
-    return value
+    return _nested(leaves)
 
 
 def _numbers_outcome(value):
@@ -701,6 +705,9 @@ def _recursive_check(v, dims, at):
 
 @settings(max_examples=150, deadline=None)
 @given(nested_numbers())
+# The float maximum as an int is a good leaf that the fast path's strict
+# bound refuses, so every run takes _numbers' slow path to its return.
+@example(_nested([_MAX_INT] + [0.0] * 31))
 def test_one_pass_numbers_match_the_recursive_check(value):
     got = _numbers_outcome(value)
     try:

@@ -10,7 +10,6 @@ from mixdisc.core import (
     NotPositiveDefinite,
     Tolerances,
     as_hermitian,
-    fsum_complex,
     inv_sqrt_psd,
     iter_seeds,
     make_rng,
@@ -19,7 +18,7 @@ from mixdisc.core import (
     random_complex_gaussian,
     rank_psd,
 )
-from mixdisc.discriminant import MatrixTuple
+from mixdisc.discriminant import MatrixTuple, _exact_total
 from mixdisc.extremal import dnp_family_value
 
 from helpers import random_hermitian, random_psd
@@ -168,9 +167,10 @@ class TestRandomness:
 
 
 class TestCompensatedSums:
-    def test_fsum_complex(self):
+    def test_exact_total_of_complex_terms(self):
         terms = np.array([1e16 + 1j, 1.0 - 1j, -1e16 + 0j])
-        assert fsum_complex(terms) == complex(1.0, 0.0)
+        assert _exact_total([terms]) == complex(1.0, 0.0)
+        assert _exact_total(iter([terms[:1], terms[1:]])) == complex(1.0, 0.0)
 
     def test_max_abs_empty(self):
         assert max_abs(np.zeros((0, 0))) == 0.0

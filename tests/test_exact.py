@@ -25,6 +25,7 @@ BOUNDS = {
     ("eval_sigma_det", "wishart n=2..8"): 1e-14,  # 3.3e-16
     ("eval_sigma_det", "J_n 2^j"): 1e-12,  # 4.0e-14, J_8 2^40
     ("eval_sigma_det", "random_ds_tuple"): 1e-14,  # 2.4e-16
+    ("eval_double_perm", "random_ds_tuple"): 1e-14,  # 1.3e-16, one correctly rounded total
     ("permanent", "af matrices"): 0.0,  # integer matrices: every term is exact
     ("permanent", "ds matrices"): 1e-14,  # 7.0e-16
 }

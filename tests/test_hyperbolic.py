@@ -48,6 +48,12 @@ class TestPencil:
         assert p.value(x) == pytest.approx(
             float(np.linalg.det(p.at(x)).real), rel=1e-12
         )
+        # value is sign e^logdet of slogdet, which is how det forms it: the
+        # same float, a singular point's 0.0 included.
+        rng = make_rng(79)
+        for pencil in _seeded_pencils() + [p]:
+            for x in [pencil.e, -pencil.e, np.zeros(pencil.m)] + [rng.standard_normal(pencil.m) for _ in range(6)]:
+                assert pencil.value(x).hex() == float(np.linalg.det(pencil.at(x)).real).hex()
 
 
 _NON_FINITE_CALLS = {

@@ -11,9 +11,23 @@ import pytest
 
 import mixdisc
 from mixdisc.capacity import capacity, capacity_via_scaling
-from mixdisc.cli import main, tuple_to_doc
+from mixdisc.cli import block_to_doc, main, tuple_to_doc
 from mixdisc.core import MixdiscError, OutOfRange, _wishart
-from mixdisc.discriminant import MatrixTuple, eval_polarized, eval_sigma_det, gradient, permanent
+from mixdisc.discriminant import (
+    MatrixTuple,
+    eval_double_perm,
+    eval_polarized,
+    eval_sigma_det,
+    eval_signed_permanent,
+    eval_tensor,
+    gradient,
+    permanent,
+)
+from mixdisc.extremal import random_ds_tuple
+from mixdisc.hyperbolic import HyperbolicPencil, pencil_from_tuple, roots
+from mixdisc.pascal import BlockMatrix, qp_block, qp_tensor, sample_block_ds
+
+from helpers import pencil_to_doc, rho_a
 
 # (1 + j/64) 2^600 I/4, j = 0..3: D = (4!/4^4) Cap and Cap = 2^2400 prod_j (1 + j/64).
 _WEIGHTS = 1 + np.arange(4) / 64
@@ -76,10 +90,63 @@ def test_a_term_overflow_does_not_claim_the_value_is_out_of_range():
     ids=["eval", "cross-check", "sigma-det", "capacity", "scale"],
 )
 def test_cli_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    _exits_2_with_one_error_line(capsys, tmp_path, argv, tuple_to_doc(_HUGE))
+
+
+def _exits_2_with_one_error_line(capsys, tmp_path, argv, doc):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(tuple_to_doc(_HUGE)))
+    path.write_text(json.dumps(doc))
     code = main([*argv, str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "beyond the float range" in lines[0]
+
+
+@pytest.mark.parametrize("route", [eval_double_perm, eval_tensor, eval_signed_permanent])
+def test_every_oracle_raises_on_terms_beyond_the_float_range(route):
+    # Each used to return NaN with an overflow warning, or to sum inf terms.
+    for t in (_HUGE, MatrixTuple(random_ds_tuple(3, 1).matrices * 2.0**600)):
+        with pytest.raises(OutOfRange, match="may lie within it"):
+            route(t)
+
+
+@pytest.mark.parametrize("route", [qp_block, qp_tensor])
+def test_qp_raises_on_terms_beyond_the_float_range(route):
+    # qp_tensor used to return NaN on the scaled Pascal draw.  rho_A of the
+    # huge tuple has QP = D near 2^2400.
+    for rho in (rho_a(_HUGE), BlockMatrix(sample_block_ds(3, 1).blocks * 2.0**400)):
+        with pytest.raises(OutOfRange, match="may lie within it"):
+            route(rho)
+
+
+def test_pencil_values_beyond_the_float_range_name_their_base_2_exponent():
+    # The pencil of a DS 4-tuple times 2^300: p(x) near 2^1200 p_0(x), which
+    # value returned as inf and roots as a NaN residual.
+    plain = pencil_from_tuple(random_ds_tuple(4, 1))
+    pencil = HyperbolicPencil(plain.matrices * 2.0**300, np.ones(4))
+    x = np.array([1.0, 2.0, 0.5, 1.0])
+    for route in (pencil.value, lambda x: roots(pencil, x)):
+        with pytest.raises(OutOfRange) as info:
+            route(x)
+        exponent = float(re.fullmatch(r"\|p\(x\)\| = 2\^(\S+) is beyond the float range", str(info.value))[1])
+        assert exponent == pytest.approx(1200 + math.log2(plain.value(x)), abs=0.01)
+
+
+def _huge_pencil_doc():
+    doc = pencil_to_doc(HyperbolicPencil(_HUGE.matrices, np.ones(4)))
+    return {**doc, "x": [1.0] * 4}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["qp", "--method", "block"], lambda: block_to_doc(rho_a(_HUGE))),
+        (["qp", "--method", "tensor"], lambda: block_to_doc(rho_a(_HUGE))),
+        (["qp", "--method", "both"], lambda: block_to_doc(rho_a(_HUGE))),
+        (["hyp", "--op", "roots"], _huge_pencil_doc),
+    ],
+    ids=["qp-block", "qp-tensor", "qp-both", "hyp-roots"],
+)
+def test_qp_and_pencil_commands_exit_2_with_one_error_line(capsys, tmp_path, argv, doc):
+    _exits_2_with_one_error_line(capsys, tmp_path, argv, doc())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from mixdisc.core import (
     Tolerances,
     _wishart,
     as_hermitian,
-    fsum_complex,
     inv_sqrt_psd,
     make_rng,
     random_complex_gaussian,
@@ -143,8 +144,8 @@ class TestQpAgreement:
     @pytest.mark.parametrize("n, seeds", [(2, range(10)), (3, range(5)), (4, range(1))])
     def test_tensor_matches_the_loop_over_its_two_leading_permutations(self, n, seeds):
         # The reference sums each (tau1, tau2) slice as a signed double
-        # permutation sum; qp_tensor sums all (n!)^4 terms at once, so only
-        # the rounding of the partial sums differs.
+        # permutation sum; qp_tensor sums all (n!)^4 terms correctly
+        # rounded, so only the rounding of the partial sums differs.
         perms, signs = _perms_and_signs(n)
         for seed in seeds:
             rho = sample_block_ds(n, seed)
@@ -154,7 +155,7 @@ class TestQpAgreement:
                 for a in range(len(perms))
                 for b in range(len(perms))
             ]
-            want = (fsum_complex(slices) / len(perms)).real
+            want = math.fsum(z.real for z in slices) / len(perms)
             assert qp_tensor(rho) == pytest.approx(want, rel=1e-14)
 
     def test_gates(self):
