@@ -26,7 +26,10 @@ gates (``core._gate``):
 * :func:`eval_tensor`        -- antisymmetrizer inner product, n <= 6
 
 All of them agree (relative 1e-8) on Hermitian PSD tuples; tests enforce it.
-Every signed total, the kernel's, each oracle's and ``pascal``'s QP, is one
+Each of them, and each of ``pascal``'s two QP formulas, is one call of
+:func:`_perm_total`, the one walk of S_n: in lexicographic order, in chunks
+sized by the kernel's byte budget, each chunk's terms formed by the
+caller.  Every signed total, the kernel's and each permutation sum, is one
 correctly rounded sum of its terms by :func:`_exact_sums`, whose overflow
 rule turns a term beyond the float range into ``OutOfRange``.
 The production evaluator keeps that accuracy up to its gate n = 20: on
@@ -266,30 +269,15 @@ def _perms_and_signs(n: int):
 
 
 def _chunk_classes(row_bytes: int) -> int:
-    """Classes (or permutations) per chunk whose combinations (or gathered
-    matrices) of ``row_bytes`` bytes each fill ``_CHUNK_BYTES``.  A class
-    counts as at least 1 KiB, so no chunk holds more than 2048 classes: a
-    permanent's chunk (its combinations, coefficients and terms, about
-    0.7 MB at real n = 16) stays in a core's cache through the
-    column-by-column product and the exact sums, which sweep it again.  Rows
-    of 1 KiB or more, the complex slots from n = 8 on, fill the budget as
-    they are."""
+    """Classes (or permutations) per chunk whose combinations (or a
+    permutation's gathered entries) of ``row_bytes`` bytes each fill
+    ``_CHUNK_BYTES``.  A class counts as at least 1 KiB, so no chunk holds
+    more than 2048 classes: a permanent's chunk (its combinations,
+    coefficients and terms, about 0.7 MB at real n = 16) stays in a core's
+    cache through the column-by-column product and the exact sums, which
+    sweep it again.  Rows of 1 KiB or more, the complex slots from n = 8
+    on, fill the budget as they are."""
     return _CHUNK_BYTES // max(row_bytes, 1024)
-
-
-def _iter_perm_chunks(n: int):
-    """S_n as (k, n) arrays of permutations, as many per chunk as
-    :func:`_chunk_classes` gives for their gathered n x n complex matrices:
-    slices of the cached table up to n = 8, generated chunk by chunk above."""
-    size = _chunk_classes(16 * n * n)
-    if n <= 8:
-        perms = _perms_and_signs(n)[0]
-        for lo in range(0, len(perms), size):
-            yield perms[lo : lo + size]
-        return
-    it = itertools.permutations(range(n))
-    while block := list(itertools.islice(it, size)):
-        yield np.array(block, dtype=np.int8)
 
 
 @lru_cache(maxsize=16)
@@ -515,12 +503,32 @@ def _exact_sums(chunks):
         raise OutOfRange(f"terms beyond the float range ({exc}); the value may lie within it") from exc
 
 
-def _exact_total(chunks) -> complex:
-    """The correctly rounded sum of every term of the 1-D arrays that
-    ``chunks`` yields, by :func:`_exact_sums`, so the terms a generator
-    forms fall under its overflow rule: the one total of the permutation
-    sums and of QP."""
-    return complex(*_exact_sums(c[None] for c in chunks)[0])
+def _perm_total(n: int, entry_bytes: int, terms) -> complex:
+    """The correctly rounded sum of ``terms(perms, signs)`` over S_n, the one
+    walk of every permutation sum: each oracle's and both of ``pascal``'s QP.
+
+    S_n goes in lexicographic order, in chunks of as many permutations as
+    :func:`_chunk_classes` gives for ``entry_bytes`` each: (k, n) int8 arrays
+    with their (k,) signs, slices of the cached table up to n = 8, generated
+    above.  Each chunk's terms, of any shape, go into :func:`_exact_sums` as
+    they are formed, so no chunk outlives its own sum and a term beyond the
+    float range raises ``OutOfRange``.  The terms are read as complex, so a
+    chunk of real terms sums with the complex ones.
+    """
+    size = _chunk_classes(entry_bytes)
+
+    def chunks():
+        if n <= 8:
+            perms, signs = _perms_and_signs(n)
+            for lo in range(0, len(perms), size):
+                yield perms[lo : lo + size], signs[lo : lo + size]
+            return
+        it = itertools.permutations(range(n))
+        while block := list(itertools.islice(it, size)):
+            perms = np.array(block, dtype=np.int8)
+            yield perms, _perm_signs(perms)
+
+    return complex(*_exact_sums(np.asarray(terms(*c), complex).reshape(1, -1) for c in chunks())[0])
 
 
 def _real_rows(terms: np.ndarray) -> np.ndarray:
@@ -594,8 +602,7 @@ def eval_sigma_det(t: MatrixTuple) -> float:
     """Mixed discriminant as sum over sigma of det(A_sigma).
 
     Column i of A_sigma is column i of A_{sigma(i)}.  The n! determinants
-    go through :func:`_exact_sums` chunk by chunk as they are computed
-    (:func:`_iter_perm_chunks`), so no chunk outlives its own sum.
+    are one :func:`_perm_total`, a chunk of gathered matrices at a time.
     """
     n = t.n
     _gate(n, _GATE_SIGMA_DET, "eval_sigma_det")
@@ -603,29 +610,25 @@ def eval_sigma_det(t: MatrixTuple) -> float:
     # Entry (r, i) of A_sigma is entry (r, i) of A_sigma(i), at offset
     # sigma(i) n^2 + r n + i of ``flat``: one gather per chunk.
     offsets = np.arange(n * n).reshape(n, n)
-    dets = (
-        np.linalg.det(flat.take(perms.astype(np.intp)[:, None, :] * (n * n) + offsets))
-        for perms in _iter_perm_chunks(n)
-    )
-    return float(_as_real_d(np.array([_exact_total(dets)]), t.matrices[None])[0])
+
+    def dets(perms, _):
+        return np.linalg.det(flat.take(perms.astype(np.intp)[:, None, :] * (n * n) + offsets))
+
+    return float(_as_real_d(np.array([_perm_total(n, 16 * n * n, dets)]), t.matrices[None])[0])
 
 
 def _double_perm_raw(mats) -> complex:
     """sum over sigma, tau of sgn(sigma tau) prod_i A_i(sigma(i), tau(i)),
-    correctly rounded by :func:`_exact_total`: each chunk holds the terms of
-    as many sigma as :func:`_chunk_classes` gives for their gathered
-    (n!, n) complex entries, so every sigma at n <= 5 and 30 at n = 6."""
+    one :func:`_perm_total` over sigma whose chunks each hold the terms of
+    every tau: all of S_n at n <= 5 and 30 sigma at n = 6."""
     rows = np.asarray(mats)  # rows[i, k, l] is entry (k, l) of A_i
     n = len(rows)
     perms, signs = _perms_and_signs(n)
-    block = _chunk_classes(16 * n * len(perms))
 
-    def chunks():
-        for lo in range(0, len(perms), block):
-            terms = rows[np.arange(n), perms[lo : lo + block, None], perms].prod(axis=-1)
-            yield (signs[lo : lo + block, None] * signs * terms).ravel()
+    def terms(sigma, sigma_signs):
+        return sigma_signs[:, None] * signs * rows[np.arange(n), sigma[:, None], perms].prod(axis=-1)
 
-    return _exact_total(chunks())
+    return _perm_total(n, 16 * n * len(perms), terms)
 
 
 def eval_double_perm(t: MatrixTuple) -> float:
@@ -667,20 +670,21 @@ def permanent(c):
 
 
 def eval_signed_permanent(t: MatrixTuple) -> float:
-    """Signed sum over sigma of per(B_sigma) with B_sigma(k, l) = A_l(k, sigma(k))."""
+    """Signed sum over sigma of per(B_sigma) with B_sigma(k, l) = A_l(k, sigma(k)).
+
+    One :func:`_perm_total`: each chunk gathers its B_sigma and takes their
+    permanents in one kernel call, each with the bits of its own
+    :func:`permanent` call, as many sigma as fill one chunk with their sign
+    vectors' combinations."""
     n = t.n
     _gate(n, _GATE_SIGNED_PERM, "eval_signed_permanent")
-    perms, signs = _perms_and_signs(n)
-    # b[s, k, l] = A_l(k, sigma_s(k)).  Each kernel call takes the per(B_sigma)
-    # of a block of sigma whose sign vectors in all fill one chunk of complex
-    # rows of n entries, each with the bits of its own :func:`permanent` call.
-    b = t.matrices[:, np.arange(n), perms.astype(np.intp)].transpose(1, 2, 0)
-    block = _chunk_classes(16 * n) >> (n - 1)
-    pers = np.concatenate([
-        _centered_sum(b[lo : lo + block], _glynn_terms)[0]
-        for lo in range(0, len(b), block)
-    ])
-    return _as_real(_exact_total([signs * pers]))
+
+    def terms(perms, signs):
+        # b[s, k, l] = A_l(k, sigma_s(k)).
+        b = t.matrices[:, np.arange(n), perms.astype(np.intp)].transpose(1, 2, 0)
+        return signs * _centered_sum(b, _glynn_terms)[0]
+
+    return _as_real(_perm_total(n, 16 * n * 2 ** (n - 1), terms))
 
 
 def eval_tensor(t: MatrixTuple) -> float:
@@ -688,22 +692,21 @@ def eval_tensor(t: MatrixTuple) -> float:
 
     V(i_1,..,i_n) = sgn(tau) when the index word is the value sequence of a
     permutation tau, else 0 (the standard reading of the tensor formula).
-    The tensordot chain runs in the one chunk's generator, so its terms
-    fall under the overflow rule of :func:`_exact_sums`.
+    S_n is one chunk of :func:`_perm_total` (n! <= 720 at the gate), whose
+    tensordot chain so falls under the overflow rule of :func:`_exact_sums`.
     """
     n = t.n
     _gate(n, _GATE_TENSOR, "eval_tensor")
-    perms, signs = _perms_and_signs(n)
-    idx = tuple(perms.T.astype(np.intp))  # the index words that are permutations
 
-    def chunks():
+    def terms(perms, signs):
+        idx = tuple(perms.T.astype(np.intp))  # the index words that are permutations
         w = np.zeros((n,) * n, dtype=np.complex128)
         w[idx] = signs
         for i in range(n):
             w = np.moveaxis(np.tensordot(t.matrices[i], w, axes=(1, i)), 0, i)
-        yield signs * w[idx]
+        return signs * w[idx]
 
-    return _as_real(_exact_total(chunks()))
+    return _as_real(_perm_total(n, 0, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Two defining formulas are implemented: the signed sum of mixed discriminants
 over block-column permutations (qp_block) and the quadruple permutation sum
-over the 4-index tensor form (qp_tensor).  The block-to-tensor convention is
+over the 4-index tensor form (qp_tensor).  Each is one correctly rounded
+``discriminant._perm_total`` over S_n, whose chunks the route turns into
+terms: one kernel call on the chunk's block tuples, or the chunk's gathered
+tensor products.  The block-to-tensor convention is
 rho(i1, i2, i3, i4) = A_{i1, i3}(i2, i4), locked by brute-force agreement of
 the two formulas at n = 2 (see tests); if agreement ever breaks the
 convention must be revisited, not patched.  Both random block doubly
@@ -50,7 +53,7 @@ from .core import (
     random_complex_gaussian,
     require_finite,
 )
-from .discriminant import _as_real, _chunk_classes, _exact_total, _perms_and_signs, _polarized_raw
+from .discriminant import _as_real, _perm_total, _perms_and_signs, _polarized_raw
 
 _GATE_QP_BLOCK = 6
 _GATE_QP_TENSOR = 4
@@ -111,22 +114,28 @@ class SeparableSpec:
 
 
 def qp_block(rho: BlockMatrix) -> float:
-    """QP as the signed sum over sigma of D(A_{1,sigma(1)}, .., A_{n,sigma(n)})."""
+    """QP as the signed sum over sigma of D(A_{1,sigma(1)}, .., A_{n,sigma(n)}).
+
+    One ``discriminant._perm_total``: each chunk of sigma is one kernel call
+    on its tuples, as many as fill one chunk with one tuple's combinations
+    each (113 of the 720 at n = 6), so the n! tuples are never held at once.
+    """
     n = rho.n
     _gate(n, _GATE_QP_BLOCK, "qp_block")
-    perms, signs = _perms_and_signs(n)
-    # One kernel call over the n! tuples (A_{1,sigma(1)}, .., A_{n,sigma(n)}).
-    return _as_real(_exact_total([signs * _polarized_raw(rho.blocks[np.arange(n), perms])]))
+
+    def terms(perms, signs):
+        return signs * _polarized_raw(rho.blocks[np.arange(n), perms])
+
+    return _as_real(_perm_total(n, 16 * n * n * 2 ** (n - 1), terms))
 
 
 def qp_tensor(rho: BlockMatrix) -> float:
     """QP as (1/n!) sum over four permutations of the signed tensor product,
     sgn(tau1 tau2 sigma tau) prod_i rho(tau1(i), tau2(i), sigma(i), tau(i)).
 
-    The terms are one correctly rounded sum (``discriminant._exact_total``)
-    whose chunks each gather as many leading tau1 as
-    ``discriminant._chunk_classes`` gives for their (n!)^3 n complex
-    entries: every tau1 at n <= 3, 2 of the 24 at n = 4 (1.8 MB).
+    One ``discriminant._perm_total`` over tau1, whose chunks gather as many
+    leading tau1 as fill one chunk with their (n!)^3 n complex entries each:
+    every tau1 at n <= 3, 2 of the 24 at n = 4 (1.8 MB).
     """
     n = rho.n
     _gate(n, _GATE_QP_TENSOR, "qp_tensor")
@@ -134,14 +143,12 @@ def qp_tensor(rho: BlockMatrix) -> float:
     perms, signs = _perms_and_signs(n)
     rest = perms[None, :, None, None], perms[None, None, :, None], perms[None, None, None, :]
     rest_signs = (signs[:, None, None] * signs[None, :, None] * signs[None, None, :]).ravel()
-    block = _chunk_classes(16 * n * len(rest_signs))
 
-    def chunks():
-        for lo in range(0, len(perms), block):
-            terms = t4[(perms[lo : lo + block, None, None, None], *rest)].prod(axis=-1)
-            yield (signs[lo : lo + block, None] * rest_signs * terms.reshape(len(terms), -1)).ravel()
+    def terms(tau1, tau1_signs):
+        products = t4[(tau1[:, None, None, None], *rest)].prod(axis=-1)
+        return tau1_signs[:, None] * rest_signs * products.reshape(len(tau1), -1)
 
-    return _as_real(_exact_total(chunks()) / len(perms))
+    return _as_real(_perm_total(n, 16 * n * len(rest_signs), terms) / len(perms))
 
 
 def check_block_ds(rho: BlockMatrix, tol: Tolerances = DEFAULT_TOL) -> BlockDsReport:

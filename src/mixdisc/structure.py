@@ -75,13 +75,18 @@ def _generic_ranks(mats: np.ndarray, ranks: np.ndarray, tol: Tolerances):
     with f = 1e3 n u (u the unit round-off): U is singular when
     s_min <= f s_max, and an entry of a column of X, or of U's null vector,
     is in its support above f cond times the column's largest, cond being
-    s_max over the smallest singular value above f s_max.  The witness is the
-    smallest proper support of X (ties to its smallest slot), else the null
-    vector's support, or all slots but the last if that is every slot.  It
-    is certified on the slot ranges the supports read, from the
-    eigenvectors of the same solve: ``rank_psd`` of sum_{i in S} F_i F_i^*
-    is at most |S|.  The raw sum of S would count together eigenvalues that
-    each slot drops below rank_tol.
+    s_max over the smallest singular value above f s_max (of the n - 1
+    largest, for the null vector).  Each witness is certified on the slot
+    ranges the supports read, from the eigenvectors of the same solve, by
+    r(S) = ``rank_psd`` of sum_{i in S} F_i F_i^*; the raw sum of S would
+    count together eigenvalues that each slot drops below rank_tol.  A
+    nonsingular U's witness is the smallest proper support of X (ties to
+    its smallest slot), certified by r(S) <= |S|.  A singular U's, or that
+    of a nonsingular U whose witness fails (s_min just above f s_max, say,
+    so that X reads noise), is the null vector's support S, certified by
+    r(S) < |S|, so a broken weak rank condition is never read without a
+    subset that breaks it; it is reported as all slots but the last where
+    S is every slot.
     """
     n = len(mats)
     top = np.arange(n) >= n - ranks[:, None]  # eigenvalues are ascending
@@ -90,22 +95,29 @@ def _generic_ranks(mats: np.ndarray, ranks: np.ndarray, tol: Tolerances):
     u, v = np.einsum("iab,kib->kai", vecs, coef)
     w, s, vh = np.linalg.svd(u)
     f = 1e3 * n * _EPS / 2
-    live = s > f * s[0]
-    weak = bool(live.all())
-    x = vh.conj().T @ (w.conj().T @ v / s[:, None]) if weak else vh[-1:].conj().T
-    cut = f * s[0] / s[live][-1] if live.any() else f
-    mag = np.abs(x)
-    supports = [tuple(np.flatnonzero(c).tolist()) for c in (mag > cut * mag.max(0)).T]
-    if weak:
-        proper = [sup for sup in supports if len(sup) < n]
+    live = int((s > f * s[0]).sum())
+
+    def supports(x, k):
+        mag = np.abs(x)
+        cut = f * s[0] / s[k - 1] if k else f
+        return [tuple(np.flatnonzero(c).tolist()) for c in (mag > cut * mag.max(0)).T]
+
+    def rank(sup):
+        g = vecs[list(sup)] * top[list(sup), None]
+        return rank_psd((g @ g.conj().swapaxes(1, 2)).sum(0), tol)
+
+    if live == n:
+        proper = [sup for sup in supports(vh.conj().T @ (w.conj().T @ v / s[:, None]), n) if len(sup) < n]
         witness = min(proper, key=lambda sup: (len(sup), sup), default=None)
-    else:  # at n = 1 the only support is every slot: no witness
-        witness = (supports[0] if len(supports[0]) < n else tuple(range(n - 1))) or None
-    if witness is not None:
-        f = vecs[list(witness)] * top[list(witness), None]
-        if rank_psd((f @ f.conj().swapaxes(1, 2)).sum(0), tol) > len(witness):
-            return NumericalInconsistency(f"witness subset {witness} is not tight")
-    return weak, witness
+        if witness is None or rank(witness) <= len(witness):
+            return True, witness
+    (null,) = supports(vh[-1:].conj().T, min(live, n - 1))
+    r = rank(null)
+    if r < len(null):  # at n = 1 the only support is every slot: no witness
+        return False, (null if len(null) < n else tuple(range(n - 1))) or None
+    return NumericalInconsistency(
+        f"witness subset {null} is {'not tight' if r > len(null) else 'tight, not rank-deficient'}"
+    )
 
 
 def _rank_tests(mats: np.ndarray, w: np.ndarray, tol: Tolerances) -> list:

@@ -33,7 +33,11 @@ prints one ``<family> <sha256>`` line per family:
   seeds 0-29, drawn as tests/test_capacity.py draws them;
 - ``minimize_search``: the trial bests and stop reasons of
   ``minimize_search(n, 1, seed)`` for n = 2..6 and seeds 0-19, each as the
-  line ``json.dumps([trial_bests, stop_reasons])``.
+  line ``json.dumps([trial_bests, stop_reasons])``;
+- ``oracles``: every permutation sum as hex: ``eval_sigma_det``,
+  ``eval_double_perm``, ``eval_signed_permanent`` and ``eval_tensor`` on
+  ``_wishart((n, n, n), s)`` for n = 2..6 and seeds 0-2, and ``qp_block``
+  and ``qp_tensor`` on ``sample_block_ds(n, s)`` for n = 2..4 and seeds 0-2.
 
 A change that should keep the bits leaves every line as it was.  The bits
 depend on the numpy build and the CPU, so compare two runs on one host only.
@@ -67,7 +71,13 @@ from mixdisc.core import (  # noqa: E402
     make_rng,
     random_complex_gaussian,
 )
-from mixdisc.discriminant import MatrixTuple  # noqa: E402
+from mixdisc.discriminant import (  # noqa: E402
+    MatrixTuple,
+    eval_double_perm,
+    eval_sigma_det,
+    eval_signed_permanent,
+    eval_tensor,
+)
 from mixdisc.extremal import minimize_search, random_ds_tuple, random_ds_tuples  # noqa: E402
 from mixdisc.hyperbolic import (  # noqa: E402
     HyperbolicPencil,
@@ -77,7 +87,7 @@ from mixdisc.hyperbolic import (  # noqa: E402
     conjecture_experiment,
     pencil_from_tuple,
 )
-from mixdisc.pascal import sample_block_ds, sample_separable_ds  # noqa: E402
+from mixdisc.pascal import qp_block, qp_tensor, sample_block_ds, sample_separable_ds  # noqa: E402
 from mixdisc.structure import decompose  # noqa: E402
 
 from helpers import random_psd  # noqa: E402
@@ -202,6 +212,18 @@ def _search_lines():
             yield json.dumps([rec.trial_bests, rec.stop_reasons])
 
 
+def _oracle_lines():
+    for n in DIMENSIONS:
+        for seed in range(3):
+            t = MatrixTuple(_wishart((n, n, n), seed))
+            routes = (eval_sigma_det, eval_double_perm, eval_signed_permanent, eval_tensor)
+            yield " ".join(f(t).hex() for f in routes)
+    for n in range(2, 5):
+        for seed in range(3):
+            rho = sample_block_ds(n, seed)
+            yield f"{qp_block(rho).hex()} {qp_tensor(rho).hex()}"
+
+
 FAMILIES = {
     "conjecture": _conjecture_lines,
     "random_ds_tuples": _tuple_lines,
@@ -212,6 +234,7 @@ FAMILIES = {
     "decompose": _decompose_lines,
     "capacity": _capacity_lines,
     "minimize_search": _search_lines,
+    "oracles": _oracle_lines,
 }
 
 

@@ -14,7 +14,9 @@ M_eps = sum eps_i A_i, with each determinant taken over Z[i] by
 fraction-free (Bareiss) elimination (``_det``), whose every division is
 exact; a Glynn permanent is the same sum of column-sum products.  Only
 Python integers and ``Fraction`` are used: the results are exact, with no
-tolerance.
+tolerance.  The two QP routes are read on rho_A, the block-diagonal matrix
+of a tuple's slots (``helpers.rho_a``), whose blocks are the slots' own
+floats, so that QP(rho_A) = D(A) is exact too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -31,10 +33,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from mixdisc.core import _wishart, make_rng  # noqa: E402
-from mixdisc.discriminant import MatrixTuple, eval_double_perm, eval_polarized, eval_sigma_det, permanent  # noqa: E402
+from mixdisc.discriminant import (  # noqa: E402
+    MatrixTuple,
+    eval_double_perm,
+    eval_polarized,
+    eval_sigma_det,
+    eval_signed_permanent,
+    eval_tensor,
+    permanent,
+)
 from mixdisc.extremal import random_ds_tuple  # noqa: E402
 from mixdisc.genaf import column_repeated  # noqa: E402
 from mixdisc.hyperbolic import _random_ds_matrices  # noqa: E402
+from mixdisc.pascal import qp_block, qp_tensor  # noqa: E402
+
+from helpers import rho_a  # noqa: E402
 
 
 def _gaussian(a):
@@ -137,6 +150,10 @@ def wishart_tuples(dims=range(2, 9), seeds=range(5)):
             yield f"wishart n={n} s={s}", MatrixTuple(_wishart((n, n, n), s))
 
 
+# The Wishart family up to the gates of the routes that stop below n = 8.
+WISHART_TO = {top: partial(wishart_tuples, range(2, top + 1)) for top in (4, 6, 7)}
+
+
 def jn_tuples():
     for n in (6, 8):
         for j in (-40, 0, 40):
@@ -183,7 +200,14 @@ TABLE = [
     ("eval_sigma_det", "J_n 2^j", jn_tuples, True),
     ("eval_sigma_det", "random_ds_tuple", ds_tuples, True),
     ("eval_sigma_det", "slot 1 x 2^13", scaled_slot_tuples, False),
+    ("eval_double_perm", "wishart n=2..6", WISHART_TO[6], True),
     ("eval_double_perm", "random_ds_tuple", ds_tuples, True),
+    ("eval_signed_permanent", "wishart n=2..7", WISHART_TO[7], True),
+    ("eval_signed_permanent", "random_ds_tuple", ds_tuples, True),
+    ("eval_tensor", "wishart n=2..6", WISHART_TO[6], True),
+    ("eval_tensor", "random_ds_tuple", ds_tuples, True),
+    ("qp_block", "rho_A, wishart n=2..6", WISHART_TO[6], True),
+    ("qp_tensor", "rho_A, wishart n=2..4", WISHART_TO[4], True),
     ("permanent", "af matrices", af_matrices, True),
     ("permanent", "ds matrices", ds_matrices, True),
 ]
@@ -191,6 +215,10 @@ ROUTES = {
     "eval_polarized": eval_polarized,
     "eval_sigma_det": eval_sigma_det,
     "eval_double_perm": eval_double_perm,
+    "eval_signed_permanent": eval_signed_permanent,
+    "eval_tensor": eval_tensor,
+    "qp_block": lambda t: qp_block(rho_a(t)),
+    "qp_tensor": lambda t: qp_tensor(rho_a(t)),
     "permanent": permanent,
 }
 
@@ -198,7 +226,7 @@ ROUTES = {
 @cache
 def cases(family):
     """(name, x, exact value) for each case of ``family``, computed once: D
-    of a tuple, the permanent of a matrix."""
+    of a tuple (and so QP of its rho_A), the permanent of a matrix."""
     return [
         (name, x, exact_d(x.matrices) if isinstance(x, MatrixTuple) else exact_permanent(x))
         for name, x in family()
@@ -211,7 +239,7 @@ def worst(route, family):
 
 
 if __name__ == "__main__":
-    print(f"{'route':<18}{'family':<22}{'worst':>10}  case")
+    print(f"{'route':<23}{'family':<23}{'worst':>10}  case")
     for route, label, family, asserted in TABLE:
         err, case = worst(route, family)
-        print(f"{route:<18}{label:<22}{err:>10.2e}  {case}{'' if asserted else '  (not asserted)'}")
+        print(f"{route:<23}{label:<23}{err:>10.2e}  {case}{'' if asserted else '  (not asserted)'}")

@@ -10,6 +10,9 @@ no longer equal take the ungrouped path) and to the plain sign table, and
 its gradient gives bitwise-equal slots bitwise-equal Q_i.  A
 stack of tuples is held to the single call of each of its tuples, bit for bit,
 and so are the permutation oracles to their one-call-per-sigma forms.  The
+one walk of S_n that every permutation sum takes, ``_perm_total``, is held
+to S_n in order, to one exact sum and one overflow rule across chunks, and
+every permutation sum to its bits under a smaller chunk budget.  The
 gradient's D is the kernel's D bit for bit and is held to the permutation sum.
 Above one chunk, D, Q and real permanents from the reused class buffers and
 the column-by-column Glynn product keep the bits of fresh per-chunk tables,
@@ -26,12 +29,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixdisc.discriminant as disc
 from mixdisc.core import (
+    OutOfRange,
     as_hermitian,
     make_rng,
     random_complex_gaussian,
 )
 from mixdisc.discriminant import (
+    _CHUNK_BYTES,
     _GROUP_MIN_N,
     MatrixTuple,
     _adjugates,
@@ -42,21 +48,25 @@ from mixdisc.discriminant import (
     _eps_combinations,
     _fsum_rows,
     _gradient_raw,
-    _iter_perm_chunks,
+    _perm_signs,
+    _perm_total,
     _perms_and_signs,
     _polarized_raw,
     _slot_groups,
+    eval_double_perm,
     eval_polarized,
     eval_sigma_det,
     eval_signed_permanent,
+    eval_tensor,
     gradient,
     permanent,
 )
 from mixdisc.extremal import dnp_family_value, random_ds_tuple
 from mixdisc.genaf import af_lower_bound_experiment
 from mixdisc.hyperbolic import HyperbolicPencil, mixed_value
+from mixdisc.pascal import qp_block, qp_tensor, sample_block_ds
 
-from helpers import random_hermitian, replaced
+from helpers import random_hermitian, replaced, rho_a
 
 
 def _distinct_scaled_identities(n):
@@ -588,13 +598,95 @@ def test_sigma_det_keeps_the_whole_table_bits(n):
 
 
 @pytest.mark.parametrize("n", [3, 7, 8, 9])
-def test_perm_chunks_are_s_n_in_order(n):
-    # Chunks of at most the budget's permutations: slices of the cached table
-    # up to n = 8, generated above.  Together they are S_n in lexicographic order.
-    chunks = list(_iter_perm_chunks(n))
-    assert all(0 < len(c) <= _chunk_classes(16 * n * n) for c in chunks)
+def test_perm_total_walks_s_n_in_order(n):
+    # Chunks of at most the budget's permutations, with their signs: slices
+    # of the cached table up to n = 8, generated above.  Together they are
+    # S_n in lexicographic order.
+    chunks = []
+
+    def terms(perms, signs):
+        chunks.append((perms.copy(), signs.copy()))
+        return np.zeros(len(perms))
+
+    assert _perm_total(n, 16 * n * n, terms) == 0
+    assert all(0 < len(p) <= _chunk_classes(16 * n * n) for p, _ in chunks)
+    assert (len(chunks) > 1) is (n >= 7)
+    perms, signs = (np.concatenate(c) for c in zip(*chunks))
     expected = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    assert np.array_equal(np.concatenate(chunks), expected)
+    assert np.array_equal(perms, expected)
+    assert np.array_equal(signs, _perm_signs(expected))
+    if n == 3:
+        assert signs.tolist() == [1, -1, -1, 1, 1, -1]
+
+
+def test_perm_total_is_one_exact_sum_across_chunks():
+    # A chunk of one permutation each: terms that cancel across chunks sum
+    # to exactly 1, with chunks of real terms (qp_block's block tuples of
+    # zero blocks, say) beside complex ones.
+    values = iter([1e16 + 1j, 1.0 - 1j, -1e16, 0.0, 0j, 0.0])
+
+    def terms(perms, signs):
+        assert len(perms) == 1
+        return np.array([next(values)])
+
+    assert _perm_total(3, _CHUNK_BYTES, terms) == complex(1.0, 0.0)
+    assert next(values, None) is None
+
+
+def test_perm_total_raises_out_of_range_from_a_later_chunk():
+    # Only the permutations with sigma(0) = n - 1, the last ones, overflow:
+    # the chunks before theirs are summed, and then theirs raises.
+    n = 8
+    calls = []
+
+    def terms(perms, signs):
+        calls.append(bool((perms[:, 0] == n - 1).any()))
+        return signs * np.where(perms[:, 0] == n - 1, 1e300, 1.0) * 1e10
+
+    with pytest.raises(OutOfRange):
+        _perm_total(n, 16 * n * n, terms)
+    assert len(calls) > 1 and calls[-1] and not any(calls[:-1])
+
+
+def _perm_routes():
+    """The value of every permutation sum of the package, as hex strings:
+    the four oracles on a complex and a real Wishart tuple up to their
+    gates, eval_sigma_det at n = 9 (the generated path), and both QP routes
+    on a sampled block doubly stochastic matrix and on the real rho_A."""
+    out = []
+    for n in range(2, 8):
+        rng = make_rng(800 + n)
+        for real in (False, True):
+            t = MatrixTuple([_wishart(n, rng, real=real) for _ in range(n)])
+            routes = [eval_sigma_det, eval_signed_permanent] + [eval_double_perm, eval_tensor] * (n <= 6)
+            out += [f(t).hex() for f in routes]
+            if n <= 6:
+                rhos = [rho_a(t)] + [sample_block_ds(n, n)] * (not real)
+                out += [f(rho).hex() for rho in rhos for f in [qp_block] + [qp_tensor] * (n <= 4)]
+    rng = make_rng(809)
+    out.append(eval_sigma_det(MatrixTuple([_wishart(9, rng, real=False) for _ in range(9)])).hex())
+    return out
+
+
+def test_perm_total_keeps_every_routes_bits_under_a_smaller_budget(monkeypatch):
+    before = _perm_routes()
+    # One leading permutation of qp_tensor's n = 4 terms per chunk: every
+    # route takes several chunks at its gate, and the kernel calls of
+    # qp_block and eval_signed_permanent keep theirs (64 classes of at most
+    # 1 KiB each).
+    budget = 16 * 4 * 24**3
+    monkeypatch.setattr(disc, "_CHUNK_BYTES", budget)
+    for entry_bytes, count in [
+        (16 * 7 * 7, 5040),  # eval_sigma_det, n = 7
+        (16 * 9 * 9, 362880),  # eval_sigma_det, n = 9
+        (16 * 6 * 720, 720),  # eval_double_perm, n = 6
+        (16 * 7 * 2**6, 5040),  # eval_signed_permanent, n = 7
+        (16 * 6 * 6 * 2**5, 720),  # qp_block, n = 6
+        (16 * 4 * 24**3, 24),  # qp_tensor, n = 4
+    ]:
+        assert 0 < _chunk_classes(entry_bytes) < count
+    assert _chunk_classes(16 * 6 * 6) >= 64
+    assert _perm_routes() == before
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -18,7 +18,7 @@ from mixdisc.core import (
     random_complex_gaussian,
     rank_psd,
 )
-from mixdisc.discriminant import MatrixTuple, _exact_total
+from mixdisc.discriminant import MatrixTuple
 from mixdisc.extremal import dnp_family_value
 
 from helpers import random_hermitian, random_psd
@@ -167,10 +167,5 @@ class TestRandomness:
 
 
 class TestCompensatedSums:
-    def test_exact_total_of_complex_terms(self):
-        terms = np.array([1e16 + 1j, 1.0 - 1j, -1e16 + 0j])
-        assert _exact_total([terms]) == complex(1.0, 0.0)
-        assert _exact_total(iter([terms[:1], terms[1:]])) == complex(1.0, 0.0)
-
     def test_max_abs_empty(self):
         assert max_abs(np.zeros((0, 0))) == 0.0

@@ -1,10 +1,11 @@
-"""The float routes of D and of the permanent against exact values.
+"""The float routes of D, of QP and of the permanent against exact values.
 
 ``exact.py`` computes D and Glynn permanents of float input exactly, in
-Python integers over Z[i].  Each route's worst relative error on each
-family, at fixed seeds, must stay within its bound: the smallest power of
-ten at least ten times the worst measured when the bound was set, and never
-above the documented accuracy (1e-8; 1e-12 on J_n).  The slot-scaled
+Python integers over Z[i], and so QP of rho_A, which is D.  Each route's
+worst relative error on each family, at fixed seeds, must stay within its
+bound: the smallest power of ten at least ten times the worst measured
+when the bound was set, and never above the documented accuracy (1e-8;
+1e-12 on J_n).  The slot-scaled
 Wishart family of ROADMAP item 1 is reported by ``python tests/exact.py``
 but not asserted here.
 """
@@ -25,7 +26,14 @@ BOUNDS = {
     ("eval_sigma_det", "wishart n=2..8"): 1e-14,  # 3.3e-16
     ("eval_sigma_det", "J_n 2^j"): 1e-12,  # 4.0e-14, J_8 2^40
     ("eval_sigma_det", "random_ds_tuple"): 1e-14,  # 2.4e-16
+    ("eval_double_perm", "wishart n=2..6"): 1e-14,  # 1.4e-16
     ("eval_double_perm", "random_ds_tuple"): 1e-14,  # 1.3e-16, one correctly rounded total
+    ("eval_signed_permanent", "wishart n=2..7"): 1e-14,  # 9.2e-16, n = 6
+    ("eval_signed_permanent", "random_ds_tuple"): 1e-14,  # 5.0e-16
+    ("eval_tensor", "wishart n=2..6"): 1e-14,  # 1.6e-16
+    ("eval_tensor", "random_ds_tuple"): 1e-14,  # 1.3e-16
+    ("qp_block", "rho_A, wishart n=2..6"): 1e-13,  # 3.5e-15, n = 6: the kernel's D of sigma = id
+    ("qp_tensor", "rho_A, wishart n=2..4"): 1e-14,  # 1.6e-16
     ("permanent", "af matrices"): 0.0,  # integer matrices: every term is exact
     ("permanent", "ds matrices"): 1e-14,  # 7.0e-16
 }

@@ -89,8 +89,10 @@ def test_dimension_too_large_is_raised_only_in_core():
 
 def test_d_of_hermitian_stacks_is_read_through_one_residue_gate():
     assert _callers("_as_real_d") == {"discriminant._discriminants", "discriminant.eval_sigma_det"}
-    # qp_block's block tuples are not Hermitian; its signed sum keeps the fixed gate.
-    assert _callers("_polarized_raw") == {"discriminant._discriminants", "pascal.qp_block"}
+    # qp_block's block tuples are not Hermitian; its signed sum keeps the
+    # fixed gate.  Its kernel calls take one chunk of sigma each, in the
+    # terms closure it hands to _perm_total.
+    assert _callers("_polarized_raw") == {"discriminant._discriminants", "pascal.qp_block.terms"}
     for module in ("hyperbolic", "genaf"):
         assert not _imported(module) & {"_as_real_d", "_polarized_raw"}, module
 

@@ -4,8 +4,9 @@ The kernel sizes its chunks so that one tuple's combinations take at most
 ``_CHUNK_BYTES`` (2048 classes at most, so that a permanent's chunk stays in
 a core's cache), and sums the terms chunk by chunk, correctly rounded.  The
 traced peaks of D and Q where the classes span many chunks stay within a
-few chunk buffers, and those of permanents and the Alexandrov-Fenchel
-experiment within 1.5 MiB; D and permanents
+few chunk buffers, those of permanents and the Alexandrov-Fenchel
+experiment within 1.5 MiB, and that of ``qp_block``, whose kernel calls
+take the permutations a chunk at a time, within 1.5 chunks; D and permanents
 do not depend on the chunk size wherever the combinations themselves do not
 (BLAS may round a row of a product differently with the number of rows in
 it, so the inputs here are dyadic, which makes every combination exact); Q
@@ -36,6 +37,7 @@ from mixdisc.discriminant import (
     permanent,
 )
 from mixdisc.genaf import af_lower_bound_experiment
+from mixdisc.pascal import qp_block, sample_block_ds
 
 # Before chunks were sized by bytes these peaks were 27-36 MB (D) and
 # 62-115 MB (Q); they are now 1.7-2.3 and 5.6-7.3 MB.  A chunk of D holds its combinations and determinants, one of Q its
@@ -104,6 +106,15 @@ def test_af16_peak_stays_within_one_and_a_quarter_mib():
     # traced call: 3.4 MB when a chunk held 8192 classes.
     disc._class_table.cache_clear()
     assert _traced_peak(lambda: af_lower_bound_experiment(16)) <= 1.25 * 2**20
+
+
+def test_qp_block_peak_stays_within_one_and_a_half_chunks():
+    # QP of a block matrix at its n = 6 gate: one kernel call per chunk of
+    # sigma, 113 of the 720 tuples' combinations in 2 MiB; one call over all
+    # 720 at once peaked at 15.9 MiB.
+    rho = sample_block_ds(6, 0)
+    qp_block(rho)
+    assert _traced_peak(lambda: qp_block(rho)) <= 1.5 * _CHUNK_BYTES
 
 
 def test_chunks_fill_the_byte_budget_up_to_2048_classes():

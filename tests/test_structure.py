@@ -309,28 +309,49 @@ def _gram(n, r, rng):
     return g @ g.conj().T
 
 
+def _planted_stack(n, seed, ranks, k, dim, order, repeats):
+    """A PSD stack of seeded Gram slots of ``ranks``, whose slots order[:k]
+    are confined to one seeded subspace of dimension dim, with slot j set to
+    slot i for each (i, j) of ``repeats``."""
+    rng = make_rng(seed)
+    mats = [_gram(n, r, rng) for r in ranks]
+    q = np.linalg.qr(random_complex_gaussian(n, rng))[0][:, :dim]
+    for i in order[:k]:
+        mats[i] = q @ _gram(dim, n, rng) @ q.conj().T
+    for i, j in repeats:
+        mats[j] = mats[i]
+    return MatrixTuple(mats)
+
+
 @st.composite
 def rank_deficient_stacks(draw):
     """PSD stacks (n <= 6) with drawn slot ranks, one subset of slots confined
     to a subspace of about its own size, and repeated slots."""
     n = draw(st.integers(2, 6))
-    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     ranks = draw(st.lists(st.integers(0, n).map(lambda r: n - r), min_size=n, max_size=n))
-    mats = [_gram(n, r, rng) for r in ranks]
     k = draw(st.integers(1, n - 1))
     dim = draw(st.integers(max(0, k - 1), min(n, k + 1)))
-    q = np.linalg.qr(random_complex_gaussian(n, rng))[0][:, :dim]
-    for i in draw(st.permutations(range(n)))[:k]:
-        mats[i] = q @ _gram(dim, n, rng) @ q.conj().T
-    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
-        mats[j] = mats[i]
-    return MatrixTuple(mats)
+    order = draw(st.permutations(range(n)))
+    repeats = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    return _planted_stack(n, seed, ranks, k, dim, order, repeats)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rank_deficient_stacks())
 def test_generic_vectors_match_one_subset_at_a_time(t):
     _assert_matches_the_oracle(t)
+
+
+def test_a_witness_read_off_noise_is_read_again_as_a_singular_u():
+    # Slots 0-3 have rank 3 in one 3-dimensional space, so the weak rank
+    # condition fails, but U's smallest singular value, 1.8e-12, is just
+    # above f s_max = 1.5e-12.  X = U^-1 V then reads the support (0,),
+    # which is not tight; U's null vector reads (0, 1, 2, 3), of rank 3.
+    t = _planted_stack(5, 414182307, [5] * 5, 4, 3, range(5), [])
+    assert _assert_matches_the_oracle(t) == (False, False)
+    assert _generic_ranks(t.matrices, rank_psd(t.matrices), DEFAULT_TOL) == (False, (0, 1, 2, 3))
+    assert rank_psd(t.matrices[:4].sum(0)) == 3
 
 
 @st.composite
